@@ -183,28 +183,33 @@ def value_grad_hess(fn, args):
 
     The outer dual layer tracks direction ``j``, the inner layer direction
     ``i``; the (i, j) Hessian entry is the inner derivative of the outer one.
+    Seeding is symmetric: one nested pass per pair i <= j, k(k+1)/2 passes
+    for k arguments plus the plain value pass, and ``hess[j][i]`` is a copy
+    of ``hess[i][j]``.  The gradient comes from the i = 0 passes.
+
+    If the first nested pass returns a non-dual, ``fn`` combined no seeded
+    argument and the gradient and Hessian are returned as zeros at once.
+    That is exact provided whether ``fn`` uses an argument does not depend
+    on argument values, i.e. ``fn`` never branches on a dual's value; no
+    catalog coefficient and no ``exprlang``-bound function does.
     """
     n = len(args)
     val = value_of(fn(list(args)))
     grad = [0.0] * n
     hess = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            seeded = [
-                Dual(
-                    Dual(a, 1.0 if k == i else 0.0),
-                    Dual(1.0 if k == j else 0.0, 0.0),
-                )
-                for k, a in enumerate(args)
-            ]
-            out = fn(seeded)
+    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
+    for i in range(n):
+        inner = [Dual(a, 1.0 if k == i else 0.0) for k, a in enumerate(args)]
+        for j in range(i, n):
+            out = fn([Dual(a, one if k == j else zero)
+                      for k, a in enumerate(inner)])
             if not isinstance(out, Dual):
+                if j == 0:
+                    return val, grad, hess
                 continue
             d = out.deriv  # derivative along j, still in the inner ring
             if isinstance(d, Dual):
-                hess[i][j] = d.deriv
-                if i == 0:
-                    grad[j] = value_of(d)
-            elif i == 0:
+                hess[i][j] = hess[j][i] = d.deriv
+            if i == 0:
                 grad[j] = value_of(d)
     return val, grad, hess

@@ -20,6 +20,7 @@ from .jetspace import (
     REAL,
     FieldKind,
     JetPoint,
+    _signed,
     base_coord,
     d1_coord,
     d2_coord,
@@ -70,8 +71,12 @@ class VectorField:
 class ProlongedOperator:
     """Second prolongation of a vector field, evaluable at any jet point.
 
-    ``coeff`` follows the unordered-pair convention: the coefficient
-    reported for d2(r, i, j) with i != j is eta_ij + eta_ji.
+    One table is built per point: the flow table, the actual derivative of
+    each stored coordinate along the prolonged flow (eta_ij for an
+    off-diagonal pair, half the published sum).  The published
+    :meth:`coefficient_table` follows the unordered-pair convention, eta_ij
+    + eta_ji for d2(r, i, j) with i != j, and is the flow table with those
+    entries doubled, which is exact.
     """
 
     __slots__ = ("source", "label")
@@ -83,13 +88,8 @@ class ProlongedOperator:
     def __repr__(self):
         return f"ProlongedOperator({self.label})"
 
-    def _tables(self, point: JetPoint):
-        """(public coefficient table, flow table) at a point.
-
-        The flow table carries the actual derivative of each stored
-        coordinate along the prolonged flow; for off-diagonal pairs that
-        is eta_ij, half the published sum.
-        """
+    def _flow(self, point: JetPoint) -> dict:
+        """Flow table at a point."""
         src = self.source
         n, m = src.n_base, src.n_fields
         if point.n_base != n or point.n_fields != m:
@@ -116,6 +116,16 @@ class ProlongedOperator:
             eta_hess.append(h)
 
         du = point.du
+        # ddu[s][i][j] = u^{s+1}_ij as a full symmetric matrix; the stored
+        # rows are packed upper-triangle row-major
+        ddu = []
+        for row in point.ddu:
+            slots = iter(row)
+            mat = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    mat[i][j] = mat[j][i] = next(slots)
+            ddu.append(mat)
 
         def total_d(grad, i):
             # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
@@ -130,31 +140,22 @@ class ProlongedOperator:
             for s in range(m):
                 out = out + du[s][j] * hess[i][n + s]
                 out = out + du[s][i] * hess[j][n + s]
-                out = out + point.value(d2_coord(s + 1, i, j)) * grad[n + s]
+                out = out + ddu[s][i][j] * grad[n + s]
                 for t in range(m):
                     out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
             return out
 
         d_xi = [[total_d(xi_grad[k], i) for i in range(n)] for k in range(n)]
-        eta1 = [[None] * n for _ in range(m)]
+        flow = {}
+        for i in range(n):
+            flow[base_coord(i)] = xi_val[i]
         for r in range(m):
+            flow[field_coord(r + 1)] = eta_val[r]
             for i in range(n):
                 val = total_d(eta_grad[r], i)
                 for k in range(n):
                     val = val - du[r][k] * d_xi[k][i]
-                eta1[r][i] = val
-
-        public = {}
-        flow = {}
-        for i in range(n):
-            public[base_coord(i)] = xi_val[i]
-            flow[base_coord(i)] = xi_val[i]
-        for r in range(m):
-            public[field_coord(r + 1)] = eta_val[r]
-            flow[field_coord(r + 1)] = eta_val[r]
-            for i in range(n):
-                public[d1_coord(r + 1, i)] = eta1[r][i]
-                flow[d1_coord(r + 1, i)] = eta1[r][i]
+                flow[d1_coord(r + 1, i)] = val
 
         dd_xi = [[[total_dd(xi_grad[k], xi_hess[k], i, j) for j in range(n)]
                   for i in range(n)] for k in range(n)]
@@ -166,34 +167,25 @@ class ProlongedOperator:
             #          - u_ik D_j xi^k
             val = dd_eta[r][i][j]
             for k in range(n):
-                val = val - point.value(d2_coord(r + 1, k, j)) * d_xi[k][i]
+                val = val - ddu[r][k][j] * d_xi[k][i]
                 val = val - du[r][k] * dd_xi[k][i][j]
-                val = val - point.value(d2_coord(r + 1, i, k)) * d_xi[k][j]
+                val = val - ddu[r][i][k] * d_xi[k][j]
             return val
 
         for r in range(m):
             for i in range(n):
-                for j in range(i, n):
-                    cid = d2_coord(r + 1, i, j)
-                    if i == j:
-                        val = eta2(r, i, i)
-                        public[cid] = val
-                        flow[cid] = val
-                    else:
-                        a = eta2(r, i, j)
-                        b = eta2(r, j, i)
-                        public[cid] = a + b
-                        flow[cid] = (a + b) / 2.0
-        return public, flow
+                flow[d2_coord(r + 1, i, i)] = eta2(r, i, i)
+                for j in range(i + 1, n):
+                    flow[d2_coord(r + 1, i, j)] = \
+                        (eta2(r, i, j) + eta2(r, j, i)) / 2.0
+        return flow
 
     def coefficient_table(self, point: JetPoint) -> dict:
-        return self._tables(point)[0]
+        return {cid: 2.0 * c if cid.kind == "d2" and cid.i != cid.j else c
+                for cid, c in self._flow(point).items()}
 
     def flow_table(self, point: JetPoint) -> dict:
-        return self._tables(point)[1]
-
-    def coeff(self, cid, point: JetPoint):
-        return self.coefficient_table(point)[cid]
+        return self._flow(point)
 
 
 def prolong2(v: VectorField, n_fields: int | None = None) -> ProlongedOperator:
@@ -660,12 +652,7 @@ class PolynomialOfU:
 
 
 def _sample_poly(rng, degree=2):
-    return PolynomialOfU([_signed_value(rng) for _ in range(degree + 1)])
-
-
-def _signed_value(rng):
-    mag = rng.uniform(0.5, 2.0)
-    return mag if rng.random() < 0.5 else -mag
+    return PolynomialOfU([_signed(rng) for _ in range(degree + 1)])
 
 
 def sample_eikonal_functions(n: int, seed: int, extended: bool):

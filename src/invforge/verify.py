@@ -186,6 +186,7 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
     for s in range(n_samples):
         point, _ = _draw(sampler, members, s)
         jac = family_jacobian(members, point, coords)
+        fmags = [abs(mem.eval(point)) for mem in members]
         for op in ops:
             flow = op.flow_table(point)
             coeffs = [flow.get(c, 0.0) for c in coords]
@@ -199,8 +200,7 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
                         f"non-finite residual for {mem.label} under {op.label}")
                 key = (op.label, mem.label)
                 worst[key] = max(worst.get(key, 0.0), abs(resid))
-                fmag = abs(mem.eval(point))
-                scales[key] = max(scales.get(key, 0.0), fmag * cnorm)
+                scales[key] = max(scales.get(key, 0.0), fmags[mi] * cnorm)
     records = []
     for (op_label, mem_label), resid in sorted(worst.items()):
         scale = scales[(op_label, mem_label)]
@@ -260,6 +260,7 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
             continue
         collected += 1
         grad = residual.grad(point, residual.deps)
+        fmag = abs(residual.eval(point))
         for op in ops:
             flow = op.flow_table(point)
             coeffs = [flow.get(c, 0.0) for c in residual.deps]
@@ -269,8 +270,7 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
                 resid = resid + coeffs[ci] * grad[ci]
             key = (op.label, residual.label)
             worst[key] = max(worst.get(key, 0.0), abs(resid))
-            scales[key] = max(scales.get(key, 0.0),
-                              abs(residual.eval(point)) * cnorm)
+            scales[key] = max(scales.get(key, 0.0), fmag * cnorm)
     records = []
     for (op_label, res_label), resid in sorted(worst.items()):
         scale = scales[(op_label, res_label)]

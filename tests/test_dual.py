@@ -1,6 +1,15 @@
 import math
 
-from invforge.dual import Dual, dexp, dlog, value_grad, value_grad_hess
+import pytest
+
+from invforge.dual import (
+    Dual,
+    dexp,
+    dlog,
+    value_grad,
+    value_grad_hess,
+    value_of,
+)
 
 
 def test_product_rule_is_exact(rng):
@@ -81,3 +90,80 @@ def test_value_grad_hess():
     assert hess[0][0] == 6.0
     assert hess[0][1] == hess[1][0] == 4.0
     assert hess[1][1] == 2.0
+
+
+def reference_value_grad_hess(fn, args):
+    """Unsymmetric nested seeding: one pass per ordered pair (i, j), so
+    every Hessian entry, mirrored ones included, comes from its own pass."""
+    n = len(args)
+    val = value_of(fn(list(args)))
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(n):
+            seeded = [
+                Dual(
+                    Dual(a, 1.0 if k == i else 0.0),
+                    Dual(1.0 if k == j else 0.0, 0.0),
+                )
+                for k, a in enumerate(args)
+            ]
+            out = fn(seeded)
+            if not isinstance(out, Dual):
+                continue
+            d = out.deriv
+            if isinstance(d, Dual):
+                hess[i][j] = d.deriv
+            if i == 0:
+                grad[j] = value_of(d)
+    return val, grad, hess
+
+
+def _non_polynomial(args):
+    out = dexp(args[0] * args[-1]) / (2.0 + args[0] * args[0])
+    for k, a in enumerate(args):
+        out = out + a ** 2.5 / (1.0 + k + a) + a ** 3 * args[k - 1]
+    return out
+
+
+def _complex_valued(args):
+    # generator-like coefficient with an imaginary weight, as in the
+    # Schroedinger algebras: (lam t + i mass |x|^2 / 2) u
+    mu = 1j * 0.7
+    sq = 0.0
+    for a in args[1:]:
+        sq = sq + a * a
+    return (0.4 * args[0] + mu * sq / 2.0) * args[-1] * args[0]
+
+
+def _skips_arguments(args):
+    out = 1.5
+    for a in args[::2]:
+        out = out * (a + 0.5) - a * a
+    return out
+
+
+@pytest.mark.parametrize("fn", [_non_polynomial, _complex_valued,
+                                _skips_arguments])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_value_grad_hess_matches_unsymmetric_reference(fn, k, rng):
+    for _ in range(5):
+        args = [rng.uniform(0.5, 2.0) for _ in range(k)]
+        val, grad, hess = value_grad_hess(fn, args)
+        want_val, want_grad, want_hess = reference_value_grad_hess(fn, args)
+        assert val == want_val
+        assert grad == want_grad
+        for i in range(k):
+            for j in range(i, k):
+                assert hess[i][j] == want_hess[i][j]
+                assert hess[j][i] == hess[i][j]
+                mirrored = want_hess[j][i]
+                assert abs(hess[j][i] - mirrored) <= 1e-13 * abs(mirrored)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_value_grad_hess_argument_free(k):
+    val, grad, hess = value_grad_hess(lambda args: 2.5, [1.0] * k)
+    assert val == 2.5
+    assert grad == [0.0] * k
+    assert hess == [[0.0] * k for _ in range(k)]

@@ -11,6 +11,7 @@ from invforge.jetspace import (
     sample_generic,
 )
 from invforge.liealg import (
+    _FAMILIES,
     AlgebraSpec,
     apply_operator,
     catalog,
@@ -297,3 +298,21 @@ def test_eikonal_invariance_survives_user_functions():
     rep = check_on_manifold(ops, E, solve_for=d1_coord(1, 0), n_samples=4,
                             seed=5)
     assert rep.verdict == "PASS"
+
+
+@pytest.mark.parametrize("name", _FAMILIES)
+def test_coefficient_table_doubles_off_diagonal_flow(name):
+    spec = make_spec(name, 3)
+    point = make_sampler(spec.n_base, spec.n_fields, spec.field_kind,
+                         seed=4)(0)
+    coords = set(enumerate_coords(spec.n_base, spec.n_fields))
+    for field in catalog(spec):
+        op = prolong2(field)
+        flow = op.flow_table(point)
+        table = op.coefficient_table(point)
+        assert set(table) == set(flow) == coords
+        for cid, c in flow.items():
+            if cid.kind == "d2" and cid.i != cid.j:
+                assert table[cid] == 2.0 * c
+            else:
+                assert table[cid] == c

@@ -1,0 +1,65 @@
+"""Byte-identity guard: the deterministic part of three JSON reports,
+pinned at full precision.
+
+Hot-path refactors must change no number in a report; this compares each
+report, ``meta.generated_at`` removed, with the copy in
+``data/report_identity.json``.  A change that alters a report on purpose
+records the fixture again and says why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_report_identity.py
+"""
+
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from invforge import cli
+
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "report_identity.json")
+CALLS = (
+    ("verify", "--algebra", "AE", "--n", "3", "--samples", "3"),
+    ("verify", "--equation", "heat", "--n", "3", "--samples", "3"),
+    ("rank", "--algebra", "AC", "--n", "3", "--samples", "5"),
+)
+
+
+def deterministic_report(argv, path):
+    """(exit code, report without ``meta.generated_at``) at seed 0."""
+    code = cli.main(list(argv) + ["--seed", "0", "--out", str(path)],
+                    stream=io.StringIO())
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["meta"]["generated_at"]
+    return code, doc
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+def test_report_is_byte_identical(argv, tmp_path):
+    with open(FIXTURE, encoding="utf-8") as fh:
+        want = json.load(fh)[" ".join(argv)]
+    code, doc = deterministic_report(argv, tmp_path / "report.json")
+    assert code == want["exit"]
+    # floats print as their shortest round-trip repr: equal text is equal
+    # bits
+    assert json.dumps(doc, sort_keys=True) == json.dumps(want["report"],
+                                                         sort_keys=True)
+
+
+def record():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in CALLS:
+            code, doc = deterministic_report(argv,
+                                             os.path.join(tmp, "report.json"))
+            out[" ".join(argv)] = {"exit": code, "report": doc}
+    with open(FIXTURE, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    record()
