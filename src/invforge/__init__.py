@@ -5,7 +5,6 @@ language."""
 __version__ = "0.1.0"
 
 from .dual import Dual, EvaluationError
-from .verify import DualScalar
 from .exprlang import (ParseError, SourceSpan, bind,
                        bind_scalar_function, parse, to_text)
 from .invcat import (

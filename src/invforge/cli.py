@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .exprlang import BindError, ParseError, bind
+from .exprlang import BindError, ParseError, bind, bind_scalar_function
 from .invcat import EQUATIONS, basis
 from .jetspace import COMPLEX, REAL, minkowski, to_log_jets
 from .liealg import catalog, generic_rank, make_spec, prolong2
@@ -190,6 +190,17 @@ def _merge_config(args):
     return cfg
 
 
+def _bind_functions(entries):
+    """(name, bound function) pairs from ``--function NAME=EXPR`` values."""
+    pairs = []
+    for entry in entries:
+        fname, _, expr = entry.partition("=")
+        if not expr:
+            raise ValueError(f"expected NAME=EXPR, got {entry!r}")
+        pairs.append((fname.strip(), bind_scalar_function(expr.strip())))
+    return tuple(pairs)
+
+
 def _spec_from_config(cfg, rep=None):
     name = cfg.get("algebra")
     if not name:
@@ -208,17 +219,9 @@ def _spec_from_config(cfg, rep=None):
     if "seed" in cfg and name == "AP_inf":
         kw["seed"] = cfg["seed"]
     if cfg.get("functions") and name == "AP_inf":
-        from .exprlang import bind_scalar_function
-
-        pairs = []
-        for entry in cfg["functions"]:
-            fname, _, expr = entry.partition("=")
-            if not expr:
-                raise ValueError(f"expected NAME=EXPR, got {entry!r}")
-            if fname.strip() == "d":
-                kw["extended"] = True
-            pairs.append((fname.strip(), bind_scalar_function(expr.strip())))
-        kw["functions"] = tuple(pairs)
+        kw["functions"] = _bind_functions(cfg["functions"])
+        if any(fname == "d" for fname, _ in kw["functions"]):
+            kw["extended"] = True
     if rep is not None:
         kw["rep"] = rep
     elif name.startswith("AG"):
@@ -310,15 +313,7 @@ def _verify_equation(cfg):
     params = {k: cfg[k] for k in ("mu", "mass", "k", "seed") if k in cfg}
     residual = info.build(n, **params)
     if cfg.get("functions"):
-        from .exprlang import bind_scalar_function
-
-        pairs = []
-        for entry in cfg["functions"]:
-            fname, _, expr = entry.partition("=")
-            if not expr:
-                raise ValueError(f"expected NAME=EXPR, got {entry!r}")
-            pairs.append((fname.strip(), bind_scalar_function(expr.strip())))
-        params["functions"] = tuple(pairs)
+        params["functions"] = _bind_functions(cfg["functions"])
     spec = info.default_algebra(n, params)
     ops = [prolong2(f) for f in catalog(spec)]
     solve_for = info.solve_hint(n) if info.solve_hint else None

@@ -1,10 +1,20 @@
 """Forward-mode differentiation on dual numbers.
 
 A :class:`Dual` carries a value together with the derivative of that value
-along one seeded input direction.  Arithmetic is generic over the payload:
+along a seeded input direction.  Arithmetic is generic over the payload:
 the two slots may hold floats, complex numbers, or further ``Dual`` values
 (nesting one level gives exact second derivatives).  All rules are the
 algebraic product/quotient/chain rules, so results are exact to rounding.
+
+Vector mode: the derivative slot may hold a :class:`DerivVector`, the
+derivatives along k directions at once, so one evaluation gives a whole
+gradient.  A derivative slot only ever meets another derivative slot or a
+number, and every such operation applies the scalar formula to each
+component with the operands in the same order.  Component k therefore goes
+through the same IEEE operations as a scalar pass seeded along direction k
+and equals it bit for bit, signed zeros included.  A scalar ``0.0`` in a
+derivative slot (an unseeded read) stands for the same value in every
+direction, and combining it with a vector gives what a zero vector would.
 """
 
 from __future__ import annotations
@@ -120,6 +130,84 @@ class Dual:
         return hash((self.value, self.deriv))
 
 
+class DerivVector:
+    """Derivatives along k seeded directions, one list component each;
+    the value of a :class:`Dual`'s derivative slot in vector mode.
+
+    Supports +, - with another vector or a number, unary -, and * and / by
+    a number, componentwise.  Instances are never changed in place, so the
+    unit seeds of a view may be shared by every dual built from them.
+    """
+
+    __slots__ = ("comps",)
+
+    def __init__(self, comps):
+        self.comps = comps
+
+    def __repr__(self):
+        return f"DerivVector({self.comps!r})"
+
+    def __add__(self, other):
+        if isinstance(other, DerivVector):
+            return DerivVector([a + b for a, b in zip(self.comps,
+                                                      other.comps)])
+        if isinstance(other, _NUMBERS):
+            return DerivVector([a + other for a in self.comps])
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, _NUMBERS):
+            return DerivVector([other + a for a in self.comps])
+        return NotImplemented
+
+    def __sub__(self, other):
+        if isinstance(other, DerivVector):
+            return DerivVector([a - b for a, b in zip(self.comps,
+                                                      other.comps)])
+        if isinstance(other, _NUMBERS):
+            return DerivVector([a - other for a in self.comps])
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _NUMBERS):
+            return DerivVector([other - a for a in self.comps])
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, _NUMBERS):
+            return DerivVector([a * other for a in self.comps])
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, _NUMBERS):
+            return DerivVector([other * a for a in self.comps])
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, _NUMBERS):
+            return DerivVector([a / other for a in self.comps])
+        return NotImplemented
+
+    def __neg__(self):
+        return DerivVector([-a for a in self.comps])
+
+
+def unit_derivs(k):
+    """The k unit seeds of a k-direction vector-mode pass."""
+    return [DerivVector([1.0 if i == j else 0.0 for i in range(k)])
+            for j in range(k)]
+
+
+def derivs(x, k):
+    """The k directional derivatives of a vector-mode result ``x``.
+
+    A scalar derivative slot never met a seeded read, so it is the value
+    along every direction; a non-dual has derivative 0.0 along each.
+    """
+    d = x.deriv if isinstance(x, Dual) else 0.0
+    return d.comps if isinstance(d, DerivVector) else [d] * k
+
+
 def value_of(x):
     """Strip all dual layers and return the underlying number."""
     while isinstance(x, Dual):
@@ -167,25 +255,23 @@ def is_finite(x) -> bool:
 def value_grad(fn, args):
     """Value of ``fn(args)`` and its gradient with respect to each arg.
 
-    One forward pass per argument; exact derivatives.
+    One vector-mode forward pass; exact derivatives.
     """
-    val = fn(list(args))
-    grad = []
-    for i in range(len(args)):
-        seeded = [Dual(a, 1.0 if j == i else 0.0) for j, a in enumerate(args)]
-        out = fn(seeded)
-        grad.append(out.deriv if isinstance(out, Dual) else 0.0)
-    return value_of(val), grad
+    n = len(args)
+    out = fn([Dual(a, e) for a, e in zip(args, unit_derivs(n))])
+    return value_of(out), list(derivs(out, n))
 
 
 def value_grad_hess(fn, args):
     """Value, gradient, and full Hessian of ``fn(args)`` via nested duals.
 
-    The outer dual layer tracks direction ``j``, the inner layer direction
-    ``i``; the (i, j) Hessian entry is the inner derivative of the outer one.
-    Seeding is symmetric: one nested pass per pair i <= j, k(k+1)/2 passes
-    for k arguments plus the plain value pass, and ``hess[j][i]`` is a copy
-    of ``hess[i][j]``.  The gradient comes from the i = 0 passes.
+    The outer dual layer is scalar and tracks direction ``j``; the inner
+    layer is a vector over every direction ``i`` (see :class:`DerivVector`),
+    and the (i, j) Hessian entry is component i of the inner derivative of
+    the outer one.  That is one nested pass per j, k passes for k arguments
+    plus the plain value pass.  Entry (i, j) for i <= j is taken from pass
+    j, and ``hess[j][i]`` is a copy of it.  The gradient is the value part
+    of each pass's outer derivative.
 
     If the first nested pass returns a non-dual, ``fn`` combined no seeded
     argument and the gradient and Hessian are returned as zeros at once.
@@ -197,19 +283,18 @@ def value_grad_hess(fn, args):
     val = value_of(fn(list(args)))
     grad = [0.0] * n
     hess = [[0.0] * n for _ in range(n)]
+    inner = [Dual(a, e) for a, e in zip(args, unit_derivs(n))]
     one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
-    for i in range(n):
-        inner = [Dual(a, 1.0 if k == i else 0.0) for k, a in enumerate(args)]
-        for j in range(i, n):
-            out = fn([Dual(a, one if k == j else zero)
-                      for k, a in enumerate(inner)])
-            if not isinstance(out, Dual):
-                if j == 0:
-                    return val, grad, hess
-                continue
-            d = out.deriv  # derivative along j, still in the inner ring
-            if isinstance(d, Dual):
-                hess[i][j] = hess[j][i] = d.deriv
-            if i == 0:
-                grad[j] = value_of(d)
+    for j in range(n):
+        out = fn([Dual(a, one if k == j else zero)
+                  for k, a in enumerate(inner)])
+        if not isinstance(out, Dual):
+            if j == 0:
+                return val, grad, hess
+            continue
+        d = out.deriv  # derivative along j, still in the inner ring
+        col = derivs(d, n)
+        for i in range(j + 1):
+            hess[i][j] = hess[j][i] = col[i]
+        grad[j] = value_of(d)
     return val, grad, hess

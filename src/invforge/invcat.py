@@ -13,13 +13,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .dual import Dual, EvaluationError, dexp, dlog, magnitude, value_of
+from .dual import (
+    Dual,
+    DerivVector,
+    EvaluationError,
+    derivs,
+    dexp,
+    dlog,
+    magnitude,
+    value_of,
+)
 from .jetspace import (
     COMPLEX,
     REAL,
     FieldKind,
+    JetCoordinateId,
     JetPoint,
     Metric,
+    _pack,
+    base_coord,
     d1_coord,
     d2_coord,
     enumerate_coords,
@@ -142,9 +154,12 @@ def power_trace(mat, metric: Metric, k: int):
 
 def power_form(vec, mat, metric: Metric, k: int):
     """Bilinear power form v^T G (M G)^(k-1) v."""
+    return _power_form(vec, mat, metric.signs, k)
+
+
+def _power_form(vec, mat, signs, k):
     if k < 1:
         raise ValueError("k must be at least 1")
-    signs = metric.signs
     n = len(vec)
     t = list(vec)
     for _ in range(k - 1):
@@ -178,7 +193,8 @@ def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
 
 
 # --------------------------------------------------------------------------
-# jet views: plain evaluation and single-coordinate dual seeding
+# jet views: plain evaluation, single-coordinate dual seeding, and
+# all-coordinate (vector-mode) seeding
 
 
 class _PlainView:
@@ -198,7 +214,8 @@ class _PlainView:
         return self.p.du[r - 1][i]
 
     def ddu(self, r, i, j):
-        return self.p.value(d2_coord(r, i, j))
+        lo, hi = (i, j) if i <= j else (j, i)
+        return self.p.ddu[r - 1][_pack(lo, hi, self.p.n_base)]
 
 
 class _SeedView:
@@ -229,7 +246,56 @@ class _SeedView:
         c = self.c
         seed = 1.0 if (c.kind == "d2" and c.r == r
                        and c.i == lo and c.j == hi) else 0.0
-        return Dual(self.p.value(d2_coord(r, lo, hi)), seed)
+        return Dual(self.p.ddu[r - 1][_pack(lo, hi, self.p.n_base)], seed)
+
+
+class _GradView:
+    """Vector-mode seeding of every coordinate in ``coords``: a read of
+    ``coords[k]`` carries the k-th unit :class:`DerivVector`, any other
+    read the scalar 0.0.  The duals are built once, from the point's slots,
+    and every member evaluated on the view shares them and its caches."""
+
+    __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
+
+    def __init__(self, point, coords):
+        k = len(coords)
+        units = {}
+        for pos, c in enumerate(coords):
+            units.setdefault(c, [0.0] * k)[pos] = 1.0
+
+        def dual(value, cid):
+            unit = units.get(cid)
+            return Dual(value, 0.0 if unit is None else DerivVector(unit))
+
+        n = point.n_base
+        self._x = [dual(v, base_coord(i)) for i, v in enumerate(point.x)]
+        self._u = [dual(v, field_coord(r)) for r, v in enumerate(point.u, 1)]
+        self._du = [[dual(v, d1_coord(r, i)) for i, v in enumerate(row)]
+                    for r, row in enumerate(point.du, 1)]
+        # full symmetric matrix per field; the stored rows are packed
+        # upper-triangle row-major
+        self._ddu = []
+        for r, row in enumerate(point.ddu, 1):
+            slots = iter(row)
+            mat = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    mat[i][j] = mat[j][i] = dual(
+                        next(slots), JetCoordinateId("d2", r, i, j))
+            self._ddu.append(mat)
+        self.cache = {}
+
+    def x(self, i):
+        return self._x[i]
+
+    def u(self, r):
+        return self._u[r - 1]
+
+    def du(self, r, i):
+        return self._du[r - 1][i]
+
+    def ddu(self, r, i, j):
+        return self._ddu[r - 1][i][j]
 
 
 def plain_view(point):
@@ -238,6 +304,12 @@ def plain_view(point):
 
 def seeded_view(point, coord):
     return _SeedView(point, coord)
+
+
+def gradient_view(point, coords):
+    """View whose reads are seeded along every coordinate in ``coords``;
+    read the gradient off a function's result with :func:`dual.derivs`."""
+    return _GradView(point, coords)
 
 
 # --------------------------------------------------------------------------
@@ -281,18 +353,16 @@ class ScalarJetFunction:
 
     def grad(self, point: JetPoint, coords=None):
         """Gradient over ``coords`` (default: every jet coordinate;
-        entries outside the dependency set are zero)."""
+        entries outside the dependency set are zero), from one vector-mode
+        pass seeded along the coordinates in the dependency set."""
         deps = set(self.deps)
         if coords is None:
             coords = enumerate_coords(point.n_base, point.n_fields)
-        out = []
-        for c in coords:
-            if c not in deps:
-                out.append(0.0)
-                continue
-            res = self.fn(_SeedView(point, c))
-            out.append(res.deriv if isinstance(res, Dual) else 0.0)
-        return out
+        seeded = [c for c in coords if c in deps]
+        if not seeded:
+            return [0.0] * len(coords)
+        part = iter(derivs(self.fn(_GradView(point, seeded)), len(seeded)))
+        return [next(part) if c in deps else 0.0 for c in coords]
 
 
 def _dep_coords(n_base, n_fields, kinds, rs=None):
@@ -344,18 +414,7 @@ def _Sjk(view, r_first, r_second, idx, signs, j, k):
 
 def _R(view, vec, r_mat, idx, signs, k):
     mat = [[view.ddu(r_mat, i, j) for j in idx] for i in idx]
-    return power_form(vec, mat, _metric_stub(signs), k)
-
-
-class _SignsMetric:
-    __slots__ = ("signs",)
-
-    def __init__(self, signs):
-        self.signs = signs
-
-
-def _metric_stub(signs):
-    return _SignsMetric(tuple(signs))
+    return _power_form(vec, mat, signs, k)
 
 
 def _tensor_cached(view, key, build):

@@ -283,7 +283,7 @@ def to_log_jets(point: JetPoint) -> JetPoint:
         row = []
         for i in range(n):
             for j in range(i, n):
-                uij = point.value(d2_coord(r, i, j))
+                uij = point.ddu[r - 1][_pack(i, j, n)]
                 row.append(uij / ur
                            - point.du[r - 1][i] * point.du[r - 1][j] / (ur * ur))
         ddu.append(tuple(row))
@@ -306,7 +306,7 @@ def from_log_jets(point: JetPoint) -> JetPoint:
         row = []
         for i in range(n):
             for j in range(i, n):
-                vij = point.value(d2_coord(r, i, j))
+                vij = point.ddu[r - 1][_pack(i, j, n)]
                 row.append(ur * (vij + point.du[r - 1][i] * point.du[r - 1][j]))
         ddu.append(tuple(row))
     return JetPoint(n, m, point.field_kind, point.x, tuple(u), tuple(du),

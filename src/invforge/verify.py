@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .dual import Dual, EvaluationError, is_finite
-from .dual import Dual as DualScalar  # the scalar driving forward-mode
-#                                       differentiation in every check
+from .dual import Dual, EvaluationError, derivs, is_finite
 from .invcat import (
     BasisFamily,
     ScalarJetFunction,
     TensorBuilder,
+    gradient_view,
     seeded_view,
 )
 from .jetspace import JetPoint
@@ -122,19 +121,21 @@ class CovarianceReport:
 
 
 def family_jacobian(members, point: JetPoint, coords) -> list:
-    """Rows of member gradients over ``coords``; one dual pass per
-    coordinate shared by all members (power caches live on the view)."""
-    rows = [[0.0] * len(coords) for _ in members]
-    dep_sets = [set(m.deps) for m in members]
-    for ci, c in enumerate(coords):
-        view = None
-        for mi, m in enumerate(members):
-            if c not in dep_sets[mi]:
-                continue
-            if view is None:
-                view = seeded_view(point, c)
-            out = m.fn(view)
-            rows[mi][ci] = out.deriv if isinstance(out, Dual) else 0.0
+    """Rows of member gradients over ``coords``: one vector-mode dual pass
+    per member, all members sharing one gradient view (and so its duals
+    and power caches).  Entries outside a member's dependency set are 0.0;
+    a member with none of ``coords`` in it is not evaluated."""
+    view = gradient_view(point, coords)
+    rows = []
+    for m in members:
+        deps = set(m.deps)
+        row = [0.0] * len(coords)
+        cols = [ci for ci, c in enumerate(coords) if c in deps]
+        if cols:
+            grad = derivs(m.fn(view), len(coords))
+            for ci in cols:
+                row[ci] = grad[ci]
+        rows.append(row)
     return rows
 
 
@@ -219,11 +220,11 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
     cid = solve_for
     if cid is None:
         best = 0.0
-        for c in residual.deps:
-            out = residual.fn(seeded_view(point, c))
-            d = abs(out.deriv) if isinstance(out, Dual) else 0.0
-            if d > best:
-                best, cid = d, c
+        grad = derivs(residual.fn(gradient_view(point, residual.deps)),
+                      len(residual.deps))
+        for c, d in zip(residual.deps, grad):
+            if abs(d) > best:
+                best, cid = abs(d), c
         if cid is None:
             raise EvaluationError("residual has no usable jet coordinate")
     for _ in range(max_iter):

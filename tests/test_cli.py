@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "invforge"]
 
 
@@ -185,3 +187,11 @@ def test_hat_variant_flag_changes_members():
     b = run_cli("verify", "--algebra", "AG2_I", "--n", "3", "--samples", "4",
                 "--hat-variant", "uniform")
     assert a.stdout != b.stdout  # the hatted sums differ between readings
+
+
+@pytest.mark.parametrize("target", [("--algebra", "AP_inf"),
+                                    ("--equation", "eikonal")])
+def test_malformed_function_override_is_usage_error(target):
+    out = run_cli("verify", *target, "--n", "3", "--function", "eta")
+    assert out.returncode == 2
+    assert "expected NAME=EXPR" in out.stderr

@@ -3,9 +3,12 @@ import math
 import pytest
 
 from invforge.dual import (
+    DerivVector,
     Dual,
+    derivs,
     dexp,
     dlog,
+    unit_derivs,
     value_grad,
     value_grad_hess,
     value_of,
@@ -167,3 +170,108 @@ def test_value_grad_hess_argument_free(k):
     assert val == 2.5
     assert grad == [0.0] * k
     assert hess == [[0.0] * k for _ in range(k)]
+
+
+def symmetric_value_grad_hess(fn, args):
+    """Scalar symmetric nested seeding: one pass per pair i <= j, the
+    inner layer along i and the outer along j; ``hess[j][i]`` is a copy."""
+    n = len(args)
+    val = value_of(fn(list(args)))
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
+    for i in range(n):
+        inner = [Dual(a, 1.0 if k == i else 0.0) for k, a in enumerate(args)]
+        for j in range(i, n):
+            out = fn([Dual(a, one if k == j else zero)
+                      for k, a in enumerate(inner)])
+            if not isinstance(out, Dual):
+                if j == 0:
+                    return val, grad, hess
+                continue
+            d = out.deriv
+            if isinstance(d, Dual):
+                hess[i][j] = hess[j][i] = d.deriv
+            if i == 0:
+                grad[j] = value_of(d)
+    return val, grad, hess
+
+
+@pytest.mark.parametrize("fn", [_non_polynomial, _complex_valued,
+                                _skips_arguments, lambda args: 2.5,
+                                lambda args: -2.0 * args[-1]])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_value_grad_hess_matches_scalar_symmetric_loop(fn, k, rng):
+    # every entry bit for bit, mirrored ones and signed zeros included
+    for _ in range(5):
+        args = [rng.uniform(0.5, 2.0) for _ in range(k)]
+        assert repr(value_grad_hess(fn, args)) == \
+            repr(symmetric_value_grad_hess(fn, args))
+
+
+def _scalar_passes(fn, args, unseeded):
+    """Value and one scalar pass per direction; ``unseeded`` values are
+    read with derivative 0.0 in every pass."""
+    consts = [Dual(c, 0.0) for c in unseeded]
+    val = value_of(fn([Dual(a, 0.0) for a in args] + consts))
+    grad = []
+    for i in range(len(args)):
+        out = fn([Dual(a, 1.0 if k == i else 0.0)
+                  for k, a in enumerate(args)] + consts)
+        grad.append(out.deriv if isinstance(out, Dual) else 0.0)
+    return val, grad
+
+
+def _vector_pass(fn, args, unseeded):
+    seeded = [Dual(a, e) for a, e in zip(args, unit_derivs(len(args)))]
+    out = fn(seeded + [Dual(c, 0.0) for c in unseeded])
+    return value_of(out), derivs(out, len(args))
+
+
+def _division(a):
+    return (a[0] / a[1] - 2.0 / a[2]) / 3.0 + a[3] / 0.7 - a[1] / a[3]
+
+
+def _integer_powers(a):
+    return a[0] ** 3 - a[1] ** -2 + a[2] ** 0 * a[3] + 0.0 * a[1] ** 0
+
+
+def _fractional_powers(a):
+    return a[0] ** 2.5 + a[1] ** a[2] + 2.0 ** a[3] - a[2] ** -0.5
+
+
+def _exp_log(a):
+    return dexp(a[0] * a[1]) - dlog(a[2] * a[3]) * dexp(-a[3]) + 1
+
+
+def _mixed(a):
+    # unseeded reads (a[4], a[5]) meet seeded ones; -0.0 arises from
+    # products with a negative unseeded value
+    out = -(a[4] * a[5]) + a[0] * a[5] - a[4] / a[1]
+    return out - (1.0 - a[2]) * a[3] ** 2 / (a[4] - 2.0)
+
+
+@pytest.mark.parametrize("fn", [_division, _integer_powers,
+                                _fractional_powers, _exp_log, _mixed])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_vector_pass_equals_scalar_passes(fn, kind, rng):
+    for _ in range(10):
+        def draw():
+            if kind == "complex":
+                return complex(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
+            return rng.uniform(0.5, 2.0)
+
+        args = [draw() for _ in range(4)]
+        unseeded = [draw(), -rng.uniform(0.5, 2.0)]
+        assert repr(_vector_pass(fn, args, unseeded)) == \
+            repr(_scalar_passes(fn, args, unseeded))
+
+
+def test_scalar_derivative_broadcasts_like_a_zero_vector():
+    vec = DerivVector([1.5, -0.0, 2.0])
+    zero = DerivVector([0.0, 0.0, 0.0])
+    for got, want in ((vec + 0.0, vec + zero), (0.0 + vec, zero + vec),
+                      (vec - 0.0, vec - zero), (0.0 - vec, zero - vec)):
+        assert repr(got.comps) == repr(want.comps)
+    assert repr(derivs(Dual(1.0, -0.0), 3)) == "[-0.0, -0.0, -0.0]"
+    assert repr(derivs(2.0, 2)) == "[0.0, 0.0]"

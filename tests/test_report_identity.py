@@ -1,10 +1,12 @@
-"""Byte-identity guard: the deterministic part of three JSON reports,
+"""Byte-identity guard: the deterministic part of five JSON reports,
 pinned at full precision.
 
 Hot-path refactors must change no number in a report; this compares each
 report, ``meta.generated_at`` removed, with the copy in
-``data/report_identity.json``.  A change that alters a report on purpose
-records the fixture again and says why in CHANGES.md:
+``data/report_identity.json``.  Running this file records the calls that
+have no entry yet and leaves the others alone; a change that alters a
+report on purpose deletes that entry first, records it again and says why
+in CHANGES.md:
 
     PYTHONPATH=src python tests/test_report_identity.py
 """
@@ -24,6 +26,10 @@ CALLS = (
     ("verify", "--algebra", "AE", "--n", "3", "--samples", "3"),
     ("verify", "--equation", "heat", "--n", "3", "--samples", "3"),
     ("rank", "--algebra", "AC", "--n", "3", "--samples", "5"),
+    # complex-valued jets and Jacobian
+    ("verify", "--algebra", "AG2_II", "--n", "3", "--samples", "2"),
+    # generic rank, independence rank and absolute invariance in one report
+    ("completeness", "--algebra", "AC", "--n", "3", "--samples", "4"),
 )
 
 
@@ -50,9 +56,12 @@ def test_report_is_byte_identical(argv, tmp_path):
 
 
 def record():
-    out = {}
+    with open(FIXTURE, encoding="utf-8") as fh:
+        out = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CALLS:
+            if " ".join(argv) in out:
+                continue
             code, doc = deterministic_report(argv,
                                              os.path.join(tmp, "report.json"))
             out[" ".join(argv)] = {"exit": code, "report": doc}

@@ -1,12 +1,14 @@
 import pytest
 
-from invforge.dual import EvaluationError
+from invforge.dual import Dual, EvaluationError
 from invforge.invcat import (
+    EQUATIONS,
     JetSpace,
     ScalarJetFunction,
     basis,
     covariant_tensor,
     equation_function,
+    seeded_view,
     two_matrix_trace_family,
 )
 from invforge.jetspace import d1_coord, d2_coord, field_coord, sample_generic
@@ -16,6 +18,7 @@ from invforge.verify import (
     check_covariance,
     check_on_manifold,
     completeness,
+    family_jacobian,
     independence_rank,
     newton_project,
 )
@@ -260,3 +263,83 @@ def test_schrodinger_on_manifold():
                             seed=3)
     assert rep.verdict == "PASS"
     assert rep.max_residual() < 1e-8
+
+
+def reference_family_jacobian(members, point, coords):
+    """Scalar forward mode: one seeded pass per coordinate shared by the
+    members that depend on it."""
+    rows = [[0.0] * len(coords) for _ in members]
+    dep_sets = [set(m.deps) for m in members]
+    for ci, c in enumerate(coords):
+        view = None
+        for mi, m in enumerate(members):
+            if c not in dep_sets[mi]:
+                continue
+            if view is None:
+                view = seeded_view(point, c)
+            out = m.fn(view)
+            rows[mi][ci] = out.deriv if isinstance(out, Dual) else 0.0
+    return rows
+
+
+def reference_grad(fn, point, coords):
+    """Scalar forward mode: one seeded pass per dependency coordinate."""
+    deps = set(fn.deps)
+    out = []
+    for c in coords:
+        if c not in deps:
+            out.append(0.0)
+            continue
+        res = fn.fn(seeded_view(point, c))
+        out.append(res.deriv if isinstance(res, Dual) else 0.0)
+    return out
+
+
+_BASES_N3 = ("AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n", "AG_I",
+             "AG1_I", "AG2_I", "AG_II", "AG1_II", "AG2_II")
+_TENSORS = (("theta", {"lam": 1.0}), ("w", {}),
+            ("theta_minkowski", {"lam": 1.0}), ("w_minkowski", {}),
+            ("implicit_theta", {}), ("hessian", {}))
+
+
+def _jacobian_cases():
+    for name in _BASES_N3:
+        for hat in ("printed", "uniform"):
+            yield f"{name}:{hat}", (name, 3, hat)
+    for n in (4, 5):
+        yield f"AE:n={n}", ("AE", n, "printed")
+    for tname, kw in _TENSORS:
+        yield f"tensor:{tname}", (tname, kw)
+
+
+@pytest.mark.parametrize("case", [c for _, c in _jacobian_cases()],
+                         ids=[i for i, _ in _jacobian_cases()])
+def test_family_jacobian_equals_scalar_passes(case):
+    # vector mode must reproduce every entry bit for bit (repr keeps
+    # signed zeros and complex parts)
+    if isinstance(case[1], dict):
+        tensor = covariant_tensor(case[0], 3, **case[1])
+        members, coords, space = tensor.components(), tensor.deps, \
+            tensor.space
+    else:
+        name, n, hat = case
+        spec = make_spec(name, n, **({"rep": "log"}
+                                     if name.startswith("AG") else {}))
+        fam = basis(spec, hat_variant=hat)
+        members, coords, space = list(fam.members), fam.deps, fam.space
+    sampler = space.sampler(5)
+    for s in range(3):
+        point = sampler(s)
+        assert repr(family_jacobian(members, point, coords)) == \
+            repr(reference_family_jacobian(members, point, coords))
+
+
+@pytest.mark.parametrize("name", sorted(EQUATIONS))
+def test_residual_grad_equals_scalar_passes(name):
+    E = equation_function(name, 3)
+    sampler = E.space.sampler(5)
+    for s in range(3):
+        point = sampler(s)
+        for coords in (E.deps, point.coords()):
+            assert repr(E.grad(point, coords)) == \
+                repr(reference_grad(E, point, coords))
