@@ -9,6 +9,7 @@ error, 3 internal evaluation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,7 +86,10 @@ def _env_seed() -> int:
         raise SystemExit(2)
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process: parsing leaves the parser unchanged (each call
+    # gets a fresh namespace, and ``append`` starts a fresh list).
     ap = argparse.ArgumentParser(
         prog="invforge",
         description="catalog and numerically verify second-order jet "

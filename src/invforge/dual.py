@@ -8,18 +8,28 @@ algebraic product/quotient/chain rules, so results are exact to rounding.
 
 Vector mode: the derivative slot may hold a :class:`DerivVector`, the
 derivatives along k directions at once, so one evaluation gives a whole
-gradient.  A derivative slot only ever meets another derivative slot or a
-number, and every such operation applies the scalar formula to each
-component with the operands in the same order.  Component k therefore goes
-through the same IEEE operations as a scalar pass seeded along direction k
-and equals it bit for bit, signed zeros included.  A scalar ``0.0`` in a
-derivative slot (an unseeded read) stands for the same value in every
-direction, and combining it with a vector gives what a zero vector would.
+gradient.  A derivative slot only ever meets another derivative slot, a
+number or, when duals are nested, a value of the inner layer (a ``Dual``
+that multiplies or divides it).  Every such operation applies the scalar
+formula to each component with the operands in the same order.  Component
+k therefore goes through the same IEEE operations as a scalar pass seeded
+along direction k and equals it bit for bit, signed zeros included.  A
+scalar ``0.0`` in a derivative slot (an unseeded read) stands for the same
+value in every direction, and combining it with a vector gives what a zero
+vector would.
+
+Both layers of a nested pass can be vectors: the inner derivative slot
+holds numbers along every direction i, the outer one inner duals along
+every direction j.  Outer component j then runs exactly the operations of
+a nested pass seeded along j alone, so one pass gives the whole Hessian
+with every entry equal to the one that pass would give (see
+:func:`value_grad_hess`).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 _NUMBERS = (int, float, complex)
@@ -130,13 +140,18 @@ class Dual:
         return hash((self.value, self.deriv))
 
 
+_FACTORS = (Dual,) + _NUMBERS
+
+
 class DerivVector:
     """Derivatives along k seeded directions, one list component each;
     the value of a :class:`Dual`'s derivative slot in vector mode.
 
     Supports +, - with another vector or a number, unary -, and * and / by
-    a number, componentwise.  Instances are never changed in place, so the
-    unit seeds of a view may be shared by every dual built from them.
+    a number or a :class:`Dual` (a value of the inner layer when the vector
+    is an outer derivative slot), componentwise.  Instances are never
+    changed in place, so the unit seeds of a view may be shared by every
+    dual built from them.
     """
 
     __slots__ = ("comps",)
@@ -174,17 +189,17 @@ class DerivVector:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _FACTORS):
             return DerivVector([a * other for a in self.comps])
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _FACTORS):
             return DerivVector([other * a for a in self.comps])
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _FACTORS):
             return DerivVector([a / other for a in self.comps])
         return NotImplemented
 
@@ -262,39 +277,49 @@ def value_grad(fn, args):
     return value_of(out), list(derivs(out, n))
 
 
+@functools.cache
+def _hess_seeds(k):
+    """Derivative seeds of a k-argument nested pass, one pair per argument
+    a: the inner unit vector along a and the outer vector whose component j
+    is the inner dual ``Dual(1.0, 0.0)`` if j == a, else ``Dual(0.0, 0.0)``.
+
+    Built on the first call with k arguments and shared by every later
+    one; that is safe because no ``Dual`` or ``DerivVector`` is ever
+    changed in place.
+    """
+    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
+    return tuple((e, DerivVector([one if a == j else zero for j in range(k)]))
+                 for a, e in enumerate(unit_derivs(k)))
+
+
 def value_grad_hess(fn, args):
     """Value, gradient, and full Hessian of ``fn(args)`` via nested duals.
 
-    The outer dual layer is scalar and tracks direction ``j``; the inner
-    layer is a vector over every direction ``i`` (see :class:`DerivVector`),
-    and the (i, j) Hessian entry is component i of the inner derivative of
-    the outer one.  That is one nested pass per j, k passes for k arguments
-    plus the plain value pass.  Entry (i, j) for i <= j is taken from pass
-    j, and ``hess[j][i]`` is a copy of it.  The gradient is the value part
-    of each pass's outer derivative.
+    Two passes: the plain value pass and one nested pass in which both dual
+    layers are vectors over every direction (see :class:`DerivVector`).
+    Outer component j is the derivative along j, still in the inner ring:
+    its value part is ``grad[j]`` and its inner component i the (i, j)
+    Hessian entry.  Entry (i, j) for i <= j is taken from component j, and
+    ``hess[j][i]`` is a copy of it.  Each component goes through the same
+    operations as a nested pass seeded along j alone, so every entry equals
+    the one such a pass gives, bit for bit.
 
-    If the first nested pass returns a non-dual, ``fn`` combined no seeded
-    argument and the gradient and Hessian are returned as zeros at once.
-    That is exact provided whether ``fn`` uses an argument does not depend
-    on argument values, i.e. ``fn`` never branches on a dual's value; no
+    If the nested pass returns a non-dual, ``fn`` combined no seeded
+    argument and the gradient and Hessian are returned as zeros.  That is
+    exact provided whether ``fn`` uses an argument does not depend on
+    argument values, i.e. ``fn`` never branches on a dual's value; no
     catalog coefficient and no ``exprlang``-bound function does.
     """
     n = len(args)
     val = value_of(fn(list(args)))
     grad = [0.0] * n
     hess = [[0.0] * n for _ in range(n)]
-    inner = [Dual(a, e) for a, e in zip(args, unit_derivs(n))]
-    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
-    for j in range(n):
-        out = fn([Dual(a, one if k == j else zero)
-                  for k, a in enumerate(inner)])
-        if not isinstance(out, Dual):
-            if j == 0:
-                return val, grad, hess
-            continue
-        d = out.deriv  # derivative along j, still in the inner ring
-        col = derivs(d, n)
+    out = fn([Dual(Dual(a, e), d) for a, (e, d) in zip(args, _hess_seeds(n))])
+    if not isinstance(out, Dual):
+        return val, grad, hess
+    for j, dj in enumerate(derivs(out, n)):
+        col = derivs(dj, n)
         for i in range(j + 1):
             hess[i][j] = hess[j][i] = col[i]
-        grad[j] = value_of(d)
+        grad[j] = value_of(dj)
     return val, grad, hess

@@ -157,15 +157,19 @@ def _dep_union(members):
 
 
 def _draw(sampler, members, idx, retries=25):
-    """Sample a point where every member evaluates finitely."""
+    """Sample a point where every member evaluates finitely; return it with
+    the members' plain values there."""
     attempt = idx
     for _ in range(retries):
         point = sampler(attempt)
         try:
+            values = []
             for m in members:
-                if not is_finite(m.eval(point)):
+                val = m.eval(point)
+                if not is_finite(val):
                     raise EvaluationError(f"non-finite value of {m.label}")
-            return point, attempt
+                values.append(val)
+            return point, values
         except EvaluationError:
             attempt += 10007
     raise EvaluationError("could not sample an admissible generic point")
@@ -185,9 +189,9 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
     worst = {}
     scales = {}
     for s in range(n_samples):
-        point, _ = _draw(sampler, members, s)
+        point, values = _draw(sampler, members, s)
         jac = family_jacobian(members, point, coords)
-        fmags = [abs(mem.eval(point)) for mem in members]
+        fmags = [abs(val) for val in values]
         for op in ops:
             flow = op.flow_table(point)
             coeffs = [flow.get(c, 0.0) for c in coords]

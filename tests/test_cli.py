@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -195,3 +196,42 @@ def test_malformed_function_override_is_usage_error(target):
     out = run_cli("verify", *target, "--n", "3", "--function", "eta")
     assert out.returncode == 2
     assert "expected NAME=EXPR" in out.stderr
+
+
+def _in_process_report(argv, path):
+    """(exit code, report without ``meta.generated_at``) of one
+    in-process call."""
+    from invforge import cli
+
+    code = cli.main(list(argv) + ["--out", str(path)], stream=io.StringIO())
+    doc = json.loads(path.read_text())
+    del doc["meta"]["generated_at"]
+    return code, doc
+
+
+EIKONAL_OVERRIDE = ("verify", "--equation", "eikonal", "--n", "3",
+                    "--samples", "3", "--seed", "0", "--function", "eta=u^2",
+                    "--function", "a0=1+u")
+
+
+def test_in_process_calls_carry_no_parser_state(tmp_path):
+    from invforge import cli
+
+    # the parser is built once and shared by every call in the process
+    assert cli._build_parser() is cli._build_parser()
+    first = _in_process_report(EIKONAL_OVERRIDE, tmp_path / "a.json")
+    second = _in_process_report(EIKONAL_OVERRIDE, tmp_path / "b.json")
+    assert first[0] == 0
+    assert first[1]["config"]["functions"] == ["eta=u^2", "a0=1+u"]
+    assert second == first
+
+
+def test_usage_error_leaves_next_call_intact(tmp_path, capsys):
+    from invforge import cli
+
+    want = _in_process_report(EIKONAL_OVERRIDE, tmp_path / "a.json")
+    bad = cli.main(["verify", "--equation", "eikonal", "--function",
+                    "eta=u", "--bogus"], stream=io.StringIO())
+    assert bad == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert _in_process_report(EIKONAL_OVERRIDE, tmp_path / "b.json") == want

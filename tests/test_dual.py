@@ -5,6 +5,7 @@ import pytest
 from invforge.dual import (
     DerivVector,
     Dual,
+    _hess_seeds,
     derivs,
     dexp,
     dlog,
@@ -207,6 +208,99 @@ def test_value_grad_hess_matches_scalar_symmetric_loop(fn, k, rng):
         args = [rng.uniform(0.5, 2.0) for _ in range(k)]
         assert repr(value_grad_hess(fn, args)) == \
             repr(symmetric_value_grad_hess(fn, args))
+
+
+def column_value_grad_hess(fn, args):
+    """Per-column nested seeding: the outer layer scalar along j, the inner
+    layer a vector over every i; one pass per j plus the value pass."""
+    n = len(args)
+    val = value_of(fn(list(args)))
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    inner = [Dual(a, e) for a, e in zip(args, unit_derivs(n))]
+    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
+    for j in range(n):
+        out = fn([Dual(a, one if k == j else zero)
+                  for k, a in enumerate(inner)])
+        if not isinstance(out, Dual):
+            if j == 0:
+                return val, grad, hess
+            continue
+        d = out.deriv
+        col = derivs(d, n)
+        for i in range(j + 1):
+            hess[i][j] = hess[j][i] = col[i]
+        grad[j] = value_of(d)
+    return val, grad, hess
+
+
+def _quotients_and_powers(args):
+    # Dual / Dual, c / Dual with c != 1, ** 0, a negative integer power,
+    # Dual ** Dual and dlog
+    x, y = args[0], args[-1]
+    out = x / (1.5 + y) - 2.5 / (x + y) + y ** 0 * x ** -3
+    for a in args:
+        out = out + (0.5 + a) ** x - dlog(a * y) / a
+    return out
+
+
+@pytest.mark.parametrize("fn", [_non_polynomial, _complex_valued,
+                                _skips_arguments, _quotients_and_powers,
+                                lambda args: 2.5,
+                                lambda args: -2.0 * args[-1]])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_value_grad_hess_matches_column_loop(fn, kind, k, rng):
+    # every entry bit for bit, mirrored ones and signed zeros included
+    for _ in range(5):
+        if kind == "complex":
+            args = [complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+                    for _ in range(k)]
+        else:
+            args = [rng.uniform(0.5, 2.0) for _ in range(k)]
+        assert repr(value_grad_hess(fn, args)) == \
+            repr(column_value_grad_hess(fn, args))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_vector_of_duals_times_and_over_a_dual(kind, rng):
+    def draw():
+        if kind == "complex":
+            return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        return rng.uniform(-2.0, 2.0)
+
+    for _ in range(10):
+        comps = [Dual(draw(), DerivVector([draw(), -0.0, draw()])),
+                 Dual(draw(), 0.0),
+                 Dual(-0.0, DerivVector([0.0, draw(), 1.0]))]
+        vec = DerivVector(comps)
+        other = Dual(draw(), DerivVector([draw(), draw(), 0.0]))
+        for got, want in ((vec * other, [c * other for c in comps]),
+                          (other * vec, [other * c for c in comps]),
+                          (vec / other, [c / other for c in comps])):
+            assert isinstance(got, DerivVector)
+            assert repr(got.comps) == repr(want)
+
+
+@pytest.mark.parametrize("fn", [_non_polynomial, lambda args: 2.5])
+def test_value_grad_hess_makes_two_passes(fn):
+    calls = []
+
+    def counted(args):
+        calls.append(len(args))
+        return fn(args)
+
+    value_grad_hess(counted, [0.5, 1.0, 1.5, 2.0, 2.5])
+    assert calls == [5, 5]
+
+
+def test_cached_hess_seeds_are_unchanged_by_a_pass():
+    seeds = _hess_seeds(4)
+    before = repr(seeds)
+    value_grad_hess(_quotients_and_powers, [0.5, 1.0, 1.5, 2.0])
+    value_grad_hess(_complex_valued, [0.5, 1.0, 1.5, 2.0])
+    assert _hess_seeds(4) is seeds
+    assert repr(seeds) == before
 
 
 def _scalar_passes(fn, args, unseeded):

@@ -1,4 +1,4 @@
-"""Byte-identity guard: the deterministic part of five JSON reports,
+"""Byte-identity guard: the deterministic part of seven JSON reports,
 pinned at full precision.
 
 Hot-path refactors must change no number in a report; this compares each
@@ -30,6 +30,11 @@ CALLS = (
     ("verify", "--algebra", "AG2_II", "--n", "3", "--samples", "2"),
     # generic rank, independence rank and absolute invariance in one report
     ("completeness", "--algebra", "AC", "--n", "3", "--samples", "4"),
+    # polynomial coefficients bound from --function, curved in u
+    ("verify", "--equation", "eikonal", "--n", "3", "--function", "eta=u^2",
+     "--function", "a0=1+u", "--samples", "3"),
+    # the conformal K coefficients, quadratic in every argument
+    ("rank", "--algebra", "AC1n", "--n", "3", "--samples", "5"),
 )
 
 
