@@ -27,11 +27,9 @@ from .jetspace import (
     COMPLEX,
     REAL,
     FieldKind,
-    JetCoordinateId,
     JetPoint,
     Metric,
-    _pack,
-    base_coord,
+    _symmetric,
     d1_coord,
     d2_coord,
     enumerate_coords,
@@ -72,28 +70,38 @@ def g_premul(signs, a):
             for i in range(len(a))]
 
 
-def solve_linear(a, b, context="linear system"):
-    """Gaussian elimination with partial pivoting; scalars may be duals."""
-    n = len(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    scale = max(max(magnitude(v) for v in row[:n]) for row in m)
-    if scale == 0.0:
-        raise EvaluationError(f"degenerate {context}")
+def _eliminate(m, n, tiny):
+    """Forward elimination with partial pivoting over the first n columns
+    of the rows ``m``, in place; a row may carry further columns (a
+    right-hand side), which are eliminated along.  Returns, per column,
+    whether it swapped two rows, or None when a column's best pivot
+    magnitude is at most ``tiny``.  Scalars may be duals."""
+    swapped = []
     for col in range(n):
         piv, best = col, magnitude(m[col][col])
         for r in range(col + 1, n):
             mag = magnitude(m[r][col])
             if mag > best:
                 piv, best = r, mag
-        if best <= 1e-12 * scale:
-            raise EvaluationError(f"degenerate {context}")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        if best <= tiny:
+            return None
+        swapped.append(piv != col)
+        m[col], m[piv] = m[piv], m[col]
         inv = 1.0 / m[col][col]
         for r in range(col + 1, n):
             f = m[r][col] * inv
-            for c in range(col, n + 1):
+            for c in range(col, len(m[r])):
                 m[r][c] = m[r][c] - f * m[col][c]
+    return swapped
+
+
+def solve_linear(a, b, context="linear system"):
+    """Gaussian elimination with partial pivoting; scalars may be duals."""
+    n = len(a)
+    m = [list(row) + [b[i]] for i, row in enumerate(a)]
+    scale = max(max(magnitude(v) for v in row[:n]) for row in m)
+    if scale == 0.0 or _eliminate(m, n, 1e-12 * scale) is None:
+        raise EvaluationError(f"degenerate {context}")
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
         acc = m[i][n]
@@ -113,26 +121,20 @@ def mat_inverse(a, context="matrix"):
 
 
 def determinant(a):
+    """Product of the pivots of :func:`_eliminate` in column order, negated
+    at each row swap; 0.0 when a column has no nonzero pivot."""
     n = len(a)
     m = [list(row) for row in a]
+    swapped = _eliminate(m, n, 0.0)
+    if swapped is None:
+        return 0.0
     det = 1.0
     for col in range(n):
-        piv, best = col, magnitude(m[col][col])
-        for r in range(col + 1, n):
-            mag = magnitude(m[r][col])
-            if mag > best:
-                piv, best = r, mag
-        if best == 0.0:
-            return 0.0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        # negating where the swap happens, not once at the end: a dual's
+        # derivative may cancel to a zero whose sign depends on it
+        if swapped[col]:
             det = -det
         det = det * m[col][col]
-        inv = 1.0 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
     return det
 
 
@@ -197,28 +199,40 @@ def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
 # all-coordinate (vector-mode) seeding
 
 
-class _PlainView:
-    __slots__ = ("p", "cache")
+class _View:
+    """Eager jet view: four tables laid out like a :class:`JetPoint`'s
+    ``x``, ``u``, ``du`` and ``ddu`` (full symmetric matrices), read by
+    index.  The plain view wraps the point's own tuples; the gradient view
+    holds duals built once (see :func:`gradient_view`), shared by every
+    member evaluated on it together with its ``cache``."""
 
-    def __init__(self, point):
-        self.p = point
+    __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
+
+    def __init__(self, x, u, du, ddu):
+        self._x, self._u, self._du, self._ddu = x, u, du, ddu
         self.cache = {}
 
     def x(self, i):
-        return self.p.x[i]
+        return self._x[i]
 
     def u(self, r):
-        return self.p.u[r - 1]
+        return self._u[r - 1]
 
     def du(self, r, i):
-        return self.p.du[r - 1][i]
+        return self._du[r - 1][i]
 
     def ddu(self, r, i, j):
-        lo, hi = (i, j) if i <= j else (j, i)
-        return self.p.ddu[r - 1][_pack(lo, hi, self.p.n_base)]
+        return self._ddu[r - 1][i][j]
+
+
+def _plain_view(point):
+    return _View(point.x, point.u, point.du, point.ddu)
 
 
 class _SeedView:
+    """Lazy view seeded along one coordinate: every read builds a
+    :class:`Dual` of its slot, derivative 1.0 on ``coord`` alone."""
+
     __slots__ = ("p", "c", "cache")
 
     def __init__(self, point, coord):
@@ -242,64 +256,10 @@ class _SeedView:
         return Dual(self.p.du[r - 1][i], seed)
 
     def ddu(self, r, i, j):
-        lo, hi = (i, j) if i <= j else (j, i)
         c = self.c
-        seed = 1.0 if (c.kind == "d2" and c.r == r
-                       and c.i == lo and c.j == hi) else 0.0
-        return Dual(self.p.ddu[r - 1][_pack(lo, hi, self.p.n_base)], seed)
-
-
-class _GradView:
-    """Vector-mode seeding of every coordinate in ``coords``: a read of
-    ``coords[k]`` carries the k-th unit :class:`DerivVector`, any other
-    read the scalar 0.0.  The duals are built once, from the point's slots,
-    and every member evaluated on the view shares them and its caches."""
-
-    __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
-
-    def __init__(self, point, coords):
-        k = len(coords)
-        units = {}
-        for pos, c in enumerate(coords):
-            units.setdefault(c, [0.0] * k)[pos] = 1.0
-
-        def dual(value, cid):
-            unit = units.get(cid)
-            return Dual(value, 0.0 if unit is None else DerivVector(unit))
-
-        n = point.n_base
-        self._x = [dual(v, base_coord(i)) for i, v in enumerate(point.x)]
-        self._u = [dual(v, field_coord(r)) for r, v in enumerate(point.u, 1)]
-        self._du = [[dual(v, d1_coord(r, i)) for i, v in enumerate(row)]
-                    for r, row in enumerate(point.du, 1)]
-        # full symmetric matrix per field; the stored rows are packed
-        # upper-triangle row-major
-        self._ddu = []
-        for r, row in enumerate(point.ddu, 1):
-            slots = iter(row)
-            mat = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    mat[i][j] = mat[j][i] = dual(
-                        next(slots), JetCoordinateId("d2", r, i, j))
-            self._ddu.append(mat)
-        self.cache = {}
-
-    def x(self, i):
-        return self._x[i]
-
-    def u(self, r):
-        return self._u[r - 1]
-
-    def du(self, r, i):
-        return self._du[r - 1][i]
-
-    def ddu(self, r, i, j):
-        return self._ddu[r - 1][i][j]
-
-
-def plain_view(point):
-    return _PlainView(point)
+        seed = 1.0 if (c.kind == "d2" and c.r == r and (
+            c.i == i and c.j == j or c.i == j and c.j == i)) else 0.0
+        return Dual(self.p.ddu[r - 1][i][j], seed)
 
 
 def seeded_view(point, coord):
@@ -307,9 +267,31 @@ def seeded_view(point, coord):
 
 
 def gradient_view(point, coords):
-    """View whose reads are seeded along every coordinate in ``coords``;
-    read the gradient off a function's result with :func:`dual.derivs`."""
-    return _GradView(point, coords)
+    """View whose reads are seeded along every coordinate in ``coords``: a
+    read of ``coords[k]`` carries the k-th unit :class:`DerivVector`, any
+    other read the scalar 0.0.  Read the gradient off a function's result
+    with :func:`dual.derivs`."""
+    n, m, k = point.n_base, point.n_fields, len(coords)
+    # derivative slots shaped like the point's tables; each unit is filled
+    # in before any dual is built from it
+    sx, su = [0.0] * n, [0.0] * m
+    sdu = [[0.0] * n for _ in range(m)]
+    sddu = [[[0.0] * n for _ in range(n)] for _ in range(m)]
+    for pos, c in enumerate(coords):
+        row, at = ((sx, c.i) if c.kind == "base" else
+                   (su, c.r - 1) if c.kind == "field" else
+                   (sdu[c.r - 1], c.i) if c.kind == "d1" else
+                   (sddu[c.r - 1][c.i], c.j))
+        unit = row[at]
+        if not isinstance(unit, DerivVector):
+            unit = row[at] = DerivVector([0.0] * k)
+        unit.comps[pos] = 1.0
+    return _View(
+        [Dual(v, d) for v, d in zip(point.x, sx)],
+        [Dual(v, d) for v, d in zip(point.u, su)],
+        [[Dual(v, d) for v, d in zip(*pair)] for pair in zip(point.du, sdu)],
+        [_symmetric(n, lambda i, j: Dual(h[i][j], d[i][j]))
+         for h, d in zip(point.ddu, sddu)])
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +331,7 @@ class ScalarJetFunction:
         return f"ScalarJetFunction({self.label})"
 
     def eval(self, point: JetPoint):
-        return value_of(self.fn(_PlainView(point)))
+        return value_of(self.fn(_plain_view(point)))
 
     def grad(self, point: JetPoint, coords=None):
         """Gradient over ``coords`` (default: every jet coordinate;
@@ -361,7 +343,7 @@ class ScalarJetFunction:
         seeded = [c for c in coords if c in deps]
         if not seeded:
             return [0.0] * len(coords)
-        part = iter(derivs(self.fn(_GradView(point, seeded)), len(seeded)))
+        part = iter(derivs(self.fn(gradient_view(point, seeded)), len(seeded)))
         return [next(part) if c in deps else 0.0 for c in coords]
 
 
@@ -413,8 +395,7 @@ def _Sjk(view, r_first, r_second, idx, signs, j, k):
 
 
 def _R(view, vec, r_mat, idx, signs, k):
-    mat = [[view.ddu(r_mat, i, j) for j in idx] for i in idx]
-    return _power_form(vec, mat, signs, k)
+    return _power_form(vec, _hess(view, r_mat, idx), signs, k)
 
 
 def _tensor_cached(view, key, build):
@@ -471,7 +452,7 @@ class TensorBuilder:
 
     def build(self, point_or_view):
         view = (point_or_view if hasattr(point_or_view, "cache")
-                else _PlainView(point_or_view))
+                else _plain_view(point_or_view))
         out = self.builder(view)
         if hasattr(point_or_view, "cache"):
             return out
@@ -833,13 +814,11 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
     raise ValueError(f"no basis catalog for algebra {name!r}")
 
 
-def _basis_euclid(spec):
-    n, m = spec.n, spec.m
-    met = euclidean(n)
-    signs = met.signs
+def _euclid_members(space, deps):
+    """u_r, S_k(U1), S_jk(U1, U_r) and R_k(du_r, U1): the members the
+    euclidean and the rotation bases share, in this order."""
+    n, m, signs = space.n_base, space.n_fields, space.metric.signs
     idx = tuple(range(n))
-    space = JetSpace(n, m, REAL, met)
-    deps = _dep_coords(n, m, ("field", "d1", "d2"))
     members = []
     for r in range(1, m + 1):
         members.append(_mk(f"u{r}", (lambda r: lambda v: v.u(r))(r),
@@ -861,6 +840,14 @@ def _basis_euclid(spec):
                 f"R{k}(du{r},U1)",
                 (lambda k, r: lambda v: _R(v, _gvec(v, r, idx), 1, idx, signs, k))(k, r),
                 deps, space))
+    return members
+
+
+def _basis_euclid(spec):
+    n, m = spec.n, spec.m
+    space = JetSpace(n, m, REAL, euclidean(n))
+    deps = _dep_coords(n, m, ("field", "d1", "d2"))
+    members = _euclid_members(space, deps)
     expected = 2 * m * n + m + (m - 1) * n * (n - 1) // 2
     return BasisFamily(f"euclid n={n} m={m}", spec, tuple(members), expected,
                        space, deps)
@@ -869,32 +856,11 @@ def _basis_euclid(spec):
 def _basis_rotation(spec):
     """Rotation-only invariants: position vector joins the jet variables."""
     n, m = spec.n, spec.m
-    met = euclidean(n)
-    signs = met.signs
+    space = JetSpace(n, m, REAL, euclidean(n))
+    signs = space.metric.signs
     idx = tuple(range(n))
-    space = JetSpace(n, m, REAL, met)
     deps = _dep_coords(n, m, ("base", "field", "d1", "d2"))
-    members = []
-    for r in range(1, m + 1):
-        members.append(_mk(f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                           (field_coord(r),), space))
-    for k in range(1, n + 1):
-        members.append(_mk(
-            f"S{k}(U1)", (lambda k: lambda v: _S(v, 1, idx, signs, k))(k),
-            deps, space))
-    for r in range(2, m + 1):
-        for k in range(1, n + 1):
-            for j in range(0, k):
-                members.append(_mk(
-                    f"S{j},{k}(U1,U{r})",
-                    (lambda j, k, r: lambda v: _Sjk(v, 1, r, idx, signs, j, k))(j, k, r),
-                    deps, space))
-    for r in range(1, m + 1):
-        for k in range(1, n + 1):
-            members.append(_mk(
-                f"R{k}(du{r},U1)",
-                (lambda k, r: lambda v: _R(v, _gvec(v, r, idx), 1, idx, signs, k))(k, r),
-                deps, space))
+    members = _euclid_members(space, deps)
     for k in range(1, n + 1):
         members.append(_mk(
             f"R{k}(x,U1)",
@@ -1008,11 +974,6 @@ def _basis_extended_euclid(spec):
                        tuple(members), expected, space, deps)
 
 
-def _theta_builder_euclid(n, m, lam, r):
-    tb = covariant_tensor("theta", n, lam=lam, r=r, m=m)
-    return tb.builder
-
-
 def _basis_conformal(spec):
     n, m, lam = spec.n, spec.m, spec.lam
     met = euclidean(n)
@@ -1023,7 +984,7 @@ def _basis_conformal(spec):
     members = []
     if m == 1:
         if lam != 0:
-            theta = _theta_builder_euclid(n, 1, lam, 1)
+            theta = covariant_tensor("theta", n, lam=lam, r=1, m=1).builder
             for k in range(1, n + 1):
                 expo = k * (2.0 / lam - 1.0)
                 members.append(_mk(
@@ -1050,7 +1011,8 @@ def _basis_conformal(spec):
                            tuple(members), expected, space, deps)
     # several fields
     if lam != 0:
-        thetas = {r: _theta_builder_euclid(n, m, lam, r) for r in range(1, m + 1)}
+        thetas = {r: covariant_tensor("theta", n, lam=lam, r=r, m=m).builder
+                  for r in range(1, m + 1)}
 
         def tpow(v, r, k):
             return _tensor_power(v, ("th", r), thetas[r], signs, k)

@@ -2,8 +2,11 @@
 
 A :class:`JetPoint` stores numeric values for the base coordinates ``x_i``,
 the field values ``u^r``, all first derivatives ``u^r_i`` and all second
-derivatives ``u^r_ij``.  Second derivatives are stored once per unordered
-index pair (i <= j); reading ``(j, i)`` returns the ``(i, j)`` slot.
+derivatives ``u^r_ij``.  The second derivatives of field r form the full
+symmetric matrix U_r = (u^r_ij), stored as a tuple of row tuples, so
+``ddu[r-1][i][j]`` and ``ddu[r-1][j][i]`` read the same number.  The
+coordinate ids still name one unordered pair once (``d2_coord`` puts
+i <= j).
 
 Base indices are 0-based (index 0 is the timelike coordinate for the
 Minkowski metric and the time coordinate in Galilean setups); field indices
@@ -136,9 +139,15 @@ def enumerate_coords(n_base: int, n_fields: int) -> list:
     return coords
 
 
-def _pack(i: int, j: int, n: int) -> int:
-    # upper-triangle row-major slot for i <= j
-    return i * n - i * (i - 1) // 2 + (j - i)
+def _symmetric(n: int, entry) -> tuple:
+    """Full symmetric n x n matrix, a tuple of row tuples, with (i, j) and
+    (j, i) both set to ``entry(i, j)``; ``entry`` is called once per pair
+    i <= j, in row-major order."""
+    mat = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = entry(i, j)
+    return tuple(map(tuple, mat))
 
 
 @dataclass(frozen=True)
@@ -151,17 +160,22 @@ class JetPoint:
     x: tuple
     u: tuple
     du: tuple  # du[r-1][i]
-    ddu: tuple  # ddu[r-1][packed(i, j)]
+    ddu: tuple  # ddu[r-1][i][j]: the symmetric n x n matrix U_r
 
     def __post_init__(self):
         n, m = self.n_base, self.n_fields
-        npairs = n * (n + 1) // 2
         if len(self.x) != n or len(self.u) != m:
             raise ValueError("inconsistent base/field array sizes")
         if len(self.du) != m or any(len(row) != n for row in self.du):
             raise ValueError("inconsistent first-derivative array sizes")
-        if len(self.ddu) != m or any(len(row) != npairs for row in self.ddu):
+        if len(self.ddu) != m or any(
+                len(mat) != n or any(len(row) != n for row in mat)
+                for mat in self.ddu):
             raise ValueError("inconsistent second-derivative array sizes")
+        # tuple comparison tries identity first, so a NaN written into
+        # both slots of a pair still compares equal
+        if any(tuple(zip(*mat)) != mat for mat in self.ddu):
+            raise ValueError("second derivatives must be symmetric")
 
     def _check(self, cid: JetCoordinateId):
         if cid.kind == "base":
@@ -184,8 +198,7 @@ class JetPoint:
             return self.u[cid.r - 1]
         if cid.kind == "d1":
             return self.du[cid.r - 1][cid.i]
-        i, j = min(cid.i, cid.j), max(cid.i, cid.j)
-        return self.ddu[cid.r - 1][_pack(i, j, self.n_base)]
+        return self.ddu[cid.r - 1][cid.i][cid.j]
 
     def replace(self, cid: JetCoordinateId, value) -> "JetPoint":
         """Functional update of one coordinate; returns a new point."""
@@ -206,12 +219,12 @@ class JetPoint:
             return JetPoint(self.n_base, self.n_fields, self.field_kind,
                             self.x, self.u, tuple(tuple(r) for r in du),
                             self.ddu)
-        ddu = [list(row) for row in self.ddu]
-        i, j = min(cid.i, cid.j), max(cid.i, cid.j)
-        ddu[cid.r - 1][_pack(i, j, self.n_base)] = value
+        mat = [list(row) for row in self.ddu[cid.r - 1]]
+        mat[cid.i][cid.j] = mat[cid.j][cid.i] = value
+        ddu = list(self.ddu)
+        ddu[cid.r - 1] = tuple(map(tuple, mat))
         return JetPoint(self.n_base, self.n_fields, self.field_kind,
-                        self.x, self.u, self.du,
-                        tuple(tuple(r) for r in ddu))
+                        self.x, self.u, self.du, tuple(ddu))
 
     def conjugate_index(self, r: int) -> int:
         return self.field_kind.conjugate_index(r, self.n_fields)
@@ -240,7 +253,6 @@ def sample_generic(n_base: int, n_fields: int, field_kind: FieldKind = REAL,
         raise ValueError("complex field kind requires an even slot count")
     rng = random.Random(f"jet:{n_base}:{n_fields}:{field_kind.value}:{seed}")
     n, m = n_base, n_fields
-    npairs = n * (n + 1) // 2
 
     def scalar():
         if field_kind is COMPLEX:
@@ -252,18 +264,18 @@ def sample_generic(n_base: int, n_fields: int, field_kind: FieldKind = REAL,
         u = [rng.uniform(0.5, 2.0) if positive_fields else _signed(rng)
              for _ in range(m)]
         du = [[_signed(rng) for _ in range(n)] for _ in range(m)]
-        ddu = [[_signed(rng) for _ in range(npairs)] for _ in range(m)]
+        ddu = [_symmetric(n, lambda i, j: _signed(rng)) for _ in range(m)]
     else:
         half = m // 2
         u = [scalar() for _ in range(half)]
         du = [[scalar() for _ in range(n)] for _ in range(half)]
-        ddu = [[scalar() for _ in range(npairs)] for _ in range(half)]
+        ddu = [_symmetric(n, lambda i, j: scalar()) for _ in range(half)]
         u += [v.conjugate() for v in u]
         du += [[v.conjugate() for v in row] for row in du[:half]]
-        ddu += [[v.conjugate() for v in row] for row in ddu[:half]]
+        ddu += [_symmetric(n, lambda i, j: mat[i][j].conjugate())
+                for mat in ddu[:half]]
     return JetPoint(n, m, field_kind, x, tuple(u),
-                    tuple(tuple(row) for row in du),
-                    tuple(tuple(row) for row in ddu))
+                    tuple(tuple(row) for row in du), tuple(ddu))
 
 
 def to_log_jets(point: JetPoint) -> JetPoint:
@@ -277,16 +289,11 @@ def to_log_jets(point: JetPoint) -> JetPoint:
     du = []
     ddu = []
     for r in range(1, m + 1):
-        ur = point.u[r - 1]
+        ur, d, h = point.u[r - 1], point.du[r - 1], point.ddu[r - 1]
         u.append(dlog(ur))
-        du.append(tuple(point.du[r - 1][i] / ur for i in range(n)))
-        row = []
-        for i in range(n):
-            for j in range(i, n):
-                uij = point.ddu[r - 1][_pack(i, j, n)]
-                row.append(uij / ur
-                           - point.du[r - 1][i] * point.du[r - 1][j] / (ur * ur))
-        ddu.append(tuple(row))
+        du.append(tuple(d[i] / ur for i in range(n)))
+        ddu.append(_symmetric(
+            n, lambda i, j: h[i][j] / ur - d[i] * d[j] / (ur * ur)))
     return JetPoint(n, m, point.field_kind, point.x, tuple(u), tuple(du),
                     tuple(ddu))
 
@@ -300,14 +307,9 @@ def from_log_jets(point: JetPoint) -> JetPoint:
     du = []
     ddu = []
     for r in range(1, m + 1):
-        ur = dexp(point.u[r - 1])
+        ur, d, h = dexp(point.u[r - 1]), point.du[r - 1], point.ddu[r - 1]
         u.append(ur)
-        du.append(tuple(point.du[r - 1][i] * ur for i in range(n)))
-        row = []
-        for i in range(n):
-            for j in range(i, n):
-                vij = point.ddu[r - 1][_pack(i, j, n)]
-                row.append(ur * (vij + point.du[r - 1][i] * point.du[r - 1][j]))
-        ddu.append(tuple(row))
+        du.append(tuple(d[i] * ur for i in range(n)))
+        ddu.append(_symmetric(n, lambda i, j: ur * (h[i][j] + d[i] * d[j])))
     return JetPoint(n, m, point.field_kind, point.x, tuple(u), tuple(du),
                     tuple(ddu))

@@ -115,17 +115,7 @@ class ProlongedOperator:
             eta_grad.append(g)
             eta_hess.append(h)
 
-        du = point.du
-        # ddu[s][i][j] = u^{s+1}_ij as a full symmetric matrix; the stored
-        # rows are packed upper-triangle row-major
-        ddu = []
-        for row in point.ddu:
-            slots = iter(row)
-            mat = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    mat[i][j] = mat[j][i] = next(slots)
-            ddu.append(mat)
+        du, ddu = point.du, point.ddu
 
         def total_d(grad, i):
             # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
@@ -399,14 +389,6 @@ def _rotation(n_base, n_fields, a, b, ga, gb, label):
         else:
             xi.append(_zero)
     return VectorField(n_base, n_fields, xi, [_zero] * n_fields, label)
-
-
-def _field_scaling(n_base, n_fields, weights, label):
-    eta = [
-        (lambda w, r: lambda xs, us: w * us[r])(w, r)
-        for r, w in enumerate(weights)
-    ]
-    return VectorField(n_base, n_fields, [_zero] * n_base, eta, label)
 
 
 def catalog(spec: AlgebraSpec) -> list:

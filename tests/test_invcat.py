@@ -10,21 +10,29 @@ from conftest import (
     finite_difference,
     random_symmetric,
 )
-from invforge.dual import EvaluationError
+from invforge.dual import DerivVector, Dual, EvaluationError, value_of
 from invforge.invcat import (
+    JetSpace,
+    ScalarJetFunction,
     basis,
     covariant_tensor,
+    determinant,
     equation_function,
     equation_residual,
+    gradient_view,
     mixed_power_trace,
     power_form,
     power_trace,
+    seeded_view,
     two_matrix_trace_family,
 )
 from invforge.jetspace import (
     COMPLEX,
+    REAL,
+    coord_count,
     d1_coord,
     d2_coord,
+    enumerate_coords,
     euclidean,
     minkowski,
     sample_generic,
@@ -395,3 +403,127 @@ def test_covariant_tensor_components_convenience():
     p4 = sample_generic(4, 1, seed=3)
     vec = covariant_tensor_components("implicit_theta", p4)
     assert len(vec) == 3
+
+
+# --------------------------------------------------------------------------
+# jet views: every read is the point's own slot
+
+
+def _slot_reads(view, point):
+    """(coordinate, read) for every jet slot; second derivatives in both
+    index orders."""
+    for c in enumerate_coords(point.n_base, point.n_fields):
+        if c.kind == "base":
+            yield c, view.x(c.i)
+        elif c.kind == "field":
+            yield c, view.u(c.r)
+        elif c.kind == "d1":
+            yield c, view.du(c.r, c.i)
+        else:
+            yield c, view.ddu(c.r, c.i, c.j)
+            yield c, view.ddu(c.r, c.j, c.i)
+
+
+_VIEW_POINTS = ((3, 1, REAL), (4, 2, REAL), (4, 2, COMPLEX))
+
+
+@pytest.mark.parametrize("n,m,kind", _VIEW_POINTS)
+def test_plain_view_reads_every_slot(n, m, kind):
+    point = sample_generic(n, m, kind, seed=6)
+    seen = []
+
+    def probe(view):
+        seen.extend(_slot_reads(view, point))
+        return 0.0
+
+    ScalarJetFunction("probe", probe, (), JetSpace(n, m, kind)).eval(point)
+    assert len(seen) == coord_count(n, m) + m * n * (n + 1) // 2
+    for c, read in seen:
+        assert not isinstance(read, Dual)
+        assert repr(read) == repr(point.value(c)), str(c)
+
+
+@pytest.mark.parametrize("n,m,kind", _VIEW_POINTS)
+def test_seeded_view_differentiates_its_coordinate_alone(n, m, kind):
+    point = sample_generic(n, m, kind, seed=7)
+    for seed_c in enumerate_coords(n, m):
+        for c, read in _slot_reads(seeded_view(point, seed_c), point):
+            assert repr(read.value) == repr(point.value(c)), str(c)
+            assert read.deriv == (1.0 if c == seed_c else 0.0), \
+                (str(seed_c), str(c))
+
+
+@pytest.mark.parametrize("n,m,kind", _VIEW_POINTS)
+def test_gradient_view_seeds_sit_only_at_their_positions(n, m, kind):
+    point = sample_generic(n, m, kind, seed=8)
+    coords = enumerate_coords(n, m)
+    # every third coordinate, in reverse order, one of them twice
+    seeded = coords[::-3] + coords[-1:]
+    k = len(seeded)
+    for c, read in _slot_reads(gradient_view(point, seeded), point):
+        assert repr(read.value) == repr(point.value(c)), str(c)
+        if c not in seeded:
+            assert read.deriv == 0.0 and not isinstance(read.deriv,
+                                                        DerivVector)
+            continue
+        assert isinstance(read.deriv, DerivVector)
+        assert read.deriv.comps == [1.0 if s == c else 0.0 for s in seeded]
+        assert len(read.deriv.comps) == k
+
+
+def test_gradient_view_shares_one_dual_per_second_derivative_pair():
+    point = sample_generic(3, 1, seed=9)
+    view = gradient_view(point, enumerate_coords(3, 1))
+    for i in range(3):
+        for j in range(3):
+            assert view.ddu(1, i, j) is view.ddu(1, j, i)
+
+
+def test_galilei_mu0_determinant_family_passes():
+    # the one library path that sends duals through ``determinant``
+    from invforge import galilei_mu0_determinant_family
+    from invforge.liealg import catalog, prolong2
+    from invforge.verify import check_absolute, independence_rank
+
+    fam = galilei_mu0_determinant_family(3)
+    assert fam.labels()[:2] == ["Mhat1", "Mhat2"]
+    ops = [prolong2(f)
+           for f in catalog(make_spec("AG_I", 3, mu=0.0, rep="log"))]
+    rep = check_absolute(ops, fam, n_samples=4, seed=1)
+    assert rep.verdict == "PASS"
+    ind = independence_rank(fam, n_samples=4, seed=1)
+    assert ind.rank == 8
+    assert ind.verdict == "PASS"
+
+
+def _reference_determinant(a):
+    """Textbook partial-pivot elimination, negating at each row swap."""
+    m = [list(row) for row in a]
+    n, det = len(m), 1.0
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: (abs(value_of(m[r][col])), -r))
+        if abs(value_of(m[piv][col])) == 0.0:
+            return 0.0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det = det * m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * (1.0 / m[col][col])
+            for c in range(col, n):
+                m[r][c] = m[r][c] - f * m[col][c]
+    return det
+
+
+def test_determinant_of_duals_matches_elimination_bit_for_bit():
+    # an unseeded direction (component 1) cancels to signed zeros, whose
+    # signs depend on where the row swaps negate the product
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for _ in range(20):
+            a = [[Dual(rng.uniform(-2, 2),
+                       DerivVector([rng.uniform(-2, 2), 0.0]))
+                  for _ in range(n)] for _ in range(n)]
+            assert repr(determinant(a)) == repr(_reference_determinant(a))
+    assert determinant([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+    assert determinant([[0.0, 1.0], [1.0, 0.0]]) == -1.0

@@ -4,6 +4,7 @@ from invforge.jetspace import (
     COMPLEX,
     REAL,
     JetCoordinateId,
+    JetPoint,
     base_coord,
     contract,
     coord_count,
@@ -142,3 +143,50 @@ def test_log_jet_chain_rule():
     got = lp.value(d2_coord(1, 0, 1))
     want = p.value(d2_coord(1, 0, 1)) / u - p.du[0][0] * p.du[0][1] / u**2
     assert abs(got - want) < 1e-14
+
+
+def _with_ddu(p, ddu):
+    return JetPoint(p.n_base, p.n_fields, p.field_kind, p.x, p.u, p.du, ddu)
+
+
+def test_second_derivatives_are_a_full_symmetric_matrix():
+    p = sample_generic(3, 1, seed=0)
+    mat = p.ddu[0]
+    assert len(mat) == 3 and all(len(row) == 3 for row in mat)
+    assert _with_ddu(p, (mat,)) == p
+    ragged = (mat[0], mat[1], mat[2][:2])
+    asymmetric = (mat[0], (mat[1][0] + 1.0,) + mat[1][1:], mat[2])
+    packed = tuple(mat[i][j] for i in range(3) for j in range(i, 3))
+    for bad in ((ragged,), (asymmetric,), (packed,), (mat, mat), ()):
+        with pytest.raises(ValueError):
+            _with_ddu(p, bad)
+
+
+def test_replace_writes_nan_into_both_slots_of_a_pair():
+    # Newton's update may write a NaN; the point must still be accepted
+    nan = float("nan")
+    p = sample_generic(3, 2, seed=1).replace(d2_coord(2, 2, 0), nan)
+    assert p.value(d2_coord(2, 0, 2)) is nan
+    assert p.value(d2_coord(2, 2, 0)) is nan
+    q = p.replace(d2_coord(1, 1, 1), 0.5)
+    assert q.value(d2_coord(2, 0, 2)) is nan
+    assert _with_ddu(p, p.ddu).ddu is p.ddu
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 1)])
+def test_log_jets_are_symmetric_and_follow_the_scalar_formula(n, m):
+    import math
+
+    p = sample_generic(n, m, seed=11, positive_fields=True)
+    lp, ep = to_log_jets(p), from_log_jets(p)
+    for r in range(1, m + 1):
+        u, du = p.u[r - 1], p.du[r - 1]
+        eu = math.exp(u)
+        for i in range(n):
+            for j in range(i, n):
+                uij = p.value(d2_coord(r, i, j))
+                want_log = uij / u - du[i] * du[j] / (u * u)
+                want_exp = eu * (uij + du[i] * du[j])
+                for a, b in ((i, j), (j, i)):
+                    assert repr(lp.ddu[r - 1][a][b]) == repr(want_log)
+                    assert repr(ep.ddu[r - 1][a][b]) == repr(want_exp)

@@ -35,6 +35,9 @@ CALLS = (
      "--function", "a0=1+u", "--samples", "3"),
     # the conformal K coefficients, quadratic in every argument
     ("rank", "--algebra", "AC1n", "--n", "3", "--samples", "5"),
+    # duals through mat_inverse and solve_linear (the mu = 0 theta)
+    ("verify", "--algebra", "AG2_I", "--n", "3", "--mu", "0", "--lambda",
+     "0.4", "--samples", "2"),
 )
 
 

@@ -1,0 +1,57 @@
+"""The benchmark's tracer must still find every name it patches.
+
+``invbench/tracer.py`` rebinds functions and methods by name; a refactor
+that renames or drops one of them breaks the traced benchmark.  This runs
+the tracer's own install and uninstall, so such a change fails here too.
+"""
+
+import importlib.util
+import os
+
+import invforge
+from invforge import cli, dual, exprlang, invcat, jetspace, liealg, verify
+
+TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "invbench", "tracer.py")
+MODULES = (invforge, cli, dual, exprlang, invcat, jetspace, liealg, verify)
+CLASSES = (jetspace.JetPoint, dual.Dual, liealg.ProlongedOperator,
+           invcat.ScalarJetFunction, invcat.TensorBuilder)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("invbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    return {(owner.__name__, key): val
+            for owner in MODULES + CLASSES
+            for key, val in list(vars(owner).items())}
+
+
+def test_tracer_installs_and_uninstall_restores_every_binding():
+    before = _bindings()
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        during = _bindings()
+        changed = {key for key, val in during.items() if val is not before[key]}
+        for name in ("verify.seeded_view", "verify.family_jacobian",
+                     "liealg.matrix_rank", "liealg.value_grad_hess",
+                     "liealg.sample_generic"):
+            mod, attr = name.split(".")
+            assert (f"invforge.{mod}", attr) in changed, name
+        for cls, attr in ((jetspace.JetPoint, "value"),
+                          (jetspace.JetPoint, "replace"),
+                          (dual.Dual, "__init__"),
+                          (invcat.ScalarJetFunction, "eval"),
+                          (invcat.ScalarJetFunction, "grad"),
+                          (invcat.TensorBuilder, "build")):
+            assert (cls.__name__, attr) in changed, (cls.__name__, attr)
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
