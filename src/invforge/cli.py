@@ -360,10 +360,15 @@ def _verify_expression(cfg):
 
 
 def _cmd_verify(cfg):
+    if cfg.get("equation"):
+        if cfg.get("algebra"):
+            raise ValueError("--equation runs the equation's own algebra; "
+                             "drop --algebra")
+        if cfg.get("expr"):
+            raise ValueError("--equation and --expr are exclusive")
+        return _verify_equation(cfg)
     if cfg.get("expr"):
         return _verify_expression(cfg)
-    if cfg.get("equation"):
-        return _verify_equation(cfg)
     return _verify_basis(cfg)
 
 

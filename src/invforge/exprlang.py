@@ -7,23 +7,34 @@ associative); calls; atoms.
 
 Jet symbols: ``x1..xN`` (plus ``x0``/``t`` when the binding has a time
 coordinate), ``u1..um`` (``u`` means ``u1``), derivatives by suffix:
-``u_x1``, ``u2_x1x3``, ``u_t``, ``u_tt``, ``u_x1t``.  Builtins: ``S(k)``,
-``R(k)``, ``Sjk(j,k)`` with optional field selectors after ``;``,
-``tr``/``det`` over the tensor names ``ddu1..ddum``, ``theta``, ``w``,
-``contract(du1, du2)``, and ``exp``, ``log``, ``conj``.
+``u_x1``, ``u2_x1x3``, ``u_t``, ``u_tt``, ``u_x1t``.  Builtins: the power
+trace ``S(k; A)``, the mixed trace ``Sjk(j, k; A, B)`` = tr(A^j B^(k-j))
+and the power form ``R(k; v, A)`` = v.(A)^(k-1).v, all metric-weighted,
+with optional selectors after ``;``; ``tr``/``det`` of a matrix;
+``contract(du1, du2)``; and ``exp``, ``log``, ``conj``.
+
+Matrix selectors: an integer ``r`` or ``ddu<r>`` is the Hessian U_r
+(default 1; Sjk's B defaults to 2 when there are two fields), ``theta<r>``
+and ``w<r>`` are those covariant tensors of field r (Minkowski variants
+under a Minkowski metric; ``theta`` and ``w`` mean r = 1).  Vector
+selectors: an integer ``r`` is the gradient du_r (default 1), ``x`` the
+position and ``thvec<r>`` is du_r/u_r - du_1/u_1.  For example
+``S(2; theta1) * u1 ^ 2.0``, ``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dual import dexp, dlog
+from .dual import EvaluationError, dexp, dlog, value_of
 from .invcat import (
     JetSpace,
     ScalarJetFunction,
+    _R,
     _S,
     _Sjk,
     _dep_coords,
+    _hessian,
     _power,
     _tensor_cached,
     covariant_tensor,
@@ -311,9 +322,6 @@ def to_text(node) -> str:
 # binding ---------------------------------------------------------------------
 
 
-_TENSOR_NAMES = ("theta", "w")
-
-
 def _int_arg(node, what):
     if isinstance(node, Num) and float(node.value).is_integer():
         return int(node.value)
@@ -368,24 +376,22 @@ def _swap_field_name(name, field_kind, n_fields):
     return name
 
 
-def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
-         field_kind: FieldKind = REAL, time_mode: bool = False,
-         lam: float = 1.0, mu: float = 1.0) -> ScalarJetFunction:
-    """Resolve symbols against an (N, m, metric) space and return a
-    differentiable evaluator.
+def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
+             field_kind: FieldKind = REAL, time_mode: bool = False,
+             lam: float = 1.0, mu: float = 1.0):
+    """Compiler for one (N, m, metric) space: maps an AST to a pair
+    (evaluator on a jet view, set of the jet coordinates it reads).
 
     ``time_mode`` names base coordinate 0 ``t`` (Galilean setups);
     a Minkowski metric names the coordinates ``x0..x{N-1}``.
     """
-    if isinstance(expr, str):
-        expr = parse(expr)
     metric = metric or euclidean(n_base)
     if metric.dim != n_base:
         raise BindError("metric dimension must match the base dimension")
     signs = metric.signs
     idx = tuple(range(n_base))
-    label = to_text(expr)
     deps = set()
+    tensors = {}
 
     def resolve_base(token, span):
         if token == "t":
@@ -442,7 +448,6 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
             return lambda view: _power(lf(view), e)
 
         def powfn(view):
-            from .dual import EvaluationError, value_of
             base = lf(view)
             expo = rf(view)
             eval_ = value_of(expo)
@@ -506,39 +511,67 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
                 raise BindError(f"bad derivative suffix {suffix!r}")
         return parts
 
-    def _field_args(node, count_max):
-        rs = [_int_arg(f, "field index") for f in node.fields]
-        if len(rs) > count_max:
-            raise BindError(f"{node.name} takes at most {count_max} field "
-                            "indices")
-        for r in rs:
-            resolve_field(str(r))
-        return rs
+    def _selectors(node, defaults):
+        if len(node.fields) > len(defaults):
+            raise BindError(f"{node.name} takes at most {len(defaults)} "
+                            "selectors")
+        return list(node.fields) + list(defaults[len(node.fields):])
 
-    def _tensor_arg(node):
-        if len(node.args) != 1 or not isinstance(node.args[0], Sym):
-            raise BindError(f"{node.name} expects a tensor name")
-        tname = node.args[0].name
-        if tname.startswith("ddu"):
-            r = resolve_field(tname[3:] if tname[3:] else "")
-            for c in _dep_coords(n_base, n_fields, ("d2",), rs=(r,)):
-                deps.add(c)
-            return ("hess", r)
-        if tname in _TENSOR_NAMES:
-            spatial = metric.kind == "euclidean" and time_mode
-            if spatial:
-                raise BindError(f"{tname} is not available in time bindings")
+    def _field_sel(sel, prefix):
+        """Field index of an integer selector, or of ``<prefix><r>``."""
+        if isinstance(sel, Sym):
+            return resolve_field(sel.name[len(prefix):])
+        r = _int_arg(sel, "field index")
+        resolve_field(str(r))
+        return r
+
+    def matrix(sel):
+        """Matrix source of a selector: ``r`` or ``ddu<r>`` the Hessian
+        U_r, ``theta<r>`` or ``w<r>`` that covariant tensor of field r."""
+        name = sel.name if isinstance(sel, Sym) else "ddu"
+        prefix = name.rstrip("0123456789")
+        if prefix not in ("ddu", "theta", "w"):
+            raise BindError(f"unknown tensor {name!r}")
+        r = _field_sel(sel, prefix)
+        if prefix == "ddu":
+            deps.update(_dep_coords(n_base, n_fields, ("d2",), rs=(r,)))
+            return _hessian(r, idx)
+        if (prefix, r) not in tensors:
+            if metric.kind == "euclidean" and time_mode:
+                raise BindError(f"{name} is not available in time bindings")
+            euclid = metric.kind == "euclidean"
             builder = covariant_tensor(
-                "theta" if (tname == "theta" and metric.kind == "euclidean")
-                else "w" if (tname == "w" and metric.kind == "euclidean")
-                else "theta_minkowski" if tname == "theta"
-                else "w_minkowski",
-                n_base if metric.kind == "euclidean" else n_base - 1,
-                lam=lam, mu=mu)
-            for c in builder.deps:
-                deps.add(c)
-            return ("tensor", tname, builder.builder)
-        raise BindError(f"unknown tensor {tname!r}")
+                prefix if euclid else prefix + "_minkowski",
+                n_base if euclid else n_base - 1, lam=lam, mu=mu, r=r,
+                m=n_fields)
+            tensors[prefix, r] = ((builder.label, r), builder.builder), \
+                [c for c in builder.deps if c.r == r]
+        mat, tdeps = tensors[prefix, r]
+        deps.update(tdeps)
+        return mat
+
+    def vector(sel):
+        """Vector of a selector: ``r`` the gradient du_r, ``x`` the
+        position, ``thvec<r>`` du_r/u_r - du_1/u_1."""
+        if isinstance(sel, Sym) and sel.name == "x":
+            deps.update(_dep_coords(n_base, n_fields, ("base",)))
+            return lambda view: [view.x(i) for i in idx]
+        if isinstance(sel, Sym) and sel.name.rstrip("0123456789") == "thvec":
+            r = _field_sel(sel, "thvec")
+            deps.update(_dep_coords(n_base, n_fields, ("field", "d1"),
+                                    rs=(1, r)))
+            return lambda view: [view.du(r, i) / view.u(r)
+                                 - view.du(1, i) / view.u(1) for i in idx]
+        if isinstance(sel, Sym):
+            raise BindError(f"unknown vector {sel.name!r}")
+        r = _field_sel(sel, "")
+        deps.update(_dep_coords(n_base, n_fields, ("d1",), rs=(r,)))
+        return lambda view: [view.du(r, i) for i in idx]
+
+    def _order(node, k):
+        if not 1 <= k <= n_base + 1:
+            raise BindError(f"{node.name} order {k} out of range")
+        return k
 
     def compile_call(node):
         name = node.name
@@ -557,61 +590,36 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
                 _conjugate_ast(node.args[0], field_kind, n_fields))
         if name == "S":
             if len(node.args) != 1:
-                raise BindError("S takes one argument S(k) or S(k; r)")
-            k = _int_arg(node.args[0], "k")
-            rs = _field_args(node, 1)
-            r = rs[0] if rs else 1
-            if not 1 <= k <= n_base + 1:
-                raise BindError(f"S order {k} out of range")
-            for c in _dep_coords(n_base, n_fields, ("d2",), rs=(r,)):
-                deps.add(c)
-            return lambda view: _S(view, r, idx, signs, k)
+                raise BindError("S takes one argument S(k) or S(k; A)")
+            k = _order(node, _int_arg(node.args[0], "k"))
+            mat = matrix(*_selectors(node, (Num(1),)))
+            return lambda view: _S(view, mat, signs, k)
         if name == "R":
             if len(node.args) != 1:
-                raise BindError("R takes one argument R(k) or R(k; r, s)")
-            k = _int_arg(node.args[0], "k")
-            rs = _field_args(node, 2)
-            rv = rs[0] if rs else 1
-            rm = rs[1] if len(rs) > 1 else 1
-            if not 1 <= k <= n_base + 1:
-                raise BindError(f"R order {k} out of range")
-            for c in _dep_coords(n_base, n_fields, ("d1",), rs=(rv,)):
-                deps.add(c)
-            for c in _dep_coords(n_base, n_fields, ("d2",), rs=(rm,)):
-                deps.add(c)
-            return lambda view: _R_expr(view, rv, rm, k)
+                raise BindError("R takes one argument R(k) or R(k; v, A)")
+            k = _order(node, _int_arg(node.args[0], "k"))
+            vsel, msel = _selectors(node, (Num(1), Num(1)))
+            vec, mat = vector(vsel), matrix(msel)
+            return lambda view: _R(view, vec(view), mat, signs, k)
         if name == "Sjk":
             if len(node.args) != 2:
                 raise BindError("Sjk takes two arguments Sjk(j, k)")
             j = _int_arg(node.args[0], "j")
             k = _int_arg(node.args[1], "k")
-            rs = _field_args(node, 2)
-            r1 = rs[0] if rs else 1
-            r2 = rs[1] if len(rs) > 1 else (2 if n_fields > 1 else 1)
+            first, second = map(matrix, _selectors(
+                node, (Num(1), Num(2 if n_fields > 1 else 1))))
             if not 0 <= j <= k:
                 raise BindError("need 0 <= j <= k")
-            for c in _dep_coords(n_base, n_fields, ("d2",), rs=(r1, r2)):
-                deps.add(c)
-            return lambda view: _Sjk(view, r1, r2, idx, signs, j, k)
+            return lambda view: _Sjk(view, first, second, signs, j, k)
         if name in ("tr", "det"):
-            spec = _tensor_arg(node)
-            if spec[0] == "hess":
-                r = spec[1]
-                if name == "tr":
-                    return lambda view: _S(view, r, idx, signs, 1)
-                return lambda view: determinant(
-                    [[view.ddu(r, i, j) for j in idx] for i in idx])
-            _, tname, builder = spec
+            if len(node.args) != 1 or node.fields \
+                    or not isinstance(node.args[0], Sym):
+                raise BindError(f"{name} expects a tensor name")
+            mat = matrix(node.args[0])
             if name == "tr":
-                def trfn(view):
-                    t = _tensor_cached(view, ("expr", tname), builder)
-                    acc = 0.0
-                    for i in range(len(t)):
-                        acc = acc + signs[i] * t[i][i]
-                    return acc
-                return trfn
-            return lambda view: determinant(
-                _tensor_cached(view, ("expr", tname), builder))
+                # tr(G A) is S_1, the metric trace
+                return lambda view: _S(view, mat, signs, 1)
+            return lambda view: determinant(_tensor_cached(view, *mat))
         if name == "contract":
             if len(node.args) != 2:
                 raise BindError("contract takes two vector names")
@@ -632,13 +640,25 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
             return cfn
         raise BindError(f"unknown function {node.name!r}")
 
-    def _R_expr(view, rv, rm, k):
-        from .invcat import power_form
-        vec = [view.du(rv, i) for i in idx]
-        mat = [[view.ddu(rm, i, j) for j in idx] for i in idx]
-        return power_form(vec, mat, metric, k)
+    def compile_expr(node):
+        deps.clear()
+        fn = compile_node(node)
+        return fn, set(deps)
 
-    fn = compile_node(expr)
+    return compile_expr
+
+
+def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
+         field_kind: FieldKind = REAL, time_mode: bool = False,
+         lam: float = 1.0, mu: float = 1.0) -> ScalarJetFunction:
+    """Resolve symbols against an (N, m, metric) space and return a
+    differentiable evaluator (see :func:`compiler`)."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    metric = metric or euclidean(n_base)
+    label = to_text(expr)
+    fn, deps = compiler(n_base, n_fields, metric, field_kind, time_mode,
+                        lam, mu)(expr)
     space = JetSpace(n_base, n_fields, field_kind, metric,
                      positive_fields=False)
     dep_order = [c for c in space.coords() if c in deps]

@@ -10,6 +10,7 @@ index pair contributes the metric sign of that index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -34,7 +35,6 @@ from .jetspace import (
     d2_coord,
     enumerate_coords,
     euclidean,
-    field_coord,
     minkowski,
 )
 from .liealg import AlgebraSpec, make_sampler
@@ -347,6 +347,7 @@ class ScalarJetFunction:
         return [next(part) if c in deps else 0.0 for c in coords]
 
 
+@functools.cache
 def _dep_coords(n_base, n_fields, kinds, rs=None):
     picked = []
     for c in enumerate_coords(n_base, n_fields):
@@ -359,6 +360,10 @@ def _dep_coords(n_base, n_fields, kinds, rs=None):
 
 
 # cached per-view builders ---------------------------------------------------
+# A matrix source is a (key, build) pair: ``build(view)`` makes the matrix,
+# cached on the view under ``key``, and its metric powers under
+# ("tp",) + key.  The Hessians U_r and the covariant tensors theta_r and w_r
+# share this one cache.
 
 
 def _hess(view, r, idx):
@@ -369,33 +374,10 @@ def _gvec(view, r, idx):
     return [view.du(r, i) for i in idx]
 
 
-def _hess_power(view, r, idx, signs, k):
-    """k-th power of (G * Hessian_r) over the index list, cached per view."""
-    key = ("hp", r, idx)
-    plist = view.cache.get(key)
-    if plist is None:
-        plist = [g_premul(signs, _hess(view, r, idx))]
-        view.cache[key] = plist
-    while len(plist) < k:
-        plist.append(mat_mul(plist[-1], plist[0]))
-    return plist[k - 1]
-
-
-def _S(view, r, idx, signs, k):
-    return mat_trace(_hess_power(view, r, idx, signs, k))
-
-
-def _Sjk(view, r_first, r_second, idx, signs, j, k):
-    if j == 0:
-        return _S(view, r_second, idx, signs, k)
-    if j == k:
-        return _S(view, r_first, idx, signs, k)
-    return mat_trace(mat_mul(_hess_power(view, r_first, idx, signs, j),
-                             _hess_power(view, r_second, idx, signs, k - j)))
-
-
-def _R(view, vec, r_mat, idx, signs, k):
-    return _power_form(vec, _hess(view, r_mat, idx), signs, k)
+@functools.cache
+def _hessian(r, idx):
+    """Matrix source of the Hessian U_r over the index list ``idx``."""
+    return ("U", r, idx), lambda view: _hess(view, r, idx)
 
 
 def _tensor_cached(view, key, build):
@@ -406,15 +388,36 @@ def _tensor_cached(view, key, build):
     return t
 
 
-def _tensor_power(view, key, tensor_builder, signs, k):
+def _tensor_power(view, key, build, signs, k):
+    """k-th power of (G * matrix), cached per view."""
     pkey = ("tp",) + key
     plist = view.cache.get(pkey)
     if plist is None:
-        plist = [g_premul(signs, _tensor_cached(view, key, tensor_builder))]
+        plist = [g_premul(signs, _tensor_cached(view, key, build))]
         view.cache[pkey] = plist
     while len(plist) < k:
         plist.append(mat_mul(plist[-1], plist[0]))
     return plist[k - 1]
+
+
+def _S(view, mat, signs, k):
+    """Power trace S_k of the matrix source ``mat``."""
+    return mat_trace(_tensor_power(view, *mat, signs, k))
+
+
+def _Sjk(view, first, second, signs, j, k):
+    """Mixed trace tr((G A)^j (G B)^(k-j)) of two matrix sources."""
+    if j == 0:
+        return _S(view, second, signs, k)
+    if j == k:
+        return _S(view, first, signs, k)
+    return mat_trace(mat_mul(_tensor_power(view, *first, signs, j),
+                             _tensor_power(view, *second, signs, k - j)))
+
+
+def _R(view, vec, mat, signs, k):
+    """Power form R_k of the vector ``vec`` and the matrix source ``mat``."""
+    return _power_form(vec, _tensor_cached(view, *mat), signs, k)
 
 
 def _power(base, expo):
@@ -814,481 +817,274 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
     raise ValueError(f"no basis catalog for algebra {name!r}")
 
 
-def _euclid_members(space, deps):
+# catalog tables --------------------------------------------------------------
+# The Euclid, Poincare and conformal families are lists of (member label,
+# exprlang text) rows, bound by the compiler behind ``exprlang.bind``, so
+# any member's text also checks as ``verify --expr``.  ``S(k; A)``,
+# ``Sjk(j, k; A, B)`` and ``R(k; v, A)`` are the power traces, mixed
+# traces and power forms of the Hessian U_r (selector ``r``) or of the
+# tensors ``theta<r>`` and ``w<r>``, against the gradient du_r (``r``), the
+# position ``x`` or ``thvec<r>`` = du_r/u_r - du_1/u_1.
+
+_ROTATION_KINDS = ("base", "field", "d1", "d2")
+# (label, text) of the scale a dilation weight is carried by
+_U, _U1, _TR = ("u", "u1"), ("u1", "u1"), ("tr", "S(1)")
+_GSQ = ("(du.du)", "contract(du1, du1)")
+
+
+def _scaled(label, text, op, expo, scale=_U1):
+    """Row ``label op scale^expo``.  The label prints the exponent with
+    :g, the text with repr, which parses back to the same float."""
+    return (f"{label}{op}{scale[0]}^{expo:g}",
+            f"{text} {op} {scale[1]} ^ {expo!r}")
+
+
+@functools.cache
+def _row_ast(text):
+    """Parsed row, memoized: every basis() call binds the same texts."""
+    from . import exprlang
+    return exprlang.parse(text)
+
+
+def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
+               expected=None):
+    """Family of the (member label, text) ``rows`` over the jet space of
+    ``spec``.  A member that is a single jet coordinate depends on it
+    alone, every other member on the ``kinds`` coordinates."""
+    from . import exprlang
+    nb, m = spec.n_base, spec.m
+    metric = (minkowski if spec.name in ("AP", "APtilde", "AC1n")
+              else euclidean)(nb)
+    space = JetSpace(nb, m, REAL, metric, positive_fields=spec.name in (
+        "AE1", "AC", "APtilde", "AC1n"))
+    deps = _dep_coords(nb, m, kinds)
+    compile_ = exprlang.compiler(nb, m, metric, lam=spec.lam)
+    members = []
+    for mlabel, text in rows:
+        ast = _row_ast(text)
+        fn, used = compile_(ast)
+        members.append(ScalarJetFunction(
+            mlabel, fn, tuple(used) if isinstance(ast, exprlang.Sym)
+            else deps, space))
+    return BasisFamily(label, spec, tuple(members),
+                       len(members) if expected is None else expected,
+                       space, deps)
+
+
+def _fields(m):
+    return [(f"u{r}", f"u{r}") for r in range(1, m + 1)]
+
+
+def _field_ratios(m):
+    return [(f"u{r}/u1", f"u{r} / u1") for r in range(2, m + 1)]
+
+
+def _euclid_rows(n, m):
     """u_r, S_k(U1), S_jk(U1, U_r) and R_k(du_r, U1): the members the
     euclidean and the rotation bases share, in this order."""
-    n, m, signs = space.n_base, space.n_fields, space.metric.signs
-    idx = tuple(range(n))
-    members = []
-    for r in range(1, m + 1):
-        members.append(_mk(f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                           (field_coord(r),), space))
-    for k in range(1, n + 1):
-        members.append(_mk(
-            f"S{k}(U1)",
-            (lambda k: lambda v: _S(v, 1, idx, signs, k))(k), deps, space))
-    for r in range(2, m + 1):
-        for k in range(1, n + 1):
-            for j in range(0, k):
-                members.append(_mk(
-                    f"S{j},{k}(U1,U{r})",
-                    (lambda j, k, r: lambda v: _Sjk(v, 1, r, idx, signs, j, k))(j, k, r),
-                    deps, space))
-    for r in range(1, m + 1):
-        for k in range(1, n + 1):
-            members.append(_mk(
-                f"R{k}(du{r},U1)",
-                (lambda k, r: lambda v: _R(v, _gvec(v, r, idx), 1, idx, signs, k))(k, r),
-                deps, space))
-    return members
+    ks = range(1, n + 1)
+    return (_fields(m) + [(f"S{k}(U1)", f"S({k})") for k in ks]
+            + [(f"S{j},{k}(U1,U{r})", f"Sjk({j}, {k}; 1, {r})")
+               for r in range(2, m + 1) for k in ks for j in range(k)]
+            + [(f"R{k}(du{r},U1)", f"R({k}; {r}, 1)")
+               for r in range(1, m + 1) for k in ks])
 
 
 def _basis_euclid(spec):
     n, m = spec.n, spec.m
-    space = JetSpace(n, m, REAL, euclidean(n))
-    deps = _dep_coords(n, m, ("field", "d1", "d2"))
-    members = _euclid_members(space, deps)
-    expected = 2 * m * n + m + (m - 1) * n * (n - 1) // 2
-    return BasisFamily(f"euclid n={n} m={m}", spec, tuple(members), expected,
-                       space, deps)
+    return _bind_rows(spec, f"euclid n={n} m={m}", _euclid_rows(n, m),
+                      expected=2 * m * n + m + (m - 1) * n * (n - 1) // 2)
 
 
 def _basis_rotation(spec):
     """Rotation-only invariants: position vector joins the jet variables."""
     n, m = spec.n, spec.m
-    space = JetSpace(n, m, REAL, euclidean(n))
-    signs = space.metric.signs
-    idx = tuple(range(n))
-    deps = _dep_coords(n, m, ("base", "field", "d1", "d2"))
-    members = _euclid_members(space, deps)
-    for k in range(1, n + 1):
-        members.append(_mk(
-            f"R{k}(x,U1)",
-            (lambda k: lambda v: _R(v, [v.x(i) for i in idx], 1, idx, signs, k))(k),
-            deps, space))
-    expected = m + n + (m - 1) * n * (n + 1) // 2 + m * n + n
-    return BasisFamily(f"rotation n={n} m={m}", spec, tuple(members),
-                       expected, space, deps)
+    rows = _euclid_rows(n, m) + [(f"R{k}(x,U1)", f"R({k}; x, 1)")
+                                 for k in range(1, n + 1)]
+    return _bind_rows(spec, f"rotation n={n} m={m}", rows, _ROTATION_KINDS,
+                      m + n + (m - 1) * n * (n + 1) // 2 + m * n + n)
+
+
+def _dilated_traces(n, m, lam):
+    """S_k(U1) and S_jk(U1, U_r), j < k, over u1^(k(1 - 2/lam)), or for
+    lam = 0 over tr^k (k >= 2 for S_k)."""
+    ks = range(1, n + 1)
+    if lam == 0:
+        return ([_scaled(f"S{k}(U1)", f"S({k})", "/", k, _TR)
+                 for k in range(2, n + 1)]
+                + [_scaled(f"S{j},{k}(U1,U{r})", f"Sjk({j}, {k}; 1, {r})",
+                           "/", k, _TR)
+                   for r in range(2, m + 1) for k in ks for j in range(k)])
+    return ([_scaled(f"S{k}(U1)", f"S({k})", "/", k * (1.0 - 2.0 / lam))
+             for k in ks]
+            + [_scaled(f"S{j},{k}(U1,U{r})", f"Sjk({j}, {k}; 1, {r})", "/",
+                       k * (1.0 - 2.0 / lam))
+               for r in range(2, m + 1) for k in ks for j in range(k)])
 
 
 def _basis_extended_euclid(spec):
     n, m, lam = spec.n, spec.m, spec.lam
-    met = euclidean(n)
-    signs = met.signs
-    idx = tuple(range(n))
-    space = JetSpace(n, m, REAL, met, positive_fields=True)
-    deps = _dep_coords(n, m, ("field", "d1", "d2"))
-    members = []
-    if m == 1:
-        if lam != 0:
-            for k in range(1, n + 1):
-                expo = k * (1.0 - 2.0 / lam) + 1.0
-                members.append(_mk(
-                    f"R{k}/u^{expo:g}",
-                    (lambda k, expo: lambda v: _R(v, _gvec(v, 1, idx), 1, idx, signs, k)
-                     / _power(v.u(1), expo))(k, expo), deps, space))
-            for k in range(1, n + 1):
-                expo = k * (1.0 - 2.0 / lam)
-                members.append(_mk(
-                    f"S{k}/u^{expo:g}",
-                    (lambda k, expo: lambda v: _S(v, 1, idx, signs, k)
-                     / _power(v.u(1), expo))(k, expo), deps, space))
-            expected = 2 * n
-        else:
-            members.append(_mk("u1", lambda v: v.u(1), (field_coord(1),), space))
-
-            def tr1(v):
-                return _S(v, 1, idx, signs, 1)
-
-            for k in range(1, n + 1):
-                members.append(_mk(
-                    f"R{k}/tr^{k}",
-                    (lambda k: lambda v: _R(v, _gvec(v, 1, idx), 1, idx, signs, k)
-                     / _power(tr1(v), k))(k), deps, space))
-            for k in range(2, n + 1):
-                members.append(_mk(
-                    f"S{k}/tr^{k}",
-                    (lambda k: lambda v: _S(v, 1, idx, signs, k)
-                     / _power(tr1(v), k))(k), deps, space))
-            expected = 2 * n
-        return BasisFamily(f"extended-euclid n={n} lam={lam:g}", spec,
-                           tuple(members), expected, space, deps)
-    # several fields
-    if lam != 0:
-        for r in range(2, m + 1):
-            members.append(_mk(
-                f"u{r}/u1", (lambda r: lambda v: v.u(r) / v.u(1))(r),
-                deps, space))
-        for k in range(1, n + 1):
-            expo = k * (1.0 - 2.0 / lam)
-            members.append(_mk(
-                f"S{k}(U1)/u1^{expo:g}",
-                (lambda k, expo: lambda v: _S(v, 1, idx, signs, k)
-                 / _power(v.u(1), expo))(k, expo), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                expo = k * (1.0 - 2.0 / lam)
-                for j in range(0, k):
-                    members.append(_mk(
-                        f"S{j},{k}(U1,U{r})/u1^{expo:g}",
-                        (lambda j, k, r, expo: lambda v:
-                         _Sjk(v, 1, r, idx, signs, j, k) / _power(v.u(1), expo))(j, k, r, expo),
-                        deps, space))
-        for r in range(1, m + 1):
-            for k in range(1, n + 1):
-                expo = k * (1.0 - 2.0 / lam) + 1.0
-                members.append(_mk(
-                    f"R{k}(du{r})/u1^{expo:g}",
-                    (lambda k, r, expo: lambda v:
-                     _R(v, _gvec(v, r, idx), 1, idx, signs, k) / _power(v.u(1), expo))(k, r, expo),
-                    deps, space))
-        expected = len(members)
+    ks, rs = range(1, n + 1), range(1, m + 1)
+    if m == 1 and lam != 0:
+        rows = ([_scaled(f"R{k}", f"R({k})", "/", k * (1.0 - 2.0 / lam) + 1.0,
+                         _U) for k in ks]
+                + [_scaled(f"S{k}", f"S({k})", "/", k * (1.0 - 2.0 / lam), _U)
+                   for k in ks])
+    elif m == 1:
+        rows = ([("u1", "u1")]
+                + [_scaled(f"R{k}", f"R({k})", "/", k, _TR) for k in ks]
+                + [_scaled(f"S{k}", f"S({k})", "/", k, _TR)
+                   for k in range(2, n + 1)])
+    elif lam != 0:
+        rows = (_field_ratios(m) + _dilated_traces(n, m, lam)
+                + [_scaled(f"R{k}(du{r})", f"R({k}; {r}, 1)", "/",
+                           k * (1.0 - 2.0 / lam) + 1.0)
+                   for r in rs for k in ks])
     else:
-        def tr1(v):
-            return _S(v, 1, idx, signs, 1)
+        rows = (_fields(m)
+                + [_scaled(f"R{k}(du{r})", f"R({k}; {r}, 1)", "/", k, _TR)
+                   for r in rs for k in ks]
+                + _dilated_traces(n, m, lam))
+    if m == 1:
+        return _bind_rows(spec, f"extended-euclid n={n} lam={lam:g}", rows,
+                          expected=2 * n)
+    return _bind_rows(spec, f"extended-euclid n={n} m={m} lam={lam:g}", rows)
 
-        for r in range(1, m + 1):
-            members.append(_mk(
-                f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                (field_coord(r),), space))
-        for r in range(1, m + 1):
-            for k in range(1, n + 1):
-                members.append(_mk(
-                    f"R{k}(du{r})/tr^{k}",
-                    (lambda k, r: lambda v: _R(v, _gvec(v, r, idx), 1, idx, signs, k)
-                     / _power(tr1(v), k))(k, r), deps, space))
-        for k in range(2, n + 1):
-            members.append(_mk(
-                f"S{k}(U1)/tr^{k}",
-                (lambda k: lambda v: _S(v, 1, idx, signs, k)
-                 / _power(tr1(v), k))(k), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                for j in range(0, k):
-                    members.append(_mk(
-                        f"S{j},{k}(U1,U{r})/tr^{k}",
-                        (lambda j, k, r: lambda v: _Sjk(v, 1, r, idx, signs, j, k)
-                         / _power(tr1(v), k))(j, k, r), deps, space))
-        expected = len(members)
-    return BasisFamily(f"extended-euclid n={n} m={m} lam={lam:g}", spec,
-                       tuple(members), expected, space, deps)
+
+def rotation_dilation_family(n: int, m: int = 1,
+                             lam: float = 1.0) -> BasisFamily:
+    """Invariants of rotations plus dilation (no translations): the
+    position-vector forms join the jet invariants, dilation-normalized
+    per branch."""
+    ks, rs = range(1, n + 1), range(1, m + 1)
+    if lam != 0:
+        rows = (_field_ratios(m) + _dilated_traces(n, m, lam)
+                + [_scaled(f"R{k}(du{r},U1)", f"R({k}; {r}, 1)", "*",
+                           2.0 * k / lam - 1.0 - k)
+                   for r in rs for k in ks]
+                + [_scaled(f"R{k}(x,U1)", f"R({k}; x, 1)", "*",
+                           (2.0 / lam) * (k - 2.0) - k + 1.0) for k in ks])
+    else:
+        rows = (_fields(m)
+                + [_scaled(f"R{k}(du{r},U1)", f"R({k}; {r}, 1)", "/", k, _TR)
+                   for r in rs for k in ks]
+                + _dilated_traces(n, m, lam)
+                + [_scaled(f"R{k}(x,U1)", f"R({k}; x, 1)", "*", 2 - k, _TR)
+                   for k in ks])
+    return _bind_rows(AlgebraSpec("AE1", n, m=m, lam=lam),
+                      f"rotation-dilation n={n} m={m} lam={lam:g}", rows,
+                      _ROTATION_KINDS)
+
+
+def _conformal_rows(m, lam, kmax, minkowski_):
+    """The conformal bases for several fields, orders 1..kmax: theta
+    traces and forms times powers of u1, or for lam = 0, w traces and forms
+    times powers of du.du.  The lam = 0 mixed traces are S_jk(w1, w_r),
+    j < k, in Euclidean space and S_jk(w_r, w1), j >= 1, in Minkowski
+    space."""
+    ks, rs = range(1, kmax + 1), range(2, m + 1)
+    if lam != 0:
+        return (_field_ratios(m)
+                + [_scaled(f"S{k}(theta1)", f"S({k}; theta1)", "*",
+                           k * (2.0 / lam - 1.0)) for k in ks]
+                + [_scaled(f"S{j},{k}(theta{r},theta1)",
+                           f"Sjk({j}, {k}; theta{r}, theta1)", "*",
+                           k * (2.0 / lam - 1.0))
+                   for r in rs for k in ks for j in range(1, k + 1)]
+                + [_scaled(f"R{k}(thvec{r},theta1)",
+                           f"R({k}; thvec{r}, theta1)", "*",
+                           k * (2.0 / lam - 1.0) - 1.0)
+                   for r in rs for k in ks])
+    if minkowski_:
+        sjk = [_scaled(f"S{j},{k}(w{r},w1)", f"Sjk({j}, {k}; w{r}, w1)",
+                       "/", 2 * k, _GSQ)
+               for r in rs for k in ks for j in range(1, k + 1)]
+    else:
+        sjk = [_scaled(f"S{j},{k}(w1,w{r})", f"Sjk({j}, {k}; w1, w{r})",
+                       "/", 2 * k, _GSQ)
+               for r in rs for k in ks for j in range(k)]
+    return (_fields(m)
+            + [_scaled(f"S{k}(w1)", f"S({k}; w1)", "/", 2 * k, _GSQ)
+               for k in range(1, kmax)]
+            + sjk
+            + [_scaled(f"R{k}(du{r},w1)", f"R({k}; {r}, w1)", "*",
+                       1 - 2 * k, _GSQ) for r in rs for k in ks])
 
 
 def _basis_conformal(spec):
     n, m, lam = spec.n, spec.m, spec.lam
-    met = euclidean(n)
-    signs = met.signs
-    idx = tuple(range(n))
-    space = JetSpace(n, m, REAL, met, positive_fields=True)
-    deps = _dep_coords(n, m, ("field", "d1", "d2"))
-    members = []
-    if m == 1:
-        if lam != 0:
-            theta = covariant_tensor("theta", n, lam=lam, r=1, m=1).builder
-            for k in range(1, n + 1):
-                expo = k * (2.0 / lam - 1.0)
-                members.append(_mk(
-                    f"S{k}(theta)*u^{expo:g}",
-                    (lambda k, expo: lambda v:
-                     mat_trace(_tensor_power(v, ("th", 1), theta, signs, k))
-                     * _power(v.u(1), expo))(k, expo),
-                    deps, space))
-            expected = n
-        else:
-            w = covariant_tensor("w", n, r=1, m=1).builder
-            members.append(_mk("u1", lambda v: v.u(1), (field_coord(1),), space))
-            for k in range(1, n + 1):
-                if k == n:
-                    continue
-                members.append(_mk(
-                    f"S{k}(w)/(du.du)^{2 * k}",
-                    (lambda k: lambda v:
-                     mat_trace(_tensor_power(v, ("w", 1), w, signs, k))
-                     / _power(sum_prod(_gvec(v, 1, idx), _gvec(v, 1, idx)), 2 * k))(k),
-                    deps, space))
-            expected = n
-        return BasisFamily(f"conformal n={n} lam={lam:g}", spec,
-                           tuple(members), expected, space, deps)
-    # several fields
+    if m > 1:
+        return _bind_rows(spec, f"conformal n={n} m={m} lam={lam:g}",
+                          _conformal_rows(m, lam, n, False))
     if lam != 0:
-        thetas = {r: covariant_tensor("theta", n, lam=lam, r=r, m=m).builder
-                  for r in range(1, m + 1)}
-
-        def tpow(v, r, k):
-            return _tensor_power(v, ("th", r), thetas[r], signs, k)
-
-        for r in range(2, m + 1):
-            members.append(_mk(
-                f"u{r}/u1", (lambda r: lambda v: v.u(r) / v.u(1))(r),
-                deps, space))
-        for k in range(1, n + 1):
-            expo = k * (2.0 / lam - 1.0)
-            members.append(_mk(
-                f"S{k}(theta1)*u1^{expo:g}",
-                (lambda k, expo: lambda v:
-                 mat_trace(tpow(v, 1, k)) * _power(v.u(1), expo))(k, expo),
-                deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                expo = k * (2.0 / lam - 1.0)
-                for j in range(1, k + 1):
-                    members.append(_mk(
-                        f"S{j},{k}(theta{r},theta1)*u1^{expo:g}",
-                        (lambda j, k, r, expo: lambda v:
-                         (mat_trace(tpow(v, r, k)) if j == k else
-                          mat_trace(mat_mul(tpow(v, r, j), tpow(v, 1, k - j))))
-                         * _power(v.u(1), expo))(j, k, r, expo),
-                        deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                expo = k * (2.0 / lam - 1.0) - 1.0
-                members.append(_mk(
-                    f"R{k}(thvec{r},theta1)*u1^{expo:g}",
-                    (lambda k, r, expo: lambda v: power_form(
-                        [v.du(r, i) / v.u(r) - v.du(1, i) / v.u(1) for i in idx],
-                        _tensor_cached(v, ("th", 1), thetas[1]),
-                        met, k) * _power(v.u(1), expo))(k, r, expo),
-                    deps, space))
+        rows = [_scaled(f"S{k}(theta)", f"S({k}; theta1)", "*",
+                        k * (2.0 / lam - 1.0), _U) for k in range(1, n + 1)]
     else:
-        ws = {r: covariant_tensor("w", n, r=r, m=m).builder
-              for r in range(1, m + 1)}
-
-        def wpow(v, r, k):
-            return _tensor_power(v, ("w", r), ws[r], signs, k)
-
-        def gradsq(v):
-            g1 = _gvec(v, 1, idx)
-            return sum_prod(g1, g1)
-
-        for r in range(1, m + 1):
-            members.append(_mk(
-                f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                (field_coord(r),), space))
-        for k in range(1, n + 1):
-            if k == n:
-                continue
-            members.append(_mk(
-                f"S{k}(w1)/(du.du)^{2 * k}",
-                (lambda k: lambda v: mat_trace(wpow(v, 1, k))
-                 / _power(gradsq(v), 2 * k))(k), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                for j in range(0, k):
-                    members.append(_mk(
-                        f"S{j},{k}(w1,w{r})/(du.du)^{2 * k}",
-                        (lambda j, k, r: lambda v:
-                         (mat_trace(wpow(v, r, k)) if j == 0 else
-                          mat_trace(mat_mul(wpow(v, 1, j), wpow(v, r, k - j))))
-                         / _power(gradsq(v), 2 * k))(j, k, r),
-                        deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                members.append(_mk(
-                    f"R{k}(du{r},w1)*(du.du)^{1 - 2 * k}",
-                    (lambda k, r: lambda v: power_form(
-                        _gvec(v, r, idx), _tensor_cached(v, ("w", 1), ws[1]),
-                        met, k) * _power(gradsq(v), 1 - 2 * k))(k, r),
-                    deps, space))
-    expected = len(members)
-    return BasisFamily(f"conformal n={n} m={m} lam={lam:g}", spec,
-                       tuple(members), expected, space, deps)
-
-
-def _basis_poincare(spec):
-    n, m = spec.n, spec.m
-    nb = n + 1
-    met = minkowski(nb)
-    signs = met.signs
-    idx = tuple(range(nb))
-    space = JetSpace(nb, m, REAL, met)
-    deps = _dep_coords(nb, m, ("field", "d1", "d2"))
-    kmax = n + 1
-    members = []
-    for r in range(1, m + 1):
-        members.append(_mk(f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                           (field_coord(r),), space))
-    for k in range(1, kmax + 1):
-        members.append(_mk(
-            f"S{k}(U1)", (lambda k: lambda v: _S(v, 1, idx, signs, k))(k),
-            deps, space))
-    for r in range(2, m + 1):
-        for k in range(1, kmax + 1):
-            for j in range(1, k + 1):
-                members.append(_mk(
-                    f"S{j},{k}(U{r},U1)",
-                    (lambda j, k, r: lambda v: _Sjk(v, r, 1, idx, signs, j, k))(j, k, r),
-                    deps, space))
-    for r in range(1, m + 1):
-        for k in range(1, kmax + 1):
-            members.append(_mk(
-                f"R{k}(du{r},U1)",
-                (lambda k, r: lambda v: _R(v, [v.du(r, i) for i in idx],
-                                           1, idx, signs, k))(k, r),
-                deps, space))
-    expected = m * (2 * n + 3) + (m - 1) * n * (n + 1) // 2
-    return BasisFamily(f"poincare n={n} m={m}", spec, tuple(members),
-                       expected, space, deps)
-
-
-def _basis_extended_poincare(spec):
-    n, m, lam = spec.n, spec.m, spec.lam
-    nb = n + 1
-    met = minkowski(nb)
-    signs = met.signs
-    idx = tuple(range(nb))
-    space = JetSpace(nb, m, REAL, met, positive_fields=True)
-    deps = _dep_coords(nb, m, ("field", "d1", "d2"))
-    kmax = n + 1
-    members = []
-    if lam == 0:
-        def tr1(v):
-            return _S(v, 1, idx, signs, 1)
-
-        for r in range(1, m + 1):
-            members.append(_mk(f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                               (field_coord(r),), space))
-        for k in range(2, kmax + 1):
-            members.append(_mk(
-                f"S{k}(U1)/tr^{k}",
-                (lambda k: lambda v: _S(v, 1, idx, signs, k)
-                 / _power(tr1(v), k))(k), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, kmax + 1):
-                for j in range(1, k + 1):
-                    members.append(_mk(
-                        f"S{j},{k}(U{r},U1)/tr^{k}",
-                        (lambda j, k, r: lambda v: _Sjk(v, r, 1, idx, signs, j, k)
-                         / _power(tr1(v), k))(j, k, r), deps, space))
-        for r in range(1, m + 1):
-            for k in range(1, kmax + 1):
-                members.append(_mk(
-                    f"R{k}(du{r},U1)/tr^{k}",
-                    (lambda k, r: lambda v: _R(v, [v.du(r, i) for i in idx],
-                                               1, idx, signs, k)
-                     / _power(tr1(v), k))(k, r), deps, space))
-    else:
-        for r in range(2, m + 1):
-            members.append(_mk(
-                f"u{r}/u1", (lambda r: lambda v: v.u(r) / v.u(1))(r),
-                deps, space))
-        for k in range(1, kmax + 1):
-            expo = k * (2.0 / lam - 1.0)
-            members.append(_mk(
-                f"S{k}(U1)*u1^{expo:g}",
-                (lambda k, expo: lambda v: _S(v, 1, idx, signs, k)
-                 * _power(v.u(1), expo))(k, expo), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, kmax + 1):
-                expo = k * (2.0 / lam - 1.0)
-                for j in range(1, k + 1):
-                    members.append(_mk(
-                        f"S{j},{k}(U{r},U1)*u1^{expo:g}",
-                        (lambda j, k, r, expo: lambda v:
-                         _Sjk(v, r, 1, idx, signs, j, k) * _power(v.u(1), expo))(j, k, r, expo),
-                        deps, space))
-        for r in range(1, m + 1):
-            for k in range(1, kmax + 1):
-                expo = 2.0 * k / lam - k - 1.0
-                members.append(_mk(
-                    f"R{k}(du{r},U1)*u1^{expo:g}",
-                    (lambda k, r, expo: lambda v:
-                     _R(v, [v.du(r, i) for i in idx], 1, idx, signs, k)
-                     * _power(v.u(1), expo))(k, r, expo), deps, space))
-    expected = len(members)
-    return BasisFamily(f"extended-poincare n={n} m={m} lam={lam:g}", spec,
-                       tuple(members), expected, space, deps)
+        rows = [("u1", "u1")] + [_scaled(f"S{k}(w)", f"S({k}; w1)", "/",
+                                         2 * k, _GSQ) for k in range(1, n)]
+    return _bind_rows(spec, f"conformal n={n} lam={lam:g}", rows,
+                      expected=n)
 
 
 def _basis_conformal_minkowski(spec):
     n, m, lam = spec.n, spec.m, spec.lam
-    nb = n + 1
-    met = minkowski(nb)
-    signs = met.signs
-    idx = tuple(range(nb))
-    space = JetSpace(nb, m, REAL, met, positive_fields=True)
-    deps = _dep_coords(nb, m, ("field", "d1", "d2"))
-    kmax = n + 1
-    members = []
-    if lam != 0:
-        thetas = {r: covariant_tensor("theta_minkowski", n, lam=lam, r=r, m=m).builder
-                  for r in range(1, m + 1)}
+    return _bind_rows(spec, f"conformal-minkowski n={n} m={m} lam={lam:g}",
+                      _conformal_rows(m, lam, n + 1, True))
 
-        def tpow(v, r, k):
-            return _tensor_power(v, ("thm", r), thetas[r], signs, k)
 
-        for r in range(2, m + 1):
-            members.append(_mk(
-                f"u{r}/u1", (lambda r: lambda v: v.u(r) / v.u(1))(r),
-                deps, space))
-        for k in range(1, kmax + 1):
-            expo = k * (2.0 / lam - 1.0)
-            members.append(_mk(
-                f"S{k}(theta1)*u1^{expo:g}",
-                (lambda k, expo: lambda v: mat_trace(tpow(v, 1, k))
-                 * _power(v.u(1), expo))(k, expo), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, kmax + 1):
-                expo = k * (2.0 / lam - 1.0)
-                for j in range(1, k + 1):
-                    members.append(_mk(
-                        f"S{j},{k}(theta{r},theta1)*u1^{expo:g}",
-                        (lambda j, k, r, expo: lambda v:
-                         (mat_trace(tpow(v, r, k)) if j == k else
-                          mat_trace(mat_mul(tpow(v, r, j), tpow(v, 1, k - j))))
-                         * _power(v.u(1), expo))(j, k, r, expo), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, kmax + 1):
-                expo = k * (2.0 / lam - 1.0) - 1.0
-                members.append(_mk(
-                    f"R{k}(thvec{r},theta1)*u1^{expo:g}",
-                    (lambda k, r, expo: lambda v: power_form(
-                        [v.du(r, i) / v.u(r) - v.du(1, i) / v.u(1) for i in idx],
-                        _tensor_cached(v, ("thm", 1), thetas[1]), met, k)
-                     * _power(v.u(1), expo))(k, r, expo), deps, space))
+def _basis_poincare(spec):
+    n, m = spec.n, spec.m
+    ks, rs = range(1, n + 2), range(1, m + 1)
+    rows = (_fields(m) + [(f"S{k}(U1)", f"S({k})") for k in ks]
+            + [(f"S{j},{k}(U{r},U1)", f"Sjk({j}, {k}; {r}, 1)")
+               for r in rs[1:] for k in ks for j in range(1, k + 1)]
+            + [(f"R{k}(du{r},U1)", f"R({k}; {r}, 1)") for r in rs for k in ks])
+    return _bind_rows(spec, f"poincare n={n} m={m}", rows,
+                      expected=m * (2 * n + 3) + (m - 1) * n * (n + 1) // 2)
+
+
+def _basis_extended_poincare(spec):
+    n, m, lam = spec.n, spec.m, spec.lam
+    ks, rs = range(1, n + 2), range(1, m + 1)
+    sjk = [(j, k, r) for r in rs[1:] for k in ks for j in range(1, k + 1)]
+    if lam == 0:
+        rows = (_fields(m)
+                + [_scaled(f"S{k}(U1)", f"S({k})", "/", k, _TR)
+                   for k in ks[1:]]
+                + [_scaled(f"S{j},{k}(U{r},U1)", f"Sjk({j}, {k}; {r}, 1)",
+                           "/", k, _TR) for j, k, r in sjk]
+                + [_scaled(f"R{k}(du{r},U1)", f"R({k}; {r}, 1)", "/", k, _TR)
+                   for r in rs for k in ks])
     else:
-        ws = {r: covariant_tensor("w_minkowski", n, r=r, m=m).builder
-              for r in range(1, m + 1)}
+        rows = (_field_ratios(m)
+                + [_scaled(f"S{k}(U1)", f"S({k})", "*", k * (2.0 / lam - 1.0))
+                   for k in ks]
+                + [_scaled(f"S{j},{k}(U{r},U1)", f"Sjk({j}, {k}; {r}, 1)",
+                           "*", k * (2.0 / lam - 1.0)) for j, k, r in sjk]
+                + [_scaled(f"R{k}(du{r},U1)", f"R({k}; {r}, 1)", "*",
+                           2.0 * k / lam - k - 1.0) for r in rs for k in ks])
+    return _bind_rows(spec, f"extended-poincare n={n} m={m} lam={lam:g}",
+                      rows)
 
-        def wpow(v, r, k):
-            return _tensor_power(v, ("wm", r), ws[r], signs, k)
 
-        def gradsq(v):
-            du = [v.du(1, i) for i in idx]
-            acc = 0.0
-            for i in idx:
-                acc = acc + signs[i] * du[i] * du[i]
-            return acc
+def two_matrix_trace_family(n: int) -> BasisFamily:
+    """Mixed traces tr(U^j V^(k-j)), j=0..k, k=1..n, of the two Hessians of
+    an (n, 2) jet; a maximal independent set of rotation invariants."""
+    rows = [(f"S{j},{k}(U,V)", f"Sjk({j}, {k}; 1, 2)")
+            for k in range(1, n + 1) for j in range(k + 1)]
+    return _bind_rows(AlgebraSpec("AO", n, m=2), f"two-matrix traces n={n}",
+                      rows, ("d2",), n * (n + 3) // 2)
 
-        for r in range(1, m + 1):
-            members.append(_mk(f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                               (field_coord(r),), space))
-        for k in range(1, kmax + 1):
-            if k == nb:
-                continue
-            members.append(_mk(
-                f"S{k}(w1)/(du.du)^{2 * k}",
-                (lambda k: lambda v: mat_trace(wpow(v, 1, k))
-                 / _power(gradsq(v), 2 * k))(k), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, kmax + 1):
-                for j in range(1, k + 1):
-                    members.append(_mk(
-                        f"S{j},{k}(w{r},w1)/(du.du)^{2 * k}",
-                        (lambda j, k, r: lambda v:
-                         (mat_trace(wpow(v, r, k)) if j == k else
-                          mat_trace(mat_mul(wpow(v, r, j), wpow(v, 1, k - j))))
-                         / _power(gradsq(v), 2 * k))(j, k, r), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, kmax + 1):
-                members.append(_mk(
-                    f"R{k}(du{r},w1)*(du.du)^{1 - 2 * k}",
-                    (lambda k, r: lambda v: power_form(
-                        [v.du(r, i) for i in idx],
-                        _tensor_cached(v, ("wm", 1), ws[1]), met, k)
-                     * _power(gradsq(v), 1 - 2 * k))(k, r), deps, space))
-    expected = len(members)
-    return BasisFamily(f"conformal-minkowski n={n} m={m} lam={lam:g}", spec,
-                       tuple(members), expected, space, deps)
+
+def rotation_pair_family(n: int) -> BasisFamily:
+    """Rotation invariants of two vector/tensor pairs (du^r, ddu^r)."""
+    ks = range(1, n + 1)
+    rows = ([(f"R{k}(du{r},U{r})", f"R({k}; {r}, {r})")
+             for r in (1, 2) for k in ks]
+            + [(f"S{j},{k}(U1,U2)", f"Sjk({j}, {k}; 1, 2)")
+               for k in ks for j in range(k + 1)])
+    return _bind_rows(AlgebraSpec("AO", n, m=2), f"rotation pairs n={n}",
+                      rows, ("d1", "d2"), n * (n + 7) // 2)
 
 
 # Galilei families (log-substituted jets: field 1 is log u / log psi) -------
@@ -1346,7 +1142,7 @@ def _basis_galilei_real(spec, hat_variant):
         return power_form(theta(v), _phi_hess(v, n), met, k)
 
     def s_k(v, k):
-        return _S(v, 1, sp, signs, k)
+        return _S(v, _hessian(1, sp), signs, k)
 
     if spec.name == "AG_I":
         members = [_mk("M1", m1, deps, space), _mk("M2", m2, deps, space)]
@@ -1371,7 +1167,7 @@ def _basis_galilei_real(spec, hat_variant):
 
     # AG2_I: projective combinations built from the hatted sums
     def tr_h(v):
-        return _S(v, 1, sp, signs, 1)
+        return _S(v, _hessian(1, sp), signs, 1)
 
     def n1(v):
         return m1(v) + tr_h(v)
@@ -1448,7 +1244,7 @@ def _basis_galilei_real_mu0(spec):
         return power_form(_phi_vec(v, n), _phi_hess(v, n), met, k)
 
     def s_k(v, k):
-        return _S(v, 1, sp, signs, k)
+        return _S(v, _hessian(1, sp), signs, k)
 
     if spec.name == "AG_I":
         members = [_mk("M1", m1, deps, space), _mk("M2", m2, deps, space)]
@@ -1567,7 +1363,7 @@ def _basis_galilei_complex(spec, hat_variant):
         return power_form(vec, _phi_hess(v, n, 1), met, k)
 
     def s_jk(v, j, k):
-        return _Sjk(v, 1, 2, sp, signs, j, k)
+        return _Sjk(v, _hessian(1, sp), _hessian(2, sp), signs, j, k)
 
     sjk_range = [(j, k) for k in range(1, n + 1) for j in range(0, k + 1)]
 
@@ -1625,7 +1421,7 @@ def _basis_galilei_complex(spec, hat_variant):
 
     # AG2_II, mass != 0, lam = -n/2
     def tr_h(v, r):
-        return _S(v, r, sp, signs, 1)
+        return _S(v, _hessian(r, sp), signs, 1)
 
     def n1(v, r, sgn):
         du = _phi_vec(v, n, r)
@@ -1794,7 +1590,7 @@ def _basis_galilei_complex_mass0(spec):
         return power_form(vec, _phi_hess(v, n, 1), met, k)
 
     def s_jk(v, j, k):
-        return _Sjk(v, 1, 2, sp, signs, j, k)
+        return _Sjk(v, _hessian(1, sp), _hessian(2, sp), signs, j, k)
 
     sjk_range = [(j, k) for k in range(1, n + 1) for j in range(0, k + 1)]
     members = []
@@ -1840,54 +1636,6 @@ def _basis_galilei_complex_mass0(spec):
         f"schroedinger-galilei-projective n={n} mass=0 lam={lam:g}", spec,
         tuple(members), len(members), space, deps_all,
         notes="implemented as printed; see per-member verdicts")
-
-
-# special families used by independence/completeness checks -----------------
-
-
-def two_matrix_trace_family(n: int) -> BasisFamily:
-    """Mixed traces tr(U^j V^(k-j)), j=0..k, k=1..n, of the two Hessians of
-    an (n, 2) jet; a maximal independent set of rotation invariants."""
-    spec = AlgebraSpec("AO", n, m=2)
-    met = euclidean(n)
-    signs = met.signs
-    idx = tuple(range(n))
-    space = JetSpace(n, 2, REAL, met)
-    deps = _dep_coords(n, 2, ("d2",))
-    members = []
-    for k in range(1, n + 1):
-        for j in range(0, k + 1):
-            members.append(_mk(
-                f"S{j},{k}(U,V)",
-                (lambda j, k: lambda v: _Sjk(v, 1, 2, idx, signs, j, k))(j, k),
-                deps, space))
-    return BasisFamily(f"two-matrix traces n={n}", spec, tuple(members),
-                       n * (n + 3) // 2, space, deps)
-
-
-def rotation_pair_family(n: int) -> BasisFamily:
-    """Rotation invariants of two vector/tensor pairs (du^r, ddu^r)."""
-    spec = AlgebraSpec("AO", n, m=2)
-    met = euclidean(n)
-    signs = met.signs
-    idx = tuple(range(n))
-    space = JetSpace(n, 2, REAL, met)
-    deps = _dep_coords(n, 2, ("d1", "d2"))
-    members = []
-    for r in (1, 2):
-        for k in range(1, n + 1):
-            members.append(_mk(
-                f"R{k}(du{r},U{r})",
-                (lambda k, r: lambda v: _R(v, _gvec(v, r, idx), r, idx, signs, k))(k, r),
-                deps, space))
-    for k in range(1, n + 1):
-        for j in range(0, k + 1):
-            members.append(_mk(
-                f"S{j},{k}(U1,U2)",
-                (lambda j, k: lambda v: _Sjk(v, 1, 2, idx, signs, j, k))(j, k),
-                deps, space))
-    return BasisFamily(f"rotation pairs n={n}", spec, tuple(members),
-                       n * (n + 7) // 2, space, deps)
 
 
 # --------------------------------------------------------------------------
@@ -2160,88 +1908,3 @@ def covariant_tensor_components(name: str, point: JetPoint, **params):
 def _tensor_spatial_dim(name, point):
     euclid_full = ("theta", "w", "hessian", "position")
     return point.n_base if name in euclid_full else point.n_base - 1
-
-
-def rotation_dilation_family(n: int, m: int = 1,
-                             lam: float = 1.0) -> BasisFamily:
-    """Invariants of rotations plus dilation (no translations): the
-    position-vector forms join the jet invariants, dilation-normalized
-    per branch."""
-    spec = AlgebraSpec("AE1", n, m=m, lam=lam)
-    met = euclidean(n)
-    signs = met.signs
-    idx = tuple(range(n))
-    space = JetSpace(n, m, REAL, met, positive_fields=True)
-    deps = _dep_coords(n, m, ("base", "field", "d1", "d2"))
-    members = []
-    if lam != 0:
-        for r in range(2, m + 1):
-            members.append(_mk(
-                f"u{r}/u1", (lambda r: lambda v: v.u(r) / v.u(1))(r),
-                deps, space))
-        for k in range(1, n + 1):
-            expo = k * (1.0 - 2.0 / lam)
-            members.append(_mk(
-                f"S{k}(U1)/u1^{expo:g}",
-                (lambda k, expo: lambda v: _S(v, 1, idx, signs, k)
-                 / _power(v.u(1), expo))(k, expo), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                expo = k * (1.0 - 2.0 / lam)
-                for j in range(0, k):
-                    members.append(_mk(
-                        f"S{j},{k}(U1,U{r})/u1^{expo:g}",
-                        (lambda j, k, r, expo: lambda v:
-                         _Sjk(v, 1, r, idx, signs, j, k)
-                         / _power(v.u(1), expo))(j, k, r, expo),
-                        deps, space))
-        for r in range(1, m + 1):
-            for k in range(1, n + 1):
-                expo = 2.0 * k / lam - 1.0 - k
-                members.append(_mk(
-                    f"R{k}(du{r},U1)*u1^{expo:g}",
-                    (lambda k, r, expo: lambda v:
-                     _R(v, _gvec(v, r, idx), 1, idx, signs, k)
-                     * _power(v.u(1), expo))(k, r, expo), deps, space))
-        for k in range(1, n + 1):
-            expo = (2.0 / lam) * (k - 2.0) - k + 1.0
-            members.append(_mk(
-                f"R{k}(x,U1)*u1^{expo:g}",
-                (lambda k, expo: lambda v:
-                 _R(v, [v.x(i) for i in idx], 1, idx, signs, k)
-                 * _power(v.u(1), expo))(k, expo), deps, space))
-    else:
-        def tr1(v):
-            return _S(v, 1, idx, signs, 1)
-
-        for r in range(1, m + 1):
-            members.append(_mk(f"u{r}", (lambda r: lambda v: v.u(r))(r),
-                               (field_coord(r),), space))
-        for r in range(1, m + 1):
-            for k in range(1, n + 1):
-                members.append(_mk(
-                    f"R{k}(du{r},U1)/tr^{k}",
-                    (lambda k, r: lambda v:
-                     _R(v, _gvec(v, r, idx), 1, idx, signs, k)
-                     / _power(tr1(v), k))(k, r), deps, space))
-        for k in range(2, n + 1):
-            members.append(_mk(
-                f"S{k}(U1)/tr^{k}",
-                (lambda k: lambda v: _S(v, 1, idx, signs, k)
-                 / _power(tr1(v), k))(k), deps, space))
-        for r in range(2, m + 1):
-            for k in range(1, n + 1):
-                for j in range(0, k):
-                    members.append(_mk(
-                        f"S{j},{k}(U1,U{r})/tr^{k}",
-                        (lambda j, k, r: lambda v:
-                         _Sjk(v, 1, r, idx, signs, j, k)
-                         / _power(tr1(v), k))(j, k, r), deps, space))
-        for k in range(1, n + 1):
-            members.append(_mk(
-                f"R{k}(x,U1)*tr^{2 - k}",
-                (lambda k: lambda v:
-                 _R(v, [v.x(i) for i in idx], 1, idx, signs, k)
-                 * _power(tr1(v), 2.0 - k))(k), deps, space))
-    return BasisFamily(f"rotation-dilation n={n} m={m} lam={lam:g}", spec,
-                       tuple(members), len(members), space, deps)

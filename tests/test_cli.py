@@ -235,3 +235,14 @@ def test_usage_error_leaves_next_call_intact(tmp_path, capsys):
     assert bad == 2
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert _in_process_report(EIKONAL_OVERRIDE, tmp_path / "b.json") == want
+
+
+@pytest.mark.parametrize("extra", [("--algebra", "AO"), ("--expr", "u_x1")],
+                         ids=["algebra", "expr"])
+def test_equation_rejects_flags_it_would_ignore(extra, capsys):
+    from invforge import cli
+
+    code = cli.main(["verify", "--equation", "born-infeld", "--n", "3",
+                     *extra], stream=io.StringIO())
+    assert code == 2
+    assert "--equation" in capsys.readouterr().err

@@ -222,3 +222,36 @@ def test_scalar_function_binding():
         bind_scalar_function("x1 + u")
     with pytest.raises(BindError):
         bind_scalar_function("S(2)")
+
+
+@pytest.mark.parametrize("name,kw,label,text", [
+    ("AC", {"m": 2}, "S2(theta1)*u1^2", "S(2; theta1) * u1 ^ 2.0"),
+    ("AC", {"m": 2, "lam": 0.6}, "R2(thvec2,theta1)*u1^3.66667",
+     "R(2; thvec2, theta1) * u1 ^ 3.666666666666667"),
+    ("AC1n", {"m": 2, "lam": 0.0}, "S1,2(w2,w1)/(du.du)^4",
+     "Sjk(1, 2; w2, w1) / contract(du1, du1) ^ 4"),
+    ("AO", {}, "R3(x,U1)", "R(3; x, 1)"),
+])
+def test_catalog_member_text_binds_to_the_member(name, kw, label, text):
+    from invforge.invcat import basis
+    from invforge.liealg import make_spec
+
+    spec = make_spec(name, 3, **kw)
+    fam = basis(spec)
+    member = next(m for m in fam.members if m.label == label)
+    fn = bind(text, fam.space.n_base, fam.space.n_fields,
+              metric=fam.space.metric, lam=spec.lam)
+    point = fam.space.sampler(3)(0)
+    assert fn.eval(point) == member.eval(point)
+
+
+@pytest.mark.parametrize("text", ["S(2; v)", "S(1; 1, 2)", "R(1; theta1, 1)",
+                                  "R(1; 1, x)", "Sjk(1, 2; 1, w3)"])
+def test_selector_errors(text):
+    with pytest.raises(BindError):
+        bind(text, 3, n_fields=2)
+
+
+def test_tensor_selectors_need_a_spatial_binding():
+    with pytest.raises(BindError):
+        bind("S(2; theta1)", 4, time_mode=True)

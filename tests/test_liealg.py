@@ -1,6 +1,6 @@
 import pytest
 
-from invforge.invcat import ScalarJetFunction, _S, basis
+from invforge.invcat import ScalarJetFunction, _S, _hessian, basis
 from invforge.jetspace import (
     base_coord,
     d1_coord,
@@ -127,7 +127,8 @@ def test_apply_on_plain_field_value():
 def test_apply_on_hessian_trace():
     op = _rotation_op(3, 0, 1)
     deps = tuple(d2_coord(1, i, j) for i in range(3) for j in range(i, 3))
-    fn = _jet_fn("S1", lambda v: _S(v, 1, (0, 1, 2), (1, 1, 1), 1), deps, 3)
+    fn = _jet_fn("S1", lambda v: _S(v, _hessian(1, (0, 1, 2)), (1, 1, 1), 1),
+                 deps, 3)
     point = sample_generic(3, 1, seed=8)
     assert abs(apply_operator(op, fn, point)) < 1e-13
 

@@ -1,4 +1,4 @@
-"""Byte-identity guard: the deterministic part of seven JSON reports,
+"""Byte-identity guard: the deterministic part of fifteen JSON reports,
 pinned at full precision.
 
 Hot-path refactors must change no number in a report; this compares each
@@ -38,6 +38,21 @@ CALLS = (
     # duals through mat_inverse and solve_linear (the mu = 0 theta)
     ("verify", "--algebra", "AG2_I", "--n", "3", "--mu", "0", "--lambda",
      "0.4", "--samples", "2"),
+    # the catalog-table branches: rotation, both extended-Euclid branches,
+    # conformal (three FAILs) and its lam = 0 branch, extended Poincare,
+    # and the lam = 0 Minkowski conformal branch
+    ("verify", "--algebra", "AO", "--n", "3", "--m", "2", "--samples", "2"),
+    ("verify", "--algebra", "AE1", "--n", "3", "--m", "2", "--lambda", "0",
+     "--samples", "2"),
+    ("verify", "--algebra", "AE1", "--n", "3", "--lambda", "0.6",
+     "--samples", "2"),
+    ("verify", "--algebra", "AC", "--n", "3", "--m", "2", "--samples", "2"),
+    ("verify", "--algebra", "AC", "--n", "3", "--m", "2", "--lambda", "0",
+     "--samples", "2"),
+    ("verify", "--algebra", "APtilde", "--n", "3", "--m", "2", "--lambda",
+     "0.6", "--samples", "2"),
+    ("verify", "--algebra", "AC1n", "--n", "3", "--m", "2", "--lambda", "0",
+     "--samples", "2"),
 )
 
 
