@@ -34,6 +34,7 @@ from .invcat import (
     _S,
     _Sjk,
     _dep_coords,
+    _gvec,
     _hessian,
     _power,
     _tensor_cached,
@@ -566,7 +567,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             raise BindError(f"unknown vector {sel.name!r}")
         r = _field_sel(sel, "")
         deps.update(_dep_coords(n_base, n_fields, ("d1",), rs=(r,)))
-        return lambda view: [view.du(r, i) for i in idx]
+        return lambda view: _gvec(view, r, idx)
 
     def _order(node, k):
         if not 1 <= k <= n_base + 1:
