@@ -1,5 +1,6 @@
-"""Member-identity guard for the Euclid, Poincare and conformal catalog
-families and the three special rotation families.
+"""Member-identity guard for the catalog families, the three special
+rotation families, and the Galilei families with their tensors and
+projective equations.
 
 For every family over a grid of (n, m, lam) this pins the family label,
 expected count, dependency set and space, and per member its label, its
@@ -20,12 +21,16 @@ import pytest
 
 from invforge.dual import EvaluationError
 from invforge.invcat import (
+    BasisFamily,
     basis,
+    covariant_tensor,
+    equation_function,
+    galilei_mu0_determinant_family,
     rotation_dilation_family,
     rotation_pair_family,
     two_matrix_trace_family,
 )
-from invforge.liealg import AlgebraSpec
+from invforge.liealg import AlgebraSpec, make_spec
 from invforge.verify import family_jacobian
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -34,6 +39,16 @@ POINTS = 2
 NS = (3, 4)
 MS = (1, 2, 3)
 LAMS = (0.0, 0.4, 0.6, 1.0, 2.0)
+# Galilei grid: boost weights, masses, and the lam values of the families
+# that read lam
+MUS = (1.0, 0.5, 0.0)
+MASSES = (1.0, 0.5)
+GALILEI_LAMS = (0.0, 0.4, 1.0)
+HATS = ("printed", "uniform")
+# (tensor, whether it reads mu)
+GALILEI_TENSORS = (("galilei_theta", True), ("galilei_theta2", True),
+                   ("galilei_h", True), ("galilei_hhat_mu0", False),
+                   ("implicit_theta", False))
 
 
 def _configs():
@@ -57,6 +72,69 @@ def _configs():
                     lambda n=n: two_matrix_trace_family(n)))
         out.append((f"rotation_pair n={n}",
                     lambda n=n: rotation_pair_family(n)))
+    return out + _galilei_configs()
+
+
+def _galilei_spec(name, n, **kw):
+    return make_spec(name, n, rep="log", **kw)
+
+
+def _as_family(label, members, space, deps):
+    """Tensor components or an equation residual, described like a basis."""
+    return BasisFamily(label, None, tuple(members), len(members), space, deps)
+
+
+def _tensor_family(name, n, **kw):
+    t = covariant_tensor(name, n, **kw)
+    return _as_family(t.label, t.components(), t.space, t.deps)
+
+
+def _residual_family(name, n, **kw):
+    e = equation_function(name, n, **kw)
+    return _as_family(e.label, [e], e.space, e.deps)
+
+
+def _galilei_configs():
+    """The real and complex Galilei bases under both hat variants, the
+    bordered-determinant family, the Galilei tensors and the projective
+    residuals."""
+    out = []
+    for n in NS:
+        params = []
+        for mu in MUS:
+            params += [("AG_I", {"mu": mu}), ("AG1_I", {"mu": mu})]
+            params += ([("AG2_I", {"mu": mu})] if mu != 0 else
+                       [("AG2_I", {"mu": mu, "lam": lam})
+                        for lam in GALILEI_LAMS])
+        for mass in MASSES:
+            params += [("AG_II", {"mass": mass}), ("AG2_II", {"mass": mass})]
+            params += [("AG1_II", {"mass": mass, "lam": lam})
+                       for lam in GALILEI_LAMS]
+        params += [("AG2_II", {"mass": 0.0, "lam": lam})
+                   for lam in GALILEI_LAMS]
+        for name, kw in params:
+            text = " ".join(f"{k}={v:g}" for k, v in kw.items())
+            for hat in HATS:
+                out.append((f"{name} n={n} {text} [{hat}]",
+                            lambda name=name, n=n, kw=kw, hat=hat:
+                            basis(_galilei_spec(name, n, **kw), hat)))
+        out.append((f"galilei_mu0_determinant n={n}",
+                    lambda n=n: galilei_mu0_determinant_family(n)))
+        for tname, reads_mu in GALILEI_TENSORS:
+            for mu in MUS[:2] if reads_mu else MUS[:1]:
+                out.append((f"tensor {tname} n={n} mu={mu:g}",
+                            lambda tname=tname, n=n, mu=mu:
+                            _tensor_family(tname, n, mu=mu)))
+        for mu in MUS[:2]:
+            out.append((f"equation galilei-projective n={n} mu={mu:g}",
+                        lambda n=n, mu=mu:
+                        _residual_family("galilei-projective", n, mu=mu)))
+        for mass in MASSES:
+            out.append((f"equation schrodinger-projective n={n} "
+                        f"mass={mass:g}",
+                        lambda n=n, mass=mass:
+                        _residual_family("schrodinger-projective", n,
+                                         mass=mass)))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Byte-identity guard: the deterministic part of fifteen JSON reports,
+"""Byte-identity guard: the deterministic part of twenty-one JSON reports,
 pinned at full precision.
 
 Hot-path refactors must change no number in a report; this compares each
@@ -53,6 +53,16 @@ CALLS = (
      "0.6", "--samples", "2"),
     ("verify", "--algebra", "AC1n", "--n", "3", "--m", "2", "--lambda", "0",
      "--samples", "2"),
+    # the Galilei bases: real and complex, and both readings of the hatted
+    # sums of the real projective family
+    ("verify", "--algebra", "AG_I", "--n", "3", "--samples", "2"),
+    ("verify", "--algebra", "AG1_I", "--n", "3", "--samples", "2"),
+    ("verify", "--algebra", "AG_II", "--n", "3", "--samples", "2"),
+    ("verify", "--algebra", "AG1_II", "--n", "3", "--samples", "2"),
+    ("verify", "--algebra", "AG2_I", "--n", "3", "--samples", "2",
+     "--hat-variant", "printed"),
+    ("verify", "--algebra", "AG2_I", "--n", "3", "--samples", "2",
+     "--hat-variant", "uniform"),
 )
 
 
