@@ -9,6 +9,7 @@ error, 3 internal evaluation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -17,7 +18,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .exprlang import BindError, ParseError, bind, bind_scalar_function
-from .invcat import EQUATIONS, basis
+from .invcat import EQUATIONS, POSITIVE_FIELD_ALGEBRAS, TENSORS, basis
 from .jetspace import COMPLEX, REAL, minkowski, to_log_jets
 from .liealg import catalog, generic_rank, make_spec, prolong2
 from .verify import (
@@ -66,13 +67,6 @@ _BASES = [
     ("AG1_II", "dilation-normalized conjugate-pair invariants"),
     ("AG2_II", "projective conjugate-pair combinations (mass = 0 branch "
                "available)"),
-]
-
-_TENSORS = [
-    "theta", "w", "theta_minkowski", "w_minkowski",
-    "theta_vector_minkowski", "eikonal_theta", "galilei_theta",
-    "galilei_theta2", "galilei_h", "galilei_hhat_mu0", "implicit_theta",
-    "hessian", "position",
 ]
 
 
@@ -286,14 +280,14 @@ def _cmd_list(args, stream):
         for name, info in EQUATIONS.items():
             print(f"{name:24s} {info.note}", file=stream)
     else:
-        for name in _TENSORS:
+        for name in TENSORS:
             print(name, file=stream)
     return 0
 
 
 def _verify_basis(cfg):
     spec = _spec_from_config(cfg)
-    fam = basis(spec, hat_variant=cfg.get("hat_variant", "printed"))
+    fam = basis(spec, hat_variant=cfg["hat_variant"])
     ops = [prolong2(f) for f in catalog(spec)]
     report = check_absolute(ops, fam, n_samples=cfg["samples"],
                             tol=cfg["tol"], seed=cfg["seed"])
@@ -346,8 +340,13 @@ def _verify_expression(cfg):
               or spec.name == "AP_BornInfeld",
               lam=cfg.get("lam", 1.0), mu=cfg.get("mu", 1.0))
     ops = [prolong2(f) for f in catalog(spec)]
+    # drawn where the algebra's basis is, so a pasted member's fractional
+    # powers of u need no redraws
+    space = dataclasses.replace(
+        fn.space, positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
     report = check_absolute(ops, [fn], n_samples=cfg["samples"],
-                            tol=cfg["tol"], seed=cfg["seed"])
+                            tol=cfg["tol"], seed=cfg["seed"],
+                            sampler=space.sampler(cfg["seed"]))
     checks = []
     for rec in report.records:
         checks.append({
@@ -357,6 +356,18 @@ def _verify_expression(cfg):
             "verdict": rec.verdict,
         })
     return checks
+
+
+def _check_hat_variant(command, cfg):
+    """``--hat-variant uniform`` changes only the hatted sums of the AG2_I
+    basis with mu != 0, which verify and completeness build; elsewhere it
+    is a usage error."""
+    hats_read = cfg.get("algebra") == "AG2_I" and cfg.get("mu", 1.0) != 0 \
+        and (command == "completeness" or command == "verify"
+             and not cfg.get("expr") and not cfg.get("equation"))
+    if cfg["hat_variant"] == "uniform" and not hats_read:
+        raise ValueError("--hat-variant uniform applies only to verify or "
+                         "completeness of the AG2_I basis with mu != 0")
 
 
 def _cmd_verify(cfg):
@@ -377,7 +388,7 @@ def _cmd_rank(cfg):
     ops = [prolong2(f) for f in catalog(spec)]
     fam = None
     try:
-        fam = basis(spec, hat_variant=cfg.get("hat_variant", "printed"))
+        fam = basis(spec)
     except ValueError:
         pass
     sampler = fam.space.sampler(cfg["seed"]) if fam is not None else None
@@ -399,7 +410,7 @@ def _cmd_rank(cfg):
 
 def _cmd_completeness(cfg):
     spec = _spec_from_config(cfg)
-    fam = basis(spec, hat_variant=cfg.get("hat_variant", "printed"))
+    fam = basis(spec, hat_variant=cfg["hat_variant"])
     rep = completeness(spec, fam, n_samples=max(4, cfg["samples"] // 5),
                        tol=cfg["tol"], seed=cfg["seed"])
     checks = [{
@@ -443,6 +454,7 @@ def main(argv=None, stream=None) -> int:
         return _cmd_list(args, stream)
     try:
         cfg = _merge_config(args)
+        _check_hat_variant(args.command, cfg)
         if args.command == "eval":
             return _cmd_eval(cfg, args, stream)
         if args.command == "verify":

@@ -486,13 +486,22 @@ class TensorBuilder:
         return fns
 
 
+# every covariant tensor, in the order ``invforge list tensors`` prints
+TENSORS = ("theta", "w", "theta_minkowski", "w_minkowski",
+           "theta_vector_minkowski", "eikonal_theta", "galilei_theta",
+           "galilei_theta2", "galilei_h", "galilei_hhat_mu0", "implicit_theta",
+           "hessian", "position")
+
+
 def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
                      r: int = 1, m: int = 1) -> TensorBuilder:
-    """Catalog of covariant tensors by name.
+    """Catalog of covariant tensors by name (see :data:`TENSORS`).
 
     Euclidean names use an n-dimensional space; Minkowski and Galilei names
     use n+1 base coordinates with index 0 timelike.
     """
+    if name not in TENSORS:
+        raise ValueError(f"unknown covariant tensor {name!r}")
     if name == "theta":
         space = JetSpace(n, m, REAL, euclidean(n), positive_fields=True)
         idx = tuple(range(n))
@@ -644,11 +653,7 @@ def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
 
         return TensorBuilder("eikonal_theta", "matrix", nb, space, deps, build)
 
-    if name in ("galilei_theta", "galilei_theta2", "galilei_h",
-                "galilei_hhat_mu0", "implicit_theta", "hessian", "position"):
-        return _galilei_tensor(name, n, lam=lam, mu=mu, r=r, m=m)
-
-    raise ValueError(f"unknown covariant tensor {name!r}")
+    return _galilei_tensor(name, n, lam=lam, mu=mu, r=r, m=m)
 
 
 def _galilei_tensor(name, n, lam, mu, r, m):
@@ -678,10 +683,7 @@ def _galilei_tensor(name, n, lam, mu, r, m):
         deps = _dep_coords(nb, m, ("d1", "d2"))
 
         def build(view, r=r):
-            return [view.ddu(r, a, 0) * mu
-                    + sum_prod([view.du(r, b) for b in spatial],
-                               [view.ddu(r, a, b) for b in spatial])
-                    for a in spatial]
+            return _boost_theta(mu, *_jets(view, r, spatial))
 
         return TensorBuilder("galilei_theta", "vector", n, space, deps, build)
 
@@ -736,15 +738,7 @@ def _galilei_tensor(name, n, lam, mu, r, m):
     deps = _dep_coords(nb, m, ("d2",))
 
     def build(view, r=r):
-        key = ("implicit_theta", r)
-        cached = view.cache.get(key)
-        if cached is not None:
-            return cached
-        hess = [[view.ddu(r, a, b) for b in spatial] for a in spatial]
-        rhs = [view.ddu(r, b, 0) for b in spatial]
-        theta = solve_linear(hess, rhs, "Hessian")
-        view.cache[key] = theta
-        return theta
+        return _implicit_theta(view, r, spatial)
 
     return TensorBuilder("implicit_theta", "vector", n, space, deps, build)
 
@@ -775,10 +769,6 @@ class BasisFamily:
         return [m.label for m in self.members]
 
 
-def _mk(label, fn, deps, space):
-    return ScalarJetFunction(label, fn, deps, space)
-
-
 def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
     """Functional basis (or printed generating set) for the algebra."""
     if hat_variant not in ("printed", "uniform"):
@@ -802,9 +792,7 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
         if spec.rep != "log":
             raise ValueError("Galilei bases act on log-substituted jets; "
                              "use rep='log'")
-        if spec.mu != 0:
-            return _basis_galilei_real(spec, hat_variant)
-        return _basis_galilei_real_mu0(spec)
+        return _basis_galilei_real(spec, hat_variant)
     if name in ("AG_II", "AG1_II", "AG2_II"):
         if spec.rep != "log":
             raise ValueError("Galilei bases act on log-substituted jets; "
@@ -826,6 +814,9 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
 # tensors ``theta<r>`` and ``w<r>``, against the gradient du_r (``r``), the
 # position ``x`` or ``thvec<r>`` = du_r/u_r - du_1/u_1.
 
+# algebras whose bases take fractional powers of u or divide by it: their
+# members, and ``verify --expr`` under them, sample positive field values
+POSITIVE_FIELD_ALGEBRAS = ("AE1", "AC", "APtilde", "AC1n")
 _ROTATION_KINDS = ("base", "field", "d1", "d2")
 # (label, text) of the scale a dilation weight is carried by
 _U, _U1, _TR = ("u", "u1"), ("u1", "u1"), ("tr", "S(1)")
@@ -855,8 +846,8 @@ def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
     nb, m = spec.n_base, spec.m
     metric = (minkowski if spec.name in ("AP", "APtilde", "AC1n")
               else euclidean)(nb)
-    space = JetSpace(nb, m, REAL, metric, positive_fields=spec.name in (
-        "AE1", "AC", "APtilde", "AC1n"))
+    space = JetSpace(nb, m, REAL, metric,
+                     positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
     deps = _dep_coords(nb, m, kinds)
     compile_ = exprlang.compiler(nb, m, metric, lam=spec.lam)
     members = []
@@ -1088,111 +1079,199 @@ def rotation_pair_family(n: int) -> BasisFamily:
 
 
 # Galilei families (log-substituted jets: field 1 is log u / log psi) -------
+# Each quantity of field r is written once, as a kernel below.  The boost
+# kernels take the constants their callers compute: two_c = 2c and c2 = c^2
+# with c = mu for the real families and c = sgn*i*mass for field r of the
+# complex pair (sgn = +1 for psi, -1 for psi*); the boost theta takes its
+# time coefficient as printed, mu or -sgn*i*mass.
 
 
 def _spatial(n):
     return tuple(range(1, n + 1))
 
 
-def _phi_t(v, r=1):
-    return v.du(r, 0)
+def _gvec_t(view, r, idx):
+    """The mixed derivatives u_{r,at} over the spatial indices ``idx``."""
+    return [view.ddu(r, a, 0) for a in idx]
 
 
-def _phi_vec(v, n, r=1):
-    return [v.du(r, a) for a in _spatial(n)]
+def _hess_of(view, r, idx):
+    return _tensor_cached(view, *_hessian(r, idx))
 
 
-def _phi_t_vec(v, n, r=1):
-    return [v.ddu(r, a, 0) for a in _spatial(n)]
+def _jets(view, r, sp):
+    """(du, du_t, U) of field r: spatial gradient, its time derivative and
+    the spatial Hessian (from the per-view matrix cache)."""
+    return _gvec(view, r, sp), _gvec_t(view, r, sp), _hess_of(view, r, sp)
 
 
-def _phi_hess(v, n, r=1):
-    sp = _spatial(n)
-    return [[v.ddu(r, a, b) for b in sp] for a in sp]
+def _quad(acc, vec, mat):
+    """acc + vec.mat.vec, one term per entry of ``mat`` in row order."""
+    for a in range(len(vec)):
+        for b in range(len(vec)):
+            acc = acc + vec[a] * vec[b] * mat[a][b]
+    return acc
+
+
+def _m1(two_c, ut, du):
+    """M1 = 2c u_t + du.du."""
+    return two_c * ut + sum_prod(du, du)
+
+
+def _m2(c2, two_c, utt, du, dut, hess):
+    """M2 = c^2 u_tt + 2c du.du_t + du.U.du."""
+    return _quad(c2 * utt + two_c * sum_prod(du, dut), du, hess)
+
+
+def _n2(c2, two_c, utt, ut, tr, n, du, dut, hess):
+    """N2 = c^2 u_tt + 2c (u_t tr/n + du.du_t) + du.U.du + du.du tr/n
+    + tr^2/n, with tr the trace of U."""
+    acc = c2 * utt + two_c * (ut * tr / n + sum_prod(du, dut))
+    return _quad(acc, du, hess) + sum_prod(du, du) * tr / n + tr * tr / n
+
+
+def _boost_theta(c, du, dut, hess):
+    """Boost theta_a = c u_{at} + (U du)_a."""
+    return [c * dut[a] + sum_prod(du, hess[a]) for a in range(len(du))]
+
+
+def _implicit_theta(view, r, sp):
+    """The mu = 0 theta, solving U theta = du_t; cached per view."""
+    key = ("implicit_theta", r)
+    theta = view.cache.get(key)
+    if theta is None:
+        theta = view.cache[key] = solve_linear(
+            _hess_of(view, r, sp), _gvec_t(view, r, sp), "Hessian")
+    return theta
+
+
+def _lead0(view, r, sp):
+    """The mu = 0 M1: u_t - du.theta."""
+    return view.du(r, 0) - sum_prod(_gvec(view, r, sp),
+                                    _implicit_theta(view, r, sp))
+
+
+def _sec0(view, r, sp):
+    """The mu = 0 M2: u_tt - du_t.theta."""
+    return view.ddu(r, 0, 0) - sum_prod(_gvec_t(view, r, sp),
+                                        _implicit_theta(view, r, sp))
+
+
+def _rinv(view, r, sp):
+    """U^-1, cached per view."""
+    key = ("rinv", r)
+    inv = view.cache.get(key)
+    if inv is None:
+        inv = view.cache[key] = mat_inverse(_hess_of(view, r, sp), "Hessian")
+    return inv
+
+
+def _quad_inv(view, r, sp):
+    """du.U^-1.du."""
+    return _quad(0.0, _gvec(view, r, sp), _rinv(view, r, sp))
+
+
+def _leader0(view, r, sp, lam):
+    """The mu = 0 / mass = 0 leader lead^2 + sec (lam + du.U^-1.du)."""
+    return _power(_lead0(view, r, sp), 2) \
+        + _sec0(view, r, sp) * (lam + _quad_inv(view, r, sp))
+
+
+def _rhat(r_l, tr, n, k, uniform):
+    """Hatted sum of C(k, l) (-n)^l R_l tr^e over l = 1..k (R_0 taken as
+    zero), with e = k - l (uniform) or k - 1 (as printed)."""
+    acc = 0.0
+    for l in range(1, k + 1):
+        acc = acc + (r_l(l) * _power(tr, k - l if uniform else k - 1)
+                     * ((-n) ** l) * math.comb(k, l))
+    return acc
+
+
+def _over(num, den, e):
+    """Member num / den^e."""
+    return lambda v: num(v) / _power(den(v), e)
 
 
 def _basis_galilei_real(spec, hat_variant):
-    n, mu = spec.n, spec.mu
-    nb = n + 1
-    met = euclidean(n)
-    signs = met.signs
-    sp = _spatial(n)
-    space = JetSpace(nb, 1, REAL, met)
-    deps = _dep_coords(nb, 1, ("d1", "d2"))
+    n, mu, lam = spec.n, spec.mu, spec.lam
+    sp, ks, signs = _spatial(n), range(1, n + 1), euclidean(n).signs
+    space = JetSpace(n + 1, 1, REAL, euclidean(n))
+    deps = _dep_coords(n + 1, 1, ("d1", "d2"))
+    member = functools.partial(ScalarJetFunction, deps=deps, space=space)
+    hess = _hessian(1, sp)
+    two_c, c2 = 2.0 * mu, mu * mu
 
-    def m1(v):
-        du = _phi_vec(v, n)
-        return 2.0 * mu * _phi_t(v) + sum_prod(du, du)
+    if mu != 0:
+        def m1(v):
+            return _m1(two_c, v.du(1, 0), _gvec(v, 1, sp))
 
-    def m2(v):
-        du = _phi_vec(v, n)
-        dut = _phi_t_vec(v, n)
-        acc = mu * mu * v.ddu(1, 0, 0) + 2.0 * mu * sum_prod(du, dut)
-        for ai, a in enumerate(sp):
-            for bi, b in enumerate(sp):
-                acc = acc + du[ai] * du[bi] * v.ddu(1, a, b)
-        return acc
+        def m2(v):
+            return _m2(c2, two_c, v.ddu(1, 0, 0), *_jets(v, 1, sp))
 
-    def theta(v):
-        du = _phi_vec(v, n)
-        return [mu * v.ddu(1, a, 0)
-                + sum_prod(du, [v.ddu(1, a, b) for b in sp]) for a in sp]
+        def vec(v):
+            return _boost_theta(mu, *_jets(v, 1, sp))
+    else:
+        def m1(v):
+            return _lead0(v, 1, sp)
+
+        def m2(v):
+            return _sec0(v, 1, sp)
+
+        def vec(v):
+            return _gvec(v, 1, sp)
 
     def r_k(v, k):
-        return power_form(theta(v), _phi_hess(v, n), met, k)
+        return _R(v, vec(v), hess, signs, k)
 
     def s_k(v, k):
-        return _S(v, _hessian(1, sp), signs, k)
+        return _S(v, hess, signs, k)
 
+    rs = [functools.partial(r_k, k=k) for k in ks]
+    ss = [functools.partial(s_k, k=k) for k in ks]
     if spec.name == "AG_I":
-        members = [_mk("M1", m1, deps, space), _mk("M2", m2, deps, space)]
-        members += [_mk(f"R{k}", (lambda k: lambda v: r_k(v, k))(k), deps, space)
-                    for k in range(1, n + 1)]
-        members += [_mk(f"S{k}", (lambda k: lambda v: s_k(v, k))(k), deps, space)
-                    for k in range(1, n + 1)]
+        members = ([member("M1", m1), member("M2", m2)]
+                   + [member(f"R{k}", f) for k, f in zip(ks, rs)]
+                   + [member(f"S{k}", f) for k, f in zip(ks, ss)])
         return BasisFamily(f"galilei n={n} mu={mu:g}", spec, tuple(members),
                            2 * n + 2, space, deps)
 
     if spec.name == "AG1_I":
-        members = [_mk("M2/M1^2", lambda v: m2(v) / _power(m1(v), 2),
-                       deps, space)]
-        members += [_mk(f"R{k}/M1^{k + 2}",
-                        (lambda k: lambda v: r_k(v, k) / _power(m1(v), k + 2))(k),
-                        deps, space) for k in range(1, n + 1)]
-        members += [_mk(f"S{k}/M1^{k}",
-                        (lambda k: lambda v: s_k(v, k) / _power(m1(v), k))(k),
-                        deps, space) for k in range(1, n + 1)]
+        # R_k of the boost theta carries M1^2 more than R_k of du (mu = 0)
+        e = 2 if mu != 0 else 0
+        members = [member("M2/M1^2", _over(m2, m1, 2)) if mu != 0
+                   else member("M1^2/M2", lambda v: _power(m1(v), 2) / m2(v))]
+        members += [member(f"R{k}/M1^{k + e}", _over(f, m1, k + e))
+                    for k, f in zip(ks, rs)]
+        members += [member(f"S{k}/M1^{k}", _over(f, m1, k))
+                    for k, f in zip(ks, ss)]
         return BasisFamily(f"galilei-dilation n={n} mu={mu:g}", spec,
                            tuple(members), 2 * n + 1, space, deps)
 
+    if mu == 0:
+        def big_m(v):
+            return _leader0(v, 1, sp, lam)
+
+        members = ([member(f"R{k}/M^{k}/2", _over(f, big_m, k / 2.0))
+                    for k, f in zip(ks, rs)]
+                   + [member(f"S{k}/M^{k}/2", _over(f, big_m, k / 2.0))
+                      for k, f in zip(ks, ss)])
+        return BasisFamily(f"galilei-projective n={n} mu=0 lam={lam:g}",
+                           spec, tuple(members), 2 * n, space, deps)
+
     # AG2_I: projective combinations built from the hatted sums
     def tr_h(v):
-        return _S(v, _hessian(1, sp), signs, 1)
+        return _S(v, hess, signs, 1)
 
     def n1(v):
         return m1(v) + tr_h(v)
 
     def n2(v):
-        du = _phi_vec(v, n)
-        dut = _phi_t_vec(v, n)
-        tr = tr_h(v)
-        acc = mu * mu * v.ddu(1, 0, 0)
-        acc = acc + 2.0 * mu * (_phi_t(v) * tr / n + sum_prod(du, dut))
-        for ai, a in enumerate(sp):
-            for bi, b in enumerate(sp):
-                acc = acc + du[ai] * du[bi] * v.ddu(1, a, b)
-        acc = acc + sum_prod(du, du) * tr / n + tr * tr / n
-        return acc
+        return _n2(c2, two_c, v.ddu(1, 0, 0), v.du(1, 0), tr_h(v), n,
+                   *_jets(v, 1, sp))
 
     def r_hat(v, k):
-        # R_0 is taken as zero: the sum effectively starts at l = 1
-        tr = tr_h(v)
-        acc = 0.0
-        for l in range(1, k + 1):
-            expo = (k - 1) if hat_variant == "printed" else (k - l)
-            acc = acc + (r_k(v, l) * _power(tr, expo)
-                         * ((-n) ** l) * math.comb(k, l))
-        return acc
+        return _rhat(lambda l: r_k(v, l), tr_h(v), n, k,
+                     hat_variant == "uniform")
 
     def s_hat(v, k):
         tr = tr_h(v)
@@ -1204,217 +1283,117 @@ def _basis_galilei_real(spec, hat_variant):
             acc = acc + coef * s_l * _power(tr, k - l)
         return acc
 
-    members = [_mk("N2/N1^2", lambda v: n2(v) / _power(n1(v), 2), deps, space)]
-    members += [_mk(f"Rhat{k}/N1^{k + 2}",
-                    (lambda k: lambda v: r_hat(v, k) / _power(n1(v), k + 2))(k),
-                    deps, space) for k in range(1, n + 1)]
-    members += [_mk(f"Shat{k}/N1^{k}",
-                    (lambda k: lambda v: s_hat(v, k) / _power(n1(v), k))(k),
-                    deps, space) for k in range(2, n + 1)]
+    members = [member("N2/N1^2", _over(n2, n1, 2))]
+    members += [member(f"Rhat{k}/N1^{k + 2}",
+                       _over(functools.partial(r_hat, k=k), n1, k + 2))
+                for k in ks]
+    members += [member(f"Shat{k}/N1^{k}",
+                       _over(functools.partial(s_hat, k=k), n1, k))
+                for k in range(2, n + 1)]
     return BasisFamily(f"galilei-projective n={n} mu={mu:g} [{hat_variant}]",
                        spec, tuple(members), 2 * n, space, deps,
                        notes="hatted sums implemented as printed; see "
                              "per-member verdicts")
 
 
-def _basis_galilei_real_mu0(spec):
-    n = spec.n
-    nb = n + 1
-    met = euclidean(n)
-    signs = met.signs
-    sp = _spatial(n)
-    space = JetSpace(nb, 1, REAL, met)
-    deps = _dep_coords(nb, 1, ("d1", "d2"))
-
-    def theta(v):
-        key = ("implicit_theta", 1)
-        cached = v.cache.get(key)
-        if cached is None:
-            cached = solve_linear(_phi_hess(v, n), _phi_t_vec(v, n), "Hessian")
-            v.cache[key] = cached
-        return cached
-
-    def m1(v):
-        return _phi_t(v) - sum_prod(_phi_vec(v, n), theta(v))
-
-    def m2(v):
-        return v.ddu(1, 0, 0) - sum_prod(_phi_t_vec(v, n), theta(v))
-
-    def r_k(v, k):
-        return power_form(_phi_vec(v, n), _phi_hess(v, n), met, k)
-
-    def s_k(v, k):
-        return _S(v, _hessian(1, sp), signs, k)
-
-    if spec.name == "AG_I":
-        members = [_mk("M1", m1, deps, space), _mk("M2", m2, deps, space)]
-        members += [_mk(f"R{k}", (lambda k: lambda v: r_k(v, k))(k), deps, space)
-                    for k in range(1, n + 1)]
-        members += [_mk(f"S{k}", (lambda k: lambda v: s_k(v, k))(k), deps, space)
-                    for k in range(1, n + 1)]
-        return BasisFamily(f"galilei n={n} mu=0", spec, tuple(members),
-                           2 * n + 2, space, deps)
-
-    if spec.name == "AG1_I":
-        members = [_mk("M1^2/M2", lambda v: _power(m1(v), 2) / m2(v),
-                       deps, space)]
-        members += [_mk(f"R{k}/M1^{k}",
-                        (lambda k: lambda v: r_k(v, k) / _power(m1(v), k))(k),
-                        deps, space) for k in range(1, n + 1)]
-        members += [_mk(f"S{k}/M1^{k}",
-                        (lambda k: lambda v: s_k(v, k) / _power(m1(v), k))(k),
-                        deps, space) for k in range(1, n + 1)]
-        return BasisFamily(f"galilei-dilation n={n} mu=0", spec,
-                           tuple(members), 2 * n + 1, space, deps)
-
-    lam = spec.lam
-
-    def big_m(v):
-        rinv = v.cache.get(("rinv", 1))
-        if rinv is None:
-            rinv = mat_inverse(_phi_hess(v, n), "Hessian")
-            v.cache[("rinv", 1)] = rinv
-        du = _phi_vec(v, n)
-        quad = 0.0
-        for a in range(n):
-            for b in range(n):
-                quad = quad + du[a] * du[b] * rinv[a][b]
-        return _power(m1(v), 2) + m2(v) * (lam + quad)
-
-    members = [_mk(f"R{k}/M^{k}/2",
-                   (lambda k: lambda v: r_k(v, k) / _power(big_m(v), k / 2.0))(k),
-                   deps, space) for k in range(1, n + 1)]
-    members += [_mk(f"S{k}/M^{k}/2",
-                    (lambda k: lambda v: s_k(v, k) / _power(big_m(v), k / 2.0))(k),
-                    deps, space) for k in range(1, n + 1)]
-    return BasisFamily(f"galilei-projective n={n} mu=0 lam={lam:g}", spec,
-                       tuple(members), 2 * n, space, deps)
-
-
 def galilei_mu0_determinant_family(n: int) -> BasisFamily:
     """Variant of the mu=0 family with bordered-determinant leaders."""
     spec = AlgebraSpec("AG_I", n, mu=0.0, rep="log")
-    fam = _basis_galilei_real_mu0(spec)
-    nb = n + 1
-    space, deps = fam.space, fam.deps
+    fam = _basis_galilei_real(spec, "printed")
     sp = _spatial(n)
 
-    def mhat1(v):
-        top = [_phi_t(v)] + _phi_vec(v, n)
-        rows = [top]
-        for a in sp:
-            rows.append([v.ddu(1, a, 0)] + [v.ddu(1, a, b) for b in sp])
-        return determinant(rows)
+    def bordered(v, top):
+        """det [top; u_at, U_a for every spatial a]."""
+        return determinant([top] + [[t] + row for t, row in zip(
+            _gvec_t(v, 1, sp), _hess_of(v, 1, sp))])
 
-    def mhat2(v):
-        top = [v.ddu(1, 0, 0)] + _phi_t_vec(v, n)
-        rows = [top]
-        for a in sp:
-            rows.append([v.ddu(1, a, 0)] + [v.ddu(1, a, b) for b in sp])
-        return determinant(rows)
-
-    members = [_mk("Mhat1", mhat1, deps, space),
-               _mk("Mhat2", mhat2, deps, space)]
+    members = [ScalarJetFunction(
+        "Mhat1", lambda v: bordered(v, [v.du(1, 0)] + _gvec(v, 1, sp)),
+        fam.deps, fam.space), ScalarJetFunction(
+        "Mhat2", lambda v: bordered(v, [v.ddu(1, 0, 0)] + _gvec_t(v, 1, sp)),
+        fam.deps, fam.space)]
     members += list(fam.members[2:])
     return BasisFamily(f"galilei n={n} mu=0 (determinants)", spec,
-                       tuple(members), fam.expected_count, space, deps)
+                       tuple(members), fam.expected_count, fam.space, fam.deps)
+
+
+def _complex_pair(n):
+    """Space, family deps, and member makers over the jets alone and over
+    the phases too, of the complex Galilei families."""
+    space = JetSpace(n + 1, 2, COMPLEX, euclidean(n))
+    deps_all = _dep_coords(n + 1, 2, ("field", "d1", "d2"))
+    jet = functools.partial(ScalarJetFunction, space=space,
+                            deps=_dep_coords(n + 1, 2, ("d1", "d2")))
+    phase = functools.partial(ScalarJetFunction, deps=deps_all, space=space)
+    return space, deps_all, jet, phase
+
+
+def _phases(v):
+    return v.u(1) + v.u(2)
 
 
 def _basis_galilei_complex(spec, hat_variant):
     n, mass = spec.n, spec.mass
-    nb = n + 1
-    met = euclidean(n)
-    signs = met.signs
-    sp = _spatial(n)
+    sp, ks, signs = _spatial(n), range(1, n + 1), euclidean(n).signs
+    space, deps_all, jet, phase = _complex_pair(n)
     im = 1j * mass
-    space = JetSpace(nb, 2, COMPLEX, met)
-    deps_all = _dep_coords(nb, 2, ("field", "d1", "d2"))
-    deps_jets = _dep_coords(nb, 2, ("d1", "d2"))
+    # field 1 is psi (sgn = +1), field 2 psi* (sgn = -1)
+    two_c = {r: 2.0 * sgn * im for r, sgn in ((1, 1.0), (2, -1.0))}
+    theta_c = {r: -sgn * im for r, sgn in ((1, 1.0), (2, -1.0))}
+    c2 = -mass * mass
 
-    def phases(v):
-        return v.u(1) + v.u(2)
+    def m1(v, r):
+        return _m1(two_c[r], v.du(r, 0), _gvec(v, r, sp))
 
-    def m1(v, r, sgn):
-        du = _phi_vec(v, n, r)
-        return 2.0 * sgn * im * _phi_t(v, r) + sum_prod(du, du)
+    def m2(v, r):
+        return _m2(c2, two_c[r], v.ddu(r, 0, 0), *_jets(v, r, sp))
 
-    def m2(v, r, sgn):
-        du = _phi_vec(v, n, r)
-        dut = _phi_t_vec(v, n, r)
-        acc = -mass * mass * v.ddu(r, 0, 0) + 2.0 * sgn * im * sum_prod(du, dut)
-        for ai, a in enumerate(sp):
-            for bi, b in enumerate(sp):
-                acc = acc + du[ai] * du[bi] * v.ddu(r, a, b)
-        return acc
-
-    def theta(v, r, sgn):
-        du = _phi_vec(v, n, r)
-        return [-sgn * im * v.ddu(r, a, 0)
-                + sum_prod(du, [v.ddu(r, a, b) for b in sp]) for a in sp]
-
-    def r1(v, k):
-        return power_form(theta(v, 1, 1.0), _phi_hess(v, n, 1), met, k)
-
-    def r2(v, k):
-        return power_form(theta(v, 2, -1.0), _phi_hess(v, n, 1), met, k)
-
-    def r3(v, k):
-        vec = [v.du(1, a) + v.du(2, a) for a in sp]
-        return power_form(vec, _phi_hess(v, n, 1), met, k)
+    def r_k(v, w, k):
+        # R^1 and R^2 take the boost theta of psi and psi*, R^3 du1 + du2;
+        # every form is against U1
+        vec = (_boost_theta(theta_c[w], *_jets(v, w, sp)) if w < 3
+               else [v.du(1, a) + v.du(2, a) for a in sp])
+        return _R(v, vec, _hessian(1, sp), signs, k)
 
     def s_jk(v, j, k):
         return _Sjk(v, _hessian(1, sp), _hessian(2, sp), signs, j, k)
 
-    sjk_range = [(j, k) for k in range(1, n + 1) for j in range(0, k + 1)]
+    sjk_range = [(j, k) for k in ks for j in range(0, k + 1)]
+    rs = {w: [functools.partial(r_k, w=w, k=k) for k in ks] for w in (1, 2, 3)}
+    sjks = [functools.partial(s_jk, j=j, k=k) for j, k in sjk_range]
 
     if spec.name == "AG_II":
-        members = [_mk("phi+phi*", phases, deps_all, space),
-                   _mk("M1", lambda v: m1(v, 1, 1.0), deps_jets, space),
-                   _mk("M1*", lambda v: m1(v, 2, -1.0), deps_jets, space),
-                   _mk("M2", lambda v: m2(v, 1, 1.0), deps_jets, space),
-                   _mk("M2*", lambda v: m2(v, 2, -1.0), deps_jets, space)]
-        members += [_mk(f"S{j},{k}", (lambda j, k: lambda v: s_jk(v, j, k))(j, k),
-                        deps_jets, space) for j, k in sjk_range]
-        members += [_mk(f"R{k}^1", (lambda k: lambda v: r1(v, k))(k),
-                        deps_jets, space) for k in range(1, n + 1)]
-        members += [_mk(f"R{k}^2", (lambda k: lambda v: r2(v, k))(k),
-                        deps_jets, space) for k in range(1, n + 1)]
-        members += [_mk(f"R{k}^3", (lambda k: lambda v: r3(v, k))(k),
-                        deps_jets, space) for k in range(1, n + 1)]
+        members = [phase("phi+phi*", _phases),
+                   jet("M1", lambda v: m1(v, 1)), jet("M1*", lambda v: m1(v, 2)),
+                   jet("M2", lambda v: m2(v, 1)), jet("M2*", lambda v: m2(v, 2))]
+        members += [jet(f"S{j},{k}", f) for (j, k), f in zip(sjk_range, sjks)]
+        members += [jet(f"R{k}^{w}", f)
+                    for w in (1, 2, 3) for k, f in zip(ks, rs[w])]
         return BasisFamily(f"schroedinger-galilei n={n} mass={mass:g}", spec,
                            tuple(members), 5 + len(sjk_range) + 3 * n,
                            space, deps_all)
 
+    # R^1 and R^2 carry M1^2 (N1^2) more than R^3 and the traces
+    weight = {1: 2, 2: 2, 3: 0}
     if spec.name == "AG1_II":
         lam = spec.lam
+
+        def m1_1(v):
+            return m1(v, 1)
+
         members = [
-            _mk("M1*/M1", lambda v: m1(v, 2, -1.0) / m1(v, 1, 1.0),
-                deps_jets, space),
-            _mk("M2/M1^2", lambda v: m2(v, 1, 1.0) / _power(m1(v, 1, 1.0), 2),
-                deps_jets, space),
-            _mk("M2*/M1^2", lambda v: m2(v, 2, -1.0) / _power(m1(v, 1, 1.0), 2),
-                deps_jets, space),
+            jet("M1*/M1", lambda v: m1(v, 2) / m1(v, 1)),
+            jet("M2/M1^2", lambda v: m2(v, 1) / _power(m1(v, 1), 2)),
+            jet("M2*/M1^2", lambda v: m2(v, 2) / _power(m1(v, 1), 2)),
         ]
-        members += [_mk(f"R{k}^1/M1^{k + 2}",
-                        (lambda k: lambda v: r1(v, k) / _power(m1(v, 1, 1.0), k + 2))(k),
-                        deps_jets, space) for k in range(1, n + 1)]
-        members += [_mk(f"R{k}^2/M1^{k + 2}",
-                        (lambda k: lambda v: r2(v, k) / _power(m1(v, 1, 1.0), k + 2))(k),
-                        deps_jets, space) for k in range(1, n + 1)]
-        members += [_mk(f"R{k}^3/M1^{k}",
-                        (lambda k: lambda v: r3(v, k) / _power(m1(v, 1, 1.0), k))(k),
-                        deps_jets, space) for k in range(1, n + 1)]
-        members += [_mk(f"S{j},{k}/M1^{k}",
-                        (lambda j, k: lambda v: s_jk(v, j, k)
-                         / _power(m1(v, 1, 1.0), k))(j, k),
-                        deps_jets, space) for j, k in sjk_range]
-        if lam == 0:
-            members.append(_mk("phi+phi*", phases, deps_all, space))
-        else:
-            members.append(_mk(
-                f"M1*e^(2/{lam:g})(phi+phi*)",
-                lambda v: m1(v, 1, 1.0) * dexp((2.0 / lam) * phases(v)),
-                deps_all, space))
+        members += [jet(f"R{k}^{w}/M1^{k + weight[w]}",
+                        _over(f, m1_1, k + weight[w]))
+                    for w in (1, 2, 3) for k, f in zip(ks, rs[w])]
+        members += [jet(f"S{j},{k}/M1^{k}", _over(f, m1_1, k))
+                    for (j, k), f in zip(sjk_range, sjks)]
+        members.append(phase("phi+phi*", _phases) if lam == 0 else phase(
+            f"M1*e^(2/{lam:g})(phi+phi*)",
+            lambda v: m1(v, 1) * dexp((2.0 / lam) * _phases(v))))
         return BasisFamily(
             f"schroedinger-galilei-dilation n={n} mass={mass:g} lam={lam:g}",
             spec, tuple(members), 4 + 3 * n + len(sjk_range), space, deps_all)
@@ -1423,21 +1402,14 @@ def _basis_galilei_complex(spec, hat_variant):
     def tr_h(v, r):
         return _S(v, _hessian(r, sp), signs, 1)
 
-    def n1(v, r, sgn):
-        du = _phi_vec(v, n, r)
-        return 2.0 * sgn * im * _phi_t(v, r) + tr_h(v, r) + sum_prod(du, du)
+    def n1(v, r):
+        # tr before du.du, unlike M1 + tr
+        du = _gvec(v, r, sp)
+        return two_c[r] * v.du(r, 0) + tr_h(v, r) + sum_prod(du, du)
 
-    def n2(v, r, sgn):
-        du = _phi_vec(v, n, r)
-        dut = _phi_t_vec(v, n, r)
-        tr = tr_h(v, r)
-        acc = -mass * mass * v.ddu(r, 0, 0)
-        acc = acc + 2.0 * sgn * im * (sum_prod(du, dut) + _phi_t(v, r) * tr / n)
-        for ai, a in enumerate(sp):
-            for bi, b in enumerate(sp):
-                acc = acc + du[ai] * du[bi] * v.ddu(r, a, b)
-        acc = acc + sum_prod(du, du) * tr / n + tr * tr / n
-        return acc
+    def n2(v, r):
+        return _n2(c2, two_c[r], v.ddu(r, 0, 0), v.du(r, 0), tr_h(v, r), n,
+                   *_jets(v, r, sp))
 
     def s_rl(v, r, l):
         if r > l:
@@ -1452,52 +1424,38 @@ def _basis_galilei_complex(spec, hat_variant):
         acc = 0.0
         for l in range(0, k + 1):
             for r in range(0, j + 1):
-                c2 = math.comb(k, l + 1 - r) if 0 <= l + 1 - r <= k else 0
-                if c2 == 0:
+                binom = math.comb(k, l + 1 - r) if 0 <= l + 1 - r <= k else 0
+                if binom == 0:
                     continue
                 term = s_rl(v, r, l)
                 if isinstance(term, float) and term == 0.0:
                     continue
-                acc = acc + (term * ((-n) ** l) * math.comb(j, r) * c2
+                acc = acc + (term * ((-n) ** l) * math.comb(j, r) * binom
                              * _power(tr1, j - r) * _power(tr2, k - l - j + r))
         acc = acc + k * _power(tr1, j) * _power(tr2, k - j - 1)
         return acc
 
-    def r_hat(v, rfun, k):
-        tr1 = tr_h(v, 1)
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc = acc + (rfun(v, j) * _power(tr1, k - j)
-                         * ((-n) ** j) * math.comb(k, j))
-        return acc
+    def r_hat(v, w, k):
+        # the complex sums take the uniform exponent under either variant
+        return _rhat(lambda l: r_k(v, w, l), tr_h(v, 1), n, k, True)
+
+    def n1_1(v):
+        return n1(v, 1)
 
     members = [
-        _mk(f"N1*e^(-4/{n})(phi+phi*)",
-            lambda v: n1(v, 1, 1.0) * dexp((-4.0 / n) * phases(v)),
-            deps_all, space),
-        _mk("N1/N1*", lambda v: n1(v, 1, 1.0) / n1(v, 2, -1.0),
-            deps_jets, space),
-        _mk("N2/N1*", lambda v: n2(v, 1, 1.0) / n1(v, 2, -1.0),
-            deps_jets, space),
-        _mk("N2*/N1*", lambda v: n2(v, 2, -1.0) / n1(v, 2, -1.0),
-            deps_jets, space),
+        phase(f"N1*e^(-4/{n})(phi+phi*)",
+              lambda v: n1(v, 1) * dexp((-4.0 / n) * _phases(v))),
+        jet("N1/N1*", lambda v: n1(v, 1) / n1(v, 2)),
+        jet("N2/N1*", lambda v: n2(v, 1) / n1(v, 2)),
+        jet("N2*/N1*", lambda v: n2(v, 2) / n1(v, 2)),
     ]
-    members += [_mk(f"Rhat{k}^1/N1^{k + 2}",
-                    (lambda k: lambda v: r_hat(v, r1, k)
-                     / _power(n1(v, 1, 1.0), k + 2))(k),
-                    deps_jets, space) for k in range(1, n + 1)]
-    members += [_mk(f"Rhat{k}^2/N1^{k + 2}",
-                    (lambda k: lambda v: r_hat(v, r2, k)
-                     / _power(n1(v, 1, 1.0), k + 2))(k),
-                    deps_jets, space) for k in range(1, n + 1)]
-    members += [_mk(f"Rhat{k}^3/N1^{k}",
-                    (lambda k: lambda v: r_hat(v, r3, k)
-                     / _power(n1(v, 1, 1.0), k))(k),
-                    deps_jets, space) for k in range(1, n + 1)]
-    members += [_mk(f"Shat{j},{k}/N1^{k}",
-                    (lambda j, k: lambda v: s_hat_jk(v, j, k)
-                     / _power(n1(v, 1, 1.0), k))(j, k),
-                    deps_jets, space) for j, k in sjk_range]
+    members += [jet(f"Rhat{k}^{w}/N1^{k + weight[w]}",
+                    _over(functools.partial(r_hat, w=w, k=k), n1_1,
+                          k + weight[w]))
+                for w in (1, 2, 3) for k in ks]
+    members += [jet(f"Shat{j},{k}/N1^{k}",
+                    _over(functools.partial(s_hat_jk, j=j, k=k), n1_1, k))
+                for j, k in sjk_range]
     return BasisFamily(
         f"schroedinger-galilei-projective n={n} mass={mass:g} [{hat_variant}]",
         spec, tuple(members), 4 + 3 * n + len(sjk_range), space, deps_all,
@@ -1506,132 +1464,84 @@ def _basis_galilei_complex(spec, hat_variant):
 
 def _basis_galilei_complex_mass0(spec):
     n, lam = spec.n, spec.lam
-    nb = n + 1
-    met = euclidean(n)
-    signs = met.signs
-    sp = _spatial(n)
-    space = JetSpace(nb, 2, COMPLEX, met)
-    deps_all = _dep_coords(nb, 2, ("field", "d1", "d2"))
-    deps_jets = _dep_coords(nb, 2, ("d1", "d2"))
-
-    def rinv(v, r):
-        key = ("rinv", r)
-        cached = v.cache.get(key)
-        if cached is None:
-            cached = mat_inverse(_phi_hess(v, n, r), "Hessian")
-            v.cache[key] = cached
-        return cached
-
-    def theta(v, r):
-        key = ("th0", r)
-        cached = v.cache.get(key)
-        if cached is None:
-            cached = solve_linear(_phi_hess(v, n, r), _phi_t_vec(v, n, r),
-                                  "Hessian")
-            v.cache[key] = cached
-        return cached
-
-    def quad(v, r):
-        du = _phi_vec(v, n, r)
-        ri = rinv(v, r)
-        acc = 0.0
-        for a in range(n):
-            for b in range(n):
-                acc = acc + du[a] * du[b] * ri[a][b]
-        return acc
+    sp, ks, signs = _spatial(n), range(1, n + 1), euclidean(n).signs
+    space, deps_all, jet, phase = _complex_pair(n)
 
     def n1(v, r):
-        du = _phi_vec(v, n, r)
-        th = theta(v, r)
-        lead = _phi_t(v, r) - sum_prod(th, du)
-        sec = v.ddu(r, 0, 0) - sum_prod(th, _phi_t_vec(v, n, r))
-        return _power(lead, 2) + sec * (lam + quad(v, r))
+        return _leader0(v, r, sp, lam)
 
     def n2(v):
-        th1, th2 = theta(v, 1), theta(v, 2)
-        lead1 = _phi_t(v, 1) - sum_prod(_phi_vec(v, n, 1), th1)
-        lead2 = _phi_t(v, 2) - sum_prod(_phi_vec(v, n, 2), th2)
-        return lead1 * quad(v, 2) - lead2 * quad(v, 1)
+        return _lead0(v, 1, sp) * _quad_inv(v, 2, sp) \
+            - _lead0(v, 2, sp) * _quad_inv(v, 1, sp)
 
     def n3(v):
-        du1 = _phi_vec(v, n, 1)
+        du1 = _gvec(v, 1, sp)
         a = [[lam * v.ddu(1, sp[ai], sp[bi]) + du1[ai] * du1[bi]
               for bi in range(n)] for ai in range(n)]
-        rhs = [du1[bi] * _phi_t(v, 1) + lam * v.ddu(1, sp[bi], 0)
+        rhs = [du1[bi] * v.du(1, 0) + lam * v.ddu(1, sp[bi], 0)
                for bi in range(n)]
         tau = solve_linear([[a[ai][bi] for ai in range(n)] for bi in range(n)],
                            rhs, "tau system")
         diff = [v.du(1, x) - v.du(2, x) for x in sp]
-        return (_phi_t(v, 1) - _phi_t(v, 2)) - sum_prod(tau, diff)
+        return (v.du(1, 0) - v.du(2, 0)) - sum_prod(tau, diff)
 
-    def r_l(v, which, k):
-        if which == 1:
-            vec = _phi_vec(v, n, 1)
-        elif which == 2:
-            vec = _phi_vec(v, n, 2)
-        elif which == 3:
-            th1, th2 = theta(v, 1), theta(v, 2)
-            vec = [th1[a] - th2[a] for a in range(n)]
+    def vec4(v, dth):
+        # the vector of R^4, from dth = theta1 - theta2
+        du1, du2 = _gvec(v, 1, sp), _gvec(v, 2, sp)
+        r1m, r2m = _rinv(v, 1, sp), _rinv(v, 2, sp)
+        u1, lead = _hess_of(v, 1, sp), _lead0(v, 1, sp)
+        out = []
+        for a in range(n):
+            mixed = sum_prod(r1m[a], du2) - sum_prod(r2m[a], du1)
+            coupling = 0.0
+            for b in range(n):
+                for d in range(n):
+                    coupling = coupling + du1[b] * u1[a][d] * r1m[b][d]
+            out.append(lead * mixed - coupling * dth[a])
+        return out
+
+    def r_sq(v, which, k):
+        if which in (1, 2):
+            vec = _gvec(v, which, sp)
         else:
-            th1, th2 = theta(v, 1), theta(v, 2)
-            du1 = _phi_vec(v, n, 1)
-            du2 = _phi_vec(v, n, 2)
-            r1m, r2m = rinv(v, 1), rinv(v, 2)
-            lead = _phi_t(v, 1) - sum_prod(th1, du1)
-            vec = []
-            for a in range(n):
-                mixed = sum_prod(r1m[a], du2) - sum_prod(r2m[a], du1)
-                coupling = 0.0
-                for b in range(n):
-                    for d in range(n):
-                        coupling = coupling + du1[b] * v.ddu(1, sp[a], sp[d]) \
-                            * r1m[b][d]
-                vec.append(lead * mixed - coupling * (th1[a] - th2[a]))
-        return power_form(vec, _phi_hess(v, n, 1), met, k)
+            th1, th2 = _implicit_theta(v, 1, sp), _implicit_theta(v, 2, sp)
+            vec = [th1[a] - th2[a] for a in range(n)]
+            if which == 4:
+                vec = vec4(v, vec)
+        return _power(_R(v, vec, _hessian(1, sp), signs, k), 2)
 
-    def s_jk(v, j, k):
-        return _Sjk(v, _hessian(1, sp), _hessian(2, sp), signs, j, k)
+    def s_sq(v, j, k):
+        s_jk = _Sjk(v, _hessian(1, sp), _hessian(2, sp), signs, j, k)
+        return _power(s_jk, 2)
 
-    sjk_range = [(j, k) for k in range(1, n + 1) for j in range(0, k + 1)]
-    members = []
+    def n1_1(v):
+        return n1(v, 1)
+
+    s_members = [jet(f"S{j},{k}^2/N1^{k}",
+                     _over(functools.partial(s_sq, j=j, k=k), n1_1, k))
+                 for k in ks for j in range(0, k + 1)]
     if lam == 0:
-        members.append(_mk("phi+phi*", lambda v: v.u(1) + v.u(2),
-                           deps_all, space))
-        members.append(_mk("N1^2/N2^2",
-                           lambda v: _power(n1(v, 1), 2) / _power(n2(v), 2),
-                           deps_jets, space))
-        members.append(_mk("N1*^2/N2",
-                           lambda v: _power(n1(v, 2), 2) / n2(v),
-                           deps_jets, space))
-        members += [_mk(f"S{j},{k}^2/N1^{k}",
-                        (lambda j, k: lambda v: _power(s_jk(v, j, k), 2)
-                         / _power(n1(v, 1), k))(j, k),
-                        deps_jets, space) for j, k in sjk_range]
-        for which in (1, 2, 4):
-            members += [_mk(f"R{k}^{which}^2*N1^{-k - 1}",
-                            (lambda k, w: lambda v: _power(r_l(v, w, k), 2)
-                             * _power(n1(v, 1), -k - 1))(k, which),
-                            deps_jets, space) for k in range(1, n + 1)]
+        members = [
+            phase("phi+phi*", _phases),
+            jet("N1^2/N2^2", lambda v: _power(n1(v, 1), 2) / _power(n2(v), 2)),
+            jet("N1*^2/N2", lambda v: _power(n1(v, 2), 2) / n2(v)),
+        ] + s_members
+        members += [jet(f"R{k}^{w}^2*N1^{-k - 1}",
+                        lambda v, w=w, k=k: r_sq(v, w, k)
+                        * _power(n1(v, 1), -k - 1))
+                    for w in (1, 2, 4) for k in ks]
     else:
-        members.append(_mk(
-            f"N1*e^(4/{lam:g})(phi+phi*)",
-            lambda v: n1(v, 1) * dexp((4.0 / lam) * (v.u(1) + v.u(2))),
-            deps_all, space))
-        members.append(_mk("N1*/N1", lambda v: n1(v, 2) / n1(v, 1),
-                           deps_jets, space))
-        members.append(_mk(
-            f"N3*e^(3/{lam:g})(phi+phi*)",
-            lambda v: n3(v) * dexp((3.0 / lam) * (v.u(1) + v.u(2))),
-            deps_all, space))
-        for which in (1, 2, 3):
-            members += [_mk(f"R{k}^{which}^2/N1^{k}",
-                            (lambda k, w: lambda v: _power(r_l(v, w, k), 2)
-                             / _power(n1(v, 1), k))(k, which),
-                            deps_jets, space) for k in range(1, n + 1)]
-        members += [_mk(f"S{j},{k}^2/N1^{k}",
-                        (lambda j, k: lambda v: _power(s_jk(v, j, k), 2)
-                         / _power(n1(v, 1), k))(j, k),
-                        deps_jets, space) for j, k in sjk_range]
+        members = [
+            phase(f"N1*e^(4/{lam:g})(phi+phi*)",
+                  lambda v: n1(v, 1) * dexp((4.0 / lam) * _phases(v))),
+            jet("N1*/N1", lambda v: n1(v, 2) / n1(v, 1)),
+            phase(f"N3*e^(3/{lam:g})(phi+phi*)",
+                  lambda v: n3(v) * dexp((3.0 / lam) * _phases(v))),
+        ]
+        members += [jet(f"R{k}^{w}^2/N1^{k}",
+                        _over(functools.partial(r_sq, which=w, k=k), n1_1, k))
+                    for w in (1, 2, 3) for k in ks]
+        members += s_members
     return BasisFamily(
         f"schroedinger-galilei-projective n={n} mass=0 lam={lam:g}", spec,
         tuple(members), len(members), space, deps_all,
@@ -1776,18 +1686,12 @@ def _galilei_projective(n, mu=1.0, f_const=0.75, **_):
     sp = _spatial(n)
 
     def fn(v):
-        du = _phi_vec(v, n)
-        dut = _phi_t_vec(v, n)
+        jets = _jets(v, 1, sp)
         tr = 0.0
         for a in sp:
             tr = tr + v.ddu(1, a, a)
-        lhs = mu * mu * v.ddu(1, 0, 0)
-        lhs = lhs + 2.0 * mu * (_phi_t(v) * tr / n + sum_prod(du, dut))
-        for ai, a in enumerate(sp):
-            for bi, b in enumerate(sp):
-                lhs = lhs + du[ai] * du[bi] * v.ddu(1, a, b)
-        lhs = lhs + sum_prod(du, du) * tr / n + tr * tr / n
-        n1 = 2.0 * mu * _phi_t(v) + sum_prod(du, du) + tr
+        lhs = _n2(mu * mu, 2.0 * mu, v.ddu(1, 0, 0), v.du(1, 0), tr, n, *jets)
+        n1 = _m1(2.0 * mu, v.du(1, 0), jets[0]) + tr
         return lhs - mu * mu * _power(n1, 2) * f_const
 
     return ScalarJetFunction(f"galilei-projective(mu={mu:g})", fn, deps, space)
@@ -1801,18 +1705,13 @@ def _schrodinger_projective(n, mass=1.0, f_const=0.75, **_):
     im = 1j * mass
 
     def fn(v):
-        du = _phi_vec(v, n)
-        dut = _phi_t_vec(v, n)
+        jets = _jets(v, 1, sp)
         tr = 0.0
         for a in sp:
             tr = tr + v.ddu(1, a, a)
-        lhs = -mass * mass * v.ddu(1, 0, 0)
-        lhs = lhs + 2.0 * im * (sum_prod(du, dut) + _phi_t(v) * tr / n)
-        for ai, a in enumerate(sp):
-            for bi, b in enumerate(sp):
-                lhs = lhs + du[ai] * du[bi] * v.ddu(1, a, b)
-        lhs = lhs + sum_prod(du, du) * tr / n + tr * tr / n
-        n1 = 2.0 * im * _phi_t(v) + sum_prod(du, du) + tr
+        lhs = _n2(-mass * mass, 2.0 * im, v.ddu(1, 0, 0), v.du(1, 0), tr, n,
+                  *jets)
+        n1 = _m1(2.0 * im, v.du(1, 0), jets[0]) + tr
         return lhs - _power(n1, 2) * f_const
 
     return ScalarJetFunction(f"schrodinger-projective(mass={mass:g})", fn,
@@ -1900,11 +1799,9 @@ def equation_residual(name: str, point: JetPoint, **params):
 def covariant_tensor_components(name: str, point: JetPoint, **params):
     """Numeric components of the named covariant tensor at a jet point."""
     n = params.pop("n", None)
-    builder = covariant_tensor(name, n if n is not None
-                               else _tensor_spatial_dim(name, point), **params)
+    builder = covariant_tensor(name, point.n_base if n is None else n,
+                               **params)
+    if n is None and builder.space.n_base > point.n_base:
+        # a Minkowski or Galilei tensor: the point's x0 is the time
+        builder = covariant_tensor(name, point.n_base - 1, **params)
     return builder.build(point)
-
-
-def _tensor_spatial_dim(name, point):
-    euclid_full = ("theta", "w", "hessian", "position")
-    return point.n_base if name in euclid_full else point.n_base - 1

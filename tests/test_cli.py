@@ -37,9 +37,11 @@ def test_list_bases_mentions_poincare():
 
 
 def test_list_tensors():
+    from invforge.invcat import TENSORS
+
     out = run_cli("list", "tensors")
     assert out.returncode == 0
-    assert "implicit_theta" in out.stdout
+    assert out.stdout.split() == list(TENSORS)
 
 
 def test_verify_basis_passes(tmp_path):
@@ -188,6 +190,53 @@ def test_hat_variant_flag_changes_members():
     b = run_cli("verify", "--algebra", "AG2_I", "--n", "3", "--samples", "4",
                 "--hat-variant", "uniform")
     assert a.stdout != b.stdout  # the hatted sums differ between readings
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "AG2_II"),
+    ("verify", "--algebra", "AE"),
+    ("verify", "--algebra", "AG2_I", "--mu", "0", "--lambda", "0.4"),
+    ("verify", "--algebra", "AG2_I", "--expr", "u_x1"),
+    ("verify", "--equation", "heat"),
+    ("rank", "--algebra", "AG2_I"),
+    ("eval", "--expr", "u"),
+], ids=" ".join)
+def test_uniform_hat_variant_is_usage_error_where_unread(argv, capsys):
+    from invforge import cli
+
+    out = io.StringIO()
+    code = cli.main([*argv, "--n", "3", "--samples", "2",
+                     "--hat-variant", "uniform"], stream=out)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "--hat-variant uniform applies only to" in capsys.readouterr().err
+
+
+def test_verify_expression_samples_the_basis_domain(monkeypatch):
+    # a pasted AE1 row with a fractional power of u1: drawn from the
+    # positive-field domain of the basis, no sample is redrawn
+    from invforge import cli, invcat
+    from invforge.dual import EvaluationError
+    from invforge.verify import DEFAULT_SAMPLES
+
+    evals, rejected = [], []
+    plain_eval = invcat.ScalarJetFunction.eval
+
+    def counted(self, point):
+        evals.append(point)
+        try:
+            return plain_eval(self, point)
+        except EvaluationError:
+            rejected.append(point)
+            raise
+
+    monkeypatch.setattr(invcat.ScalarJetFunction, "eval", counted)
+    code = cli.main(["verify", "--algebra", "AE1", "--n", "3", "--lambda",
+                     "0.6", "--expr", "S(2) / u1 ^ -4.666666666666667",
+                     "--seed", "0"], stream=io.StringIO())
+    assert code == 0
+    assert rejected == []
+    assert len(evals) == DEFAULT_SAMPLES
 
 
 @pytest.mark.parametrize("target", [("--algebra", "AP_inf"),

@@ -12,6 +12,7 @@ from conftest import (
 )
 from invforge.dual import DerivVector, Dual, EvaluationError, value_of
 from invforge.invcat import (
+    TENSORS,
     JetSpace,
     ScalarJetFunction,
     basis,
@@ -206,6 +207,15 @@ def test_implicit_theta_degenerate_hessian():
 def test_unknown_tensor_name():
     with pytest.raises(ValueError):
         covariant_tensor("not-a-tensor", 3)
+
+
+@pytest.mark.parametrize("name", TENSORS)
+def test_every_listed_tensor_builds(name):
+    tensor = covariant_tensor(name, 3)
+    out = tensor.build(tensor.space.sampler(0)(0))
+    assert len(out) == tensor.size
+    if tensor.kind == "matrix":
+        assert all(len(row) == tensor.size for row in out)
 
 
 # basis catalog --------------------------------------------------------------
