@@ -113,8 +113,8 @@ def _build_parser():
         p.add_argument("--k", type=int, help="order parameter for "
                        "eikonal-trace")
         p.add_argument("--hat-variant", choices=("printed", "uniform"),
-                       default="printed",
-                       help="reading of the hatted projective sums")
+                       help="reading of the hatted projective sums "
+                            "(default: printed)")
         p.add_argument("--function", action="append", metavar="NAME=EXPR",
                        help="override a sampled coefficient function of the "
                             "eikonal algebra (b01, a0, eta, d; expression "

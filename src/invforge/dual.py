@@ -1,4 +1,4 @@
-"""Forward-mode differentiation on dual numbers.
+"""Forward-mode differentiation on dual numbers and second-order jets.
 
 A :class:`Dual` carries a value together with the derivative of that value
 along a seeded input direction.  Arithmetic is generic over the payload:
@@ -8,22 +8,18 @@ algebraic product/quotient/chain rules, so results are exact to rounding.
 
 Vector mode: the derivative slot may hold a :class:`DerivVector`, the
 derivatives along k directions at once, so one evaluation gives a whole
-gradient.  A derivative slot only ever meets another derivative slot, a
-number or, when duals are nested, a value of the inner layer (a ``Dual``
-that multiplies or divides it).  Every such operation applies the scalar
-formula to each component with the operands in the same order.  Component
-k therefore goes through the same IEEE operations as a scalar pass seeded
-along direction k and equals it bit for bit, signed zeros included.  A
-scalar ``0.0`` in a derivative slot (an unseeded read) stands for the same
-value in every direction, and combining it with a vector gives what a zero
-vector would.
+gradient.  Every operation applies the scalar formula to each component
+with the operands in the same order, so component k equals a scalar pass
+seeded along direction k bit for bit, signed zeros included.  A scalar
+``0.0`` in a derivative slot (an unseeded read) stands for the same value
+in every direction.
 
-Both layers of a nested pass can be vectors: the inner derivative slot
-holds numbers along every direction i, the outer one inner duals along
-every direction j.  Outer component j then runs exactly the operations of
-a nested pass seeded along j alone, so one pass gives the whole Hessian
-with every entry equal to the one that pass would give (see
-:func:`value_grad_hess`).
+Hessians (:func:`value_grad_hess`) come from one pass on flat
+second-order jets (:class:`Jet2`; Griewank & Walther, *Evaluating
+Derivatives*, ch. 13; the hyper-dual numbers of Fike & Alonso, 2011).
+A jet stands for the nested dual whose both layers are vectors over every
+direction and makes, slot by slot, that dual's IEEE operations in the same
+order, so every entry equals a nested pass's bit for bit.
 """
 
 from __future__ import annotations
@@ -207,6 +203,148 @@ class DerivVector:
         return DerivVector([-a for a in self.comps])
 
 
+class Jet2:
+    """Second-order forward-mode jet over k arguments, held flat.
+
+    It stands for the nested dual ``Dual(Dual(value, inner), outer')``
+    whose outer component j is ``Dual(outer[j], column j of the Hessian)``.
+    ``d`` lists the inner gradient, the outer gradient and the Hessian
+    entries (i, j), i <= j; ``shape`` is (k, pairs) with pairs[p] =
+    (i, k + j), the places in ``d`` of the gradient entries Hessian entry p
+    reads.  The two gradients start equal but part after ``/``, ``1/x``
+    and :func:`dlog`, and Hessian entries read both, so both are kept.  No
+    slot is ever changed in place.
+    """
+
+    __slots__ = ("value", "d", "shape")
+
+    def __init__(self, value, d, shape):
+        self.value = value
+        self.d = d
+        self.shape = shape
+
+    def _new(self, value, d):
+        return Jet2(value, d, self.shape)
+
+    def __add__(self, other):
+        if isinstance(other, Jet2):
+            return self._new(self.value + other.value,
+                             [a + b for a, b in zip(self.d, other.d)])
+        if isinstance(other, _NUMBERS):
+            return self._new(self.value + other, self.d)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Jet2):
+            return self._new(self.value - other.value,
+                             [a - b for a, b in zip(self.d, other.d)])
+        if isinstance(other, _NUMBERS):
+            return self._new(self.value - other, self.d)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _NUMBERS):
+            return self._new(other - self.value, [-a for a in self.d])
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, Jet2):
+            (k, pairs), vx, dx = self.shape, self.value, self.d
+            vy, dy = other.value, other.d
+            return self._new(vx * vy, [
+                vx * b + a * vy for a, b in zip(dx[:2 * k], dy)] + [
+                (vx * b + dx[i] * dy[j]) + (dx[j] * dy[i] + a * vy)
+                for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
+        if isinstance(other, _NUMBERS):
+            return self._new(self.value * other,
+                             [a * other for a in self.d])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet2):
+            (k, pairs), vx, dx, dy = self.shape, self.value, self.d, other.d
+            w = 1.0 / other.value  # 1.0 / y as Dual.__rtruediv__ forms it
+            iv, s = 1.0 * w, -1.0 * w * w
+            ig = [s * a for a in dy[:k]]
+            p = vx * iv
+            # the quotient's inner gradient, then the outer numerators
+            t = [vx * b + a * iv for a, b in zip(dx, ig)]
+            t += [a - p * b for a, b in zip(dx[k:2 * k], dy[k:])]
+            return self._new(p, t[:k] + [a * iv for a in t[k:]] + [
+                t[j] * ig[i] + (a - (p * b + t[i] * dy[j])) * iv
+                for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
+        if isinstance(other, _NUMBERS):
+            return self._new(self.value / other,
+                             [a / other for a in self.d])
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _NUMBERS):
+            (k, pairs), d = self.shape, self.d
+            w = 1.0 / self.value
+            iv, s = 1.0 * w, -1.0 * w * w
+            ig = [s * a for a in d[:k]]
+            neg = -other
+            c = iv * neg
+            cc = c * iv
+            cg = [c * a + (a * neg) * iv for a in ig]
+            return self._new(iv * other, [a * other for a in ig] + [
+                cc * a for a in d[k:2 * k]] + [
+                cc * a + cg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
+        return NotImplemented
+
+    def __neg__(self):
+        return self._new(-self.value, [-a for a in self.d])
+
+    def __pow__(self, expo):
+        if isinstance(expo, Jet2):
+            # f^g = exp(g log f); requires f away from the branch cut.
+            return dexp(expo * dlog(self))
+        (k, pairs), v, d = self.shape, self.value, self.d
+        if isinstance(expo, int) and expo == 0:
+            return self._new(v ** 0, [0.0 * a for a in d[:k]]
+                             + [a * 0.0 for a in d[k:]])
+        if not isinstance(expo, _NUMBERS):
+            return NotImplemented
+        # the nested pass's expo * x ** (expo - 1) * outer', the inner power
+        # taken as Dual.__pow__ takes it
+        e1 = expo - 1
+        c = expo * v ** e1
+        if isinstance(e1, int) and e1 == 0:
+            ek, ekg = v ** 0 * expo, [(0.0 * a) * expo for a in d[:k]]
+        else:
+            c1 = e1 * v ** (e1 - 1)
+            ek, ekg = v ** e1 * expo, [(c1 * a) * expo for a in d[:k]]
+        return self._new(v ** expo, [c * a for a in d[:k]] + [
+            ek * a for a in d[k:2 * k]] + [
+            ek * a + ekg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
+
+    def __rpow__(self, base):
+        if isinstance(base, _NUMBERS):
+            return dexp(self * _scalar_log(base))
+        return NotImplemented
+
+    def _exp(self):
+        (k, pairs), d = self.shape, self.d
+        e = _scalar_exp(self.value)
+        g = [e * a for a in d[:2 * k]]
+        return self._new(e, g + [e * a + g[i] * d[j]
+                                 for (i, j), a in zip(pairs, d[2 * k:])])
+
+    def _log(self):
+        # the inner gradient divides by x, the outer one multiplies by 1/x
+        (k, pairs), v, d = self.shape, self.value, self.d
+        lg = _scalar_log(v)
+        w = 1.0 / v
+        t = [a / v for a in d[:k]] + [a * w for a in d[k:2 * k]]
+        return self._new(lg, t + [(a - t[j] * d[i]) * w
+                                  for (i, j), a in zip(pairs, d[2 * k:])])
+
+
 def unit_derivs(k):
     """The k unit seeds of a k-direction vector-mode pass."""
     return [DerivVector([1.0 if i == j else 0.0 for i in range(k)])
@@ -248,6 +386,8 @@ def _scalar_log(v):
 
 
 def dexp(x):
+    if isinstance(x, Jet2):
+        return x._exp()
     if isinstance(x, Dual):
         e = dexp(x.value)
         return Dual(e, e * x.deriv)
@@ -255,6 +395,8 @@ def dexp(x):
 
 
 def dlog(x):
+    if isinstance(x, Jet2):
+        return x._log()
     if isinstance(x, Dual):
         return Dual(dlog(x.value), x.deriv / x.value)
     return _scalar_log(x)
@@ -277,49 +419,41 @@ def value_grad(fn, args):
     return value_of(out), list(derivs(out, n))
 
 
-@functools.cache
-def _hess_seeds(k):
-    """Derivative seeds of a k-argument nested pass, one pair per argument
-    a: the inner unit vector along a and the outer vector whose component j
-    is the inner dual ``Dual(1.0, 0.0)`` if j == a, else ``Dual(0.0, 0.0)``.
 
-    Built on the first call with k arguments and shared by every later
-    one; that is safe because no ``Dual`` or ``DerivVector`` is ever
-    changed in place.
-    """
-    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
-    return tuple((e, DerivVector([one if a == j else zero for j in range(k)]))
-                 for a, e in enumerate(unit_derivs(k)))
+
+@functools.cache
+def _jet_seeds(k):
+    """Shape and slots of the k seeded arguments of a Hessian pass,
+    argument a with the unit vector along a as both gradients; shared by
+    every pass with k arguments."""
+    pairs = tuple((i, k + j) for i in range(k) for j in range(i, k))
+    units = [tuple(1.0 if i == a else 0.0 for i in range(k))
+             for a in range(k)]
+    return (k, pairs), tuple(e + e + (0.0,) * len(pairs) for e in units)
 
 
 def value_grad_hess(fn, args):
-    """Value, gradient, and full Hessian of ``fn(args)`` via nested duals.
+    """Value, gradient, and full Hessian of ``fn(args)``.
 
-    Two passes: the plain value pass and one nested pass in which both dual
-    layers are vectors over every direction (see :class:`DerivVector`).
-    Outer component j is the derivative along j, still in the inner ring:
-    its value part is ``grad[j]`` and its inner component i the (i, j)
-    Hessian entry.  Entry (i, j) for i <= j is taken from component j, and
-    ``hess[j][i]`` is a copy of it.  Each component goes through the same
-    operations as a nested pass seeded along j alone, so every entry equals
-    the one such a pass gives, bit for bit.
+    Two passes: the plain value pass and one :class:`Jet2` pass, whose
+    outer gradient is ``grad`` and whose entry (i, j), i <= j, is
+    ``hess[i][j]`` and ``hess[j][i]``.
 
-    If the nested pass returns a non-dual, ``fn`` combined no seeded
-    argument and the gradient and Hessian are returned as zeros.  That is
-    exact provided whether ``fn`` uses an argument does not depend on
-    argument values, i.e. ``fn`` never branches on a dual's value; no
-    catalog coefficient and no ``exprlang``-bound function does.
+    If the jet pass returns a non-jet, ``fn`` combined no seeded argument
+    and the gradient and Hessian are returned as zeros.  That is exact
+    provided whether ``fn`` uses an argument does not depend on argument
+    values, i.e. ``fn`` never branches on a jet's value; no catalog
+    coefficient and no ``exprlang``-bound function does.
     """
     n = len(args)
     val = value_of(fn(list(args)))
     grad = [0.0] * n
     hess = [[0.0] * n for _ in range(n)]
-    out = fn([Dual(Dual(a, e), d) for a, (e, d) in zip(args, _hess_seeds(n))])
-    if not isinstance(out, Dual):
+    shape, seeds = _jet_seeds(n)
+    out = fn([Jet2(a, d, shape) for a, d in zip(args, seeds)])
+    if not isinstance(out, Jet2):
         return val, grad, hess
-    for j, dj in enumerate(derivs(out, n)):
-        col = derivs(dj, n)
-        for i in range(j + 1):
-            hess[i][j] = hess[j][i] = col[i]
-        grad[j] = value_of(dj)
+    grad[:] = out.d[n:2 * n]
+    for (i, j), h in zip(shape[1], out.d[2 * n:]):
+        hess[i][j - n] = hess[j - n][i] = h
     return val, grad, hess

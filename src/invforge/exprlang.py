@@ -633,10 +633,13 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                     deps.add(c)
                 vecs.append(r)
             r1, r2 = vecs
+            # every Euclidean sign is 1.0, so it is left out
+            unit = metric.kind == "euclidean"
             def cfn(view):
                 acc = 0.0
                 for i in idx:
-                    acc = acc + signs[i] * view.du(r1, i) * view.du(r2, i)
+                    a = view.du(r1, i) if unit else signs[i] * view.du(r1, i)
+                    acc = acc + a * view.du(r2, i)
                 return acc
             return cfn
         raise BindError(f"unknown function {node.name!r}")

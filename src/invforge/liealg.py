@@ -11,6 +11,8 @@ off-diagonal pair coefficients by 1/2 against stored-slot gradients.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -68,6 +70,39 @@ class VectorField:
                            f"{a}*{self.label}+{b}*{other.label}")
 
 
+# 0.0 + complex zeros is 0j whatever their signs (CPython before 3.14)
+_PROMOTES = repr(0.0 + 0.0 * complex(-1, -1)) == "0j"
+
+
+def _plus_zeros(grad, hess):
+    """Whether every partial of a coefficient is float +0.0."""
+    if any(grad) or any(map(any, hess)):
+        return False
+    zeros = [*grad, *itertools.chain.from_iterable(hess)]
+    return set(map(type, zeros)) == {float} \
+        and min(map(math.copysign, itertools.repeat(1.0), zeros)) > 0.0
+
+
+def _zero_total(du, ddu):
+    """What ``total_d`` and ``total_dd`` give a coefficient whose partials
+    are all float +0.0, at every (i, j) of a point: +0.0 on real jets, 0j
+    on complex ones.  None (run the loops) where that is not one value:
+    real and complex derivatives mixed, or one that is not finite or so
+    large that a product of two overflows (the loops then give nan).
+    """
+    entries = [e for row in du for e in row]
+    entries += [e for mat in ddu for row in mat for e in row]
+    kind = type(entries[0])
+    if kind not in (float, complex) or (kind is complex and not _PROMOTES) \
+            or any(type(e) is not kind for e in entries):
+        return None
+    mags = [abs(e.real) + abs(e.imag) for e in entries]
+    big = max(mags)
+    if not math.isfinite(sum(mags) + big * big + big * big):
+        return None
+    return kind()
+
+
 class ProlongedOperator:
     """Second prolongation of a vector field, evaluable at any jet point.
 
@@ -102,20 +137,10 @@ class ProlongedOperator:
                 return fn(args[:n], args[n:])
             return value_grad_hess(wrapped, xs + us)
 
-        xi_val, xi_grad, xi_hess = [], [], []
-        for k in range(n):
-            v, g, h = partials(src.xi[k])
-            xi_val.append(v)
-            xi_grad.append(g)
-            xi_hess.append(h)
-        eta_val, eta_grad, eta_hess = [], [], []
-        for r in range(m):
-            v, g, h = partials(src.eta[r])
-            eta_val.append(v)
-            eta_grad.append(g)
-            eta_hess.append(h)
-
+        # (value, gradient, Hessian) of xi^0 .. xi^(n-1), eta^1 .. eta^m
+        coeffs = [partials(f) for f in src.xi + src.eta]
         du, ddu = point.du, point.ddu
+        zero = _zero_total(du, ddu)
 
         def total_d(grad, i):
             # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
@@ -135,22 +160,28 @@ class ProlongedOperator:
                     out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
             return out
 
-        d_xi = [[total_d(xi_grad[k], i) for i in range(n)] for k in range(n)]
+        # each coefficient's first and second total derivatives; those of
+        # an argument-free one are all ``zero``
+        d, dd = [], []
+        for _, grad, hess in coeffs:
+            if zero is not None and _plus_zeros(grad, hess):
+                d.append([zero] * n)
+                dd.append([[zero] * n] * n)
+            else:
+                d.append([total_d(grad, i) for i in range(n)])
+                dd.append([[total_dd(grad, hess, i, j) for j in range(n)]
+                           for i in range(n)])
+        d_xi, d_eta, dd_xi, dd_eta = d[:n], d[n:], dd[:n], dd[n:]
         flow = {}
         for i in range(n):
-            flow[base_coord(i)] = xi_val[i]
+            flow[base_coord(i)] = coeffs[i][0]
         for r in range(m):
-            flow[field_coord(r + 1)] = eta_val[r]
+            flow[field_coord(r + 1)] = coeffs[n + r][0]
             for i in range(n):
-                val = total_d(eta_grad[r], i)
+                val = d_eta[r][i]
                 for k in range(n):
                     val = val - du[r][k] * d_xi[k][i]
                 flow[d1_coord(r + 1, i)] = val
-
-        dd_xi = [[[total_dd(xi_grad[k], xi_hess[k], i, j) for j in range(n)]
-                  for i in range(n)] for k in range(n)]
-        dd_eta = [[[total_dd(eta_grad[r], eta_hess[r], i, j) for j in range(n)]
-                   for i in range(n)] for r in range(m)]
 
         def eta2(r, i, j):
             # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k

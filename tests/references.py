@@ -1,0 +1,138 @@
+"""Bitwise references: algorithms the package has replaced, kept so tests
+can check that the replacement gives every value bit for bit.
+
+- :func:`nested_value_grad_hess` is the nested-dual Hessian pass that
+  ``dual.value_grad_hess`` made before the flat second-order jet: argument
+  a is seeded as ``Dual(Dual(x_a, e_a), d_a)``, both dual layers vectors
+  over every direction.
+- :func:`reference_flow` is ``ProlongedOperator._flow`` as it was before
+  argument-free coefficients skipped the total-derivative loops: every
+  coefficient goes through ``total_d`` and ``total_dd``.
+"""
+
+import functools
+
+from invforge.dual import DerivVector, Dual, derivs, unit_derivs, value_of
+from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
+
+
+@functools.cache
+def hess_seeds(k):
+    """Derivative seeds of a k-argument nested pass, one pair per argument
+    a: the inner unit vector along a and the outer vector whose component j
+    is the inner dual ``Dual(1.0, 0.0)`` if j == a, else ``Dual(0.0, 0.0)``.
+
+    Built on the first call with k arguments and shared by every later
+    one; that is safe because no ``Dual`` or ``DerivVector`` is ever
+    changed in place.
+    """
+    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
+    return tuple((e, DerivVector([one if a == j else zero for j in range(k)]))
+                 for a, e in enumerate(unit_derivs(k)))
+
+
+def nested_value_grad_hess(fn, args):
+    """Value, gradient, and full Hessian of ``fn(args)`` via nested duals.
+
+    Two passes: the plain value pass and one nested pass in which both dual
+    layers are vectors over every direction.  Outer component j is the
+    derivative along j, still in the inner ring: its value part is
+    ``grad[j]`` and its inner component i the (i, j) Hessian entry.  Entry
+    (i, j) for i <= j is taken from component j, and ``hess[j][i]`` is a
+    copy of it.
+    """
+    n = len(args)
+    val = value_of(fn(list(args)))
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    out = fn([Dual(Dual(a, e), d) for a, (e, d) in zip(args, hess_seeds(n))])
+    if not isinstance(out, Dual):
+        return val, grad, hess
+    for j, dj in enumerate(derivs(out, n)):
+        col = derivs(dj, n)
+        for i in range(j + 1):
+            hess[i][j] = hess[j][i] = col[i]
+        grad[j] = value_of(dj)
+    return val, grad, hess
+
+
+def reference_flow(op, point, value_grad_hess=nested_value_grad_hess):
+    """Flow table of ``op`` at ``point``, every coefficient expanded by the
+    total-derivative loops."""
+    src = op.source
+    n, m = src.n_base, src.n_fields
+    xs = list(point.x)
+    us = list(point.u)
+
+    def partials(fn):
+        def wrapped(args):
+            return fn(args[:n], args[n:])
+        return value_grad_hess(wrapped, xs + us)
+
+    xi_val, xi_grad, xi_hess = [], [], []
+    for k in range(n):
+        v, g, h = partials(src.xi[k])
+        xi_val.append(v)
+        xi_grad.append(g)
+        xi_hess.append(h)
+    eta_val, eta_grad, eta_hess = [], [], []
+    for r in range(m):
+        v, g, h = partials(src.eta[r])
+        eta_val.append(v)
+        eta_grad.append(g)
+        eta_hess.append(h)
+
+    du, ddu = point.du, point.ddu
+
+    def total_d(grad, i):
+        # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
+        out = grad[i]
+        for s in range(m):
+            out = out + du[s][i] * grad[n + s]
+        return out
+
+    def total_dd(grad, hess, i, j):
+        # D_j D_i g for g = g(x, u)
+        out = hess[i][j]
+        for s in range(m):
+            out = out + du[s][j] * hess[i][n + s]
+            out = out + du[s][i] * hess[j][n + s]
+            out = out + ddu[s][i][j] * grad[n + s]
+            for t in range(m):
+                out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
+        return out
+
+    d_xi = [[total_d(xi_grad[k], i) for i in range(n)] for k in range(n)]
+    flow = {}
+    for i in range(n):
+        flow[base_coord(i)] = xi_val[i]
+    for r in range(m):
+        flow[field_coord(r + 1)] = eta_val[r]
+        for i in range(n):
+            val = total_d(eta_grad[r], i)
+            for k in range(n):
+                val = val - du[r][k] * d_xi[k][i]
+            flow[d1_coord(r + 1, i)] = val
+
+    dd_xi = [[[total_dd(xi_grad[k], xi_hess[k], i, j) for j in range(n)]
+              for i in range(n)] for k in range(n)]
+    dd_eta = [[[total_dd(eta_grad[r], eta_hess[r], i, j) for j in range(n)]
+               for i in range(n)] for r in range(m)]
+
+    def eta2(r, i, j):
+        # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k
+        #          - u_ik D_j xi^k
+        val = dd_eta[r][i][j]
+        for k in range(n):
+            val = val - ddu[r][k][j] * d_xi[k][i]
+            val = val - du[r][k] * dd_xi[k][i][j]
+            val = val - ddu[r][i][k] * d_xi[k][j]
+        return val
+
+    for r in range(m):
+        for i in range(n):
+            flow[d2_coord(r + 1, i, i)] = eta2(r, i, i)
+            for j in range(i + 1, n):
+                flow[d2_coord(r + 1, i, j)] = \
+                    (eta2(r, i, j) + eta2(r, j, i)) / 2.0
+    return flow

@@ -212,6 +212,48 @@ def test_uniform_hat_variant_is_usage_error_where_unread(argv, capsys):
     assert "--hat-variant uniform applies only to" in capsys.readouterr().err
 
 
+def _config_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_config_file_hat_variant_applies(tmp_path):
+    cfg = _config_file(tmp_path, "algebra=AG2_I\nn=3\nsamples=2\n"
+                                 "hat_variant=uniform\n")
+    code, doc = _in_process_report(("verify", "--config", cfg),
+                                   tmp_path / "file.json")
+    flag = _in_process_report(("verify", "--algebra", "AG2_I", "--n", "3",
+                               "--samples", "2", "--hat-variant", "uniform"),
+                              tmp_path / "flag.json")
+    printed = _in_process_report(("verify", "--algebra", "AG2_I", "--n",
+                                  "3", "--samples", "2"),
+                                 tmp_path / "printed.json")
+    assert doc["config"]["hat_variant"] == "uniform"
+    assert (code, doc["checks"]) == (flag[0], flag[1]["checks"])
+    assert doc["checks"] != printed[1]["checks"]
+
+
+def test_config_file_hat_variant_is_checked_like_the_flag(tmp_path, capsys):
+    from invforge import cli
+
+    cfg = _config_file(tmp_path, "algebra=AE\nn=3\nsamples=2\n"
+                                 "hat_variant=uniform\n")
+    assert cli.main(["verify", "--config", cfg], stream=io.StringIO()) == 2
+    assert "--hat-variant uniform applies only to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file_value,flag", [("uniform", "printed"),
+                                             ("printed", "uniform")])
+def test_hat_variant_flag_wins_over_the_file(file_value, flag, tmp_path):
+    cfg = _config_file(tmp_path, "algebra=AG2_I\nn=3\nsamples=2\n"
+                                 f"hat_variant={file_value}\n")
+    code, doc = _in_process_report(("verify", "--config", cfg,
+                                    "--hat-variant", flag),
+                                   tmp_path / "r.json")
+    assert doc["config"]["hat_variant"] == flag
+
+
 def test_verify_expression_samples_the_basis_domain(monkeypatch):
     # a pasted AE1 row with a fractional power of u1: drawn from the
     # positive-field domain of the basis, no sample is redrawn

@@ -5,7 +5,7 @@ import pytest
 from invforge.dual import (
     DerivVector,
     Dual,
-    _hess_seeds,
+    _jet_seeds,
     derivs,
     dexp,
     dlog,
@@ -14,6 +14,7 @@ from invforge.dual import (
     value_grad_hess,
     value_of,
 )
+from references import nested_value_grad_hess
 
 
 def test_product_rule_is_exact(rng):
@@ -295,12 +296,75 @@ def test_value_grad_hess_makes_two_passes(fn):
 
 
 def test_cached_hess_seeds_are_unchanged_by_a_pass():
-    seeds = _hess_seeds(4)
+    # the jet pass shares one set of unit seeds, zero Hessian entries and
+    # index pairs per argument count
+    seeds = _jet_seeds(4)
     before = repr(seeds)
     value_grad_hess(_quotients_and_powers, [0.5, 1.0, 1.5, 2.0])
     value_grad_hess(_complex_valued, [0.5, 1.0, 1.5, 2.0])
-    assert _hess_seeds(4) is seeds
+    assert _jet_seeds(4) is seeds
     assert repr(seeds) == before
+
+
+@pytest.mark.parametrize("fn", [_non_polynomial, _quotients_and_powers,
+                                _complex_valued, _skips_arguments,
+                                lambda args: 2.5,
+                                lambda args: -2.0 * args[-1]])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_value_grad_hess_matches_nested_pass(fn, kind, k, rng):
+    # every entry bit for bit, mirrored ones and signed zeros included
+    for _ in range(5):
+        if kind == "complex":
+            args = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+                    for _ in range(k)]
+        else:
+            args = [rng.uniform(-2.0, 2.0) for _ in range(k)]
+        assert repr(value_grad_hess(fn, args)) == \
+            repr(nested_value_grad_hess(fn, args))
+
+
+def _every_operation(args):
+    # each jet operation with jet, int, float and complex operands:
+    # reflected forms, unary minus, integer, float, complex and jet powers
+    x, y = args[0], args[-1]
+    out = -x + 2 - (3.5 - y) * 2 + 0.5 * x - y * 1.5 + 1j * x - y / 4
+    out = out + x / (y + 3.0) - 2.5 / (x * x + 1.0) + 1 / (1.5 + y)
+    out = out + x ** 0 + y ** 1 + x ** 2 - (y + 3.0) ** -2 + x ** True
+    out = out + (x * x + 1.0) ** 0.0 + (y * y + 1.0) ** 1.0
+    out = out + (x * x + 0.5) ** 2.5 + (y * y + 1.0) ** (0.5 + 0.25j)
+    out = out + (x * x + 1.0) ** y + 2.0 ** x + 3 ** y
+    return out + dexp(x * y) - dlog(x * x + 1.0) * dexp(-y)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_every_jet_operation_matches_nested_pass(kind, k, rng):
+    for _ in range(10):
+        if kind == "complex":
+            args = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+                    for _ in range(k)]
+        else:
+            args = [rng.choice((-0.0, 0.0, rng.uniform(-2.0, 2.0)))
+                    for _ in range(k)]
+        assert repr(value_grad_hess(_every_operation, args)) == \
+            repr(nested_value_grad_hess(_every_operation, args))
+
+
+def test_value_grad_hess_constructs_no_dual(monkeypatch):
+    made = []
+    init = Dual.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Dual, "__init__", counted)
+    for fn in (_non_polynomial, _quotients_and_powers, _complex_valued):
+        value_grad_hess(fn, [0.5, 1.0, 1.5, 2.0])
+    assert made == []
+    nested_value_grad_hess(_non_polynomial, [0.5, 1.0])
+    assert made
 
 
 def _scalar_passes(fn, args, unseeded):

@@ -255,3 +255,46 @@ def test_selector_errors(text):
 def test_tensor_selectors_need_a_spatial_binding():
     with pytest.raises(BindError):
         bind("S(2; theta1)", 4, time_mode=True)
+
+
+def _dual_operations(monkeypatch, fn, view):
+    """Repr of ``fn(view)`` and how many duals and derivative vectors it
+    built, one per dual operation."""
+    from invforge.dual import DerivVector, Dual
+
+    made = []
+    for cls in (Dual, DerivVector):
+        init = cls.__init__
+
+        def counted(self, *args, init=init):
+            made.append(type(self))
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    out = repr(fn(view))
+    monkeypatch.undo()
+    return out, len(made)
+
+
+@pytest.mark.parametrize("r1,r2", [(1, 2), (1, 1), (2, 1)])
+def test_euclidean_contract_is_the_hand_written_sum(r1, r2, monkeypatch):
+    from invforge.invcat import gradient_view, sum_prod
+
+    fn = bind(f"contract(du{r1}, du{r2})", 3, 2)
+    point = fn.space.sampler(0)(0)
+    view = gradient_view(point, fn.deps)
+
+    def hand(view):
+        return sum_prod([view.du(r1, i) for i in range(3)],
+                        [view.du(r2, i) for i in range(3)])
+
+    assert _dual_operations(monkeypatch, fn.fn, view) == \
+        _dual_operations(monkeypatch, hand, view)
+
+
+def test_minkowski_contract_weighs_by_the_signs():
+    fn = bind("contract(du1, du2)", 4, 2, metric=minkowski(4))
+    point = fn.space.sampler(0)(0)
+    d1, d2 = point.du
+    want = d1[0] * d2[0] - d1[1] * d2[1] - d1[2] * d2[2] - d1[3] * d2[3]
+    assert abs(fn.eval(point) - want) < 1e-12

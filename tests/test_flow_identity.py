@@ -8,18 +8,25 @@ every entry byte-identical.  Running this file records the entries that
 are missing and leaves the others alone:
 
     PYTHONPATH=src python tests/test_flow_identity.py
+
+The same grid also checks every coefficient's partials and every flow
+table against the bitwise references in ``references.py``: the nested-dual
+Hessian pass and the total-derivative loops run for every coefficient.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from invforge.dual import EvaluationError
+from invforge.dual import EvaluationError, value_grad_hess
 from invforge.exprlang import bind_scalar_function
-from invforge.liealg import _FAMILIES, catalog, make_sampler, make_spec, \
-    prolong2
+from invforge.jetspace import COMPLEX, d1_coord, d2_coord
+from invforge.liealg import _FAMILIES, VectorField, _zero_total, catalog, \
+    make_sampler, make_spec, prolong2
+from references import nested_value_grad_hess, reference_flow
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "flow_identity.json")
@@ -138,6 +145,96 @@ def test_grid_size():
                          ids=[k for k, _, _ in CONFIGS])
 def test_flow_tables_are_identical(key, build, positive, fixture):
     assert describe(build(), positive) == fixture[key]
+
+
+def _partials(field, point):
+    """Each coefficient's (value, gradient, Hessian) at a point, as
+    ``_flow`` requests them, from the jet pass and the nested pass."""
+    n = field.n_base
+    args = list(point.x) + list(point.u)
+    for fn in field.xi + field.eta:
+        def wrapped(a, fn=fn):
+            return fn(a[:n], a[n:])
+        yield value_grad_hess(wrapped, args), \
+            nested_value_grad_hess(wrapped, args)
+
+
+@pytest.mark.parametrize("key,build,positive", CONFIGS,
+                         ids=[k for k, _, _ in CONFIGS])
+def test_flow_tables_match_the_references(key, build, positive):
+    spec = build()
+    for point in sample_points(spec, positive):
+        for field in catalog(spec):
+            for got, want in _partials(field, point):
+                assert repr(got) == repr(want)
+            op = prolong2(field)
+            assert repr(op.flow_table(point)) == \
+                repr(reference_flow(op, point))
+
+
+def _with(point, changes):
+    for cid, value in changes:
+        point = point.replace(cid, value)
+    return point
+
+
+# jet points on which the argument-free shortcut does not apply: the loops
+# give nan (a derivative that is not finite, or a product of two first
+# derivatives that overflows) or a zero whose type varies with (i, j)
+_UNUSUAL = (
+    [(d1_coord(1, 1), float("inf")), (d2_coord(1, 0, 2), float("nan"))],
+    [(d1_coord(1, 0), float("nan"))],
+    [(d2_coord(1, 1, 1), float("-inf"))],
+    [(d1_coord(1, 2), 1e200), (d1_coord(1, 0), -1e200)],
+    [(d1_coord(1, 2), 3e154)],
+    [(d2_coord(1, 0, 1), 1.5j)],
+    [(d1_coord(1, 1), 2)],
+)
+
+
+@pytest.mark.parametrize("name,kw", [("AE", {"m": 2}), ("AC", {"lam": 0.0}),
+                                     ("AG2_I", {"rep": "u"}),
+                                     ("AG_II", {"rep": "u"}),
+                                     ("AP_inf", {"extended": True})])
+@pytest.mark.parametrize("changes", _UNUSUAL,
+                         ids=["inf-nan", "nan", "-inf", "overflow",
+                              "overflow-square", "mixed-kinds", "int-entry"])
+def test_unusual_points_run_the_loops(name, kw, changes):
+    spec = make_spec(name, 3, **kw)
+    if spec.field_kind is COMPLEX and changes[0][1] == 1.5j:
+        changes = [(cid, 1.5) for cid, _ in changes]
+    point = _with(sample_points(spec, False)[0], changes)
+    assert _zero_total(point.du, point.ddu) is None
+    for field in catalog(spec):
+        op = prolong2(field)
+        assert repr(op.flow_table(point)) == repr(reference_flow(op, point))
+
+
+@pytest.mark.parametrize("eta", [lambda xs, us: -0.0 * us[0],
+                                 lambda xs, us: 0j * us[0] - xs[1] * 0.0],
+                         ids=["negative-zero", "complex-zero"])
+def test_zero_partials_that_are_not_plus_zero_run_the_loops(eta):
+    # a coefficient whose partials are all zero, but -0.0 or complex
+    field = VectorField(3, 1, [lambda xs, us: 0.0] * 3, [eta], "Z")
+    op = prolong2(field)
+    sampler = make_sampler(3, 1, seed=2)
+    for idx in range(4):
+        point = sampler(idx)
+        # with every derivative positive, -0.0 partials keep -0.0 through
+        # the loops
+        positive = dataclasses.replace(
+            point, du=tuple(tuple(map(abs, row)) for row in point.du),
+            ddu=tuple(tuple(tuple(map(abs, row)) for row in mat)
+                      for mat in point.ddu))
+        for p in (point, positive):
+            assert repr(op.flow_table(p)) == repr(reference_flow(op, p))
+
+
+def test_argument_free_zero_keeps_the_point_type():
+    for name, zero in (("AE", "0.0"), ("AG_II", "0j")):
+        spec = make_spec(name, 3)
+        point = sample_points(spec, False)[0]
+        assert repr(_zero_total(point.du, point.ddu)) == zero
 
 
 def record():

@@ -1,5 +1,6 @@
 import pytest
 
+from invforge.dual import value_grad_hess
 from invforge.invcat import ScalarJetFunction, _S, _hessian, basis
 from invforge.jetspace import (
     base_coord,
@@ -317,3 +318,78 @@ def test_coefficient_table_doubles_off_diagonal_flow(name):
                 assert table[cid] == 2.0 * c
             else:
                 assert table[cid] == c
+
+
+def characteristic_flow(field, point):
+    """Flow table of the prolonged ``field`` by the characteristic form
+    (Olver, Applications of Lie Groups to Differential Equations, §2.3).
+
+    With f_r the quadratic Taylor polynomial of the point and
+    Q_r(y) = eta_r(y, f(y)) - xi^i(y, f(y)) d_i f_r(y), the prolonged
+    coefficients are phi_r = Q_r + xi^i u_r,i, phi_r,j = d_j Q_r +
+    xi^i u_r,ij and phi_r,jk = d_j d_k Q_r, since f has no third
+    derivatives.  The partials of Q come from one ``value_grad_hess`` call
+    over the base coordinates; nothing goes through ``_flow``'s
+    total-derivative expansion.
+    """
+    n, m = field.n_base, field.n_fields
+    x, u, du, ddu = point.x, point.u, point.du, point.ddu
+
+    def q(r):
+        def fn(ys):
+            h = [y - c for y, c in zip(ys, x)]
+            f, df = [], []
+            for s in range(m):
+                val = u[s]
+                for i in range(n):
+                    val = val + du[s][i] * h[i]
+                    for j in range(n):
+                        val = val + 0.5 * ddu[s][i][j] * h[i] * h[j]
+                f.append(val)
+                row = []
+                for i in range(n):
+                    d = du[s][i]
+                    for j in range(n):
+                        d = d + ddu[s][i][j] * h[j]
+                    row.append(d)
+                df.append(row)
+            out = field.eta[r](ys, f)
+            for i in range(n):
+                out = out - field.xi[i](ys, f) * df[r][i]
+            return out
+        return fn
+
+    xi = [fn(list(x), list(u)) for fn in field.xi]
+    table = {base_coord(i): xi[i] for i in range(n)}
+    for r in range(m):
+        val, grad, hess = value_grad_hess(q(r), list(x))
+        table[field_coord(r + 1)] = val + sum(
+            xi[i] * du[r][i] for i in range(n))
+        for j in range(n):
+            table[d1_coord(r + 1, j)] = grad[j] + sum(
+                xi[i] * ddu[r][i][j] for i in range(n))
+            for k in range(j, n):
+                table[d2_coord(r + 1, j, k)] = hess[j][k]
+    return table
+
+
+ORACLE_CASES = [(name, rep) for name in _FAMILIES
+                for rep in (("u", "log") if name.startswith("AG") else ("u",))]
+
+
+@pytest.mark.parametrize("name,rep", ORACLE_CASES,
+                         ids=[f"{n}-{r}" for n, r in ORACLE_CASES])
+def test_flow_table_matches_characteristic_form(name, rep):
+    spec = make_spec(name, 3, rep=rep)
+    sampler = make_sampler(spec.n_base, spec.n_fields, spec.field_kind,
+                           seed=11)
+    for idx in range(3):
+        point = sampler(idx)
+        for field in catalog(spec):
+            flow = prolong2(field).flow_table(point)
+            want = characteristic_flow(field, point)
+            assert set(flow) == set(want)
+            scale = max(abs(c) for c in want.values())
+            for cid, c in want.items():
+                assert abs(flow[cid] - c) <= 1e-12 * scale, (field.label,
+                                                             cid)
