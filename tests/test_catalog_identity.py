@@ -1,13 +1,15 @@
 """Member-identity guard for the catalog families, the three special
 rotation families, and the Galilei families with their tensors and
-projective equations.
+projective equations, and the components of the other covariant tensors
+and the other equation residuals.
 
 For every family over a grid of (n, m, lam) this pins the family label,
 expected count, dependency set and space, and per member its label, its
 dependencies (``"family"`` when they are the family's) and a sha256 of
 the ``repr`` of its value and of its family Jacobian row at sampled
-points.  A rewrite of how the members are built
-must leave every entry byte-identical.  Running this file records the
+points; for the other tensors and residuals the row is each member's own
+``ScalarJetFunction.grad`` over the dependency set.  A rewrite of how the
+members are built must leave every entry byte-identical.  Running this file records the
 entries that are missing and leaves the others alone:
 
     PYTHONPATH=src python tests/test_catalog_identity.py
@@ -49,6 +51,16 @@ HATS = ("printed", "uniform")
 GALILEI_TENSORS = (("galilei_theta", True), ("galilei_theta2", True),
                    ("galilei_h", True), ("galilei_hhat_mu0", False),
                    ("implicit_theta", False))
+# the other tensors, with the lam values of those that read lam, and the
+# other equations, with the power of the eikonal trace
+OTHER_TENSORS = (("theta", (1.0, 0.4)), ("w", (1.0,)),
+                 ("theta_minkowski", (1.0, 0.4)), ("w_minkowski", (1.0,)),
+                 ("theta_vector_minkowski", (1.0,)), ("eikonal_theta", (1.0,)),
+                 ("hessian", (1.0,)), ("position", (1.0,)))
+OTHER_EQUATIONS = (("heat", {}), ("schrodinger", {}), ("born-infeld", {}),
+                   ("eikonal", {}), ("eikonal-quasilinear", {}),
+                   ("eikonal-trace", {"k": 1}), ("eikonal-trace", {"k": 2}),
+                   ("eikonal-trace", {"k": 3}), ("conformal-power", {}))
 
 
 def _configs():
@@ -72,7 +84,7 @@ def _configs():
                     lambda n=n: two_matrix_trace_family(n)))
         out.append((f"rotation_pair n={n}",
                     lambda n=n: rotation_pair_family(n)))
-    return out + _galilei_configs()
+    return out + _galilei_configs() + _member_grad_configs()
 
 
 def _galilei_spec(name, n, **kw):
@@ -138,10 +150,37 @@ def _galilei_configs():
     return out
 
 
+def _member_grads(members, point, coords):
+    """Each member's own gradient over ``coords``."""
+    return [mem.grad(point, coords) for mem in members]
+
+
+def _member_grad_configs():
+    """The tensors and residuals not pinned above, each row its member's
+    ``ScalarJetFunction.grad``; the key starts with "grad"."""
+    out = []
+    for n in NS:
+        for tname, lams in OTHER_TENSORS:
+            for lam in lams:
+                out.append((f"grad tensor {tname} n={n} lam={lam:g}",
+                            lambda tname=tname, n=n, lam=lam:
+                            _tensor_family(tname, n, lam=lam)))
+        for ename, kw in OTHER_EQUATIONS:
+            text = "".join(f" {k}={v:g}" for k, v in kw.items())
+            out.append((f"grad equation {ename} n={n}{text}",
+                        lambda ename=ename, n=n, kw=kw:
+                        _residual_family(ename, n, **kw)))
+    return out
+
+
 CONFIGS = _configs()
 
 
-def describe(family):
+def _rows(key):
+    return _member_grads if key.startswith("grad ") else family_jacobian
+
+
+def describe(family, rows=family_jacobian):
     """The pinned view of one family: structure in clear, numbers hashed."""
     digests = [hashlib.sha256() for _ in family.members]
     sampler = family.space.sampler(seed=0)
@@ -152,8 +191,8 @@ def describe(family):
                 h.update(repr(mem.eval(point)).encode())
             except EvaluationError as exc:
                 h.update(f"error {exc}".encode())
-        rows = family_jacobian(family.members, point, family.deps)
-        for row, h in zip(rows, digests):
+        for row, h in zip(rows(family.members, point, family.deps),
+                          digests):
             h.update(repr(row).encode())
     deps = [str(c) for c in family.deps]
 
@@ -180,7 +219,7 @@ def fixture():
 
 @pytest.mark.parametrize("key,build", CONFIGS, ids=[k for k, _ in CONFIGS])
 def test_family_is_member_identical(key, build, fixture):
-    assert describe(build()) == fixture[key]
+    assert describe(build(), _rows(key)) == fixture[key]
 
 
 def record():
@@ -190,7 +229,7 @@ def record():
             out = json.load(fh)
     for key, build in CONFIGS:
         if key not in out:
-            out[key] = describe(build())
+            out[key] = describe(build(), _rows(key))
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
