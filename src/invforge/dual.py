@@ -1,4 +1,4 @@
-"""Forward-mode differentiation on dual numbers and second-order jets.
+"""Forward-mode differentiation on dual numbers and flat jets.
 
 A :class:`Dual` carries a value together with the derivative of that value
 along a seeded input direction.  Arithmetic is generic over the payload:
@@ -6,13 +6,12 @@ the two slots may hold floats, complex numbers, or further ``Dual`` values
 (nesting one level gives exact second derivatives).  All rules are the
 algebraic product/quotient/chain rules, so results are exact to rounding.
 
-Vector mode: the derivative slot may hold a :class:`DerivVector`, the
-derivatives along k directions at once, so one evaluation gives a whole
-gradient.  Every operation applies the scalar formula to each component
-with the operands in the same order, so component k equals a scalar pass
-seeded along direction k bit for bit, signed zeros included.  A scalar
-``0.0`` in a derivative slot (an unseeded read) stands for the same value
-in every direction.
+Vector mode is a :class:`Jet1`: a value and one flat list of its
+derivatives along k directions, so one evaluation gives a whole gradient.
+Every operation applies the scalar ``Dual`` formula to each slot with the
+operands in the same order, so slot j equals a scalar pass seeded along
+direction j bit for bit, signed zeros included.  An unseeded read carries
+a list of k zeros.
 
 Hessians (:func:`value_grad_hess`) come from one pass on flat
 second-order jets (:class:`Jet2`; Griewank & Walther, *Evaluating
@@ -136,71 +135,104 @@ class Dual:
         return hash((self.value, self.deriv))
 
 
-_FACTORS = (Dual,) + _NUMBERS
+class Jet1:
+    """First-order forward-mode jet over k directions, held flat: the value
+    and the list ``d`` of its k directional derivatives.
 
-
-class DerivVector:
-    """Derivatives along k seeded directions, one list component each;
-    the value of a :class:`Dual`'s derivative slot in vector mode.
-
-    Supports +, - with another vector or a number, unary -, and * and / by
-    a number or a :class:`Dual` (a value of the inner layer when the vector
-    is an outer derivative slot), componentwise.  Instances are never
-    changed in place, so the unit seeds of a view may be shared by every
-    dual built from them.
+    Slot j of every result is what the scalar :class:`Dual` formula gives
+    for slot j of the operands: ``vx*b + a*vy`` for a product, ``(a -
+    t*b)*inv`` with ``t = vx*inv`` for a quotient.  No slot is ever changed
+    in place, so seeds and zero lists may be shared by every jet built from
+    them.
     """
 
-    __slots__ = ("comps",)
+    __slots__ = ("value", "d")
 
-    def __init__(self, comps):
-        self.comps = comps
+    def __init__(self, value, d):
+        self.value = value
+        self.d = d
 
     def __repr__(self):
-        return f"DerivVector({self.comps!r})"
+        return f"Jet1({self.value!r}, {self.d!r})"
 
     def __add__(self, other):
-        if isinstance(other, DerivVector):
-            return DerivVector([a + b for a, b in zip(self.comps,
-                                                      other.comps)])
+        if isinstance(other, Jet1):
+            return Jet1(self.value + other.value,
+                        [a + b for a, b in zip(self.d, other.d)])
         if isinstance(other, _NUMBERS):
-            return DerivVector([a + other for a in self.comps])
+            return Jet1(self.value + other, self.d)
         return NotImplemented
 
-    def __radd__(self, other):
-        if isinstance(other, _NUMBERS):
-            return DerivVector([other + a for a in self.comps])
-        return NotImplemented
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, DerivVector):
-            return DerivVector([a - b for a, b in zip(self.comps,
-                                                      other.comps)])
+        if isinstance(other, Jet1):
+            return Jet1(self.value - other.value,
+                        [a - b for a, b in zip(self.d, other.d)])
         if isinstance(other, _NUMBERS):
-            return DerivVector([a - other for a in self.comps])
+            return Jet1(self.value - other, self.d)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBERS):
-            return DerivVector([other - a for a in self.comps])
+            return Jet1(other - self.value, [-a for a in self.d])
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, _FACTORS):
-            return DerivVector([a * other for a in self.comps])
+        if isinstance(other, Jet1):
+            vx, vy = self.value, other.value
+            return Jet1(vx * vy,
+                        [vx * b + a * vy for a, b in zip(self.d, other.d)])
+        if isinstance(other, _NUMBERS):
+            return Jet1(self.value * other, [a * other for a in self.d])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _FACTORS):
-            return DerivVector([other * a for a in self.comps])
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _FACTORS):
-            return DerivVector([a / other for a in self.comps])
+        if isinstance(other, Jet1):
+            inv = 1.0 / other.value
+            t = self.value * inv
+            return Jet1(t, [(a - t * b) * inv
+                            for a, b in zip(self.d, other.d)])
+        if isinstance(other, _NUMBERS):
+            return Jet1(self.value / other, [a / other for a in self.d])
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _NUMBERS):
+            inv = 1.0 / self.value
+            c = -other * inv * inv
+            return Jet1(other * inv, [c * a for a in self.d])
         return NotImplemented
 
     def __neg__(self):
-        return DerivVector([-a for a in self.comps])
+        return Jet1(-self.value, [-a for a in self.d])
+
+    def __pow__(self, expo):
+        if isinstance(expo, Jet1):
+            # f^g = exp(g log f); requires f away from the branch cut.
+            return dexp(expo * dlog(self))
+        v = self.value
+        if isinstance(expo, int) and expo == 0:
+            return Jet1(v ** 0, [0.0 * a for a in self.d])
+        if isinstance(expo, _NUMBERS):
+            c = expo * v ** (expo - 1)
+            return Jet1(v ** expo, [c * a for a in self.d])
+        return NotImplemented
+
+    def __rpow__(self, base):
+        if isinstance(base, _NUMBERS):
+            return dexp(self * _scalar_log(base))
+        return NotImplemented
+
+    def _exp(self):
+        e = _scalar_exp(self.value)
+        return Jet1(e, [e * a for a in self.d])
+
+    def _log(self):
+        v = self.value
+        return Jet1(_scalar_log(v), [a / v for a in self.d])
 
 
 class Jet2:
@@ -345,25 +377,15 @@ class Jet2:
                                   for (i, j), a in zip(pairs, d[2 * k:])])
 
 
-def unit_derivs(k):
-    """The k unit seeds of a k-direction vector-mode pass."""
-    return [DerivVector([1.0 if i == j else 0.0 for i in range(k)])
-            for j in range(k)]
-
-
 def derivs(x, k):
-    """The k directional derivatives of a vector-mode result ``x``.
-
-    A scalar derivative slot never met a seeded read, so it is the value
-    along every direction; a non-dual has derivative 0.0 along each.
-    """
-    d = x.deriv if isinstance(x, Dual) else 0.0
-    return d.comps if isinstance(d, DerivVector) else [d] * k
+    """The k directional derivatives of a vector-mode result ``x``; a
+    non-jet has derivative 0.0 along each direction."""
+    return x.d if isinstance(x, Jet1) else [0.0] * k
 
 
 def value_of(x):
-    """Strip all dual layers and return the underlying number."""
-    while isinstance(x, Dual):
+    """Strip all dual and jet layers and return the underlying number."""
+    while isinstance(x, (Dual, Jet1)):
         x = x.value
     return x
 
@@ -386,7 +408,7 @@ def _scalar_log(v):
 
 
 def dexp(x):
-    if isinstance(x, Jet2):
+    if isinstance(x, (Jet1, Jet2)):
         return x._exp()
     if isinstance(x, Dual):
         e = dexp(x.value)
@@ -395,7 +417,7 @@ def dexp(x):
 
 
 def dlog(x):
-    if isinstance(x, Jet2):
+    if isinstance(x, (Jet1, Jet2)):
         return x._log()
     if isinstance(x, Dual):
         return Dual(dlog(x.value), x.deriv / x.value)
@@ -412,13 +434,12 @@ def is_finite(x) -> bool:
 def value_grad(fn, args):
     """Value of ``fn(args)`` and its gradient with respect to each arg.
 
-    One vector-mode forward pass; exact derivatives.
+    One :class:`Jet1` forward pass; exact derivatives.
     """
     n = len(args)
-    out = fn([Dual(a, e) for a, e in zip(args, unit_derivs(n))])
+    out = fn([Jet1(a, [1.0 if i == j else 0.0 for i in range(n)])
+              for j, a in enumerate(args)])
     return value_of(out), list(derivs(out, n))
-
-
 
 
 @functools.cache

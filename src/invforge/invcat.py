@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .dual import (
     Dual,
-    DerivVector,
     EvaluationError,
+    Jet1,
     derivs,
     dexp,
     dlog,
@@ -61,6 +61,14 @@ def mat_trace(a):
     total = 0.0
     for i in range(len(a)):
         total = total + a[i][i]
+    return total
+
+
+def trace_prod(a, b):
+    """``mat_trace(mat_mul(a, b))`` from the diagonal entries alone."""
+    total = 0.0
+    for i, row in enumerate(a):
+        total = total + sum_prod(row, [r[i] for r in b])
     return total
 
 
@@ -148,10 +156,12 @@ def power_trace(mat, metric: Metric, k: int):
         raise ValueError("k must be at least 1")
     signs = metric.signs
     gm = g_premul(signs, mat)
+    if k == 1:
+        return mat_trace(gm)
     p = gm
-    for _ in range(k - 1):
+    for _ in range(k - 2):
         p = mat_mul(p, gm)
-    return mat_trace(p)
+    return trace_prod(p, gm)
 
 
 def power_form(vec, mat, metric: Metric, k: int):
@@ -189,22 +199,22 @@ def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
     p = gu
     for _ in range(j - 1):
         p = mat_mul(p, gu)
-    for _ in range(k - j):
+    for _ in range(k - j - 1):
         p = mat_mul(p, gv)
-    return mat_trace(p)
+    return trace_prod(p, gv)
 
 
 # --------------------------------------------------------------------------
 # jet views: plain evaluation, single-coordinate dual seeding, and
-# all-coordinate (vector-mode) seeding
+# all-coordinate (vector-mode) seeding on first-order jets
 
 
 class _View:
     """Eager jet view: four tables laid out like a :class:`JetPoint`'s
     ``x``, ``u``, ``du`` and ``ddu`` (full symmetric matrices), read by
     index.  The plain view wraps the point's own tuples; the gradient view
-    holds duals built once (see :func:`gradient_view`), shared by every
-    member evaluated on it together with its ``cache``."""
+    holds :class:`Jet1` jets built once (see :func:`gradient_view`), shared
+    by every member evaluated on it together with its ``cache``."""
 
     __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
 
@@ -267,30 +277,30 @@ def seeded_view(point, coord):
 
 
 def gradient_view(point, coords):
-    """View whose reads are seeded along every coordinate in ``coords``: a
-    read of ``coords[k]`` carries the k-th unit :class:`DerivVector`, any
-    other read the scalar 0.0.  Read the gradient off a function's result
-    with :func:`dual.derivs`."""
+    """View whose reads are :class:`Jet1` jets seeded along every
+    coordinate in ``coords``: a read of ``coords[k]`` carries the k-th unit
+    vector, any other read one list of k zeros shared by all of them.  Read
+    the gradient off a function's result with :func:`dual.derivs`."""
     n, m, k = point.n_base, point.n_fields, len(coords)
-    # derivative slots shaped like the point's tables; each unit is filled
-    # in before any dual is built from it
-    sx, su = [0.0] * n, [0.0] * m
-    sdu = [[0.0] * n for _ in range(m)]
-    sddu = [[[0.0] * n for _ in range(n)] for _ in range(m)]
+    # derivative lists shaped like the point's tables; each unit is filled
+    # in before any jet is built from it
+    zero = [0.0] * k
+    sx, su = [zero] * n, [zero] * m
+    sdu = [[zero] * n for _ in range(m)]
+    sddu = [[[zero] * n for _ in range(n)] for _ in range(m)]
     for pos, c in enumerate(coords):
         row, at = ((sx, c.i) if c.kind == "base" else
                    (su, c.r - 1) if c.kind == "field" else
                    (sdu[c.r - 1], c.i) if c.kind == "d1" else
                    (sddu[c.r - 1][c.i], c.j))
-        unit = row[at]
-        if not isinstance(unit, DerivVector):
-            unit = row[at] = DerivVector([0.0] * k)
-        unit.comps[pos] = 1.0
+        if row[at] is zero:
+            row[at] = [0.0] * k
+        row[at][pos] = 1.0
     return _View(
-        [Dual(v, d) for v, d in zip(point.x, sx)],
-        [Dual(v, d) for v, d in zip(point.u, su)],
-        [[Dual(v, d) for v, d in zip(*pair)] for pair in zip(point.du, sdu)],
-        [_symmetric(n, lambda i, j: Dual(h[i][j], d[i][j]))
+        [Jet1(v, d) for v, d in zip(point.x, sx)],
+        [Jet1(v, d) for v, d in zip(point.u, su)],
+        [[Jet1(v, d) for v, d in zip(*pair)] for pair in zip(point.du, sdu)],
+        [_symmetric(n, lambda i, j: Jet1(h[i][j], d[i][j]))
          for h, d in zip(point.ddu, sddu)])
 
 
@@ -411,8 +421,8 @@ def _Sjk(view, first, second, signs, j, k):
         return _S(view, second, signs, k)
     if j == k:
         return _S(view, first, signs, k)
-    return mat_trace(mat_mul(_tensor_power(view, *first, signs, j),
-                             _tensor_power(view, *second, signs, k - j)))
+    return trace_prod(_tensor_power(view, *first, signs, j),
+                      _tensor_power(view, *second, signs, k - j))
 
 
 def _R(view, vec, mat, signs, k):

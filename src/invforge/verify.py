@@ -121,8 +121,8 @@ class CovarianceReport:
 
 
 def family_jacobian(members, point: JetPoint, coords) -> list:
-    """Rows of member gradients over ``coords``: one vector-mode dual pass
-    per member, all members sharing one gradient view (and so its duals
+    """Rows of member gradients over ``coords``: one first-order jet pass
+    per member, all members sharing one gradient view (and so its jets
     and power caches).  Entries outside a member's dependency set are 0.0;
     a member with none of ``coords`` in it is not evaluated."""
     view = gradient_view(point, coords)

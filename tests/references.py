@@ -1,6 +1,10 @@
 """Bitwise references: algorithms the package has replaced, kept so tests
 can check that the replacement gives every value bit for bit.
 
+- :class:`DerivVector`, :func:`unit_derivs` and :func:`vector_derivs` are
+  the vector-mode pass that ``dual.Jet1`` replaced: a ``Dual`` whose
+  derivative slot holds the derivatives along k directions, one list
+  component each, or the scalar 0.0 for an unseeded read.
 - :func:`nested_value_grad_hess` is the nested-dual Hessian pass that
   ``dual.value_grad_hess`` made before the flat second-order jet: argument
   a is seeded as ``Dual(Dual(x_a, e_a), d_a)``, both dual layers vectors
@@ -12,8 +16,91 @@ can check that the replacement gives every value bit for bit.
 
 import functools
 
-from invforge.dual import DerivVector, Dual, derivs, unit_derivs, value_of
+from invforge.dual import Dual, value_of
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
+
+_NUMBERS = (int, float, complex)
+_FACTORS = (Dual,) + _NUMBERS
+
+
+class DerivVector:
+    """Derivatives along k seeded directions, one list component each;
+    the value of a :class:`Dual`'s derivative slot in vector mode.
+
+    Supports +, - with another vector or a number, unary -, and * and / by
+    a number or a :class:`Dual` (a value of the inner layer when the vector
+    is an outer derivative slot), componentwise.  Instances are never
+    changed in place, so the unit seeds of a view may be shared by every
+    dual built from them.
+    """
+
+    __slots__ = ("comps",)
+
+    def __init__(self, comps):
+        self.comps = comps
+
+    def __repr__(self):
+        return f"DerivVector({self.comps!r})"
+
+    def __add__(self, other):
+        if isinstance(other, DerivVector):
+            return DerivVector([a + b for a, b in zip(self.comps,
+                                                      other.comps)])
+        if isinstance(other, _NUMBERS):
+            return DerivVector([a + other for a in self.comps])
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, _NUMBERS):
+            return DerivVector([other + a for a in self.comps])
+        return NotImplemented
+
+    def __sub__(self, other):
+        if isinstance(other, DerivVector):
+            return DerivVector([a - b for a, b in zip(self.comps,
+                                                      other.comps)])
+        if isinstance(other, _NUMBERS):
+            return DerivVector([a - other for a in self.comps])
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _NUMBERS):
+            return DerivVector([other - a for a in self.comps])
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, _FACTORS):
+            return DerivVector([a * other for a in self.comps])
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, _FACTORS):
+            return DerivVector([other * a for a in self.comps])
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, _FACTORS):
+            return DerivVector([a / other for a in self.comps])
+        return NotImplemented
+
+    def __neg__(self):
+        return DerivVector([-a for a in self.comps])
+
+
+def unit_derivs(k):
+    """The k unit seeds of a k-direction vector-mode pass."""
+    return [DerivVector([1.0 if i == j else 0.0 for i in range(k)])
+            for j in range(k)]
+
+
+def vector_derivs(x, k):
+    """The k directional derivatives of a vector-mode result ``x``.
+
+    A scalar derivative slot never met a seeded read, so it is the value
+    along every direction; a non-dual has derivative 0.0 along each.
+    """
+    d = x.deriv if isinstance(x, Dual) else 0.0
+    return d.comps if isinstance(d, DerivVector) else [d] * k
 
 
 @functools.cache
@@ -48,8 +135,8 @@ def nested_value_grad_hess(fn, args):
     out = fn([Dual(Dual(a, e), d) for a, (e, d) in zip(args, hess_seeds(n))])
     if not isinstance(out, Dual):
         return val, grad, hess
-    for j, dj in enumerate(derivs(out, n)):
-        col = derivs(dj, n)
+    for j, dj in enumerate(vector_derivs(out, n)):
+        col = vector_derivs(dj, n)
         for i in range(j + 1):
             hess[i][j] = hess[j][i] = col[i]
         grad[j] = value_of(dj)

@@ -3,18 +3,22 @@ import math
 import pytest
 
 from invforge.dual import (
-    DerivVector,
     Dual,
+    Jet1,
     _jet_seeds,
     derivs,
     dexp,
     dlog,
-    unit_derivs,
     value_grad,
     value_grad_hess,
     value_of,
 )
-from references import nested_value_grad_hess
+from references import (
+    DerivVector,
+    nested_value_grad_hess,
+    unit_derivs,
+    vector_derivs,
+)
 
 
 def test_product_rule_is_exact(rng):
@@ -228,7 +232,7 @@ def column_value_grad_hess(fn, args):
                 return val, grad, hess
             continue
         d = out.deriv
-        col = derivs(d, n)
+        col = vector_derivs(d, n)
         for i in range(j + 1):
             hess[i][j] = hess[j][i] = col[i]
         grad[j] = value_of(d)
@@ -264,23 +268,32 @@ def test_value_grad_hess_matches_column_loop(fn, kind, k, rng):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_vector_of_duals_times_and_over_a_dual(kind, rng):
+def test_jet1_operations_are_the_scalar_dual_per_slot(kind, rng):
     def draw():
         if kind == "complex":
             return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         return rng.uniform(-2.0, 2.0)
 
     for _ in range(10):
-        comps = [Dual(draw(), DerivVector([draw(), -0.0, draw()])),
-                 Dual(draw(), 0.0),
-                 Dual(-0.0, DerivVector([0.0, draw(), 1.0]))]
-        vec = DerivVector(comps)
-        other = Dual(draw(), DerivVector([draw(), draw(), 0.0]))
-        for got, want in ((vec * other, [c * other for c in comps]),
-                          (other * vec, [other * c for c in comps]),
-                          (vec / other, [c / other for c in comps])):
-            assert isinstance(got, DerivVector)
-            assert repr(got.comps) == repr(want)
+        x = Jet1(rng.choice((-0.0, draw())), [draw(), -0.0, draw(), 0.0])
+        y = Jet1(draw(), [0.0, draw(), 1.0, -0.0])
+        c = draw()
+        for op in (lambda a, b: a * b, lambda a, b: a / b,
+                   lambda a, b: b * a):
+            got = op(x, y)
+            want = [op(Dual(x.value, a), Dual(y.value, b)).deriv
+                    for a, b in zip(x.d, y.d)]
+            assert isinstance(got, Jet1)
+            assert repr(got.d) == repr(want)
+        for z, op in ((x, lambda a: a * c), (x, lambda a: c * a),
+                      (x, lambda a: a / c), (y, lambda a: c / a),
+                      (x, lambda a: a ** 0), (y, lambda a: a ** -2),
+                      (y, lambda a: a ** 2.5), (y, lambda a: a ** c),
+                      (y, dlog), (x, dexp)):
+            got = op(z)
+            want = [op(Dual(z.value, a)).deriv for a in z.d]
+            assert isinstance(got, Jet1)
+            assert repr(got.d) == repr(want)
 
 
 @pytest.mark.parametrize("fn", [_non_polynomial, lambda args: 2.5])
@@ -367,6 +380,27 @@ def test_value_grad_hess_constructs_no_dual(monkeypatch):
     assert made
 
 
+def test_family_jacobian_constructs_no_dual(monkeypatch):
+    from invforge.invcat import basis
+    from invforge.liealg import AlgebraSpec
+    from invforge.verify import family_jacobian
+
+    made = []
+    init = Dual.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Dual, "__init__", counted)
+    for spec in (AlgebraSpec("AE", 3, m=2), AlgebraSpec("AC", 3, lam=0.4)):
+        fam = basis(spec)
+        point = fam.space.sampler(seed=0)(0)
+        rows = family_jacobian(fam.members, point, fam.deps)
+        assert len(rows) == len(fam.members)
+    assert made == []
+
+
 def _scalar_passes(fn, args, unseeded):
     """Value and one scalar pass per direction; ``unseeded`` values are
     read with derivative 0.0 in every pass."""
@@ -381,9 +415,22 @@ def _scalar_passes(fn, args, unseeded):
 
 
 def _vector_pass(fn, args, unseeded):
+    """One :class:`Jet1` pass; ``unseeded`` values are read with one
+    shared list of zeros, as ``gradient_view`` reads them."""
+    k = len(args)
+    zero = [0.0] * k
+    seeded = [Jet1(a, [1.0 if i == j else 0.0 for i in range(k)])
+              for j, a in enumerate(args)]
+    out = fn(seeded + [Jet1(c, zero) for c in unseeded])
+    return value_of(out), derivs(out, k)
+
+
+def _reference_pass(fn, args, unseeded):
+    """The vector-mode ``Dual(value, DerivVector)`` pass; ``unseeded``
+    values are read with the scalar derivative 0.0."""
     seeded = [Dual(a, e) for a, e in zip(args, unit_derivs(len(args)))]
     out = fn(seeded + [Dual(c, 0.0) for c in unseeded])
-    return value_of(out), derivs(out, len(args))
+    return value_of(out), vector_derivs(out, len(args))
 
 
 def _division(a):
@@ -426,10 +473,88 @@ def test_vector_pass_equals_scalar_passes(fn, kind, rng):
 
 
 def test_scalar_derivative_broadcasts_like_a_zero_vector():
-    vec = DerivVector([1.5, -0.0, 2.0])
-    zero = DerivVector([0.0, 0.0, 0.0])
-    for got, want in ((vec + 0.0, vec + zero), (0.0 + vec, zero + vec),
-                      (vec - 0.0, vec - zero), (0.0 - vec, zero - vec)):
-        assert repr(got.comps) == repr(want.comps)
-    assert repr(derivs(Dual(1.0, -0.0), 3)) == "[-0.0, -0.0, -0.0]"
+    vec = [1.5, -0.0, 2.0]
+    x, y = Jet1(0.5, vec), Jet1(-2.0, [0.0, 0.0, 0.0])
+    rx, ry = Dual(0.5, DerivVector(vec)), Dual(-2.0, 0.0)
+    for op in (lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+               lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
+               lambda a, b: a / b, lambda a, b: b / a):
+        got = op(x, y)
+        assert repr(got.value) == repr(op(rx, ry).value)
+        assert repr(got.d) == repr(vector_derivs(op(rx, ry), 3))
+    assert repr(derivs(Jet1(1.0, [-0.0] * 3), 3)) == "[-0.0, -0.0, -0.0]"
     assert repr(derivs(2.0, 2)) == "[0.0, 0.0]"
+
+
+def _jet_operations(a):
+    # every Jet1 operation between seeded reads (a[0], a[1]), unseeded
+    # reads (a[2], a[3]) and int, float and complex numbers
+    x, y, c, e = a
+    out = -x + 2 - (3.5 - y) * 2 + 0.5 * x - y * 1.5 + 1j * x - y / 4
+    out = out + c - e + x * c + e * y - c * e + x / (y + 3.0) - c / x
+    out = out + x / e - 2.5 / (x * x + 1.0) + 1 / (1.5 + y) + 3 / c
+    out = out + x ** 0 + c ** 0 + y ** 1 + x ** 2 - (y + 3.0) ** -2
+    out = out + e ** -3 + x ** True + (x * x + 1.0) ** 0.0
+    out = out + (y * y + 1.0) ** 1.0 + (x * x + 0.5) ** 2.5
+    out = out + (y * y + 1.0) ** (0.5 + 0.25j) + (c * c + 1.0) ** 1.5
+    out = out + (x * x + 1.0) ** y + (c * c + 1.0) ** x
+    out = out + (y * y + 1.0) ** c + 2.0 ** x + 3 ** y + 0.5 ** c
+    return out + dexp(x * y) - dlog(x * x + 1.0) * dexp(-y) + dlog(c * c)
+
+
+def _outcome(pass_, fn, args, unseeded):
+    """Repr of a pass's value and gradient, or of the error it raised."""
+    try:
+        return repr(pass_(fn, args, unseeded))
+    except (ArithmeticError, ValueError) as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_jet1_pass_matches_the_reference_pass(kind, rng):
+    # each value and component bit for bit, signed zeros included
+    def draw():
+        if kind == "complex":
+            return complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+        if rng.random() < 0.1:
+            return rng.choice((-0.0, 0.0))
+        return rng.uniform(-2.0, 2.0)
+
+    fns = (_jet_operations, _division, _integer_powers, _fractional_powers,
+           _exp_log, _mixed)
+    for _ in range(20):
+        for fn in fns:
+            args, unseeded = [draw(), draw()], [draw(), draw()]
+            if fn is not _jet_operations:
+                args, unseeded = args + unseeded, [draw(), draw()]
+            assert _outcome(_vector_pass, fn, args, unseeded) == \
+                _outcome(_reference_pass, fn, args, unseeded)
+
+
+@pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan, -0.0,
+                                     complex(math.inf, 1.0),
+                                     complex(0.5, math.nan)])
+def test_jet1_pass_matches_the_reference_pass_at_special_values(special):
+    fns = (_jet_operations, _division, _integer_powers, _fractional_powers,
+           _exp_log, _mixed)
+    for fn in fns:
+        width = 2 if fn is _jet_operations else 4
+        for at in range(width + 2):
+            vals = [0.75, -1.25, 1.5, 0.5, -0.5, 2.0]
+            vals[at] = special
+            args, unseeded = vals[:width], vals[width:width + 2]
+            assert _outcome(_vector_pass, fn, args, unseeded) == \
+                _outcome(_reference_pass, fn, args, unseeded)
+
+
+def test_value_grad_runs_on_jets():
+    seen = []
+
+    def f(args):
+        seen.extend(type(a) for a in args)
+        return args[0] * args[1] - 2.0 / args[2]
+
+    val, grad = value_grad(f, [0.5, -1.5, 2.0])
+    assert seen == [Jet1] * 3
+    assert repr((val, grad)) == \
+        repr(_reference_pass(f, [0.5, -1.5, 2.0], []))

@@ -258,19 +258,18 @@ def test_tensor_selectors_need_a_spatial_binding():
 
 
 def _dual_operations(monkeypatch, fn, view):
-    """Repr of ``fn(view)`` and how many duals and derivative vectors it
-    built, one per dual operation."""
-    from invforge.dual import DerivVector, Dual
+    """Repr of ``fn(view)`` and how many jets it built, one per jet
+    operation."""
+    from invforge.dual import Jet1
 
     made = []
-    for cls in (Dual, DerivVector):
-        init = cls.__init__
+    init = Jet1.__init__
 
-        def counted(self, *args, init=init):
-            made.append(type(self))
-            init(self, *args)
+    def counted(self, *args):
+        made.append(type(self))
+        init(self, *args)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(Jet1, "__init__", counted)
     out = repr(fn(view))
     monkeypatch.undo()
     return out, len(made)

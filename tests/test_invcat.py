@@ -10,7 +10,7 @@ from conftest import (
     finite_difference,
     random_symmetric,
 )
-from invforge.dual import DerivVector, Dual, EvaluationError, value_of
+from invforge.dual import Dual, EvaluationError, Jet1, value_of
 from invforge.invcat import (
     TENSORS,
     JetSpace,
@@ -21,10 +21,13 @@ from invforge.invcat import (
     equation_function,
     equation_residual,
     gradient_view,
+    mat_mul,
+    mat_trace,
     mixed_power_trace,
     power_form,
     power_trace,
     seeded_view,
+    trace_prod,
     two_matrix_trace_family,
 )
 from invforge.jetspace import (
@@ -120,6 +123,19 @@ def test_mixed_trace_cyclic_symmetry(rng):
         a = mixed_power_trace(u, v, met, j, k)
         b = mixed_power_trace(v, u, met, k - j, k)
         assert abs(a - b) < 1e-12 * (1.0 + abs(a))
+
+
+def test_trace_prod_is_the_trace_of_the_product_bit_for_bit(rng):
+    # real, complex and jet entries, signed zeros among them; a is n x q
+    draws = (lambda: rng.uniform(-2, 2),
+             lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+             lambda: Jet1(rng.uniform(-2, 2), [rng.uniform(-2, 2), -0.0]))
+    for draw in draws:
+        for n, q in ((1, 1), (2, 3), (3, 2), (4, 4)):
+            a = [[rng.choice((draw(), -0.0)) for _ in range(q)]
+                 for _ in range(n)]
+            b = [[draw() for _ in range(n)] for _ in range(q)]
+            assert repr(trace_prod(a, b)) == repr(mat_trace(mat_mul(a, b)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -449,7 +465,7 @@ def test_plain_view_reads_every_slot(n, m, kind):
     ScalarJetFunction("probe", probe, (), JetSpace(n, m, kind)).eval(point)
     assert len(seen) == coord_count(n, m) + m * n * (n + 1) // 2
     for c, read in seen:
-        assert not isinstance(read, Dual)
+        assert not isinstance(read, (Dual, Jet1))
         assert repr(read) == repr(point.value(c)), str(c)
 
 
@@ -470,15 +486,18 @@ def test_gradient_view_seeds_sit_only_at_their_positions(n, m, kind):
     # every third coordinate, in reverse order, one of them twice
     seeded = coords[::-3] + coords[-1:]
     k = len(seeded)
+    zeros = []
     for c, read in _slot_reads(gradient_view(point, seeded), point):
+        assert isinstance(read, Jet1)
         assert repr(read.value) == repr(point.value(c)), str(c)
         if c not in seeded:
-            assert read.deriv == 0.0 and not isinstance(read.deriv,
-                                                        DerivVector)
+            # every unseeded read carries the one shared list of zeros
+            assert read.d == [0.0] * k
+            assert all(read.d is z for z in zeros)
+            zeros.append(read.d)
             continue
-        assert isinstance(read.deriv, DerivVector)
-        assert read.deriv.comps == [1.0 if s == c else 0.0 for s in seeded]
-        assert len(read.deriv.comps) == k
+        assert read.d == [1.0 if s == c else 0.0 for s in seeded]
+        assert not any(read.d is z for z in zeros)
 
 
 def test_gradient_view_shares_one_dual_per_second_derivative_pair():
@@ -531,8 +550,7 @@ def test_determinant_of_duals_matches_elimination_bit_for_bit():
     rng = random.Random(5)
     for n in range(1, 6):
         for _ in range(20):
-            a = [[Dual(rng.uniform(-2, 2),
-                       DerivVector([rng.uniform(-2, 2), 0.0]))
+            a = [[Jet1(rng.uniform(-2, 2), [rng.uniform(-2, 2), 0.0])
                   for _ in range(n)] for _ in range(n)]
             assert repr(determinant(a)) == repr(_reference_determinant(a))
     assert determinant([[1.0, 2.0], [2.0, 4.0]]) == 0.0
