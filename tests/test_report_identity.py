@@ -1,4 +1,4 @@
-"""Byte-identity guard: the deterministic part of twenty-one JSON reports,
+"""Byte-identity guard: the deterministic part of twenty-two JSON reports,
 pinned at full precision.
 
 Hot-path refactors must change no number in a report; this compares each
@@ -63,6 +63,9 @@ CALLS = (
      "--hat-variant", "printed"),
     ("verify", "--algebra", "AG2_I", "--n", "3", "--samples", "2",
      "--hat-variant", "uniform"),
+    # conj over explicit field slots only, on a complex binding
+    ("verify", "--algebra", "AG_II", "--n", "3", "--expr",
+     "u1_x1 * conj(u1_x1) + conj(S(2; 1)) * S(2; 1)", "--samples", "2"),
 )
 
 
