@@ -385,7 +385,7 @@ def derivs(x, k):
 
 def value_of(x):
     """Strip all dual and jet layers and return the underlying number."""
-    while isinstance(x, (Dual, Jet1)):
+    while isinstance(x, (Dual, Jet1, Jet2)):
         x = x.value
     return x
 
@@ -429,17 +429,6 @@ def is_finite(x) -> bool:
     if isinstance(v, complex):
         return math.isfinite(v.real) and math.isfinite(v.imag)
     return math.isfinite(v)
-
-
-def value_grad(fn, args):
-    """Value of ``fn(args)`` and its gradient with respect to each arg.
-
-    One :class:`Jet1` forward pass; exact derivatives.
-    """
-    n = len(args)
-    out = fn([Jet1(a, [1.0 if i == j else 0.0 for i in range(n)])
-              for j, a in enumerate(args)])
-    return value_of(out), list(derivs(out, n))
 
 
 @functools.cache

@@ -24,7 +24,7 @@ position and ``thvec<r>`` is du_r/u_r - du_1/u_1.  For example
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .dual import EvaluationError, dexp, dlog, value_of
 from .invcat import (
@@ -33,6 +33,7 @@ from .invcat import (
     _R,
     _S,
     _Sjk,
+    _View,
     _dep_coords,
     _gvec,
     _hessian,
@@ -77,19 +78,19 @@ class BindError(ValueError):
 @dataclass(frozen=True)
 class Num:
     value: float
-    span: SourceSpan = None
+    span: SourceSpan = dc_field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Sym:
     name: str
-    span: SourceSpan = None
+    span: SourceSpan = dc_field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: object
-    span: SourceSpan = None
+    span: SourceSpan = dc_field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class Bin:
     op: str
     left: object
     right: object
-    span: SourceSpan = None
+    span: SourceSpan = dc_field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -105,26 +106,7 @@ class Call:
     name: str
     args: tuple
     fields: tuple = ()
-    span: SourceSpan = None
-
-
-def _strip_spans(node):
-    if isinstance(node, Num):
-        return Num(node.value)
-    if isinstance(node, Sym):
-        return Sym(node.name)
-    if isinstance(node, Neg):
-        return Neg(_strip_spans(node.arg))
-    if isinstance(node, Bin):
-        return Bin(node.op, _strip_spans(node.left), _strip_spans(node.right))
-    if isinstance(node, Call):
-        return Call(node.name, tuple(_strip_spans(a) for a in node.args),
-                    tuple(_strip_spans(a) for a in node.fields))
-    raise TypeError(node)
-
-
-def same_ast(a, b) -> bool:
-    return _strip_spans(a) == _strip_spans(b)
+    span: SourceSpan = dc_field(default=None, compare=False)
 
 
 # tokenizer -------------------------------------------------------------------
@@ -332,51 +314,6 @@ def _int_arg(node, what):
     raise BindError(f"{what} must be an integer literal")
 
 
-def _conjugate_ast(node, field_kind, n_fields):
-    """Push conj through the tree: real atoms unchanged, field slots swap
-    to their conjugate partners (valid only for complex bindings)."""
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Neg):
-        return Neg(_conjugate_ast(node.arg, field_kind, n_fields))
-    if isinstance(node, Bin):
-        return Bin(node.op,
-                   _conjugate_ast(node.left, field_kind, n_fields),
-                   _conjugate_ast(node.right, field_kind, n_fields))
-    if isinstance(node, Sym):
-        name = node.name
-        if name.startswith("u") or name.startswith("du") \
-                or name.startswith("ddu"):
-            return Sym(_swap_field_name(name, field_kind, n_fields),
-                       node.span)
-        return node
-    if isinstance(node, Call):
-        if node.name == "conj":
-            return node.args[0]
-        args = tuple(_conjugate_ast(a, field_kind, n_fields)
-                     for a in node.args)
-        fields = tuple(
-            Num(field_kind.conjugate_index(_int_arg(f, "field index"),
-                                           n_fields))
-            for f in node.fields)
-        return Call(node.name, args, fields, node.span)
-    raise TypeError(node)
-
-
-def _swap_field_name(name, field_kind, n_fields):
-    for prefix in ("ddu", "du", "u"):
-        if name.startswith(prefix):
-            rest = name[len(prefix):]
-            digits = ""
-            while rest and rest[0].isdigit():
-                digits += rest[0]
-                rest = rest[1:]
-            r = int(digits) if digits else 1
-            r2 = field_kind.conjugate_index(r, n_fields)
-            return f"{prefix}{r2}{rest}"
-    return name
-
-
 def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
              field_kind: FieldKind = REAL, time_mode: bool = False,
              lam: float = 1.0, mu: float = 1.0):
@@ -384,7 +321,9 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     (evaluator on a jet view, set of the jet coordinates it reads).
 
     ``time_mode`` names base coordinate 0 ``t`` (Galilean setups);
-    a Minkowski metric names the coordinates ``x0..x{N-1}``.
+    a Minkowski metric names the coordinates ``x0..x{N-1}``.  Inside
+    ``conj(e)`` every field index resolves to its conjugate partner, so
+    ``e`` reads the conjugate slots; coordinates and constants are real.
     """
     metric = metric or euclidean(n_base)
     if metric.dim != n_base:
@@ -393,6 +332,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     idx = tuple(range(n_base))
     deps = set()
     tensors = {}
+    conjugated = False
 
     def resolve_base(token, span):
         if token == "t":
@@ -414,7 +354,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         r = 1 if fname == "" else int(fname)
         if not 1 <= r <= n_fields:
             raise BindError(f"field index out of range: u{fname}")
-        return r
+        return field_kind.conjugate_index(r, n_fields) if conjugated else r
 
     def compile_node(node):
         if isinstance(node, Num):
@@ -522,9 +462,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         """Field index of an integer selector, or of ``<prefix><r>``."""
         if isinstance(sel, Sym):
             return resolve_field(sel.name[len(prefix):])
-        r = _int_arg(sel, "field index")
-        resolve_field(str(r))
-        return r
+        return resolve_field(str(_int_arg(sel, "field index")))
 
     def matrix(sel):
         """Matrix source of a selector: ``r`` or ``ddu<r>`` the Hessian
@@ -558,11 +496,11 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             deps.update(_dep_coords(n_base, n_fields, ("base",)))
             return lambda view: [view.x(i) for i in idx]
         if isinstance(sel, Sym) and sel.name.rstrip("0123456789") == "thvec":
-            r = _field_sel(sel, "thvec")
+            r, r1 = _field_sel(sel, "thvec"), resolve_field("")
             deps.update(_dep_coords(n_base, n_fields, ("field", "d1"),
-                                    rs=(1, r)))
+                                    rs=(r1, r)))
             return lambda view: [view.du(r, i) / view.u(r)
-                                 - view.du(1, i) / view.u(1) for i in idx]
+                                 - view.du(r1, i) / view.u(r1) for i in idx]
         if isinstance(sel, Sym):
             raise BindError(f"unknown vector {sel.name!r}")
         r = _field_sel(sel, "")
@@ -575,6 +513,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         return k
 
     def compile_call(node):
+        nonlocal conjugated
         name = node.name
         if name in ("exp", "log"):
             if len(node.args) != 1 or node.fields:
@@ -587,8 +526,11 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 raise BindError("conj takes one argument")
             if field_kind is not COMPLEX:
                 raise BindError("conj requires a complex field binding")
-            return compile_node(
-                _conjugate_ast(node.args[0], field_kind, n_fields))
+            conjugated = not conjugated
+            try:
+                return compile_node(node.args[0])
+            finally:
+                conjugated = not conjugated
         if name == "S":
             if len(node.args) != 1:
                 raise BindError("S takes one argument S(k) or S(k; A)")
@@ -628,7 +570,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             for arg in node.args:
                 if not (isinstance(arg, Sym) and arg.name.startswith("du")):
                     raise BindError("contract expects gradient names like du1")
-                r = resolve_field(arg.name[2:] if arg.name[2:] else "")
+                r = resolve_field(arg.name[2:])
                 for c in _dep_coords(n_base, n_fields, ("d1",), rs=(r,)):
                     deps.add(c)
                 vecs.append(r)
@@ -670,50 +612,12 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
 
 
 def bind_scalar_function(text: str):
-    """Compile an expression in the single variable ``u`` to a callable
-    usable as an algebra coefficient function (dual-capable)."""
-    ast_root = parse(text)
+    """Compile an expression in the single variable ``u`` (or ``u1``) to a
+    callable usable as an algebra coefficient function (dual-capable).
 
-    def compile_node(node):
-        if isinstance(node, Num):
-            c = node.value
-            return lambda u: c
-        if isinstance(node, Neg):
-            inner = compile_node(node.arg)
-            return lambda u: -inner(u)
-        if isinstance(node, Sym):
-            if node.name != "u":
-                raise BindError(
-                    f"coefficient functions may only use 'u', got "
-                    f"{node.name!r}")
-            return lambda u: u
-        if isinstance(node, Call):
-            if node.name not in ("exp", "log") or len(node.args) != 1 \
-                    or node.fields:
-                raise BindError(
-                    "coefficient functions support exp/log calls only")
-            inner = compile_node(node.args[0])
-            fun = dexp if node.name == "exp" else dlog
-            return lambda u: fun(inner(u))
-        if isinstance(node, Bin):
-            lf = compile_node(node.left)
-            rf = compile_node(node.right)
-            op = node.op
-            if op == "+":
-                return lambda u: lf(u) + rf(u)
-            if op == "-":
-                return lambda u: lf(u) - rf(u)
-            if op == "*":
-                return lambda u: lf(u) * rf(u)
-            if op == "/":
-                return lambda u: lf(u) / rf(u)
-            if isinstance(node.right, Num) \
-                    and float(node.right.value).is_integer():
-                e = int(node.right.value)
-                return lambda u: _power(lf(u), e)
-            return lambda u: dexp(rf(u) * dlog(lf(u)))
-        raise TypeError(node)
-
-    fn = compile_node(ast_root)
-    fn.source = text
-    return fn
+    The text is bound as :func:`bind` binds it, over one field, and may
+    read nothing but the field value."""
+    fn, deps = compiler(1)(parse(text))
+    if not deps <= {field_coord(1)}:
+        raise BindError(f"coefficient functions may only use 'u': {text!r}")
+    return lambda u: fn(_View((), (u,), (), ()))

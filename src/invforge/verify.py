@@ -175,6 +175,37 @@ def _draw(sampler, members, idx, retries=25):
     raise EvaluationError("could not sample an admissible generic point")
 
 
+def _score_point(ops, members, values, point, coords, worst, scales):
+    """Fold the residuals X(F) = sum_c X_c dF/dc of every operator on every
+    member at one point into the running maxima ``worst`` and ``scales``,
+    keyed (operator, member); ``values`` are the members' values there."""
+    jac = family_jacobian(members, point, coords)
+    fmags = [abs(val) for val in values]
+    for op in ops:
+        flow = op.flow_table(point)
+        coeffs = [flow.get(c, 0.0) for c in coords]
+        cnorm = sum(abs(c) ** 2 for c in coeffs) ** 0.5
+        for mi, mem in enumerate(members):
+            resid = 0.0
+            for ci in range(len(coords)):
+                resid = resid + coeffs[ci] * jac[mi][ci]
+            if not is_finite(resid):
+                raise EvaluationError(
+                    f"non-finite residual for {mem.label} under {op.label}")
+            key = (op.label, mem.label)
+            worst[key] = max(worst.get(key, 0.0), abs(resid))
+            scales[key] = max(scales.get(key, 0.0), fmags[mi] * cnorm)
+
+
+def _records(worst, scales, tol):
+    records = []
+    for key, resid in sorted(worst.items()):
+        scale = scales[key]
+        verdict = "PASS" if resid <= tol * (1.0 + scale) else "FAIL"
+        records.append(InvarianceRecord(*key, resid, scale, verdict))
+    return tuple(records)
+
+
 def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
                    tol: float = DEFAULT_TOL, seed: int = 0,
                    sampler=None) -> InvarianceReport:
@@ -190,30 +221,10 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
     scales = {}
     for s in range(n_samples):
         point, values = _draw(sampler, members, s)
-        jac = family_jacobian(members, point, coords)
-        fmags = [abs(val) for val in values]
-        for op in ops:
-            flow = op.flow_table(point)
-            coeffs = [flow.get(c, 0.0) for c in coords]
-            cnorm = sum(abs(c) ** 2 for c in coeffs) ** 0.5
-            for mi, mem in enumerate(members):
-                resid = 0.0
-                for ci in range(len(coords)):
-                    resid = resid + coeffs[ci] * jac[mi][ci]
-                if not is_finite(resid):
-                    raise EvaluationError(
-                        f"non-finite residual for {mem.label} under {op.label}")
-                key = (op.label, mem.label)
-                worst[key] = max(worst.get(key, 0.0), abs(resid))
-                scales[key] = max(scales.get(key, 0.0), fmags[mi] * cnorm)
-    records = []
-    for (op_label, mem_label), resid in sorted(worst.items()):
-        scale = scales[(op_label, mem_label)]
-        verdict = "PASS" if resid <= tol * (1.0 + scale) else "FAIL"
-        records.append(InvarianceRecord(op_label, mem_label, resid, scale,
-                                        verdict))
+        _score_point(ops, members, values, point, coords, worst, scales)
     label = family.label if isinstance(family, BasisFamily) else "ad-hoc"
-    return InvarianceReport(label, tuple(records), n_samples, seed, tol)
+    return InvarianceReport(label, _records(worst, scales, tol), n_samples,
+                            seed, tol)
 
 
 def newton_project(residual: ScalarJetFunction, point: JetPoint,
@@ -264,26 +275,10 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
         except EvaluationError:
             continue
         collected += 1
-        grad = residual.grad(point, residual.deps)
-        fmag = abs(residual.eval(point))
-        for op in ops:
-            flow = op.flow_table(point)
-            coeffs = [flow.get(c, 0.0) for c in residual.deps]
-            cnorm = sum(abs(c) ** 2 for c in coeffs) ** 0.5
-            resid = 0.0
-            for ci in range(len(residual.deps)):
-                resid = resid + coeffs[ci] * grad[ci]
-            key = (op.label, residual.label)
-            worst[key] = max(worst.get(key, 0.0), abs(resid))
-            scales[key] = max(scales.get(key, 0.0), fmag * cnorm)
-    records = []
-    for (op_label, res_label), resid in sorted(worst.items()):
-        scale = scales[(op_label, res_label)]
-        verdict = "PASS" if resid <= tol * (1.0 + scale) else "FAIL"
-        records.append(InvarianceRecord(op_label, res_label, resid, scale,
-                                        verdict))
-    return InvarianceReport(residual.label, tuple(records), n_samples, seed,
-                            tol)
+        _score_point(ops, [residual], [residual.eval(point)], point,
+                     residual.deps, worst, scales)
+    return InvarianceReport(residual.label, _records(worst, scales, tol),
+                            n_samples, seed, tol)
 
 
 def independence_rank(family, n_samples: int = 5, seed: int = 0,
@@ -458,6 +453,10 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
                         rows.append(row)
                         rhs.append(xt[(a, b)])
             fit, resid = _lstsq(rows, rhs)
+            if not is_finite(resid):
+                raise EvaluationError(
+                    f"non-finite fit residual for {tensor.label} under "
+                    f"{op.label}")
             mag = max(abs(v) for v in rhs) if rhs else 0.0
             worst[op.label] = max(worst[op.label], resid)
             scales[op.label] = max(scales[op.label], mag)

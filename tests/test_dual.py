@@ -9,7 +9,6 @@ from invforge.dual import (
     derivs,
     dexp,
     dlog,
-    value_grad,
     value_grad_hess,
     value_of,
 )
@@ -77,15 +76,6 @@ def test_nested_duals_give_second_derivative():
     x = Dual(Dual(2.0, 1.0), Dual(1.0, 0.0))
     out = x * x * x
     assert abs(out.deriv.deriv - 12.0) < 1e-12
-
-
-def test_value_grad():
-    def f(args):
-        return args[0] * args[0] + 3.0 * args[1]
-
-    val, grad = value_grad(f, [2.0, 5.0])
-    assert val == 19.0
-    assert grad == [4.0, 3.0]
 
 
 def test_value_grad_hess():
@@ -545,16 +535,3 @@ def test_jet1_pass_matches_the_reference_pass_at_special_values(special):
             args, unseeded = vals[:width], vals[width:width + 2]
             assert _outcome(_vector_pass, fn, args, unseeded) == \
                 _outcome(_reference_pass, fn, args, unseeded)
-
-
-def test_value_grad_runs_on_jets():
-    seen = []
-
-    def f(args):
-        seen.extend(type(a) for a in args)
-        return args[0] * args[1] - 2.0 / args[2]
-
-    val, grad = value_grad(f, [0.5, -1.5, 2.0])
-    assert seen == [Jet1] * 3
-    assert repr((val, grad)) == \
-        repr(_reference_pass(f, [0.5, -1.5, 2.0], []))

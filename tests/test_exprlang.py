@@ -1,6 +1,6 @@
 import pytest
 
-from invforge.dual import EvaluationError
+from invforge.dual import EvaluationError, value_grad_hess
 from invforge.exprlang import (
     Bin,
     BindError,
@@ -9,7 +9,6 @@ from invforge.exprlang import (
     ParseError,
     bind,
     parse,
-    same_ast,
     to_text,
 )
 from invforge.invcat import equation_function, power_form, power_trace
@@ -66,7 +65,7 @@ def test_unary_minus_binds_below_power():
 @pytest.mark.parametrize("text", CORPUS)
 def test_round_trip(text):
     ast = parse(text)
-    assert same_ast(ast, parse(to_text(ast)))
+    assert ast == parse(to_text(ast))
 
 
 def test_parse_error_span_inside_input():
@@ -159,6 +158,31 @@ def test_conj_swaps_slots():
     assert fn2.eval(point) == want
 
 
+@pytest.mark.parametrize("text", [
+    "S(2)", "S(2; 1)", "R(2)", "R(2; 1, 1)", "Sjk(1, 2)", "Sjk(1, 2; 1, 2)",
+    "Sjk(1, 3)", "tr(ddu1)", "det(ddu2)", "contract(du1, du2)",
+    "contract(du1, du1)", "u1_x1x2", "exp(u1)", "S(2; theta1)",
+    "R(2; thvec2, 2)", "conj(S(2)) * R(2; 2, 2)",
+])
+def test_conj_is_the_conjugate_at_complex_points(text):
+    fn = bind(text, 3, n_fields=2, field_kind=COMPLEX)
+    conj = bind(f"conj({text})", 3, n_fields=2, field_kind=COMPLEX)
+    for seed in range(3):
+        point = sample_generic(3, 2, COMPLEX, seed=seed)
+        want = fn.eval(point).conjugate()
+        assert abs(conj.eval(point) - want) <= 1e-12 * abs(want)
+
+
+def test_nested_conj_cancels():
+    for text in ("S(2)", "R(2; thvec2, 1)"):
+        fn = bind(text, 3, n_fields=2, field_kind=COMPLEX)
+        twice = bind(f"conj(conj({text}))", 3, n_fields=2,
+                     field_kind=COMPLEX)
+        point = sample_generic(3, 2, COMPLEX, seed=4)
+        assert twice.eval(point) == fn.eval(point)
+        assert twice.deps == fn.deps
+
+
 def test_fractional_power_needs_positive_base():
     fn = bind("u ^ 0.5", 3)
     point = sample_generic(3, 1, seed=1).replace(
@@ -222,6 +246,23 @@ def test_scalar_function_binding():
         bind_scalar_function("x1 + u")
     with pytest.raises(BindError):
         bind_scalar_function("S(2)")
+
+
+def test_scalar_function_follows_the_expression_rules():
+    from invforge.exprlang import bind_scalar_function
+
+    assert bind_scalar_function("u1 ^ 2 + exp(u1)")(1.5) == \
+        bind_scalar_function("u ^ 2 + exp(u)")(1.5)
+    with pytest.raises(EvaluationError):
+        bind_scalar_function("u ^ 0.5")(-2.0)
+    # the positive-base check reads through second-order jets
+    root = bind_scalar_function("u ^ 0.5")
+    val, grad, hess = value_grad_hess(lambda a: root(a[0]), [4.0])
+    assert (val, grad, hess) == (2.0, [0.25], [[-1.0 / 32.0]])
+    # an exponent that evaluates to an integer takes the integer power
+    assert bind_scalar_function("u ^ -2")(-2.0) == 0.25
+    with pytest.raises(BindError):
+        bind_scalar_function("u2")
 
 
 @pytest.mark.parametrize("name,kw,label,text", [

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from invforge.dual import Dual, EvaluationError
@@ -12,7 +14,7 @@ from invforge.invcat import (
     two_matrix_trace_family,
 )
 from invforge.jetspace import d1_coord, d2_coord, field_coord, sample_generic
-from invforge.liealg import catalog, make_spec, prolong2
+from invforge.liealg import VectorField, catalog, make_spec, prolong2
 from invforge.verify import (
     check_absolute,
     check_covariance,
@@ -182,6 +184,27 @@ def test_on_manifold_quasilinear_eikonal():
     ops = _ops("AP_inf", 3, seed=11, instances=3, extended=True)
     report = check_on_manifold(ops, E, n_samples=6, seed=4)
     assert report.verdict == "PASS"
+
+
+def _nan_translation(n_base):
+    """x0 * nan along x0: every prolonged coefficient it has is NaN."""
+    zero = lambda xs, us: 0.0
+    return prolong2(VectorField(
+        n_base, 1, [lambda xs, us: xs[0] * math.nan] + [zero] * (n_base - 1),
+        [zero], "nan"))
+
+
+def test_on_manifold_rejects_a_non_finite_residual():
+    E = equation_function("heat", 3, mu=1.0)
+    with pytest.raises(EvaluationError, match="non-finite residual"):
+        check_on_manifold([_nan_translation(E.space.n_base)], E,
+                          solve_for=d1_coord(1, 0), n_samples=2, seed=2)
+
+
+def test_covariance_rejects_a_non_finite_residual():
+    with pytest.raises(EvaluationError, match="non-finite fit residual"):
+        check_covariance(covariant_tensor("hessian", 3), [_nan_translation(3)],
+                         n_samples=2, seed=1)
 
 
 def test_newton_projection_converges():
