@@ -17,10 +17,11 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .exprlang import BindError, ParseError, bind, bind_scalar_function
+from .exprlang import BindError, ParseError, bind, bind_scalar_function, \
+    needs_positive_u
 from .invcat import EQUATIONS, POSITIVE_FIELD_ALGEBRAS, TENSORS, basis
 from .jetspace import COMPLEX, REAL, minkowski, to_log_jets
-from .liealg import catalog, generic_rank, make_spec, prolong2
+from .liealg import catalog, generic_rank, make_sampler, make_spec, prolong2
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
@@ -199,6 +200,12 @@ def _bind_functions(entries):
     return tuple(pairs)
 
 
+def _positive_u(cfg):
+    """Whether a ``--function`` text is real only at positive u."""
+    return any(needs_positive_u(entry.partition("=")[2])
+               for entry in cfg.get("functions", ()))
+
+
 def _spec_from_config(cfg, rep=None):
     name = cfg.get("algebra")
     if not name:
@@ -312,12 +319,15 @@ def _verify_equation(cfg):
     residual = info.build(n, **params)
     if cfg.get("functions"):
         params["functions"] = _bind_functions(cfg["functions"])
+    space = dataclasses.replace(residual.space, positive_fields=True) \
+        if _positive_u(cfg) else residual.space
     spec = info.default_algebra(n, params)
     ops = [prolong2(f) for f in catalog(spec)]
     solve_for = info.solve_hint(n) if info.solve_hint else None
     report = check_on_manifold(ops, residual, solve_for=solve_for,
                                n_samples=min(cfg["samples"], 20),
-                               tol=cfg["tol"], seed=cfg["seed"])
+                               tol=cfg["tol"], seed=cfg["seed"],
+                               sampler=space.sampler(cfg["seed"]))
     checks = []
     for rec in report.records:
         checks.append({
@@ -386,16 +396,13 @@ def _cmd_verify(cfg):
 def _cmd_rank(cfg):
     spec = _spec_from_config(cfg)
     ops = [prolong2(f) for f in catalog(spec)]
-    fam = None
     try:
-        fam = basis(spec)
+        sampler = basis(spec).space.sampler(cfg["seed"])
     except ValueError:
-        pass
-    sampler = fam.space.sampler(cfg["seed"]) if fam is not None else None
-    if sampler is None:
-        from .liealg import make_sampler
         sampler = make_sampler(spec.n_base, spec.n_fields, spec.field_kind,
-                               seed=cfg["seed"])
+                               seed=cfg["seed"],
+                               positive_fields=bool(spec.functions)
+                               and _positive_u(cfg))
     rank = generic_rank(ops, sampler, trials=max(3, cfg["samples"] // 10))
     checks = [{
         "name": f"rank:{spec.name}",

@@ -305,13 +305,15 @@ def to_text(node) -> str:
 # binding ---------------------------------------------------------------------
 
 
+def _is_int_literal(node):
+    inner = node.arg if isinstance(node, Neg) else node
+    return isinstance(inner, Num) and float(inner.value).is_integer()
+
+
 def _int_arg(node, what):
-    if isinstance(node, Num) and float(node.value).is_integer():
-        return int(node.value)
-    if isinstance(node, Neg) and isinstance(node.arg, Num) \
-            and float(node.arg.value).is_integer():
-        return -int(node.arg.value)
-    raise BindError(f"{what} must be an integer literal")
+    if not _is_int_literal(node):
+        raise BindError(f"{what} must be an integer literal")
+    return -int(node.arg.value) if isinstance(node, Neg) else int(node.value)
 
 
 def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
@@ -621,3 +623,20 @@ def bind_scalar_function(text: str):
     if not deps <= {field_coord(1)}:
         raise BindError(f"coefficient functions may only use 'u': {text!r}")
     return lambda u: fn(_View((), (u,), (), ()))
+
+
+def needs_positive_u(text: str) -> bool:
+    """Whether a coefficient text takes a log, or a power other than an
+    integer literal, of a part that reads ``u``: it is real only at
+    positive u."""
+    def walk(node):
+        parts = ((node.arg,) if isinstance(node, Neg) else
+                 (node.left, node.right) if isinstance(node, Bin) else
+                 getattr(node, "args", ()))
+        root = isinstance(node, Call) and node.name == "log" or isinstance(
+            node, Bin) and node.op == "^" and not _is_int_literal(node.right)
+        # a part reads u when the compiler finds a coordinate in it
+        return root and any(compiler(1)(p)[1] for p in parts[:1]) \
+            or any(map(walk, parts))
+
+    return walk(parse(text))

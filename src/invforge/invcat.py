@@ -411,18 +411,21 @@ def _tensor_power(view, key, build, signs, k):
 
 
 def _S(view, mat, signs, k):
-    """Power trace S_k of the matrix source ``mat``."""
-    return mat_trace(_tensor_power(view, *mat, signs, k))
+    """Power trace S_k of the matrix source ``mat``, cached per view."""
+    return _tensor_cached(view, ("S", mat[0], k), lambda v: mat_trace(
+        _tensor_power(v, *mat, signs, k)))
 
 
 def _Sjk(view, first, second, signs, j, k):
-    """Mixed trace tr((G A)^j (G B)^(k-j)) of two matrix sources."""
+    """Mixed trace tr((G A)^j (G B)^(k-j)) of two sources, cached per view."""
     if j == 0:
         return _S(view, second, signs, k)
     if j == k:
         return _S(view, first, signs, k)
-    return trace_prod(_tensor_power(view, *first, signs, j),
-                      _tensor_power(view, *second, signs, k - j))
+    return _tensor_cached(view, ("Sjk", first[0], second[0], j, k),
+                          lambda v: trace_prod(
+                              _tensor_power(v, *first, signs, j),
+                              _tensor_power(v, *second, signs, k - j)))
 
 
 def _R(view, vec, mat, signs, k):

@@ -11,6 +11,7 @@ off-diagonal pair coefficients by 1/2 against stored-slot gradients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -26,7 +27,6 @@ from .jetspace import (
     base_coord,
     d1_coord,
     d2_coord,
-    enumerate_coords,
     field_coord,
     sample_generic,
 )
@@ -106,12 +106,14 @@ def _zero_total(du, ddu):
 class ProlongedOperator:
     """Second prolongation of a vector field, evaluable at any jet point.
 
-    One table is built per point: the flow table, the actual derivative of
+    One row is built per point: the flow table, the actual derivative of
     each stored coordinate along the prolonged flow (eta_ij for an
-    off-diagonal pair, half the published sum).  The published
+    off-diagonal pair, half the published sum), in the order x_i; per field
+    u_r and its d1 row; per field the d2 upper triangle.  The published
     :meth:`coefficient_table` follows the unordered-pair convention, eta_ij
     + eta_ji for d2(r, i, j) with i != j, and is the flow table with those
-    entries doubled, which is exact.
+    entries doubled, which is exact.  Either table is a dict in row order,
+    or with ``at`` (:func:`flow_positions`) the list of those entries.
     """
 
     __slots__ = ("source", "label")
@@ -123,8 +125,8 @@ class ProlongedOperator:
     def __repr__(self):
         return f"ProlongedOperator({self.label})"
 
-    def _flow(self, point: JetPoint) -> dict:
-        """Flow table at a point."""
+    def _flow(self, point: JetPoint) -> list:
+        """Flow row at a point."""
         src = self.source
         n, m = src.n_base, src.n_fields
         if point.n_base != n or point.n_fields != m:
@@ -172,16 +174,14 @@ class ProlongedOperator:
                 dd.append([[total_dd(grad, hess, i, j) for j in range(n)]
                            for i in range(n)])
         d_xi, d_eta, dd_xi, dd_eta = d[:n], d[n:], dd[:n], dd[n:]
-        flow = {}
-        for i in range(n):
-            flow[base_coord(i)] = coeffs[i][0]
+        row = [c[0] for c in coeffs[:n]]
         for r in range(m):
-            flow[field_coord(r + 1)] = coeffs[n + r][0]
+            row.append(coeffs[n + r][0])
             for i in range(n):
                 val = d_eta[r][i]
                 for k in range(n):
                     val = val - du[r][k] * d_xi[k][i]
-                flow[d1_coord(r + 1, i)] = val
+                row.append(val)
 
         def eta2(r, i, j):
             # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k
@@ -193,20 +193,39 @@ class ProlongedOperator:
                 val = val - ddu[r][i][k] * d_xi[k][j]
             return val
 
-        for r in range(m):
-            for i in range(n):
-                flow[d2_coord(r + 1, i, i)] = eta2(r, i, i)
-                for j in range(i + 1, n):
-                    flow[d2_coord(r + 1, i, j)] = \
-                        (eta2(r, i, j) + eta2(r, j, i)) / 2.0
-        return flow
+        row += [eta2(r, i, i) if i == j
+                else (eta2(r, i, j) + eta2(r, j, i)) / 2.0
+                for r in range(m) for i in range(n) for j in range(i, n)]
+        return row
 
-    def coefficient_table(self, point: JetPoint) -> dict:
-        return {cid: 2.0 * c if cid.kind == "d2" and cid.i != cid.j else c
-                for cid, c in self._flow(point).items()}
+    def coefficient_table(self, point: JetPoint, at=None):
+        coords, off = _row_layout(self.source.n_base, self.source.n_fields)
+        row = [2.0 * c if o else c for o, c in zip(off, self._flow(point))]
+        return dict(zip(coords, row)) if at is None else [row[p] for p in at]
 
-    def flow_table(self, point: JetPoint) -> dict:
-        return self._flow(point)
+    def flow_table(self, point: JetPoint, at=None):
+        coords, _ = _row_layout(self.source.n_base, self.source.n_fields)
+        row = self._flow(point)
+        return dict(zip(coords, row)) if at is None else [row[p] for p in at]
+
+
+@functools.cache
+def _row_layout(n, m):
+    """A flow row's coordinates in order, and which are off-diagonal."""
+    coords = [base_coord(i) for i in range(n)]
+    for r in range(1, m + 1):
+        coords += [field_coord(r)] + [d1_coord(r, i) for i in range(n)]
+    coords += [d2_coord(r, i, j) for r in range(1, m + 1)
+               for i in range(n) for j in range(i, n)]
+    return tuple(coords), tuple(c.kind == "d2" and c.i != c.j for c in coords)
+
+
+def flow_positions(n_base: int, n_fields: int, coords) -> list:
+    """Positions of ``coords`` in a flow row on (n_base, n_fields)."""
+    index = {c: p for p, c in enumerate(_row_layout(n_base, n_fields)[0])}
+    if not index.keys() >= set(coords):
+        raise ValueError("coordinates outside the operator's jet space")
+    return [index[c] for c in coords]
 
 
 def prolong2(v: VectorField, n_fields: int | None = None) -> ProlongedOperator:
@@ -223,13 +242,12 @@ def apply_operator(op: ProlongedOperator, fn, point: JetPoint):
     stored-slot gradients of off-diagonal second derivatives pair with half
     the published coefficient.
     """
-    flow = op.flow_table(point)
-    coords = getattr(fn, "deps", None) or enumerate_coords(point.n_base,
-                                                           point.n_fields)
+    coords = getattr(fn, "deps", None) or point.coords()
+    flow = op.flow_table(point, flow_positions(point.n_base, point.n_fields,
+                                               coords))
     grad = fn.grad(point, coords)
     total = 0.0
-    for cid, g in zip(coords, grad):
-        c = flow.get(cid, 0.0)
+    for cid, c, g in zip(coords, flow, grad):
         term = c * g
         if not is_finite(term):
             raise EvaluationError(f"non-finite contribution at coordinate {cid}")
@@ -299,13 +317,10 @@ def generic_rank(ops, sampler, trials: int = 5, coords=None) -> int:
     best = 0
     for t in range(trials):
         point = sampler(t)
-        cols = coords if coords is not None else enumerate_coords(
-            point.n_base, point.n_fields)
-        rows = []
-        for op in ops:
-            table = op.coefficient_table(point)
-            rows.append([table.get(c, 0.0) for c in cols])
-        rank, _ = matrix_rank(rows)
+        if t == 0:
+            at = flow_positions(point.n_base, point.n_fields,
+                                point.coords() if coords is None else coords)
+        rank, _ = matrix_rank([op.coefficient_table(point, at) for op in ops])
         best = max(best, rank)
     return best
 

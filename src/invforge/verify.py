@@ -22,7 +22,7 @@ from .invcat import (
     seeded_view,
 )
 from .jetspace import JetPoint
-from .liealg import matrix_rank
+from .liealg import flow_positions, matrix_rank
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 50
@@ -35,15 +35,6 @@ class InvarianceRecord:
     max_residual: float
     scale: float
     verdict: str
-
-    def as_dict(self):
-        return {
-            "operator": self.operator,
-            "invariant": self.invariant,
-            "residual_max": self.max_residual,
-            "scale": self.scale,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
@@ -175,20 +166,20 @@ def _draw(sampler, members, idx, retries=25):
     raise EvaluationError("could not sample an admissible generic point")
 
 
-def _score_point(ops, members, values, point, coords, worst, scales):
+def _score_point(ops, members, values, point, coords, at, worst, scales):
     """Fold the residuals X(F) = sum_c X_c dF/dc of every operator on every
     member at one point into the running maxima ``worst`` and ``scales``,
-    keyed (operator, member); ``values`` are the members' values there."""
+    keyed (operator, member); ``values`` are the members' values there and
+    ``at`` the positions of ``coords`` in the flow rows."""
     jac = family_jacobian(members, point, coords)
     fmags = [abs(val) for val in values]
     for op in ops:
-        flow = op.flow_table(point)
-        coeffs = [flow.get(c, 0.0) for c in coords]
-        cnorm = sum(abs(c) ** 2 for c in coeffs) ** 0.5
+        row = op.flow_table(point, at)
+        cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
         for mi, mem in enumerate(members):
             resid = 0.0
-            for ci in range(len(coords)):
-                resid = resid + coeffs[ci] * jac[mi][ci]
+            for c, g in zip(row, jac[mi]):
+                resid = resid + c * g
             if not is_finite(resid):
                 raise EvaluationError(
                     f"non-finite residual for {mem.label} under {op.label}")
@@ -219,9 +210,11 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
         else _dep_union(members)
     worst = {}
     scales = {}
+    at = None
     for s in range(n_samples):
         point, values = _draw(sampler, members, s)
-        _score_point(ops, members, values, point, coords, worst, scales)
+        at = at or flow_positions(point.n_base, point.n_fields, coords)
+        _score_point(ops, members, values, point, coords, at, worst, scales)
     label = family.label if isinstance(family, BasisFamily) else "ad-hoc"
     return InvarianceReport(label, _records(worst, scales, tol), n_samples,
                             seed, tol)
@@ -265,6 +258,7 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
     scales = {}
     collected = 0
     attempt = 0
+    at = None
     while collected < n_samples:
         if attempt > 20 * n_samples + 100:
             raise EvaluationError("persistent Newton projection failure")
@@ -275,8 +269,9 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
         except EvaluationError:
             continue
         collected += 1
+        at = at or flow_positions(point.n_base, point.n_fields, residual.deps)
         _score_point(ops, [residual], [residual.eval(point)], point,
-                     residual.deps, worst, scales)
+                     residual.deps, at, worst, scales)
     return InvarianceReport(residual.label, _records(worst, scales, tol),
                             n_samples, seed, tol)
 
@@ -397,18 +392,19 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     worst = {op.label: 0.0 for op in ops}
     scales = {op.label: 0.0 for op in ops}
     fits = {op.label: () for op in ops}
+    at = None
     for s in range(n_samples):
         point, _ = _draw(sampler, comps, s)
+        at = at or flow_positions(point.n_base, point.n_fields, coords)
         t_val = tensor.build(point)
         jac = family_jacobian(comps, point, coords)
         for op in ops:
-            flow = op.flow_table(point)
-            coeffs = [flow.get(c, 0.0) for c in coords]
+            coeffs = op.flow_table(point, at)
 
             def action(ci):
                 acc = 0.0
-                for k in range(len(coords)):
-                    acc = acc + coeffs[k] * jac[ci][k]
+                for c, g in zip(coeffs, jac[ci]):
+                    acc = acc + c * g
                 return acc
 
             rows = []

@@ -337,3 +337,17 @@ def test_equation_rejects_flags_it_would_ignore(extra, capsys):
                      *extra], stream=io.StringIO())
     assert code == 2
     assert "--equation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fractional_power_coefficient_draws_positive_u(seed):
+    """``u^0.5`` is real only at u > 0, so the eikonal check and the rank
+    of the eikonal algebra draw positive u and run to a verdict instead of
+    failing on a negative draw."""
+    from invforge import cli
+
+    for argv in (["verify", "--equation", "eikonal"],
+                 ["rank", "--algebra", "AP_inf"]):
+        code = cli.main(argv + ["--n", "3", "--function", "eta=u^0.5",
+                                "--seed", str(seed)], stream=io.StringIO())
+        assert code in (0, 1), argv

@@ -8,6 +8,7 @@ from invforge.exprlang import (
     Num,
     ParseError,
     bind,
+    needs_positive_u,
     parse,
     to_text,
 )
@@ -338,3 +339,16 @@ def test_minkowski_contract_weighs_by_the_signs():
     d1, d2 = point.du
     want = d1[0] * d2[0] - d1[1] * d2[1] - d1[2] * d2[2] - d1[3] * d2[3]
     assert abs(fn.eval(point) - want) < 1e-12
+
+
+@pytest.mark.parametrize("text,positive", [
+    ("u^2", False), ("u ^ -2", False), ("-u^2 + 3/u", False),
+    ("exp(u)/(2+u)", False), ("2^0.5 * u", False), ("2^u", False),
+    ("log(2) + u", False),
+    ("u^0.5", True), ("u ^ -0.5", True), ("u^u", True), ("(1+u)^(1/2)", True),
+    ("log(u)", True), ("1 + exp(log(1 + u^2))", True), ("u^0.5 - 3/u", True),
+])
+def test_needs_positive_u_reads_the_parsed_text(text, positive):
+    """Positive u is needed where a log, or a power other than an integer
+    literal, is taken of a part that reads u."""
+    assert needs_positive_u(text) is positive

@@ -555,3 +555,30 @@ def test_determinant_of_duals_matches_elimination_bit_for_bit():
             assert repr(determinant(a)) == repr(_reference_determinant(a))
     assert determinant([[1.0, 2.0], [2.0, 4.0]]) == 0.0
     assert determinant([[0.0, 1.0], [1.0, 0.0]]) == -1.0
+
+
+def test_mixed_traces_are_computed_once_per_gradient_view(monkeypatch):
+    """The AG2_II hatted sums ask for the same S_{j,k} many times on one
+    view; each mixed one (0 < j < k) costs one ``trace_prod``."""
+    from invforge import invcat
+
+    fam = basis(make_spec("AG2_II", 3, rep="log"))
+    calls, keys = [], set()
+    sjk, tprod = invcat._Sjk, invcat.trace_prod
+
+    def counted_sjk(view, first, second, signs, j, k):
+        keys.add((first[0], second[0], j, k))
+        return sjk(view, first, second, signs, j, k)
+
+    def counted_trace_prod(a, b):
+        calls.append(1)
+        return tprod(a, b)
+
+    monkeypatch.setattr(invcat, "_Sjk", counted_sjk)
+    monkeypatch.setattr(invcat, "trace_prod", counted_trace_prod)
+    view = gradient_view(fam.space.sampler(0)(0), fam.deps)
+    for member in fam.members:
+        member.fn(view)
+    mixed = {key for key in keys if 0 < key[2] < key[3]}
+    assert len(mixed) == 3
+    assert len(calls) == len(mixed)

@@ -16,6 +16,7 @@ from invforge.liealg import (
     AlgebraSpec,
     apply_operator,
     catalog,
+    flow_positions,
     generic_rank,
     make_sampler,
     make_spec,
@@ -393,3 +394,54 @@ def test_flow_table_matches_characteristic_form(name, rep):
             for cid, c in want.items():
                 assert abs(flow[cid] - c) <= 1e-12 * scale, (field.label,
                                                              cid)
+
+
+POSITION_CASES = [(name, rep, 1) for name, rep in ORACLE_CASES] \
+    + [("AE", "u", 2)]
+
+
+def _row_order(n, m):
+    """The flow row's order, written out: x_i; per field u_r and its d1
+    row; per field the d2 upper triangle."""
+    order = [base_coord(i) for i in range(n)]
+    for r in range(1, m + 1):
+        order.append(field_coord(r))
+        order += [d1_coord(r, i) for i in range(n)]
+    for r in range(1, m + 1):
+        order += [d2_coord(r, i, j) for i in range(n) for j in range(i, n)]
+    return order
+
+
+@pytest.mark.parametrize("name,rep,m", POSITION_CASES,
+                         ids=[f"{n}-{r}-m{m}" for n, r, m in POSITION_CASES])
+def test_tables_read_by_position_match_the_keyed_tables(name, rep, m):
+    spec = make_spec(name, 3, rep=rep, **({"m": m} if m != 1 else {}))
+    nb, nf = spec.n_base, spec.n_fields
+    orders = [enumerate_coords(nb, nf)]
+    try:
+        orders.append(tuple(reversed(basis(spec).deps)))
+    except ValueError:
+        pass  # no basis for this algebra and representation
+    sampler = make_sampler(nb, nf, spec.field_kind, seed=7)
+    for idx in range(3):
+        point = sampler(idx)
+        for field in catalog(spec):
+            op = prolong2(field)
+            flow = op.flow_table(point)
+            table = op.coefficient_table(point)
+            assert list(flow) == list(table) == _row_order(nb, nf)
+            for coords in orders:
+                at = flow_positions(nb, nf, coords)
+                assert repr(op.flow_table(point, at)) == \
+                    repr([flow[c] for c in coords])
+                assert repr(op.coefficient_table(point, at)) == \
+                    repr([table[c] for c in coords])
+
+
+@pytest.mark.parametrize("outside", [d1_coord(1, 3), field_coord(2),
+                                     d2_coord(1, 0, 3), base_coord(3)])
+def test_flow_positions_reject_a_coordinate_of_another_space(outside):
+    inside = enumerate_coords(3, 1)
+    assert flow_positions(3, 1, inside) == list(range(len(inside)))
+    with pytest.raises(ValueError):
+        flow_positions(3, 1, inside[:2] + [outside])

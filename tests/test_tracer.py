@@ -6,6 +6,7 @@ the tracer's own install and uninstall, so such a change fails here too.
 """
 
 import importlib.util
+import io
 import os
 
 import invforge
@@ -55,3 +56,21 @@ def test_tracer_installs_and_uninstall_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_counts_see_every_prolongation_table():
+    """Each check reads its tables through the two traced methods: AE at
+    n = 3 has 6 operators, so verify with 2 samples builds 12 flow tables
+    and rank with 3 trials 18 coefficient tables."""
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for argv in (["verify", "--algebra", "AE", "--n", "3", "--samples",
+                      "2", "--seed", "0"],
+                     ["rank", "--algebra", "AE", "--n", "3", "--samples",
+                      "30", "--seed", "0"]):
+            assert cli.main(argv, stream=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts[("liealg.flow_table", "calls")] == 12
+    assert tracer.counts[("liealg.coeff_table", "calls")] == 18
