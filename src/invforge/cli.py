@@ -210,20 +210,12 @@ def _spec_from_config(cfg, rep=None):
     name = cfg.get("algebra")
     if not name:
         raise ValueError("an --algebra name is required")
-    kw = {}
-    if "m" in cfg:
-        kw["m"] = cfg["m"]
-    if "lam" in cfg:
-        kw["lam"] = cfg["lam"]
-    if "mu" in cfg:
-        kw["mu"] = cfg["mu"]
-    if "mass" in cfg:
-        kw["mass"] = cfg["mass"]
+    kw = {key: cfg[key] for key in ("m", "lam", "mu", "mass") if key in cfg}
     if cfg.get("field") == "complex":
         kw["field_kind"] = COMPLEX
     if "seed" in cfg and name == "AP_inf":
         kw["seed"] = cfg["seed"]
-    if cfg.get("functions") and name == "AP_inf":
+    if cfg.get("functions"):  # _check_functions: the algebra is AP_inf
         kw["functions"] = _bind_functions(cfg["functions"])
         if any(fname == "d" for fname, _ in kw["functions"]):
             kw["extended"] = True
@@ -380,6 +372,22 @@ def _check_hat_variant(command, cfg):
                          "completeness of the AG2_I basis with mu != 0")
 
 
+def _check_functions(command, cfg):
+    """``--function`` texts override AP_inf's sampled coefficients: a usage
+    error but for ``--algebra AP_inf`` and the eikonal equations."""
+    if not cfg.get("functions"):
+        return
+    name = cfg.get("algebra") if command != "eval" else None
+    if command == "verify" and cfg.get("equation"):
+        info = EQUATIONS.get(cfg["equation"])
+        if info is None:
+            return  # _verify_equation reports the unknown name
+        name = info.default_algebra(cfg["n"], {}).name
+    if name != "AP_inf":
+        raise ValueError("--function applies only to the AP_inf algebra: "
+                         "--algebra AP_inf or verify of an eikonal equation")
+
+
 def _cmd_verify(cfg):
     if cfg.get("equation"):
         if cfg.get("algebra"):
@@ -401,8 +409,7 @@ def _cmd_rank(cfg):
     except ValueError:
         sampler = make_sampler(spec.n_base, spec.n_fields, spec.field_kind,
                                seed=cfg["seed"],
-                               positive_fields=bool(spec.functions)
-                               and _positive_u(cfg))
+                               positive_fields=_positive_u(cfg))
     rank = generic_rank(ops, sampler, trials=max(3, cfg["samples"] // 10))
     checks = [{
         "name": f"rank:{spec.name}",
@@ -462,6 +469,7 @@ def main(argv=None, stream=None) -> int:
     try:
         cfg = _merge_config(args)
         _check_hat_variant(args.command, cfg)
+        _check_functions(args.command, cfg)
         if args.command == "eval":
             return _cmd_eval(cfg, args, stream)
         if args.command == "verify":

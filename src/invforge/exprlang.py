@@ -11,7 +11,8 @@ coordinate), ``u1..um`` (``u`` means ``u1``), derivatives by suffix:
 trace ``S(k; A)``, the mixed trace ``Sjk(j, k; A, B)`` = tr(A^j B^(k-j))
 and the power form ``R(k; v, A)`` = v.(A)^(k-1).v, all metric-weighted,
 with optional selectors after ``;``; ``tr``/``det`` of a matrix;
-``contract(du1, du2)``; and ``exp``, ``log``, ``conj``.
+``contract(du1, du2)``; and ``exp``, ``log``, ``conj``.  ``i`` is the
+imaginary unit, valid only in complex bindings.
 
 Matrix selectors: an integer ``r`` or ``ddu<r>`` is the Hessian U_r
 (default 1; Sjk's B defaults to 2 when there are two fields), ``theta<r>``
@@ -20,10 +21,16 @@ under a Minkowski metric; ``theta`` and ``w`` mean r = 1).  Vector
 selectors: an integer ``r`` is the gradient du_r (default 1), ``x`` the
 position and ``thvec<r>`` is du_r/u_r - du_1/u_1.  For example
 ``S(2; theta1) * u1 ^ 2.0``, ``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``.
+
+The same compiler binds generator coefficients, such as ``-1.0 * x3`` or
+``(-1.5 * t + 1.0 * (x1 * x1 + x2 * x2) / 2.0) * u1``, and ``--function``
+texts (:func:`bind_coefficient`); these read only base coordinates and
+field values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .dual import EvaluationError, dexp, dlog, value_of
@@ -38,6 +45,7 @@ from .invcat import (
     _gvec,
     _hessian,
     _power,
+    _row_ast,
     _tensor_cached,
     covariant_tensor,
     determinant,
@@ -433,6 +441,10 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 deps.add(d2_coord(r, i, j))
                 return lambda view, r=r, i=i, j=j: view.ddu(r, i, j)
             raise BindError(f"derivative order above two: {name!r}")
+        if name == "i":
+            if field_kind is not COMPLEX:
+                raise BindError("'i' requires a complex field binding")
+            return lambda view: 1j
         raise BindError(f"unknown symbol {node.name!r}")
 
     def _split_suffix(suffix):
@@ -613,16 +625,40 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
     return ScalarJetFunction(label, fn, tuple(dep_order), space)
 
 
+_coefficient_compiler = functools.cache(compiler)
+
+
+@functools.cache
+def bind_coefficient(text: str, n_base: int, n_fields: int = 1,
+                     metric: Metric = None, field_kind: FieldKind = REAL,
+                     time_mode: bool = False):
+    """Compile a coefficient text over the symbols of an (N, m) space:
+    ``x1..xN``, ``x0..x{N-1}`` under a Minkowski metric, or ``t, x1..``
+    with ``time_mode``.  Returns ``(f, deps)``: ``f(xs, us)`` evaluates the
+    text at base coordinates ``xs`` and field values ``us``, which may be
+    dual numbers; ``deps`` is the set of jet coordinates it reads.
+    Memoized per (text, space): catalog() calls share compiled texts."""
+    fn, deps = _coefficient_compiler(n_base, n_fields, metric, field_kind,
+                                     time_mode)(_row_ast(text))
+    if any(c.kind not in ("base", "field") for c in deps):
+        raise BindError("a coefficient reads only coordinates and field "
+                        f"values: {text!r}")
+
+    def coefficient(xs, us):
+        return fn(_View(xs, us, (), ()))
+    return coefficient, frozenset(deps)
+
+
 def bind_scalar_function(text: str):
     """Compile an expression in the single variable ``u`` (or ``u1``) to a
     callable usable as an algebra coefficient function (dual-capable).
 
-    The text is bound as :func:`bind` binds it, over one field, and may
-    read nothing but the field value."""
-    fn, deps = compiler(1)(parse(text))
+    The text is bound by :func:`bind_coefficient` over one coordinate and
+    one field, and may read nothing but the field value."""
+    fn, deps = bind_coefficient(text, 1)
     if not deps <= {field_coord(1)}:
         raise BindError(f"coefficient functions may only use 'u': {text!r}")
-    return lambda u: fn(_View((), (u,), (), ()))
+    return lambda u: fn((), (u,))
 
 
 def needs_positive_u(text: str) -> bool:

@@ -845,7 +845,7 @@ def _scaled(label, text, op, expo, scale=_U1):
 
 @functools.cache
 def _row_ast(text):
-    """Parsed row, memoized: every basis() call binds the same texts."""
+    """Parsed row text, memoized for basis() and catalog() calls."""
     from . import exprlang
     return exprlang.parse(text)
 

@@ -1,5 +1,8 @@
 """Vector fields on (x, u)-space, their second prolongations, and the
-catalog of point-symmetry algebras handled by this package.
+catalog of point-symmetry algebras handled by this package.  Every
+algebra but AP_inf is written as text rows (label, xi texts, eta texts),
+:func:`generator_rows`, that ``exprlang`` compiles; AP_inf's generators
+close over sampled polynomials of u.
 
 A :class:`VectorField` holds coefficient evaluators xi^i(x, u) and
 eta^r(x, u); :func:`prolong2` extends it to all second-order jet
@@ -28,6 +31,7 @@ from .jetspace import (
     d1_coord,
     d2_coord,
     field_coord,
+    minkowski,
     sample_generic,
 )
 
@@ -55,19 +59,6 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({self.label})"
-
-    def scaled_sum(self, other: "VectorField", a, b) -> "VectorField":
-        """a*self + b*other, for linearity checks."""
-        xi = [
-            (lambda f, g: lambda xs, us: a * f(xs, us) + b * g(xs, us))(f, g)
-            for f, g in zip(self.xi, other.xi)
-        ]
-        eta = [
-            (lambda f, g: lambda xs, us: a * f(xs, us) + b * g(xs, us))(f, g)
-            for f, g in zip(self.eta, other.eta)
-        ]
-        return VectorField(self.n_base, self.n_fields, xi, eta,
-                           f"{a}*{self.label}+{b}*{other.label}")
 
 
 # 0.0 + complex zeros is 0j whatever their signs (CPython before 3.14)
@@ -228,10 +219,8 @@ def flow_positions(n_base: int, n_fields: int, coords) -> list:
     return [index[c] for c in coords]
 
 
-def prolong2(v: VectorField, n_fields: int | None = None) -> ProlongedOperator:
+def prolong2(v: VectorField) -> ProlongedOperator:
     """Second prolongation of a vector field."""
-    if n_fields is not None and n_fields != v.n_fields:
-        raise ValueError("field count does not match the vector field")
     return ProlongedOperator(v)
 
 
@@ -381,6 +370,8 @@ class AlgebraSpec:
             raise ValueError(f"{self.name} uses the slot pair (phi, phi*)")
         if self.rep not in ("u", "log"):
             raise ValueError("rep must be 'u' or 'log'")
+        if not all(map(math.isfinite, (self.lam, self.mu, self.mass))):
+            raise ValueError("lam, mu and mass must be finite")
 
     @property
     def n_base(self) -> int:
@@ -405,258 +396,130 @@ def make_spec(name: str, n: int, **kw) -> AlgebraSpec:
     return AlgebraSpec(name=name, n=n, **kw)
 
 
-def _const(c):
-    return lambda xs, us: c
-
-
-def _zero(xs, us):
-    return 0.0
-
-
-def _translation(n_base, n_fields, i, label):
-    xi = [_const(1.0) if k == i else _zero for k in range(n_base)]
-    return VectorField(n_base, n_fields, xi, [_zero] * n_fields, label)
-
-
-def _rotation(n_base, n_fields, a, b, ga, gb, label):
-    # x_a p_b - x_b p_a with the i factor dropped: ga, gb are metric signs
-    def xi_b(xs, us, a=a, gb=gb):
-        return gb * xs[a]
-
-    def xi_a(xs, us, b=b, ga=ga):
-        return -ga * xs[b]
-
-    xi = []
-    for k in range(n_base):
-        if k == b:
-            xi.append(xi_b)
-        elif k == a:
-            xi.append(xi_a)
-        else:
-            xi.append(_zero)
-    return VectorField(n_base, n_fields, xi, [_zero] * n_fields, label)
-
-
 def catalog(spec: AlgebraSpec) -> list:
-    """Basis vector fields of the named algebra."""
-    builder = {
-        "AO": _euclid_family,
-        "AE": _euclid_family,
-        "AE1": _euclid_family,
-        "AC": _euclid_family,
-        "AP": _poincare_family,
-        "APtilde": _poincare_family,
-        "AC1n": _poincare_family,
-        "AG_I": _galilei_real,
-        "AG1_I": _galilei_real,
-        "AG2_I": _galilei_real,
-        "AG_II": _galilei_complex,
-        "AG1_II": _galilei_complex,
-        "AG2_II": _galilei_complex,
-        "AP_inf": _eikonal_family,
-        "AP_BornInfeld": _born_infeld_family,
-    }[spec.name]
-    return builder(spec)
+    """Basis vector fields of the named algebra: the bound text rows of
+    :func:`generator_rows`, or AP_inf's sampled generators."""
+    if spec.name == "AP_inf":
+        return _eikonal_family(spec)
+    return bind_generators(spec, generator_rows(spec))
 
 
-def _euclid_family(spec: AlgebraSpec):
-    n, m = spec.n, spec.m
-    fields = []
-    if spec.name != "AO":
-        fields += [_translation(n, m, i, f"P{i + 1}") for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            fields.append(_rotation(n, m, a, b, 1.0, 1.0, f"J{a + 1}{b + 1}"))
-    if spec.name in ("AE1", "AC"):
-        lam = spec.lam
-
-        def dil_xi(k):
-            return lambda xs, us: xs[k]
-
-        fields.append(VectorField(
-            n, m,
-            [dil_xi(k) for k in range(n)],
-            [(lambda r: lambda xs, us: lam * us[r])(r) for r in range(m)],
-            "D"))
-    if spec.name == "AC":
-        lam = spec.lam
-        for a in range(n):
-            def make_xi(k, a=a):
-                def f(xs, us):
-                    sq = 0.0
-                    for x in xs:
-                        sq = sq + x * x
-                    val = 2.0 * xs[a] * xs[k]
-                    if k == a:
-                        val = val - sq
-                    return val
-                return f
-
-            def make_eta(r, a=a, lam=lam):
-                return lambda xs, us: 2.0 * lam * xs[a] * us[r]
-
-            fields.append(VectorField(
-                n, m,
-                [make_xi(k) for k in range(n)],
-                [make_eta(r) for r in range(m)],
-                f"K{a + 1}"))
-    return fields
+def _space(spec: AlgebraSpec):
+    """Base coordinate names of a text-row algebra, and their binding."""
+    nb = spec.n_base
+    if spec.name.startswith("AG"):
+        kind = COMPLEX if spec.name.endswith("_II") else REAL
+        return ["t"] + [f"x{k}" for k in range(1, nb)], (None, kind, True)
+    if nb == spec.n:  # the Euclid families
+        return [f"x{k}" for k in range(1, nb + 1)], (None, REAL, False)
+    return [f"x{k}" for k in range(nb)], (minkowski(nb), REAL, False)
 
 
-def _poincare_family(spec: AlgebraSpec):
-    n, m = spec.n, spec.m
-    nb = n + 1
-    g = [1.0] + [-1.0] * n
-    fields = [_translation(nb, m, i, f"P{i}") for i in range(nb)]
-    for a in range(nb):
-        for b in range(a + 1, nb):
-            fields.append(_rotation(nb, m, a, b, g[a], g[b], f"J{a}{b}"))
-    if spec.name in ("APtilde", "AC1n"):
-        lam = spec.lam
-        fields.append(VectorField(
-            nb, m,
-            [(lambda k: lambda xs, us: xs[k])(k) for k in range(nb)],
-            [(lambda r: lambda xs, us: lam * us[r])(r) for r in range(m)],
-            "D"))
-    if spec.name == "AC1n":
-        lam = spec.lam
-        for a in range(nb):
-            def make_xi(k, a=a):
-                def f(xs, us):
-                    sq = 0.0
-                    for i, x in enumerate(xs):
-                        sq = sq + g[i] * x * x
-                    val = 2.0 * xs[a] * xs[k]
-                    if k == a:
-                        val = val - sq * g[a]
-                    return val
-                return f
+def bind_generators(spec: AlgebraSpec, rows) -> list:
+    """Vector fields of (label, xi texts, eta texts) rows over the space of
+    ``spec``, each text compiled once by ``exprlang.bind_coefficient``."""
+    # imported here: exprlang imports invcat, which imports this module
+    from .exprlang import bind_coefficient
+    nb, m = spec.n_base, spec.m
+    _, binding = _space(spec)
 
-            def make_eta(r, a=a, lam=lam):
-                return lambda xs, us: 2.0 * lam * xs[a] * us[r]
-
-            fields.append(VectorField(
-                nb, m,
-                [make_xi(k) for k in range(nb)],
-                [make_eta(r) for r in range(m)],
-                f"K{a}"))
-    return fields
+    def bound(texts):
+        return [bind_coefficient(t, nb, m, *binding)[0] for t in texts]
+    return [VectorField(nb, m, bound(xi), bound(eta), label)
+            for label, xi, eta in rows]
 
 
-def _galilei_real(spec: AlgebraSpec):
-    """Heat-equation Galilei family: base coords (t, x_1..x_n), one field."""
-    n, m = spec.n, spec.m
-    nb = n + 1
-    mu, lam = spec.mu, spec.lam
-    log_rep = spec.rep == "log"
-
-    def uweight(w):
-        # w * (u d/du) in u-rep, w * d/dphi in log-rep
-        if log_rep:
-            return [_const(w) for _ in range(m)]
-        return [(lambda r: lambda xs, us: w * us[r])(r) for r in range(m)]
-
-    fields = [_translation(nb, m, 0, "Pt")]
-    fields += [_translation(nb, m, i, f"P{i}") for i in range(1, nb)]
-    for a in range(1, nb):
-        for b in range(a + 1, nb):
-            fields.append(_rotation(nb, m, a, b, 1.0, 1.0, f"J{a}{b}"))
-    for a in range(1, nb):
-        def make_eta(r, a=a):
-            if log_rep:
-                return lambda xs, us: mu * xs[a]
-            return lambda xs, us: mu * xs[a] * us[r]
-
-        fields.append(VectorField(
-            nb, m,
-            [(lambda k, a=a: (lambda xs, us: xs[0]) if k == a else _zero)(k)
-             for k in range(nb)],
-            [make_eta(r) for r in range(m)],
-            f"G{a}"))
-    fields.append(VectorField(nb, m, [_zero] * nb, uweight(1.0), "I"))
-    if spec.name in ("AG1_I", "AG2_I"):
-        fields.append(VectorField(
-            nb, m,
-            [(lambda k: (lambda xs, us: 2.0 * xs[0]) if k == 0
-              else (lambda xs, us: xs[k]))(k) for k in range(nb)],
-            uweight(lam), "D"))
-    if spec.name == "AG2_I":
-        def a_eta(r):
-            def f(xs, us):
-                sq = 0.0
-                for x in xs[1:]:
-                    sq = sq + x * x
-                w = lam * xs[0] + mu * sq / 2.0
-                return w if log_rep else w * us[r]
-            return f
-
-        fields.append(VectorField(
-            nb, m,
-            [(lambda k: (lambda xs, us: xs[0] * xs[0]) if k == 0
-              else (lambda xs, us: xs[0] * xs[k]))(k) for k in range(nb)],
-            [a_eta(r) for r in range(m)],
-            "A"))
-    return fields
+def generator_rows(spec: AlgebraSpec) -> list:
+    """(label, xi texts, eta texts) of each basis generator of every
+    algebra but AP_inf.  Each text repeats, operand by operand, the
+    arithmetic its coefficient stands for, with constants printed by
+    ``repr``; an argument-free coefficient is a bare number."""
+    x, _ = _space(spec)
+    u = [f"u{r}" for r in range(1, spec.m + 1)]
+    if spec.name.startswith("AG"):
+        return _galilei_rows(spec, x, u)
+    # the Euclid families, or the Poincare ones with their metric signs
+    nb, lam = len(x), spec.lam
+    g = None if x[0] == "x1" else [1.0] + [-1.0] * spec.n
+    rows = [] if spec.name == "AO" else _translations(x, spec.m)
+    if spec.name == "AP_BornInfeld":
+        # the Poincare algebra on (x_0..x_n, u), u the extra spacelike
+        # coordinate: translations and all pseudo-rotations J_AB
+        rows.append(("Pu", ["0"] * nb, ["1.0"]))
+    rows += _rotations(x, spec.m, g or [1.0] * nb)
+    if spec.name == "AP_BornInfeld":
+        # J_{a,u} = x_a p_u - u p_a with the i dropped; u has sign -1.0
+        rows += [(f"J{a}u", _sparse(nb, {a: f"{-g[a]!r} * u1"}),
+                  [f"-1.0 * {xa}"]) for a, xa in enumerate(x)]
+    if spec.name in ("AE1", "AC", "APtilde", "AC1n"):
+        rows.append(("D", x, [f"{lam!r} * {ur}" for ur in u]))
+    if spec.name in ("AC", "AC1n"):
+        # K_a: xi^k = 2 x_a x_k - delta_ak x.x, metric-weighted under g
+        sq = " + ".join(f"{v} * {v}" if g is None else f"{g[k]!r} * {v} * {v}"
+                        for k, v in enumerate(x))
+        for a, xa in enumerate(x):
+            xi = [f"2.0 * {xa} * {xk}" for xk in x]
+            xi[a] += f" - ({sq})" if g is None else f" - ({sq}) * {g[a]!r}"
+            rows.append((f"K{xa.lstrip('x')}", xi,
+                         [f"2.0 * {lam!r} * {xa} * {ur}" for ur in u]))
+    return rows
 
 
-def _galilei_complex(spec: AlgebraSpec):
-    """Schroedinger family on the slot pair (psi, psi*) or (phi, phi*).
+def _sparse(nb, entries):
+    """Coefficient texts: ``entries[k]`` at index k, "0" elsewhere."""
+    return [entries.get(k, "0") for k in range(nb)]
 
-    Derivative symbols are read with their printed i factors dropped while
-    the phase rotation J keeps its i inside composites, which is the unique
-    reading leaving the free equation conditionally invariant.
+
+def _translations(x, m):
+    return [(f"P{xa.lstrip('x')}", _sparse(len(x), {a: "1.0"}), ["0"] * m)
+            for a, xa in enumerate(x)]
+
+
+def _rotations(x, m, g, first=0):
+    # x_a p_b - x_b p_a with the i factor dropped: g holds metric signs
+    return [(f"J{x[a].lstrip('x')}{x[b].lstrip('x')}", _sparse(len(x), {
+        a: f"{-g[a]!r} * {x[b]}", b: f"{g[b]!r} * {x[a]}"}), ["0"] * m)
+        for a, b in itertools.combinations(range(first, len(x)), 2)]
+
+
+def _galilei_rows(spec, x, u):
+    """Galilei families on (t, x_1..x_n): the heat family on real fields,
+    or the Schroedinger family on the slot pair (psi, psi*) or (phi, phi*).
+
+    In the complex family derivative symbols are read with their printed
+    i factors dropped while the phase rotation J keeps its i inside
+    composites, which is the unique reading leaving the free equation
+    conditionally invariant; the boost weight is mu = i * mass on psi and
+    its conjugate on psi*.
     """
-    n = spec.n
-    nb = n + 1
-    mass, lam = spec.mass, spec.lam
-    log_rep = spec.rep == "log"
-    mu = 1j * mass
+    nb, cplx, lam = len(x), spec.name.endswith("_II"), repr(spec.lam)
+    mu = f"i * {spec.mass!r}" if cplx else repr(spec.mu)
 
-    def pair(w_phi, w_conj):
-        # w_phi * (psi d/dpsi) + w_conj * (psi* d/dpsi*), rep-aware;
-        # coefficients may be functions of xs.
-        def make(r, w):
-            if log_rep:
-                return lambda xs, us: w(xs)
-            return lambda xs, us: w(xs) * us[r]
-        return [make(0, w_phi), make(1, w_conj)]
+    def weights(w, w_conj=None):
+        # w * (u d/du) in u-rep, w * d/dphi in log-rep, a sum w in
+        # parentheses; psi* takes w_conj, every real field takes w
+        ws = [w, w_conj] if cplx else [w] * len(u)
+        if spec.rep == "log":
+            return ws
+        return [f"{a} * {ur}" for a, ur in zip(ws, u)]
 
-    fields = [_translation(nb, 2, 0, "Pt")]
-    fields += [_translation(nb, 2, i, f"P{i}") for i in range(1, nb)]
-    fields.append(VectorField(
-        nb, 2, [_zero] * nb,
-        pair(lambda xs: 1.0, lambda xs: -1.0), "J"))
-    for a in range(1, nb):
-        for b in range(a + 1, nb):
-            fields.append(_rotation(nb, 2, a, b, 1.0, 1.0, f"J{a}{b}"))
-    for a in range(1, nb):
-        fields.append(VectorField(
-            nb, 2,
-            [(lambda k, a=a: (lambda xs, us: xs[0]) if k == a else _zero)(k)
-             for k in range(nb)],
-            pair(lambda xs, a=a: mu * xs[a], lambda xs, a=a: -mu * xs[a]),
-            f"G{a}"))
-    if spec.name in ("AG1_II", "AG2_II"):
-        fields.append(VectorField(
-            nb, 2,
-            [(lambda k: (lambda xs, us: 2.0 * xs[0]) if k == 0
-              else (lambda xs, us: xs[k]))(k) for k in range(nb)],
-            pair(lambda xs: lam, lambda xs: lam), "D"))
-    if spec.name == "AG2_II":
-        def sq(xs):
-            s = 0.0
-            for x in xs[1:]:
-                s = s + x * x
-            return s
-
-        fields.append(VectorField(
-            nb, 2,
-            [(lambda k: (lambda xs, us: xs[0] * xs[0]) if k == 0
-              else (lambda xs, us: xs[0] * xs[k]))(k) for k in range(nb)],
-            pair(lambda xs: lam * xs[0] + mu * sq(xs) / 2.0,
-                 lambda xs: lam * xs[0] - mu * sq(xs) / 2.0),
-            "A"))
-    return fields
+    rows = _translations(x, len(u))
+    if cplx:
+        rows.append(("J", ["0"] * nb, weights("1.0", "-1.0")))
+    rows += _rotations(x, len(u), [1.0] * nb, first=1)
+    rows += [(f"G{a}", _sparse(nb, {a: "t"}),
+              weights(f"{mu} * {x[a]}", f"-({mu}) * {x[a]}"))
+             for a in range(1, nb)]
+    if not cplx:
+        rows.append(("I", ["0"] * nb, weights("1.0")))
+    if spec.name[:3] in ("AG1", "AG2"):
+        rows.append(("D", ["2.0 * t"] + x[1:], weights(lam, lam)))
+    if spec.name[:3] == "AG2":
+        sq = " + ".join(f"{v} * {v}" for v in x[1:])
+        rows.append(("A", ["t * t"] + [f"t * {v}" for v in x[1:]],
+                     weights(f"({lam} * t + {mu} * ({sq}) / 2.0)",
+                             f"({lam} * t - {mu} * ({sq}) / 2.0)")))
+    return rows
 
 
 class PolynomialOfU:
@@ -754,33 +617,6 @@ def _eikonal_family(spec: AlgebraSpec):
         fields.append(VectorField(
             nb, 1, [make_xi(k) for k in range(nb)], [make_eta()],
             f"X{inst}{'+d' if spec.extended else ''}"))
-    return fields
-
-
-def _born_infeld_family(spec: AlgebraSpec):
-    """Poincare algebra on (x_0..x_n, u) with u as the extra spacelike
-    coordinate: translations plus all pseudo-rotations J_AB."""
-    n = spec.n
-    nb = n + 1
-    g = [1.0] + [-1.0] * n
-    gu = -1.0
-    fields = [_translation(nb, 1, i, f"P{i}") for i in range(nb)]
-    fields.append(VectorField(nb, 1, [_zero] * nb, [_const(1.0)], "Pu"))
-    for a in range(nb):
-        for b in range(a + 1, nb):
-            fields.append(_rotation(nb, 1, a, b, g[a], g[b], f"J{a}{b}"))
-    for a in range(nb):
-        # J_{a,u} = x_a p_u - u p_a with the i dropped
-        def xi_a(xs, us, a=a):
-            return -g[a] * us[0]
-
-        def eta_u(xs, us, a=a):
-            return gu * xs[a]
-
-        fields.append(VectorField(
-            nb, 1,
-            [(lambda k, a=a: xi_a if k == a else _zero)(k) for k in range(nb)],
-            [eta_u], f"J{a}u"))
     return fields
 
 

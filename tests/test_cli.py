@@ -289,6 +289,22 @@ def test_malformed_function_override_is_usage_error(target):
     assert "expected NAME=EXPR" in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "AE", "--n", "3", "--samples", "2",
+     "--function", "eta=garbage(("),
+    ("rank", "--algebra", "AE", "--n", "3", "--function", "eta=u^0.5"),
+    ("verify", "--equation", "heat", "--n", "3", "--samples", "2",
+     "--function", "eta=u"),
+    ("completeness", "--algebra", "AO", "--n", "3", "--function", "eta=u"),
+], ids=["verify-algebra", "rank", "verify-equation", "completeness"])
+def test_function_where_no_ap_inf_algebra_reads_it(argv, capsys):
+    from invforge import cli
+
+    assert cli.main(list(argv), stream=io.StringIO()) == 2
+    assert "--function applies only to the AP_inf algebra" \
+        in capsys.readouterr().err
+
+
 def _in_process_report(argv, path):
     """(exit code, report without ``meta.generated_at``) of one
     in-process call."""

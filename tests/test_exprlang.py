@@ -8,6 +8,7 @@ from invforge.exprlang import (
     Num,
     ParseError,
     bind,
+    bind_coefficient,
     needs_positive_u,
     parse,
     to_text,
@@ -18,6 +19,7 @@ from invforge.jetspace import (
     d2_coord,
     enumerate_coords,
     euclidean,
+    field_coord,
     minkowski,
     sample_generic,
 )
@@ -148,6 +150,36 @@ def test_plain_field_gradient_is_unit_vector():
 def test_conj_requires_complex_binding():
     with pytest.raises(BindError):
         bind("conj(u)", 3)
+
+
+def test_imaginary_unit_needs_a_complex_binding():
+    with pytest.raises(BindError, match="complex"):
+        bind("i * u1", 3)
+    with pytest.raises(BindError, match="complex"):
+        bind_coefficient("i * x1", 3)
+    fn = bind("i * u1", 3, n_fields=2, field_kind=COMPLEX)
+    point = sample_generic(3, 2, COMPLEX, seed=2)
+    assert fn.eval(point) == 1j * point.u[0]
+    coefficient, deps = bind_coefficient("i * u1", 3, 2, field_kind=COMPLEX)
+    assert coefficient([0.5, 1.0, 2.0], [3.0, 4.0]) == 3j
+    assert deps == {field_coord(1)}
+    assert to_text(parse("i * u1")) == "i * u1"
+    assert parse(to_text(parse("-(i * 2) * x1"))) == parse("-(i * 2) * x1")
+
+
+def test_coefficients_read_only_coordinates_and_fields():
+    # a coefficient text is bound over the base coordinates its space
+    # names: x1.., x0.. under a Minkowski metric, t, x1.. in time mode
+    assert bind_coefficient("x1 * x3", 3)[0]([2.0, 5.0, 3.0], [1.0]) == 6.0
+    assert bind_coefficient("x0 - x3", 4, 1, minkowski(4))[0](
+        [2.0, 5.0, 3.0, 7.0], [1.0]) == -5.0
+    assert bind_coefficient("t * u1", 4, 1, time_mode=True)[0](
+        [2.0, 5.0, 3.0, 7.0], [1.5]) == 3.0
+    for text in ("u_x1", "S(2)", "x0"):
+        with pytest.raises(BindError):
+            bind_coefficient(text, 3)
+    # compiled once per (text, space)
+    assert bind_coefficient("x1 * x3", 3) is bind_coefficient("x1 * x3", 3)
 
 
 def test_conj_swaps_slots():

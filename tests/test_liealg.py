@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from invforge.dual import value_grad_hess
+from invforge.exprlang import bind_coefficient
 from invforge.invcat import ScalarJetFunction, _S, _hessian, basis
 from invforge.jetspace import (
     base_coord,
@@ -14,9 +17,12 @@ from invforge.jetspace import (
 from invforge.liealg import (
     _FAMILIES,
     AlgebraSpec,
+    VectorField,
     apply_operator,
+    bind_generators,
     catalog,
     flow_positions,
+    generator_rows,
     generic_rank,
     make_sampler,
     make_spec,
@@ -100,9 +106,17 @@ def test_dilation_coefficients():
 
 def test_prolongation_is_linear():
     spec = make_spec("AC", 3, lam=1.0)
-    fields = catalog(spec)
+    fields, rows = catalog(spec), generator_rows(spec)
     x, y = fields[4], fields[-1]
-    combo = x.scaled_sum(y, 1.75, -0.5)
+    assert (x.label, y.label) == ("J13", "K3")
+    (_, xi_x, eta_x), (_, xi_y, eta_y) = rows[4], rows[-1]
+
+    def combined(a, b):
+        return bind_coefficient(f"1.75 * ({a}) - 0.5 * ({b})", 3)[0]
+
+    # 1.75 J13 - 0.5 K3, written as one row of texts
+    combo = VectorField(3, 1, list(map(combined, xi_x, xi_y)),
+                        list(map(combined, eta_x, eta_y)), "1.75*J13-0.5*K3")
     for s in range(10):
         point = sample_generic(3, 1, seed=100 + s)
         tx = prolong2(x).coefficient_table(point)
@@ -239,6 +253,10 @@ def test_algebra_spec_validation():
         make_spec("AG2_I", 3, lam=1.0)  # projective family pins lambda
     with pytest.raises(ValueError):
         make_spec("AG_II", 3, m=1)
+    # a generator text prints its parameters, which must be numbers
+    for kw in ({"lam": float("inf")}, {"mu": float("nan")}):
+        with pytest.raises(ValueError, match="finite"):
+            make_spec("AG1_I", 3, **kw)
     # the massless branch leaves lambda free
     make_spec("AG2_I", 3, mu=0.0, lam=0.3, rep="log")
 
@@ -445,3 +463,87 @@ def test_flow_positions_reject_a_coordinate_of_another_space(outside):
     assert flow_positions(3, 1, inside) == list(range(len(inside)))
     with pytest.raises(ValueError):
         flow_positions(3, 1, inside[:2] + [outside])
+
+
+# [X_a, X_b] of every pair of generators lies in the constant-coefficient
+# span of the catalog (the algebra closes), checked on coefficient values
+# stacked over CLOSURE_POINTS points: the generators' independence rank
+# may not grow when a bracket is appended.  A bracket below
+# CLOSURE_ZERO of the largest generator entry is zero; rounding noise such
+# as [G1, G2] = 0 in the u-rep would otherwise read as new rank.
+CLOSURE_POINTS = 8
+CLOSURE_ZERO = 1e-12
+CLOSURE_CONFIGS = (
+    [(name, {}) for name in _FAMILIES
+     if name != "AP_inf" and not name.startswith("AG")]
+    + [(name, {"rep": rep}) for name in ("AG_I", "AG1_I", "AG2_I", "AG_II",
+                                         "AG1_II", "AG2_II")
+       for rep in ("u", "log")]
+    + [("AG2_I", {"mu": 0.0, "rep": "u"})])
+
+
+def non_closing_brackets(spec, rows):
+    """How many brackets of pairs of the bound ``rows`` leave their span.
+
+    [X_a, X_b]^c = sum_k (X_a^k d_k X_b^c - X_b^k d_k X_a^c), with k and c
+    running over the base coordinates and the fields."""
+    fields = bind_generators(spec, rows)
+    nb, dim = spec.n_base, spec.n_base + spec.n_fields
+    sampler = make_sampler(nb, spec.n_fields, spec.field_kind, seed=3)
+    vals = [[] for _ in fields]
+    grads = [[] for _ in fields]
+    for idx in range(CLOSURE_POINTS):
+        point = sampler(idx)
+        args = list(point.x) + list(point.u)
+        for field, val, grad in zip(fields, vals, grads):
+            for f in field.xi + field.eta:
+                v, g, _ = value_grad_hess(lambda a, f=f: f(a[:nb], a[nb:]),
+                                          args)
+                val.append(v)
+                grad.append(g)
+
+    def bracket(a, b):
+        return [sum(vals[a][p + k] * grads[b][p + c][k]
+                    - vals[b][p + k] * grads[a][p + c][k] for k in range(dim))
+                for p in range(0, len(vals[a]), dim) for c in range(dim)]
+
+    rank, _ = matrix_rank(vals)
+    assert rank == len(fields)
+    zero = CLOSURE_ZERO * max(abs(v) for row in vals for v in row)
+    count = 0
+    for a, b in itertools.combinations(range(len(fields)), 2):
+        br = bracket(a, b)
+        if max(map(abs, br)) >= zero and matrix_rank(vals + [br])[0] > rank:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("name,kw", CLOSURE_CONFIGS,
+                         ids=[f"{name}-{kw}" for name, kw in CLOSURE_CONFIGS])
+def test_catalog_closes_under_brackets(name, kw):
+    spec = make_spec(name, 3, **kw)
+    assert non_closing_brackets(spec, generator_rows(spec)) == 0
+
+
+def _edited(rows, label, side, index, old, new):
+    """``rows`` with text ``index`` of the xi (side 1) or eta (side 2)
+    texts of generator ``label`` changed from ``old`` to ``new``."""
+    rows = [(lab, list(xi), list(eta)) for lab, xi, eta in rows]
+    texts = next(row[side] for row in rows if row[0] == label)
+    assert texts[index] == old
+    texts[index] = new
+    return rows
+
+
+@pytest.mark.parametrize("name,kw,edit,count", [
+    # lambda read as 1.1 in K1's eta
+    ("AC", {"lam": 1.0}, ("K1", 2, 0, "2.0 * 1.0 * x1 * u1",
+                          "2.0 * 1.1 * x1 * u1"), 7),
+    # the sign of i flipped in G3's eta on psi*
+    ("AG_II", {"rep": "u"}, ("G3", 2, 1, "-(i * 1.0) * x3 * u2",
+                             "-(-i * 1.0) * x3 * u2"), 5),
+], ids=["AC-K1-lambda", "AG_II-G3-conjugate"])
+def test_closure_fails_on_an_edited_row(name, kw, edit, count):
+    spec = make_spec(name, 3, **kw)
+    rows = _edited(generator_rows(spec), *edit)
+    assert non_closing_brackets(spec, rows) == count
