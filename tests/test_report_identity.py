@@ -1,4 +1,4 @@
-"""Byte-identity guard: the deterministic part of twenty-two JSON reports,
+"""Byte-identity guard: the deterministic part of thirty-one JSON reports,
 pinned at full precision.
 
 Hot-path refactors must change no number in a report; this compares each
@@ -66,6 +66,22 @@ CALLS = (
     # conj over explicit field slots only, on a complex binding
     ("verify", "--algebra", "AG_II", "--n", "3", "--expr",
      "u1_x1 * conj(u1_x1) + conj(S(2; 1)) * S(2; 1)", "--samples", "2"),
+    # every other equation residual on its manifold, eikonal-trace at a
+    # second order and heat at a second boost weight
+    ("verify", "--equation", "schrodinger", "--n", "3", "--samples", "3"),
+    ("verify", "--equation", "born-infeld", "--n", "3", "--samples", "3"),
+    ("verify", "--equation", "eikonal-quasilinear", "--n", "3", "--samples",
+     "3"),
+    ("verify", "--equation", "eikonal-trace", "--n", "3", "--samples", "3"),
+    ("verify", "--equation", "conformal-power", "--n", "3", "--samples", "3"),
+    ("verify", "--equation", "galilei-projective", "--n", "3", "--samples",
+     "3"),
+    ("verify", "--equation", "schrodinger-projective", "--n", "3",
+     "--samples", "3"),
+    ("verify", "--equation", "eikonal-trace", "--n", "3", "--k", "2",
+     "--samples", "3"),
+    ("verify", "--equation", "heat", "--n", "3", "--mu", "0.5", "--samples",
+     "3"),
 )
 
 
