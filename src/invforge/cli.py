@@ -159,6 +159,11 @@ _CONFIG_TYPES = {
     "n": int, "m": int, "seed": int, "samples": int, "k": int,
     "lam": float, "mu": float, "mass": float, "tol": float,
 }
+# the settings a config file may hold (``lambda`` for lam), each also a
+# flag; ``--function`` is command-line only
+_CONFIG_KEYS = ("algebra", "n", "m", "lam", "mu", "mass", "field", "seed",
+                "samples", "tol", "out", "expr", "equation", "k",
+                "hat_variant")
 
 
 def _merge_config(args):
@@ -166,15 +171,15 @@ def _merge_config(args):
     if getattr(args, "config", None):
         raw = _read_config_file(args.config)
         for key, val in raw.items():
+            if key not in _CONFIG_KEYS + ("lambda",):
+                raise ValueError(f"unknown config key {key!r}")
             key = "lam" if key == "lambda" else key
             caster = _CONFIG_TYPES.get(key, str)
             try:
                 cfg[key] = caster(val)
             except ValueError:
                 raise ValueError(f"bad value for {key!r}: {val!r}")
-    for key in ("algebra", "n", "m", "lam", "mu", "mass", "field", "seed",
-                "samples", "tol", "out", "expr", "equation", "k",
-                "hat_variant"):
+    for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -315,8 +320,7 @@ def _verify_equation(cfg):
         if _positive_u(cfg) else residual.space
     spec = info.default_algebra(n, params)
     ops = [prolong2(f) for f in catalog(spec)]
-    solve_for = info.solve_hint(n) if info.solve_hint else None
-    report = check_on_manifold(ops, residual, solve_for=solve_for,
+    report = check_on_manifold(ops, residual, solve_for=info.solve_for,
                                n_samples=min(cfg["samples"], 20),
                                tol=cfg["tol"], seed=cfg["seed"],
                                sampler=space.sampler(cfg["seed"]))
@@ -372,6 +376,19 @@ def _check_hat_variant(command, cfg):
                          "completeness of the AG2_I basis with mu != 0")
 
 
+def _check_field(command, cfg):
+    """``--field`` sets the field kind of eval and verify --expr; elsewhere,
+    and as real under an _II algebra, whose fields are a complex pair, it
+    is a usage error."""
+    field = cfg.get("field")
+    if field is None or command == "eval":
+        return
+    if not (command == "verify" and cfg.get("expr")) or field == "real" \
+            and cfg.get("algebra", "").endswith("_II"):
+        raise ValueError("--field applies only to eval or verify --expr, "
+                         "and only as complex under an _II algebra")
+
+
 def _check_functions(command, cfg):
     """``--function`` texts override AP_inf's sampled coefficients: a usage
     error but for ``--algebra AP_inf`` and the eikonal equations."""
@@ -382,7 +399,7 @@ def _check_functions(command, cfg):
         info = EQUATIONS.get(cfg["equation"])
         if info is None:
             return  # _verify_equation reports the unknown name
-        name = info.default_algebra(cfg["n"], {}).name
+        name = info.algebra
     if name != "AP_inf":
         raise ValueError("--function applies only to the AP_inf algebra: "
                          "--algebra AP_inf or verify of an eikonal equation")
@@ -419,7 +436,7 @@ def _cmd_rank(cfg):
         "expected": len(ops),
         "verdict": "PASS" if rank == len(ops) else "FAIL",
     }]
-    return checks, rank
+    return checks
 
 
 def _cmd_completeness(cfg):
@@ -469,13 +486,14 @@ def main(argv=None, stream=None) -> int:
     try:
         cfg = _merge_config(args)
         _check_hat_variant(args.command, cfg)
+        _check_field(args.command, cfg)
         _check_functions(args.command, cfg)
         if args.command == "eval":
             return _cmd_eval(cfg, args, stream)
         if args.command == "verify":
             checks = _cmd_verify(cfg)
         elif args.command == "rank":
-            checks, rank = _cmd_rank(cfg)
+            checks = _cmd_rank(cfg)
         else:
             checks, summary = _cmd_completeness(cfg)
     except (ValueError, ParseError, BindError) as exc:

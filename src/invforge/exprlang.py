@@ -42,6 +42,7 @@ from .invcat import (
     _Sjk,
     _View,
     _dep_coords,
+    _dot,
     _gvec,
     _hessian,
     _power,
@@ -291,7 +292,9 @@ def to_text(node) -> str:
         return s
 
     if isinstance(node, Num):
-        return f"{node.value:g}"
+        # :g keeps six digits; repr where they do not parse back
+        text = f"{node.value:g}"
+        return text if float(text) == node.value else repr(node.value)
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Neg):
@@ -590,14 +593,9 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 vecs.append(r)
             r1, r2 = vecs
             # every Euclidean sign is 1.0, so it is left out
-            unit = metric.kind == "euclidean"
-            def cfn(view):
-                acc = 0.0
-                for i in idx:
-                    a = view.du(r1, i) if unit else signs[i] * view.du(r1, i)
-                    acc = acc + a * view.du(r2, i)
-                return acc
-            return cfn
+            gsigns = None if metric.kind == "euclidean" else signs
+            return lambda view: _dot(_gvec(view, r1, idx),
+                                     _gvec(view, r2, idx), gsigns)
         raise BindError(f"unknown function {node.name!r}")
 
     def compile_expr(node):

@@ -37,7 +37,7 @@ from .jetspace import (
     euclidean,
     minkowski,
 )
-from .liealg import AlgebraSpec, make_sampler
+from .liealg import AlgebraSpec, make_sampler, make_spec
 
 # --------------------------------------------------------------------------
 # generic dense linear algebra over any scalar that supports + - * /
@@ -384,6 +384,26 @@ def _gvec(view, r, idx):
     return [view.du(r, i) for i in idx]
 
 
+def _dot(a, b, signs=None):
+    """a.G.b summed from 0.0 in index order, one product per term; with
+    a metric's ``signs``, each term is signs[i] * a[i] * b[i]."""
+    if signs is None:
+        return sum_prod(a, b)
+    total = 0.0
+    for s, x, y in zip(signs, a, b):
+        total = total + s * x * y
+    return total
+
+
+def _trace(view, r, idx, signs=None, acc=0.0):
+    """acc + tr(G U_r) over ``idx``, one diagonal read per term in index
+    order; unsigned when ``signs`` is None."""
+    for i in idx:
+        d = view.ddu(r, i, i)
+        acc = acc + (d if signs is None else signs[i] * d)
+    return acc
+
+
 @functools.cache
 def _hessian(r, idx):
     """Matrix source of the Hessian U_r over the index list ``idx``."""
@@ -504,6 +524,87 @@ TENSORS = ("theta", "w", "theta_minkowski", "w_minkowski",
            "theta_vector_minkowski", "eikonal_theta", "galilei_theta",
            "galilei_theta2", "galilei_h", "galilei_hhat_mu0", "implicit_theta",
            "hessian", "position")
+# Euclidean tensors span x1..xn and Minkowski ones x0..xn under the
+# Minkowski signs; the rest are Galilei tensors over the spatial indices
+# 1..n of t, x1..xn
+_EUCLIDEAN_TENSORS = ("theta", "w", "hessian", "position")
+_MINKOWSKI_TENSORS = ("theta_minkowski", "w_minkowski",
+                      "theta_vector_minkowski", "eikonal_theta")
+
+
+def _theta(r, idx, signs, lam):
+    """theta_r = lam U + (1 - lam) du du^T / u - G du.G.du / (2u)."""
+    def build(view):
+        u = view.u(r)
+        du = _gvec(view, r, idx)
+        sq = _dot(du, du, signs)
+        out = []
+        for i in idx:
+            row = []
+            for j in idx:
+                val = lam * view.ddu(r, i, j) \
+                    + (1.0 - lam) * du[i] * du[j] / u
+                if i == j:
+                    val = val - signs[i] * sq / (2.0 * u)
+                row.append(val)
+            out.append(row)
+        return out
+
+    return build
+
+
+def _w(r, idx, signs, scale):
+    """w_r = scale (du.G.du (U + G tr(G U) / (2 - dim)) - du (U G du)^T
+    - (U G du) du^T).  The Minkowski scale 0.5 makes the metric trace the
+    quasilinear combination du.G.du tr / (1 - n) - du.G.U.G.du of the
+    conformal power equation."""
+    dim = len(idx)
+
+    def build(view):
+        du = _gvec(view, r, idx)
+        sq = _dot(du, du, signs)
+        tr = _trace(view, r, idx, signs)
+        gdu = [s * d for s, d in zip(signs, du)]
+        out = []
+        for a in idx:
+            row = []
+            for b in idx:
+                val = sq * view.ddu(r, a, b)
+                if a == b:
+                    val = val + signs[a] * sq * tr / (2.0 - dim)
+                cross = 0.0
+                for c in idx:
+                    cross = cross + gdu[c] * (du[a] * view.ddu(r, b, c)
+                                              + du[b] * view.ddu(r, a, c))
+                row.append((val - cross) * scale)
+            out.append(row)
+        return out
+
+    return build
+
+
+def _eikonal_theta(r, idx, signs):
+    """du (U G du)^T + (U G du) du^T - du du^T tr(G U) - du.G.du U."""
+    def build(view):
+        du = _gvec(view, r, idx)
+        sq = _dot(du, du, signs)
+        tr = _trace(view, r, idx, signs)
+        mdu = []  # (U G du)_a
+        for a in idx:
+            acc = 0.0
+            for c in idx:
+                acc = acc + signs[c] * view.ddu(r, a, c) * du[c]
+            mdu.append(acc)
+        out = []
+        for i in idx:
+            row = []
+            for j in idx:
+                row.append(du[i] * mdu[j] + du[j] * mdu[i]
+                           - du[i] * du[j] * tr - sq * view.ddu(r, i, j))
+            out.append(row)
+        return out
+
+    return build
 
 
 def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
@@ -515,245 +616,82 @@ def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
     """
     if name not in TENSORS:
         raise ValueError(f"unknown covariant tensor {name!r}")
-    if name == "theta":
-        space = JetSpace(n, m, REAL, euclidean(n), positive_fields=True)
-        idx = tuple(range(n))
-        deps = _dep_coords(n, m, ("field", "d1", "d2"))
-
-        def build(view, r=r):
-            u = view.u(r)
-            du = _gvec(view, r, idx)
-            sq = sum_prod(du, du)
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    val = lam * view.ddu(r, i, j) \
-                        + (1.0 - lam) * du[i] * du[j] / u
-                    if i == j:
-                        val = val - sq / (2.0 * u)
-                    row.append(val)
-                out.append(row)
-            return out
-
-        return TensorBuilder(f"theta(lam={lam})", "matrix", n, space, deps, build)
-
-    if name == "w":
-        space = JetSpace(n, m, REAL, euclidean(n))
-        idx = tuple(range(n))
-        deps = _dep_coords(n, m, ("d1", "d2"))
-
-        def build(view, r=r):
-            du = _gvec(view, r, idx)
-            sq = sum_prod(du, du)
-            tr = 0.0
-            for i in range(n):
-                tr = tr + view.ddu(r, i, i)
-            out = []
-            for a in range(n):
-                row = []
-                for b in range(n):
-                    val = sq * view.ddu(r, a, b)
-                    if a == b:
-                        val = val + sq * tr / (2.0 - n)
-                    cross = 0.0
-                    for c in range(n):
-                        cross = cross + du[c] * (du[a] * view.ddu(r, b, c)
-                                                 + du[b] * view.ddu(r, a, c))
-                    row.append(val - cross)
-                out.append(row)
-            return out
-
-        return TensorBuilder("w", "matrix", n, space, deps, build)
-
-    if name in ("theta_minkowski", "w_minkowski", "theta_vector_minkowski",
-                "eikonal_theta"):
-        nb = n + 1
-        met = minkowski(nb)
-        signs = met.signs
-        space = JetSpace(nb, m, REAL, met,
-                         positive_fields=name.startswith("theta"))
-        if name == "theta_minkowski":
-            deps = _dep_coords(nb, m, ("field", "d1", "d2"))
-
-            def build(view, r=r):
-                u = view.u(r)
-                du = [view.du(r, i) for i in range(nb)]
-                sq = 0.0
-                for i in range(nb):
-                    sq = sq + signs[i] * du[i] * du[i]
-                out = []
-                for i in range(nb):
-                    row = []
-                    for j in range(nb):
-                        val = lam * view.ddu(r, i, j) \
-                            + (1.0 - lam) * du[i] * du[j] / u
-                        if i == j:
-                            val = val - signs[i] * sq / (2.0 * u)
-                        row.append(val)
-                    out.append(row)
-                return out
-
-            return TensorBuilder(f"theta_mink(lam={lam})", "matrix", nb,
-                                 space, deps, build)
-
-        if name == "theta_vector_minkowski":
-            deps = _dep_coords(nb, m, ("field", "d1"))
-
-            def build(view, r=r):
-                u_r, u_1 = view.u(r), view.u(1)
-                return [view.du(r, i) / u_r - view.du(1, i) / u_1
-                        for i in range(nb)]
-
-            return TensorBuilder(f"theta_vec(u{r})", "vector", nb, space,
-                                 deps, build)
-
-        if name == "w_minkowski":
-            deps = _dep_coords(nb, m, ("d1", "d2"))
-
-            def build(view, r=r):
-                # normalized so that the metric trace equals the quasilinear
-                # combination u.u/(1-n) tr - u.M.u used by the conformal
-                # power equation
-                du = [view.du(r, i) for i in range(nb)]
-                sq = 0.0
-                tr = 0.0
-                for i in range(nb):
-                    sq = sq + signs[i] * du[i] * du[i]
-                    tr = tr + signs[i] * view.ddu(r, i, i)
-                out = []
-                for a in range(nb):
-                    row = []
-                    for b in range(nb):
-                        val = sq * view.ddu(r, a, b)
-                        if a == b:
-                            val = val + signs[a] * sq * tr / (1.0 - n)
-                        cross = 0.0
-                        for c in range(nb):
-                            cross = cross + signs[c] * du[c] * (
-                                du[a] * view.ddu(r, b, c)
-                                + du[b] * view.ddu(r, a, c))
-                        row.append((val - cross) * 0.5)
-                    out.append(row)
-                return out
-
-            return TensorBuilder("w_mink", "matrix", nb, space, deps, build)
-
-        # eikonal_theta
-        deps = _dep_coords(nb, m, ("d1", "d2"))
-
-        def build(view, r=r):
-            du = [view.du(r, i) for i in range(nb)]
-            sq = 0.0
-            tr = 0.0
-            for i in range(nb):
-                sq = sq + signs[i] * du[i] * du[i]
-                tr = tr + signs[i] * view.ddu(r, i, i)
-            mdu = [0.0] * nb  # (M G u)_a = sum_c u_{ac} g_c u_c
-            for a in range(nb):
-                acc = 0.0
-                for c in range(nb):
-                    acc = acc + signs[c] * view.ddu(r, a, c) * du[c]
-                mdu[a] = acc
-            out = []
-            for i in range(nb):
-                row = []
-                for j in range(nb):
-                    row.append(du[i] * mdu[j] + du[j] * mdu[i]
-                               - du[i] * du[j] * tr - sq * view.ddu(r, i, j))
-                out.append(row)
-            return out
-
-        return TensorBuilder("eikonal_theta", "matrix", nb, space, deps, build)
-
-    return _galilei_tensor(name, n, lam=lam, mu=mu, r=r, m=m)
-
-
-def _galilei_tensor(name, n, lam, mu, r, m):
-    nb = n + 1
-    spatial = tuple(range(1, nb))
-    space = JetSpace(nb, m, REAL, euclidean(n))
-
-    if name == "hessian":
-        space = JetSpace(n, m, REAL, euclidean(n))
-        deps = _dep_coords(n, m, ("d2",))
-
-        def build(view, r=r):
-            return [[view.ddu(r, i, j) for j in range(n)] for i in range(n)]
-
-        return TensorBuilder("hessian", "matrix", n, space, deps, build)
-
-    if name == "position":
-        space = JetSpace(n, m, REAL, euclidean(n))
-        deps = _dep_coords(n, m, ("base",))
+    euclid, mink = name in _EUCLIDEAN_TENSORS, name in _MINKOWSKI_TENSORS
+    nb = n if euclid else n + 1
+    met = minkowski(nb) if mink else euclidean(n)
+    idx = tuple(range(nb)) if euclid or mink else _spatial(n)
+    signs = met.signs
+    if name in ("theta", "theta_minkowski"):
+        label = f"theta(lam={lam})" if euclid else f"theta_mink(lam={lam})"
+        kind, kinds, build = ("matrix", ("field", "d1", "d2"),
+                              _theta(r, idx, signs, lam))
+    elif name in ("w", "w_minkowski"):
+        label = "w" if euclid else "w_mink"
+        kind, kinds = "matrix", ("d1", "d2")
+        build = _w(r, idx, signs, 1.0 if euclid else 0.5)
+    elif name == "eikonal_theta":
+        label, kind, kinds = name, "matrix", ("d1", "d2")
+        build = _eikonal_theta(r, idx, signs)
+    elif name == "theta_vector_minkowski":
+        label, kind, kinds = f"theta_vec(u{r})", "vector", ("field", "d1")
 
         def build(view):
-            return [view.x(i) for i in range(n)]
+            u_r, u_1 = view.u(r), view.u(1)
+            return [view.du(r, i) / u_r - view.du(1, i) / u_1 for i in idx]
+    elif name == "hessian":
+        label, kind, kinds = name, "matrix", ("d2",)
 
-        return TensorBuilder("x", "vector", n, space, deps, build)
+        def build(view):
+            return _hess(view, r, idx)
+    elif name == "position":
+        label, kind, kinds = "x", "vector", ("base",)
 
-    if name == "galilei_theta":
-        deps = _dep_coords(nb, m, ("d1", "d2"))
+        def build(view):
+            return [view.x(i) for i in idx]
+    elif name == "galilei_theta":
+        label, kind, kinds = name, "vector", ("d1", "d2")
 
-        def build(view, r=r):
-            return _boost_theta(mu, *_jets(view, r, spatial))
+        def build(view):
+            return _boost_theta(mu, *_jets(view, r, idx))
+    elif name == "galilei_theta2":
+        label, kind, kinds = name, "matrix", ("d1", "d2")
 
-        return TensorBuilder("galilei_theta", "vector", n, space, deps, build)
-
-    if name == "galilei_theta2":
-        deps = _dep_coords(nb, m, ("d1", "d2"))
-
-        def build(view, r=r):
-            du = [view.du(r, b) for b in spatial]
+        def build(view):
+            du = _gvec(view, r, idx)
             scal = sum_prod(du, du) + mu * view.du(r, 0)
-            out = []
-            for ai, a in enumerate(spatial):
-                row = []
-                for bi, b in enumerate(spatial):
-                    val = view.ddu(r, a, b)
-                    if ai == bi:
-                        val = val - 2.0 * scal / n
-                    row.append(val)
-                out.append(row)
-            return out
+            return [[view.ddu(r, a, b) - 2.0 * scal / n if a == b
+                     else view.ddu(r, a, b) for b in idx] for a in idx]
+    elif name == "galilei_h":
+        label, kind, kinds = name, "vector", ("base", "d1")
 
-        return TensorBuilder("galilei_theta2", "matrix", n, space, deps, build)
-
-    if name == "galilei_h":
-        deps = _dep_coords(nb, m, ("base", "d1"))
-
-        def build(view, r=r):
+        def build(view):
             t = view.x(0)
-            return [mu * view.x(a) - t * view.du(r, a) for a in spatial]
+            return [mu * view.x(a) - t * view.du(r, a) for a in idx]
+    elif name == "galilei_hhat_mu0":
+        label, kind, kinds = "galilei_hhat", "vector", ("base", "d1", "d2")
 
-        return TensorBuilder("galilei_h", "vector", n, space, deps, build)
-
-    if name == "galilei_hhat_mu0":
-        deps = _dep_coords(nb, m, ("base", "d1", "d2"))
-
-        def build(view, r=r):
+        def build(view):
             t = view.x(0)
-            xs = [view.x(a) for a in spatial]
-            du = [view.du(r, a) for a in spatial]
+            xs = [view.x(a) for a in idx]
+            du = _gvec(view, r, idx)
             phit = view.du(r, 0)
             xdotdu = sum_prod(xs, du)
             out = []
-            for ai, a in enumerate(spatial):
-                h = sum_prod(xs, [view.ddu(r, a, b) for b in spatial]) \
+            for ai, a in enumerate(idx):
+                h = sum_prod(xs, [view.ddu(r, a, b) for b in idx]) \
                     + t * view.ddu(r, a, 0)
                 out.append(h / t + 2.0 * t * du[ai] * phit / n
                            + 4.0 * xdotdu * du[ai] / (n * t))
             return out
+    else:  # implicit_theta: theta solving U theta = d/dt du
+        label, kind, kinds = name, "vector", ("d2",)
 
-        return TensorBuilder("galilei_hhat", "vector", n, space, deps, build)
-
-    # implicit_theta: theta solving Hess * theta = d/dt gradient
-    deps = _dep_coords(nb, m, ("d2",))
-
-    def build(view, r=r):
-        return _implicit_theta(view, r, spatial)
-
-    return TensorBuilder("implicit_theta", "vector", n, space, deps, build)
+        def build(view):
+            return _implicit_theta(view, r, idx)
+    space = JetSpace(nb, m, REAL, met,
+                     positive_fields=name.startswith("theta"))
+    return TensorBuilder(label, kind, len(idx), space,
+                         _dep_coords(nb, m, kinds), build)
 
 
 # --------------------------------------------------------------------------
@@ -1563,110 +1501,73 @@ def _basis_galilei_complex_mass0(spec):
 
 # --------------------------------------------------------------------------
 # example equation residuals
+# Each residual is a closure over field 1 of a view; the Galilei ones read
+# the spatial indices 1..n of t, x1..xn unsigned, the Minkowski ones every
+# index of x0..xn under the Minkowski signs.
 
 
-@dataclass(frozen=True)
-class EquationInfo:
-    name: str
-    build: callable = dc_field(compare=False)
-    default_algebra: callable = dc_field(compare=False)
-    solve_hint: callable = dc_field(compare=False, default=None)
-    note: str = ""
-
-
-def _heat(n, mu=1.0, **_):
+def _galilei_residual(label, n, pair, fn):
+    """Residual ``fn`` of field 1 over t, x1..xn: a real field, or psi of
+    the complex pair (psi, psi*)."""
     nb = n + 1
-    space = JetSpace(nb, 1, REAL, euclidean(n))
-    deps = _dep_coords(nb, 1, ("d1", "d2"))
+    m, kind = (2, COMPLEX) if pair else (1, REAL)
+    return ScalarJetFunction(label, fn,
+                             _dep_coords(nb, m, ("d1", "d2"), rs=(1,)),
+                             JetSpace(nb, m, kind, euclidean(n)))
+
+
+def _evolution(n, pair=False, mu=1.0, mass=1.0, **_):
+    """2c u_t + tr U: the heat flow, c = mu, or on the complex pair the
+    free Schrodinger equation, c = i mass."""
+    sp = _spatial(n)
+    c = 2.0j * mass if pair else 2.0 * mu
+    return _galilei_residual(
+        f"schrodinger(mass={mass:g})" if pair else f"heat(mu={mu:g})", n,
+        pair, lambda v: _trace(v, 1, sp, acc=c * v.du(1, 0)))
+
+
+def _projective(n, pair=False, mu=1.0, mass=1.0, f_const=0.75, **_):
+    """N2 - c^2 N1^2 f with N1 = M1 + tr U and c = mu; on the complex pair
+    (c = i mass) N2 - N1^2 f, as printed."""
+    sp = _spatial(n)
+    if pair:
+        c2, two_c = -mass * mass, 2.0 * (1j * mass)
+        label = f"schrodinger-projective(mass={mass:g})"
+    else:
+        c2, two_c = mu * mu, 2.0 * mu
+        label = f"galilei-projective(mu={mu:g})"
 
     def fn(v):
-        acc = 2.0 * mu * v.du(1, 0)
-        for a in range(1, nb):
-            acc = acc + v.ddu(1, a, a)
-        return acc
+        jets = _jets(v, 1, sp)
+        tr = _trace(v, 1, sp)
+        lhs = _n2(c2, two_c, v.ddu(1, 0, 0), v.du(1, 0), tr, n, *jets)
+        sq = _power(_m1(two_c, v.du(1, 0), jets[0]) + tr, 2)
+        return lhs - (sq if pair else c2 * sq) * f_const
 
-    return ScalarJetFunction(f"heat(mu={mu:g})", fn, deps, space)
-
-
-def _schrodinger(n, mass=1.0, **_):
-    nb = n + 1
-    space = JetSpace(nb, 2, COMPLEX, euclidean(n))
-    deps = _dep_coords(nb, 2, ("d1", "d2"), rs=(1,))
-
-    def fn(v):
-        acc = 2.0j * mass * v.du(1, 0)
-        for a in range(1, nb):
-            acc = acc + v.ddu(1, a, a)
-        return acc
-
-    return ScalarJetFunction(f"schrodinger(mass={mass:g})", fn, deps, space)
+    return _galilei_residual(label, n, pair, fn)
 
 
-def _minkowski_parts(v, nb, signs):
-    du = [v.du(1, i) for i in range(nb)]
-    sq = 0.0
-    tr = 0.0
-    for i in range(nb):
-        sq = sq + signs[i] * du[i] * du[i]
-        tr = tr + signs[i] * v.ddu(1, i, i)
-    form = 0.0
-    for i in range(nb):
-        for j in range(nb):
-            form = form + signs[i] * signs[j] * du[i] * du[j] * v.ddu(1, i, j)
-    return du, sq, tr, form
-
-
-def _born_infeld(n, **_):
+def _minkowski_space(n, kinds=("d1", "d2"), positive=False):
+    """Indices, signs, dependencies and space of a residual in field 1
+    over x0..xn."""
     nb = n + 1
     met = minkowski(nb)
-    signs = met.signs
-    space = JetSpace(nb, 1, REAL, met)
-    deps = _dep_coords(nb, 1, ("d1", "d2"))
-
-    def fn(v):
-        _, sq, tr, form = _minkowski_parts(v, nb, signs)
-        return (1.0 - sq) * tr + form
-
-    return ScalarJetFunction("born-infeld", fn, deps, space)
+    return (tuple(range(nb)), met.signs, _dep_coords(nb, 1, kinds),
+            JetSpace(nb, 1, REAL, met, positive_fields=positive))
 
 
 def _eikonal(n, **_):
-    nb = n + 1
-    met = minkowski(nb)
-    signs = met.signs
-    space = JetSpace(nb, 1, REAL, met)
-    deps = _dep_coords(nb, 1, ("d1",))
+    idx, signs, deps, space = _minkowski_space(n, ("d1",))
 
     def fn(v):
-        du = [v.du(1, i) for i in range(nb)]
-        acc = 0.0
-        for i in range(nb):
-            acc = acc + signs[i] * du[i] * du[i]
-        return acc
+        du = _gvec(v, 1, idx)
+        return _dot(du, du, signs)
 
     return ScalarJetFunction("eikonal", fn, deps, space)
 
 
-def _eikonal_quasilinear(n, **_):
-    nb = n + 1
-    met = minkowski(nb)
-    signs = met.signs
-    space = JetSpace(nb, 1, REAL, met)
-    deps = _dep_coords(nb, 1, ("d1", "d2"))
-
-    def fn(v):
-        _, sq, tr, form = _minkowski_parts(v, nb, signs)
-        return form - sq * tr
-
-    return ScalarJetFunction("eikonal-quasilinear", fn, deps, space)
-
-
 def _eikonal_trace(n, k=1, **_):
-    nb = n + 1
-    met = minkowski(nb)
-    signs = met.signs
-    space = JetSpace(nb, 1, REAL, met)
-    deps = _dep_coords(nb, 1, ("d1", "d2"))
+    _, signs, deps, space = _minkowski_space(n)
     theta = covariant_tensor("eikonal_theta", n).builder
 
     def fn(v):
@@ -1675,125 +1576,102 @@ def _eikonal_trace(n, k=1, **_):
     return ScalarJetFunction(f"eikonal-trace(k={k})", fn, deps, space)
 
 
-def _conformal_power(n, f_coeffs=(1.0, 0.5), **_):
-    nb = n + 1
-    met = minkowski(nb)
-    signs = met.signs
-    space = JetSpace(nb, 1, REAL, met, positive_fields=True)
-    deps = _dep_coords(nb, 1, ("field", "d1", "d2"))
+def _quasilinear(label, n, combine, kinds=("d1", "d2"), positive=False):
+    """Residual ``combine(v, sq, tr, form)`` of sq = du.G.du, tr = tr(G U)
+    and form = du.G.U.G.du of field 1 over x0..xn."""
+    idx, signs, deps, space = _minkowski_space(n, kinds, positive)
 
     def fn(v):
-        _, sq, tr, form = _minkowski_parts(v, nb, signs)
+        du = _gvec(v, 1, idx)
+        form = 0.0
+        for i in idx:
+            for j in idx:
+                form = form + signs[i] * signs[j] * du[i] * du[j] \
+                    * v.ddu(1, i, j)
+        return combine(v, _dot(du, du, signs), _trace(v, 1, idx, signs),
+                       form)
+
+    return ScalarJetFunction(label, fn, deps, space)
+
+
+def _born_infeld(n, **_):
+    return _quasilinear("born-infeld", n,
+                        lambda v, sq, tr, form: (1.0 - sq) * tr + form)
+
+
+def _eikonal_quasilinear(n, **_):
+    return _quasilinear("eikonal-quasilinear", n,
+                        lambda v, sq, tr, form: form - sq * tr)
+
+
+def _conformal_power(n, f_coeffs=(1.0, 0.5), **_):
+    def combine(v, sq, tr, form):
         fu = 0.0
         for c in reversed(f_coeffs):
             fu = fu * v.u(1) + c
         return sq * tr / (1.0 - n) - form - _power(sq, 2) * fu
 
-    return ScalarJetFunction("conformal-power", fn, deps, space)
+    return _quasilinear("conformal-power", n, combine,
+                        ("field", "d1", "d2"), positive=True)
 
 
-def _galilei_projective(n, mu=1.0, f_const=0.75, **_):
-    nb = n + 1
-    space = JetSpace(nb, 1, REAL, euclidean(n))
-    deps = _dep_coords(nb, 1, ("d1", "d2"))
-    sp = _spatial(n)
+@dataclass(frozen=True)
+class EquationInfo:
+    """An example equation: the maker of its residual, the algebra it is
+    checked under (its name, fixed spec parameters and the call
+    parameters passed on to the spec), the coordinate Newton solves for
+    (None: the one with the largest derivative) and a note."""
 
-    def fn(v):
-        jets = _jets(v, 1, sp)
-        tr = 0.0
-        for a in sp:
-            tr = tr + v.ddu(1, a, a)
-        lhs = _n2(mu * mu, 2.0 * mu, v.ddu(1, 0, 0), v.du(1, 0), tr, n, *jets)
-        n1 = _m1(2.0 * mu, v.du(1, 0), jets[0]) + tr
-        return lhs - mu * mu * _power(n1, 2) * f_const
+    name: str
+    residual: callable = dc_field(compare=False)
+    algebra: str
+    spec: dict
+    reads: tuple
+    solve_for: object
+    note: str
 
-    return ScalarJetFunction(f"galilei-projective(mu={mu:g})", fn, deps, space)
+    def build(self, n, **params):
+        """The residual in n spatial dimensions; its maker reads the
+        ``params`` it takes (mu, mass, k, ...) and ignores the rest.  The
+        equations an _II algebra checks are on the complex pair."""
+        return self.residual(n, pair=self.algebra.endswith("_II"), **params)
 
-
-def _schrodinger_projective(n, mass=1.0, f_const=0.75, **_):
-    nb = n + 1
-    space = JetSpace(nb, 2, COMPLEX, euclidean(n))
-    deps = _dep_coords(nb, 2, ("d1", "d2"), rs=(1,))
-    sp = _spatial(n)
-    im = 1j * mass
-
-    def fn(v):
-        jets = _jets(v, 1, sp)
-        tr = 0.0
-        for a in sp:
-            tr = tr + v.ddu(1, a, a)
-        lhs = _n2(-mass * mass, 2.0 * im, v.ddu(1, 0, 0), v.du(1, 0), tr, n,
-                  *jets)
-        n1 = _m1(2.0 * im, v.du(1, 0), jets[0]) + tr
-        return lhs - _power(n1, 2) * f_const
-
-    return ScalarJetFunction(f"schrodinger-projective(mass={mass:g})", fn,
-                             deps, space)
+    def default_algebra(self, n, params):
+        """The algebra checking the residual, with the ``params`` its spec
+        reads."""
+        return make_spec(self.algebra, n, **self.spec,
+                         **{k: params[k] for k in self.reads if k in params})
 
 
-def _make_equations():
-    from .liealg import make_spec
-
-    return {
-        "heat": EquationInfo(
-            "heat", _heat,
-            lambda n, p: make_spec("AG2_I", n, mu=p.get("mu", 1.0), rep="u"),
-            lambda n: d1_coord(1, 0),
-            "linear heat flow; checked against the projective Galilei algebra"),
-        "schrodinger": EquationInfo(
-            "schrodinger", _schrodinger,
-            lambda n, p: make_spec("AG2_II", n, mass=p.get("mass", 1.0),
-                                   rep="u"),
-            lambda n: d1_coord(1, 0),
-            "free particle wave equation on the conjugate field pair"),
-        "born-infeld": EquationInfo(
-            "born-infeld", _born_infeld,
-            lambda n, p: make_spec("AP_BornInfeld", n),
-            lambda n: d2_coord(1, 0, 0),
-            "minimal-surface flow; symmetric under rotations mixing u into x"),
-        "eikonal": EquationInfo(
-            "eikonal", _eikonal,
-            lambda n, p: make_spec("AP_inf", n, seed=p.get("seed", 0),
-                                   instances=p.get("instances", 3),
-                                   functions=p.get("functions", ())),
-            lambda n: d1_coord(1, 0),
-            "null-gradient equation with an infinite symmetry algebra"),
-        "eikonal-quasilinear": EquationInfo(
-            "eikonal-quasilinear", _eikonal_quasilinear,
-            lambda n, p: make_spec("AP_inf", n, seed=p.get("seed", 0),
-                                   instances=p.get("instances", 3),
-                                   extended=True,
-                                   functions=p.get("functions", ())),
-            None,
-            "second-order companion of the eikonal flow"),
-        "eikonal-trace": EquationInfo(
-            "eikonal-trace", _eikonal_trace,
-            lambda n, p: make_spec("AP_inf", n, seed=p.get("seed", 0),
-                                   instances=p.get("instances", 3),
-                                   functions=p.get("functions", ())),
-            None,
-            "vanishing power-trace of the eikonal covariant tensor"),
-        "conformal-power": EquationInfo(
-            "conformal-power", _conformal_power,
-            lambda n, p: make_spec("AC1n", n, lam=0.0),
-            None,
-            "quasilinear flow driven by the conformal tensor trace"),
-        "galilei-projective": EquationInfo(
-            "galilei-projective", _galilei_projective,
-            lambda n, p: make_spec("AG2_I", n, mu=p.get("mu", 1.0),
-                                   rep="log"),
-            None,
-            "log-substituted projective-invariant flow"),
-        "schrodinger-projective": EquationInfo(
-            "schrodinger-projective", _schrodinger_projective,
-            lambda n, p: make_spec("AG2_II", n, mass=p.get("mass", 1.0),
-                                   rep="log"),
-            None,
-            "complex analogue of the projective-invariant flow"),
-    }
-
-
-EQUATIONS = _make_equations()
+_AP_INF_READS = ("seed", "instances", "functions")
+EQUATIONS = {e.name: e for e in (
+    EquationInfo("heat", _evolution, "AG2_I", {"rep": "u"}, ("mu",),
+                 d1_coord(1, 0), "linear heat flow; checked against the "
+                 "projective Galilei algebra"),
+    EquationInfo("schrodinger", _evolution, "AG2_II", {"rep": "u"},
+                 ("mass",), d1_coord(1, 0), "free particle wave equation on "
+                 "the conjugate field pair"),
+    EquationInfo("born-infeld", _born_infeld, "AP_BornInfeld", {}, (),
+                 d2_coord(1, 0, 0), "minimal-surface flow; symmetric under "
+                 "rotations mixing u into x"),
+    EquationInfo("eikonal", _eikonal, "AP_inf", {}, _AP_INF_READS,
+                 d1_coord(1, 0), "null-gradient equation with an infinite "
+                 "symmetry algebra"),
+    EquationInfo("eikonal-quasilinear", _eikonal_quasilinear, "AP_inf",
+                 {"extended": True}, _AP_INF_READS, None,
+                 "second-order companion of the eikonal flow"),
+    EquationInfo("eikonal-trace", _eikonal_trace, "AP_inf", {},
+                 _AP_INF_READS, None,
+                 "vanishing power-trace of the eikonal covariant tensor"),
+    EquationInfo("conformal-power", _conformal_power, "AC1n", {"lam": 0.0},
+                 (), None,
+                 "quasilinear flow driven by the conformal tensor trace"),
+    EquationInfo("galilei-projective", _projective, "AG2_I", {"rep": "log"},
+                 ("mu",), None, "log-substituted projective-invariant flow"),
+    EquationInfo("schrodinger-projective", _projective, "AG2_II",
+                 {"rep": "log"}, ("mass",), None,
+                 "complex analogue of the projective-invariant flow"),
+)}
 
 
 def equation_function(name: str, n: int, **params) -> ScalarJetFunction:

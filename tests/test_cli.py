@@ -218,6 +218,71 @@ def _config_file(tmp_path, text):
     return str(path)
 
 
+@pytest.mark.parametrize("text,key", [
+    ("algebra=AE\nn=3\nsample=2\n", "sample"),
+    ("algebra=AP_inf\nn=3\nfunction=eta=u^2\n", "function"),
+    ("algebra=AP_inf\nn=3\nfunctions=eta=u^2\n", "functions"),
+], ids=["misspelt", "function", "functions"])
+def test_unknown_config_key_is_usage_error(text, key, tmp_path, capsys):
+    # --function is command-line only: a file's line was echoed unapplied
+    from invforge import cli
+
+    cfg = _config_file(tmp_path, text)
+    out = io.StringIO()
+    assert cli.main(["rank", "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_file_lambda_key(tmp_path):
+    cfg = _config_file(tmp_path, "algebra=AE1\nn=3\nsamples=2\n"
+                                 "lambda=0.6\n")
+    code, doc = _in_process_report(("verify", "--config", cfg),
+                                   tmp_path / "r.json")
+    assert code == 0
+    assert doc["config"]["lam"] == 0.6
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "AG_II", "--n", "3", "--field", "real",
+     "--samples", "2"),
+    ("verify", "--algebra", "AE", "--n", "3", "--field", "complex",
+     "--samples", "2"),
+    ("rank", "--algebra", "AE", "--n", "3", "--field", "complex"),
+    ("completeness", "--algebra", "AE", "--n", "3", "--field", "complex"),
+    ("verify", "--equation", "heat", "--n", "3", "--field", "complex",
+     "--samples", "2"),
+    ("verify", "--algebra", "AG_II", "--n", "3", "--field", "real",
+     "--expr", "u1_x1", "--samples", "2"),
+], ids=["verify-II-real", "verify-basis", "rank", "completeness",
+        "verify-equation", "verify-expr-II-real"])
+def test_field_where_it_cannot_apply(argv, capsys):
+    from invforge import cli
+
+    out = io.StringIO()
+    assert cli.main(list(argv), stream=out) == 2
+    assert out.getvalue() == ""
+    assert "--field applies only to eval or verify --expr" \
+        in capsys.readouterr().err
+
+
+def test_field_applies_to_eval_and_verify_expr(tmp_path):
+    from invforge import cli
+
+    expr = ("--expr", "u1_x1 * conj(u1_x1)", "--samples", "2", "--seed", "0")
+    plain = _in_process_report(("verify", "--algebra", "AG_II", "--n", "3")
+                               + expr, tmp_path / "a.json")
+    flagged = _in_process_report(("verify", "--algebra", "AG_II", "--n", "3",
+                                  "--field", "complex") + expr,
+                                 tmp_path / "b.json")
+    assert flagged[0] == plain[0]
+    assert flagged[1]["checks"] == plain[1]["checks"]
+    out = io.StringIO()
+    assert cli.main(["eval", "--n", "3", "--m", "2", "--field", "complex",
+                     "--expr", "u1_x1 * conj(u1_x1)"], stream=out) == 0
+    assert out.getvalue().startswith("u1_x1 * conj(u1_x1) = ")
+
+
 def test_config_file_hat_variant_applies(tmp_path):
     cfg = _config_file(tmp_path, "algebra=AG2_I\nn=3\nsamples=2\n"
                                  "hat_variant=uniform\n")

@@ -38,6 +38,8 @@ CORPUS = [
     "2 ^ 3 ^ 2",
     "contract(du1, du1) + tr(ddu1)",
     "u ^ (1 / 3)",
+    "0.1234567 * u",
+    "u ^ -4.666666666666667",
 ]
 
 
