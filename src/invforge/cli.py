@@ -81,6 +81,11 @@ def _env_seed() -> int:
         raise SystemExit(2)
 
 
+# the settings whose flags take one of a few words, in a config file too
+_CHOICES = {"field": ("real", "complex"),
+            "hat_variant": ("printed", "uniform")}
+
+
 @functools.cache
 def _build_parser():
     # Built once per process: parsing leaves the parser unchanged (each call
@@ -101,7 +106,7 @@ def _build_parser():
         p.add_argument("--mu", type=float, help="boost weight")
         p.add_argument("--mass", type=float, help="mass parameter for the "
                        "complex families")
-        p.add_argument("--field", choices=("real", "complex"),
+        p.add_argument("--field", choices=_CHOICES["field"],
                        help="field kind")
         p.add_argument("--seed", type=int, help="sampling seed "
                        "(default: INVFORGE_SEED or 0)")
@@ -113,7 +118,7 @@ def _build_parser():
                        "equations')")
         p.add_argument("--k", type=int, help="order parameter for "
                        "eikonal-trace")
-        p.add_argument("--hat-variant", choices=("printed", "uniform"),
+        p.add_argument("--hat-variant", choices=_CHOICES["hat_variant"],
                        help="reading of the hatted projective sums "
                             "(default: printed)")
         p.add_argument("--function", action="append", metavar="NAME=EXPR",
@@ -178,6 +183,8 @@ def _merge_config(args):
             try:
                 cfg[key] = caster(val)
             except ValueError:
+                raise ValueError(f"bad value for {key!r}: {val!r}")
+            if key in _CHOICES and val not in _CHOICES[key]:
                 raise ValueError(f"bad value for {key!r}: {val!r}")
     for key in _CONFIG_KEYS:
         val = getattr(args, key, None)

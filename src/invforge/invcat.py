@@ -586,21 +586,21 @@ def _w(r, idx, signs, scale):
 def _eikonal_theta(r, idx, signs):
     """du (U G du)^T + (U G du) du^T - du du^T tr(G U) - du.G.du U."""
     def build(view):
-        du = _gvec(view, r, idx)
+        du, hess = _gvec(view, r, idx), _hess_of(view, r, idx)
         sq = _dot(du, du, signs)
-        tr = _trace(view, r, idx, signs)
+        tr = sum_prod(signs, [hess[i][i] for i in idx])
         mdu = []  # (U G du)_a
         for a in idx:
             acc = 0.0
             for c in idx:
-                acc = acc + signs[c] * view.ddu(r, a, c) * du[c]
+                acc = acc + signs[c] * hess[a][c] * du[c]
             mdu.append(acc)
         out = []
         for i in idx:
             row = []
             for j in idx:
                 row.append(du[i] * mdu[j] + du[j] * mdu[i]
-                           - du[i] * du[j] * tr - sq * view.ddu(r, i, j))
+                           - du[i] * du[j] * tr - sq * hess[i][j])
             out.append(row)
         return out
 
@@ -1539,9 +1539,9 @@ def _projective(n, pair=False, mu=1.0, mass=1.0, f_const=0.75, **_):
 
     def fn(v):
         jets = _jets(v, 1, sp)
-        tr = _trace(v, 1, sp)
-        lhs = _n2(c2, two_c, v.ddu(1, 0, 0), v.du(1, 0), tr, n, *jets)
-        sq = _power(_m1(two_c, v.du(1, 0), jets[0]) + tr, 2)
+        ut, tr = v.du(1, 0), mat_trace(jets[2])
+        lhs = _n2(c2, two_c, v.ddu(1, 0, 0), ut, tr, n, *jets)
+        sq = _power(_m1(two_c, ut, jets[0]) + tr, 2)
         return lhs - (sq if pair else c2 * sq) * f_const
 
     return _galilei_residual(label, n, pair, fn)
@@ -1582,14 +1582,14 @@ def _quasilinear(label, n, combine, kinds=("d1", "d2"), positive=False):
     idx, signs, deps, space = _minkowski_space(n, kinds, positive)
 
     def fn(v):
-        du = _gvec(v, 1, idx)
+        du, hess = _gvec(v, 1, idx), _hess_of(v, 1, idx)
         form = 0.0
         for i in idx:
             for j in idx:
                 form = form + signs[i] * signs[j] * du[i] * du[j] \
-                    * v.ddu(1, i, j)
-        return combine(v, _dot(du, du, signs), _trace(v, 1, idx, signs),
-                       form)
+                    * hess[i][j]
+        return combine(v, _dot(du, du, signs),
+                       sum_prod(signs, [hess[i][i] for i in idx]), form)
 
     return ScalarJetFunction(label, fn, deps, space)
 

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .dual import EvaluationError, is_finite, magnitude, value_grad_hess
+from .dual import EvaluationError, is_finite, value_grad_hess
 from .jetspace import (
     COMPLEX,
     REAL,
@@ -94,13 +94,62 @@ def _zero_total(du, ddu):
     return kind()
 
 
+# (point, _zero_total there, {function: jets there}) of the last point a
+# flow row was built at, replaced whole by the next point
+_LAST = (None, None, {})
+
+
+def _jets(fn, point):
+    """(value, [D_i g], [[D_j D_i g]]) of a coefficient g = ``fn`` at a
+    point, built once per point for all operators.  The point is matched by
+    identity, never by equality, which would merge -0.0 and 0.0."""
+    global _LAST
+    last = _LAST
+    if last[0] is not point:
+        last = _LAST = point, _zero_total(point.du, point.ddu), {}
+    _, zero, memo = last
+    jets = memo.get(fn)
+    if jets is not None:
+        return jets
+    n, m, du, ddu = point.n_base, point.n_fields, point.du, point.ddu
+    val, grad, hess = value_grad_hess(
+        lambda args: fn(args[:n], args[n:]), [*point.x, *point.u])
+    if zero is not None and _plus_zeros(grad, hess):
+        # an argument-free coefficient: every total derivative is ``zero``
+        jets = memo[fn] = val, [zero] * n, [[zero] * n] * n
+        return jets
+
+    def total_d(i):
+        # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
+        out = grad[i]
+        for s in range(m):
+            out = out + du[s][i] * grad[n + s]
+        return out
+
+    def total_dd(i, j):
+        # D_j D_i g for g = g(x, u)
+        out = hess[i][j]
+        for s in range(m):
+            out = out + du[s][j] * hess[i][n + s]
+            out = out + du[s][i] * hess[j][n + s]
+            out = out + ddu[s][i][j] * grad[n + s]
+            for t in range(m):
+                out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
+        return out
+
+    jets = memo[fn] = val, [total_d(i) for i in range(n)], \
+        [[total_dd(i, j) for j in range(n)] for i in range(n)]
+    return jets
+
+
 class ProlongedOperator:
     """Second prolongation of a vector field, evaluable at any jet point.
 
     One row is built per point: the flow table, the actual derivative of
     each stored coordinate along the prolonged flow (eta_ij for an
     off-diagonal pair, half the published sum), in the order x_i; per field
-    u_r and its d1 row; per field the d2 upper triangle.  The published
+    u_r and its d1 row; per field the d2 upper triangle, from coefficient
+    jets that all operators share per point (:func:`_jets`).  The published
     :meth:`coefficient_table` follows the unordered-pair convention, eta_ij
     + eta_ji for d2(r, i, j) with i != j, and is the flow table with those
     entries doubled, which is exact.  Either table is a dict in row order,
@@ -122,52 +171,12 @@ class ProlongedOperator:
         n, m = src.n_base, src.n_fields
         if point.n_base != n or point.n_fields != m:
             raise ValueError("jet point does not match the operator's space")
-        xs = list(point.x)
-        us = list(point.u)
-
-        def partials(fn):
-            def wrapped(args):
-                return fn(args[:n], args[n:])
-            return value_grad_hess(wrapped, xs + us)
-
-        # (value, gradient, Hessian) of xi^0 .. xi^(n-1), eta^1 .. eta^m
-        coeffs = [partials(f) for f in src.xi + src.eta]
         du, ddu = point.du, point.ddu
-        zero = _zero_total(du, ddu)
-
-        def total_d(grad, i):
-            # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
-            out = grad[i]
-            for s in range(m):
-                out = out + du[s][i] * grad[n + s]
-            return out
-
-        def total_dd(grad, hess, i, j):
-            # D_j D_i g for g = g(x, u)
-            out = hess[i][j]
-            for s in range(m):
-                out = out + du[s][j] * hess[i][n + s]
-                out = out + du[s][i] * hess[j][n + s]
-                out = out + ddu[s][i][j] * grad[n + s]
-                for t in range(m):
-                    out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
-            return out
-
-        # each coefficient's first and second total derivatives; those of
-        # an argument-free one are all ``zero``
-        d, dd = [], []
-        for _, grad, hess in coeffs:
-            if zero is not None and _plus_zeros(grad, hess):
-                d.append([zero] * n)
-                dd.append([[zero] * n] * n)
-            else:
-                d.append([total_d(grad, i) for i in range(n)])
-                dd.append([[total_dd(grad, hess, i, j) for j in range(n)]
-                           for i in range(n)])
-        d_xi, d_eta, dd_xi, dd_eta = d[:n], d[n:], dd[:n], dd[n:]
-        row = [c[0] for c in coeffs[:n]]
+        xi, d_xi, dd_xi = zip(*[_jets(f, point) for f in src.xi])
+        eta, d_eta, dd_eta = zip(*[_jets(f, point) for f in src.eta])
+        row = list(xi)
         for r in range(m):
-            row.append(coeffs[n + r][0])
+            row.append(eta[r])
             for i in range(n):
                 val = d_eta[r][i]
                 for k in range(n):
@@ -245,7 +254,8 @@ def apply_operator(op: ProlongedOperator, fn, point: JetPoint):
 
 
 def matrix_rank(rows, rtol: float = RANK_PIVOT_RTOL):
-    """Rank by scaled full-pivot elimination.
+    """Rank by scaled full-pivot elimination of plain (float or complex)
+    entries.
 
     Rows are scaled to unit max magnitude, then pivots are accepted while
     larger than ``rtol`` times the largest entry of the scaled matrix.
@@ -254,11 +264,11 @@ def matrix_rank(rows, rtol: float = RANK_PIVOT_RTOL):
     if not a or not a[0]:
         return 0, []
     for row in a:
-        s = max(magnitude(vv) for vv in row)
+        s = max(map(abs, row))
         if s > 0.0:
             for k in range(len(row)):
                 row[k] = row[k] / s
-    biggest = max(max(magnitude(vv) for vv in row) for row in a)
+    biggest = max(max(map(abs, row)) for row in a)
     if biggest == 0.0:
         return 0, []
     thresh = rtol * biggest
@@ -274,7 +284,7 @@ def matrix_rank(rows, rtol: float = RANK_PIVOT_RTOL):
             for c in range(ncols):
                 if c in used_c:
                     continue
-                mag = magnitude(a[r][c])
+                mag = abs(a[r][c])
                 if mag > best:
                     best, br, bc = mag, r, c
         if best <= thresh:

@@ -111,20 +111,25 @@ class CovarianceReport:
             else "FAIL"
 
 
-def family_jacobian(members, point: JetPoint, coords) -> list:
+def _columns(members, coords) -> list:
+    """Per member, the positions in ``coords`` of its dependencies."""
+    return [[ci for ci, c in enumerate(coords) if c in deps]
+            for deps in (set(m.deps) for m in members)]
+
+
+def family_jacobian(members, point: JetPoint, coords, cols=None) -> list:
     """Rows of member gradients over ``coords``: one first-order jet pass
     per member, all members sharing one gradient view (and so its jets
     and power caches).  Entries outside a member's dependency set are 0.0;
-    a member with none of ``coords`` in it is not evaluated."""
+    a member with none of ``coords`` in it is not evaluated.  ``cols`` is
+    ``_columns(members, coords)``, which a check computes once."""
     view = gradient_view(point, coords)
     rows = []
-    for m in members:
-        deps = set(m.deps)
+    for m, mcols in zip(members, cols or _columns(members, coords)):
         row = [0.0] * len(coords)
-        cols = [ci for ci, c in enumerate(coords) if c in deps]
-        if cols:
+        if mcols:
             grad = derivs(m.fn(view), len(coords))
-            for ci in cols:
+            for ci in mcols:
                 row[ci] = grad[ci]
         rows.append(row)
     return rows
@@ -166,12 +171,14 @@ def _draw(sampler, members, idx, retries=25):
     raise EvaluationError("could not sample an admissible generic point")
 
 
-def _score_point(ops, members, values, point, coords, at, worst, scales):
+def _score_point(ops, members, values, point, coords, at, cols, worst,
+                 scales):
     """Fold the residuals X(F) = sum_c X_c dF/dc of every operator on every
     member at one point into the running maxima ``worst`` and ``scales``,
-    keyed (operator, member); ``values`` are the members' values there and
-    ``at`` the positions of ``coords`` in the flow rows."""
-    jac = family_jacobian(members, point, coords)
+    keyed (operator, member); ``values`` are the members' values there,
+    ``at`` the positions of ``coords`` in the flow rows and ``cols`` the
+    members' Jacobian columns."""
+    jac = family_jacobian(members, point, coords, cols)
     fmags = [abs(val) for val in values]
     for op in ops:
         row = op.flow_table(point, at)
@@ -211,10 +218,12 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
     worst = {}
     scales = {}
     at = None
+    cols = _columns(members, coords)
     for s in range(n_samples):
         point, values = _draw(sampler, members, s)
         at = at or flow_positions(point.n_base, point.n_fields, coords)
-        _score_point(ops, members, values, point, coords, at, worst, scales)
+        _score_point(ops, members, values, point, coords, at, cols, worst,
+                     scales)
     label = family.label if isinstance(family, BasisFamily) else "ad-hoc"
     return InvarianceReport(label, _records(worst, scales, tol), n_samples,
                             seed, tol)
@@ -259,6 +268,7 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
     collected = 0
     attempt = 0
     at = None
+    cols = _columns([residual], residual.deps)
     while collected < n_samples:
         if attempt > 20 * n_samples + 100:
             raise EvaluationError("persistent Newton projection failure")
@@ -271,7 +281,7 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
         collected += 1
         at = at or flow_positions(point.n_base, point.n_fields, residual.deps)
         _score_point(ops, [residual], [residual.eval(point)], point,
-                     residual.deps, at, worst, scales)
+                     residual.deps, at, cols, worst, scales)
     return InvarianceReport(residual.label, _records(worst, scales, tol),
                             n_samples, seed, tol)
 
@@ -287,9 +297,10 @@ def independence_rank(family, n_samples: int = 5, seed: int = 0,
     sampler = _resolve_sampler(space_owner, seed, sampler)
     best_rank = 0
     best_pivots = ()
+    cols = _columns(members, coords)
     for s in range(n_samples):
         point, _ = _draw(sampler, members, s)
-        jac = family_jacobian(members, point, coords)
+        jac = family_jacobian(members, point, coords, cols)
         rank, pivots = matrix_rank(jac)
         if rank > best_rank:
             best_rank, best_pivots = rank, tuple(pivots)
@@ -393,11 +404,12 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     scales = {op.label: 0.0 for op in ops}
     fits = {op.label: () for op in ops}
     at = None
+    cols = _columns(comps, coords)
     for s in range(n_samples):
         point, _ = _draw(sampler, comps, s)
         at = at or flow_positions(point.n_base, point.n_fields, coords)
         t_val = tensor.build(point)
-        jac = family_jacobian(comps, point, coords)
+        jac = family_jacobian(comps, point, coords, cols)
         for op in ops:
             coeffs = op.flow_table(point, at)
 

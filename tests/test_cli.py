@@ -308,6 +308,23 @@ def test_config_file_hat_variant_is_checked_like_the_flag(tmp_path, capsys):
     assert "--hat-variant uniform applies only to" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("eval", "n=3\nm=2\nfield=cmplx\nexpr=u1_x1\n", "field"),
+    ("rank", "algebra=AE\nn=3\nhat_variant=sideways\n", "hat_variant"),
+], ids=["field", "hat_variant"])
+def test_config_file_choices_are_checked_like_the_flags(command, text, key,
+                                                        tmp_path, capsys):
+    # the flags' choices bind a file's value too: a misspelt field ran
+    # real, a misspelt hat variant was echoed unapplied
+    from invforge import cli
+
+    cfg = _config_file(tmp_path, text)
+    out = io.StringIO()
+    assert cli.main([command, "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("file_value,flag", [("uniform", "printed"),
                                              ("printed", "uniform")])
 def test_hat_variant_flag_wins_over_the_file(file_value, flag, tmp_path):

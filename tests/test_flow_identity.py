@@ -21,9 +21,10 @@ import os
 
 import pytest
 
+from invforge import liealg
 from invforge.dual import EvaluationError, value_grad_hess
 from invforge.exprlang import bind_scalar_function
-from invforge.jetspace import COMPLEX, d1_coord, d2_coord
+from invforge.jetspace import COMPLEX, base_coord, d1_coord, d2_coord
 from invforge.liealg import _FAMILIES, VectorField, _zero_total, catalog, \
     make_sampler, make_spec, prolong2
 from references import nested_value_grad_hess, reference_flow
@@ -235,6 +236,63 @@ def test_argument_free_zero_keeps_the_point_type():
         spec = make_spec(name, 3)
         point = sample_points(spec, False)[0]
         assert repr(_zero_total(point.du, point.ddu)) == zero
+
+
+def _flows(fields, point):
+    return [repr(prolong2(f).flow_table(point)) for f in fields]
+
+
+def _references(fields, point):
+    return [repr(reference_flow(prolong2(f), point)) for f in fields]
+
+
+@pytest.mark.parametrize("spec,shared", [
+    (make_spec("AE", 3), True), (make_spec("AG_II", 3, rep="log"), True),
+    (make_spec("AP_inf", 3), False)], ids=["AE", "AG_II-log", "AP_inf"])
+def test_each_coefficient_function_is_differentiated_once_per_point(
+        spec, shared, monkeypatch):
+    # the operators of an algebra share the jets of a coefficient function
+    # at one point; AP_inf's closures share nothing
+    calls = []
+
+    def counted(fn, args):
+        calls.append(fn)
+        return value_grad_hess(fn, args)
+
+    monkeypatch.setattr(liealg, "value_grad_hess", counted)
+    fields = catalog(spec)
+    fns = {f for field in fields for f in field.xi + field.eta}
+    total = sum(len(field.xi + field.eta) for field in fields)
+    assert (len(fns) < total) == shared
+    point = sample_points(spec, False)[0]
+    assert _flows(fields, point) == _references(fields, point)
+    assert len(calls) == len(fns)
+    _flows(fields, point)
+    assert len(calls) == len(fns)
+
+
+@pytest.mark.parametrize("name,kw", [("AE", {"m": 2}), ("AG_II", {}),
+                                     ("AC", {"lam": 0.6})])
+def test_shared_jets_follow_the_point(name, kw):
+    # a Newton step's point, then the first again: no row is stale
+    spec = make_spec(name, 3, **kw)
+    fields = catalog(spec)
+    p = sample_points(spec, False)[0]
+    step = p.replace(base_coord(1), p.x[1] + 0.25)
+    for point in (p, step, p):
+        assert _flows(fields, point) == _references(fields, point)
+
+
+def test_shared_jets_tell_signed_zeros_apart():
+    # equal points whose base coordinate is 0.0 and -0.0 get their own rows
+    spec = make_spec("AE", 3)
+    fields = catalog(spec)
+    plus = _with(sample_points(spec, False)[0], [(base_coord(0), 0.0)])
+    minus = plus.replace(base_coord(0), -0.0)
+    assert plus == minus
+    rows = [_flows(fields, p) for p in (plus, minus, plus)]
+    assert rows == [_references(fields, p) for p in (plus, minus, plus)]
+    assert rows[0] != rows[1]
 
 
 def record():
