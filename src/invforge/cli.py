@@ -20,8 +20,9 @@ from . import __version__
 from .exprlang import BindError, ParseError, bind, bind_scalar_function, \
     needs_positive_u
 from .invcat import EQUATIONS, POSITIVE_FIELD_ALGEBRAS, TENSORS, basis
-from .jetspace import COMPLEX, REAL, minkowski, to_log_jets
-from .liealg import catalog, generic_rank, make_sampler, make_spec, prolong2
+from .jetspace import COMPLEX, REAL, to_log_jets
+from .liealg import algebra_space, catalog, generic_rank, make_sampler, \
+    make_spec, prolong2
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
@@ -344,14 +345,10 @@ def _verify_equation(cfg):
 
 def _verify_expression(cfg):
     spec = _spec_from_config(cfg)
-    fam_space_kind = COMPLEX if spec.field_kind is COMPLEX else REAL
-    met = minkowski(spec.n_base) \
-        if spec.name in ("AP", "APtilde", "AC1n", "AP_inf") else None
-    fn = bind(cfg["expr"], spec.n_base, spec.n_fields, metric=met,
-              field_kind=fam_space_kind,
-              time_mode=spec.name.startswith("AG")
-              or spec.name == "AP_BornInfeld",
-              lam=cfg.get("lam", 1.0), mu=cfg.get("mu", 1.0))
+    _, (metric, _, time_mode) = algebra_space(spec)
+    fn = bind(cfg["expr"], spec.n_base, spec.n_fields, metric=metric,
+              field_kind=spec.field_kind, time_mode=time_mode, lam=spec.lam,
+              mu=spec.mu)
     ops = [prolong2(f) for f in catalog(spec)]
     # drawn where the algebra's basis is, so a pasted member's fractional
     # powers of u need no redraws
@@ -428,12 +425,11 @@ def _cmd_verify(cfg):
 def _cmd_rank(cfg):
     spec = _spec_from_config(cfg)
     ops = [prolong2(f) for f in catalog(spec)]
-    try:
-        sampler = basis(spec).space.sampler(cfg["seed"])
-    except ValueError:
-        sampler = make_sampler(spec.n_base, spec.n_fields, spec.field_kind,
-                               seed=cfg["seed"],
-                               positive_fields=_positive_u(cfg))
+    # the points the algebra's basis, if it has one, is drawn at
+    sampler = make_sampler(
+        spec.n_base, spec.n_fields, spec.field_kind, cfg["seed"],
+        positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS
+        or _positive_u(cfg))
     rank = generic_rank(ops, sampler, trials=max(3, cfg["samples"] // 10))
     checks = [{
         "name": f"rank:{spec.name}",

@@ -37,7 +37,7 @@ from .jetspace import (
     euclidean,
     minkowski,
 )
-from .liealg import AlgebraSpec, make_sampler, make_spec
+from .liealg import AlgebraSpec, algebra_space, make_sampler, make_spec
 
 # --------------------------------------------------------------------------
 # generic dense linear algebra over any scalar that supports + - * /
@@ -486,12 +486,8 @@ class TensorBuilder:
     deps: tuple
     builder: callable = dc_field(compare=False)
 
-    def build(self, point_or_view):
-        view = (point_or_view if hasattr(point_or_view, "cache")
-                else _plain_view(point_or_view))
-        out = self.builder(view)
-        if hasattr(point_or_view, "cache"):
-            return out
+    def build(self, point: JetPoint):
+        out = self.builder(_plain_view(point))
         if self.kind == "vector":
             return [value_of(v) for v in out]
         return [[value_of(v) for v in row] for row in out]
@@ -795,12 +791,11 @@ def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
     alone, every other member on the ``kinds`` coordinates."""
     from . import exprlang
     nb, m = spec.n_base, spec.m
-    metric = (minkowski if spec.name in ("AP", "APtilde", "AC1n")
-              else euclidean)(nb)
-    space = JetSpace(nb, m, REAL, metric,
+    _, (metric, kind, time_mode) = algebra_space(spec)
+    space = JetSpace(nb, m, kind, metric or euclidean(nb),
                      positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
     deps = _dep_coords(nb, m, kinds)
-    compile_ = exprlang.compiler(nb, m, metric, lam=spec.lam)
+    compile_ = exprlang.compiler(nb, m, metric, kind, time_mode, lam=spec.lam)
     members = []
     for mlabel, text in rows:
         ast = _row_ast(text)

@@ -61,42 +61,9 @@ class VectorField:
         return f"VectorField({self.label})"
 
 
-# 0.0 + complex zeros is 0j whatever their signs (CPython before 3.14)
-_PROMOTES = repr(0.0 + 0.0 * complex(-1, -1)) == "0j"
-
-
-def _plus_zeros(grad, hess):
-    """Whether every partial of a coefficient is float +0.0."""
-    if any(grad) or any(map(any, hess)):
-        return False
-    zeros = [*grad, *itertools.chain.from_iterable(hess)]
-    return set(map(type, zeros)) == {float} \
-        and min(map(math.copysign, itertools.repeat(1.0), zeros)) > 0.0
-
-
-def _zero_total(du, ddu):
-    """What ``total_d`` and ``total_dd`` give a coefficient whose partials
-    are all float +0.0, at every (i, j) of a point: +0.0 on real jets, 0j
-    on complex ones.  None (run the loops) where that is not one value:
-    real and complex derivatives mixed, or one that is not finite or so
-    large that a product of two overflows (the loops then give nan).
-    """
-    entries = [e for row in du for e in row]
-    entries += [e for mat in ddu for row in mat for e in row]
-    kind = type(entries[0])
-    if kind not in (float, complex) or (kind is complex and not _PROMOTES) \
-            or any(type(e) is not kind for e in entries):
-        return None
-    mags = [abs(e.real) + abs(e.imag) for e in entries]
-    big = max(mags)
-    if not math.isfinite(sum(mags) + big * big + big * big):
-        return None
-    return kind()
-
-
-# (point, _zero_total there, {function: jets there}) of the last point a
-# flow row was built at, replaced whole by the next point
-_LAST = (None, None, {})
+# (point, {function: jets there}) of the last point a flow row was built
+# at, replaced whole by the next point
+_LAST = (None, {})
 
 
 def _jets(fn, point):
@@ -104,20 +71,15 @@ def _jets(fn, point):
     point, built once per point for all operators.  The point is matched by
     identity, never by equality, which would merge -0.0 and 0.0."""
     global _LAST
-    last = _LAST
-    if last[0] is not point:
-        last = _LAST = point, _zero_total(point.du, point.ddu), {}
-    _, zero, memo = last
+    if _LAST[0] is not point:
+        _LAST = point, {}
+    memo = _LAST[1]
     jets = memo.get(fn)
     if jets is not None:
         return jets
     n, m, du, ddu = point.n_base, point.n_fields, point.du, point.ddu
     val, grad, hess = value_grad_hess(
         lambda args: fn(args[:n], args[n:]), [*point.x, *point.u])
-    if zero is not None and _plus_zeros(grad, hess):
-        # an argument-free coefficient: every total derivative is ``zero``
-        jets = memo[fn] = val, [zero] * n, [[zero] * n] * n
-        return jets
 
     def total_d(i):
         # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
@@ -414,8 +376,12 @@ def catalog(spec: AlgebraSpec) -> list:
     return bind_generators(spec, generator_rows(spec))
 
 
-def _space(spec: AlgebraSpec):
-    """Base coordinate names of a text-row algebra, and their binding."""
+def algebra_space(spec: AlgebraSpec):
+    """Base coordinate names of an algebra's jet space, and the (metric,
+    None for Euclidean; field kind; time mode) that exprlang binds text
+    over them with: ``t, x1..xn`` for the Galilei families, ``x1..xn`` for
+    the Euclid ones, and ``x0..xn`` under the Minkowski signs for the
+    rest."""
     nb = spec.n_base
     if spec.name.startswith("AG"):
         kind = COMPLEX if spec.name.endswith("_II") else REAL
@@ -431,7 +397,7 @@ def bind_generators(spec: AlgebraSpec, rows) -> list:
     # imported here: exprlang imports invcat, which imports this module
     from .exprlang import bind_coefficient
     nb, m = spec.n_base, spec.m
-    _, binding = _space(spec)
+    _, binding = algebra_space(spec)
 
     def bound(texts):
         return [bind_coefficient(t, nb, m, *binding)[0] for t in texts]
@@ -444,7 +410,7 @@ def generator_rows(spec: AlgebraSpec) -> list:
     algebra but AP_inf.  Each text repeats, operand by operand, the
     arithmetic its coefficient stands for, with constants printed by
     ``repr``; an argument-free coefficient is a bare number."""
-    x, _ = _space(spec)
+    x, _ = algebra_space(spec)
     u = [f"u{r}" for r in range(1, spec.m + 1)]
     if spec.name.startswith("AG"):
         return _galilei_rows(spec, x, u)

@@ -10,8 +10,9 @@ can check that the replacement gives every value bit for bit.
   a is seeded as ``Dual(Dual(x_a, e_a), d_a)``, both dual layers vectors
   over every direction.
 - :func:`reference_flow` is ``ProlongedOperator._flow`` as it was before
-  argument-free coefficients skipped the total-derivative loops: every
-  coefficient goes through ``total_d`` and ``total_dd``.
+  the flat second-order jet pass: each operator runs every one of its
+  coefficients, on nested-dual partials by default, through ``total_d``
+  and ``total_dd`` itself.
 """
 
 import functools

@@ -449,3 +449,72 @@ def test_fractional_power_coefficient_draws_positive_u(seed):
         code = cli.main(argv + ["--n", "3", "--function", "eta=u^0.5",
                                 "--seed", str(seed)], stream=io.StringIO())
         assert code in (0, 1), argv
+
+
+# S(1) written out with each algebra's signs over its base coordinates
+_EUCLID_TRACE = "u_x1x1 + u_x2x2 + u_x3x3"
+_MINKOWSKI_TRACE = "u_x0x0 - u_x1x1 - u_x2x2 - u_x3x3"
+
+
+@pytest.mark.parametrize("name,trace", [
+    *[(name, _EUCLID_TRACE) for name in ("AO", "AE", "AE1", "AC")],
+    *[(name, _MINKOWSKI_TRACE) for name in ("AP", "APtilde", "AC1n",
+                                            "AP_inf", "AP_BornInfeld")]])
+def test_verify_expression_binds_the_algebras_coordinates(name, trace,
+                                                          tmp_path):
+    argv = ("verify", "--algebra", name, "--n", "3", "--seed", "0",
+            "--samples", "4", "--expr")
+    code, doc = _in_process_report(argv + ("S(1)",), tmp_path / "s.json")
+    want_code, want = _in_process_report(argv + (trace,), tmp_path / "t.json")
+    assert (code, doc["checks"]) == (want_code, want["checks"])
+    if name == "AP_BornInfeld":
+        # the Minkowski trace is invariant under the boosts J01..J03
+        verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+        assert [verdicts[f"expression:J0{k}"] for k in (1, 2, 3)] \
+            == ["PASS"] * 3
+
+
+def test_time_coordinate_under_born_infeld_is_usage_error(capsys):
+    from invforge import cli
+
+    code = cli.main(["verify", "--algebra", "AP_BornInfeld", "--n", "3",
+                     "--expr", "u_t"], stream=io.StringIO())
+    assert code == 2
+    assert "'t' is only valid in a time binding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,rank", [
+    (("--algebra", "AE"), 6),
+    (("--algebra", "AG_II", "--mass", "0"), 11),
+    (("--algebra", "AP_inf", "--function", "eta=u^0.5"), 3),
+], ids=["AE", "AG_II-massless", "AP_inf-sqrt"])
+def test_rank_builds_no_basis(argv, rank, monkeypatch):
+    from invforge import cli
+
+    def no_basis(*args, **kw):
+        raise RuntimeError("rank built a basis")
+
+    monkeypatch.setattr(cli, "basis", no_basis)
+    out = io.StringIO()
+    assert cli.main(["rank", *argv, "--n", "3"], stream=out) == 0
+    assert out.getvalue().splitlines()[0] == f"rank = {rank}"
+
+
+@pytest.mark.parametrize("name", ["AO", "AE", "AE1", "AC", "AP", "APtilde",
+                                  "AC1n", "AG_I", "AG2_I", "AG1_II"])
+def test_rank_draws_the_points_of_the_basis(name, monkeypatch):
+    from invforge import cli
+    from invforge.invcat import basis
+
+    samplers = []
+
+    def first_points(ops, sampler, trials):
+        samplers.append(sampler)
+        return len(ops)
+
+    monkeypatch.setattr(cli, "generic_rank", first_points)
+    assert cli.main(["rank", "--algebra", name, "--n", "3", "--seed", "7"],
+                    stream=io.StringIO()) == 0
+    spec = cli._spec_from_config({"algebra": name, "n": 3})
+    want = basis(spec).space.sampler(7)
+    assert [samplers[0](t) for t in range(3)] == [want(t) for t in range(3)]

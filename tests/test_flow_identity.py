@@ -25,8 +25,8 @@ from invforge import liealg
 from invforge.dual import EvaluationError, value_grad_hess
 from invforge.exprlang import bind_scalar_function
 from invforge.jetspace import COMPLEX, base_coord, d1_coord, d2_coord
-from invforge.liealg import _FAMILIES, VectorField, _zero_total, catalog, \
-    make_sampler, make_spec, prolong2
+from invforge.liealg import _FAMILIES, VectorField, catalog, make_sampler, \
+    make_spec, prolong2
 from references import nested_value_grad_hess, reference_flow
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -179,9 +179,9 @@ def _with(point, changes):
     return point
 
 
-# jet points on which the argument-free shortcut does not apply: the loops
-# give nan (a derivative that is not finite, or a product of two first
-# derivatives that overflows) or a zero whose type varies with (i, j)
+# unusual jet points: the total-derivative loops give nan (a derivative
+# that is not finite, or a product of two first derivatives that
+# overflows) or a zero whose type varies with (i, j)
 _UNUSUAL = (
     [(d1_coord(1, 1), float("inf")), (d2_coord(1, 0, 2), float("nan"))],
     [(d1_coord(1, 0), float("nan"))],
@@ -205,7 +205,6 @@ def test_unusual_points_run_the_loops(name, kw, changes):
     if spec.field_kind is COMPLEX and changes[0][1] == 1.5j:
         changes = [(cid, 1.5) for cid, _ in changes]
     point = _with(sample_points(spec, False)[0], changes)
-    assert _zero_total(point.du, point.ddu) is None
     for field in catalog(spec):
         op = prolong2(field)
         assert repr(op.flow_table(point)) == repr(reference_flow(op, point))
@@ -229,13 +228,6 @@ def test_zero_partials_that_are_not_plus_zero_run_the_loops(eta):
                       for mat in point.ddu))
         for p in (point, positive):
             assert repr(op.flow_table(p)) == repr(reference_flow(op, p))
-
-
-def test_argument_free_zero_keeps_the_point_type():
-    for name, zero in (("AE", "0.0"), ("AG_II", "0j")):
-        spec = make_spec(name, 3)
-        point = sample_points(spec, False)[0]
-        assert repr(_zero_total(point.du, point.ddu)) == zero
 
 
 def _flows(fields, point):
