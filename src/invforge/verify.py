@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .dual import Dual, EvaluationError, derivs, is_finite
+from .dual import EvaluationError, derivs, is_finite
 from .invcat import (
     BasisFamily,
     ScalarJetFunction,
     TensorBuilder,
     gradient_view,
-    seeded_view,
+    seeded_view,  # noqa: F401  (invbench/tracer.py wraps verify.seeded_view)
 )
 from .jetspace import JetPoint
 from .liealg import flow_positions, matrix_rank
@@ -233,7 +233,12 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
                    solve_for=None, target: float = 1e-12,
                    max_iter: int = 50) -> JetPoint:
     """Project a point onto the residual's zero set by adjusting one jet
-    coordinate (largest-derivative coordinate when unspecified)."""
+    coordinate (largest-derivative coordinate when unspecified).
+
+    A secant iteration: the first slope is the residual's exact derivative
+    along the coordinate, from one ``Jet1`` pass; each later slope is the
+    difference quotient of the last two iterates, so a step costs one plain
+    evaluation.  A step that leaves the coordinate where it was raises."""
     cid = solve_for
     if cid is None:
         best = 0.0
@@ -241,19 +246,28 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
                       len(residual.deps))
         for c, d in zip(residual.deps, grad):
             if abs(d) > best:
-                best, cid = abs(d), c
+                best, cid, slope = abs(d), c, d
         if cid is None:
             raise EvaluationError("residual has no usable jet coordinate")
+    else:
+        slope = derivs(residual.fn(gradient_view(point, [cid])), 1)[0]
+    prev = None
     for _ in range(max_iter):
         val = residual.eval(point)
         if abs(val) < target:
             return point
-        out = residual.fn(seeded_view(point, cid))
-        d = out.deriv if isinstance(out, Dual) else 0.0
-        if abs(d) < 1e-10:
+        x = point.value(cid)
+        if prev is not None:
+            prev_x, prev_val = prev
+            if x == prev_x:
+                raise EvaluationError("projection step did not move the "
+                                      "solve coordinate")
+            slope = (val - prev_val) / (x - prev_x)
+        if abs(slope) < 1e-10:
             raise EvaluationError("residual not monotone in the solve "
                                   "coordinate")
-        point = point.replace(cid, point.value(cid) - val / d)
+        prev = (x, val)
+        point = point.replace(cid, x - val / slope)
     raise EvaluationError("Newton projection did not converge")
 
 

@@ -1,7 +1,10 @@
+import io
+import json
 import math
 
 import pytest
 
+from invforge import cli
 from invforge.dual import Dual, EvaluationError
 from invforge.invcat import (
     EQUATIONS,
@@ -13,7 +16,13 @@ from invforge.invcat import (
     seeded_view,
     two_matrix_trace_family,
 )
-from invforge.jetspace import d1_coord, d2_coord, field_coord, sample_generic
+from invforge.jetspace import (
+    JetPoint,
+    d1_coord,
+    d2_coord,
+    field_coord,
+    sample_generic,
+)
 from invforge.liealg import VectorField, catalog, make_spec, prolong2
 from invforge.verify import (
     check_absolute,
@@ -24,6 +33,7 @@ from invforge.verify import (
     independence_rank,
     newton_project,
 )
+from test_report_identity import FIXTURE
 
 
 def _ops(name, n, **kw):
@@ -220,6 +230,64 @@ def test_newton_projection_needs_a_slope():
                              (field_coord(1),), space)
     with pytest.raises(EvaluationError):
         newton_project(flat, sample_generic(3, 1, seed=1), field_coord(1))
+
+
+@pytest.fixture
+def no_dual(monkeypatch):
+    """Make building a ``Dual`` an error: the equation path needs none."""
+    def refuse(self, *args):
+        raise AssertionError("a Dual was built")
+    monkeypatch.setattr(Dual, "__init__", refuse)
+
+
+with open(FIXTURE, encoding="utf-8") as _fh:
+    EQUATION_REPORTS = {argv: entry["exit"]
+                        for argv, entry in json.load(_fh).items()
+                        if argv.startswith("verify --equation ")}
+
+
+def test_equation_reports_cover_every_equation():
+    named = {argv.split()[2] for argv in EQUATION_REPORTS}
+    assert named == set(EQUATIONS)
+
+
+@pytest.mark.parametrize("argv", sorted(EQUATION_REPORTS))
+def test_equation_reports_build_no_dual(argv, no_dual):
+    code = cli.main(argv.split() + ["--seed", "0"], stream=io.StringIO())
+    assert code == EQUATION_REPORTS[argv]
+
+
+def test_projection_first_slope_is_exact(no_dual, monkeypatch):
+    """heat is linear in u_t: an exact first slope lands in one step."""
+    replaced = []
+    original = JetPoint.replace
+
+    def counted(self, cid, value):
+        replaced.append(cid)
+        return original(self, cid, value)
+    monkeypatch.setattr(JetPoint, "replace", counted)
+    E = equation_function("heat", 3, mu=1.0)
+    projected = newton_project(E, E.space.sampler(3)(0), d1_coord(1, 0))
+    assert replaced == [d1_coord(1, 0)]
+    assert abs(E.eval(projected)) < 1e-12
+
+
+def test_projection_raises_when_a_step_cannot_move(monkeypatch):
+    """At u = 1e17 the step u - 1 rounds back to u: the second evaluation
+    sees the same coordinate and raises instead of dividing 0 by 0."""
+    evals = []
+    original = ScalarJetFunction.eval
+
+    def counted(self, point):
+        evals.append(point)
+        return original(self, point)
+    monkeypatch.setattr(ScalarJetFunction, "eval", counted)
+    offset = ScalarJetFunction("offset", lambda v: v.u(1) - 1e17 + 1.0,
+                               (field_coord(1),), JetSpace(3, 1))
+    point = sample_generic(3, 1, seed=1).replace(field_coord(1), 1e17)
+    with pytest.raises(EvaluationError, match="did not move"):
+        newton_project(offset, point, field_coord(1))
+    assert len(evals) <= 2
 
 
 def test_covariance_theta_and_w():
