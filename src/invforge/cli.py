@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -197,6 +198,11 @@ def _merge_config(args):
     cfg.setdefault("seed", _env_seed())
     cfg.setdefault("samples", DEFAULT_SAMPLES)
     cfg.setdefault("tol", DEFAULT_TOL)
+    if cfg["samples"] < 1:
+        raise ValueError(f"samples must be at least 1, got {cfg['samples']}")
+    if not 0.0 <= cfg["tol"] < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got "
+                         f"{cfg['tol']}")
     cfg.setdefault("n", 3)
     cfg.setdefault("hat_variant", "printed")
     return cfg

@@ -190,6 +190,13 @@ def flow_positions(n_base: int, n_fields: int, coords) -> list:
     return [index[c] for c in coords]
 
 
+def coefficient_rows(rows, n_base: int, n_fields: int, at) -> list:
+    """Coefficient tables at ``at`` from flow tables there: off-diagonal
+    entries doubled, as :meth:`ProlongedOperator.coefficient_table` does."""
+    off = _row_layout(n_base, n_fields)[1]
+    return [[2.0 * c if off[p] else c for p, c in zip(at, r)] for r in rows]
+
+
 def prolong2(v: VectorField) -> ProlongedOperator:
     """Second prolongation of a vector field."""
     return ProlongedOperator(v)
@@ -272,7 +279,8 @@ def matrix_rank(rows, rtol: float = RANK_PIVOT_RTOL):
 
 def generic_rank(ops, sampler, trials: int = 5, coords=None) -> int:
     """Max over sampled points of the rank of the operators' coefficient
-    matrix (rows = operators, columns = jet coordinates)."""
+    matrix (rows = operators, columns = jet coordinates), stopping once it
+    reaches the row or column count, which no later point can exceed."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     best = 0
@@ -283,6 +291,8 @@ def generic_rank(ops, sampler, trials: int = 5, coords=None) -> int:
                                 point.coords() if coords is None else coords)
         rank, _ = matrix_rank([op.coefficient_table(point, at) for op in ops])
         best = max(best, rank)
+        if best == min(len(ops), len(at)):
+            break
     return best
 
 

@@ -22,7 +22,8 @@ from .invcat import (
     seeded_view,  # noqa: F401  (invbench/tracer.py wraps verify.seeded_view)
 )
 from .jetspace import JetPoint
-from .liealg import flow_positions, matrix_rank
+from .liealg import catalog, coefficient_rows, flow_positions, \
+    matrix_rank, prolong2
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 50
@@ -135,29 +136,33 @@ def family_jacobian(members, point: JetPoint, coords, cols=None) -> list:
     return rows
 
 
-def _resolve_sampler(family_or_fn, seed, sampler):
-    if sampler is not None:
-        return sampler
-    return family_or_fn.space.sampler(seed)
+def _parts(family, seed, sampler):
+    """Members, dependency coordinates (for a list, the union of the
+    members' in first-seen order), sampler (``sampler``, else the space's
+    at ``seed``) and label of a family or a list of members."""
+    if isinstance(family, BasisFamily):
+        return list(family.members), family.deps, \
+            sampler or family.space.sampler(seed), family.label
+    members = list(family)
+    coords = tuple(dict.fromkeys(c for m in members for c in m.deps))
+    return members, coords, sampler or members[0].space.sampler(seed), \
+        "ad-hoc"
 
 
-def _dep_union(members):
-    seen = set()
-    coords = []
-    for m in members:
-        for c in m.deps:
-            if c not in seen:
-                seen.add(c)
-                coords.append(c)
-    return tuple(coords)
+def _need_samples(n_samples):
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
 
 
 def _draw(sampler, members, idx, retries=25):
     """Sample a point where every member evaluates finitely; return it with
-    the members' plain values there."""
+    the members' plain values there, and the first point tried,
+    ``sampler(idx)``, which is the point itself unless it was redrawn."""
     attempt = idx
     for _ in range(retries):
         point = sampler(attempt)
+        if attempt == idx:
+            first = point
         try:
             values = []
             for m in members:
@@ -165,23 +170,19 @@ def _draw(sampler, members, idx, retries=25):
                 if not is_finite(val):
                     raise EvaluationError(f"non-finite value of {m.label}")
                 values.append(val)
-            return point, values
+            return point, values, first
         except EvaluationError:
             attempt += 10007
     raise EvaluationError("could not sample an admissible generic point")
 
 
-def _score_point(ops, members, values, point, coords, at, cols, worst,
-                 scales):
+def _score_point(ops, members, values, jac, rows, worst, scales):
     """Fold the residuals X(F) = sum_c X_c dF/dc of every operator on every
     member at one point into the running maxima ``worst`` and ``scales``,
     keyed (operator, member); ``values`` are the members' values there,
-    ``at`` the positions of ``coords`` in the flow rows and ``cols`` the
-    members' Jacobian columns."""
-    jac = family_jacobian(members, point, coords, cols)
+    ``jac`` the family Jacobian and ``rows`` the operators' flow rows."""
     fmags = [abs(val) for val in values]
-    for op in ops:
-        row = op.flow_table(point, at)
+    for op, row in zip(ops, rows):
         cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
         for mi, mem in enumerate(members):
             resid = 0.0
@@ -193,6 +194,32 @@ def _score_point(ops, members, values, point, coords, at, cols, worst,
             key = (op.label, mem.label)
             worst[key] = max(worst.get(key, 0.0), abs(resid))
             scales[key] = max(scales.get(key, 0.0), fmags[mi] * cnorm)
+
+
+def _sweep(ops, members, coords, sampler, n_samples, trials=0):
+    """Draw points 0, 1, ... once each (:func:`_draw`), build each one's
+    Jacobian and flow rows once, and score the first ``n_samples``; over
+    the first ``trials`` also take the largest generic rank, at
+    ``sampler(s)`` as :func:`generic_rank` reads it, and Jacobian rank.
+    Returns (worst, scales, generic rank, independence rank)."""
+    cols = _columns(members, coords)
+    worst, scales = {}, {}
+    alg_rank = ind_rank = 0
+    at = None
+    for s in range(max(trials, n_samples)):
+        point, values, first = _draw(sampler, members, s)
+        at = at or flow_positions(point.n_base, point.n_fields, coords)
+        jac = family_jacobian(members, point, coords, cols)
+        rows = [op.flow_table(point, at) for op in ops]
+        if s < n_samples:
+            _score_point(ops, members, values, jac, rows, worst, scales)
+        if s < trials:
+            if first is not point:
+                rows = [op.flow_table(first, at) for op in ops]
+            rows = coefficient_rows(rows, point.n_base, point.n_fields, at)
+            alg_rank = max(alg_rank, matrix_rank(rows)[0])
+            ind_rank = max(ind_rank, matrix_rank(jac)[0])
+    return worst, scales, alg_rank, ind_rank
 
 
 def _records(worst, scales, tol):
@@ -209,22 +236,9 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
                    sampler=None) -> InvarianceReport:
     """Evaluate every prolonged operator on every family member at sampled
     generic points; PASS iff all residuals stay within tolerance."""
-    members = list(family.members) if isinstance(family, BasisFamily) \
-        else list(family)
-    space_owner = family if isinstance(family, BasisFamily) else members[0]
-    sampler = _resolve_sampler(space_owner, seed, sampler)
-    coords = family.deps if isinstance(family, BasisFamily) \
-        else _dep_union(members)
-    worst = {}
-    scales = {}
-    at = None
-    cols = _columns(members, coords)
-    for s in range(n_samples):
-        point, values = _draw(sampler, members, s)
-        at = at or flow_positions(point.n_base, point.n_fields, coords)
-        _score_point(ops, members, values, point, coords, at, cols, worst,
-                     scales)
-    label = family.label if isinstance(family, BasisFamily) else "ad-hoc"
+    _need_samples(n_samples)
+    members, coords, sampler, label = _parts(family, seed, sampler)
+    worst, scales, _, _ = _sweep(ops, members, coords, sampler, n_samples)
     return InvarianceReport(label, _records(worst, scales, tol), n_samples,
                             seed, tol)
 
@@ -276,7 +290,8 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
                       seed: int = 0, sampler=None) -> InvarianceReport:
     """Project samples onto the solution manifold of ``residual`` and
     test all prolonged operators there."""
-    sampler = _resolve_sampler(residual, seed, sampler)
+    _need_samples(n_samples)
+    sampler = sampler or residual.space.sampler(seed)
     worst = {}
     scales = {}
     collected = 0
@@ -294,8 +309,9 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
             continue
         collected += 1
         at = at or flow_positions(point.n_base, point.n_fields, residual.deps)
-        _score_point(ops, [residual], [residual.eval(point)], point,
-                     residual.deps, at, cols, worst, scales)
+        _score_point(ops, [residual], [residual.eval(point)],
+                     family_jacobian([residual], point, residual.deps, cols),
+                     [op.flow_table(point, at) for op in ops], worst, scales)
     return InvarianceReport(residual.label, _records(worst, scales, tol),
                             n_samples, seed, tol)
 
@@ -303,17 +319,13 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
 def independence_rank(family, n_samples: int = 5, seed: int = 0,
                       sampler=None, expected=None) -> RankReport:
     """Generic rank of the family's Jacobian over its dependency set."""
-    members = list(family.members) if isinstance(family, BasisFamily) \
-        else list(family)
-    space_owner = family if isinstance(family, BasisFamily) else members[0]
-    coords = family.deps if isinstance(family, BasisFamily) \
-        else _dep_union(members)
-    sampler = _resolve_sampler(space_owner, seed, sampler)
+    _need_samples(n_samples)
+    members, coords, sampler, label = _parts(family, seed, sampler)
     best_rank = 0
     best_pivots = ()
     cols = _columns(members, coords)
     for s in range(n_samples):
-        point, _ = _draw(sampler, members, s)
+        point, _, _ = _draw(sampler, members, s)
         jac = family_jacobian(members, point, coords, cols)
         rank, pivots = matrix_rank(jac)
         if rank > best_rank:
@@ -321,7 +333,6 @@ def independence_rank(family, n_samples: int = 5, seed: int = 0,
     if expected is None:
         expected = len(members)
     verdict = "PASS" if best_rank == expected else "FAIL"
-    label = family.label if isinstance(family, BasisFamily) else "ad-hoc"
     return RankReport(label, len(members), len(coords), best_pivots,
                       best_rank, expected, verdict)
 
@@ -331,25 +342,22 @@ def completeness(spec, family: BasisFamily, n_samples: int = 10,
     """Three-way completeness accounting for a family against its algebra:
     the family size must equal (dependency variables) - (restricted
     generic rank), the Jacobian must have full rank, and every member must
-    be invariant."""
-    from .liealg import catalog, generic_rank, prolong2
-
+    be invariant.  One pass (:func:`_sweep`) shares each point across the
+    three counts: both ranks read the first max(3, n_samples // 2) points,
+    the invariance check the first ``n_samples``."""
+    _need_samples(n_samples)
     ops = [prolong2(f) for f in catalog(spec)]
-    sampler = family.space.sampler(seed)
-    alg_rank = generic_rank(ops, sampler, trials=max(3, n_samples // 2),
-                            coords=list(family.deps))
-    n_vars = len(family.deps)
-    expected = n_vars - alg_rank
-    rank_rep = independence_rank(family, n_samples=max(3, n_samples // 2),
-                                 seed=seed)
-    inv_rep = check_absolute(ops, family, n_samples=n_samples, tol=tol,
-                             seed=seed)
-    ok = (expected == len(family.members)
-          and rank_rep.rank == len(family.members)
-          and inv_rep.verdict == "PASS")
-    return CompletenessReport(family.label, n_vars, alg_rank, expected,
-                              len(family.members), rank_rep.rank,
-                              inv_rep.verdict, "PASS" if ok else "FAIL")
+    members, coords, sampler, _ = _parts(family, seed, None)
+    worst, scales, alg_rank, ind_rank = _sweep(
+        ops, members, coords, sampler, n_samples, max(3, n_samples // 2))
+    invariance = InvarianceReport(family.label, _records(worst, scales, tol),
+                                  n_samples, seed, tol).verdict
+    expected = len(coords) - alg_rank
+    ok = (expected == len(members) and ind_rank == len(members)
+          and invariance == "PASS")
+    return CompletenessReport(family.label, len(coords), alg_rank, expected,
+                              len(members), ind_rank, invariance,
+                              "PASS" if ok else "FAIL")
 
 
 def _dot(u, v):
@@ -406,6 +414,7 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     """Fit the prolonged action on a tensor against rotation-plus-scaling:
     a skew mixing matrix plus a scalar multiple; PASS when the fit
     residual is negligible against the action's size."""
+    _need_samples(n_samples)
     comps = tensor.components()
     sampler = sampler or tensor.space.sampler(seed)
     size = tensor.size
@@ -420,7 +429,7 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     at = None
     cols = _columns(comps, coords)
     for s in range(n_samples):
-        point, _ = _draw(sampler, comps, s)
+        point, _, _ = _draw(sampler, comps, s)
         at = at or flow_positions(point.n_base, point.n_fields, coords)
         t_val = tensor.build(point)
         jac = family_jacobian(comps, point, coords, cols)

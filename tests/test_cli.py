@@ -518,3 +518,49 @@ def test_rank_draws_the_points_of_the_basis(name, monkeypatch):
     spec = cli._spec_from_config({"algebra": name, "n": 3})
     want = basis(spec).space.sampler(7)
     assert [samplers[0](t) for t in range(3)] == [want(t) for t in range(3)]
+
+
+_SETTING_COMMANDS = {
+    "verify-algebra": ("verify", "--algebra", "AE"),
+    "verify-equation": ("verify", "--equation", "heat"),
+    "verify-expr": ("verify", "--algebra", "AE", "--expr", "u"),
+    "rank": ("rank", "--algebra", "AE"),
+    "completeness": ("completeness", "--algebra", "AE"),
+    "eval": ("eval", "--expr", "u"),
+}
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("samples", "0", "samples must be at least 1"),
+    ("samples", "-3", "samples must be at least 1"),
+    ("tol", "inf", "tol must be finite and non-negative"),
+    ("tol", "nan", "tol must be finite and non-negative"),
+    ("tol", "-1", "tol must be finite and non-negative"),
+])
+@pytest.mark.parametrize("command", sorted(_SETTING_COMMANDS))
+def test_samples_and_tol_out_of_range_are_usage_errors(command, key, value,
+                                                       message, tmp_path,
+                                                       capsys):
+    # no samples checked nothing and printed PASS; an infinite tol passed
+    # every record and a NaN or negative one failed every record
+    from invforge import cli
+
+    argv = [*_SETTING_COMMANDS[command], "--n", "3"]
+    cfg = _config_file(tmp_path, f"{key}={value}\n")
+    out = io.StringIO()
+    assert cli.main([*argv, f"--{key}", value], stream=out) == 2
+    assert cli.main([*argv, "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.count(message) == 2
+
+
+def test_one_sample_and_zero_tol_are_accepted(tmp_path):
+    # u is invariant under AE with residual exactly 0, so tol 0 passes it
+    from invforge import cli
+
+    argv = ["verify", "--algebra", "AE", "--n", "3", "--expr", "u"]
+    cfg = _config_file(tmp_path, "samples=1\ntol=0\n")
+    for extra in (["--samples", "1", "--tol", "0"], ["--config", cfg]):
+        out = io.StringIO()
+        assert cli.main([*argv, *extra], stream=out) == 0
+        assert out.getvalue().endswith("overall: PASS\n")

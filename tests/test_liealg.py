@@ -547,3 +547,39 @@ def test_closure_fails_on_an_edited_row(name, kw, edit, count):
     spec = make_spec(name, 3, **kw)
     rows = _edited(generator_rows(spec), *edit)
     assert non_closing_brackets(spec, rows) == count
+
+
+def _counting_coefficient_tables(monkeypatch):
+    from invforge.liealg import ProlongedOperator
+
+    calls = []
+    table = ProlongedOperator.coefficient_table
+
+    def counted(self, point, at=None):
+        calls.append(point)
+        return table(self, point, at)
+
+    monkeypatch.setattr(ProlongedOperator, "coefficient_table", counted)
+    return calls
+
+
+def test_generic_rank_stops_at_its_bound(monkeypatch):
+    # AE at n = 3 has 6 operators on 13 coordinates, full rank at the
+    # first point: the later trials could not raise the maximum
+    ops = [prolong2(f) for f in catalog(make_spec("AE", 3))]
+    calls = _counting_coefficient_tables(monkeypatch)
+    assert generic_rank(ops, make_sampler(3, 1, seed=0), trials=3) == 6
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generic_rank_below_its_bound_runs_every_trial(seed, monkeypatch):
+    # each operator twice: rank 6 of 12 rows never reaches min(12, 13)
+    ops = [prolong2(f) for f in catalog(make_spec("AE", 3))] * 2
+    sampler = make_sampler(3, 1, seed=seed)
+    every = max(matrix_rank([list(op.coefficient_table(sampler(t)).values())
+                             for op in ops])[0] for t in range(4))
+    calls = _counting_coefficient_tables(monkeypatch)
+    assert generic_rank(ops, sampler, trials=4) == every == 6
+    assert len(calls) == 4 * len(ops)
+    assert len({id(p) for p in calls}) == 4

@@ -23,8 +23,17 @@ from invforge.jetspace import (
     field_coord,
     sample_generic,
 )
-from invforge.liealg import VectorField, catalog, make_spec, prolong2
+from invforge.liealg import (
+    ProlongedOperator,
+    VectorField,
+    catalog,
+    generic_rank,
+    make_spec,
+    prolong2,
+)
 from invforge.verify import (
+    CompletenessReport,
+    _draw,
     check_absolute,
     check_covariance,
     check_on_manifold,
@@ -171,6 +180,117 @@ def test_completeness_fails_for_truncated_family():
     rep = completeness(spec, truncated, n_samples=6, seed=1)
     assert rep.verdict == "FAIL"
     assert rep.expected != rep.family_size
+
+
+def reference_completeness(spec, family, n_samples, seed):
+    """``completeness`` from the three public calls it counts with: the
+    generic rank at the family's points, the independence rank and the
+    invariance check, each drawing its own points."""
+    ops = [prolong2(f) for f in catalog(spec)]
+    trials = max(3, n_samples // 2)
+    alg_rank = generic_rank(ops, family.space.sampler(seed), trials=trials,
+                            coords=list(family.deps))
+    rank = independence_rank(family, n_samples=trials, seed=seed).rank
+    invariance = check_absolute(ops, family, n_samples=n_samples,
+                                seed=seed).verdict
+    size = len(family.members)
+    expected = len(family.deps) - alg_rank
+    ok = expected == size and rank == size and invariance == "PASS"
+    return CompletenessReport(family.label, len(family.deps), alg_rank,
+                              expected, size, rank, invariance,
+                              "PASS" if ok else "FAIL")
+
+
+def _with_members(fam, label, members):
+    return type(fam)(label, fam.algebra, tuple(members), len(members),
+                     fam.space, fam.deps)
+
+
+def _completeness_cases():
+    from invforge.invcat import rotation_pair_family
+
+    cases = {name: (make_spec(name, 3), None)
+             for name in ("AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n")}
+    cases["rotation-pairs"] = (make_spec("AO", 3, m=2),
+                               rotation_pair_family(3))
+    ae = make_spec("AE", 3)
+    fam = basis(ae)
+    raw = ScalarJetFunction("u_x1", lambda v: v.du(1, 0),
+                            (d1_coord(1, 0),), fam.space)
+    # a FAIL on each count: one member short, one non-invariant extra
+    cases["AE-truncated"] = (ae, _with_members(fam, "truncated",
+                                               fam.members[:5]))
+    cases["AE-plus-u_x1"] = (ae, _with_members(fam, "plus u_x1",
+                                               fam.members + (raw,)))
+    return cases
+
+
+COMPLETENESS_CASES = _completeness_cases()
+
+
+@pytest.mark.parametrize("n_samples", [2, 4, 10])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("name", sorted(COMPLETENESS_CASES))
+def test_completeness_equals_its_three_counts(name, seed, n_samples):
+    # n_samples = 2 reads three rank points but scores only two
+    spec, fam = COMPLETENESS_CASES[name]
+    fam = fam or basis(spec)
+    assert completeness(spec, fam, n_samples=n_samples, seed=seed) == \
+        reference_completeness(spec, fam, n_samples, seed)
+
+
+class _NonFiniteAt(ScalarJetFunction):
+    """A member whose plain value is NaN at one point (by equality)."""
+
+    __slots__ = ("bad",)
+
+    def eval(self, point):
+        return math.nan if point == self.bad else super().eval(point)
+
+
+def test_completeness_generic_rank_reads_the_point_before_a_redraw(
+        monkeypatch):
+    spec = make_spec("AE", 3)
+    fam = basis(spec)
+    sampler = fam.space.sampler(1)
+    first = fam.members[0]
+    poisoned = _NonFiniteAt(first.label, first.fn, first.deps, first.space)
+    poisoned.bad = sampler(0)
+    fam = _with_members(fam, fam.label, (poisoned,) + fam.members[1:])
+    point, _, tried = _draw(sampler, fam.members, 0)
+    assert point != tried == sampler(0)
+
+    seen = []
+    flow = ProlongedOperator.flow_table
+
+    def recorded(self, at_point, at=None):
+        seen.append(at_point)
+        return flow(self, at_point, at)
+
+    monkeypatch.setattr(ProlongedOperator, "flow_table", recorded)
+    for n_samples in (2, 4, 10):
+        seen.clear()
+        assert completeness(spec, fam, n_samples=n_samples, seed=1) == \
+            reference_completeness(spec, fam, n_samples, 1)
+        assert tried in seen and point in seen
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_checks_refuse_fewer_than_one_sample(n_samples):
+    spec = make_spec("AE", 3)
+    fam = basis(spec)
+    ops = _ops("AE", 3)
+    heat = equation_function("heat", 3, mu=1.0)
+    for check in (
+            lambda: check_absolute(ops, fam, n_samples=n_samples),
+            lambda: check_on_manifold(_ops("AP", 3), heat,
+                                      n_samples=n_samples),
+            lambda: independence_rank(fam, n_samples=n_samples),
+            lambda: completeness(spec, fam, n_samples=n_samples),
+            lambda: check_covariance(covariant_tensor("hessian", 3), ops,
+                                     n_samples=n_samples)):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            check()
 
 
 def test_on_manifold_heat_full_projective_algebra():

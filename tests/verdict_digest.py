@@ -1,11 +1,17 @@
-"""Verdict-only digest of every equation check, for changes that may move
-residual digits but must not move a verdict or an exit code.
+"""Verdict-only digest of every equation check, and of the rank and
+completeness counts, for changes that may move residual digits or the
+work done but must not move a verdict, a count or an exit code.
 
-Runs ``verify --equation E --n N --samples 5 --seed S`` for all nine
-equations, n in {3, 4} and seeds 0-20 (378 calls, in process), prints
-each call's exit code and its check lines with the residuals stripped,
-then one sha256 of those lines.  Two trees have the same verdicts on this
-grid exactly when the last lines match:
+Runs, in process, at seeds 0-20:
+
+- ``verify --equation E --n N --samples 5`` for all nine equations and
+  n in {3, 4} (378 calls), keeping each check line without its residual;
+- ``rank --algebra A --n 3`` for all fifteen algebras (315 calls) and
+  ``completeness --algebra A --n 3`` for the seven non-Galilei algebras
+  (147 calls), keeping their whole output, which prints no residual.
+
+It prints each call's exit code and its lines, then one sha256 of those
+lines.  Two trees agree on this grid exactly when the last lines match:
 
     PYTHONPATH=src python tests/verdict_digest.py
 """
@@ -20,33 +26,46 @@ from invforge.invcat import EQUATIONS
 DIMENSIONS = (3, 4)
 SEEDS = range(21)
 SAMPLES = 5
+RANK_ALGEBRAS = ("AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n", "AG_I",
+                 "AG1_I", "AG2_I", "AG_II", "AG1_II", "AG2_II", "AP_inf",
+                 "AP_BornInfeld")
+COMPLETENESS_ALGEBRAS = RANK_ALGEBRAS[:7]
 
 
-def verdict_lines(name, n, seed):
+def verdict_lines(argv, seed):
     """The exit code, then each printed line with its residual removed."""
-    argv = ["verify", "--equation", name, "--n", str(n), "--samples",
-            str(SAMPLES), "--seed", str(seed)]
+    argv = [*argv, "--seed", str(seed)]
     out = io.StringIO()
     with contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv, stream=out)
-    lines = [f"{name} n={n} seed={seed} exit={code}"]
+    lines = [f"{' '.join(argv)} exit={code}"]
     lines += ["  " + line.split(" residual=")[0]
               for line in out.getvalue().splitlines()]
     return code, lines
 
 
+def calls():
+    for name in EQUATIONS:
+        for n in DIMENSIONS:
+            yield ["verify", "--equation", name, "--n", str(n), "--samples",
+                   str(SAMPLES)]
+    for command, algebras in (("rank", RANK_ALGEBRAS),
+                              ("completeness", COMPLETENESS_ALGEBRAS)):
+        for name in algebras:
+            yield [command, "--algebra", name, "--n", "3"]
+
+
 def main():
     digest = hashlib.sha256()
     runs = nonzero = 0
-    for name in EQUATIONS:
-        for n in DIMENSIONS:
-            for seed in SEEDS:
-                code, lines = verdict_lines(name, n, seed)
-                runs += 1
-                nonzero += code != 0
-                for line in lines:
-                    print(line)
-                    digest.update(line.encode() + b"\n")
+    for argv in calls():
+        for seed in SEEDS:
+            code, lines = verdict_lines(argv, seed)
+            runs += 1
+            nonzero += code != 0
+            for line in lines:
+                print(line)
+                digest.update(line.encode() + b"\n")
     print(f"sha256 {digest.hexdigest()} runs={runs} nonzero_exits={nonzero}")
 
 
