@@ -80,7 +80,7 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"INVFORGE_SEED must be an integer, got {raw!r}")
 
 
 # the settings whose flags take one of a few words, in a config file too
@@ -303,21 +303,21 @@ def _cmd_list(args, stream):
     return 0
 
 
+def _record_checks(kind, anchor, records):
+    """One report check per (label, invariance record) pair."""
+    return [{"name": f"{kind}:{label}", "paper_anchor": anchor,
+             "residual_max": rec.max_residual, "verdict": rec.verdict}
+            for label, rec in records]
+
+
 def _verify_basis(cfg):
     spec = _spec_from_config(cfg)
     fam = basis(spec, hat_variant=cfg["hat_variant"])
     ops = [prolong2(f) for f in catalog(spec)]
     report = check_absolute(ops, fam, n_samples=cfg["samples"],
                             tol=cfg["tol"], seed=cfg["seed"])
-    checks = []
-    for label, rec in sorted(report.by_invariant().items()):
-        checks.append({
-            "name": f"invariant:{label}",
-            "paper_anchor": f"basis:{spec.name}",
-            "residual_max": rec.max_residual,
-            "verdict": rec.verdict,
-        })
-    return checks
+    return _record_checks("invariant", f"basis:{spec.name}",
+                          sorted(report.by_invariant().items()))
 
 
 def _verify_equation(cfg):
@@ -338,15 +338,8 @@ def _verify_equation(cfg):
                                n_samples=min(cfg["samples"], 20),
                                tol=cfg["tol"], seed=cfg["seed"],
                                sampler=space.sampler(cfg["seed"]))
-    checks = []
-    for rec in report.records:
-        checks.append({
-            "name": f"operator:{rec.operator}",
-            "paper_anchor": f"equation:{name}",
-            "residual_max": rec.max_residual,
-            "verdict": rec.verdict,
-        })
-    return checks
+    return _record_checks("operator", f"equation:{name}",
+                          ((rec.operator, rec) for rec in report.records))
 
 
 def _verify_expression(cfg):
@@ -363,15 +356,8 @@ def _verify_expression(cfg):
     report = check_absolute(ops, [fn], n_samples=cfg["samples"],
                             tol=cfg["tol"], seed=cfg["seed"],
                             sampler=space.sampler(cfg["seed"]))
-    checks = []
-    for rec in report.records:
-        checks.append({
-            "name": f"expression:{rec.operator}",
-            "paper_anchor": f"expression-under:{spec.name}",
-            "residual_max": rec.max_residual,
-            "verdict": rec.verdict,
-        })
-    return checks
+    return _record_checks("expression", f"expression-under:{spec.name}",
+                          ((rec.operator, rec) for rec in report.records))
 
 
 def _check_hat_variant(command, cfg):
@@ -384,6 +370,15 @@ def _check_hat_variant(command, cfg):
     if cfg["hat_variant"] == "uniform" and not hats_read:
         raise ValueError("--hat-variant uniform applies only to verify or "
                          "completeness of the AG2_I basis with mu != 0")
+
+
+def _check_k(command, cfg):
+    """``--k`` is the order of eikonal-trace, the one reader of it;
+    elsewhere it is a usage error."""
+    if "k" in cfg and not (command == "verify"
+                           and cfg.get("equation") == "eikonal-trace"):
+        raise ValueError("--k applies only to verify --equation "
+                         "eikonal-trace")
 
 
 def _check_field(command, cfg):
@@ -495,6 +490,7 @@ def main(argv=None, stream=None) -> int:
     try:
         cfg = _merge_config(args)
         _check_hat_variant(args.command, cfg)
+        _check_k(args.command, cfg)
         _check_field(args.command, cfg)
         _check_functions(args.command, cfg)
         if args.command == "eval":

@@ -1562,6 +1562,8 @@ def _eikonal(n, **_):
 
 
 def _eikonal_trace(n, k=1, **_):
+    if k < 1:
+        raise ValueError("k must be at least 1")
     _, signs, deps, space = _minkowski_space(n)
     theta = covariant_tensor("eikonal_theta", n).builder
 

@@ -2,11 +2,13 @@
 checks, functional-independence ranks, completeness accounting, and
 covariance fits.
 
-All checks are deterministic given (seed, parameters).  A check record is
-PASS when its residual stays within ``tol * (1 + scale)``, where the scale
-is the largest |F| times the norm of the operator's coefficient vector
-seen across samples, so verdicts survive rescaling of homogeneous
-invariants.
+All checks are deterministic given (seed, parameters) and draw their
+points through one loop, :func:`_points`.  A check record is PASS when its
+residual stays within ``tol * (1 + scale)``, the one rule
+:func:`_verdict`.  For an invariance record the scale is the largest |F|
+times the norm of the operator's coefficient vector seen across samples,
+so verdicts survive rescaling of homogeneous invariants; for a covariance
+record it is the largest entry |X T| of the action seen across samples.
 """
 
 from __future__ import annotations
@@ -176,59 +178,66 @@ def _draw(sampler, members, idx, retries=25):
     raise EvaluationError("could not sample an admissible generic point")
 
 
-def _score_point(ops, members, values, jac, rows, worst, scales):
-    """Fold the residuals X(F) = sum_c X_c dF/dc of every operator on every
-    member at one point into the running maxima ``worst`` and ``scales``,
-    keyed (operator, member); ``values`` are the members' values there,
-    ``jac`` the family Jacobian and ``rows`` the operators' flow rows."""
-    fmags = [abs(val) for val in values]
-    for op, row in zip(ops, rows):
-        cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
-        for mi, mem in enumerate(members):
-            resid = 0.0
-            for c, g in zip(row, jac[mi]):
-                resid = resid + c * g
-            if not is_finite(resid):
-                raise EvaluationError(
-                    f"non-finite residual for {mem.label} under {op.label}")
-            key = (op.label, mem.label)
-            worst[key] = max(worst.get(key, 0.0), abs(resid))
-            scales[key] = max(scales.get(key, 0.0), fmags[mi] * cnorm)
-
-
-def _sweep(ops, members, coords, sampler, n_samples, trials=0):
-    """Draw points 0, 1, ... once each (:func:`_draw`), build each one's
-    Jacobian and flow rows once, and score the first ``n_samples``; over
-    the first ``trials`` also take the largest generic rank, at
-    ``sampler(s)`` as :func:`generic_rank` reads it, and Jacobian rank.
-    Returns (worst, scales, generic rank, independence rank)."""
+def _points(ops, members, coords, sampler, count, draw=None):
+    """Draw points 0 .. count - 1 once each, with ``draw`` (default
+    :func:`_draw`), and yield per point (point, member values, first point
+    tried, family Jacobian, the operators' flow rows, ``at``)."""
     cols = _columns(members, coords)
+    at = None
+    for s in range(count):
+        point, values, first = (draw or _draw)(sampler, members, s)
+        at = at or flow_positions(point.n_base, point.n_fields, coords)
+        yield (point, values, first,
+               family_jacobian(members, point, coords, cols),
+               [op.flow_table(point, at) for op in ops], at)
+
+
+def _apply(row, grad):
+    """X(F) = sum_c X_c dF/dc of the flow row ``row`` on the gradient."""
+    acc = 0.0
+    for c, g in zip(row, grad):
+        acc = acc + c * g
+    return acc
+
+
+def _verdict(resid, scale, tol):
+    """The one PASS rule of every check record."""
+    return "PASS" if resid <= tol * (1.0 + scale) else "FAIL"
+
+
+def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
+           draw=None):
+    """Judge every operator on every member over the first ``n_samples``
+    points of :func:`_points`: per (operator, member) the largest |X(F)|
+    against the scale, the largest |F| times the norm of the operator's
+    flow row.  Over the first ``trials`` points also take the largest
+    generic rank, at ``sampler(s)`` as :func:`generic_rank` reads it, and
+    Jacobian rank.  Returns (records, generic rank, independence rank)."""
     worst, scales = {}, {}
     alg_rank = ind_rank = 0
-    at = None
-    for s in range(max(trials, n_samples)):
-        point, values, first = _draw(sampler, members, s)
-        at = at or flow_positions(point.n_base, point.n_fields, coords)
-        jac = family_jacobian(members, point, coords, cols)
-        rows = [op.flow_table(point, at) for op in ops]
+    for s, (point, values, first, jac, rows, at) in enumerate(_points(
+            ops, members, coords, sampler, max(trials, n_samples), draw)):
         if s < n_samples:
-            _score_point(ops, members, values, jac, rows, worst, scales)
+            for op, row in zip(ops, rows):
+                cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
+                for mem, val, grad in zip(members, values, jac):
+                    resid = _apply(row, grad)
+                    if not is_finite(resid):
+                        raise EvaluationError(f"non-finite residual for "
+                                              f"{mem.label} under {op.label}")
+                    key = (op.label, mem.label)
+                    worst[key] = max(worst.get(key, 0.0), abs(resid))
+                    scales[key] = max(scales.get(key, 0.0), abs(val) * cnorm)
         if s < trials:
             if first is not point:
                 rows = [op.flow_table(first, at) for op in ops]
             rows = coefficient_rows(rows, point.n_base, point.n_fields, at)
             alg_rank = max(alg_rank, matrix_rank(rows)[0])
             ind_rank = max(ind_rank, matrix_rank(jac)[0])
-    return worst, scales, alg_rank, ind_rank
-
-
-def _records(worst, scales, tol):
-    records = []
-    for key, resid in sorted(worst.items()):
-        scale = scales[key]
-        verdict = "PASS" if resid <= tol * (1.0 + scale) else "FAIL"
-        records.append(InvarianceRecord(*key, resid, scale, verdict))
-    return tuple(records)
+    records = tuple(InvarianceRecord(*key, resid, scales[key],
+                                     _verdict(resid, scales[key], tol))
+                    for key, resid in sorted(worst.items()))
+    return records, alg_rank, ind_rank
 
 
 def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
@@ -238,9 +247,8 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
     generic points; PASS iff all residuals stay within tolerance."""
     _need_samples(n_samples)
     members, coords, sampler, label = _parts(family, seed, sampler)
-    worst, scales, _, _ = _sweep(ops, members, coords, sampler, n_samples)
-    return InvarianceReport(label, _records(worst, scales, tol), n_samples,
-                            seed, tol)
+    records, _, _ = _sweep(ops, members, coords, sampler, n_samples, tol)
+    return InvarianceReport(label, records, n_samples, seed, tol)
 
 
 def newton_project(residual: ScalarJetFunction, point: JetPoint,
@@ -285,35 +293,36 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
     raise EvaluationError("Newton projection did not converge")
 
 
+def _projecting_draw(residual, solve_for, n_samples):
+    """A draw like :func:`_draw` that projects samples onto the zero set
+    of ``residual`` (:func:`newton_project`), skipping those that fail to
+    project; all draws together try at most 20 * n_samples + 101 samples."""
+    attempts = iter(range(20 * n_samples + 101))
+
+    def draw(sampler, members, idx):
+        for attempt in attempts:
+            point = sampler(attempt)
+            try:
+                point = newton_project(residual, point, solve_for)
+            except EvaluationError:
+                continue
+            return point, [residual.eval(point)], point
+        raise EvaluationError("persistent Newton projection failure")
+
+    return draw
+
+
 def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
                       n_samples: int = 20, tol: float = DEFAULT_TOL,
                       seed: int = 0, sampler=None) -> InvarianceReport:
     """Project samples onto the solution manifold of ``residual`` and
     test all prolonged operators there."""
     _need_samples(n_samples)
-    sampler = sampler or residual.space.sampler(seed)
-    worst = {}
-    scales = {}
-    collected = 0
-    attempt = 0
-    at = None
-    cols = _columns([residual], residual.deps)
-    while collected < n_samples:
-        if attempt > 20 * n_samples + 100:
-            raise EvaluationError("persistent Newton projection failure")
-        point = sampler(attempt)
-        attempt += 1
-        try:
-            point = newton_project(residual, point, solve_for)
-        except EvaluationError:
-            continue
-        collected += 1
-        at = at or flow_positions(point.n_base, point.n_fields, residual.deps)
-        _score_point(ops, [residual], [residual.eval(point)],
-                     family_jacobian([residual], point, residual.deps, cols),
-                     [op.flow_table(point, at) for op in ops], worst, scales)
-    return InvarianceReport(residual.label, _records(worst, scales, tol),
-                            n_samples, seed, tol)
+    records, _, _ = _sweep(
+        ops, [residual], residual.deps,
+        sampler or residual.space.sampler(seed), n_samples, tol,
+        draw=_projecting_draw(residual, solve_for, n_samples))
+    return InvarianceReport(residual.label, records, n_samples, seed, tol)
 
 
 def independence_rank(family, n_samples: int = 5, seed: int = 0,
@@ -321,12 +330,9 @@ def independence_rank(family, n_samples: int = 5, seed: int = 0,
     """Generic rank of the family's Jacobian over its dependency set."""
     _need_samples(n_samples)
     members, coords, sampler, label = _parts(family, seed, sampler)
-    best_rank = 0
-    best_pivots = ()
-    cols = _columns(members, coords)
-    for s in range(n_samples):
-        point, _, _ = _draw(sampler, members, s)
-        jac = family_jacobian(members, point, coords, cols)
+    best_rank, best_pivots = 0, ()
+    for _, _, _, jac, _, _ in _points([], members, coords, sampler,
+                                      n_samples):
         rank, pivots = matrix_rank(jac)
         if rank > best_rank:
             best_rank, best_pivots = rank, tuple(pivots)
@@ -348,10 +354,10 @@ def completeness(spec, family: BasisFamily, n_samples: int = 10,
     _need_samples(n_samples)
     ops = [prolong2(f) for f in catalog(spec)]
     members, coords, sampler, _ = _parts(family, seed, None)
-    worst, scales, alg_rank, ind_rank = _sweep(
-        ops, members, coords, sampler, n_samples, max(3, n_samples // 2))
-    invariance = InvarianceReport(family.label, _records(worst, scales, tol),
-                                  n_samples, seed, tol).verdict
+    records, alg_rank, ind_rank = _sweep(
+        ops, members, coords, sampler, n_samples, tol, max(3, n_samples // 2))
+    invariance = InvarianceReport(family.label, records, n_samples, seed,
+                                  tol).verdict
     expected = len(coords) - alg_rank
     ok = (expected == len(members) and ind_rank == len(members)
           and invariance == "PASS")
@@ -416,88 +422,57 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     residual is negligible against the action's size."""
     _need_samples(n_samples)
     comps = tensor.components()
-    sampler = sampler or tensor.space.sampler(seed)
     size = tensor.size
-    skew_pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
-    coords = tensor.deps
     met = tensor.space.metric
     gsign = met.signs if met is not None and met.dim == size \
         else (1.0,) * size
+    # Fit rows, one per entry T_I, I = (a,) or (a, b) with a <= b, the
+    # component at I read in base ``size``.  Per skew pair (p, q), B G acts
+    # on each index of I: where it is p it adds G_qq T with that index set
+    # to q, where it is q it subtracts G_pp T with that index set to p.
+    index = [(a,) for a in range(size)] if tensor.kind == "vector" \
+        else [(a, b) for a in range(size) for b in range(a, size)]
+
+    def pos(idx):
+        return sum(i * size ** (len(idx) - 1 - k) for k, i in enumerate(idx))
+
+    def entry(idx, k, i):
+        return pos(idx[:k] + (i,) + idx[k + 1:])
+
+    mixing = [[[(gsign[q], entry(idx, k, q)) if i == p
+                else (-gsign[p], entry(idx, k, p))
+                for k, i in enumerate(idx) if i in (p, q)]
+               for p in range(size) for q in range(p + 1, size)]
+              for idx in index]
+    cells = [pos(idx) for idx in index]
     worst = {op.label: 0.0 for op in ops}
     scales = {op.label: 0.0 for op in ops}
     fits = {op.label: () for op in ops}
-    at = None
-    cols = _columns(comps, coords)
-    for s in range(n_samples):
-        point, _, _ = _draw(sampler, comps, s)
-        at = at or flow_positions(point.n_base, point.n_fields, coords)
-        t_val = tensor.build(point)
-        jac = family_jacobian(comps, point, coords, cols)
-        for op in ops:
-            coeffs = op.flow_table(point, at)
-
-            def action(ci):
+    for _, t, _, jac, flows, _ in _points(
+            ops, comps, tensor.deps, sampler or tensor.space.sampler(seed),
+            n_samples):
+        rows = []
+        for cell, pairs in zip(cells, mixing):
+            row = []
+            for terms in pairs:
                 acc = 0.0
-                for c, g in zip(coeffs, jac[ci]):
-                    acc = acc + c * g
-                return acc
-
-            rows = []
-            rhs = []
-            if tensor.kind == "vector":
-                # mixing matrix sigma = B * G with B skew; sigma_ac = B_ac g_c
-                xt = [action(a) for a in range(size)]
-                for a in range(size):
-                    row = []
-                    for (p, q) in skew_pairs:
-                        if a == p:
-                            row.append(gsign[q] * t_val[q])
-                        elif a == q:
-                            row.append(-gsign[p] * t_val[p])
-                        else:
-                            row.append(0.0)
-                    row.append(t_val[a])
-                    rows.append(row)
-                    rhs.append(xt[a])
-            else:
-                xt = {}
-                for a in range(size):
-                    for b in range(a, size):
-                        xt[(a, b)] = action(a * size + b)
-                for a in range(size):
-                    for b in range(a, size):
-                        row = []
-                        for (p, q) in skew_pairs:
-                            # rho = B * G contribution to X T_{ab}:
-                            # rho_ac T_cb + rho_bc T_ac
-                            acc = 0.0
-                            if a == p:
-                                acc += gsign[q] * t_val[q][b]
-                            if a == q:
-                                acc -= gsign[p] * t_val[p][b]
-                            if b == p:
-                                acc += gsign[q] * t_val[q][a]
-                            if b == q:
-                                acc -= gsign[p] * t_val[p][a]
-                            row.append(acc)
-                        row.append(t_val[a][b])
-                        rows.append(row)
-                        rhs.append(xt[(a, b)])
+                for sign, c in terms:
+                    acc += sign * t[c]
+                row.append(acc)
+            rows.append(row + [t[cell]])
+        for op, flow in zip(ops, flows):
+            rhs = [_apply(flow, jac[cell]) for cell in cells]
             fit, resid = _lstsq(rows, rhs)
             if not is_finite(resid):
                 raise EvaluationError(
                     f"non-finite fit residual for {tensor.label} under "
                     f"{op.label}")
-            mag = max(abs(v) for v in rhs) if rhs else 0.0
             worst[op.label] = max(worst[op.label], resid)
-            scales[op.label] = max(scales[op.label], mag)
+            scales[op.label] = max(scales[op.label],
+                                   max(abs(v) for v in rhs))
             fits[op.label] = tuple(fit)
-    records = []
-    for op in ops:
-        r = worst[op.label]
-        scale = scales[op.label]
-        verdict = "PASS" if r <= tol * (1.0 + scale) else "FAIL"
-        records.append(CovarianceRecord(op.label, r, scale, verdict,
-                                        fits[op.label]))
-    return CovarianceReport(tensor.label, tuple(records), n_samples, seed,
-                            tol)
+    records = tuple(CovarianceRecord(
+        op.label, worst[op.label], scales[op.label],
+        _verdict(worst[op.label], scales[op.label], tol), fits[op.label])
+        for op in ops)
+    return CovarianceReport(tensor.label, records, n_samples, seed, tol)

@@ -13,12 +13,21 @@ can check that the replacement gives every value bit for bit.
   the flat second-order jet pass: each operator runs every one of its
   coefficients, on nested-dual partials by default, through ``total_d``
   and ``total_dd`` itself.
+- :func:`reference_independence_rank` and :func:`reference_covariance`
+  are ``verify.independence_rank`` and ``verify.check_covariance`` as
+  they were before every check drew its points through one loop
+  (``verify._points``): each with its own loop over sample indices, the
+  covariance fit rebuilding the tensor with ``TensorBuilder.build`` and
+  writing its vector and matrix fit rows as two separate rules.
 """
 
 import functools
 
-from invforge.dual import Dual, value_of
+from invforge.dual import Dual, EvaluationError, is_finite, value_of
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
+from invforge.liealg import flow_positions, matrix_rank
+from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
+    _columns, _draw, _lstsq, _parts, family_jacobian
 
 _NUMBERS = (int, float, complex)
 _FACTORS = (Dual,) + _NUMBERS
@@ -224,3 +233,109 @@ def reference_flow(op, point, value_grad_hess=nested_value_grad_hess):
                 flow[d2_coord(r + 1, i, j)] = \
                     (eta2(r, i, j) + eta2(r, j, i)) / 2.0
     return flow
+
+
+def reference_independence_rank(family, n_samples=5, seed=0, sampler=None,
+                                expected=None):
+    members, coords, sampler, label = _parts(family, seed, sampler)
+    best_rank = 0
+    best_pivots = ()
+    cols = _columns(members, coords)
+    for s in range(n_samples):
+        point, _, _ = _draw(sampler, members, s)
+        jac = family_jacobian(members, point, coords, cols)
+        rank, pivots = matrix_rank(jac)
+        if rank > best_rank:
+            best_rank, best_pivots = rank, tuple(pivots)
+    if expected is None:
+        expected = len(members)
+    verdict = "PASS" if best_rank == expected else "FAIL"
+    return RankReport(label, len(members), len(coords), best_pivots,
+                      best_rank, expected, verdict)
+
+
+def reference_covariance(tensor, ops, n_samples=10, tol=1e-8, seed=0,
+                         sampler=None):
+    comps = tensor.components()
+    sampler = sampler or tensor.space.sampler(seed)
+    size = tensor.size
+    skew_pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    coords = tensor.deps
+    met = tensor.space.metric
+    gsign = met.signs if met is not None and met.dim == size \
+        else (1.0,) * size
+    worst = {op.label: 0.0 for op in ops}
+    scales = {op.label: 0.0 for op in ops}
+    fits = {op.label: () for op in ops}
+    at = None
+    cols = _columns(comps, coords)
+    for s in range(n_samples):
+        point, _, _ = _draw(sampler, comps, s)
+        at = at or flow_positions(point.n_base, point.n_fields, coords)
+        t_val = tensor.build(point)
+        jac = family_jacobian(comps, point, coords, cols)
+        for op in ops:
+            coeffs = op.flow_table(point, at)
+
+            def action(ci):
+                acc = 0.0
+                for c, g in zip(coeffs, jac[ci]):
+                    acc = acc + c * g
+                return acc
+
+            rows = []
+            rhs = []
+            if tensor.kind == "vector":
+                xt = [action(a) for a in range(size)]
+                for a in range(size):
+                    row = []
+                    for (p, q) in skew_pairs:
+                        if a == p:
+                            row.append(gsign[q] * t_val[q])
+                        elif a == q:
+                            row.append(-gsign[p] * t_val[p])
+                        else:
+                            row.append(0.0)
+                    row.append(t_val[a])
+                    rows.append(row)
+                    rhs.append(xt[a])
+            else:
+                xt = {}
+                for a in range(size):
+                    for b in range(a, size):
+                        xt[(a, b)] = action(a * size + b)
+                for a in range(size):
+                    for b in range(a, size):
+                        row = []
+                        for (p, q) in skew_pairs:
+                            acc = 0.0
+                            if a == p:
+                                acc += gsign[q] * t_val[q][b]
+                            if a == q:
+                                acc -= gsign[p] * t_val[p][b]
+                            if b == p:
+                                acc += gsign[q] * t_val[q][a]
+                            if b == q:
+                                acc -= gsign[p] * t_val[p][a]
+                            row.append(acc)
+                        row.append(t_val[a][b])
+                        rows.append(row)
+                        rhs.append(xt[(a, b)])
+            fit, resid = _lstsq(rows, rhs)
+            if not is_finite(resid):
+                raise EvaluationError(
+                    f"non-finite fit residual for {tensor.label} under "
+                    f"{op.label}")
+            mag = max(abs(v) for v in rhs) if rhs else 0.0
+            worst[op.label] = max(worst[op.label], resid)
+            scales[op.label] = max(scales[op.label], mag)
+            fits[op.label] = tuple(fit)
+    records = []
+    for op in ops:
+        r = worst[op.label]
+        scale = scales[op.label]
+        verdict = "PASS" if r <= tol * (1.0 + scale) else "FAIL"
+        records.append(CovarianceRecord(op.label, r, scale, verdict,
+                                        fits[op.label]))
+    return CovarianceReport(tensor.label, tuple(records), n_samples, seed,
+                            tol)

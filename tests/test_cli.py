@@ -564,3 +564,59 @@ def test_one_sample_and_zero_tol_are_accepted(tmp_path):
         out = io.StringIO()
         assert cli.main([*argv, *extra], stream=out) == 0
         assert out.getvalue().endswith("overall: PASS\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_eikonal_trace_k_below_one_is_a_usage_error(value, tmp_path, capsys):
+    # k = 0 checked the k = 1 trace (a list's last power) and k = -1 died
+    # with an IndexError, exit 1
+    from invforge import cli
+
+    argv = ["verify", "--equation", "eikonal-trace", "--n", "3",
+            "--samples", "2"]
+    cfg = _config_file(tmp_path, f"k={value}\n")
+    out = io.StringIO()
+    assert cli.main([*argv, "--k", value], stream=out) == 2
+    assert cli.main([*argv, "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.count("k must be at least 1") == 2
+
+
+@pytest.mark.parametrize("command", sorted(_SETTING_COMMANDS))
+def test_k_is_a_usage_error_but_for_eikonal_trace(command, tmp_path, capsys):
+    # --k was echoed in the report config of checks that never read it
+    from invforge import cli
+
+    argv = [*_SETTING_COMMANDS[command], "--n", "3", "--samples", "2"]
+    cfg = _config_file(tmp_path, "k=3\n")
+    out = io.StringIO()
+    assert cli.main([*argv, "--k", "3"], stream=out) == 2
+    assert cli.main([*argv, "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.count(
+        "--k applies only to verify --equation eikonal-trace") == 2
+
+
+def test_eikonal_trace_reads_k(tmp_path):
+    from invforge import cli
+
+    argv = ["verify", "--equation", "eikonal-trace", "--n", "3",
+            "--samples", "2"]
+    cfg = _config_file(tmp_path, "k=2\n")
+    for extra in (["--k", "2"], ["--config", cfg]):
+        out = io.StringIO()
+        assert cli.main([*argv, *extra], stream=out) == 0
+        assert out.getvalue().endswith("overall: PASS\n")
+
+
+def test_non_integer_env_seed_is_a_configuration_error(monkeypatch, capsys):
+    # the seed's parse raised SystemExit(2) out of main, with no message
+    from invforge import cli
+
+    monkeypatch.setenv("INVFORGE_SEED", "abc")
+    out = io.StringIO()
+    assert cli.main(["verify", "--algebra", "AE", "--n", "3", "--samples",
+                     "2"], stream=out) == 2
+    assert out.getvalue() == ""
+    assert "configuration error: INVFORGE_SEED must be an integer, got " \
+        "'abc'" in capsys.readouterr().err

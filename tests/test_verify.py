@@ -8,6 +8,7 @@ from invforge import cli
 from invforge.dual import Dual, EvaluationError
 from invforge.invcat import (
     EQUATIONS,
+    TENSORS,
     JetSpace,
     ScalarJetFunction,
     basis,
@@ -42,6 +43,7 @@ from invforge.verify import (
     independence_rank,
     newton_project,
 )
+from references import reference_covariance, reference_independence_rank
 from test_report_identity import FIXTURE
 
 
@@ -554,3 +556,71 @@ def test_residual_grad_equals_scalar_passes(name):
         for coords in (E.deps, point.coords()):
             assert repr(E.grad(point, coords)) == \
                 repr(reference_grad(E, point, coords))
+
+
+# every cataloged tensor, with an algebra over its jet space
+_COVARIANCE_PAIRS = (
+    ("theta", {"lam": 1.0}, "AC", {"lam": 1.0}),
+    ("theta", {"lam": 0.5}, "AC", {"lam": 0.5}),
+    ("w", {}, "AC", {"lam": 0.0}),
+    ("theta_minkowski", {"lam": 1.0}, "AC1n", {"lam": 1.0}),
+    ("w_minkowski", {}, "AC1n", {"lam": 0.0}),
+    ("theta_vector_minkowski", {}, "AP", {}),
+    ("theta_vector_minkowski", {"r": 2, "m": 2}, "AP", {"m": 2}),
+    ("eikonal_theta", {}, "AP", {}),
+    ("galilei_theta", {}, "AG_I", {"rep": "u"}),
+    ("galilei_theta2", {}, "AG_I", {"rep": "u"}),
+    ("galilei_h", {}, "AG_I", {"rep": "u"}),
+    ("galilei_hhat_mu0", {"mu": 0.0}, "AG2_I", {"mu": 0.0, "rep": "u"}),
+    ("implicit_theta", {}, "AG2_I", {"mu": 0.0, "rep": "u"}),
+    ("hessian", {}, "AE1", {"lam": 0.6}),
+    ("position", {}, "AO", {}),
+)
+
+
+def test_covariance_pairs_cover_every_tensor():
+    assert {pair[0] for pair in _COVARIANCE_PAIRS} == set(TENSORS)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("pair", _COVARIANCE_PAIRS,
+                         ids=[f"{t}{kw}-{a}" for t, kw, a, _ in
+                              _COVARIANCE_PAIRS])
+def test_covariance_equals_its_own_loop_reference(pair, n):
+    # repr keeps the fits (compared by nothing else) and signed zeros
+    tname, tkw, aname, akw = pair
+    tensor = covariant_tensor(tname, n, **tkw)
+    ops = _ops(aname, n, **akw)
+    for seed in range(6):
+        assert repr(check_covariance(tensor, ops, n_samples=3, seed=seed)) \
+            == repr(reference_covariance(tensor, ops, n_samples=3, seed=seed))
+
+
+@pytest.mark.parametrize("name", _BASES_N3)
+def test_independence_rank_equals_its_own_loop_reference(name):
+    spec = make_spec(name, 3, **({"rep": "log"} if name.startswith("AG")
+                                 else {}))
+    fam = basis(spec)
+    for seed in (0, 3):
+        for n_samples in (1, 4):
+            assert repr(independence_rank(fam, n_samples, seed)) == repr(
+                reference_independence_rank(fam, n_samples, seed))
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_on_manifold_tries_20_n_plus_101_samples(n_samples):
+    # a residual constant in its solve coordinate never projects
+    flat = ScalarJetFunction("flat", lambda v: v.u(1) * 0.0 + 1.0,
+                             (field_coord(1),), JetSpace(3, 1))
+    sampler = flat.space.sampler(1)
+    calls = []
+
+    def counted(idx):
+        calls.append(idx)
+        return sampler(idx)
+
+    with pytest.raises(EvaluationError,
+                       match="persistent Newton projection failure"):
+        check_on_manifold(_ops("AE", 3), flat, solve_for=field_coord(1),
+                          n_samples=n_samples, sampler=counted)
+    assert calls == list(range(20 * n_samples + 101))

@@ -1,6 +1,7 @@
-"""Verdict-only digest of every equation check, and of the rank and
-completeness counts, for changes that may move residual digits or the
-work done but must not move a verdict, a count or an exit code.
+"""Verdict-only digest of every equation, basis and expression check, and
+of the rank and completeness counts, for changes that may move residual
+digits or the work done but must not move a verdict, a count or an exit
+code.
 
 Runs, in process, at seeds 0-20:
 
@@ -8,7 +9,11 @@ Runs, in process, at seeds 0-20:
   n in {3, 4} (378 calls), keeping each check line without its residual;
 - ``rank --algebra A --n 3`` for all fifteen algebras (315 calls) and
   ``completeness --algebra A --n 3`` for the seven non-Galilei algebras
-  (147 calls), keeping their whole output, which prints no residual.
+  (147 calls), keeping their whole output, which prints no residual;
+- ``verify --algebra A --n 3 --samples 3`` for the thirteen cataloged
+  bases (273 calls) and the seven ``verify --expr`` calls of the
+  benchmark's ``structure`` workload (147 calls), keeping each check line
+  without its residual.
 
 It prints each call's exit code and its lines, then one sha256 of those
 lines.  Two trees agree on this grid exactly when the last lines match:
@@ -30,6 +35,19 @@ RANK_ALGEBRAS = ("AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n", "AG_I",
                  "AG1_I", "AG2_I", "AG_II", "AG1_II", "AG2_II", "AP_inf",
                  "AP_BornInfeld")
 COMPLETENESS_ALGEBRAS = RANK_ALGEBRAS[:7]
+BASIS_ALGEBRAS = RANK_ALGEBRAS[:13]
+BASIS_SAMPLES = 3
+# (algebra, n, extra flags, expression), as in invbench/workloads.py
+EXPRESSIONS = (
+    ("AE", "3", (), "u_x1"),
+    ("AE", "3", (), "S(2) + R(1) * u"),
+    ("AO", "3", (), "S(3) - S(1)^3"),
+    ("AP", "3", (), "(1 - R(1)) * S(1) + R(2)"),
+    ("AP", "3", (), "u_x0"),
+    ("AE", "4", (), "S(4) / S(2)^2"),
+    ("AE", "3", ("--m", "2"), "contract(du1, du2)"),
+)
+EXPR_SAMPLES = 4
 
 
 def verdict_lines(argv, seed):
@@ -53,6 +71,12 @@ def calls():
                               ("completeness", COMPLETENESS_ALGEBRAS)):
         for name in algebras:
             yield [command, "--algebra", name, "--n", "3"]
+    for name in BASIS_ALGEBRAS:
+        yield ["verify", "--algebra", name, "--n", "3", "--samples",
+               str(BASIS_SAMPLES)]
+    for name, n, extra, expr in EXPRESSIONS:
+        yield ["verify", "--algebra", name, "--n", n, *extra, "--expr", expr,
+               "--samples", str(EXPR_SAMPLES)]
 
 
 def main():
