@@ -19,6 +19,13 @@ Derivatives*, ch. 13; the hyper-dual numbers of Fike & Alonso, 2011).
 A jet stands for the nested dual whose both layers are vectors over every
 direction and makes, slot by slot, that dual's IEEE operations in the same
 order, so every entry equals a nested pass's bit for bit.
+
+Both jets share one base, ``_Jet``, that writes once each rule treating
+every slot alike: ``+``, ``-`` (both reflected), unary ``-``, ``*`` and
+``/`` by a constant, and ``**`` with a jet exponent or a jet as exponent.
+A jet takes any non-jet operand as a constant, whatever its number type,
+as operator-overloading AD treats every passive value.  Jets combined in
+one operation must come from one pass; nothing compares their k.
 """
 
 from __future__ import annotations
@@ -135,7 +142,55 @@ class Dual:
         return hash((self.value, self.deriv))
 
 
-class Jet1:
+class _Jet:
+    """The slot-wise rules of both jets.  A subclass supplies ``_new``,
+    ``_mul``, ``_div``, ``__rtruediv__``, ``_power``, ``_exp`` and ``_log``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return self._new(self.value + other.value,
+                             [a + b for a, b in zip(self.d, other.d)])
+        return self._new(self.value + other, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _Jet):
+            return self._new(self.value - other.value,
+                             [a - b for a, b in zip(self.d, other.d)])
+        return self._new(self.value - other, self.d)
+
+    def __rsub__(self, other):
+        return self._new(other - self.value, [-a for a in self.d])
+
+    def __neg__(self):
+        return self._new(-self.value, [-a for a in self.d])
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            return self._mul(other)
+        return self._new(self.value * other, [a * other for a in self.d])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _Jet):
+            return self._div(other)
+        return self._new(self.value / other, [a / other for a in self.d])
+
+    def __pow__(self, expo):
+        if isinstance(expo, _Jet):
+            # f^g = exp(g log f); requires f away from the branch cut.
+            return dexp(expo * dlog(self))
+        return self._power(expo)
+
+    def __rpow__(self, base):
+        return dexp(self * _scalar_log(base))
+
+
+class Jet1(_Jet):
     """First-order forward-mode jet over k directions, held flat: the value
     and the list ``d`` of its k directional derivatives.
 
@@ -155,76 +210,30 @@ class Jet1:
     def __repr__(self):
         return f"Jet1({self.value!r}, {self.d!r})"
 
-    def __add__(self, other):
-        if isinstance(other, Jet1):
-            return Jet1(self.value + other.value,
-                        [a + b for a, b in zip(self.d, other.d)])
-        if isinstance(other, _NUMBERS):
-            return Jet1(self.value + other, self.d)
-        return NotImplemented
+    def _new(self, value, d):
+        return Jet1(value, d)
 
-    __radd__ = __add__
+    def _mul(self, other):
+        vx, vy = self.value, other.value
+        return Jet1(vx * vy,
+                    [vx * b + a * vy for a, b in zip(self.d, other.d)])
 
-    def __sub__(self, other):
-        if isinstance(other, Jet1):
-            return Jet1(self.value - other.value,
-                        [a - b for a, b in zip(self.d, other.d)])
-        if isinstance(other, _NUMBERS):
-            return Jet1(self.value - other, self.d)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _NUMBERS):
-            return Jet1(other - self.value, [-a for a in self.d])
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Jet1):
-            vx, vy = self.value, other.value
-            return Jet1(vx * vy,
-                        [vx * b + a * vy for a, b in zip(self.d, other.d)])
-        if isinstance(other, _NUMBERS):
-            return Jet1(self.value * other, [a * other for a in self.d])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet1):
-            inv = 1.0 / other.value
-            t = self.value * inv
-            return Jet1(t, [(a - t * b) * inv
-                            for a, b in zip(self.d, other.d)])
-        if isinstance(other, _NUMBERS):
-            return Jet1(self.value / other, [a / other for a in self.d])
-        return NotImplemented
+    def _div(self, other):
+        inv = 1.0 / other.value
+        t = self.value * inv
+        return Jet1(t, [(a - t * b) * inv for a, b in zip(self.d, other.d)])
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBERS):
-            inv = 1.0 / self.value
-            c = -other * inv * inv
-            return Jet1(other * inv, [c * a for a in self.d])
-        return NotImplemented
+        inv = 1.0 / self.value
+        c = -other * inv * inv
+        return Jet1(other * inv, [c * a for a in self.d])
 
-    def __neg__(self):
-        return Jet1(-self.value, [-a for a in self.d])
-
-    def __pow__(self, expo):
-        if isinstance(expo, Jet1):
-            # f^g = exp(g log f); requires f away from the branch cut.
-            return dexp(expo * dlog(self))
+    def _power(self, expo):
         v = self.value
         if isinstance(expo, int) and expo == 0:
             return Jet1(v ** 0, [0.0 * a for a in self.d])
-        if isinstance(expo, _NUMBERS):
-            c = expo * v ** (expo - 1)
-            return Jet1(v ** expo, [c * a for a in self.d])
-        return NotImplemented
-
-    def __rpow__(self, base):
-        if isinstance(base, _NUMBERS):
-            return dexp(self * _scalar_log(base))
-        return NotImplemented
+        c = expo * v ** (expo - 1)
+        return Jet1(v ** expo, [c * a for a in self.d])
 
     def _exp(self):
         e = _scalar_exp(self.value)
@@ -235,7 +244,7 @@ class Jet1:
         return Jet1(_scalar_log(v), [a / v for a in self.d])
 
 
-class Jet2:
+class Jet2(_Jet):
     """Second-order forward-mode jet over k arguments, held flat.
 
     It stands for the nested dual ``Dual(Dual(value, inner), outer')``
@@ -258,90 +267,45 @@ class Jet2:
     def _new(self, value, d):
         return Jet2(value, d, self.shape)
 
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            return self._new(self.value + other.value,
-                             [a + b for a, b in zip(self.d, other.d)])
-        if isinstance(other, _NUMBERS):
-            return self._new(self.value + other, self.d)
-        return NotImplemented
+    def _mul(self, other):
+        (k, pairs), vx, dx = self.shape, self.value, self.d
+        vy, dy = other.value, other.d
+        return self._new(vx * vy, [
+            vx * b + a * vy for a, b in zip(dx[:2 * k], dy)] + [
+            (vx * b + dx[i] * dy[j]) + (dx[j] * dy[i] + a * vy)
+            for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return self._new(self.value - other.value,
-                             [a - b for a, b in zip(self.d, other.d)])
-        if isinstance(other, _NUMBERS):
-            return self._new(self.value - other, self.d)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _NUMBERS):
-            return self._new(other - self.value, [-a for a in self.d])
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            (k, pairs), vx, dx = self.shape, self.value, self.d
-            vy, dy = other.value, other.d
-            return self._new(vx * vy, [
-                vx * b + a * vy for a, b in zip(dx[:2 * k], dy)] + [
-                (vx * b + dx[i] * dy[j]) + (dx[j] * dy[i] + a * vy)
-                for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
-        if isinstance(other, _NUMBERS):
-            return self._new(self.value * other,
-                             [a * other for a in self.d])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            (k, pairs), vx, dx, dy = self.shape, self.value, self.d, other.d
-            w = 1.0 / other.value  # 1.0 / y as Dual.__rtruediv__ forms it
-            iv, s = 1.0 * w, -1.0 * w * w
-            ig = [s * a for a in dy[:k]]
-            p = vx * iv
-            # the quotient's inner gradient, then the outer numerators
-            t = [vx * b + a * iv for a, b in zip(dx, ig)]
-            t += [a - p * b for a, b in zip(dx[k:2 * k], dy[k:])]
-            return self._new(p, t[:k] + [a * iv for a in t[k:]] + [
-                t[j] * ig[i] + (a - (p * b + t[i] * dy[j])) * iv
-                for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
-        if isinstance(other, _NUMBERS):
-            return self._new(self.value / other,
-                             [a / other for a in self.d])
-        return NotImplemented
+    def _div(self, other):
+        (k, pairs), vx, dx, dy = self.shape, self.value, self.d, other.d
+        w = 1.0 / other.value  # 1.0 / y as Dual.__rtruediv__ forms it
+        iv, s = 1.0 * w, -1.0 * w * w
+        ig = [s * a for a in dy[:k]]
+        p = vx * iv
+        # the quotient's inner gradient, then the outer numerators
+        t = [vx * b + a * iv for a, b in zip(dx, ig)]
+        t += [a - p * b for a, b in zip(dx[k:2 * k], dy[k:])]
+        return self._new(p, t[:k] + [a * iv for a in t[k:]] + [
+            t[j] * ig[i] + (a - (p * b + t[i] * dy[j])) * iv
+            for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBERS):
-            (k, pairs), d = self.shape, self.d
-            w = 1.0 / self.value
-            iv, s = 1.0 * w, -1.0 * w * w
-            ig = [s * a for a in d[:k]]
-            neg = -other
-            c = iv * neg
-            cc = c * iv
-            cg = [c * a + (a * neg) * iv for a in ig]
-            return self._new(iv * other, [a * other for a in ig] + [
-                cc * a for a in d[k:2 * k]] + [
-                cc * a + cg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
-        return NotImplemented
+        (k, pairs), d = self.shape, self.d
+        w = 1.0 / self.value
+        iv, s = 1.0 * w, -1.0 * w * w
+        ig = [s * a for a in d[:k]]
+        neg = -other
+        c = iv * neg
+        cc = c * iv
+        cg = [c * a + (a * neg) * iv for a in ig]
+        return self._new(iv * other, [a * other for a in ig] + [
+            cc * a for a in d[k:2 * k]] + [
+            cc * a + cg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
 
-    def __neg__(self):
-        return self._new(-self.value, [-a for a in self.d])
-
-    def __pow__(self, expo):
-        if isinstance(expo, Jet2):
-            # f^g = exp(g log f); requires f away from the branch cut.
-            return dexp(expo * dlog(self))
+    def _power(self, expo):
         (k, pairs), v, d = self.shape, self.value, self.d
         if isinstance(expo, int) and expo == 0:
             return self._new(v ** 0, [0.0 * a for a in d[:k]]
                              + [a * 0.0 for a in d[k:]])
-        if not isinstance(expo, _NUMBERS):
-            return NotImplemented
         # the nested pass's expo * x ** (expo - 1) * outer', the inner power
         # taken as Dual.__pow__ takes it
         e1 = expo - 1
@@ -354,11 +318,6 @@ class Jet2:
         return self._new(v ** expo, [c * a for a in d[:k]] + [
             ek * a for a in d[k:2 * k]] + [
             ek * a + ekg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
-
-    def __rpow__(self, base):
-        if isinstance(base, _NUMBERS):
-            return dexp(self * _scalar_log(base))
-        return NotImplemented
 
     def _exp(self):
         (k, pairs), d = self.shape, self.d
@@ -385,7 +344,7 @@ def derivs(x, k):
 
 def value_of(x):
     """Strip all dual and jet layers and return the underlying number."""
-    while isinstance(x, (Dual, Jet1, Jet2)):
+    while isinstance(x, (Dual, _Jet)):
         x = x.value
     return x
 
@@ -408,7 +367,7 @@ def _scalar_log(v):
 
 
 def dexp(x):
-    if isinstance(x, (Jet1, Jet2)):
+    if isinstance(x, _Jet):
         return x._exp()
     if isinstance(x, Dual):
         e = dexp(x.value)
@@ -417,7 +376,7 @@ def dexp(x):
 
 
 def dlog(x):
-    if isinstance(x, (Jet1, Jet2)):
+    if isinstance(x, _Jet):
         return x._log()
     if isinstance(x, Dual):
         return Dual(dlog(x.value), x.deriv / x.value)

@@ -31,10 +31,12 @@ from .jetspace import (
     JetPoint,
     Metric,
     _symmetric,
+    base_coord,
     d1_coord,
     d2_coord,
     enumerate_coords,
     euclidean,
+    field_coord,
     minkowski,
 )
 from .liealg import AlgebraSpec, algebra_space, make_sampler, make_spec
@@ -212,9 +214,10 @@ def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
 class _View:
     """Eager jet view: four tables laid out like a :class:`JetPoint`'s
     ``x``, ``u``, ``du`` and ``ddu`` (full symmetric matrices), read by
-    index.  The plain view wraps the point's own tuples; the gradient view
-    holds :class:`Jet1` jets built once (see :func:`gradient_view`), shared
-    by every member evaluated on it together with its ``cache``."""
+    index.  The plain view wraps the point's own tuples; the seeded view
+    holds :class:`Dual` numbers and the gradient view :class:`Jet1` jets,
+    built once (see :func:`gradient_view`) and shared by every member
+    evaluated on it together with its ``cache``."""
 
     __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
 
@@ -239,41 +242,20 @@ def _plain_view(point):
     return _View(point.x, point.u, point.du, point.ddu)
 
 
-class _SeedView:
-    """Lazy view seeded along one coordinate: every read builds a
-    :class:`Dual` of its slot, derivative 1.0 on ``coord`` alone."""
-
-    __slots__ = ("p", "c", "cache")
-
-    def __init__(self, point, coord):
-        self.p = point
-        self.c = coord
-        self.cache = {}
-
-    def x(self, i):
-        c = self.c
-        seed = 1.0 if (c.kind == "base" and c.i == i) else 0.0
-        return Dual(self.p.x[i], seed)
-
-    def u(self, r):
-        c = self.c
-        seed = 1.0 if (c.kind == "field" and c.r == r) else 0.0
-        return Dual(self.p.u[r - 1], seed)
-
-    def du(self, r, i):
-        c = self.c
-        seed = 1.0 if (c.kind == "d1" and c.r == r and c.i == i) else 0.0
-        return Dual(self.p.du[r - 1][i], seed)
-
-    def ddu(self, r, i, j):
-        c = self.c
-        seed = 1.0 if (c.kind == "d2" and c.r == r and (
-            c.i == i and c.j == j or c.i == j and c.j == i)) else 0.0
-        return Dual(self.p.ddu[r - 1][i][j], seed)
-
-
 def seeded_view(point, coord):
-    return _SeedView(point, coord)
+    """View whose reads are :class:`Dual` numbers of their slots, with
+    derivative 1.0 on ``coord`` alone."""
+    def seeded(v, c):
+        return Dual(v, 1.0 if c == coord else 0.0)
+
+    return _View(
+        [seeded(v, base_coord(i)) for i, v in enumerate(point.x)],
+        [seeded(v, field_coord(r)) for r, v in enumerate(point.u, 1)],
+        [[seeded(v, d1_coord(r, i)) for i, v in enumerate(row)]
+         for r, row in enumerate(point.du, 1)],
+        [_symmetric(point.n_base,
+                    lambda i, j: seeded(h[i][j], d2_coord(r, i, j)))
+         for r, h in enumerate(point.ddu, 1)])
 
 
 def gradient_view(point, coords):

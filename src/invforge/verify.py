@@ -53,9 +53,6 @@ class InvarianceReport:
         return "PASS" if all(r.verdict == "PASS" for r in self.records) \
             else "FAIL"
 
-    def failures(self):
-        return [r for r in self.records if r.verdict != "PASS"]
-
     def by_invariant(self):
         out = {}
         for r in self.records:

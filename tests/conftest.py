@@ -1,9 +1,18 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import invforge
 from invforge.jetspace import JetPoint, d2_coord
+
+# the CLI tests run ``python -m invforge`` in a child process, which must
+# import this same package, also when only pytest's ``pythonpath`` setting
+# put it on this process's path
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(invforge.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
 
 
 def brute_power_trace(mat, signs, k):

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from invforge.dual import (
     Dual,
     Jet1,
+    Jet2,
     _jet_seeds,
     derivs,
     dexp,
@@ -475,6 +477,31 @@ def test_scalar_derivative_broadcasts_like_a_zero_vector():
     assert repr(derivs(Jet1(1.0, [-0.0] * 3), 3)) == "[-0.0, -0.0, -0.0]"
     assert repr(derivs(2.0, 2)) == "[0.0, 0.0]"
 
+
+
+_CONSTANT_FORMS = {
+    "x + c": lambda x, c: x + c, "c + x": lambda x, c: c + x,
+    "x - c": lambda x, c: x - c, "c - x": lambda x, c: c - x,
+    "x * c": lambda x, c: x * c, "c * x": lambda x, c: c * x,
+    "x / c": lambda x, c: x / c, "c / x": lambda x, c: c / x,
+    "x ** c": lambda x, c: x ** c, "c ** x": lambda x, c: c ** x,
+}
+
+
+@pytest.mark.parametrize("form", _CONSTANT_FORMS)
+@pytest.mark.parametrize("jet", ["Jet1", "Jet2"])
+def test_a_jet_takes_any_non_jet_operand_as_a_constant(jet, form):
+    # a Fraction acts as the float it equals, whatever side it is on
+    if jet == "Jet1":
+        x = Jet1(0.75, [0.5, -1.25, 0.0])
+    else:
+        x = Jet2(0.75, [0.5, -1.25, 0.5, -1.25, 2.0, -0.5, 3.0],
+                 _jet_seeds(2)[0])
+    op = _CONSTANT_FORMS[form]
+    got, want = op(x, Fraction(1, 4)), op(x, 0.25)
+    assert type(got) is type(want) is type(x)
+    assert repr(got.value) == repr(want.value)
+    assert repr(got.d) == repr(want.d)
 
 def _jet_operations(a):
     # every Jet1 operation between seeded reads (a[0], a[1]), unseeded
