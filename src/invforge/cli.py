@@ -83,9 +83,31 @@ def _env_seed() -> int:
         raise ValueError(f"INVFORGE_SEED must be an integer, got {raw!r}")
 
 
-# the settings whose flags take one of a few words, in a config file too
-_CHOICES = {"field": ("real", "complex"),
-            "hat_variant": ("printed", "uniform")}
+# every setting a config file may hold, by config key: its flag, type,
+# choices and help text; a config file may name lam ``lambda``, and
+# ``--config`` and ``--function`` are command-line only
+_SETTINGS = {
+    "algebra": ("--algebra", str, None, "algebra family name"),
+    "n": ("--n", int, None, "spatial dimension"),
+    "m": ("--m", int, None, "number of field slots"),
+    "lam": ("--lambda", float, None, "dilation weight"),
+    "mu": ("--mu", float, None, "boost weight"),
+    "mass": ("--mass", float, None,
+             "mass parameter for the complex families"),
+    "field": ("--field", str, ("real", "complex"), "field kind"),
+    "seed": ("--seed", int, None,
+             "sampling seed (default: INVFORGE_SEED or 0)"),
+    "samples": ("--samples", int, None, "sample count"),
+    "tol": ("--tol", float, None, "relative tolerance"),
+    "out": ("--out", str, None, "write the JSON report here"),
+    "expr": ("--expr", str, None, "expression to verify or evaluate"),
+    "equation": ("--equation", str, None,
+                 "equation name (see 'list equations')"),
+    "k": ("--k", int, None, "order parameter for eikonal-trace"),
+    "hat_variant": ("--hat-variant", str, ("printed", "uniform"),
+                    "reading of the hatted projective sums "
+                    "(default: printed)"),
+}
 
 
 @functools.cache
@@ -100,29 +122,9 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--algebra", help="algebra family name")
-        p.add_argument("--n", type=int, help="spatial dimension")
-        p.add_argument("--m", type=int, help="number of field slots")
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="dilation weight")
-        p.add_argument("--mu", type=float, help="boost weight")
-        p.add_argument("--mass", type=float, help="mass parameter for the "
-                       "complex families")
-        p.add_argument("--field", choices=_CHOICES["field"],
-                       help="field kind")
-        p.add_argument("--seed", type=int, help="sampling seed "
-                       "(default: INVFORGE_SEED or 0)")
-        p.add_argument("--samples", type=int, help="sample count")
-        p.add_argument("--tol", type=float, help="relative tolerance")
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--expr", help="expression to verify or evaluate")
-        p.add_argument("--equation", help="equation name (see 'list "
-                       "equations')")
-        p.add_argument("--k", type=int, help="order parameter for "
-                       "eikonal-trace")
-        p.add_argument("--hat-variant", choices=_CHOICES["hat_variant"],
-                       help="reading of the hatted projective sums "
-                            "(default: printed)")
+        for key, (flag, kind, choices, helptext) in _SETTINGS.items():
+            p.add_argument(flag, dest=key, type=kind, choices=choices,
+                           help=helptext)
         p.add_argument("--function", action="append", metavar="NAME=EXPR",
                        help="override a sampled coefficient function of the "
                             "eikonal algebra (b01, a0, eta, d; expression "
@@ -162,33 +164,22 @@ def _read_config_file(path):
     return values
 
 
-_CONFIG_TYPES = {
-    "n": int, "m": int, "seed": int, "samples": int, "k": int,
-    "lam": float, "mu": float, "mass": float, "tol": float,
-}
-# the settings a config file may hold (``lambda`` for lam), each also a
-# flag; ``--function`` is command-line only
-_CONFIG_KEYS = ("algebra", "n", "m", "lam", "mu", "mass", "field", "seed",
-                "samples", "tol", "out", "expr", "equation", "k",
-                "hat_variant")
-
-
 def _merge_config(args):
     cfg = {}
     if getattr(args, "config", None):
         raw = _read_config_file(args.config)
         for key, val in raw.items():
-            if key not in _CONFIG_KEYS + ("lambda",):
-                raise ValueError(f"unknown config key {key!r}")
             key = "lam" if key == "lambda" else key
-            caster = _CONFIG_TYPES.get(key, str)
+            if key not in _SETTINGS:
+                raise ValueError(f"unknown config key {key!r}")
+            _, kind, choices, _ = _SETTINGS[key]
             try:
-                cfg[key] = caster(val)
+                cfg[key] = kind(val)
             except ValueError:
                 raise ValueError(f"bad value for {key!r}: {val!r}")
-            if key in _CHOICES and val not in _CHOICES[key]:
+            if choices and val not in choices:
                 raise ValueError(f"bad value for {key!r}: {val!r}")
-    for key in _CONFIG_KEYS:
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -225,7 +216,7 @@ def _positive_u(cfg):
                for entry in cfg.get("functions", ()))
 
 
-def _spec_from_config(cfg, rep=None):
+def _spec_from_config(cfg):
     name = cfg.get("algebra")
     if not name:
         raise ValueError("an --algebra name is required")
@@ -238,9 +229,7 @@ def _spec_from_config(cfg, rep=None):
         kw["functions"] = _bind_functions(cfg["functions"])
         if any(fname == "d" for fname, _ in kw["functions"]):
             kw["extended"] = True
-    if rep is not None:
-        kw["rep"] = rep
-    elif name.startswith("AG"):
+    if name.startswith("AG"):
         kw["rep"] = "log"
     return make_spec(name, cfg["n"], **kw)
 

@@ -156,14 +156,7 @@ def power_trace(mat, metric: Metric, k: int):
     """Trace of the k-th metric power: tr((G M)^k)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    signs = metric.signs
-    gm = g_premul(signs, mat)
-    if k == 1:
-        return mat_trace(gm)
-    p = gm
-    for _ in range(k - 2):
-        p = mat_mul(p, gm)
-    return trace_prod(p, gm)
+    return _S(_View(None, None, None, None), _given(0, mat), metric.signs, k)
 
 
 def power_form(vec, mat, metric: Metric, k: int):
@@ -191,19 +184,8 @@ def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
         raise ValueError("need 0 <= j <= k")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if j == 0:
-        return power_trace(v, metric, k)
-    if j == k:
-        return power_trace(u, metric, j)
-    signs = metric.signs
-    gu = g_premul(signs, u)
-    gv = g_premul(signs, v)
-    p = gu
-    for _ in range(j - 1):
-        p = mat_mul(p, gu)
-    for _ in range(k - j - 1):
-        p = mat_mul(p, gv)
-    return trace_prod(p, gv)
+    return _Sjk(_View(None, None, None, None), _given(0, u), _given(1, v),
+                metric.signs, j, k)
 
 
 # --------------------------------------------------------------------------
@@ -392,21 +374,22 @@ def _hessian(r, idx):
     return ("U", r, idx), lambda view: _hess(view, r, idx)
 
 
+def _given(pos, mat):
+    """Matrix source of a matrix passed in, the ``pos``-th of its call."""
+    return ("given", pos), lambda view: mat
+
+
 def _tensor_cached(view, key, build):
     t = view.cache.get(key)
     if t is None:
-        t = build(view)
-        view.cache[key] = t
+        t = view.cache[key] = build(view)
     return t
 
 
 def _tensor_power(view, key, build, signs, k):
     """k-th power of (G * matrix), cached per view."""
-    pkey = ("tp",) + key
-    plist = view.cache.get(pkey)
-    if plist is None:
-        plist = [g_premul(signs, _tensor_cached(view, key, build))]
-        view.cache[pkey] = plist
+    plist = _tensor_cached(view, ("tp",) + key, lambda v: [
+        g_premul(signs, _tensor_cached(v, key, build))])
     while len(plist) < k:
         plist.append(mat_mul(plist[-1], plist[0]))
     return plist[k - 1]
@@ -1065,12 +1048,8 @@ def _boost_theta(c, du, dut, hess):
 
 def _implicit_theta(view, r, sp):
     """The mu = 0 theta, solving U theta = du_t; cached per view."""
-    key = ("implicit_theta", r)
-    theta = view.cache.get(key)
-    if theta is None:
-        theta = view.cache[key] = solve_linear(
-            _hess_of(view, r, sp), _gvec_t(view, r, sp), "Hessian")
-    return theta
+    return _tensor_cached(view, ("implicit_theta", r), lambda v: solve_linear(
+        _hess_of(v, r, sp), _gvec_t(v, r, sp), "Hessian"))
 
 
 def _lead0(view, r, sp):
@@ -1087,11 +1066,8 @@ def _sec0(view, r, sp):
 
 def _rinv(view, r, sp):
     """U^-1, cached per view."""
-    key = ("rinv", r)
-    inv = view.cache.get(key)
-    if inv is None:
-        inv = view.cache[key] = mat_inverse(_hess_of(view, r, sp), "Hessian")
-    return inv
+    return _tensor_cached(view, ("rinv", r), lambda v: mat_inverse(
+        _hess_of(v, r, sp), "Hessian"))
 
 
 def _quad_inv(view, r, sp):
@@ -1669,9 +1645,7 @@ def equation_residual(name: str, point: JetPoint, **params):
 def covariant_tensor_components(name: str, point: JetPoint, **params):
     """Numeric components of the named covariant tensor at a jet point."""
     n = params.pop("n", None)
-    builder = covariant_tensor(name, point.n_base if n is None else n,
-                               **params)
-    if n is None and builder.space.n_base > point.n_base:
-        # a Minkowski or Galilei tensor: the point's x0 is the time
-        builder = covariant_tensor(name, point.n_base - 1, **params)
-    return builder.build(point)
+    if n is None:
+        # a Minkowski or Galilei tensor reads the point's x0 as the time
+        n = point.n_base if name in _EUCLIDEAN_TENSORS else point.n_base - 1
+    return covariant_tensor(name, n, **params).build(point)

@@ -222,12 +222,13 @@ def apply_operator(op: ProlongedOperator, fn, point: JetPoint):
     return total
 
 
-def matrix_rank(rows, rtol: float = RANK_PIVOT_RTOL):
+def matrix_rank(rows):
     """Rank by scaled full-pivot elimination of plain (float or complex)
     entries.
 
     Rows are scaled to unit max magnitude, then pivots are accepted while
-    larger than ``rtol`` times the largest entry of the scaled matrix.
+    larger than :data:`RANK_PIVOT_RTOL` times the largest entry of the
+    scaled matrix.
     """
     a = [list(row) for row in rows]
     if not a or not a[0]:
@@ -240,7 +241,7 @@ def matrix_rank(rows, rtol: float = RANK_PIVOT_RTOL):
     biggest = max(max(map(abs, row)) for row in a)
     if biggest == 0.0:
         return 0, []
-    thresh = rtol * biggest
+    thresh = RANK_PIVOT_RTOL * biggest
     nrows, ncols = len(a), len(a[0])
     rank = 0
     pivots = []

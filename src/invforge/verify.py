@@ -153,12 +153,12 @@ def _need_samples(n_samples):
         raise ValueError("n_samples must be at least 1")
 
 
-def _draw(sampler, members, idx, retries=25):
+def _draw(sampler, members, idx):
     """Sample a point where every member evaluates finitely; return it with
     the members' plain values there, and the first point tried,
     ``sampler(idx)``, which is the point itself unless it was redrawn."""
     attempt = idx
-    for _ in range(retries):
+    for _ in range(25):
         point = sampler(attempt)
         if attempt == idx:
             first = point

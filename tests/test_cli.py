@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from invforge.cli import _SETTINGS
+
 BASE = [sys.executable, "-m", "invforge"]
 
 
@@ -620,3 +622,48 @@ def test_non_integer_env_seed_is_a_configuration_error(monkeypatch, capsys):
     assert out.getvalue() == ""
     assert "configuration error: INVFORGE_SEED must be an integer, got " \
         "'abc'" in capsys.readouterr().err
+
+
+# per setting: a command that reads it, and the value it is given
+_SETTING_READERS = {
+    "algebra": (["rank", "--n", "3", "--samples", "20"], "AO"),
+    "n": (["rank", "--algebra", "AO", "--samples", "20"], "4"),
+    "m": (["rank", "--algebra", "AE", "--samples", "20"], "2"),
+    "lam": (["rank", "--algebra", "AE1", "--samples", "20"], "0.5"),
+    "mu": (["rank", "--algebra", "AG_I", "--samples", "20"], "0.5"),
+    "mass": (["rank", "--algebra", "AG_II", "--samples", "20"], "2.0"),
+    "field": (["verify", "--algebra", "AG_II", "--samples", "2",
+               "--expr", "u1_x1 * conj(u1_x1)"], "complex"),
+    "seed": (["rank", "--algebra", "AO", "--samples", "20"], "5"),
+    "samples": (["rank", "--algebra", "AO"], "30"),
+    "tol": (["verify", "--algebra", "AE", "--samples", "2",
+             "--expr", "S(2)"], "1e-6"),
+    "out": (["rank", "--algebra", "AO", "--samples", "20"], None),
+    "expr": (["verify", "--algebra", "AE", "--samples", "2"], "S(2)"),
+    "equation": (["verify", "--samples", "2"], "heat"),
+    "k": (["verify", "--equation", "eikonal-trace", "--samples", "2"], "2"),
+    "hat_variant": (["verify", "--algebra", "AG2_I", "--samples", "2"],
+                    "uniform"),
+}
+
+
+@pytest.mark.parametrize("key", list(_SETTINGS))
+def test_config_file_setting_matches_its_flag(key, tmp_path):
+    # every flag's setting reaches a run from a config file too: a new
+    # setting needs a reader above, or this fails
+    from invforge import cli
+
+    argv, value = _SETTING_READERS[key]
+    runs = []
+    for side in ("flag", "file"):
+        report = tmp_path / f"{side}.json"
+        extra = [] if key == "out" else ["--out", str(report)]
+        val = str(report) if key == "out" else value
+        if side == "flag":
+            extra += [_SETTINGS[key][0], val]
+        else:
+            extra += ["--config", _config_file(tmp_path, f"{key}={val}\n")]
+        code = cli.main(argv + extra, stream=io.StringIO())
+        runs.append((code, json.loads(report.read_text())["config"]))
+    assert runs[0] == runs[1]
+    assert key == "out" or key in runs[0][1]

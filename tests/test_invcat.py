@@ -11,6 +11,7 @@ from conftest import (
     random_symmetric,
 )
 from invforge.dual import Dual, EvaluationError, Jet1, value_of
+from invforge.exprlang import bind
 from invforge.invcat import (
     TENSORS,
     JetSpace,
@@ -111,6 +112,24 @@ def test_mixed_trace_matches_index_sum(metric, rng):
             got = mixed_power_trace(u, v, metric, j, k)
             want = brute_mixed_trace(u, v, metric.signs, j, k)
             assert abs(got - want) < 1e-10 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("metric", [euclidean, minkowski])
+def test_public_traces_are_the_language_kernels(metric, n):
+    # one kernel per trace: the public functions and the language's S and
+    # Sjk agree to the last bit
+    met = metric(n)
+    points = [sample_generic(n, 2, seed=seed) for seed in range(10)]
+    for k in range(1, n + 1):
+        pairs = [(f"S({k})", lambda u, v: power_trace(u, met, k))]
+        pairs += [(f"Sjk({j}, {k}; 1, 2)",
+                   lambda u, v, j=j: mixed_power_trace(u, v, met, j, k))
+                  for j in range(k + 1)]
+        for text, public in pairs:
+            fn = bind(text, n, 2, metric=met)
+            for point in points:
+                assert repr(public(*point.ddu)) == repr(fn.eval(point)), text
 
 
 def test_mixed_trace_cyclic_symmetry(rng):
