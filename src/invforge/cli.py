@@ -188,12 +188,16 @@ def _merge_config(args):
         cfg["functions"] = tuple(funcs)
     cfg.setdefault("seed", _env_seed())
     cfg.setdefault("samples", DEFAULT_SAMPLES)
-    cfg.setdefault("tol", DEFAULT_TOL)
     if cfg["samples"] < 1:
         raise ValueError(f"samples must be at least 1, got {cfg['samples']}")
-    if not 0.0 <= cfg["tol"] < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got "
-                         f"{cfg['tol']}")
+    if "tol" in cfg:
+        if not 0.0 <= cfg["tol"] < math.inf:
+            raise ValueError(f"tol must be finite and non-negative, got "
+                             f"{cfg['tol']}")
+        # rank's pivot threshold is the constant RANK_PIVOT_RTOL
+        if args.command == "rank":
+            raise ValueError("--tol applies only to verify and completeness")
+    cfg.setdefault("tol", DEFAULT_TOL)
     cfg.setdefault("n", 3)
     cfg.setdefault("hat_variant", "printed")
     return cfg

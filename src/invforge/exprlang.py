@@ -12,7 +12,9 @@ trace ``S(k; A)``, the mixed trace ``Sjk(j, k; A, B)`` = tr(A^j B^(k-j))
 and the power form ``R(k; v, A)`` = v.(A)^(k-1).v, all metric-weighted,
 with optional selectors after ``;``; ``tr``/``det`` of a matrix;
 ``contract(du1, du2)``; and ``exp``, ``log``, ``conj``.  ``i`` is the
-imaginary unit, valid only in complex bindings.
+imaginary unit, valid only in complex bindings.  In a time binding the
+builtins and selectors run over x1..xN-1 only, as the Galilei invariants
+are spatial contractions; ``t`` enters where a symbol names it.
 
 Matrix selectors: an integer ``r`` or ``ddu<r>`` is the Hessian U_r
 (default 1; Sjk's B defaults to 2 when there are two fields), ``theta<r>``
@@ -333,16 +335,17 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     """Compiler for one (N, m, metric) space: maps an AST to a pair
     (evaluator on a jet view, set of the jet coordinates it reads).
 
-    ``time_mode`` names base coordinate 0 ``t`` (Galilean setups);
-    a Minkowski metric names the coordinates ``x0..x{N-1}``.  Inside
-    ``conj(e)`` every field index resolves to its conjugate partner, so
-    ``e`` reads the conjugate slots; coordinates and constants are real.
+    ``time_mode`` names base coordinate 0 ``t`` (Galilean setups) and
+    leaves it out of every contraction; a Minkowski metric names the
+    coordinates ``x0..x{N-1}``.  Inside ``conj(e)`` every field index
+    resolves to its conjugate partner, so ``e`` reads the conjugate slots;
+    coordinates and constants are real.
     """
     metric = metric or euclidean(n_base)
     if metric.dim != n_base:
         raise BindError("metric dimension must match the base dimension")
     signs = metric.signs
-    idx = tuple(range(n_base))
+    idx = tuple(range(1 if time_mode else 0, n_base))
     deps = set()
     tensors = {}
     conjugated = False

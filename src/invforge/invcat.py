@@ -18,6 +18,7 @@ from .dual import (
     Dual,
     EvaluationError,
     Jet1,
+    Jet2,
     derivs,
     dexp,
     dlog,
@@ -190,16 +191,18 @@ def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
 
 # --------------------------------------------------------------------------
 # jet views: plain evaluation, single-coordinate dual seeding, and
-# all-coordinate (vector-mode) seeding on first-order jets
+# all-coordinate (vector-mode) seeding on first-order jets and on diagonal
+# second-order jets
 
 
 class _View:
     """Eager jet view: four tables laid out like a :class:`JetPoint`'s
     ``x``, ``u``, ``du`` and ``ddu`` (full symmetric matrices), read by
     index.  The plain view wraps the point's own tuples; the seeded view
-    holds :class:`Dual` numbers and the gradient view :class:`Jet1` jets,
-    built once (see :func:`gradient_view`) and shared by every member
-    evaluated on it together with its ``cache``."""
+    holds :class:`Dual` numbers, the gradient view :class:`Jet1` jets and
+    the curvature view :class:`Jet2` jets, built once (see
+    :func:`_jet_view`) and shared by every member evaluated on it together
+    with its ``cache``."""
 
     __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
 
@@ -240,15 +243,14 @@ def seeded_view(point, coord):
          for r, h in enumerate(point.ddu, 1)])
 
 
-def gradient_view(point, coords):
-    """View whose reads are :class:`Jet1` jets seeded along every
-    coordinate in ``coords``: a read of ``coords[k]`` carries the k-th unit
-    vector, any other read one list of k zeros shared by all of them.  Read
-    the gradient off a function's result with :func:`dual.derivs`."""
-    n, m, k = point.n_base, point.n_fields, len(coords)
+def _jet_view(point, coords, width, places, jet):
+    """View whose reads are ``jet(value, d)`` jets: a read of ``coords[pos]``
+    carries 1.0 at the ``places(pos)`` of its ``width`` derivative slots,
+    any other read one list of ``width`` zeros shared by all of them."""
+    n, m = point.n_base, point.n_fields
     # derivative lists shaped like the point's tables; each unit is filled
     # in before any jet is built from it
-    zero = [0.0] * k
+    zero = [0.0] * width
     sx, su = [zero] * n, [zero] * m
     sdu = [[zero] * n for _ in range(m)]
     sddu = [[[zero] * n for _ in range(n)] for _ in range(m)]
@@ -258,14 +260,35 @@ def gradient_view(point, coords):
                    (sdu[c.r - 1], c.i) if c.kind == "d1" else
                    (sddu[c.r - 1][c.i], c.j))
         if row[at] is zero:
-            row[at] = [0.0] * k
-        row[at][pos] = 1.0
+            row[at] = [0.0] * width
+        for p in places(pos):
+            row[at][p] = 1.0
     return _View(
-        [Jet1(v, d) for v, d in zip(point.x, sx)],
-        [Jet1(v, d) for v, d in zip(point.u, su)],
-        [[Jet1(v, d) for v, d in zip(*pair)] for pair in zip(point.du, sdu)],
-        [_symmetric(n, lambda i, j: Jet1(h[i][j], d[i][j]))
+        [jet(v, d) for v, d in zip(point.x, sx)],
+        [jet(v, d) for v, d in zip(point.u, su)],
+        [[jet(v, d) for v, d in zip(*pair)] for pair in zip(point.du, sdu)],
+        [_symmetric(n, lambda i, j: jet(h[i][j], d[i][j]))
          for h, d in zip(point.ddu, sddu)])
+
+
+def gradient_view(point, coords):
+    """View whose reads are :class:`Jet1` jets seeded along every
+    coordinate in ``coords``: a read of ``coords[k]`` carries the k-th unit
+    vector, any other read one list of k zeros shared by all of them.  Read
+    the gradient off a function's result with :func:`dual.derivs`."""
+    return _jet_view(point, coords, len(coords), lambda pos: (pos,), Jet1)
+
+
+def curvature_view(point, coords):
+    """View whose reads are :class:`Jet2` jets seeded along every
+    coordinate in ``coords`` whose only Hessian pairs are the diagonal
+    ones (c, c).  A pair entry reads only its own coordinate's slots, so
+    one pass over k coordinates gives each one's exact dF/dc and d2F/dc2:
+    ``d[k + p]`` and ``d[2 * k + p]`` of the result for ``coords[p]``."""
+    k = len(coords)
+    shape = (k, tuple((i, k + i) for i in range(k)))
+    return _jet_view(point, coords, 3 * k, lambda pos: (pos, k + pos),
+                     lambda v, d: Jet2(v, d, shape))
 
 
 # --------------------------------------------------------------------------
@@ -1574,8 +1597,11 @@ def _conformal_power(n, f_coeffs=(1.0, 0.5), **_):
 class EquationInfo:
     """An example equation: the maker of its residual, the algebra it is
     checked under (its name, fixed spec parameters and the call
-    parameters passed on to the spec), the coordinate Newton solves for
-    (None: the one with the largest derivative) and a note."""
+    parameters passed on to the spec), the coordinate the projection onto
+    its manifold moves (None: the first d2, else d1, coordinate the
+    residual is affine in at a check's first sample, and the one with the
+    largest derivative where there is none; see
+    :func:`verify.check_on_manifold`) and a note."""
 
     name: str
     residual: callable = dc_field(compare=False)

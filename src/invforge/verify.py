@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .dual import EvaluationError, derivs, is_finite
+from .dual import EvaluationError, Jet2, derivs, is_finite
 from .invcat import (
     BasisFamily,
     ScalarJetFunction,
     TensorBuilder,
+    curvature_view,
     gradient_view,
     seeded_view,  # noqa: F401  (invbench/tracer.py wraps verify.seeded_view)
 )
@@ -252,12 +253,16 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
                    solve_for=None, target: float = 1e-12,
                    max_iter: int = 50) -> JetPoint:
     """Project a point onto the residual's zero set by adjusting one jet
-    coordinate (largest-derivative coordinate when unspecified).
+    coordinate, ``solve_for``, or when it is None the coordinate with the
+    largest derivative at ``point``.  :func:`check_on_manifold` passes the
+    coordinate :func:`affine_coordinate` picks, when there is one.
 
     A secant iteration: the first slope is the residual's exact derivative
     along the coordinate, from one ``Jet1`` pass; each later slope is the
     difference quotient of the last two iterates, so a step costs one plain
-    evaluation.  A step that leaves the coordinate where it was raises."""
+    evaluation.  Along a coordinate the residual is affine in, the first
+    step lands on the zero set up to rounding.  A step that leaves the
+    coordinate where it was raises."""
     cid = solve_for
     if cid is None:
         best = 0.0
@@ -290,17 +295,46 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
     raise EvaluationError("Newton projection did not converge")
 
 
+def affine_coordinate(residual: ScalarJetFunction, point: JetPoint):
+    """The first d2, else the first d1, dependency of ``residual`` along
+    which its exact second derivative at ``point`` is 0 and its first is
+    not; None when there is none, or when the residual cannot be
+    evaluated there.  One :class:`Jet2` pass over the diagonal
+    pairs (:func:`invcat.curvature_view`) gives both derivatives of every
+    candidate."""
+    coords = [c for kind in ("d2", "d1") for c in residual.deps
+              if c.kind == kind]
+    k = len(coords)
+    try:
+        out = residual.fn(curvature_view(point, coords))
+    except EvaluationError:
+        return None
+    if not isinstance(out, Jet2):
+        return None
+    for c, d1, d2 in zip(coords, out.d[k:2 * k], out.d[2 * k:]):
+        if d2 == 0 and d1 != 0:
+            return c
+    return None
+
+
 def _projecting_draw(residual, solve_for, n_samples):
     """A draw like :func:`_draw` that projects samples onto the zero set
     of ``residual`` (:func:`newton_project`), skipping those that fail to
-    project; all draws together try at most 20 * n_samples + 101 samples."""
+    project; all draws together try at most 20 * n_samples + 101 samples.
+    With no ``solve_for``, the first sample tried picks the coordinate
+    every projection moves (:func:`affine_coordinate`), or leaves each to
+    the largest derivative."""
     attempts = iter(range(20 * n_samples + 101))
+    picked = solve_for
 
     def draw(sampler, members, idx):
+        nonlocal picked
         for attempt in attempts:
             point = sampler(attempt)
+            if attempt == 0 and solve_for is None:
+                picked = affine_coordinate(residual, point)
             try:
-                point = newton_project(residual, point, solve_for)
+                point = newton_project(residual, point, picked)
             except EvaluationError:
                 continue
             return point, [residual.eval(point)], point
@@ -313,7 +347,10 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
                       n_samples: int = 20, tol: float = DEFAULT_TOL,
                       seed: int = 0, sampler=None) -> InvarianceReport:
     """Project samples onto the solution manifold of ``residual`` and
-    test all prolonged operators there."""
+    test all prolonged operators there.  Each projection moves
+    ``solve_for``; when it is None, the first d2, else d1, coordinate the
+    residual is affine in at the first sample (:func:`affine_coordinate`),
+    and when there is none, each sample's largest-derivative coordinate."""
     _need_samples(n_samples)
     records, _, _ = _sweep(
         ops, [residual], residual.deps,

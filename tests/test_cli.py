@@ -599,6 +599,35 @@ def test_k_is_a_usage_error_but_for_eikonal_trace(command, tmp_path, capsys):
         "--k applies only to verify --equation eikonal-trace") == 2
 
 
+
+def test_rank_tol_is_a_usage_error(tmp_path, capsys):
+    # rank echoed --tol in its report config but its pivot threshold is the
+    # constant RANK_PIVOT_RTOL
+    from invforge import cli
+
+    argv = ["rank", "--algebra", "AO", "--n", "3"]
+    cfg = _config_file(tmp_path, "tol=5\n")
+    out = io.StringIO()
+    assert cli.main([*argv, "--tol", "5"], stream=out) == 2
+    assert cli.main([*argv, "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.count(
+        "--tol applies only to verify and completeness") == 2
+
+
+def test_rank_without_tol_reports_as_before(tmp_path):
+    from invforge import cli
+
+    report = tmp_path / "rank.json"
+    out = io.StringIO()
+    assert cli.main(["rank", "--algebra", "AO", "--n", "3", "--seed", "0",
+                     "--out", str(report)], stream=out) == 0
+    assert out.getvalue() == ("rank = 3\nPASS rank:AO rank=3 expected=3\n"
+                              "overall: PASS\n")
+    doc = json.loads(report.read_text())
+    assert doc["config"] == {"algebra": "AO", "hat_variant": "printed",
+                             "n": 3, "samples": 50, "seed": 0, "tol": 1e-08}
+
 def test_eikonal_trace_reads_k(tmp_path):
     from invforge import cli
 

@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 
 from invforge.dual import EvaluationError, value_grad_hess
@@ -102,6 +105,59 @@ def test_time_symbols_need_time_mode():
         + point.value(d2_coord(1, 0, 0))
     assert abs(fn.eval(point) - want) < 1e-14
 
+
+
+def _galilei_binding(text, spec):
+    from invforge.liealg import algebra_space
+
+    _, (metric, kind, time_mode) = algebra_space(spec)
+    return bind(text, spec.n_base, spec.n_fields, metric=metric,
+                field_kind=kind, time_mode=time_mode, mu=spec.mu)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_time_binding_trace_is_the_spatial_basis_member(k):
+    # S(k) contracted over t, x1..xn: S(2) failed G1-G3 under AG_I
+    from invforge.invcat import basis
+    from invforge.liealg import make_spec
+
+    spec = make_spec("AG_I", 3, rep="log")
+    member = next(m for m in basis(spec).members if m.label == f"S{k}")
+    fn = _galilei_binding(f"S({k})", spec)
+    for seed in range(4):
+        point = member.space.sampler(seed)(0)
+        assert repr(fn.eval(point)) == repr(member.eval(point))
+        assert repr(fn.grad(point, member.deps)) == repr(
+            member.grad(point, member.deps))
+
+
+def _expression_checks(expr, tmp_path):
+    from invforge import cli
+
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--algebra", "AG_I", "--n", "3", "--expr",
+                     expr, "--samples", "5", "--seed", "0", "--out",
+                     str(out)], stream=io.StringIO())
+    checks = json.loads(out.read_text())["checks"]
+    return code, [(c["name"].split(":")[1], c["verdict"], c["residual_max"])
+                  for c in checks]
+
+
+_AG_I_OPERATORS = ("G1", "G2", "G3", "I", "J12", "J13", "J23", "P1", "P2",
+                   "P3", "Pt")
+
+
+def test_time_binding_trace_reads_no_time_index(tmp_path):
+    # S(1) gives the records ``S(1) - u_tt`` gave when S(1) read u_tt, and
+    # ``S(1) - u_tt`` the records S(1) gave then
+    assert _expression_checks("S(1)", tmp_path) == (
+        0, [(op, "PASS", 0.0) for op in _AG_I_OPERATORS])
+    code, checks = _expression_checks("S(1) - u_tt", tmp_path)
+    assert code == 1
+    assert checks[:3] == [("G1", "FAIL", 3.986114192907158),
+                          ("G2", "FAIL", 3.4489603221924416),
+                          ("G3", "FAIL", 3.232932877472104)]
+    assert checks[3:] == [(op, "PASS", 0.0) for op in _AG_I_OPERATORS[3:]]
 
 def test_builtin_matches_catalog_trace():
     met = minkowski(4)

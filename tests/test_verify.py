@@ -5,7 +5,7 @@ import math
 import pytest
 
 from invforge import cli
-from invforge.dual import Dual, EvaluationError
+from invforge.dual import Dual, EvaluationError, dexp
 from invforge.invcat import (
     EQUATIONS,
     TENSORS,
@@ -624,3 +624,164 @@ def test_on_manifold_tries_20_n_plus_101_samples(n_samples):
         check_on_manifold(_ops("AE", 3), flat, solve_for=field_coord(1),
                           n_samples=n_samples, sampler=counted)
     assert calls == list(range(20 * n_samples + 101))
+
+
+# the rows that name no solve coordinate, with the parameters that zero the
+# coefficient of u_tt in the projective rows
+_AFFINE_ROWS = (("eikonal-quasilinear", {}), ("eikonal-trace", {}),
+                ("conformal-power", {}), ("galilei-projective", {}),
+                ("schrodinger-projective", {}),
+                ("galilei-projective", {"mu": 0.0}),
+                ("schrodinger-projective", {"mass": 0.0}))
+
+
+def _counted_sampler(residual, seed):
+    base = residual.space.sampler(seed)
+    calls = []
+
+    def sampler(idx):
+        calls.append(idx)
+        return base(idx)
+    return sampler, calls
+
+
+@pytest.mark.parametrize("name,params", _AFFINE_ROWS,
+                         ids=[f"{n}{p}" for n, p in _AFFINE_ROWS])
+def test_rows_without_a_coordinate_project_every_sample(name, params):
+    # a rejected projection costs one more sampler call
+    assert EQUATIONS[name].solve_for is None
+    for n in (3, 4):
+        E = EQUATIONS[name].build(n, **params)
+        for seed in range(5):
+            sampler, calls = _counted_sampler(E, seed)
+            check_on_manifold([], E, n_samples=5, sampler=sampler)
+            assert calls == list(range(5)), (n, seed)
+
+
+@pytest.mark.parametrize("name,params", _AFFINE_ROWS,
+                         ids=[f"{n}{p}" for n, p in _AFFINE_ROWS])
+def test_rows_without_a_coordinate_land_in_one_step(name, params,
+                                                    monkeypatch):
+    """Along the picked coordinate the residual is affine, so the secant's
+    first step, on the exact slope, lands on the zero set."""
+    from invforge import verify
+
+    steps = []
+    original_replace = JetPoint.replace
+    original_project = verify.newton_project
+
+    def replace(self, cid, value):
+        steps[-1] += 1
+        return original_replace(self, cid, value)
+
+    def project(*args):
+        steps.append(0)
+        return original_project(*args)
+    monkeypatch.setattr(JetPoint, "replace", replace)
+    monkeypatch.setattr(verify, "newton_project", project)
+    for n in (3, 4):
+        E = EQUATIONS[name].build(n, **params)
+        steps.clear()
+        check_on_manifold([], E, n_samples=5, seed=0)
+        assert steps == [1] * 5, n
+
+
+def test_picked_coordinates():
+    from invforge.verify import affine_coordinate
+
+    for name, params, want in (
+            ("eikonal-quasilinear", {}, d2_coord(1, 0, 0)),
+            ("conformal-power", {}, d2_coord(1, 0, 0)),
+            ("galilei-projective", {}, d2_coord(1, 0, 0)),
+            ("galilei-projective", {"mu": 0.0}, d2_coord(1, 1, 2)),
+            ("schrodinger-projective", {"mass": 0.0}, d2_coord(1, 1, 2)),
+            ("eikonal-trace", {"k": 2}, None)):
+        E = equation_function(name, 3, **params)
+        assert affine_coordinate(E, E.space.sampler(0)(0)) == want, name
+
+
+def test_eikonal_trace_k2_keeps_the_largest_derivative(monkeypatch):
+    """The k = 2 trace is quadratic in U and has no affine coordinate: every
+    projection moves its sample's largest-derivative coordinate, and the
+    rejections per (n, seed) are the ones before the rule."""
+    from invforge import verify
+
+    solve_fors = []
+    original = verify.newton_project
+
+    def project(residual, point, solve_for=None):
+        solve_fors.append(solve_for)
+        return original(residual, point, solve_for)
+    monkeypatch.setattr(verify, "newton_project", project)
+    info = EQUATIONS["eikonal-trace"]
+    rejected = []
+    for n in (3, 4):
+        E = info.build(n, k=2)
+        for seed in range(5):
+            sampler, calls = _counted_sampler(E, seed)
+            ops = [prolong2(f) for f in catalog(
+                info.default_algebra(n, {"seed": seed}))]
+            rep = check_on_manifold(ops, E, n_samples=5, sampler=sampler)
+            assert rep.verdict == "PASS"
+            rejected.append(len(calls) - 5)
+    assert rejected == [0, 2, 1, 1, 2, 3, 3, 8, 0, 1]
+    assert set(solve_fors) == {None}
+
+
+@pytest.mark.parametrize("name,params,passes", [
+    ("eikonal-trace", {"k": 2}, 1), ("galilei-projective", {}, 1),
+    ("heat", {}, 0), ("born-infeld", {}, 0)])
+def test_the_rule_makes_one_pass_per_check(name, params, passes,
+                                           monkeypatch):
+    """One diagonal Jet2 pass at the first sample of a check whose row names
+    no coordinate, none per draw, none when the row names one."""
+    from invforge import verify
+
+    views = []
+    original = verify.curvature_view
+
+    def counted(point, coords):
+        views.append(point)
+        return original(point, coords)
+    monkeypatch.setattr(verify, "curvature_view", counted)
+    E = equation_function(name, 3, **params)
+    solve_for = EQUATIONS[name].solve_for
+    check_on_manifold([], E, solve_for=solve_for, n_samples=8, seed=1)
+    assert len(views) == passes
+    assert views == [E.space.sampler(1)(0)] * passes
+
+
+def test_affine_coordinate_on_ad_hoc_residuals():
+    from invforge.verify import affine_coordinate
+
+    space = JetSpace(3, 1)
+    point = sample_generic(3, 1, seed=2)
+    d1s = tuple(d1_coord(1, i) for i in range(3))
+    d2s = (d2_coord(1, 0, 0), d2_coord(1, 1, 2))
+
+    def residual(fn):
+        return ScalarJetFunction("r", fn, d1s + d2s, space)
+
+    # a d2 coordinate wins over an earlier-listed affine d1 one
+    assert affine_coordinate(residual(
+        lambda v: v.du(1, 0) + v.ddu(1, 0, 0) * v.du(1, 1)), point) \
+        == d2_coord(1, 0, 0)
+    # no d2 coordinate is affine: the first affine d1 one
+    assert affine_coordinate(residual(
+        lambda v: v.du(1, 0) ** 2 * v.du(1, 2) + v.ddu(1, 0, 0) ** 2
+        + v.ddu(1, 1, 2) ** 3), point) == d1_coord(1, 2)
+    # a coordinate with a zero first derivative is not picked
+    assert affine_coordinate(residual(
+        lambda v: 0.0 * v.ddu(1, 0, 0) + v.du(1, 1)), point) \
+        == d1_coord(1, 1)
+    # no coordinate is affine, or none is read
+    assert affine_coordinate(residual(
+        lambda v: v.du(1, 0) ** 2 + v.du(1, 1) ** 2 * v.du(1, 2) ** 2
+        + dexp(v.ddu(1, 0, 0)) + v.ddu(1, 1, 2) ** 2), point) is None
+    assert affine_coordinate(residual(lambda v: 1.0 + v.u(1)), point) is None
+
+    # a residual that cannot be evaluated at the first sample picks none,
+    # so the check skips that sample as before
+    def undefined(v):
+        raise EvaluationError("outside the domain")
+    assert affine_coordinate(residual(undefined), point) is None
