@@ -340,7 +340,7 @@ def _verify_expression(cfg):
     _, (metric, _, time_mode) = algebra_space(spec)
     fn = bind(cfg["expr"], spec.n_base, spec.n_fields, metric=metric,
               field_kind=spec.field_kind, time_mode=time_mode, lam=spec.lam,
-              mu=spec.mu)
+              mu=spec.boost)
     ops = [prolong2(f) for f in catalog(spec)]
     # drawn where the algebra's basis is, so a pasted member's fractional
     # powers of u need no redraws

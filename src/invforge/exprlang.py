@@ -11,18 +11,23 @@ coordinate), ``u1..um`` (``u`` means ``u1``), derivatives by suffix:
 trace ``S(k; A)``, the mixed trace ``Sjk(j, k; A, B)`` = tr(A^j B^(k-j))
 and the power form ``R(k; v, A)`` = v.(A)^(k-1).v, all metric-weighted,
 with optional selectors after ``;``; ``tr``/``det`` of a matrix;
-``contract(du1, du2)``; and ``exp``, ``log``, ``conj``.  ``i`` is the
-imaginary unit, valid only in complex bindings.  In a time binding the
-builtins and selectors run over x1..xN-1 only, as the Galilei invariants
-are spatial contractions; ``t`` enters where a symbol names it.
+``contract(v, w)`` of two vectors and the unweighted ``quad(v, A)`` =
+v.A.v; and ``exp``, ``log``, ``conj``.  ``i`` is the imaginary unit,
+valid only in complex bindings.  In a time binding the builtins and
+selectors run over x1..xN-1 only, as the Galilei invariants are spatial
+contractions; ``t`` enters where a symbol names it.
 
 Matrix selectors: an integer ``r`` or ``ddu<r>`` is the Hessian U_r
 (default 1; Sjk's B defaults to 2 when there are two fields), ``theta<r>``
 and ``w<r>`` are those covariant tensors of field r (Minkowski variants
-under a Minkowski metric; ``theta`` and ``w`` mean r = 1).  Vector
-selectors: an integer ``r`` is the gradient du_r (default 1), ``x`` the
-position and ``thvec<r>`` is du_r/u_r - du_1/u_1.  For example
-``S(2; theta1) * u1 ^ 2.0``, ``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``.
+under a Minkowski metric; ``theta`` and ``w`` mean r = 1), ``inv<r>`` is
+U_r^-1.  Vector selectors: an integer ``r`` or ``du<r>`` is the gradient
+du_r (default 1), ``x`` the position, ``thvec<r>`` is du_r/u_r - du_1/u_1,
+``dut<r>`` the u_{r,x_a t}, ``bth<r>`` the boost theta c u_{r,x_a t} +
+(U_r du_r)_a (c as in :func:`compiler`), ``ith<r>`` the theta solving U_r
+theta = dut<r>, and ``v + w`` a sum; ``inv``, ``dut``, ``bth`` and ``ith``
+need a time binding.  For example ``S(2; theta1) * u1 ^ 2.0``,
+``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``, ``R(1; du1 + du2, 1)``.
 
 The same compiler binds generator coefficients, such as ``-1.0 * x3`` or
 ``(-1.5 * t + 1.0 * (x1 * x1 + x2 * x2) / 2.0) * u1``, and ``--function``
@@ -33,7 +38,9 @@ field values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+import operator
+import re
+from dataclasses import dataclass
 
 from .dual import EvaluationError, dexp, dlog, value_of
 from .invcat import (
@@ -43,12 +50,17 @@ from .invcat import (
     _S,
     _Sjk,
     _View,
+    _boost_theta,
     _dep_coords,
     _dot,
     _gvec,
+    _gvec_t,
     _hessian,
+    _implicit_theta,
+    _jets,
     _power,
-    _row_ast,
+    _quad,
+    _rinv,
     _tensor_cached,
     covariant_tensor,
     determinant,
@@ -86,194 +98,173 @@ class BindError(ValueError):
 # AST ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: float
-    span: SourceSpan = dc_field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym:
     name: str
-    span: SourceSpan = dc_field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     arg: object
-    span: SourceSpan = dc_field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bin:
     op: str
     left: object
     right: object
-    span: SourceSpan = dc_field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     name: str
     args: tuple
     fields: tuple = ()
-    span: SourceSpan = dc_field(default=None, compare=False)
 
 
-# tokenizer -------------------------------------------------------------------
+# parser ----------------------------------------------------------------------
 
-_OPS = set("+-*/^(),;")
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append((("num", text[i:j]), SourceSpan(i, j)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((("ident", text[i:j]), SourceSpan(i, j)))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
-    tokens.append(("end", SourceSpan(n, n)))
-    return tokens
+# blanks, then a number, a name, an operator or any other character
+_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?"
+                    r"|\.\d+(?:[eE][+-]?\d+)?)"
+                    r"|([^\W\d]\w*)|([-+*/^(),;])|(\S))")
+_NUM, _NAME, _OP = 1, 2, 3
+_PARENS = re.compile(r"[()]")
+# the AST of every text, call and parenthesized group parsed so far, by its
+# text: the catalog rows repeat their leaders and traces many times, and a
+# repeat is read as one token; compilers compile each such node once
+_GROUPS = {}
+_GROUPED = set()
 
 
 class _Parser:
+    """Recursive descent over the tokens of ``text``, read one at a time
+    into ``tok``, its ``kind`` (_NUM, _NAME, _OP, or 0 past the end with
+    ``tok`` empty) and its ``start`` and ``end``."""
+
     def __init__(self, text):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
+        # the end of the group that each "(" opens
+        self.closes, opened = {}, []
+        for m in _PARENS.finditer(text):
+            if m.group() == "(":
+                opened.append(m.start())
+            elif opened:
+                self.closes[opened.pop()] = m.end()
+        self.end = 0
+        self.advance()
 
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        m = _TOKEN.match(self.text, self.end)
+        if m is None:
+            self.kind, self.tok, self.start = 0, "", len(self.text)
+            self.end = self.start
+            return
+        self.kind = kind = m.lastindex
+        self.start, self.end = m.span(kind)
+        self.tok = m.group(kind)
+        if kind > _OP:
+            raise self.error(f"unexpected character {self.tok!r}")
+
+    def error(self, message):
+        return ParseError(message, SourceSpan(self.start, self.end))
 
     def expect(self, symbol):
-        tok, span = self.peek()
-        if tok != symbol:
-            raise ParseError(f"expected {symbol!r}", span)
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        tok, span = self.peek()
-        if tok != "end":
-            raise ParseError("trailing input", span)
-        return node
+        if self.tok != symbol:
+            raise self.error(f"expected {symbol!r}")
+        self.advance()
 
     def expr(self):
         node = self.term()
-        while True:
-            tok, span = self.peek()
-            if tok in ("+", "-"):
-                self.advance()
-                rhs = self.term()
-                node = Bin(tok, node, rhs, span)
-            else:
-                return node
+        while self.tok in ("+", "-"):
+            op = self.tok
+            self.advance()
+            node = Bin(op, node, self.term())
+        return node
 
     def term(self):
         node = self.unary()
-        while True:
-            tok, span = self.peek()
-            if tok in ("*", "/"):
-                self.advance()
-                rhs = self.unary()
-                node = Bin(tok, node, rhs, span)
-            else:
-                return node
+        while self.tok in ("*", "/"):
+            op = self.tok
+            self.advance()
+            node = Bin(op, node, self.unary())
+        return node
 
     def unary(self):
-        tok, span = self.peek()
-        if tok == "-":
+        """A negation, or an atom with its power, right associative; the
+        exponent may carry its own unary minus."""
+        if self.tok == "-":
             self.advance()
-            return Neg(self.unary(), span)
-        return self.power()
-
-    def power(self):
+            return Neg(self.unary())
         node = self.atom()
-        tok, span = self.peek()
-        if tok == "^":
+        if self.tok == "^":
             self.advance()
-            # right associative; exponent may carry its own unary minus
-            rhs = self.unary()
-            node = Bin("^", node, rhs, span)
+            node = Bin("^", node, self.unary())
         return node
 
     def atom(self):
-        tok, span = self.advance()
+        tok, kind, start, key = self.tok, self.kind, self.start, None
+        if kind == _NUM:
+            self.advance()
+            return Num(float(tok))
+        if tok == "(" or kind == _NAME and self.text.startswith(
+                "(", self.end):
+            close = self.closes.get(start if tok == "(" else self.end)
+            key = close and self.text[start:close]
+            if key in _GROUPS:
+                self.end = close
+                self.advance()
+                return _GROUPS[key]
+        elif kind != _NAME:
+            raise self.error("expected an expression")
+        self.advance()
         if tok == "(":
             node = self.expr()
             self.expect(")")
-            return node
-        if isinstance(tok, tuple) and tok[0] == "num":
-            return Num(float(tok[1]), span)
-        if isinstance(tok, tuple) and tok[0] == "ident":
-            name = tok[1]
-            nxt, _ = self.peek()
-            if nxt == "(":
+        elif self.tok != "(":
+            return Sym(tok)
+        else:
+            self.advance()
+            node = Call(tok, *self.arguments())
+        if key:
+            _GROUPS[key] = node
+            _GROUPED.add(id(node))
+        return node
+
+    def arguments(self):
+        """The arguments and the selectors of a call, through its ")"."""
+        args, fields = [], []
+        bucket = args
+        if self.tok != ")":
+            bucket.append(self.expr())
+            while self.tok in (",", ";"):
+                if self.tok == ";":
+                    if bucket is fields:
+                        raise self.error("only one ';' allowed")
+                    bucket = fields
                 self.advance()
-                args = []
-                fields = []
-                bucket = args
-                if self.peek()[0] != ")":
-                    bucket.append(self.expr())
-                    while True:
-                        t2, s2 = self.peek()
-                        if t2 == ",":
-                            self.advance()
-                            bucket.append(self.expr())
-                        elif t2 == ";":
-                            if bucket is fields:
-                                raise ParseError("only one ';' allowed", s2)
-                            bucket = fields
-                            self.advance()
-                            bucket.append(self.expr())
-                        else:
-                            break
-                self.expect(")")
-                return Call(name, tuple(args), tuple(fields), span)
-            return Sym(name, span)
-        raise ParseError("expected an expression", span)
+                bucket.append(self.expr())
+        self.expect(")")
+        return tuple(args), tuple(fields)
 
 
 def parse(text: str):
-    """Parse to an AST; raises ParseError with a source span."""
-    return _Parser(text).parse()
+    """Parse to an AST; raises ParseError with a source span.  A text is
+    parsed once, as a group that later texts may repeat."""
+    key = f"({text})"
+    if key not in _GROUPS:
+        parser = _Parser(text)
+        node = parser.expr()
+        if parser.kind:
+            raise parser.error("trailing input")
+        _GROUPS[key] = node
+        _GROUPED.add(id(node))
+    return _GROUPS[key]
 
 
 def to_text(node) -> str:
@@ -318,6 +309,16 @@ def to_text(node) -> str:
 # binding ---------------------------------------------------------------------
 
 
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+@functools.cache
+def _reads(n_base, n_fields, kinds, rs=None):
+    """The ``kinds`` coordinates of the fields ``rs``, hashed once."""
+    return frozenset(_dep_coords(n_base, n_fields, kinds, rs))
+
+
 def _is_int_literal(node):
     inner = node.arg if isinstance(node, Neg) else node
     return isinstance(inner, Num) and float(inner.value).is_integer()
@@ -339,18 +340,23 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     leaves it out of every contraction; a Minkowski metric names the
     coordinates ``x0..x{N-1}``.  Inside ``conj(e)`` every field index
     resolves to its conjugate partner, so ``e`` reads the conjugate slots;
-    coordinates and constants are real.
+    coordinates and constants are real.  ``bth<r>`` reads the boost weight
+    ``mu`` as c = mu, or on a conjugate pair of slots, where mu is the
+    mass, as c = -i mu on the field slot and +i mu on its conjugate.
     """
     metric = metric or euclidean(n_base)
     if metric.dim != n_base:
         raise BindError("metric dimension must match the base dimension")
     signs = metric.signs
     idx = tuple(range(1 if time_mode else 0, n_base))
-    deps = set()
+    # the coordinate set of each leaf compiled for the current text, and
+    # per shared node compiled so far its evaluator and its leaves' sets
+    reads = []
+    compiled = {}
     tensors = {}
     conjugated = False
 
-    def resolve_base(token, span):
+    def resolve_base(token):
         if token == "t":
             if not time_mode:
                 raise BindError("'t' is only valid in a time binding")
@@ -373,25 +379,40 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         return field_kind.conjugate_index(r, n_fields) if conjugated else r
 
     def compile_node(node):
-        if isinstance(node, Num):
-            c = node.value
+        """Evaluator of ``node``, adding what it reads to ``reads``; a
+        symbol, or a text or group the parser hands out again as the same
+        node, is compiled once per conjugation."""
+        if isinstance(node, Num) or isinstance(node, Neg) and isinstance(
+                node.arg, Num):
+            c = node.value if isinstance(node, Num) else -node.arg.value
             return lambda view: c
+        if not isinstance(node, Sym) and id(node) not in _GROUPED:
+            return compile_new(node)
+        key = (node.name if isinstance(node, Sym) else id(node), conjugated)
+        hit = compiled.get(key)
+        if hit is None:
+            start = len(reads)
+            fn = compile_new(node)
+            # the node rides along so that its id is not reused
+            hit = compiled[key] = fn, reads[start:], node
+        else:
+            reads.extend(hit[1])
+        return hit[0]
+
+    def compile_new(node):
         if isinstance(node, Neg):
             inner = compile_node(node.arg)
             return lambda view: -inner(view)
         if isinstance(node, Bin):
             lf = compile_node(node.left)
+            if node.op == "^":
+                return _compile_pow(lf, compile_node(node.right), node)
+            op = _OPERATORS[node.op]
+            if isinstance(node.right, Num):
+                c = node.right.value
+                return lambda view: op(lf(view), c)
             rf = compile_node(node.right)
-            op = node.op
-            if op == "+":
-                return lambda view: lf(view) + rf(view)
-            if op == "-":
-                return lambda view: lf(view) - rf(view)
-            if op == "*":
-                return lambda view: lf(view) * rf(view)
-            if op == "/":
-                return lambda view: lf(view) / rf(view)
-            return _compile_pow(lf, rf, node)
+            return lambda view: op(lf(view), rf(view))
         if isinstance(node, Sym):
             return compile_sym(node)
         if isinstance(node, Call):
@@ -421,8 +442,8 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     def compile_sym(node):
         name = node.name
         if name == "t" or (name.startswith("x") and name[1:].isdigit()):
-            i = resolve_base(name, node.span)
-            deps.add(base_coord(i))
+            i = resolve_base(name)
+            reads.append({base_coord(i)})
             return lambda view, i=i: view.x(i)
         if name.startswith("u"):
             body = name[1:]
@@ -434,17 +455,17 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 raise BindError(f"unknown symbol {name!r}")
             r = resolve_field(fpart)
             if not suffix:
-                deps.add(field_coord(r))
+                reads.append({field_coord(r)})
                 return lambda view, r=r: view.u(r)
             parts = _split_suffix(suffix)
             if len(parts) == 1:
-                i = resolve_base(parts[0], node.span)
-                deps.add(d1_coord(r, i))
+                i = resolve_base(parts[0])
+                reads.append({d1_coord(r, i)})
                 return lambda view, r=r, i=i: view.du(r, i)
             if len(parts) == 2:
-                i = resolve_base(parts[0], node.span)
-                j = resolve_base(parts[1], node.span)
-                deps.add(d2_coord(r, i, j))
+                i = resolve_base(parts[0])
+                j = resolve_base(parts[1])
+                reads.append({d2_coord(r, i, j)})
                 return lambda view, r=r, i=i, j=j: view.ddu(r, i, j)
             raise BindError(f"derivative order above two: {name!r}")
         if name == "i":
@@ -486,15 +507,20 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
 
     def matrix(sel):
         """Matrix source of a selector: ``r`` or ``ddu<r>`` the Hessian
-        U_r, ``theta<r>`` or ``w<r>`` that covariant tensor of field r."""
+        U_r, ``theta<r>`` or ``w<r>`` that covariant tensor of field r,
+        and in a time binding ``inv<r>`` the inverse of U_r."""
         name = sel.name if isinstance(sel, Sym) else "ddu"
         prefix = name.rstrip("0123456789")
-        if prefix not in ("ddu", "theta", "w"):
+        if prefix not in ("ddu", "theta", "w", "inv"):
             raise BindError(f"unknown tensor {name!r}")
         r = _field_sel(sel, prefix)
-        if prefix == "ddu":
-            deps.update(_dep_coords(n_base, n_fields, ("d2",), rs=(r,)))
-            return _hessian(r, idx)
+        if prefix in ("ddu", "inv"):
+            reads.append(_reads(n_base, n_fields, ("d2",), rs=(r,)))
+            if prefix == "ddu":
+                return _hessian(r, idx)
+            if not time_mode:
+                raise BindError(f"{name} is only valid in a time binding")
+            return ("rinv", r), lambda view: _rinv(view, r, idx)
         if (prefix, r) not in tensors:
             if metric.kind == "euclidean" and time_mode:
                 raise BindError(f"{name} is not available in time bindings")
@@ -504,28 +530,49 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 n_base if euclid else n_base - 1, lam=lam, mu=mu, r=r,
                 m=n_fields)
             tensors[prefix, r] = ((builder.label, r), builder.builder), \
-                [c for c in builder.deps if c.r == r]
+                frozenset(c for c in builder.deps if c.r == r)
         mat, tdeps = tensors[prefix, r]
-        deps.update(tdeps)
+        reads.append(tdeps)
         return mat
 
     def vector(sel):
-        """Vector of a selector: ``r`` the gradient du_r, ``x`` the
-        position, ``thvec<r>`` du_r/u_r - du_1/u_1."""
+        """Vector of a selector: ``r`` or ``du<r>`` the gradient du_r,
+        ``x`` the position, ``thvec<r>`` du_r/u_r - du_1/u_1, and in a
+        time binding ``dut<r>`` the u_{r,at}, ``bth<r>`` the boost theta
+        c u_{r,at} + (U_r du_r)_a and ``ith<r>`` the theta solving
+        U_r theta = dut<r>.  ``a + b`` is the sum of two vectors."""
+        if isinstance(sel, Bin) and sel.op == "+":
+            va, vb = vector(sel.left), vector(sel.right)
+            return lambda view: [a + b for a, b in zip(va(view), vb(view))]
         if isinstance(sel, Sym) and sel.name == "x":
-            deps.update(_dep_coords(n_base, n_fields, ("base",)))
+            reads.append(_reads(n_base, n_fields, ("base",)))
             return lambda view: [view.x(i) for i in idx]
-        if isinstance(sel, Sym) and sel.name.rstrip("0123456789") == "thvec":
-            r, r1 = _field_sel(sel, "thvec"), resolve_field("")
-            deps.update(_dep_coords(n_base, n_fields, ("field", "d1"),
-                                    rs=(r1, r)))
+        name = sel.name if isinstance(sel, Sym) else "du"
+        prefix = name.rstrip("0123456789")
+        if prefix not in ("du", "thvec", "dut", "bth", "ith"):
+            raise BindError(f"unknown vector {name!r}")
+        r = _field_sel(sel, prefix)
+        if prefix == "du":
+            reads.append(_reads(n_base, n_fields, ("d1",), rs=(r,)))
+            return lambda view: _gvec(view, r, idx)
+        if prefix == "thvec":
+            r1 = resolve_field("")
+            reads.append(_reads(n_base, n_fields, ("field", "d1"),
+                                rs=(r1, r)))
             return lambda view: [view.du(r, i) / view.u(r)
                                  - view.du(r1, i) / view.u(r1) for i in idx]
-        if isinstance(sel, Sym):
-            raise BindError(f"unknown vector {sel.name!r}")
-        r = _field_sel(sel, "")
-        deps.update(_dep_coords(n_base, n_fields, ("d1",), rs=(r,)))
-        return lambda view: _gvec(view, r, idx)
+        if not time_mode:
+            raise BindError(f"{name} is only valid in a time binding")
+        reads.append(_reads(n_base, n_fields, ("d1", "d2") if
+                            prefix == "bth" else ("d2",), rs=(r,)))
+        if prefix == "dut":
+            return lambda view: _gvec_t(view, r, idx)
+        if prefix == "ith":
+            return lambda view: _implicit_theta(view, r, idx)
+        # sgn = +1 on a field slot, -1 on its conjugate, as printed
+        partner = field_kind.conjugate_index(r, n_fields)
+        c = mu if partner == r else -(1.0 if partner > r else -1.0) * (1j * mu)
+        return lambda view: _boost_theta(c, *_jets(view, r, idx))
 
     def _order(node, k):
         if not 1 <= k <= n_base + 1:
@@ -584,27 +631,24 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 return lambda view: _S(view, mat, signs, 1)
             return lambda view: determinant(_tensor_cached(view, *mat))
         if name == "contract":
-            if len(node.args) != 2:
-                raise BindError("contract takes two vector names")
-            vecs = []
-            for arg in node.args:
-                if not (isinstance(arg, Sym) and arg.name.startswith("du")):
-                    raise BindError("contract expects gradient names like du1")
-                r = resolve_field(arg.name[2:])
-                for c in _dep_coords(n_base, n_fields, ("d1",), rs=(r,)):
-                    deps.add(c)
-                vecs.append(r)
-            r1, r2 = vecs
+            if len(node.args) != 2 or node.fields:
+                raise BindError("contract takes two vectors")
+            va, vb = map(vector, node.args)
             # every Euclidean sign is 1.0, so it is left out
             gsigns = None if metric.kind == "euclidean" else signs
-            return lambda view: _dot(_gvec(view, r1, idx),
-                                     _gvec(view, r2, idx), gsigns)
+            return lambda view: _dot(va(view), vb(view), gsigns)
+        if name == "quad":
+            if len(node.args) != 2 or node.fields:
+                raise BindError("quad takes a vector and a matrix")
+            vec, mat = vector(node.args[0]), matrix(node.args[1])
+            return lambda view: _quad(0.0, vec(view),
+                                      _tensor_cached(view, *mat))
         raise BindError(f"unknown function {node.name!r}")
 
     def compile_expr(node):
-        deps.clear()
+        del reads[:]
         fn = compile_node(node)
-        return fn, set(deps)
+        return fn, set().union(*reads)
 
     return compile_expr
 
@@ -626,7 +670,9 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
     return ScalarJetFunction(label, fn, tuple(dep_order), space)
 
 
-_coefficient_compiler = functools.cache(compiler)
+# compilers by space, shared by every catalog text bound over it, so that
+# repeated basis() and catalog() calls reuse the nodes compiled before
+_shared_compiler = functools.cache(compiler)
 
 
 @functools.cache
@@ -639,8 +685,8 @@ def bind_coefficient(text: str, n_base: int, n_fields: int = 1,
     text at base coordinates ``xs`` and field values ``us``, which may be
     dual numbers; ``deps`` is the set of jet coordinates it reads.
     Memoized per (text, space): catalog() calls share compiled texts."""
-    fn, deps = _coefficient_compiler(n_base, n_fields, metric, field_kind,
-                                     time_mode)(_row_ast(text))
+    fn, deps = _shared_compiler(n_base, n_fields, metric, field_kind,
+                               time_mode)(parse(text))
     if any(c.kind not in ("base", "field") for c in deps):
         raise BindError("a coefficient reads only coordinates and field "
                         f"values: {text!r}")

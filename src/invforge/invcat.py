@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .dual import (
     Dual,
@@ -723,17 +723,18 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
         return _basis_extended_poincare(spec)
     if name == "AC1n":
         return _basis_conformal_minkowski(spec)
-    if name in ("AG_I", "AG1_I", "AG2_I"):
+    if name in ("AG_I", "AG1_I", "AG2_I", "AG_II", "AG1_II", "AG2_II"):
         if spec.rep != "log":
             raise ValueError("Galilei bases act on log-substituted jets; "
                              "use rep='log'")
-        return _basis_galilei_real(spec, hat_variant)
-    if name in ("AG_II", "AG1_II", "AG2_II"):
-        if spec.rep != "log":
-            raise ValueError("Galilei bases act on log-substituted jets; "
-                             "use rep='log'")
-        if spec.mass != 0:
-            return _basis_galilei_complex(spec, hat_variant)
+        if name.endswith("_I") or spec.mass != 0:
+            label, rows, expected, notes = _galilei_rows(spec, hat_variant)
+            # a member of the pair that reads no phase depends on the jets
+            # alone, as every real member does
+            kinds = ("field", "d1", "d2") if name.endswith("_II") \
+                else ("d1", "d2")
+            fam = _bind_rows(spec, label, rows, kinds, expected, ("d1", "d2"))
+            return replace(fam, notes=notes)
         if name != "AG2_II":
             raise ValueError(f"no printed massless basis for {name}")
         return _basis_galilei_complex_mass0(spec)
@@ -741,13 +742,15 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
 
 
 # catalog tables --------------------------------------------------------------
-# The Euclid, Poincare and conformal families are lists of (member label,
-# exprlang text) rows, bound by the compiler behind ``exprlang.bind``, so
-# any member's text also checks as ``verify --expr``.  ``S(k; A)``,
-# ``Sjk(j, k; A, B)`` and ``R(k; v, A)`` are the power traces, mixed
-# traces and power forms of the Hessian U_r (selector ``r``) or of the
-# tensors ``theta<r>`` and ``w<r>``, against the gradient du_r (``r``), the
-# position ``x`` or ``thvec<r>`` = du_r/u_r - du_1/u_1.
+# The Euclid, Poincare, conformal and Galilei families (all but the
+# massless complex pair) are lists of (member label, exprlang text) rows,
+# bound by the compiler behind ``exprlang.bind``, so any member's text also
+# checks as ``verify --expr``.  ``S(k; A)``, ``Sjk(j, k; A, B)`` and
+# ``R(k; v, A)`` are the power traces, mixed traces and power forms of the
+# Hessian U_r (selector ``r``) or of the tensors ``theta<r>`` and ``w<r>``,
+# against the gradient du_r (``r``), the position ``x`` or ``thvec<r>`` =
+# du_r/u_r - du_1/u_1; the Galilei rows (below) also read the time-binding
+# selectors ``dut<r>``, ``bth<r>``, ``ith<r>`` and ``inv<r>``.
 
 # algebras whose bases take fractional powers of u or divide by it: their
 # members, and ``verify --expr`` under them, sample positive field values
@@ -765,32 +768,35 @@ def _scaled(label, text, op, expo, scale=_U1):
             f"{text} {op} {scale[1]} ^ {expo!r}")
 
 
-@functools.cache
-def _row_ast(text):
-    """Parsed row text, memoized for basis() and catalog() calls."""
-    from . import exprlang
-    return exprlang.parse(text)
-
-
 def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
-               expected=None):
+               expected=None, jet_kinds=None):
     """Family of the (member label, text) ``rows`` over the jet space of
     ``spec``.  A member that is a single jet coordinate depends on it
-    alone, every other member on the ``kinds`` coordinates."""
+    alone; with ``jet_kinds``, one that reads no field value depends on
+    the ``jet_kinds`` coordinates; every other member on the ``kinds``
+    coordinates.  A space with no metric of its own takes the Euclidean
+    metric of the n spatial indices."""
     from . import exprlang
     nb, m = spec.n_base, spec.m
     _, (metric, kind, time_mode) = algebra_space(spec)
-    space = JetSpace(nb, m, kind, metric or euclidean(nb),
+    space = JetSpace(nb, m, kind, metric or euclidean(spec.n),
                      positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
     deps = _dep_coords(nb, m, kinds)
-    compile_ = exprlang.compiler(nb, m, metric, kind, time_mode, lam=spec.lam)
+    jet_deps = jet_kinds and _dep_coords(nb, m, jet_kinds)
+    fields = _dep_coords(nb, m, ("field",))
+    # a time binding reads no lam (it refuses theta and w), so the Galilei
+    # families of one boost weight share one compiler and its nodes
+    compile_ = exprlang._shared_compiler(
+        nb, m, metric, kind, time_mode, lam=1.0 if time_mode else spec.lam,
+        mu=spec.boost)
     members = []
     for mlabel, text in rows:
-        ast = _row_ast(text)
+        ast = exprlang.parse(text)
         fn, used = compile_(ast)
-        members.append(ScalarJetFunction(
-            mlabel, fn, tuple(used) if isinstance(ast, exprlang.Sym)
-            else deps, space))
+        own = (tuple(used) if isinstance(ast, exprlang.Sym) else
+               jet_deps if jet_deps and used.isdisjoint(fields)
+               else deps)
+        members.append(ScalarJetFunction(mlabel, fn, own, space))
     return BasisFamily(label, spec, tuple(members),
                        len(members) if expected is None else expected,
                        space, deps)
@@ -1013,11 +1019,14 @@ def rotation_pair_family(n: int) -> BasisFamily:
 
 
 # Galilei families (log-substituted jets: field 1 is log u / log psi) -------
-# Each quantity of field r is written once, as a kernel below.  The boost
-# kernels take the constants their callers compute: two_c = 2c and c2 = c^2
-# with c = mu for the real families and c = sgn*i*mass for field r of the
-# complex pair (sgn = +1 for psi, -1 for psi*); the boost theta takes its
-# time coefficient as printed, mu or -sgn*i*mass.
+# The real families and the complex pair with mass != 0 are text rows over
+# t, x1..xn.  Each text repeats its kernel's operations in order, with the
+# boost constants printed in: two_c = 2c and c2 = c^2 with c = mu for the
+# real families and c = sgn*i*mass for field r of the complex pair (sgn =
+# +1 for psi, -1 for psi*).  The boost theta ``bth<r>`` takes its time
+# coefficient from the binding, as printed: mu, or -sgn*i*mass.  The
+# massless pair and the bordered determinants stay closures over the
+# kernels below: the tau solve of N3 and the vector of R^4 are no kernels.
 
 
 def _spatial(n):
@@ -1050,11 +1059,6 @@ def _quad(acc, vec, mat):
 def _m1(two_c, ut, du):
     """M1 = 2c u_t + du.du."""
     return two_c * ut + sum_prod(du, du)
-
-
-def _m2(c2, two_c, utt, du, dut, hess):
-    """M2 = c^2 u_tt + 2c du.du_t + du.U.du."""
-    return _quad(c2 * utt + two_c * sum_prod(du, dut), du, hess)
 
 
 def _n2(c2, two_c, utt, ut, tr, n, du, dut, hess):
@@ -1104,129 +1108,204 @@ def _leader0(view, r, sp, lam):
         + _sec0(view, r, sp) * (lam + _quad_inv(view, r, sp))
 
 
-def _rhat(r_l, tr, n, k, uniform):
-    """Hatted sum of C(k, l) (-n)^l R_l tr^e over l = 1..k (R_0 taken as
-    zero), with e = k - l (uniform) or k - 1 (as printed)."""
-    acc = 0.0
-    for l in range(1, k + 1):
-        acc = acc + (r_l(l) * _power(tr, k - l if uniform else k - 1)
-                     * ((-n) ** l) * math.comb(k, l))
-    return acc
-
-
 def _over(num, den, e):
     """Member num / den^e."""
     return lambda v: num(v) / _power(den(v), e)
 
 
-def _basis_galilei_real(spec, hat_variant):
+_HAT_NOTES = "hatted sums implemented as printed; see per-member verdicts"
+
+
+def _over_text(num, den, e):
+    """Text of num / den^e, the power taken as :func:`_power` takes it:
+    repeated products for an integer e, else exp(e log den)."""
+    if float(e).is_integer():
+        return f"{num} / ({den}) ^ {int(e)}"
+    return f"{num} / exp({e!r} * log({den}))"
+
+
+def _boost_texts(n, r, u, two_c, c2):
+    """Texts of M1, M2 and N2 of field r, whose symbols start with ``u``,
+    with the texts of two_c and c2 printed in (see :func:`_m1`,
+    :func:`_n2`); M2 is c^2 u_tt + 2c du.du_t + du.U.du."""
+    sp, tr = _spatial(n), f"S(1; {r})"
+    # parenthesized (no node changes) so that M2 and N2 share each term
+    quad = "".join(f" + ({u}_x{a} * {u}_x{b} * {u}_x{a}x{b})"
+                   for a in sp for b in sp)
+    dudut, dudu = f"contract(du{r}, dut{r})", f"contract(du{r}, du{r})"
+    return (f"{two_c} * {u}_t + {dudu}",
+            f"{c2} * {u}_tt + {two_c} * {dudut}{quad}",
+            f"{c2} * {u}_tt + {two_c} * ({u}_t * {tr} / {n} + {dudut}){quad}"
+            f" + {dudu} * {tr} / {n} + {tr} * {tr} / {n}")
+
+
+def _pow_text(base, e):
+    """Text of base^e as :func:`_power` takes it (tr^0 is 1.0, unread), in
+    parentheses that change no node but make a repeat one parsed group."""
+    return f"({base} ^ {e})" if e else "1"
+
+
+def _rhat_text(r_text, tr, n, k, uniform):
+    """Text of the hatted sum of C(k, l) (-n)^l R_l tr^e over l = 1..k
+    (R_0 taken as zero), with e = k - l (uniform) or k - 1 (as printed)."""
+    return "0.0" + "".join(
+        f" + {r_text(l)} * {_pow_text(tr, k - l if uniform else k - 1)}"
+        f" * {(-n) ** l!r} * {math.comb(k, l)!r}" for l in range(1, k + 1))
+
+
+def _galilei_rows(spec, hat_variant):
+    """(family label, (member label, text) rows, expected count, notes) of
+    a real Galilei family or of the complex pair with mass != 0."""
+    if spec.name.endswith("_II"):
+        return _galilei_pair_rows(spec, hat_variant)
     n, mu, lam = spec.n, spec.mu, spec.lam
-    sp, ks, signs = _spatial(n), range(1, n + 1), euclidean(n).signs
-    space = JetSpace(n + 1, 1, REAL, euclidean(n))
-    deps = _dep_coords(n + 1, 1, ("d1", "d2"))
-    member = functools.partial(ScalarJetFunction, deps=deps, space=space)
-    hess = _hessian(1, sp)
-    two_c, c2 = 2.0 * mu, mu * mu
-
+    ks = range(1, n + 1)
+    ss = [f"S({k})" for k in ks]
     if mu != 0:
-        def m1(v):
-            return _m1(two_c, v.du(1, 0), _gvec(v, 1, sp))
-
-        def m2(v):
-            return _m2(c2, two_c, v.ddu(1, 0, 0), *_jets(v, 1, sp))
-
-        def vec(v):
-            return _boost_theta(mu, *_jets(v, 1, sp))
+        m1, m2, n2 = _boost_texts(n, 1, "u", repr(2.0 * mu), repr(mu * mu))
+        rs = [f"R({k}; bth1, 1)" for k in ks]
     else:
-        def m1(v):
-            return _lead0(v, 1, sp)
+        m1, m2 = "u_t - contract(du1, ith1)", "u_tt - contract(dut1, ith1)"
+        rs = [f"R({k})" for k in ks]
 
-        def m2(v):
-            return _sec0(v, 1, sp)
-
-        def vec(v):
-            return _gvec(v, 1, sp)
-
-    def r_k(v, k):
-        return _R(v, vec(v), hess, signs, k)
-
-    def s_k(v, k):
-        return _S(v, hess, signs, k)
-
-    rs = [functools.partial(r_k, k=k) for k in ks]
-    ss = [functools.partial(s_k, k=k) for k in ks]
     if spec.name == "AG_I":
-        members = ([member("M1", m1), member("M2", m2)]
-                   + [member(f"R{k}", f) for k, f in zip(ks, rs)]
-                   + [member(f"S{k}", f) for k, f in zip(ks, ss)])
-        return BasisFamily(f"galilei n={n} mu={mu:g}", spec, tuple(members),
-                           2 * n + 2, space, deps)
+        return (f"galilei n={n} mu={mu:g}",
+                [("M1", m1), ("M2", m2)]
+                + [(f"R{k}", t) for k, t in zip(ks, rs)]
+                + [(f"S{k}", t) for k, t in zip(ks, ss)], 2 * n + 2, "")
 
     if spec.name == "AG1_I":
         # R_k of the boost theta carries M1^2 more than R_k of du (mu = 0)
         e = 2 if mu != 0 else 0
-        members = [member("M2/M1^2", _over(m2, m1, 2)) if mu != 0
-                   else member("M1^2/M2", lambda v: _power(m1(v), 2) / m2(v))]
-        members += [member(f"R{k}/M1^{k + e}", _over(f, m1, k + e))
-                    for k, f in zip(ks, rs)]
-        members += [member(f"S{k}/M1^{k}", _over(f, m1, k))
-                    for k, f in zip(ks, ss)]
-        return BasisFamily(f"galilei-dilation n={n} mu={mu:g}", spec,
-                           tuple(members), 2 * n + 1, space, deps)
+        rows = [("M2/M1^2", f"({m2}) / ({m1}) ^ 2") if mu != 0
+                else ("M1^2/M2", f"({m1}) ^ 2 / ({m2})")]
+        rows += [(f"R{k}/M1^{k + e}", _over_text(t, m1, k + e))
+                 for k, t in zip(ks, rs)]
+        rows += [(f"S{k}/M1^{k}", _over_text(t, m1, k))
+                 for k, t in zip(ks, ss)]
+        return f"galilei-dilation n={n} mu={mu:g}", rows, 2 * n + 1, ""
 
     if mu == 0:
-        def big_m(v):
-            return _leader0(v, 1, sp, lam)
-
-        members = ([member(f"R{k}/M^{k}/2", _over(f, big_m, k / 2.0))
-                    for k, f in zip(ks, rs)]
-                   + [member(f"S{k}/M^{k}/2", _over(f, big_m, k / 2.0))
-                      for k, f in zip(ks, ss)])
-        return BasisFamily(f"galilei-projective n={n} mu=0 lam={lam:g}",
-                           spec, tuple(members), 2 * n, space, deps)
+        big_m = f"({m1}) ^ 2 + ({m2}) * ({lam!r} + quad(du1, inv1))"
+        return (f"galilei-projective n={n} mu=0 lam={lam:g}",
+                [(f"R{k}/M^{k}/2", _over_text(t, big_m, k / 2.0))
+                 for k, t in zip(ks, rs)]
+                + [(f"S{k}/M^{k}/2", _over_text(t, big_m, k / 2.0))
+                   for k, t in zip(ks, ss)], 2 * n, "")
 
     # AG2_I: projective combinations built from the hatted sums
-    def tr_h(v):
-        return _S(v, hess, signs, 1)
+    n1 = f"{m1} + S(1)"
 
-    def n1(v):
-        return m1(v) + tr_h(v)
-
-    def n2(v):
-        return _n2(c2, two_c, v.ddu(1, 0, 0), v.du(1, 0), tr_h(v), n,
-                   *_jets(v, 1, sp))
-
-    def r_hat(v, k):
-        return _rhat(lambda l: r_k(v, l), tr_h(v), n, k,
-                     hat_variant == "uniform")
-
-    def s_hat(v, k):
-        tr = tr_h(v)
-        acc = 0.0
+    def s_hat(k):
+        acc = "0.0"
         for l in range(0, k + 1):
-            s_l = float(n) if l == 0 else s_k(v, l)
             coef = ((-n) ** l) * math.factorial(k - 1) * (k + 1) \
                 / (math.factorial(l + 1) * math.factorial(k - l))
-            acc = acc + coef * s_l * _power(tr, k - l)
+            # S_0 is n, so the first term's constants multiply out here
+            head = repr(coef * float(n)) if l == 0 else f"{coef!r} * S({l})"
+            acc += f" + {head} * {_pow_text('S(1)', k - l)}"
         return acc
 
-    members = [member("N2/N1^2", _over(n2, n1, 2))]
-    members += [member(f"Rhat{k}/N1^{k + 2}",
-                       _over(functools.partial(r_hat, k=k), n1, k + 2))
-                for k in ks]
-    members += [member(f"Shat{k}/N1^{k}",
-                       _over(functools.partial(s_hat, k=k), n1, k))
-                for k in range(2, n + 1)]
-    return BasisFamily(f"galilei-projective n={n} mu={mu:g} [{hat_variant}]",
-                       spec, tuple(members), 2 * n, space, deps,
-                       notes="hatted sums implemented as printed; see "
-                             "per-member verdicts")
+    rows = [("N2/N1^2", f"({n2}) / ({n1}) ^ 2")]
+    rows += [(f"Rhat{k}/N1^{k + 2}", _over_text("(" + _rhat_text(
+        lambda l: rs[l - 1], "S(1)", n, k, hat_variant == "uniform") + ")",
+        n1, k + 2)) for k in ks]
+    rows += [(f"Shat{k}/N1^{k}", _over_text(f"({s_hat(k)})", n1, k))
+             for k in range(2, n + 1)]
+    return (f"galilei-projective n={n} mu={mu:g} [{hat_variant}]", rows,
+            2 * n, _HAT_NOTES)
+
+
+def _galilei_pair_rows(spec, hat_variant):
+    n, mass = spec.n, spec.mass
+    ks = range(1, n + 1)
+    # field 1 is psi (sgn = +1), field 2 psi* (sgn = -1)
+    m1, m2, n2, n1 = {}, {}, {}, {}
+    for r, sgn in ((1, 1.0), (2, -1.0)):
+        # i * (2 sgn mass) has the bits of (2 sgn) * (i * mass)
+        two_c = f"i * {2.0 * sgn * mass!r}"
+        m1[r], m2[r], n2[r] = _boost_texts(n, r, f"u{r}", two_c,
+                                           repr(-mass * mass))
+        # tr before du.du, unlike M1 + tr
+        n1[r] = f"{two_c} * u{r}_t + S(1; {r}) + contract(du{r}, du{r})"
+    phases = "(u1 + u2)"
+    sjk_range = [(j, k) for k in ks for j in range(0, k + 1)]
+    sjks = [f"Sjk({j}, {k}; 1, 2)" for j, k in sjk_range]
+    # R^1 and R^2 take the boost theta of psi and psi*, R^3 du1 + du2;
+    # every form is against U1
+    vecs = {1: "bth1", 2: "bth2", 3: "du1 + du2"}
+
+    def r_k(w, k):
+        return f"R({k}; {vecs[w]}, 1)"
+
+    if spec.name == "AG_II":
+        rows = [("phi+phi*", "u1 + u2"), ("M1", m1[1]), ("M1*", m1[2]),
+                ("M2", m2[1]), ("M2*", m2[2])]
+        rows += [(f"S{j},{k}", t) for (j, k), t in zip(sjk_range, sjks)]
+        rows += [(f"R{k}^{w}", r_k(w, k)) for w in (1, 2, 3) for k in ks]
+        return (f"schroedinger-galilei n={n} mass={mass:g}", rows,
+                5 + len(sjk_range) + 3 * n, "")
+
+    # R^1 and R^2 carry M1^2 (N1^2) more than R^3 and the traces
+    weight = {1: 2, 2: 2, 3: 0}
+    if spec.name == "AG1_II":
+        lam = spec.lam
+        rows = [("M1*/M1", f"({m1[2]}) / ({m1[1]})"),
+                ("M2/M1^2", f"({m2[1]}) / ({m1[1]}) ^ 2"),
+                ("M2*/M1^2", f"({m2[2]}) / ({m1[1]}) ^ 2")]
+        rows += [(f"R{k}^{w}/M1^{k + weight[w]}",
+                  _over_text(r_k(w, k), m1[1], k + weight[w]))
+                 for w in (1, 2, 3) for k in ks]
+        rows += [(f"S{j},{k}/M1^{k}", _over_text(t, m1[1], k))
+                 for (j, k), t in zip(sjk_range, sjks)]
+        rows.append(("phi+phi*", "u1 + u2") if lam == 0 else (
+            f"M1*e^(2/{lam:g})(phi+phi*)",
+            f"({m1[1]}) * exp({2.0 / lam!r} * {phases})"))
+        return (
+            f"schroedinger-galilei-dilation n={n} mass={mass:g} lam={lam:g}",
+            rows, 4 + 3 * n + len(sjk_range), "")
+
+    # AG2_II, mass != 0, lam = -n/2
+    def s_hat_jk(j, k):
+        acc = "0.0"
+        for l in range(0, k + 1):
+            # S_{r,l} is zero for r > l, n for l = 0, whose term's
+            # constants multiply out here; the group of S_{r,l} (-n)^l
+            # repeats across rows
+            for r in range(0, min(j, l) + 1):
+                binom = math.comb(k, l + 1 - r) if 0 <= l + 1 - r <= k else 0
+                if binom == 0:
+                    continue
+                head = (repr(float(n) * (-n) ** l * math.comb(j, r) * binom)
+                        if l == 0 else f"(Sjk({r}, {l}; 1, 2) * {(-n) ** l!r})"
+                        f" * {math.comb(j, r)!r} * {binom!r}")
+                acc += (f" + {head} * {_pow_text('S(1; 1)', j - r)}"
+                        f" * {_pow_text('S(1; 2)', k - l - j + r)}")
+        head = (repr(k * 1.0) if j == 0
+                else f"{k!r} * {_pow_text('S(1; 1)', j)}")
+        return acc + f" + {head} * {_pow_text('S(1; 2)', k - j - 1)}"
+
+    rows = [(f"N1*e^(-4/{n})(phi+phi*)",
+             f"({n1[1]}) * exp({-4.0 / n!r} * {phases})"),
+            ("N1/N1*", f"({n1[1]}) / ({n1[2]})"),
+            ("N2/N1*", f"({n2[1]}) / ({n1[2]})"),
+            ("N2*/N1*", f"({n2[2]}) / ({n1[2]})")]
+    # the complex sums take the uniform exponent under either variant
+    rows += [(f"Rhat{k}^{w}/N1^{k + weight[w]}", _over_text(
+        "(" + _rhat_text(lambda l: r_k(w, l), "S(1; 1)", n, k, True) + ")",
+        n1[1], k + weight[w])) for w in (1, 2, 3) for k in ks]
+    rows += [(f"Shat{j},{k}/N1^{k}",
+              _over_text(f"({s_hat_jk(j, k)})", n1[1], k))
+             for j, k in sjk_range]
+    return (
+        f"schroedinger-galilei-projective n={n} mass={mass:g} [{hat_variant}]",
+        rows, 4 + 3 * n + len(sjk_range), _HAT_NOTES)
 
 
 def galilei_mu0_determinant_family(n: int) -> BasisFamily:
     """Variant of the mu=0 family with bordered-determinant leaders."""
     spec = AlgebraSpec("AG_I", n, mu=0.0, rep="log")
-    fam = _basis_galilei_real(spec, "printed")
+    fam = basis(spec)
     sp = _spatial(n)
 
     def bordered(v, top):
@@ -1244,155 +1323,19 @@ def galilei_mu0_determinant_family(n: int) -> BasisFamily:
                        tuple(members), fam.expected_count, fam.space, fam.deps)
 
 
-def _complex_pair(n):
-    """Space, family deps, and member makers over the jets alone and over
-    the phases too, of the complex Galilei families."""
-    space = JetSpace(n + 1, 2, COMPLEX, euclidean(n))
-    deps_all = _dep_coords(n + 1, 2, ("field", "d1", "d2"))
-    jet = functools.partial(ScalarJetFunction, space=space,
-                            deps=_dep_coords(n + 1, 2, ("d1", "d2")))
-    phase = functools.partial(ScalarJetFunction, deps=deps_all, space=space)
-    return space, deps_all, jet, phase
-
-
 def _phases(v):
     return v.u(1) + v.u(2)
-
-
-def _basis_galilei_complex(spec, hat_variant):
-    n, mass = spec.n, spec.mass
-    sp, ks, signs = _spatial(n), range(1, n + 1), euclidean(n).signs
-    space, deps_all, jet, phase = _complex_pair(n)
-    im = 1j * mass
-    # field 1 is psi (sgn = +1), field 2 psi* (sgn = -1)
-    two_c = {r: 2.0 * sgn * im for r, sgn in ((1, 1.0), (2, -1.0))}
-    theta_c = {r: -sgn * im for r, sgn in ((1, 1.0), (2, -1.0))}
-    c2 = -mass * mass
-
-    def m1(v, r):
-        return _m1(two_c[r], v.du(r, 0), _gvec(v, r, sp))
-
-    def m2(v, r):
-        return _m2(c2, two_c[r], v.ddu(r, 0, 0), *_jets(v, r, sp))
-
-    def r_k(v, w, k):
-        # R^1 and R^2 take the boost theta of psi and psi*, R^3 du1 + du2;
-        # every form is against U1
-        vec = (_boost_theta(theta_c[w], *_jets(v, w, sp)) if w < 3
-               else [v.du(1, a) + v.du(2, a) for a in sp])
-        return _R(v, vec, _hessian(1, sp), signs, k)
-
-    def s_jk(v, j, k):
-        return _Sjk(v, _hessian(1, sp), _hessian(2, sp), signs, j, k)
-
-    sjk_range = [(j, k) for k in ks for j in range(0, k + 1)]
-    rs = {w: [functools.partial(r_k, w=w, k=k) for k in ks] for w in (1, 2, 3)}
-    sjks = [functools.partial(s_jk, j=j, k=k) for j, k in sjk_range]
-
-    if spec.name == "AG_II":
-        members = [phase("phi+phi*", _phases),
-                   jet("M1", lambda v: m1(v, 1)), jet("M1*", lambda v: m1(v, 2)),
-                   jet("M2", lambda v: m2(v, 1)), jet("M2*", lambda v: m2(v, 2))]
-        members += [jet(f"S{j},{k}", f) for (j, k), f in zip(sjk_range, sjks)]
-        members += [jet(f"R{k}^{w}", f)
-                    for w in (1, 2, 3) for k, f in zip(ks, rs[w])]
-        return BasisFamily(f"schroedinger-galilei n={n} mass={mass:g}", spec,
-                           tuple(members), 5 + len(sjk_range) + 3 * n,
-                           space, deps_all)
-
-    # R^1 and R^2 carry M1^2 (N1^2) more than R^3 and the traces
-    weight = {1: 2, 2: 2, 3: 0}
-    if spec.name == "AG1_II":
-        lam = spec.lam
-
-        def m1_1(v):
-            return m1(v, 1)
-
-        members = [
-            jet("M1*/M1", lambda v: m1(v, 2) / m1(v, 1)),
-            jet("M2/M1^2", lambda v: m2(v, 1) / _power(m1(v, 1), 2)),
-            jet("M2*/M1^2", lambda v: m2(v, 2) / _power(m1(v, 1), 2)),
-        ]
-        members += [jet(f"R{k}^{w}/M1^{k + weight[w]}",
-                        _over(f, m1_1, k + weight[w]))
-                    for w in (1, 2, 3) for k, f in zip(ks, rs[w])]
-        members += [jet(f"S{j},{k}/M1^{k}", _over(f, m1_1, k))
-                    for (j, k), f in zip(sjk_range, sjks)]
-        members.append(phase("phi+phi*", _phases) if lam == 0 else phase(
-            f"M1*e^(2/{lam:g})(phi+phi*)",
-            lambda v: m1(v, 1) * dexp((2.0 / lam) * _phases(v))))
-        return BasisFamily(
-            f"schroedinger-galilei-dilation n={n} mass={mass:g} lam={lam:g}",
-            spec, tuple(members), 4 + 3 * n + len(sjk_range), space, deps_all)
-
-    # AG2_II, mass != 0, lam = -n/2
-    def tr_h(v, r):
-        return _S(v, _hessian(r, sp), signs, 1)
-
-    def n1(v, r):
-        # tr before du.du, unlike M1 + tr
-        du = _gvec(v, r, sp)
-        return two_c[r] * v.du(r, 0) + tr_h(v, r) + sum_prod(du, du)
-
-    def n2(v, r):
-        return _n2(c2, two_c[r], v.ddu(r, 0, 0), v.du(r, 0), tr_h(v, r), n,
-                   *_jets(v, r, sp))
-
-    def s_rl(v, r, l):
-        if r > l:
-            return 0.0
-        if l == 0:
-            return float(n)
-        return s_jk(v, r, l)
-
-    def s_hat_jk(v, j, k):
-        tr1 = tr_h(v, 1)
-        tr2 = tr_h(v, 2)
-        acc = 0.0
-        for l in range(0, k + 1):
-            for r in range(0, j + 1):
-                binom = math.comb(k, l + 1 - r) if 0 <= l + 1 - r <= k else 0
-                if binom == 0:
-                    continue
-                term = s_rl(v, r, l)
-                if isinstance(term, float) and term == 0.0:
-                    continue
-                acc = acc + (term * ((-n) ** l) * math.comb(j, r) * binom
-                             * _power(tr1, j - r) * _power(tr2, k - l - j + r))
-        acc = acc + k * _power(tr1, j) * _power(tr2, k - j - 1)
-        return acc
-
-    def r_hat(v, w, k):
-        # the complex sums take the uniform exponent under either variant
-        return _rhat(lambda l: r_k(v, w, l), tr_h(v, 1), n, k, True)
-
-    def n1_1(v):
-        return n1(v, 1)
-
-    members = [
-        phase(f"N1*e^(-4/{n})(phi+phi*)",
-              lambda v: n1(v, 1) * dexp((-4.0 / n) * _phases(v))),
-        jet("N1/N1*", lambda v: n1(v, 1) / n1(v, 2)),
-        jet("N2/N1*", lambda v: n2(v, 1) / n1(v, 2)),
-        jet("N2*/N1*", lambda v: n2(v, 2) / n1(v, 2)),
-    ]
-    members += [jet(f"Rhat{k}^{w}/N1^{k + weight[w]}",
-                    _over(functools.partial(r_hat, w=w, k=k), n1_1,
-                          k + weight[w]))
-                for w in (1, 2, 3) for k in ks]
-    members += [jet(f"Shat{j},{k}/N1^{k}",
-                    _over(functools.partial(s_hat_jk, j=j, k=k), n1_1, k))
-                for j, k in sjk_range]
-    return BasisFamily(
-        f"schroedinger-galilei-projective n={n} mass={mass:g} [{hat_variant}]",
-        spec, tuple(members), 4 + 3 * n + len(sjk_range), space, deps_all,
-        notes="hatted sums implemented as printed; see per-member verdicts")
 
 
 def _basis_galilei_complex_mass0(spec):
     n, lam = spec.n, spec.lam
     sp, ks, signs = _spatial(n), range(1, n + 1), euclidean(n).signs
-    space, deps_all, jet, phase = _complex_pair(n)
+    # members over the jets alone, and over the phases too
+    space = JetSpace(n + 1, 2, COMPLEX, euclidean(n))
+    deps_all = _dep_coords(n + 1, 2, ("field", "d1", "d2"))
+    jet = functools.partial(ScalarJetFunction, space=space,
+                            deps=_dep_coords(n + 1, 2, ("d1", "d2")))
+    phase = functools.partial(ScalarJetFunction, deps=deps_all, space=space)
 
     def n1(v, r):
         return _leader0(v, r, sp, lam)

@@ -366,6 +366,11 @@ class AlgebraSpec:
     def n_fields(self) -> int:
         return self.m
 
+    @property
+    def boost(self) -> float:
+        """exprlang's ``bth<r>`` weight: mu, or the pair's mass."""
+        return self.mass if self.name.endswith("_II") else self.mu
+
 
 def make_spec(name: str, n: int, **kw) -> AlgebraSpec:
     """AlgebraSpec with family defaults applied."""

@@ -107,12 +107,14 @@ def test_time_symbols_need_time_mode():
 
 
 
-def _galilei_binding(text, spec):
+def _expr_binding(text, spec):
+    """``text`` bound as ``verify --expr`` binds it under ``spec``."""
     from invforge.liealg import algebra_space
 
     _, (metric, kind, time_mode) = algebra_space(spec)
     return bind(text, spec.n_base, spec.n_fields, metric=metric,
-                field_kind=kind, time_mode=time_mode, mu=spec.mu)
+                field_kind=kind, time_mode=time_mode, lam=spec.lam,
+                mu=spec.boost)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -123,7 +125,7 @@ def test_time_binding_trace_is_the_spatial_basis_member(k):
 
     spec = make_spec("AG_I", 3, rep="log")
     member = next(m for m in basis(spec).members if m.label == f"S{k}")
-    fn = _galilei_binding(f"S({k})", spec)
+    fn = _expr_binding(f"S({k})", spec)
     for seed in range(4):
         point = member.space.sampler(seed)(0)
         assert repr(fn.eval(point)) == repr(member.eval(point))
@@ -131,13 +133,13 @@ def test_time_binding_trace_is_the_spatial_basis_member(k):
             member.grad(point, member.deps))
 
 
-def _expression_checks(expr, tmp_path):
+def _expression_checks(expr, tmp_path, algebra="AG_I", *args):
     from invforge import cli
 
     out = tmp_path / "report.json"
-    code = cli.main(["verify", "--algebra", "AG_I", "--n", "3", "--expr",
+    code = cli.main(["verify", "--algebra", algebra, "--n", "3", "--expr",
                      expr, "--samples", "5", "--seed", "0", "--out",
-                     str(out)], stream=io.StringIO())
+                     str(out), *args], stream=io.StringIO())
     checks = json.loads(out.read_text())["checks"]
     return code, [(c["name"].split(":")[1], c["verdict"], c["residual_max"])
                   for c in checks]
@@ -158,6 +160,57 @@ def test_time_binding_trace_reads_no_time_index(tmp_path):
                           ("G2", "FAIL", 3.4489603221924416),
                           ("G3", "FAIL", 3.232932877472104)]
     assert checks[3:] == [(op, "PASS", 0.0) for op in _AG_I_OPERATORS[3:]]
+
+
+def _galilei_row_texts(name, **kw):
+    from invforge.invcat import _galilei_rows
+    from invforge.liealg import make_spec
+
+    return dict(_galilei_rows(make_spec(name, 3, rep="log", **kw),
+                              "printed")[1])
+
+
+def test_galilei_row_texts_check_as_expressions(tmp_path):
+    """The M1 and M2 rows of AG_I PASS under AG_I as texts, and M1 plus a
+    non-invariant FAILs; under AG1_I, M2 FAILs the dilation and M2/M1^2
+    PASSes."""
+    m1 = "2*u_t + contract(du1, du1)"
+    m2 = _galilei_row_texts("AG_I")["M2"]
+    for text in (m1, m2):
+        code, checks = _expression_checks(text, tmp_path)
+        assert code == 0
+        assert [(op, verdict) for op, verdict, _ in checks] == [
+            (op, "PASS") for op in _AG_I_OPERATORS]
+    code, checks = _expression_checks(m1 + " + 1e-3*u_x1", tmp_path)
+    assert code == 1 and "FAIL" in {verdict for _, verdict, _ in checks}
+    code, checks = _expression_checks(m2, tmp_path, "AG1_I")
+    assert code == 1
+    assert {op for op, verdict, _ in checks if verdict == "FAIL"} == {"D"}
+    code, checks = _expression_checks(
+        _galilei_row_texts("AG1_I")["M2/M1^2"], tmp_path, "AG1_I")
+    assert code == 0 and {verdict for _, verdict, _ in checks} == {"PASS"}
+
+
+def test_boost_theta_text_reads_the_spec_mass(tmp_path):
+    """``R(2; bth1, 1)`` under AG_II with mass 0.5 gives the records of the
+    member R2^1 of that family, so the text takes its boost weight from
+    the spec."""
+    from invforge.invcat import basis
+    from invforge.liealg import catalog, make_spec, prolong2
+    from invforge.verify import check_absolute
+
+    code, checks = _expression_checks("R(2; bth1, 1)", tmp_path, "AG_II",
+                                      "--mass", "0.5")
+    spec = make_spec("AG_II", 3, rep="log", mass=0.5)
+    fam = basis(spec)
+    member = next(m for m in fam.members if m.label == "R2^1")
+    report = check_absolute([prolong2(f) for f in catalog(spec)], [member],
+                            n_samples=5, seed=0,
+                            sampler=fam.space.sampler(0))
+    assert checks == [(r.operator, r.verdict, r.max_residual)
+                      for r in report.records]
+    assert code == (0 if report.verdict == "PASS" else 1)
+
 
 def test_builtin_matches_catalog_trace():
     met = minkowski(4)
@@ -356,6 +409,32 @@ def test_scalar_function_follows_the_expression_rules():
         bind_scalar_function("u2")
 
 
+def _galilei_member_rows():
+    """(name, kw, label, text) of every row of the Galilei families that
+    are text rows, at n = 3, over boost weights, masses and both hat
+    variants; a row the uniform variant leaves as printed appears once."""
+    from invforge.invcat import _galilei_rows
+    from invforge.liealg import make_spec
+
+    configs = ([(name, {"mu": mu}) for name in ("AG_I", "AG1_I", "AG2_I")
+                for mu in (1.0, 0.5, 0.0)]
+               + [(name, {"mass": mass})
+                  for name in ("AG_II", "AG1_II", "AG2_II")
+                  for mass in (1.0, 0.5)])
+    out, seen = [], set()
+    for name, kw in configs:
+        for hat in ("printed", "uniform"):
+            rows = _galilei_rows(make_spec(name, 3, rep="log", **kw), hat)[1]
+            for label, text in rows:
+                if (name, str(kw), label, text) in seen:
+                    continue
+                seen.add((name, str(kw), label, text))
+                out.append(pytest.param(
+                    name, dict(kw, rep="log", hat_variant=hat), label, text,
+                    id=f"{name}-{kw}-{hat}-{label}"))
+    return out
+
+
 @pytest.mark.parametrize("name,kw,label,text", [
     ("AC", {"m": 2}, "S2(theta1)*u1^2", "S(2; theta1) * u1 ^ 2.0"),
     ("AC", {"m": 2, "lam": 0.6}, "R2(thvec2,theta1)*u1^3.66667",
@@ -363,22 +442,33 @@ def test_scalar_function_follows_the_expression_rules():
     ("AC1n", {"m": 2, "lam": 0.0}, "S1,2(w2,w1)/(du.du)^4",
      "Sjk(1, 2; w2, w1) / contract(du1, du1) ^ 4"),
     ("AO", {}, "R3(x,U1)", "R(3; x, 1)"),
-])
+] + _galilei_member_rows())
 def test_catalog_member_text_binds_to_the_member(name, kw, label, text):
     from invforge.invcat import basis
     from invforge.liealg import make_spec
 
+    kw = dict(kw)
+    hat = kw.pop("hat_variant", "printed")
     spec = make_spec(name, 3, **kw)
-    fam = basis(spec)
+    fam = basis(spec, hat)
     member = next(m for m in fam.members if m.label == label)
-    fn = bind(text, fam.space.n_base, fam.space.n_fields,
-              metric=fam.space.metric, lam=spec.lam)
-    point = fam.space.sampler(3)(0)
-    assert fn.eval(point) == member.eval(point)
+    fn = _expr_binding(text, spec)
+    # the member's gradient over the coordinates the text reads, and zero
+    # over the others
+    others = [c for c in fam.space.coords() if c not in fn.deps]
+    for seed in range(2):
+        point = fam.space.sampler(3)(seed)
+        assert repr(fn.eval(point)) == repr(member.eval(point))
+        assert repr(fn.grad(point, fn.deps)) == repr(
+            member.grad(point, fn.deps))
+        assert not any(member.grad(point, others))
 
 
 @pytest.mark.parametrize("text", ["S(2; v)", "S(1; 1, 2)", "R(1; theta1, 1)",
-                                  "R(1; 1, x)", "Sjk(1, 2; 1, w3)"])
+                                  "R(1; 1, x)", "Sjk(1, 2; 1, w3)",
+                                  "R(1; bth1, 1)", "contract(du1, dut1)",
+                                  "contract(ith1, du1)", "S(1; inv1)",
+                                  "quad(du1, inv1)", "R(1; bth3, 1)"])
 def test_selector_errors(text):
     with pytest.raises(BindError):
         bind(text, 3, n_fields=2)

@@ -579,7 +579,7 @@ def test_determinant_of_duals_matches_elimination_bit_for_bit():
 def test_mixed_traces_are_computed_once_per_gradient_view(monkeypatch):
     """The AG2_II hatted sums ask for the same S_{j,k} many times on one
     view; each mixed one (0 < j < k) costs one ``trace_prod``."""
-    from invforge import invcat
+    from invforge import exprlang, invcat
 
     fam = basis(make_spec("AG2_II", 3, rep="log"))
     calls, keys = [], set()
@@ -593,7 +593,8 @@ def test_mixed_traces_are_computed_once_per_gradient_view(monkeypatch):
         calls.append(1)
         return tprod(a, b)
 
-    monkeypatch.setattr(invcat, "_Sjk", counted_sjk)
+    # the member texts call exprlang's import of _Sjk
+    monkeypatch.setattr(exprlang, "_Sjk", counted_sjk)
     monkeypatch.setattr(invcat, "trace_prod", counted_trace_prod)
     view = gradient_view(fam.space.sampler(0)(0), fam.deps)
     for member in fam.members:
