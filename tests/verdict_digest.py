@@ -13,10 +13,14 @@ Runs, in process, at seeds 0-20:
 - ``verify --algebra A --n 3 --samples 3`` for the thirteen cataloged
   bases (273 calls) and the seven ``verify --expr`` calls of the
   benchmark's ``structure`` workload (147 calls), keeping each check line
-  without its residual.
+  without its residual;
+- ``check_covariance`` with 4 samples for the six covariance pairs of the
+  benchmark's ``structure`` workload and two negative controls (the
+  Hessian, and theta at lambda = 0.6, under AC at lambda = 1), at n in
+  {3, 4} (336 calls), keeping each record's operator and verdict.
 
-It prints each call's exit code and its lines, then one sha256 of those
-lines.  Two trees agree on this grid exactly when the last lines match:
+It prints each call's exit code, or for a covariance call its overall
+verdict, and its lines, then one sha256 of those lines.  Two trees agree on this grid exactly when the last lines match:
 
     PYTHONPATH=src python tests/verdict_digest.py
 """
@@ -25,8 +29,9 @@ import contextlib
 import hashlib
 import io
 
-from invforge import cli
+from invforge import check_covariance, cli, covariant_tensor
 from invforge.invcat import EQUATIONS
+from invforge.liealg import catalog, make_spec, prolong2
 
 DIMENSIONS = (3, 4)
 SEEDS = range(21)
@@ -48,6 +53,19 @@ EXPRESSIONS = (
     ("AE", "3", ("--m", "2"), "contract(du1, du2)"),
 )
 EXPR_SAMPLES = 4
+# (tensor, tensor kwargs, algebra, algebra kwargs), as in invbench/workloads.py,
+# then two controls that FAIL K1..Kn and PASS every other generator
+COVARIANCE = (
+    ("theta", {"lam": 1.0}, "AC", {"lam": 1.0}),
+    ("w", {}, "AC", {"lam": 0.0}),
+    ("theta_minkowski", {"lam": 1.0}, "AC1n", {"lam": 1.0}),
+    ("w_minkowski", {}, "AC1n", {"lam": 0.0}),
+    ("implicit_theta", {}, "AG2_I", {"mu": 0.0, "rep": "u"}),
+    ("hessian", {}, "AE1", {"lam": 0.6}),
+    ("hessian", {}, "AC", {"lam": 1.0}),
+    ("theta", {"lam": 0.6}, "AC", {"lam": 1.0}),
+)
+COVARIANCE_SAMPLES = 4
 
 
 def verdict_lines(argv, seed):
@@ -79,12 +97,35 @@ def calls():
                "--samples", str(EXPR_SAMPLES)]
 
 
+def covariance_calls():
+    """Per covariance pair and n: a call's name and a function of the seed
+    giving its report."""
+    for tname, tkw, aname, akw in COVARIANCE:
+        for n in DIMENSIONS:
+            tensor = covariant_tensor(tname, n, **tkw)
+            ops = [prolong2(f) for f in catalog(make_spec(aname, n, **akw))]
+            yield (f"check_covariance {tname}{tkw} {aname}{akw} --n {n}",
+                   lambda seed, tensor=tensor, ops=ops: check_covariance(
+                       tensor, ops, n_samples=COVARIANCE_SAMPLES, seed=seed))
+
+
+def covariance_lines(call, seed):
+    """The overall verdict, then each record's verdict and operator."""
+    name, run = call
+    rep = run(seed)
+    return rep.verdict != "PASS", \
+        [f"{name} --seed {seed} verdict={rep.verdict}"] + \
+        [f"  {r.verdict} covariance:{r.operator}" for r in rep.records]
+
+
 def main():
     digest = hashlib.sha256()
     runs = nonzero = 0
-    for argv in calls():
+    jobs = [(verdict_lines, argv) for argv in calls()]
+    jobs += [(covariance_lines, call) for call in covariance_calls()]
+    for lines_of, call in jobs:
         for seed in SEEDS:
-            code, lines = verdict_lines(argv, seed)
+            code, lines = lines_of(call, seed)
             runs += 1
             nonzero += code != 0
             for line in lines:
