@@ -456,6 +456,9 @@ def _cmd_completeness(cfg):
 
 
 def _cmd_eval(cfg, args, stream):
+    if "out" in cfg:
+        raise ValueError("--out applies only to verify, rank and "
+                         "completeness: eval writes no report")
     if not cfg.get("expr"):
         raise ValueError("--expr is required for eval")
     n_base = cfg["n"]

@@ -106,28 +106,38 @@ def _eliminate(m, n, tiny):
     return swapped
 
 
+def solve_columns(a, cols, context="linear system", rtol=1e-12):
+    """Solutions of a x = b, one per right-hand side b in ``cols``, from
+    one :func:`_eliminate` pass that carries them all along; scalars may be
+    duals.  Raises when a column's best pivot is at most ``rtol`` times the
+    largest entry of ``a``."""
+    n = len(a)
+    m = [list(row) + [b[i] for b in cols] for i, row in enumerate(a)]
+    scale = max(max(magnitude(v) for v in row[:n]) for row in m)
+    if scale == 0.0 or _eliminate(m, n, rtol * scale) is None:
+        raise EvaluationError(f"degenerate {context}")
+    sols = []
+    for k in range(n, n + len(cols)):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            acc = m[i][k]
+            for j in range(i + 1, n):
+                acc = acc - m[i][j] * x[j]
+            x[i] = acc / m[i][i]
+        sols.append(x)
+    return sols
+
+
 def solve_linear(a, b, context="linear system"):
     """Gaussian elimination with partial pivoting; scalars may be duals."""
-    n = len(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    scale = max(max(magnitude(v) for v in row[:n]) for row in m)
-    if scale == 0.0 or _eliminate(m, n, 1e-12 * scale) is None:
-        raise EvaluationError(f"degenerate {context}")
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        acc = m[i][n]
-        for j in range(i + 1, n):
-            acc = acc - m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return x
+    return solve_columns(a, [b], context)[0]
 
 
 def mat_inverse(a, context="matrix"):
+    """Columns a^-1 e_j of one :func:`solve_columns` pass."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [1.0 if i == j else 0.0 for i in range(n)]
-        cols.append(solve_linear(a, e, context))
+    cols = solve_columns(a, [[1.0 if i == j else 0.0 for i in range(n)]
+                             for j in range(n)], context)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 

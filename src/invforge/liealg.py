@@ -222,9 +222,9 @@ def apply_operator(op: ProlongedOperator, fn, point: JetPoint):
     return total
 
 
-def matrix_rank(rows):
-    """Rank by scaled full-pivot elimination of plain (float or complex)
-    entries.
+def pivot_positions(rows):
+    """(row, column, magnitude) of each pivot of scaled full-pivot
+    elimination of plain (float or complex) entries, in elimination order.
 
     Rows are scaled to unit max magnitude, then pivots are accepted while
     larger than :data:`RANK_PIVOT_RTOL` times the largest entry of the
@@ -232,7 +232,7 @@ def matrix_rank(rows):
     """
     a = [list(row) for row in rows]
     if not a or not a[0]:
-        return 0, []
+        return []
     for row in a:
         s = max(map(abs, row))
         if s > 0.0:
@@ -240,10 +240,9 @@ def matrix_rank(rows):
                 row[k] = row[k] / s
     biggest = max(max(map(abs, row)) for row in a)
     if biggest == 0.0:
-        return 0, []
+        return []
     thresh = RANK_PIVOT_RTOL * biggest
     nrows, ncols = len(a), len(a[0])
-    rank = 0
     pivots = []
     used_r, used_c = set(), set()
     for _ in range(min(nrows, ncols)):
@@ -259,10 +258,9 @@ def matrix_rank(rows):
                     best, br, bc = mag, r, c
         if best <= thresh:
             break
-        pivots.append(best)
+        pivots.append((br, bc, best))
         used_r.add(br)
         used_c.add(bc)
-        rank += 1
         piv = a[br][bc]
         for r in range(nrows):
             if r in used_r:
@@ -275,7 +273,13 @@ def matrix_rank(rows):
                     continue
                 a[r][c] = a[r][c] - factor * a[br][c]
             a[r][bc] = 0.0
-    return rank, pivots
+    return pivots
+
+
+def matrix_rank(rows):
+    """Rank and pivot magnitudes of :func:`pivot_positions`."""
+    pivots = pivot_positions(rows)
+    return len(pivots), [mag for _, _, mag in pivots]
 
 
 def generic_rank(ops, sampler, trials: int = 5, coords=None) -> int:

@@ -9,6 +9,11 @@ residual stays within ``tol * (1 + scale)``, the one rule
 times the norm of the operator's coefficient vector seen across samples,
 so verdicts survive rescaling of homogeneous invariants; for a covariance
 record it is the largest entry |X T| of the action seen across samples.
+
+A covariance fit solves on the pivots of the scaled full-pivot elimination
+that also gives every rank (:func:`liealg.pivot_positions`), so one
+threshold, ``RANK_PIVOT_RTOL``, decides rank throughout; its residual is
+that of the fit on those pivots.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from .invcat import (
     curvature_view,
     gradient_view,
     seeded_view,  # noqa: F401  (invbench/tracer.py wraps verify.seeded_view)
+    solve_columns,
 )
 from .jetspace import JetPoint
 from .liealg import catalog, coefficient_rows, flow_positions, \
-    matrix_rank, prolong2
+    matrix_rank, pivot_positions, prolong2
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 50
@@ -400,52 +406,25 @@ def completeness(spec, family: BasisFamily, n_samples: int = 10,
                               "PASS" if ok else "FAIL")
 
 
-def _dot(u, v):
-    acc = 0.0
-    for x, y in zip(u, v):
-        acc += (x.conjugate() if isinstance(x, complex) else x) * y
-    return acc
-
-
-def _lstsq(a, b):
-    """Rank-tolerant least squares by modified Gram-Schmidt; dependent
-    columns get coefficient zero.  Returns (coefficients, residual norm)."""
-    nrow = len(a)
-    ncol = len(a[0]) if nrow else 0
-    cols = [[a[i][j] for i in range(nrow)] for j in range(ncol)]
-    col_scale = max((max(abs(v) for v in c) for c in cols if c), default=0.0)
-    drop_tol = 1e-10 * (1.0 + col_scale)
-    basis_vecs = []
-    basis_cols = []
-    r_entries = {}
-    for j in range(ncol):
-        v = list(cols[j])
-        for bi, q in enumerate(basis_vecs):
-            r = _dot(q, v)
-            r_entries[(bi, j)] = r
-            for i in range(nrow):
-                v[i] -= r * q[i]
-        norm = _dot(v, v) ** 0.5
-        if abs(norm) > drop_tol:
-            basis_vecs.append([vi / norm for vi in v])
-            r_entries[(len(basis_vecs) - 1, j)] = norm
-            basis_cols.append(j)
-    vb = list(b)
-    qb = []
-    for q in basis_vecs:
-        r = _dot(q, vb)
-        qb.append(r)
-        for i in range(nrow):
-            vb[i] -= r * q[i]
-    resid = abs(_dot(vb, vb)) ** 0.5
-    x = [0.0] * ncol
-    for bi in range(len(basis_cols) - 1, -1, -1):
-        j = basis_cols[bi]
-        acc = qb[bi]
-        for bj in range(bi + 1, len(basis_cols)):
-            acc -= r_entries.get((bi, basis_cols[bj]), 0.0) * x[basis_cols[bj]]
-        x[j] = acc / r_entries[(bi, j)]
-    return x, resid
+def _lstsq(a, bs):
+    """Fit a x = b for every right-hand side b in ``bs``: x solves the rows
+    and columns of the pivots :func:`liealg.pivot_positions` accepts, in
+    one elimination carrying every b (:func:`invcat.solve_columns`), and is
+    0.0 in every other column.  Returns per b (x, residual norm |b - a x|),
+    a particular solution's, so never below the least-squares residual."""
+    pivots = pivot_positions(a)
+    sols = solve_columns([[a[r][c] for _, c, _ in pivots]
+                          for r, _, _ in pivots],
+                         [[b[r] for r, _, _ in pivots] for b in bs],
+                         "covariance fit", 0.0) if pivots else [[]] * len(bs)
+    fits = []
+    for b, sol in zip(bs, sols):
+        x = [0.0] * len(a[0])
+        for (_, c, _), v in zip(pivots, sol):
+            x[c] = v
+        fits.append((x, sum(abs(bi - _apply(row, x)) ** 2
+                            for row, bi in zip(a, b)) ** 0.5))
+    return fits
 
 
 def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
@@ -494,16 +473,14 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
                     acc += sign * t[c]
                 row.append(acc)
             rows.append(row + [t[cell]])
-        for op, flow in zip(ops, flows):
-            rhs = [_apply(flow, jac[cell]) for cell in cells]
-            fit, resid = _lstsq(rows, rhs)
+        rhs = [[_apply(flow, jac[cell]) for cell in cells] for flow in flows]
+        for op, b, (fit, resid) in zip(ops, rhs, _lstsq(rows, rhs)):
             if not is_finite(resid):
                 raise EvaluationError(
                     f"non-finite fit residual for {tensor.label} under "
                     f"{op.label}")
             worst[op.label] = max(worst[op.label], resid)
-            scales[op.label] = max(scales[op.label],
-                                   max(abs(v) for v in rhs))
+            scales[op.label] = max(scales[op.label], max(abs(v) for v in b))
             fits[op.label] = tuple(fit)
     records = tuple(CovarianceRecord(
         op.label, worst[op.label], scales[op.label],

@@ -19,6 +19,10 @@ can check that the replacement gives every value bit for bit.
   (``verify._points``): each with its own loop over sample indices, the
   covariance fit rebuilding the tensor with ``TensorBuilder.build`` and
   writing its vector and matrix fit rows as two separate rules.
+- :func:`mgs_lstsq` is the least-squares fit that ``verify._lstsq`` made
+  before it solved on the pivots of ``liealg.pivot_positions``: modified
+  Gram-Schmidt, dropping a column whose remaining norm is at most
+  1e-10 * (1 + largest entry), with coefficient zero for it.
 """
 
 import functools
@@ -321,7 +325,7 @@ def reference_covariance(tensor, ops, n_samples=10, tol=1e-8, seed=0,
                         row.append(t_val[a][b])
                         rows.append(row)
                         rhs.append(xt[(a, b)])
-            fit, resid = _lstsq(rows, rhs)
+            fit, resid = _lstsq(rows, [rhs])[0]
             if not is_finite(resid):
                 raise EvaluationError(
                     f"non-finite fit residual for {tensor.label} under "
@@ -339,3 +343,51 @@ def reference_covariance(tensor, ops, n_samples=10, tol=1e-8, seed=0,
                                         fits[op.label]))
     return CovarianceReport(tensor.label, tuple(records), n_samples, seed,
                             tol)
+
+
+def _dot(u, v):
+    acc = 0.0
+    for x, y in zip(u, v):
+        acc += (x.conjugate() if isinstance(x, complex) else x) * y
+    return acc
+
+
+def mgs_lstsq(a, b):
+    """Rank-tolerant least squares by modified Gram-Schmidt; dependent
+    columns get coefficient zero.  Returns (coefficients, residual norm)."""
+    nrow = len(a)
+    ncol = len(a[0]) if nrow else 0
+    cols = [[a[i][j] for i in range(nrow)] for j in range(ncol)]
+    col_scale = max((max(abs(v) for v in c) for c in cols if c), default=0.0)
+    drop_tol = 1e-10 * (1.0 + col_scale)
+    basis_vecs = []
+    basis_cols = []
+    r_entries = {}
+    for j in range(ncol):
+        v = list(cols[j])
+        for bi, q in enumerate(basis_vecs):
+            r = _dot(q, v)
+            r_entries[(bi, j)] = r
+            for i in range(nrow):
+                v[i] -= r * q[i]
+        norm = _dot(v, v) ** 0.5
+        if abs(norm) > drop_tol:
+            basis_vecs.append([vi / norm for vi in v])
+            r_entries[(len(basis_vecs) - 1, j)] = norm
+            basis_cols.append(j)
+    vb = list(b)
+    qb = []
+    for q in basis_vecs:
+        r = _dot(q, vb)
+        qb.append(r)
+        for i in range(nrow):
+            vb[i] -= r * q[i]
+    resid = abs(_dot(vb, vb)) ** 0.5
+    x = [0.0] * ncol
+    for bi in range(len(basis_cols) - 1, -1, -1):
+        j = basis_cols[bi]
+        acc = qb[bi]
+        for bj in range(bi + 1, len(basis_cols)):
+            acc -= r_entries.get((bi, basis_cols[bj]), 0.0) * x[basis_cols[bj]]
+        x[j] = acc / r_entries[(bi, j)]
+    return x, resid

@@ -615,6 +615,23 @@ def test_rank_tol_is_a_usage_error(tmp_path, capsys):
         "--tol applies only to verify and completeness") == 2
 
 
+def test_eval_out_is_a_usage_error(tmp_path, capsys):
+    # eval exited 0 and wrote no file
+    from invforge import cli
+
+    report = tmp_path / "f.json"
+    argv = ["eval", "--expr", "u_x1", "--n", "3"]
+    cfg = _config_file(tmp_path, f"out={report}\n")
+    out = io.StringIO()
+    assert cli.main([*argv, "--out", str(report)], stream=out) == 2
+    assert cli.main([*argv, "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert not report.exists()
+    assert capsys.readouterr().err.count(
+        "--out applies only to verify, rank and completeness: eval writes "
+        "no report") == 2
+
+
 def test_rank_without_tol_reports_as_before(tmp_path):
     from invforge import cli
 

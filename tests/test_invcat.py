@@ -22,12 +22,14 @@ from invforge.invcat import (
     equation_function,
     equation_residual,
     gradient_view,
+    mat_inverse,
     mat_mul,
     mat_trace,
     mixed_power_trace,
     power_form,
     power_trace,
     seeded_view,
+    solve_linear,
     trace_prod,
     two_matrix_trace_family,
 )
@@ -574,6 +576,29 @@ def test_determinant_of_duals_matches_elimination_bit_for_bit():
             assert repr(determinant(a)) == repr(_reference_determinant(a))
     assert determinant([[1.0, 2.0], [2.0, 4.0]]) == 0.0
     assert determinant([[0.0, 1.0], [1.0, 0.0]]) == -1.0
+
+
+def test_mat_inverse_equals_its_column_solves_bit_for_bit():
+    # one elimination carries every column of the identity along, each
+    # with the arithmetic of its own solve
+    rng = random.Random(11)
+    draws = (lambda: rng.uniform(-2, 2),
+             lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+             lambda: Jet1(rng.uniform(-2, 2), [rng.uniform(-2, 2), 0.0]))
+    for draw in draws:
+        for n in range(1, 6):
+            a = [[draw() for _ in range(n)] for _ in range(n)]
+            cols = [solve_linear(a, [1.0 if i == j else 0.0
+                                     for i in range(n)], "matrix")
+                    for j in range(n)]
+            assert repr(mat_inverse(a)) == \
+                repr([[cols[j][i] for j in range(n)] for i in range(n)])
+    singular = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(EvaluationError) as inverse:
+        mat_inverse(singular)
+    with pytest.raises(EvaluationError) as solve:
+        solve_linear(singular, [1.0, 0.0], "matrix")
+    assert str(inverse.value) == str(solve.value) == "degenerate matrix"
 
 
 def test_mixed_traces_are_computed_once_per_gradient_view(monkeypatch):

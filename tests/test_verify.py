@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from invforge import cli
+from invforge import cli, verify
 from invforge.dual import Dual, EvaluationError, dexp
 from invforge.invcat import (
     EQUATIONS,
@@ -43,7 +43,8 @@ from invforge.verify import (
     independence_rank,
     newton_project,
 )
-from references import reference_covariance, reference_independence_rank
+from references import mgs_lstsq, reference_covariance, \
+    reference_independence_rank
 from test_report_identity import FIXTURE
 
 
@@ -594,6 +595,58 @@ def test_covariance_equals_its_own_loop_reference(pair, n):
     for seed in range(6):
         assert repr(check_covariance(tensor, ops, n_samples=3, seed=seed)) \
             == repr(reference_covariance(tensor, ops, n_samples=3, seed=seed))
+
+
+# tensors that are not covariant under the special conformal generators
+# K1..Kn of the algebra, and are under every other generator
+_COVARIANCE_CONTROLS = (
+    ("hessian", {}, "AC", {"lam": 1.0}),
+    ("theta", {"lam": 0.6}, "AC", {"lam": 1.0}),
+)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("pair", _COVARIANCE_CONTROLS,
+                         ids=[f"{t}{kw}-{a}" for t, kw, a, _ in
+                              _COVARIANCE_CONTROLS])
+def test_covariance_controls_fail_exactly_the_special_conformal_generators(
+        pair, n):
+    tname, tkw, aname, akw = pair
+    tensor = covariant_tensor(tname, n, **tkw)
+    ops = _ops(aname, n, **akw)
+    special = {f"K{i}" for i in range(1, n + 1)}
+    assert special < {op.label for op in ops}
+    for seed in range(6):
+        rep = check_covariance(tensor, ops, n_samples=4, seed=seed)
+        assert {r.operator for r in rep.records if r.verdict == "FAIL"} \
+            == special
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("pair", _COVARIANCE_PAIRS + _COVARIANCE_CONTROLS,
+                         ids=[f"{t}{kw}-{a}" for t, kw, a, _ in
+                              _COVARIANCE_PAIRS + _COVARIANCE_CONTROLS])
+def test_covariance_fit_agrees_with_gram_schmidt(pair, n, monkeypatch):
+    # the pivot fit against the least-squares fit it replaced: the same
+    # verdicts, and on a matrix tensor's PASS the same fit; a vector
+    # tensor has more unknowns than equations, so its zeroed coefficients
+    # may differ
+    tname, tkw, aname, akw = pair
+    tensor = covariant_tensor(tname, n, **tkw)
+    ops = _ops(aname, n, **akw)
+    for seed in range(6):
+        rep = check_covariance(tensor, ops, n_samples=3, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_lstsq",
+                      lambda a, bs: [mgs_lstsq(a, b) for b in bs])
+            ref = check_covariance(tensor, ops, n_samples=3, seed=seed)
+        for rec, mgs in zip(rep.records, ref.records, strict=True):
+            assert rec.verdict == mgs.verdict, rec.operator
+            if rec.verdict == "PASS":
+                assert rec.residual <= 1e-12 * (1.0 + rec.scale)
+                if tensor.kind == "matrix":
+                    assert max(abs(x - y) for x, y in
+                               zip(rec.fit, mgs.fit, strict=True)) <= 1e-9
 
 
 @pytest.mark.parametrize("name", _BASES_N3)
