@@ -11,9 +11,10 @@ Runs, in process, at seeds 0-20:
   ``completeness --algebra A --n 3`` for the seven non-Galilei algebras
   (147 calls), keeping their whole output, which prints no residual;
 - ``verify --algebra A --n 3 --samples 3`` for the thirteen cataloged
-  bases (273 calls) and the seven ``verify --expr`` calls of the
-  benchmark's ``structure`` workload (147 calls), keeping each check line
-  without its residual;
+  bases (273 calls), for the massless AG2_II at lambda in {0, 0.4} (42
+  calls: the R^4 branch and the N3 branch), and the seven ``verify
+  --expr`` calls of the benchmark's ``structure`` workload (147 calls),
+  keeping each check line without its residual;
 - ``check_covariance`` with 4 samples for the six covariance pairs of the
   benchmark's ``structure`` workload and two negative controls (the
   Hessian, and theta at lambda = 0.6, under AC at lambda = 1), at n in
@@ -42,6 +43,8 @@ RANK_ALGEBRAS = ("AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n", "AG_I",
 COMPLETENESS_ALGEBRAS = RANK_ALGEBRAS[:7]
 BASIS_ALGEBRAS = RANK_ALGEBRAS[:13]
 BASIS_SAMPLES = 3
+# lambda of the massless AG2_II family: R^4 at 0, N3 elsewhere
+MASSLESS_LAMBDAS = ("0", "0.4")
 # (algebra, n, extra flags, expression), as in invbench/workloads.py
 EXPRESSIONS = (
     ("AE", "3", (), "u_x1"),
@@ -92,6 +95,9 @@ def calls():
     for name in BASIS_ALGEBRAS:
         yield ["verify", "--algebra", name, "--n", "3", "--samples",
                str(BASIS_SAMPLES)]
+    for lam in MASSLESS_LAMBDAS:
+        yield ["verify", "--algebra", "AG2_II", "--mass", "0", "--lambda",
+               lam, "--n", "3", "--samples", str(BASIS_SAMPLES)]
     for name, n, extra, expr in EXPRESSIONS:
         yield ["verify", "--algebra", name, "--n", n, *extra, "--expr", expr,
                "--samples", str(EXPR_SAMPLES)]
