@@ -318,6 +318,12 @@ def _verify_equation(cfg):
     info = EQUATIONS.get(name)
     if info is None:
         raise ValueError(f"unknown equation {name!r}")
+    # the residual and its algebra read mu or mass where ``reads`` names
+    # it, and neither reads lam or m
+    for key in ("lam", "m", "mu", "mass"):
+        if key in cfg and key not in info.reads:
+            raise ValueError(f"--equation {name} reads no "
+                             f"{_SETTINGS[key][0]}")
     n = cfg["n"]
     params = {k: cfg[k] for k in ("mu", "mass", "k", "seed") if k in cfg}
     residual = info.build(n, **params)
@@ -401,6 +407,18 @@ def _check_functions(command, cfg):
     if name != "AP_inf":
         raise ValueError("--function applies only to the AP_inf algebra: "
                          "--algebra AP_inf or verify of an eikonal equation")
+
+
+def _check_unread(command, cfg):
+    """``--expr`` and ``--equation`` under rank and completeness, and
+    ``--algebra`` and ``--equation`` under eval, are read by nothing: usage
+    errors."""
+    unread = ("algebra", "equation") if command == "eval" else \
+        ("expr", "equation") if command in ("rank", "completeness") else ()
+    for key in unread:
+        if key in cfg:
+            raise ValueError(f"{_SETTINGS[key][0]} does not apply to "
+                             f"{command}")
 
 
 def _cmd_verify(cfg):
@@ -489,6 +507,7 @@ def main(argv=None, stream=None) -> int:
         _check_k(args.command, cfg)
         _check_field(args.command, cfg)
         _check_functions(args.command, cfg)
+        _check_unread(args.command, cfg)
         if args.command == "eval":
             return _cmd_eval(cfg, args, stream)
         if args.command == "verify":

@@ -25,9 +25,14 @@ U_r^-1.  Vector selectors: an integer ``r`` or ``du<r>`` is the gradient
 du_r (default 1), ``x`` the position, ``thvec<r>`` is du_r/u_r - du_1/u_1,
 ``dut<r>`` the u_{r,x_a t}, ``bth<r>`` the boost theta c u_{r,x_a t} +
 (U_r du_r)_a (c as in :func:`compiler`), ``ith<r>`` the theta solving U_r
-theta = dut<r>, and ``v + w`` a sum; ``inv``, ``dut``, ``bth`` and ``ith``
-need a time binding.  For example ``S(2; theta1) * u1 ^ 2.0``,
-``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``, ``R(1; du1 + du2, 1)``.
+theta = dut<r>, ``tau<r>(lam)`` the tau of the massless Schroedinger N3,
+solving (lam U_r + du_r du_r^T) tau = du_r u_{r,t} + lam dut<r> with the
+number literal lam, ``r4vec<r>`` the vector of the massless R^4 of field
+r and its conjugate partner, and ``v + w`` and ``v - w`` a sum and a
+difference; ``inv``, ``dut``, ``bth``, ``ith``, ``tau`` and ``r4vec`` need
+a time binding, and ``r4vec`` a conjugate pair.  For example
+``S(2; theta1) * u1 ^ 2.0``, ``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``,
+``R(1; du1 + du2, 1)``, ``contract(tau1(0.4), du1 - du2)``.
 
 The same compiler binds generator coefficients, such as ``-1.0 * x3`` or
 ``(-1.5 * t + 1.0 * (x1 * x1 + x2 * x2) / 2.0) * u1``, and ``--function``
@@ -60,7 +65,9 @@ from .invcat import (
     _jets,
     _power,
     _quad,
+    _r4_vector,
     _rinv,
+    _tau,
     _tensor_cached,
     covariant_tensor,
     determinant,
@@ -319,15 +326,24 @@ def _reads(n_base, n_fields, kinds, rs=None):
     return frozenset(_dep_coords(n_base, n_fields, kinds, rs))
 
 
+def _literal(node):
+    """The value of a number literal, negated or not, else None."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Neg) and isinstance(node.arg, Num):
+        return -node.arg.value
+    return None
+
+
 def _is_int_literal(node):
-    inner = node.arg if isinstance(node, Neg) else node
-    return isinstance(inner, Num) and float(inner.value).is_integer()
+    value = _literal(node)
+    return value is not None and float(value).is_integer()
 
 
 def _int_arg(node, what):
     if not _is_int_literal(node):
         raise BindError(f"{what} must be an integer literal")
-    return -int(node.arg.value) if isinstance(node, Neg) else int(node.value)
+    return int(_literal(node))
 
 
 def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
@@ -343,6 +359,9 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     coordinates and constants are real.  ``bth<r>`` reads the boost weight
     ``mu`` as c = mu, or on a conjugate pair of slots, where mu is the
     mass, as c = -i mu on the field slot and +i mu on its conjugate.
+    ``tau<r>(lam)`` takes its lam from the text, so that a time binding
+    reads no ``lam`` and the catalog's Galilei rows share one compiler per
+    boost weight.
     """
     metric = metric or euclidean(n_base)
     if metric.dim != n_base:
@@ -382,9 +401,8 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         """Evaluator of ``node``, adding what it reads to ``reads``; a
         symbol, or a text or group the parser hands out again as the same
         node, is compiled once per conjugation."""
-        if isinstance(node, Num) or isinstance(node, Neg) and isinstance(
-                node.arg, Num):
-            c = node.value if isinstance(node, Num) else -node.arg.value
+        c = _literal(node)
+        if c is not None:
             return lambda view: c
         if not isinstance(node, Sym) and id(node) not in _GROUPED:
             return compile_new(node)
@@ -501,7 +519,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
 
     def _field_sel(sel, prefix):
         """Field index of an integer selector, or of ``<prefix><r>``."""
-        if isinstance(sel, Sym):
+        if isinstance(sel, (Sym, Call)):
             return resolve_field(sel.name[len(prefix):])
         return resolve_field(str(_int_arg(sel, "field index")))
 
@@ -539,17 +557,23 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         """Vector of a selector: ``r`` or ``du<r>`` the gradient du_r,
         ``x`` the position, ``thvec<r>`` du_r/u_r - du_1/u_1, and in a
         time binding ``dut<r>`` the u_{r,at}, ``bth<r>`` the boost theta
-        c u_{r,at} + (U_r du_r)_a and ``ith<r>`` the theta solving
-        U_r theta = dut<r>.  ``a + b`` is the sum of two vectors."""
-        if isinstance(sel, Bin) and sel.op == "+":
+        c u_{r,at} + (U_r du_r)_a, ``ith<r>`` the theta solving
+        U_r theta = dut<r>, ``tau<r>(lam)`` the tau of the massless N3
+        and, on a conjugate pair, ``r4vec<r>`` the vector of the massless
+        R^4.  ``a + b`` and ``a - b`` are the sum and the difference of
+        two vectors."""
+        if isinstance(sel, Bin) and sel.op in ("+", "-"):
+            op = _OPERATORS[sel.op]
             va, vb = vector(sel.left), vector(sel.right)
-            return lambda view: [a + b for a, b in zip(va(view), vb(view))]
+            return lambda view: [op(a, b) for a, b in zip(va(view),
+                                                           vb(view))]
         if isinstance(sel, Sym) and sel.name == "x":
             reads.append(_reads(n_base, n_fields, ("base",)))
             return lambda view: [view.x(i) for i in idx]
-        name = sel.name if isinstance(sel, Sym) else "du"
+        name = sel.name if isinstance(sel, (Sym, Call)) else "du"
         prefix = name.rstrip("0123456789")
-        if prefix not in ("du", "thvec", "dut", "bth", "ith"):
+        if isinstance(sel, Call) != (prefix == "tau") or prefix not in (
+                "du", "thvec", "dut", "bth", "ith", "tau", "r4vec"):
             raise BindError(f"unknown vector {name!r}")
         r = _field_sel(sel, prefix)
         if prefix == "du":
@@ -563,14 +587,25 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                                  - view.du(r1, i) / view.u(r1) for i in idx]
         if not time_mode:
             raise BindError(f"{name} is only valid in a time binding")
-        reads.append(_reads(n_base, n_fields, ("d1", "d2") if
-                            prefix == "bth" else ("d2",), rs=(r,)))
+        partner = field_kind.conjugate_index(r, n_fields)
+        if prefix == "r4vec":
+            if partner == r:
+                raise BindError(f"{name} needs a conjugate pair of fields")
+            reads.append(_reads(n_base, n_fields, ("d1", "d2"),
+                                rs=(r, partner)))
+            return lambda view: _r4_vector(view, r, partner, idx)
+        reads.append(_reads(n_base, n_fields, ("d2",) if prefix in (
+            "dut", "ith") else ("d1", "d2"), rs=(r,)))
         if prefix == "dut":
             return lambda view: _gvec_t(view, r, idx)
         if prefix == "ith":
             return lambda view: _implicit_theta(view, r, idx)
+        if prefix == "tau":
+            lam_ = _literal(sel.args[0]) if len(sel.args) == 1 else None
+            if lam_ is None or sel.fields:
+                raise BindError(f"{name} takes one number literal, lambda")
+            return lambda view: _tau(view, r, idx, lam_)
         # sgn = +1 on a field slot, -1 on its conjugate, as printed
-        partner = field_kind.conjugate_index(r, n_fields)
         c = mu if partner == r else -(1.0 if partner > r else -1.0) * (1j * mu)
         return lambda view: _boost_theta(c, *_jets(view, r, idx))
 

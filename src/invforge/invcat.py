@@ -737,30 +737,28 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
         if spec.rep != "log":
             raise ValueError("Galilei bases act on log-substituted jets; "
                              "use rep='log'")
-        if name.endswith("_I") or spec.mass != 0:
-            label, rows, expected, notes = _galilei_rows(spec, hat_variant)
-            # a member of the pair that reads no phase depends on the jets
-            # alone, as every real member does
-            kinds = ("field", "d1", "d2") if name.endswith("_II") \
-                else ("d1", "d2")
-            fam = _bind_rows(spec, label, rows, kinds, expected, ("d1", "d2"))
-            return replace(fam, notes=notes)
-        if name != "AG2_II":
+        if name in ("AG_II", "AG1_II") and spec.mass == 0:
             raise ValueError(f"no printed massless basis for {name}")
-        return _basis_galilei_complex_mass0(spec)
+        label, rows, expected, notes = _galilei_rows(spec, hat_variant)
+        # a member of the pair that reads no phase depends on the jets
+        # alone, as every real member does
+        kinds = ("field", "d1", "d2") if name.endswith("_II") \
+            else ("d1", "d2")
+        fam = _bind_rows(spec, label, rows, kinds, expected, ("d1", "d2"))
+        return replace(fam, notes=notes)
     raise ValueError(f"no basis catalog for algebra {name!r}")
 
 
 # catalog tables --------------------------------------------------------------
-# The Euclid, Poincare, conformal and Galilei families (all but the
-# massless complex pair) are lists of (member label, exprlang text) rows,
-# bound by the compiler behind ``exprlang.bind``, so any member's text also
-# checks as ``verify --expr``.  ``S(k; A)``, ``Sjk(j, k; A, B)`` and
-# ``R(k; v, A)`` are the power traces, mixed traces and power forms of the
-# Hessian U_r (selector ``r``) or of the tensors ``theta<r>`` and ``w<r>``,
-# against the gradient du_r (``r``), the position ``x`` or ``thvec<r>`` =
-# du_r/u_r - du_1/u_1; the Galilei rows (below) also read the time-binding
-# selectors ``dut<r>``, ``bth<r>``, ``ith<r>`` and ``inv<r>``.
+# The Euclid, Poincare, conformal and Galilei families are lists of
+# (member label, exprlang text) rows, bound by the compiler behind
+# ``exprlang.bind``, so any member's text also checks as ``verify --expr``.
+# ``S(k; A)``, ``Sjk(j, k; A, B)`` and ``R(k; v, A)`` are the power traces,
+# mixed traces and power forms of the Hessian U_r (selector ``r``) or of
+# the tensors ``theta<r>`` and ``w<r>``, against the gradient du_r (``r``),
+# the position ``x`` or ``thvec<r>`` = du_r/u_r - du_1/u_1; the Galilei rows
+# (below) also read the time-binding selectors ``dut<r>``, ``bth<r>``,
+# ``ith<r>``, ``inv<r>``, ``tau<r>(lam)`` and ``r4vec<r>``.
 
 # algebras whose bases take fractional powers of u or divide by it: their
 # members, and ``verify --expr`` under them, sample positive field values
@@ -1029,14 +1027,15 @@ def rotation_pair_family(n: int) -> BasisFamily:
 
 
 # Galilei families (log-substituted jets: field 1 is log u / log psi) -------
-# The real families and the complex pair with mass != 0 are text rows over
-# t, x1..xn.  Each text repeats its kernel's operations in order, with the
-# boost constants printed in: two_c = 2c and c2 = c^2 with c = mu for the
-# real families and c = sgn*i*mass for field r of the complex pair (sgn =
-# +1 for psi, -1 for psi*).  The boost theta ``bth<r>`` takes its time
-# coefficient from the binding, as printed: mu, or -sgn*i*mass.  The
-# massless pair and the bordered determinants stay closures over the
-# kernels below: the tau solve of N3 and the vector of R^4 are no kernels.
+# Every Galilei family is text rows over t, x1..xn.  Each text repeats its
+# kernel's operations in order, with the boost constants printed in:
+# two_c = 2c and c2 = c^2 with c = mu for the real families and
+# c = sgn*i*mass for field r of the complex pair (sgn = +1 for psi, -1 for
+# psi*).  The boost theta ``bth<r>`` takes its time coefficient from the
+# binding, as printed: mu, or -sgn*i*mass.  The massless pair's N3 and R^4
+# read the kernels :func:`_tau` and :func:`_r4_vector` (selectors
+# ``tau<r>(lam)`` and ``r4vec<r>``).  Only the bordered determinants of
+# :func:`galilei_mu0_determinant_family` stay closures.
 
 
 def _spatial(n):
@@ -1089,38 +1088,43 @@ def _implicit_theta(view, r, sp):
         _hess_of(v, r, sp), _gvec_t(v, r, sp), "Hessian"))
 
 
-def _lead0(view, r, sp):
-    """The mu = 0 M1: u_t - du.theta."""
-    return view.du(r, 0) - sum_prod(_gvec(view, r, sp),
-                                    _implicit_theta(view, r, sp))
-
-
-def _sec0(view, r, sp):
-    """The mu = 0 M2: u_tt - du_t.theta."""
-    return view.ddu(r, 0, 0) - sum_prod(_gvec_t(view, r, sp),
-                                        _implicit_theta(view, r, sp))
-
-
 def _rinv(view, r, sp):
     """U^-1, cached per view."""
     return _tensor_cached(view, ("rinv", r), lambda v: mat_inverse(
         _hess_of(v, r, sp), "Hessian"))
 
 
-def _quad_inv(view, r, sp):
-    """du.U^-1.du."""
-    return _quad(0.0, _gvec(view, r, sp), _rinv(view, r, sp))
+def _tau(view, r, sp, lam):
+    """The tau of the massless N3, solving A^T tau = du u_t + lam du_t with
+    A = lam U + du du^T, all of field r."""
+    n, du = len(sp), _gvec(view, r, sp)
+    a = [[lam * view.ddu(r, sp[ai], sp[bi]) + du[ai] * du[bi]
+          for bi in range(n)] for ai in range(n)]
+    rhs = [du[bi] * view.du(r, 0) + lam * view.ddu(r, sp[bi], 0)
+           for bi in range(n)]
+    return solve_linear([[a[ai][bi] for ai in range(n)] for bi in range(n)],
+                        rhs, "tau system")
 
 
-def _leader0(view, r, sp, lam):
-    """The mu = 0 / mass = 0 leader lead^2 + sec (lam + du.U^-1.du)."""
-    return _power(_lead0(view, r, sp), 2) \
-        + _sec0(view, r, sp) * (lam + _quad_inv(view, r, sp))
-
-
-def _over(num, den, e):
-    """Member num / den^e."""
-    return lambda v: num(v) / _power(den(v), e)
+def _r4_vector(view, r, s, sp):
+    """The vector of the massless R^4 of field r and its partner s:
+    lead (U_r^-1 du_s - U_s^-1 du_r) - (sum du_r U_r U_r^-1) dth, with the
+    mu = 0 M1 lead = u_t - du_r.theta_r and dth = theta_r - theta_s."""
+    th1, th2 = _implicit_theta(view, r, sp), _implicit_theta(view, s, sp)
+    dth = [th1[a] - th2[a] for a in range(len(sp))]
+    du1, du2 = _gvec(view, r, sp), _gvec(view, s, sp)
+    r1m, r2m = _rinv(view, r, sp), _rinv(view, s, sp)
+    u1 = _hess_of(view, r, sp)
+    lead = view.du(r, 0) - sum_prod(du1, th1)
+    out = []
+    for a in range(len(sp)):
+        mixed = sum_prod(r1m[a], du2) - sum_prod(r2m[a], du1)
+        coupling = 0.0
+        for b in range(len(sp)):
+            for d in range(len(sp)):
+                coupling = coupling + du1[b] * u1[a][d] * r1m[b][d]
+        out.append(lead * mixed - coupling * dth[a])
+    return out
 
 
 _HAT_NOTES = "hatted sums implemented as printed; see per-member verdicts"
@@ -1165,7 +1169,7 @@ def _rhat_text(r_text, tr, n, k, uniform):
 
 def _galilei_rows(spec, hat_variant):
     """(family label, (member label, text) rows, expected count, notes) of
-    a real Galilei family or of the complex pair with mass != 0."""
+    a Galilei family."""
     if spec.name.endswith("_II"):
         return _galilei_pair_rows(spec, hat_variant)
     n, mu, lam = spec.n, spec.mu, spec.lam
@@ -1229,6 +1233,8 @@ def _galilei_rows(spec, hat_variant):
 def _galilei_pair_rows(spec, hat_variant):
     n, mass = spec.n, spec.mass
     ks = range(1, n + 1)
+    if mass == 0:
+        return _massless_pair_rows(n, spec.lam)
     # field 1 is psi (sgn = +1), field 2 psi* (sgn = -1)
     m1, m2, n2, n1 = {}, {}, {}, {}
     for r, sgn in ((1, 1.0), (2, -1.0)):
@@ -1312,6 +1318,45 @@ def _galilei_pair_rows(spec, hat_variant):
         rows, 4 + 3 * n + len(sjk_range), _HAT_NOTES)
 
 
+def _massless_pair_rows(n, lam):
+    """Rows of AG2_II at mass 0.  N1 of field r is AG_I's mu = 0 leader
+    M1^2 + M2 (lam + du.U^-1.du) of that field."""
+    ks = range(1, n + 1)
+    lead = {r: f"(u{r}_t - contract(du{r}, ith{r}))" for r in (1, 2)}
+    n1 = {r: f"{lead[r]} ^ 2 + (u{r}_tt - contract(dut{r}, ith{r}))"
+             f" * ({lam!r} + quad(du{r}, inv{r}))" for r in (1, 2)}
+    phases = "(u1 + u2)"
+    s_rows = [(f"S{j},{k}^2/N1^{k}",
+               _over_text(f"Sjk({j}, {k}; 1, 2) ^ 2", n1[1], k))
+              for k in ks for j in range(0, k + 1)]
+    # R^1 and R^2 take du1 and du2, R^3 theta1 - theta2 and R^4 its vector
+    vecs = {1: "du1", 2: "du2", 3: "ith1 - ith2", 4: "r4vec1"}
+
+    def r_sq(w, k):
+        return f"R({k}; {vecs[w]}, 1) ^ 2"
+
+    if lam == 0:
+        n2 = f"{lead[1]} * quad(du2, inv2) - {lead[2]} * quad(du1, inv1)"
+        rows = [("phi+phi*", "u1 + u2"),
+                ("N1^2/N2^2", f"({n1[1]}) ^ 2 / ({n2}) ^ 2"),
+                ("N1*^2/N2", f"({n1[2]}) ^ 2 / ({n2})")] + s_rows
+        rows += [(f"R{k}^{w}^2*N1^{-k - 1}",
+                  f"{r_sq(w, k)} * ({n1[1]}) ^ {-k - 1}")
+                 for w in (1, 2, 4) for k in ks]
+    else:
+        n3 = f"(u1_t - u2_t) - contract(tau1({lam!r}), du1 - du2)"
+        rows = [(f"N1*e^(4/{lam:g})(phi+phi*)",
+                 f"({n1[1]}) * exp({4.0 / lam!r} * {phases})"),
+                ("N1*/N1", f"({n1[2]}) / ({n1[1]})"),
+                (f"N3*e^(3/{lam:g})(phi+phi*)",
+                 f"({n3}) * exp({3.0 / lam!r} * {phases})")]
+        rows += [(f"R{k}^{w}^2/N1^{k}", _over_text(r_sq(w, k), n1[1], k))
+                 for w in (1, 2, 3) for k in ks]
+        rows += s_rows
+    return (f"schroedinger-galilei-projective n={n} mass=0 lam={lam:g}",
+            rows, len(rows), "implemented as printed; see per-member verdicts")
+
+
 def galilei_mu0_determinant_family(n: int) -> BasisFamily:
     """Variant of the mu=0 family with bordered-determinant leaders."""
     spec = AlgebraSpec("AG_I", n, mu=0.0, rep="log")
@@ -1331,101 +1376,6 @@ def galilei_mu0_determinant_family(n: int) -> BasisFamily:
     members += list(fam.members[2:])
     return BasisFamily(f"galilei n={n} mu=0 (determinants)", spec,
                        tuple(members), fam.expected_count, fam.space, fam.deps)
-
-
-def _phases(v):
-    return v.u(1) + v.u(2)
-
-
-def _basis_galilei_complex_mass0(spec):
-    n, lam = spec.n, spec.lam
-    sp, ks, signs = _spatial(n), range(1, n + 1), euclidean(n).signs
-    # members over the jets alone, and over the phases too
-    space = JetSpace(n + 1, 2, COMPLEX, euclidean(n))
-    deps_all = _dep_coords(n + 1, 2, ("field", "d1", "d2"))
-    jet = functools.partial(ScalarJetFunction, space=space,
-                            deps=_dep_coords(n + 1, 2, ("d1", "d2")))
-    phase = functools.partial(ScalarJetFunction, deps=deps_all, space=space)
-
-    def n1(v, r):
-        return _leader0(v, r, sp, lam)
-
-    def n2(v):
-        return _lead0(v, 1, sp) * _quad_inv(v, 2, sp) \
-            - _lead0(v, 2, sp) * _quad_inv(v, 1, sp)
-
-    def n3(v):
-        du1 = _gvec(v, 1, sp)
-        a = [[lam * v.ddu(1, sp[ai], sp[bi]) + du1[ai] * du1[bi]
-              for bi in range(n)] for ai in range(n)]
-        rhs = [du1[bi] * v.du(1, 0) + lam * v.ddu(1, sp[bi], 0)
-               for bi in range(n)]
-        tau = solve_linear([[a[ai][bi] for ai in range(n)] for bi in range(n)],
-                           rhs, "tau system")
-        diff = [v.du(1, x) - v.du(2, x) for x in sp]
-        return (v.du(1, 0) - v.du(2, 0)) - sum_prod(tau, diff)
-
-    def vec4(v, dth):
-        # the vector of R^4, from dth = theta1 - theta2
-        du1, du2 = _gvec(v, 1, sp), _gvec(v, 2, sp)
-        r1m, r2m = _rinv(v, 1, sp), _rinv(v, 2, sp)
-        u1, lead = _hess_of(v, 1, sp), _lead0(v, 1, sp)
-        out = []
-        for a in range(n):
-            mixed = sum_prod(r1m[a], du2) - sum_prod(r2m[a], du1)
-            coupling = 0.0
-            for b in range(n):
-                for d in range(n):
-                    coupling = coupling + du1[b] * u1[a][d] * r1m[b][d]
-            out.append(lead * mixed - coupling * dth[a])
-        return out
-
-    def r_sq(v, which, k):
-        if which in (1, 2):
-            vec = _gvec(v, which, sp)
-        else:
-            th1, th2 = _implicit_theta(v, 1, sp), _implicit_theta(v, 2, sp)
-            vec = [th1[a] - th2[a] for a in range(n)]
-            if which == 4:
-                vec = vec4(v, vec)
-        return _power(_R(v, vec, _hessian(1, sp), signs, k), 2)
-
-    def s_sq(v, j, k):
-        s_jk = _Sjk(v, _hessian(1, sp), _hessian(2, sp), signs, j, k)
-        return _power(s_jk, 2)
-
-    def n1_1(v):
-        return n1(v, 1)
-
-    s_members = [jet(f"S{j},{k}^2/N1^{k}",
-                     _over(functools.partial(s_sq, j=j, k=k), n1_1, k))
-                 for k in ks for j in range(0, k + 1)]
-    if lam == 0:
-        members = [
-            phase("phi+phi*", _phases),
-            jet("N1^2/N2^2", lambda v: _power(n1(v, 1), 2) / _power(n2(v), 2)),
-            jet("N1*^2/N2", lambda v: _power(n1(v, 2), 2) / n2(v)),
-        ] + s_members
-        members += [jet(f"R{k}^{w}^2*N1^{-k - 1}",
-                        lambda v, w=w, k=k: r_sq(v, w, k)
-                        * _power(n1(v, 1), -k - 1))
-                    for w in (1, 2, 4) for k in ks]
-    else:
-        members = [
-            phase(f"N1*e^(4/{lam:g})(phi+phi*)",
-                  lambda v: n1(v, 1) * dexp((4.0 / lam) * _phases(v))),
-            jet("N1*/N1", lambda v: n1(v, 2) / n1(v, 1)),
-            phase(f"N3*e^(3/{lam:g})(phi+phi*)",
-                  lambda v: n3(v) * dexp((3.0 / lam) * _phases(v))),
-        ]
-        members += [jet(f"R{k}^{w}^2/N1^{k}",
-                        _over(functools.partial(r_sq, which=w, k=k), n1_1, k))
-                    for w in (1, 2, 3) for k in ks]
-        members += s_members
-    return BasisFamily(
-        f"schroedinger-galilei-projective n={n} mass=0 lam={lam:g}", spec,
-        tuple(members), len(members), space, deps_all,
-        notes="implemented as printed; see per-member verdicts")
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .invcat import (
     gradient_view,
     seeded_view,  # noqa: F401  (invbench/tracer.py wraps verify.seeded_view)
     solve_columns,
+    sum_prod,
 )
 from .jetspace import JetPoint
 from .liealg import catalog, coefficient_rows, flow_positions, \
@@ -196,14 +197,6 @@ def _points(ops, members, coords, sampler, count, draw=None):
                [op.flow_table(point, at) for op in ops], at)
 
 
-def _apply(row, grad):
-    """X(F) = sum_c X_c dF/dc of the flow row ``row`` on the gradient."""
-    acc = 0.0
-    for c, g in zip(row, grad):
-        acc = acc + c * g
-    return acc
-
-
 def _verdict(resid, scale, tol):
     """The one PASS rule of every check record."""
     return "PASS" if resid <= tol * (1.0 + scale) else "FAIL"
@@ -225,7 +218,7 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
             for op, row in zip(ops, rows):
                 cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
                 for mem, val, grad in zip(members, values, jac):
-                    resid = _apply(row, grad)
+                    resid = sum_prod(row, grad)
                     if not is_finite(resid):
                         raise EvaluationError(f"non-finite residual for "
                                               f"{mem.label} under {op.label}")
@@ -422,7 +415,7 @@ def _lstsq(a, bs):
         x = [0.0] * len(a[0])
         for (_, c, _), v in zip(pivots, sol):
             x[c] = v
-        fits.append((x, sum(abs(bi - _apply(row, x)) ** 2
+        fits.append((x, sum(abs(bi - sum_prod(row, x)) ** 2
                             for row, bi in zip(a, b)) ** 0.5))
     return fits
 
@@ -473,7 +466,7 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
                     acc += sign * t[c]
                 row.append(acc)
             rows.append(row + [t[cell]])
-        rhs = [[_apply(flow, jac[cell]) for cell in cells] for flow in flows]
+        rhs = [[sum_prod(flow, jac[cell]) for cell in cells] for flow in flows]
         for op, b, (fit, resid) in zip(ops, rhs, _lstsq(rows, rhs)):
             if not is_finite(resid):
                 raise EvaluationError(

@@ -632,6 +632,44 @@ def test_eval_out_is_a_usage_error(tmp_path, capsys):
         "no report") == 2
 
 
+@pytest.mark.parametrize("argv,key,value,message", [
+    (["rank", "--algebra", "AO"], "expr", "S(2)",
+     "--expr does not apply to rank"),
+    (["rank", "--algebra", "AO"], "equation", "heat",
+     "--equation does not apply to rank"),
+    (["completeness", "--algebra", "AE"], "expr", "S(2)",
+     "--expr does not apply to completeness"),
+    (["completeness", "--algebra", "AE"], "equation", "heat",
+     "--equation does not apply to completeness"),
+    (["eval", "--expr", "u_x1"], "algebra", "AE",
+     "--algebra does not apply to eval"),
+    (["eval", "--expr", "u_x1"], "equation", "heat",
+     "--equation does not apply to eval"),
+    (["verify", "--equation", "heat"], "lambda", "0.4",
+     "--equation heat reads no --lambda"),
+    (["verify", "--equation", "schrodinger"], "m", "2",
+     "--equation schrodinger reads no --m"),
+    (["verify", "--equation", "born-infeld"], "mu", "3",
+     "--equation born-infeld reads no --mu"),
+    (["verify", "--equation", "heat"], "mass", "2",
+     "--equation heat reads no --mass"),
+    (["verify", "--equation", "schrodinger-projective"], "mu", "0.5",
+     "--equation schrodinger-projective reads no --mu"),
+])
+def test_unread_flag_is_a_usage_error(argv, key, value, message, tmp_path,
+                                      capsys):
+    # each ran and exited 0, reading nothing of the flag
+    from invforge import cli
+
+    argv = [*argv, "--n", "3", "--samples", "2"]
+    cfg = _config_file(tmp_path, f"{key}={value}\n")
+    out = io.StringIO()
+    assert cli.main([*argv, f"--{key}", value], stream=out) == 2
+    assert cli.main([*argv, "--config", cfg], stream=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.count(message) == 2
+
+
 def test_rank_without_tol_reports_as_before(tmp_path):
     from invforge import cli
 

@@ -410,9 +410,10 @@ def test_scalar_function_follows_the_expression_rules():
 
 
 def _galilei_member_rows():
-    """(name, kw, label, text) of every row of the Galilei families that
-    are text rows, at n = 3, over boost weights, masses and both hat
-    variants; a row the uniform variant leaves as printed appears once."""
+    """(name, kw, label, text) of every row of the Galilei families at
+    n = 3, over boost weights, masses, the massless AG2_II's lam and both
+    hat variants; a row the uniform variant leaves as printed appears
+    once."""
     from invforge.invcat import _galilei_rows
     from invforge.liealg import make_spec
 
@@ -420,7 +421,9 @@ def _galilei_member_rows():
                 for mu in (1.0, 0.5, 0.0)]
                + [(name, {"mass": mass})
                   for name in ("AG_II", "AG1_II", "AG2_II")
-                  for mass in (1.0, 0.5)])
+                  for mass in (1.0, 0.5)]
+               + [("AG2_II", {"mass": 0.0, "lam": lam})
+                  for lam in (0.0, 0.4, 1.0)])
     out, seen = [], set()
     for name, kw in configs:
         for hat in ("printed", "uniform"):
@@ -468,10 +471,28 @@ def test_catalog_member_text_binds_to_the_member(name, kw, label, text):
                                   "R(1; 1, x)", "Sjk(1, 2; 1, w3)",
                                   "R(1; bth1, 1)", "contract(du1, dut1)",
                                   "contract(ith1, du1)", "S(1; inv1)",
-                                  "quad(du1, inv1)", "R(1; bth3, 1)"])
+                                  "quad(du1, inv1)", "R(1; bth3, 1)",
+                                  "contract(tau1(0.4), du1)",
+                                  "R(1; r4vec1, 1)", "R(1; du1 - dut1, 1)"])
 def test_selector_errors(text):
     with pytest.raises(BindError):
         bind(text, 3, n_fields=2)
+
+
+@pytest.mark.parametrize("text,kw", [
+    # r4vec reads a field and its conjugate partner
+    ("R(1; r4vec1, 1)", {"n_fields": 2}),
+    ("R(1; r4vec1, 1)", {"n_fields": 1, "field_kind": COMPLEX}),
+    # tau takes its lam as one number literal
+    ("contract(tau1(u1), du1)", {"n_fields": 2}),
+    ("contract(tau1(0.4, 1.0), du1)", {"n_fields": 2}),
+    ("contract(tau1(0.4; 1), du1)", {"n_fields": 2}),
+    ("contract(tau1, du1)", {"n_fields": 2}),
+    ("contract(bth1(0.4), du1)", {"n_fields": 2}),
+])
+def test_time_selector_errors(text, kw):
+    with pytest.raises(BindError):
+        bind(text, 4, time_mode=True, **kw)
 
 
 def test_tensor_selectors_need_a_spatial_binding():
