@@ -21,9 +21,9 @@ from . import __version__
 from .exprlang import BindError, ParseError, bind, bind_scalar_function, \
     needs_positive_u
 from .invcat import EQUATIONS, POSITIVE_FIELD_ALGEBRAS, TENSORS, basis
-from .jetspace import COMPLEX, REAL, to_log_jets
-from .liealg import algebra_space, catalog, generic_rank, make_sampler, \
-    make_spec, prolong2
+from .jetspace import FieldKind, to_log_jets
+from .liealg import _FAMILIES, algebra_space, catalog, generic_rank, \
+    make_sampler, make_spec, prolong2
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
@@ -108,6 +108,10 @@ _SETTINGS = {
                     "reading of the hatted projective sums "
                     "(default: printed)"),
 }
+# filled in after the reads check, so no default counts as given; the
+# seed's default is INVFORGE_SEED, else 0
+_DEFAULTS = {"n": 3, "samples": DEFAULT_SAMPLES, "tol": DEFAULT_TOL,
+             "hat_variant": "printed"}
 
 
 @functools.cache
@@ -165,6 +169,8 @@ def _read_config_file(path):
 
 
 def _merge_config(args):
+    """The settings given, from the config file and then the flags, which
+    override it; no defaults are filled in."""
     cfg = {}
     if getattr(args, "config", None):
         raw = _read_config_file(args.config)
@@ -186,51 +192,95 @@ def _merge_config(args):
     funcs = getattr(args, "function", None)
     if funcs:
         cfg["functions"] = tuple(funcs)
-    cfg.setdefault("seed", _env_seed())
-    cfg.setdefault("samples", DEFAULT_SAMPLES)
-    if cfg["samples"] < 1:
+    if cfg.get("samples", 1) < 1:
         raise ValueError(f"samples must be at least 1, got {cfg['samples']}")
-    if "tol" in cfg:
-        if not 0.0 <= cfg["tol"] < math.inf:
-            raise ValueError(f"tol must be finite and non-negative, got "
-                             f"{cfg['tol']}")
-        # rank's pivot threshold is the constant RANK_PIVOT_RTOL
-        if args.command == "rank":
-            raise ValueError("--tol applies only to verify and completeness")
-    cfg.setdefault("tol", DEFAULT_TOL)
-    cfg.setdefault("n", 3)
-    cfg.setdefault("hat_variant", "printed")
+    if not 0.0 <= cfg.get("tol", 0.0) < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got "
+                         f"{cfg['tol']}")
     return cfg
 
 
-def _bind_functions(entries):
-    """(name, bound function) pairs from ``--function NAME=EXPR`` values."""
-    pairs = []
-    for entry in entries:
-        fname, _, expr = entry.partition("=")
-        if not expr:
-            raise ValueError(f"expected NAME=EXPR, got {entry!r}")
-        pairs.append((fname.strip(), bind_scalar_function(expr.strip())))
-    return tuple(pairs)
-
-
-def _positive_u(cfg):
-    """Whether a ``--function`` text is real only at positive u."""
-    return any(needs_positive_u(entry.partition("=")[2])
-               for entry in cfg.get("functions", ()))
-
-
-def _spec_from_config(cfg):
+def _reads(command, cfg):
+    """The settings a run of ``command`` with the given ``cfg`` reads;
+    an unknown algebra or equation name is reported here."""
+    if command == "eval":
+        return {"expr", "n", "m", "lam", "field", "seed"}
+    if command == "verify" and "equation" in cfg:
+        info = EQUATIONS.get(cfg["equation"])
+        if info is None:
+            raise ValueError(f"unknown equation {cfg['equation']!r}")
+        reads = {"equation", "n", "seed", "samples", "tol", "out",
+                 *info.reads}
+        if info.name == "eikonal-trace":
+            reads.add("k")
+        return reads
     name = cfg.get("algebra")
     if not name:
         raise ValueError("an --algebra name is required")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown algebra family {name!r}")
+    reads = {"algebra", "n", "seed", "samples", "out", *_FAMILIES[name]}
+    if command != "rank":
+        # rank's pivot threshold is the constant RANK_PIVOT_RTOL
+        reads.add("tol")
+    if command == "verify" and "expr" in cfg:
+        reads |= {"expr", "field"}
+        if not name.startswith("AG"):
+            # the theta and w selectors read lam; a Galilei algebra's time
+            # binding refuses them
+            reads.add("lam")
+    elif command != "rank" and name == "AG2_I" and cfg.get("mu", 1.0) != 0:
+        # the one basis whose hatted sums have two readings
+        reads.add("hat_variant")
+    return reads
+
+
+def _check_reads(command, cfg):
+    """Reject the given settings that the run does not read, naming each
+    one's flag."""
+    reads = _reads(command, cfg)
+    run = " ".join([command] + [f"{_SETTINGS[key][0]} {cfg[key]}"
+                                for key in ("equation", "algebra")
+                                if key in reads])
+    unread = [f"{_SETTINGS[key][0] if key in _SETTINGS else '--function'} "
+              f"is not read by {run}" for key in cfg if key not in reads]
+    if unread:
+        raise ValueError("; ".join(unread))
+
+
+def _functions(cfg):
+    """(name, text) pairs of the ``--function NAME=EXPR`` values."""
+    pairs = []
+    for entry in cfg.get("functions", ()):
+        fname, _, text = entry.partition("=")
+        if not text:
+            raise ValueError(f"expected NAME=EXPR, got {entry!r}")
+        pairs.append((fname.strip(), text.strip()))
+    return pairs
+
+
+def _positive_u(name, cfg):
+    """Whether a run under the named algebra draws positive u: its basis is
+    drawn there, or a ``--function`` text is real only there."""
+    return name in POSITIVE_FIELD_ALGEBRAS or any(
+        needs_positive_u(text) for _, text in _functions(cfg))
+
+
+def _bind_functions(cfg):
+    """(name, bound function) pairs of the ``--function`` values."""
+    return tuple((fname, bind_scalar_function(text))
+                 for fname, text in _functions(cfg))
+
+
+def _spec_from_config(cfg):
+    name = cfg["algebra"]
     kw = {key: cfg[key] for key in ("m", "lam", "mu", "mass") if key in cfg}
-    if cfg.get("field") == "complex":
-        kw["field_kind"] = COMPLEX
+    if "field" in cfg:
+        kw["field_kind"] = FieldKind(cfg["field"])
     if "seed" in cfg and name == "AP_inf":
         kw["seed"] = cfg["seed"]
-    if cfg.get("functions"):  # _check_functions: the algebra is AP_inf
-        kw["functions"] = _bind_functions(cfg["functions"])
+    if "functions" in cfg:
+        kw["functions"] = _bind_functions(cfg)
         if any(fname == "d" for fname, _ in kw["functions"]):
             kw["extended"] = True
     if name.startswith("AG"):
@@ -314,30 +364,21 @@ def _verify_basis(cfg):
 
 
 def _verify_equation(cfg):
-    name = cfg["equation"]
-    info = EQUATIONS.get(name)
-    if info is None:
-        raise ValueError(f"unknown equation {name!r}")
-    # the residual and its algebra read mu or mass where ``reads`` names
-    # it, and neither reads lam or m
-    for key in ("lam", "m", "mu", "mass"):
-        if key in cfg and key not in info.reads:
-            raise ValueError(f"--equation {name} reads no "
-                             f"{_SETTINGS[key][0]}")
+    info = EQUATIONS[cfg["equation"]]
     n = cfg["n"]
     params = {k: cfg[k] for k in ("mu", "mass", "k", "seed") if k in cfg}
     residual = info.build(n, **params)
-    if cfg.get("functions"):
-        params["functions"] = _bind_functions(cfg["functions"])
+    if "functions" in cfg:
+        params["functions"] = _bind_functions(cfg)
     space = dataclasses.replace(residual.space, positive_fields=True) \
-        if _positive_u(cfg) else residual.space
+        if _positive_u(info.algebra, cfg) else residual.space
     spec = info.default_algebra(n, params)
     ops = [prolong2(f) for f in catalog(spec)]
     report = check_on_manifold(ops, residual, solve_for=info.solve_for,
                                n_samples=min(cfg["samples"], 20),
                                tol=cfg["tol"], seed=cfg["seed"],
                                sampler=space.sampler(cfg["seed"]))
-    return _record_checks("operator", f"equation:{name}",
+    return _record_checks("operator", f"equation:{info.name}",
                           ((rec.operator, rec) for rec in report.records))
 
 
@@ -351,7 +392,7 @@ def _verify_expression(cfg):
     # drawn where the algebra's basis is, so a pasted member's fractional
     # powers of u need no redraws
     space = dataclasses.replace(
-        fn.space, positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
+        fn.space, positive_fields=_positive_u(spec.name, cfg))
     report = check_absolute(ops, [fn], n_samples=cfg["samples"],
                             tol=cfg["tol"], seed=cfg["seed"],
                             sampler=space.sampler(cfg["seed"]))
@@ -359,77 +400,10 @@ def _verify_expression(cfg):
                           ((rec.operator, rec) for rec in report.records))
 
 
-def _check_hat_variant(command, cfg):
-    """``--hat-variant uniform`` changes only the hatted sums of the AG2_I
-    basis with mu != 0, which verify and completeness build; elsewhere it
-    is a usage error."""
-    hats_read = cfg.get("algebra") == "AG2_I" and cfg.get("mu", 1.0) != 0 \
-        and (command == "completeness" or command == "verify"
-             and not cfg.get("expr") and not cfg.get("equation"))
-    if cfg["hat_variant"] == "uniform" and not hats_read:
-        raise ValueError("--hat-variant uniform applies only to verify or "
-                         "completeness of the AG2_I basis with mu != 0")
-
-
-def _check_k(command, cfg):
-    """``--k`` is the order of eikonal-trace, the one reader of it;
-    elsewhere it is a usage error."""
-    if "k" in cfg and not (command == "verify"
-                           and cfg.get("equation") == "eikonal-trace"):
-        raise ValueError("--k applies only to verify --equation "
-                         "eikonal-trace")
-
-
-def _check_field(command, cfg):
-    """``--field`` sets the field kind of eval and verify --expr; elsewhere,
-    and as real under an _II algebra, whose fields are a complex pair, it
-    is a usage error."""
-    field = cfg.get("field")
-    if field is None or command == "eval":
-        return
-    if not (command == "verify" and cfg.get("expr")) or field == "real" \
-            and cfg.get("algebra", "").endswith("_II"):
-        raise ValueError("--field applies only to eval or verify --expr, "
-                         "and only as complex under an _II algebra")
-
-
-def _check_functions(command, cfg):
-    """``--function`` texts override AP_inf's sampled coefficients: a usage
-    error but for ``--algebra AP_inf`` and the eikonal equations."""
-    if not cfg.get("functions"):
-        return
-    name = cfg.get("algebra") if command != "eval" else None
-    if command == "verify" and cfg.get("equation"):
-        info = EQUATIONS.get(cfg["equation"])
-        if info is None:
-            return  # _verify_equation reports the unknown name
-        name = info.algebra
-    if name != "AP_inf":
-        raise ValueError("--function applies only to the AP_inf algebra: "
-                         "--algebra AP_inf or verify of an eikonal equation")
-
-
-def _check_unread(command, cfg):
-    """``--expr`` and ``--equation`` under rank and completeness, and
-    ``--algebra`` and ``--equation`` under eval, are read by nothing: usage
-    errors."""
-    unread = ("algebra", "equation") if command == "eval" else \
-        ("expr", "equation") if command in ("rank", "completeness") else ()
-    for key in unread:
-        if key in cfg:
-            raise ValueError(f"{_SETTINGS[key][0]} does not apply to "
-                             f"{command}")
-
-
 def _cmd_verify(cfg):
-    if cfg.get("equation"):
-        if cfg.get("algebra"):
-            raise ValueError("--equation runs the equation's own algebra; "
-                             "drop --algebra")
-        if cfg.get("expr"):
-            raise ValueError("--equation and --expr are exclusive")
+    if "equation" in cfg:
         return _verify_equation(cfg)
-    if cfg.get("expr"):
+    if "expr" in cfg:
         return _verify_expression(cfg)
     return _verify_basis(cfg)
 
@@ -440,8 +414,7 @@ def _cmd_rank(cfg):
     # the points the algebra's basis, if it has one, is drawn at
     sampler = make_sampler(
         spec.n_base, spec.n_fields, spec.field_kind, cfg["seed"],
-        positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS
-        or _positive_u(cfg))
+        positive_fields=_positive_u(spec.name, cfg))
     rank = generic_rank(ops, sampler, trials=max(3, cfg["samples"] // 10))
     checks = [{
         "name": f"rank:{spec.name}",
@@ -474,16 +447,13 @@ def _cmd_completeness(cfg):
 
 
 def _cmd_eval(cfg, args, stream):
-    if "out" in cfg:
-        raise ValueError("--out applies only to verify, rank and "
-                         "completeness: eval writes no report")
     if not cfg.get("expr"):
         raise ValueError("--expr is required for eval")
     n_base = cfg["n"]
     m = cfg.get("m", 1)
-    kind = COMPLEX if cfg.get("field") == "complex" else REAL
-    fn = bind(cfg["expr"], n_base, m, field_kind=kind,
-              lam=cfg.get("lam", 1.0), mu=cfg.get("mu", 1.0))
+    fn = bind(cfg["expr"], n_base, m,
+              field_kind=FieldKind(cfg.get("field", "real")),
+              lam=cfg.get("lam", 1.0))
     point = fn.space.sampler(cfg["seed"])(0)
     if getattr(args, "log_jets", False):
         point = to_log_jets(point)
@@ -503,11 +473,8 @@ def main(argv=None, stream=None) -> int:
         return _cmd_list(args, stream)
     try:
         cfg = _merge_config(args)
-        _check_hat_variant(args.command, cfg)
-        _check_k(args.command, cfg)
-        _check_field(args.command, cfg)
-        _check_functions(args.command, cfg)
-        _check_unread(args.command, cfg)
+        _check_reads(args.command, cfg)
+        cfg = {"seed": _env_seed(), **_DEFAULTS, **cfg}
         if args.command == "eval":
             return _cmd_eval(cfg, args, stream)
         if args.command == "verify":

@@ -1095,15 +1095,14 @@ def _rinv(view, r, sp):
 
 
 def _tau(view, r, sp, lam):
-    """The tau of the massless N3, solving A^T tau = du u_t + lam du_t with
+    """The tau of the massless N3, solving A tau = du u_t + lam du_t with
     A = lam U + du du^T, all of field r."""
     n, du = len(sp), _gvec(view, r, sp)
     a = [[lam * view.ddu(r, sp[ai], sp[bi]) + du[ai] * du[bi]
           for bi in range(n)] for ai in range(n)]
     rhs = [du[bi] * view.du(r, 0) + lam * view.ddu(r, sp[bi], 0)
            for bi in range(n)]
-    return solve_linear([[a[ai][bi] for ai in range(n)] for bi in range(n)],
-                        rhs, "tau system")
+    return solve_linear(a, rhs, "tau system")
 
 
 def _r4_vector(view, r, s, sp):
@@ -1405,7 +1404,11 @@ def _evolution(n, pair=False, mu=1.0, mass=1.0, **_):
         pair, lambda v: _trace(v, 1, sp, acc=c * v.du(1, 0)))
 
 
-def _projective(n, pair=False, mu=1.0, mass=1.0, f_const=0.75, **_):
+# the constant f of the projective-invariant flows
+_PROJECTIVE_F = 0.75
+
+
+def _projective(n, pair=False, mu=1.0, mass=1.0, **_):
     """N2 - c^2 N1^2 f with N1 = M1 + tr U and c = mu; on the complex pair
     (c = i mass) N2 - N1^2 f, as printed."""
     sp = _spatial(n)
@@ -1421,7 +1424,7 @@ def _projective(n, pair=False, mu=1.0, mass=1.0, f_const=0.75, **_):
         ut, tr = v.du(1, 0), mat_trace(jets[2])
         lhs = _n2(c2, two_c, v.ddu(1, 0, 0), ut, tr, n, *jets)
         sq = _power(_m1(two_c, ut, jets[0]) + tr, 2)
-        return lhs - (sq if pair else c2 * sq) * f_const
+        return lhs - (sq if pair else c2 * sq) * _PROJECTIVE_F
 
     return _galilei_residual(label, n, pair, fn)
 
@@ -1485,10 +1488,14 @@ def _eikonal_quasilinear(n, **_):
                         lambda v, sq, tr, form: form - sq * tr)
 
 
-def _conformal_power(n, f_coeffs=(1.0, 0.5), **_):
+# the coefficients c0, c1 of the conformal-power flow's f(u) = c0 + c1 u
+_CONFORMAL_F = (1.0, 0.5)
+
+
+def _conformal_power(n, **_):
     def combine(v, sq, tr, form):
         fu = 0.0
-        for c in reversed(f_coeffs):
+        for c in reversed(_CONFORMAL_F):
             fu = fu * v.u(1) + c
         return sq * tr / (1.0 - n) - form - _power(sq, 2) * fu
 

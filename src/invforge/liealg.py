@@ -305,11 +305,16 @@ def generic_rank(ops, sampler, trials: int = 5, coords=None) -> int:
 # algebra catalog
 
 
-_FAMILIES = (
-    "AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n",
-    "AG_I", "AG1_I", "AG2_I", "AG_II", "AG1_II", "AG2_II",
-    "AP_inf", "AP_BornInfeld",
-)
+# each family and the parameters of its spec that its generators and basis
+# read; the CLI rejects any other parameter given for it
+_FAMILIES = {
+    "AO": ("m",), "AE": ("m",), "AE1": ("m", "lam"), "AC": ("m", "lam"),
+    "AP": ("m",), "APtilde": ("m", "lam"), "AC1n": ("m", "lam"),
+    "AG_I": ("m", "mu"), "AG1_I": ("m", "lam", "mu"),
+    "AG2_I": ("m", "lam", "mu"), "AG_II": ("m", "mass"),
+    "AG1_II": ("m", "lam", "mass"), "AG2_II": ("m", "lam", "mass"),
+    "AP_inf": ("functions",), "AP_BornInfeld": (),
+}
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,9 @@ from .liealg import catalog, coefficient_rows, flow_positions, \
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 50
+# newton_project stops below this residual, or fails after this many steps
+_NEWTON_TARGET = 1e-12
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -249,8 +252,7 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
 
 
 def newton_project(residual: ScalarJetFunction, point: JetPoint,
-                   solve_for=None, target: float = 1e-12,
-                   max_iter: int = 50) -> JetPoint:
+                   solve_for=None) -> JetPoint:
     """Project a point onto the residual's zero set by adjusting one jet
     coordinate, ``solve_for``, or when it is None the coordinate with the
     largest derivative at ``point``.  :func:`check_on_manifold` passes the
@@ -275,9 +277,9 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
     else:
         slope = derivs(residual.fn(gradient_view(point, [cid])), 1)[0]
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         val = residual.eval(point)
-        if abs(val) < target:
+        if abs(val) < _NEWTON_TARGET:
             return point
         x = point.value(cid)
         if prev is not None:

@@ -108,6 +108,18 @@ def test_config_errors_exit_2():
                    "--expr", "u +* 2").returncode == 2
 
 
+def test_unknown_names_are_reported_before_unread_settings(capsys):
+    from invforge import cli
+
+    for argv, message in (
+            (["verify", "--algebra", "NOPE", "--mu", "3"],
+             "unknown algebra family 'NOPE'"),
+            (["verify", "--equation", "nope", "--lambda", "3"],
+             "unknown equation 'nope'")):
+        assert cli.main(argv, stream=io.StringIO()) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_report_determinism(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ("verify", "--algebra", "AE", "--n", "3", "--seed", "42",
@@ -211,7 +223,14 @@ def test_uniform_hat_variant_is_usage_error_where_unread(argv, capsys):
                      "--hat-variant", "uniform"], stream=out)
     assert code == 2
     assert out.getvalue() == ""
-    assert "--hat-variant uniform applies only to" in capsys.readouterr().err
+    assert f"--hat-variant is not read by {_run_name(argv)}" \
+        in capsys.readouterr().err
+
+
+def _run_name(argv):
+    """The run a usage error names: the command and the setting that picks
+    its run, as given first in ``argv``."""
+    return "eval" if argv[0] == "eval" else " ".join(argv[:3])
 
 
 def _config_file(tmp_path, text):
@@ -259,13 +278,15 @@ def test_config_file_lambda_key(tmp_path):
 ], ids=["verify-II-real", "verify-basis", "rank", "completeness",
         "verify-equation", "verify-expr-II-real"])
 def test_field_where_it_cannot_apply(argv, capsys):
+    # verify --expr reads --field, and the _II spec refuses a real one
     from invforge import cli
 
     out = io.StringIO()
     assert cli.main(list(argv), stream=out) == 2
     assert out.getvalue() == ""
-    assert "--field applies only to eval or verify --expr" \
-        in capsys.readouterr().err
+    message = "AG_II acts on a complex field pair" if "--expr" in argv \
+        else f"--field is not read by {_run_name(argv)}"
+    assert message in capsys.readouterr().err
 
 
 def test_field_applies_to_eval_and_verify_expr(tmp_path):
@@ -307,7 +328,8 @@ def test_config_file_hat_variant_is_checked_like_the_flag(tmp_path, capsys):
     cfg = _config_file(tmp_path, "algebra=AE\nn=3\nsamples=2\n"
                                  "hat_variant=uniform\n")
     assert cli.main(["verify", "--config", cfg], stream=io.StringIO()) == 2
-    assert "--hat-variant uniform applies only to" in capsys.readouterr().err
+    assert "--hat-variant is not read by verify --algebra AE" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -385,7 +407,7 @@ def test_function_where_no_ap_inf_algebra_reads_it(argv, capsys):
     from invforge import cli
 
     assert cli.main(list(argv), stream=io.StringIO()) == 2
-    assert "--function applies only to the AP_inf algebra" \
+    assert f"--function is not read by {_run_name(argv)}" \
         in capsys.readouterr().err
 
 
@@ -441,12 +463,15 @@ def test_equation_rejects_flags_it_would_ignore(extra, capsys):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_fractional_power_coefficient_draws_positive_u(seed):
-    """``u^0.5`` is real only at u > 0, so the eikonal check and the rank
-    of the eikonal algebra draw positive u and run to a verdict instead of
-    failing on a negative draw."""
+    """``u^0.5`` is real only at u > 0, so the eikonal check, an expression
+    under the eikonal algebra and its rank draw positive u and run to a
+    verdict instead of failing on a negative draw (verify --expr exited 3:
+    it consulted only the algebra)."""
     from invforge import cli
 
     for argv in (["verify", "--equation", "eikonal"],
+                 ["verify", "--algebra", "AP_inf", "--expr", _MINKOWSKI_GRAD,
+                  "--samples", "3"],
                  ["rank", "--algebra", "AP_inf"]):
         code = cli.main(argv + ["--n", "3", "--function", "eta=u^0.5",
                                 "--seed", str(seed)], stream=io.StringIO())
@@ -456,6 +481,7 @@ def test_fractional_power_coefficient_draws_positive_u(seed):
 # S(1) written out with each algebra's signs over its base coordinates
 _EUCLID_TRACE = "u_x1x1 + u_x2x2 + u_x3x3"
 _MINKOWSKI_TRACE = "u_x0x0 - u_x1x1 - u_x2x2 - u_x3x3"
+_MINKOWSKI_GRAD = "u_x0 * u_x0 - u_x1 * u_x1 - u_x2 * u_x2 - u_x3 * u_x3"
 
 
 @pytest.mark.parametrize("name,trace", [
@@ -596,7 +622,7 @@ def test_k_is_a_usage_error_but_for_eikonal_trace(command, tmp_path, capsys):
     assert cli.main([*argv, "--config", cfg], stream=out) == 2
     assert out.getvalue() == ""
     assert capsys.readouterr().err.count(
-        "--k applies only to verify --equation eikonal-trace") == 2
+        f"--k is not read by {_run_name(argv)}") == 2
 
 
 
@@ -612,7 +638,7 @@ def test_rank_tol_is_a_usage_error(tmp_path, capsys):
     assert cli.main([*argv, "--config", cfg], stream=out) == 2
     assert out.getvalue() == ""
     assert capsys.readouterr().err.count(
-        "--tol applies only to verify and completeness") == 2
+        "--tol is not read by rank --algebra AO") == 2
 
 
 def test_eval_out_is_a_usage_error(tmp_path, capsys):
@@ -627,42 +653,61 @@ def test_eval_out_is_a_usage_error(tmp_path, capsys):
     assert cli.main([*argv, "--config", cfg], stream=out) == 2
     assert out.getvalue() == ""
     assert not report.exists()
-    assert capsys.readouterr().err.count(
-        "--out applies only to verify, rank and completeness: eval writes "
-        "no report") == 2
+    assert capsys.readouterr().err.count("--out is not read by eval") == 2
+
+
+# eval of a theta selector, which reads lam but no mu
+_EVAL_THETA = ["eval", "--expr", "S(2; theta1) + u_x1"]
 
 
 @pytest.mark.parametrize("argv,key,value,message", [
     (["rank", "--algebra", "AO"], "expr", "S(2)",
-     "--expr does not apply to rank"),
+     "--expr is not read by rank --algebra AO"),
     (["rank", "--algebra", "AO"], "equation", "heat",
-     "--equation does not apply to rank"),
+     "--equation is not read by rank --algebra AO"),
     (["completeness", "--algebra", "AE"], "expr", "S(2)",
-     "--expr does not apply to completeness"),
+     "--expr is not read by completeness --algebra AE"),
     (["completeness", "--algebra", "AE"], "equation", "heat",
-     "--equation does not apply to completeness"),
+     "--equation is not read by completeness --algebra AE"),
     (["eval", "--expr", "u_x1"], "algebra", "AE",
-     "--algebra does not apply to eval"),
+     "--algebra is not read by eval"),
     (["eval", "--expr", "u_x1"], "equation", "heat",
-     "--equation does not apply to eval"),
+     "--equation is not read by eval"),
     (["verify", "--equation", "heat"], "lambda", "0.4",
-     "--equation heat reads no --lambda"),
+     "--lambda is not read by verify --equation heat"),
     (["verify", "--equation", "schrodinger"], "m", "2",
-     "--equation schrodinger reads no --m"),
+     "--m is not read by verify --equation schrodinger"),
     (["verify", "--equation", "born-infeld"], "mu", "3",
-     "--equation born-infeld reads no --mu"),
+     "--mu is not read by verify --equation born-infeld"),
     (["verify", "--equation", "heat"], "mass", "2",
-     "--equation heat reads no --mass"),
+     "--mass is not read by verify --equation heat"),
     (["verify", "--equation", "schrodinger-projective"], "mu", "0.5",
-     "--equation schrodinger-projective reads no --mu"),
+     "--mu is not read by verify --equation schrodinger-projective"),
+    *[(_EVAL_THETA, key, value, f"--{key} is not read by eval")
+      for key, value in (("mu", "3"), ("mass", "3"), ("samples", "9"),
+                         ("tol", "1"), ("hat-variant", "printed"))],
+    *[(["verify", "--algebra", "AE"], key, value,
+       f"--{key} is not read by verify --algebra AE")
+      for key, value in (("lambda", "7"), ("mu", "3"), ("mass", "2"))],
+    (["rank", "--algebra", "AG_I"], "lambda", "0.3",
+     "--lambda is not read by rank --algebra AG_I"),
+    (["verify", "--algebra", "AG_I", "--expr", "u_t * u_x1"], "lambda", "7",
+     "--lambda is not read by verify --algebra AG_I"),
+    (["rank", "--algebra", "AP_inf"], "lambda", "3",
+     "--lambda is not read by rank --algebra AP_inf"),
+    (["completeness", "--algebra", "AE"], "hat-variant", "printed",
+     "--hat-variant is not read by completeness --algebra AE"),
+    (["verify", "--equation", "heat"], "hat-variant", "printed",
+     "--hat-variant is not read by verify --equation heat"),
 ])
 def test_unread_flag_is_a_usage_error(argv, key, value, message, tmp_path,
                                       capsys):
     # each ran and exited 0, reading nothing of the flag
     from invforge import cli
 
-    argv = [*argv, "--n", "3", "--samples", "2"]
-    cfg = _config_file(tmp_path, f"{key}={value}\n")
+    argv = [*argv, "--n", "3"] if argv[0] == "eval" else \
+        [*argv, "--n", "3", "--samples", "2"]
+    cfg = _config_file(tmp_path, f"{key.replace('-', '_')}={value}\n")
     out = io.StringIO()
     assert cli.main([*argv, f"--{key}", value], stream=out) == 2
     assert cli.main([*argv, "--config", cfg], stream=out) == 2
