@@ -18,7 +18,7 @@ that of the fit on those pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .dual import EvaluationError, Jet2, derivs, is_finite
 from .invcat import (
@@ -280,7 +280,7 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
     for _ in range(_NEWTON_MAX_ITER):
         val = residual.eval(point)
         if abs(val) < _NEWTON_TARGET:
-            return point
+            return _on_section(point, cid)
         x = point.value(cid)
         if prev is not None:
             prev_x, prev_val = prev
@@ -294,6 +294,17 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
         prev = (x, val)
         point = point.replace(cid, x - val / slope)
     raise EvaluationError("Newton projection did not converge")
+
+
+def _on_section(point: JetPoint, cid) -> JetPoint:
+    """``point`` with the conjugate partner of ``cid``'s slot set to the
+    conjugate of ``cid``'s value, so that a point whose projection moved
+    one slot of a complex pair lies on the conjugate section again.  A
+    base coordinate, or a real field's, has no partner."""
+    r = cid.r if cid.kind == "base" else point.conjugate_index(cid.r)
+    if r == cid.r:
+        return point
+    return point.replace(replace(cid, r=r), point.value(cid).conjugate())
 
 
 def affine_coordinate(residual: ScalarJetFunction, point: JetPoint):

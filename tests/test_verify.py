@@ -1,5 +1,6 @@
 import io
 import json
+import dataclasses
 import math
 
 import pytest
@@ -395,6 +396,26 @@ def test_projection_first_slope_is_exact(no_dual, monkeypatch):
     assert abs(E.eval(projected)) < 1e-12
 
 
+@pytest.mark.parametrize("name, mass", [
+    ("schrodinger", 1.0), ("schrodinger-projective", 1.0),
+    ("schrodinger-projective", 0.0)])
+def test_projected_points_stay_on_the_conjugate_section(name, mass):
+    """A projection moves one slot of the complex pair; its partner slot
+    holds the conjugate of the solved value, as at a sampled point."""
+    E = equation_function(name, 3, mass=mass)
+    draw = verify._projecting_draw(E, EQUATIONS[name].solve_for, 4)
+    sampler = E.space.sampler(0)
+    for s in range(4):
+        point, _, _ = draw(sampler, [E], s)
+        cid = EQUATIONS[name].solve_for or verify.affine_coordinate(
+            E, sampler(0))
+        partner = point.conjugate_index(cid.r)
+        assert partner != cid.r
+        assert point.value(dataclasses.replace(cid, r=partner)) == \
+            point.value(cid).conjugate()
+        assert abs(E.eval(point)) < 1e-12
+
+
 def test_projection_raises_when_a_step_cannot_move(monkeypatch):
     """At u = 1e17 the step u - 1 rounds back to u: the second evaluation
     sees the same coordinate and raises instead of dividing 0 by 0."""
@@ -730,7 +751,8 @@ def test_rows_without_a_coordinate_project_every_sample(name, params):
 def test_rows_without_a_coordinate_land_in_one_step(name, params,
                                                     monkeypatch):
     """Along the picked coordinate the residual is affine, so the secant's
-    first step, on the exact slope, lands on the zero set."""
+    first step, on the exact slope, lands on the zero set.  On a complex
+    pair the landed point then takes the conjugate into the partner slot."""
     from invforge import verify
 
     steps = []
@@ -738,19 +760,23 @@ def test_rows_without_a_coordinate_land_in_one_step(name, params,
     original_project = verify.newton_project
 
     def replace(self, cid, value):
-        steps[-1] += 1
+        steps[-1].append(cid)
         return original_replace(self, cid, value)
 
     def project(*args):
-        steps.append(0)
+        steps.append([])
         return original_project(*args)
     monkeypatch.setattr(JetPoint, "replace", replace)
     monkeypatch.setattr(verify, "newton_project", project)
     for n in (3, 4):
         E = EQUATIONS[name].build(n, **params)
+        picked = verify.affine_coordinate(E, E.space.sampler(0)(0))
+        partner = E.space.sampler(0)(0).conjugate_index(picked.r)
+        step = [picked] + ([dataclasses.replace(picked, r=partner)]
+                           if partner != picked.r else [])
         steps.clear()
         check_on_manifold([], E, n_samples=5, seed=0)
-        assert steps == [1] * 5, n
+        assert steps == [step] * 5, n
 
 
 def test_picked_coordinates():
