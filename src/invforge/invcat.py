@@ -200,19 +200,22 @@ def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
 
 
 # --------------------------------------------------------------------------
-# jet views: plain evaluation, single-coordinate dual seeding, and
-# all-coordinate (vector-mode) seeding on first-order jets and on diagonal
-# second-order jets
+# jet views: plain evaluation, and one builder (_jet_view) seeding each
+# coordinate's jet slots three ways: unit vectors (gradient_view), the
+# operators' flow rows (operator_view) and diagonal second-order pairs
+# (curvature_view).  seeded_view, single-coordinate Dual seeding, is on no
+# verdict path.
 
 
 class _View:
     """Eager jet view: four tables laid out like a :class:`JetPoint`'s
     ``x``, ``u``, ``du`` and ``ddu`` (full symmetric matrices), read by
-    index.  The plain view wraps the point's own tuples; the seeded view
-    holds :class:`Dual` numbers, the gradient view :class:`Jet1` jets and
-    the curvature view :class:`Jet2` jets, built once (see
-    :func:`_jet_view`) and shared by every member evaluated on it together
-    with its ``cache``."""
+    index.  The plain view wraps the point's own tuples.  The gradient and
+    operator views hold :class:`Jet1` jets, seeded with unit vectors or
+    with the flow rows, and the curvature view :class:`Jet2` jets; each is
+    built once by :func:`_jet_view` and shared, with its ``cache``, by
+    every member evaluated on it.  The :class:`Dual` numbers of
+    :func:`seeded_view` are read only by tests and the benchmark tracer."""
 
     __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
 
@@ -253,26 +256,27 @@ def seeded_view(point, coord):
          for r, h in enumerate(point.ddu, 1)])
 
 
-def _jet_view(point, coords, width, places, jet):
+def _jet_view(point, coords, seeds, width, jet):
     """View whose reads are ``jet(value, d)`` jets: a read of ``coords[pos]``
-    carries 1.0 at the ``places(pos)`` of its ``width`` derivative slots,
-    any other read one list of ``width`` zeros shared by all of them."""
+    carries ``seeds[pos]`` as its ``width`` derivative slots, any other read
+    one list of ``width`` zeros shared by all of them.  No jet changes a
+    slot list in place, so the seeds are shared, not copied.  On
+    :class:`Jet1` jets, slot j of a function's result is then
+    sum_p seeds[p][j] * dF/dcoords[p]."""
     n, m = point.n_base, point.n_fields
-    # derivative lists shaped like the point's tables; each unit is filled
-    # in before any jet is built from it
+    # derivative lists shaped like the point's tables
     zero = [0.0] * width
     sx, su = [zero] * n, [zero] * m
     sdu = [[zero] * n for _ in range(m)]
     sddu = [[[zero] * n for _ in range(n)] for _ in range(m)]
-    for pos, c in enumerate(coords):
+    for c, seed in zip(coords, seeds):
         row, at = ((sx, c.i) if c.kind == "base" else
                    (su, c.r - 1) if c.kind == "field" else
                    (sdu[c.r - 1], c.i) if c.kind == "d1" else
                    (sddu[c.r - 1][c.i], c.j))
-        if row[at] is zero:
-            row[at] = [0.0] * width
-        for p in places(pos):
-            row[at][p] = 1.0
+        # a coordinate listed twice carries the sum of its seeds
+        row[at] = seed if row[at] is zero else \
+            [a + b for a, b in zip(row[at], seed)]
     return _View(
         [jet(v, d) for v, d in zip(point.x, sx)],
         [jet(v, d) for v, d in zip(point.u, su)],
@@ -286,7 +290,21 @@ def gradient_view(point, coords):
     coordinate in ``coords``: a read of ``coords[k]`` carries the k-th unit
     vector, any other read one list of k zeros shared by all of them.  Read
     the gradient off a function's result with :func:`dual.derivs`."""
-    return _jet_view(point, coords, len(coords), lambda pos: (pos,), Jet1)
+    k = len(coords)
+    return _jet_view(point, coords,
+                     [[float(p == pos) for p in range(k)] for pos in range(k)],
+                     k, Jet1)
+
+
+def operator_view(point, coords, rows):
+    """View whose reads are :class:`Jet1` jets seeded along the operators'
+    flow rows over ``coords``: a read of ``coords[p]`` carries (rows[0][p],
+    ..., rows[k-1][p]), so slot j of a function's result is X_j(F), the
+    j-th operator applied to it, read with :func:`dual.derivs`.  One pass
+    of width k gives every operator's X(F), where the gradient takes one
+    of width len(coords) and then a dot product per operator."""
+    return _jet_view(point, coords, [list(col) for col in zip(*rows)],
+                     len(rows), Jet1)
 
 
 def curvature_view(point, coords):
@@ -297,8 +315,10 @@ def curvature_view(point, coords):
     ``d[k + p]`` and ``d[2 * k + p]`` of the result for ``coords[p]``."""
     k = len(coords)
     shape = (k, tuple((i, k + i) for i in range(k)))
-    return _jet_view(point, coords, 3 * k, lambda pos: (pos, k + pos),
-                     lambda v, d: Jet2(v, d, shape))
+    return _jet_view(point, coords,
+                     [[float(p in (pos, k + pos)) for p in range(3 * k)]
+                      for pos in range(k)],
+                     3 * k, lambda v, d: Jet2(v, d, shape))
 
 
 # --------------------------------------------------------------------------

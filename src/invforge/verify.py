@@ -3,12 +3,21 @@ checks, functional-independence ranks, completeness accounting, and
 covariance fits.
 
 All checks are deterministic given (seed, parameters) and draw their
-points through one loop, :func:`_points`.  A check record is PASS when its
-residual stays within ``tol * (1 + scale)``, the one rule
-:func:`_verdict`.  For an invariance record the scale is the largest |F|
-times the norm of the operator's coefficient vector seen across samples,
-so verdicts survive rescaling of homogeneous invariants; for a covariance
-record it is the largest entry |X T| of the action seen across samples.
+points through one loop, :func:`_points`.  An invariance residual X_j(F)
+comes from one first-order jet pass per member whose seeds are the
+operators' flow rows (:func:`invcat.operator_view`), which gives every
+operator's residual at once.  The family Jacobian
+(:func:`family_jacobian`) is built only where a rank or a fit reads it:
+at completeness's rank points, where the residuals are then its dot
+products with the flow rows, in :func:`independence_rank` and in
+:func:`check_covariance`.
+
+A check record is PASS when its residual stays within ``tol * (1 +
+scale)``, the one rule :func:`_verdict`.  For an invariance record the
+scale is the largest |F| times the norm of the operator's coefficient
+vector seen across samples, so verdicts survive rescaling of homogeneous
+invariants; for a covariance record it is the largest entry |X T| of the
+action seen across samples.
 
 A covariance fit solves on the pivots of the scaled full-pivot elimination
 that also gives every rank (:func:`liealg.pivot_positions`), so one
@@ -27,6 +36,7 @@ from .invcat import (
     TensorBuilder,
     curvature_view,
     gradient_view,
+    operator_view,
     seeded_view,  # noqa: F401  (invbench/tracer.py wraps verify.seeded_view)
     solve_columns,
     sum_prod,
@@ -133,7 +143,9 @@ def family_jacobian(members, point: JetPoint, coords, cols=None) -> list:
     per member, all members sharing one gradient view (and so its jets
     and power caches).  Entries outside a member's dependency set are 0.0;
     a member with none of ``coords`` in it is not evaluated.  ``cols`` is
-    ``_columns(members, coords)``, which a check computes once."""
+    ``_columns(members, coords)``, which a check computes once.  Only the
+    ranks and covariance fits read it: :func:`_sweep` at its rank points,
+    :func:`independence_rank` and :func:`check_covariance`."""
     view = gradient_view(point, coords)
     rows = []
     for m, mcols in zip(members, cols or _columns(members, coords)):
@@ -189,14 +201,13 @@ def _draw(sampler, members, idx):
 def _points(ops, members, coords, sampler, count, draw=None):
     """Draw points 0 .. count - 1 once each, with ``draw`` (default
     :func:`_draw`), and yield per point (point, member values, first point
-    tried, family Jacobian, the operators' flow rows, ``at``)."""
-    cols = _columns(members, coords)
+    tried, the operators' flow rows over ``coords``, ``at``).  A check that
+    reads a rank builds the family Jacobian at the points it reads."""
     at = None
     for s in range(count):
         point, values, first = (draw or _draw)(sampler, members, s)
         at = at or flow_positions(point.n_base, point.n_fields, coords)
         yield (point, values, first,
-               family_jacobian(members, point, coords, cols),
                [op.flow_table(point, at) for op in ops], at)
 
 
@@ -210,18 +221,31 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
     """Judge every operator on every member over the first ``n_samples``
     points of :func:`_points`: per (operator, member) the largest |X(F)|
     against the scale, the largest |F| times the norm of the operator's
-    flow row.  Over the first ``trials`` points also take the largest
-    generic rank, at ``sampler(s)`` as :func:`generic_rank` reads it, and
-    Jacobian rank.  Returns (records, generic rank, independence rank)."""
+    flow row.  A point's residuals X(F) come from one pass seeded with the
+    flow rows (:func:`invcat.operator_view`).  Over the first ``trials``
+    points also take the largest generic rank, at ``sampler(s)`` as
+    :func:`generic_rank` reads it, and Jacobian rank; there the residuals
+    are the flow rows' dot products with the Jacobian's rows, so a rank
+    point makes one pass.  Returns (records, generic rank, independence
+    rank)."""
     worst, scales = {}, {}
     alg_rank = ind_rank = 0
-    for s, (point, values, first, jac, rows, at) in enumerate(_points(
+    cols = _columns(members, coords)
+    for s, (point, values, first, rows, at) in enumerate(_points(
             ops, members, coords, sampler, max(trials, n_samples), draw)):
+        jac = family_jacobian(members, point, coords, cols) \
+            if s < trials else None
         if s < n_samples:
-            for op, row in zip(ops, rows):
+            if jac is None:
+                view = operator_view(point, coords, rows)
+                resids = [derivs(m.fn(view), len(ops)) for m in members]
+            else:
+                resids = [[sum_prod(row, grad) for row in rows]
+                          for grad in jac]
+            for j, (op, row) in enumerate(zip(ops, rows)):
                 cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
-                for mem, val, grad in zip(members, values, jac):
-                    resid = sum_prod(row, grad)
+                for mem, val, mres in zip(members, values, resids):
+                    resid = mres[j]
                     if not is_finite(resid):
                         raise EvaluationError(f"non-finite residual for "
                                               f"{mem.label} under {op.label}")
@@ -377,9 +401,11 @@ def independence_rank(family, n_samples: int = 5, seed: int = 0,
     _need_samples(n_samples)
     members, coords, sampler, label = _parts(family, seed, sampler)
     best_rank, best_pivots = 0, ()
-    for _, _, _, jac, _, _ in _points([], members, coords, sampler,
-                                      n_samples):
-        rank, pivots = matrix_rank(jac)
+    cols = _columns(members, coords)
+    for point, _, _, _, _ in _points([], members, coords, sampler,
+                                     n_samples):
+        rank, pivots = matrix_rank(family_jacobian(members, point, coords,
+                                                   cols))
         if rank > best_rank:
             best_rank, best_pivots = rank, tuple(pivots)
     if expected is None:
@@ -467,9 +493,11 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     worst = {op.label: 0.0 for op in ops}
     scales = {op.label: 0.0 for op in ops}
     fits = {op.label: () for op in ops}
-    for _, t, _, jac, flows, _ in _points(
+    cols = _columns(comps, tensor.deps)
+    for point, t, _, flows, _ in _points(
             ops, comps, tensor.deps, sampler or tensor.space.sampler(seed),
             n_samples):
+        jac = family_jacobian(comps, point, tensor.deps, cols)
         rows = []
         for cell, pairs in zip(cells, mixing):
             row = []

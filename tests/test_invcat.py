@@ -26,6 +26,7 @@ from invforge.invcat import (
     mat_mul,
     mat_trace,
     mixed_power_trace,
+    operator_view,
     power_form,
     power_trace,
     seeded_view,
@@ -519,6 +520,29 @@ def test_gradient_view_seeds_sit_only_at_their_positions(n, m, kind):
             continue
         assert read.d == [1.0 if s == c else 0.0 for s in seeded]
         assert not any(read.d is z for z in zeros)
+
+
+@pytest.mark.parametrize("n,m,kind", _VIEW_POINTS)
+def test_operator_view_on_unit_rows_is_the_gradient_view(n, m, kind):
+    """Seeded with the unit rows, the operator view reads as the gradient
+    view bit for bit, at every slot and through every member of a basis:
+    the two are one builder with different seeds."""
+    point = sample_generic(n, m, kind, seed=8)
+    coords = enumerate_coords(n, m)
+    seeded = coords[::-3] + coords[-1:]
+    k = len(seeded)
+    units = [[float(p == j) for p in range(k)] for j in range(k)]
+    for (c, got), (_, want) in zip(
+            _slot_reads(operator_view(point, seeded, units), point),
+            _slot_reads(gradient_view(point, seeded), point), strict=True):
+        assert repr(got) == repr(want), str(c)
+    fam = basis(make_spec("AE", 3))
+    point = fam.space.sampler(2)(0)
+    k = len(fam.deps)
+    units = [[float(p == j) for p in range(k)] for j in range(k)]
+    for mem in fam.members:
+        assert repr(mem.fn(operator_view(point, fam.deps, units))) == \
+            repr(mem.fn(gradient_view(point, fam.deps)))
 
 
 def test_gradient_view_shares_one_dual_per_second_derivative_pair():

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from invforge import cli, verify
-from invforge.dual import Dual, EvaluationError, dexp
+from invforge.dual import Dual, EvaluationError, derivs, dexp
 from invforge.invcat import (
     EQUATIONS,
     TENSORS,
@@ -15,7 +15,9 @@ from invforge.invcat import (
     basis,
     covariant_tensor,
     equation_function,
+    operator_view,
     seeded_view,
+    sum_prod,
     two_matrix_trace_family,
 )
 from invforge.jetspace import (
@@ -47,6 +49,8 @@ from invforge.verify import (
 from references import mgs_lstsq, reference_covariance, \
     reference_independence_rank
 from test_report_identity import FIXTURE
+import verdict_digest
+from verdict_digest import EXPRESSIONS, MASSLESS_LAMBDAS
 
 
 def _ops(name, n, **kw):
@@ -405,10 +409,10 @@ def test_projected_points_stay_on_the_conjugate_section(name, mass):
     E = equation_function(name, 3, mass=mass)
     draw = verify._projecting_draw(E, EQUATIONS[name].solve_for, 4)
     sampler = E.space.sampler(0)
+    cid = EQUATIONS[name].solve_for or verify.affine_coordinate(
+        E, sampler(0))
     for s in range(4):
         point, _, _ = draw(sampler, [E], s)
-        cid = EQUATIONS[name].solve_for or verify.affine_coordinate(
-            E, sampler(0))
         partner = point.conjugate_index(cid.r)
         assert partner != cid.r
         assert point.value(dataclasses.replace(cid, r=partner)) == \
@@ -578,6 +582,93 @@ def test_residual_grad_equals_scalar_passes(name):
         for coords in (E.deps, point.coords()):
             assert repr(E.grad(point, coords)) == \
                 repr(reference_grad(E, point, coords))
+
+
+# every cataloged basis at n = 3, the massless AG2_II family, every
+# equation row and the benchmark's expressions, as the CLI checks them
+_SEEDED_CALLS = (
+    [["--algebra", name, "--n", "3"] for name in _BASES_N3]
+    + [["--algebra", "AG2_II", "--mass", "0", "--lambda", lam, "--n", "3"]
+       for lam in MASSLESS_LAMBDAS]
+    + [["--equation", name, "--n", "3"] for name in EQUATIONS]
+    + [["--algebra", name, "--n", n, *extra, "--expr", expr]
+       for name, n, extra, expr in EXPRESSIONS])
+
+
+@pytest.mark.parametrize("argv", _SEEDED_CALLS, ids=" ".join)
+def test_seeded_residuals_match_the_jacobian_dot_products(argv, monkeypatch):
+    """At the points a check draws, the pass seeded with the flow rows
+    gives each X_j(F) as the flow row's dot product with F's gradient,
+    within 2e-11 (1 + |X_j(F)|) and the rounding of the dot product's
+    terms: the massless AG2_II member N1*e^(4/lambda)(phi+phi*) has terms
+    near 1e17 that cancel, and both passes give rounding noise there."""
+    seen = []
+    original = verify._points
+
+    def points(ops, members, coords, *args):
+        for item in original(ops, members, coords, *args):
+            seen.append((ops, members, coords, item[0], item[3]))
+            yield item
+    monkeypatch.setattr(verify, "_points", points)
+    cli.main(["verify", *argv, "--samples", "2", "--seed", "0"],
+             stream=io.StringIO())
+    assert len(seen) == 2
+    for ops, members, coords, point, rows in seen:
+        view = operator_view(point, coords, rows)
+        for m, grad in zip(members, family_jacobian(members, point, coords)):
+            seeded = derivs(m.fn(view), len(ops))
+            for row, got in zip(rows, seeded, strict=True):
+                want = sum_prod(row, grad)
+                terms = sum(abs(c * g) for c, g in zip(row, grad))
+                assert abs(got - want) <= \
+                    2e-11 * (1 + abs(want)) + 1e-14 * terms, \
+                    (m.label, got, want)
+
+
+def test_verdict_digest_expect_exits_1_on_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(verdict_digest, "calls", lambda: iter(()))
+    monkeypatch.setattr(verdict_digest, "covariance_calls", lambda: iter(()))
+    empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    assert verdict_digest.main([]) == 0
+    assert verdict_digest.main(["--expect", empty]) == 0
+    assert verdict_digest.main(["--expect", "faef9521"]) == 1
+    err = capsys.readouterr().err
+    assert "expected faef9521" in err and f"got {empty}" in err
+
+
+@pytest.fixture
+def jacobian_calls(monkeypatch):
+    """Count ``verify.family_jacobian`` calls."""
+    calls = []
+    original = verify.family_jacobian
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(verify, "family_jacobian", counted)
+    return calls
+
+
+def test_invariance_checks_build_no_jacobian(jacobian_calls):
+    fam = basis(make_spec("AE", 3))
+    check_absolute(_ops("AE", 3), fam, n_samples=5, seed=1)
+    E = equation_function("heat", 3, mu=1.0)
+    check_on_manifold(_ops("AG2_I", 3, rep="u"), E, solve_for=d1_coord(1, 0),
+                      n_samples=5, seed=1)
+    assert jacobian_calls == []
+
+
+def test_ranks_build_the_jacobian_where_they_read_it(jacobian_calls):
+    spec = make_spec("AE", 3)
+    completeness(spec, basis(spec), n_samples=20, seed=1)
+    assert len(jacobian_calls) == max(3, 20 // 2) == 10
+    jacobian_calls.clear()
+    independence_rank(basis(spec), n_samples=4, seed=1)
+    assert len(jacobian_calls) == 4
+    jacobian_calls.clear()
+    check_covariance(covariant_tensor("hessian", 3), _ops("AE1", 3, lam=0.6),
+                     n_samples=3, seed=1)
+    assert len(jacobian_calls) == 3
 
 
 # every cataloged tensor, with an algebra over its jet space

@@ -21,14 +21,23 @@ Runs, in process, at seeds 0-20:
   {3, 4} (336 calls), keeping each record's operator and verdict.
 
 It prints each call's exit code, or for a covariance call its overall
-verdict, and its lines, then one sha256 of those lines.  Two trees agree on this grid exactly when the last lines match:
+verdict, and its lines, then one sha256 of those lines.  Two trees agree
+on this grid exactly when the last lines match:
 
     PYTHONPATH=src python tests/verdict_digest.py
+
+With ``--expect SHA`` a mismatch prints both hashes and exits 1, so a
+change that must move no verdict checks its gate with one command:
+
+    PYTHONPATH=src python tests/verdict_digest.py --expect \
+        faef9521916e46c1839b63049ec384c6e942eaea393da8e3226afc2058b7be77
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import sys
 
 from invforge import check_covariance, cli, covariant_tensor
 from invforge.invcat import EQUATIONS
@@ -124,10 +133,14 @@ def covariance_lines(call, seed):
         [f"  {r.verdict} covariance:{r.operator}" for r in rep.records]
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="verdict-only digest")
+    ap.add_argument("--expect", metavar="SHA",
+                    help="exit 1 unless the digest is this sha256")
+    args = ap.parse_args(argv)
     digest = hashlib.sha256()
     runs = nonzero = 0
-    jobs = [(verdict_lines, argv) for argv in calls()]
+    jobs = [(verdict_lines, call) for call in calls()]
     jobs += [(covariance_lines, call) for call in covariance_calls()]
     for lines_of, call in jobs:
         for seed in SEEDS:
@@ -138,7 +151,12 @@ def main():
                 print(line)
                 digest.update(line.encode() + b"\n")
     print(f"sha256 {digest.hexdigest()} runs={runs} nonzero_exits={nonzero}")
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        print(f"digest mismatch: expected {args.expect}, "
+              f"got {digest.hexdigest()}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
