@@ -14,9 +14,7 @@ from .invcat import (
     TensorBuilder,
     basis,
     covariant_tensor,
-    covariant_tensor_components,
     equation_function,
-    equation_residual,
     galilei_mu0_determinant_family,
     rotation_dilation_family,
     rotation_pair_family,
@@ -34,7 +32,6 @@ from .jetspace import (
     Metric,
     base_coord,
     contract,
-    coord_count,
     d1_coord,
     d2_coord,
     enumerate_coords,
@@ -49,7 +46,6 @@ from .liealg import (
     AlgebraSpec,
     ProlongedOperator,
     VectorField,
-    apply_operator,
     catalog,
     generic_rank,
     make_sampler,

@@ -1528,8 +1528,9 @@ class EquationInfo:
     """An example equation: the maker of its residual, the algebra it is
     checked under (its name, fixed spec parameters and the call
     parameters passed on to the spec), the coordinate the projection onto
-    its manifold moves (None: the first d2, else d1, coordinate the
-    residual is affine in at a check's first sample, and the one with the
+    its manifold moves (when it is None, or the residual's derivative
+    along it is 0 at a check's first sample: the first d2, else d1,
+    coordinate the residual is affine in there, and the one with the
     largest derivative where there is none; see
     :func:`verify.check_on_manifold`) and a note."""
 
@@ -1592,16 +1593,3 @@ def equation_function(name: str, n: int, **params) -> ScalarJetFunction:
     return info.build(n, **params)
 
 
-def equation_residual(name: str, point: JetPoint, **params):
-    """Residual value of the named equation at a jet point."""
-    n = params.pop("n", point.n_base - 1)
-    return equation_function(name, n, **params).eval(point)
-
-
-def covariant_tensor_components(name: str, point: JetPoint, **params):
-    """Numeric components of the named covariant tensor at a jet point."""
-    n = params.pop("n", None)
-    if n is None:
-        # a Minkowski or Galilei tensor reads the point's x0 as the time
-        n = point.n_base if name in _EUCLIDEAN_TENSORS else point.n_base - 1
-    return covariant_tensor(name, n, **params).build(point)

@@ -122,10 +122,6 @@ def d2_coord(r: int, i: int, j: int) -> JetCoordinateId:
     return JetCoordinateId("d2", r, i, j)
 
 
-def coord_count(n_base: int, n_fields: int) -> int:
-    return n_base + n_fields + n_fields * n_base + n_fields * n_base * (n_base + 1) // 2
-
-
 def enumerate_coords(n_base: int, n_fields: int) -> list:
     """Canonical ordering of all jet coordinates for (N, m)."""
     coords = [base_coord(i) for i in range(n_base)]

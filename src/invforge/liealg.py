@@ -8,8 +8,9 @@ A :class:`VectorField` holds coefficient evaluators xi^i(x, u) and
 eta^r(x, u); :func:`prolong2` extends it to all second-order jet
 coordinates.  Second derivatives live on unordered index pairs, and the
 published coefficient of an off-diagonal pair is the sum eta_ij + eta_ji;
-the directional derivative (:func:`apply_operator`) therefore weighs
-off-diagonal pair coefficients by 1/2 against stored-slot gradients.
+a flow row (:meth:`ProlongedOperator.flow_table`) therefore holds half
+that sum, the weight an off-diagonal pair's one stored slot pairs with
+in a directional derivative.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .dual import EvaluationError, is_finite, value_grad_hess
+from .dual import value_grad_hess
 from .jetspace import (
     COMPLEX,
     REAL,
@@ -44,11 +45,16 @@ class VectorField:
     ``xi`` and ``eta`` are sequences of callables ``f(xs, us) -> scalar``
     that must evaluate on dual numbers, which supplies exact first and
     second partial derivatives.
+
+    ``moves`` is, for a field whose coefficients are all constants, the
+    coordinates x_i and u^r whose constant is not 0; its prolongation is
+    then 0 at every other jet coordinate, at every point.  It is None, the
+    default, when some coefficient may read an argument.
     """
 
-    __slots__ = ("n_base", "n_fields", "xi", "eta", "label")
+    __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves")
 
-    def __init__(self, n_base, n_fields, xi, eta, label):
+    def __init__(self, n_base, n_fields, xi, eta, label, moves=None):
         if len(xi) != n_base or len(eta) != n_fields:
             raise ValueError("coefficient count does not match dimensions")
         self.n_base = n_base
@@ -56,6 +62,7 @@ class VectorField:
         self.xi = tuple(xi)
         self.eta = tuple(eta)
         self.label = label
+        self.moves = moves
 
     def __repr__(self):
         return f"VectorField({self.label})"
@@ -200,26 +207,6 @@ def coefficient_rows(rows, n_base: int, n_fields: int, at) -> list:
 def prolong2(v: VectorField) -> ProlongedOperator:
     """Second prolongation of a vector field."""
     return ProlongedOperator(v)
-
-
-def apply_operator(op: ProlongedOperator, fn, point: JetPoint):
-    """Directional derivative of ``fn`` along the prolonged field at a point.
-
-    ``fn`` is any object with ``grad(point, coords)`` (a ScalarJetFunction);
-    stored-slot gradients of off-diagonal second derivatives pair with half
-    the published coefficient.
-    """
-    coords = getattr(fn, "deps", None) or point.coords()
-    flow = op.flow_table(point, flow_positions(point.n_base, point.n_fields,
-                                               coords))
-    grad = fn.grad(point, coords)
-    total = 0.0
-    for cid, c, g in zip(coords, flow, grad):
-        term = c * g
-        if not is_finite(term):
-            raise EvaluationError(f"non-finite contribution at coordinate {cid}")
-        total = total + term
-    return total
 
 
 def pivot_positions(rows):
@@ -418,16 +405,36 @@ def algebra_space(spec: AlgebraSpec):
 
 def bind_generators(spec: AlgebraSpec, rows) -> list:
     """Vector fields of (label, xi texts, eta texts) rows over the space of
-    ``spec``, each text compiled once by ``exprlang.bind_coefficient``."""
+    ``spec``, each text compiled once by ``exprlang.bind_coefficient``.  A
+    row whose texts read no argument is marked with the coordinates its
+    nonzero constants move (:attr:`VectorField.moves`)."""
     # imported here: exprlang imports invcat, which imports this module
     from .exprlang import bind_coefficient
     nb, m = spec.n_base, spec.m
     _, binding = algebra_space(spec)
+    zeros = (0.0,) * nb, (0.0,) * m
+    # per distinct text: its function, and for an argument-free text
+    # whether its constant is nonzero (None when it reads an argument)
+    bound = {}
+    for _, xi, eta in rows:
+        for t in (*xi, *eta):
+            if t not in bound:
+                fn, deps = bind_coefficient(t, nb, m, *binding)
+                bound[t] = fn, None if deps else fn(*zeros) != 0
+    fields = []
+    for label, xi, eta in rows:
+        nonzero = [bound[t][1] for t in (*xi, *eta)]
+        moves = None if None in nonzero else frozenset(
+            c for c, nz in zip(_moved_coords(nb, m), nonzero) if nz)
+        fields.append(VectorField(nb, m, [bound[t][0] for t in xi],
+                                  [bound[t][0] for t in eta], label, moves))
+    return fields
 
-    def bound(texts):
-        return [bind_coefficient(t, nb, m, *binding)[0] for t in texts]
-    return [VectorField(nb, m, bound(xi), bound(eta), label)
-            for label, xi, eta in rows]
+
+@functools.cache
+def _moved_coords(n, m):
+    """The coordinates x_i, then u^r, that a field's xi and eta move."""
+    return (*map(base_coord, range(n)), *map(field_coord, range(1, m + 1)))
 
 
 def generator_rows(spec: AlgebraSpec) -> list:

@@ -12,6 +12,19 @@ at completeness's rank points, where the residuals are then its dot
 products with the flow rows, in :func:`independence_rank` and in
 :func:`check_covariance`.
 
+An invariance sweep leaves out every operator whose coefficients are all
+constants that are 0 at each base coordinate and field value the check
+reads (:func:`_moves_none`): the translations, where no member reads a
+base coordinate, and J and I of the log representation, where none reads
+a field value.  Such an operator's prolongation is exactly 0 at every
+coordinate the check reads, so it builds no flow row and takes no slot in
+the seeded pass, and its records are written as the pass would give
+them: residual 0.0, scale 0.0.  One edge differs: when every operator of
+a check is left out, no pass runs, so a member whose derivative is not
+finite no longer raises.  While any operator is live, such a derivative
+makes every live slot non-finite, and the check raises as before, naming
+the first live operator.
+
 A check record is PASS when its residual stays within ``tol * (1 +
 scale)``, the one rule :func:`_verdict`.  For an invariance record the
 scale is the largest |F| times the norm of the operator's coefficient
@@ -216,33 +229,50 @@ def _verdict(resid, scale, tol):
     return "PASS" if resid <= tol * (1.0 + scale) else "FAIL"
 
 
+def _moves_none(op, coords) -> bool:
+    """Whether ``op`` is 0 at every one of ``coords`` at every point: its
+    coefficients are all constants (:attr:`liealg.VectorField.moves`),
+    and those at the base coordinates and field values among ``coords``
+    are 0.  Its prolongation is then 0 at every derivative coordinate too,
+    so X(F) = 0 exactly for every F over ``coords``."""
+    moves = op.source.moves
+    return moves is not None and moves.isdisjoint(coords)
+
+
 def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
            draw=None):
     """Judge every operator on every member over the first ``n_samples``
     points of :func:`_points`: per (operator, member) the largest |X(F)|
     against the scale, the largest |F| times the norm of the operator's
     flow row.  A point's residuals X(F) come from one pass seeded with the
-    flow rows (:func:`invcat.operator_view`).  Over the first ``trials``
-    points also take the largest generic rank, at ``sampler(s)`` as
-    :func:`generic_rank` reads it, and Jacobian rank; there the residuals
-    are the flow rows' dot products with the Jacobian's rows, so a rank
-    point makes one pass.  Returns (records, generic rank, independence
+    flow rows (:func:`invcat.operator_view`).  An operator that moves none
+    of ``coords`` (:func:`_moves_none`) builds no flow row and takes no
+    slot in that pass: its row is all zero, so its records are residual
+    0.0 and scale 0.0, as the pass would give them.  Over the first
+    ``trials`` points also take the largest generic rank, at
+    ``sampler(s)`` as :func:`generic_rank` reads it, and Jacobian rank;
+    there the residuals are the flow rows' dot products with the
+    Jacobian's rows, so a rank point makes one pass, and the left-out
+    operators' zero rows, which never change a rank, are not in the
+    generic rank's matrix.  Returns (records, generic rank, independence
     rank)."""
-    worst, scales = {}, {}
+    worst = {(op.label, m.label): 0.0 for op in ops for m in members}
+    scales = dict(worst)
+    live = [op for op in ops if not _moves_none(op, coords)]
     alg_rank = ind_rank = 0
     cols = _columns(members, coords)
     for s, (point, values, first, rows, at) in enumerate(_points(
-            ops, members, coords, sampler, max(trials, n_samples), draw)):
+            live, members, coords, sampler, max(trials, n_samples), draw)):
         jac = family_jacobian(members, point, coords, cols) \
             if s < trials else None
-        if s < n_samples:
+        if s < n_samples and live:
             if jac is None:
                 view = operator_view(point, coords, rows)
-                resids = [derivs(m.fn(view), len(ops)) for m in members]
+                resids = [derivs(m.fn(view), len(live)) for m in members]
             else:
                 resids = [[sum_prod(row, grad) for row in rows]
                           for grad in jac]
-            for j, (op, row) in enumerate(zip(ops, rows)):
+            for j, (op, row) in enumerate(zip(live, rows)):
                 cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
                 for mem, val, mres in zip(members, values, resids):
                     resid = mres[j]
@@ -250,11 +280,11 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
                         raise EvaluationError(f"non-finite residual for "
                                               f"{mem.label} under {op.label}")
                     key = (op.label, mem.label)
-                    worst[key] = max(worst.get(key, 0.0), abs(resid))
-                    scales[key] = max(scales.get(key, 0.0), abs(val) * cnorm)
+                    worst[key] = max(worst[key], abs(resid))
+                    scales[key] = max(scales[key], abs(val) * cnorm)
         if s < trials:
             if first is not point:
-                rows = [op.flow_table(first, at) for op in ops]
+                rows = [op.flow_table(first, at) for op in live]
             rows = coefficient_rows(rows, point.n_base, point.n_fields, at)
             alg_rank = max(alg_rank, matrix_rank(rows)[0])
             ind_rank = max(ind_rank, matrix_rank(jac)[0])
@@ -299,7 +329,7 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
         if cid is None:
             raise EvaluationError("residual has no usable jet coordinate")
     else:
-        slope = derivs(residual.fn(gradient_view(point, [cid])), 1)[0]
+        slope = _slope(residual, point, cid)
     prev = None
     for _ in range(_NEWTON_MAX_ITER):
         val = residual.eval(point)
@@ -318,6 +348,12 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
         prev = (x, val)
         point = point.replace(cid, x - val / slope)
     raise EvaluationError("Newton projection did not converge")
+
+
+def _slope(residual: ScalarJetFunction, point: JetPoint, cid):
+    """The residual's exact derivative along ``cid`` at ``point``, from
+    one ``Jet1`` pass."""
+    return derivs(residual.fn(gradient_view(point, [cid])), 1)[0]
 
 
 def _on_section(point: JetPoint, cid) -> JetPoint:
@@ -357,9 +393,11 @@ def _projecting_draw(residual, solve_for, n_samples):
     """A draw like :func:`_draw` that projects samples onto the zero set
     of ``residual`` (:func:`newton_project`), skipping those that fail to
     project; all draws together try at most 20 * n_samples + 101 samples.
-    With no ``solve_for``, the first sample tried picks the coordinate
-    every projection moves (:func:`affine_coordinate`), or leaves each to
-    the largest derivative."""
+    Every projection moves ``solve_for``, unless it is None or the
+    residual's exact derivative along it at the first sample tried is 0,
+    as u_t's is in the heat flow at mu = 0: then that sample picks the
+    coordinate (:func:`affine_coordinate`), or leaves each to the largest
+    derivative."""
     attempts = iter(range(20 * n_samples + 101))
     picked = solve_for
 
@@ -367,9 +405,10 @@ def _projecting_draw(residual, solve_for, n_samples):
         nonlocal picked
         for attempt in attempts:
             point = sampler(attempt)
-            if attempt == 0 and solve_for is None:
-                picked = affine_coordinate(residual, point)
             try:
+                if attempt == 0 and (solve_for is None or
+                                     _slope(residual, point, solve_for) == 0):
+                    picked = affine_coordinate(residual, point)
                 point = newton_project(residual, point, picked)
             except EvaluationError:
                 continue
@@ -384,9 +423,10 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
                       seed: int = 0, sampler=None) -> InvarianceReport:
     """Project samples onto the solution manifold of ``residual`` and
     test all prolonged operators there.  Each projection moves
-    ``solve_for``; when it is None, the first d2, else d1, coordinate the
-    residual is affine in at the first sample (:func:`affine_coordinate`),
-    and when there is none, each sample's largest-derivative coordinate."""
+    ``solve_for``; when it is None or the residual's derivative along it
+    is 0 at the first sample, the first d2, else d1, coordinate the
+    residual is affine in there (:func:`affine_coordinate`), and when
+    there is none, each sample's largest-derivative coordinate."""
     _need_samples(n_samples)
     records, _, _ = _sweep(
         ops, [residual], residual.deps,

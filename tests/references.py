@@ -23,11 +23,20 @@ can check that the replacement gives every value bit for bit.
   before it solved on the pivots of ``liealg.pivot_positions``: modified
   Gram-Schmidt, dropping a column whose remaining norm is at most
   1e-10 * (1 + largest entry), with coefficient zero for it.
+
+It also keeps small helpers the package no longer exports, which tests
+still call: :func:`apply_operator`, the directional derivative as a dot
+product of a flow row with a gradient, the one per operator that
+``invcat.operator_view`` replaced; :func:`equation_residual` and
+:func:`covariant_tensor_components`, an equation's residual and a
+tensor's components at one point; and :func:`coord_count`.
 """
 
 import functools
 
 from invforge.dual import Dual, EvaluationError, is_finite, value_of
+from invforge.invcat import _EUCLIDEAN_TENSORS, covariant_tensor, \
+    equation_function
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
 from invforge.liealg import flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
@@ -391,3 +400,44 @@ def mgs_lstsq(a, b):
             acc -= r_entries.get((bi, basis_cols[bj]), 0.0) * x[basis_cols[bj]]
         x[j] = acc / r_entries[(bi, j)]
     return x, resid
+
+
+def apply_operator(op, fn, point):
+    """Directional derivative of ``fn`` along the prolonged field at a point.
+
+    ``fn`` is any object with ``grad(point, coords)`` (a ScalarJetFunction);
+    stored-slot gradients of off-diagonal second derivatives pair with half
+    the published coefficient.
+    """
+    coords = getattr(fn, "deps", None) or point.coords()
+    flow = op.flow_table(point, flow_positions(point.n_base, point.n_fields,
+                                               coords))
+    grad = fn.grad(point, coords)
+    total = 0.0
+    for cid, c, g in zip(coords, flow, grad):
+        term = c * g
+        if not is_finite(term):
+            raise EvaluationError(f"non-finite contribution at coordinate {cid}")
+        total = total + term
+    return total
+
+
+def equation_residual(name, point, **params):
+    """Residual value of the named equation at a jet point."""
+    n = params.pop("n", point.n_base - 1)
+    return equation_function(name, n, **params).eval(point)
+
+
+def covariant_tensor_components(name, point, **params):
+    """Numeric components of the named covariant tensor at a jet point."""
+    n = params.pop("n", None)
+    if n is None:
+        # a Minkowski or Galilei tensor reads the point's x0 as the time
+        n = point.n_base if name in _EUCLIDEAN_TENSORS else point.n_base - 1
+    return covariant_tensor(name, n, **params).build(point)
+
+
+def coord_count(n_base, n_fields):
+    """Number of jet coordinates up to order 2 on (n_base, n_fields)."""
+    return n_base + n_fields + n_fields * n_base \
+        + n_fields * n_base * (n_base + 1) // 2

@@ -81,6 +81,18 @@ def test_verify_equation_heat():
     assert "overall: PASS" in out.stdout
 
 
+@pytest.mark.parametrize("equation,flag", [("heat", "--mu"),
+                                           ("schrodinger", "--mass")])
+def test_verify_massless_evolution_projects(equation, flag):
+    """At mu = 0, or mass 0, the row's solve coordinate u_t drops out of
+    the residual, so each projection moves the coordinate the residual is
+    affine in instead; moving u_t, every projection failed (exit 3)."""
+    out = run_cli("verify", "--equation", equation, "--n", "3", flag, "0",
+                  "--samples", "3", "--seed", "0")
+    assert out.returncode == 0, out.stderr
+    assert "overall: PASS" in out.stdout
+
+
 def test_rank_command():
     out = run_cli("rank", "--algebra", "AO", "--n", "4", "--samples", "30")
     assert out.returncode == 0

@@ -7,7 +7,6 @@ from invforge.jetspace import (
     JetPoint,
     base_coord,
     contract,
-    coord_count,
     d1_coord,
     d2_coord,
     enumerate_coords,
@@ -18,6 +17,7 @@ from invforge.jetspace import (
     sample_generic,
     to_log_jets,
 )
+from references import coord_count
 
 
 def test_contract_euclidean():

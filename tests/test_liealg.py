@@ -18,7 +18,6 @@ from invforge.liealg import (
     _FAMILIES,
     AlgebraSpec,
     VectorField,
-    apply_operator,
     bind_generators,
     catalog,
     flow_positions,
@@ -29,6 +28,7 @@ from invforge.liealg import (
     matrix_rank,
     prolong2,
 )
+from references import apply_operator
 
 
 def _rotation_op(n, a, b, m=1):

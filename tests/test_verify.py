@@ -969,3 +969,93 @@ def test_affine_coordinate_on_ad_hoc_residuals():
     def undefined(v):
         raise EvaluationError("outside the domain")
     assert affine_coordinate(residual(undefined), point) is None
+
+
+def _unmarked(spec):
+    """The algebra's generators rebuilt from the same coefficient
+    functions with no constant mark, so every sweep takes the full path."""
+    return [VectorField(f.n_base, f.n_fields, f.xi, f.eta, f.label)
+            for f in catalog(spec)]
+
+
+def _has_basis(name, n):
+    try:
+        basis(make_spec(name, n, **({"rep": "log"} if name.startswith("AG")
+                                    else {})))
+    except ValueError:
+        return False
+    return True
+
+
+# the cataloged bases at n = 3 and 4, the massless AG2_II family, every
+# equation row and the completeness algebras, as the CLI checks them
+_LEFT_OUT_CALLS = (
+    [["verify", "--algebra", name, "--n", str(n)]
+     for n in (3, 4) for name in _BASES_N3 if _has_basis(name, n)]
+    + [["verify", "--algebra", "AG2_II", "--mass", "0", "--lambda", lam,
+        "--n", "3"] for lam in MASSLESS_LAMBDAS]
+    + [["verify", "--equation", name, "--n", "3"] for name in EQUATIONS]
+    + [["completeness", "--algebra", name, "--n", "3"]
+       for name in verdict_digest.COMPLETENESS_ALGEBRAS])
+
+
+@pytest.mark.parametrize("argv", _LEFT_OUT_CALLS, ids=" ".join)
+def test_left_out_operators_keep_every_record(argv, monkeypatch):
+    """Leaving out the operators that move none of a check's coordinates
+    changes no record (operator, member, residual, scale, verdict) and no
+    completeness count: at seeds 0-3, each sweep's result, in ``repr``,
+    is that of the same check on unmarked generators."""
+    def sweeps(unmarked):
+        """Per seed, the repr of each record and rank, then the exit code
+        and output."""
+        got = []
+        original = verify._sweep
+
+        def recorded(*args, **kw):
+            records, *ranks = out = original(*args, **kw)
+            got.extend(map(repr, [*records, ranks]))
+            return out
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_sweep", recorded)
+            if unmarked:
+                patch.setattr(cli, "catalog", _unmarked)
+                patch.setattr(verify, "catalog", _unmarked)
+            for seed in range(4):
+                out = io.StringIO()
+                code = cli.main([*argv, "--samples", "3", "--seed",
+                                 str(seed)], stream=out)
+                got.append(f"exit={code}\n{out.getvalue()}")
+        return got
+    got, want = sweeps(False), sweeps(True)
+    assert any(line.startswith("InvarianceRecord(") for line in got)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b
+
+
+def test_a_translation_is_left_out_where_no_base_coordinate_is_read(
+        monkeypatch):
+    built = []
+    original = ProlongedOperator.flow_table
+
+    def flow_table(self, *args):
+        built.append(self.label)
+        return original(self, *args)
+    monkeypatch.setattr(ProlongedOperator, "flow_table", flow_table)
+    fam = basis(make_spec("AE", 3))
+    assert not any(c.kind == "base" for c in fam.deps)
+    report = check_absolute(_ops("AE", 3), fam, n_samples=3, seed=0)
+    assert built and not {"P1", "P2", "P3"} & set(built)
+    left_out = [r for r in report.records if r.operator.startswith("P")]
+    assert len(left_out) == 3 * len(fam.members)
+    assert all(repr((r.max_residual, r.scale, r.verdict)) ==
+               "(0.0, 0.0, 'PASS')" for r in left_out)
+
+
+def test_a_translation_is_kept_where_its_base_coordinate_is_read():
+    out = io.StringIO()
+    assert cli.main(["verify", "--algebra", "AE", "--n", "3", "--expr",
+                     "x1 * u_x1", "--seed", "0"], stream=out) == 1
+    lines = out.getvalue().splitlines()
+    assert "FAIL expression:P1 residual=1.994e+00" in lines
+    assert "PASS expression:P2 residual=0.000e+00" in lines
