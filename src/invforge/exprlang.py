@@ -346,6 +346,15 @@ def _int_arg(node, what):
     return int(_literal(node))
 
 
+def _memoized(fn):
+    """``fn`` keeping its first value on each view in ``view.cache``, under
+    a key of its own, and returning it on every later read of that view.
+    A view's reads never change, so the value is the one ``fn`` would give
+    again, to the bit."""
+    key = object()
+    return lambda view: _tensor_cached(view, key, fn)
+
+
 def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
              field_kind: FieldKind = REAL, time_mode: bool = False,
              lam: float = 1.0, mu: float = 1.0):
@@ -362,6 +371,14 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     ``tau<r>(lam)`` takes its lam from the text, so that a time binding
     reads no ``lam`` and the catalog's Galilei rows share one compiler per
     boost weight.
+
+    Every text, call and group that the parser interns, but a symbol, is
+    compiled once per conjugation and keeps its value per view
+    (:func:`_memoized`): the members evaluated on one view, such as a
+    family's rows repeating the leader N1, evaluate it once.  The key is
+    that compiled entry's own, so members of other compilers or under
+    ``conj`` never read it, and the value read is the one the node would
+    give again on that view, to the bit.
     """
     metric = metric or euclidean(n_base)
     if metric.dim != n_base:
@@ -400,7 +417,9 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     def compile_node(node):
         """Evaluator of ``node``, adding what it reads to ``reads``; a
         symbol, or a text or group the parser hands out again as the same
-        node, is compiled once per conjugation."""
+        node, is compiled once per conjugation.  Such a text or group
+        keeps its value per view (:func:`_memoized`), so the members
+        evaluated on one view evaluate it once."""
         c = _literal(node)
         if c is not None:
             return lambda view: c
@@ -411,6 +430,8 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         if hit is None:
             start = len(reads)
             fn = compile_new(node)
+            if not isinstance(node, Sym):
+                fn = _memoized(fn)
             # the node rides along so that its id is not reused
             hit = compiled[key] = fn, reads[start:], node
         else:
@@ -554,7 +575,9 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         return mat
 
     def vector(sel):
-        """Vector of a selector: ``r`` or ``du<r>`` the gradient du_r,
+        """Vector source (key, build) of a selector, its key naming all
+        that the vector depends on but the view: ``r`` or ``du<r>`` the
+        gradient du_r,
         ``x`` the position, ``thvec<r>`` du_r/u_r - du_1/u_1, and in a
         time binding ``dut<r>`` the u_{r,at}, ``bth<r>`` the boost theta
         c u_{r,at} + (U_r du_r)_a, ``ith<r>`` the theta solving
@@ -564,12 +587,12 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         two vectors."""
         if isinstance(sel, Bin) and sel.op in ("+", "-"):
             op = _OPERATORS[sel.op]
-            va, vb = vector(sel.left), vector(sel.right)
-            return lambda view: [op(a, b) for a, b in zip(va(view),
-                                                           vb(view))]
+            (ka, va), (kb, vb) = vector(sel.left), vector(sel.right)
+            return (sel.op, ka, kb), lambda view: [
+                op(a, b) for a, b in zip(va(view), vb(view))]
         if isinstance(sel, Sym) and sel.name == "x":
             reads.append(_reads(n_base, n_fields, ("base",)))
-            return lambda view: [view.x(i) for i in idx]
+            return ("x", idx), lambda view: [view.x(i) for i in idx]
         name = sel.name if isinstance(sel, (Sym, Call)) else "du"
         prefix = name.rstrip("0123456789")
         if isinstance(sel, Call) != (prefix == "tau") or prefix not in (
@@ -578,13 +601,14 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         r = _field_sel(sel, prefix)
         if prefix == "du":
             reads.append(_reads(n_base, n_fields, ("d1",), rs=(r,)))
-            return lambda view: _gvec(view, r, idx)
+            return ("du", r, idx), lambda view: _gvec(view, r, idx)
         if prefix == "thvec":
             r1 = resolve_field("")
             reads.append(_reads(n_base, n_fields, ("field", "d1"),
                                 rs=(r1, r)))
-            return lambda view: [view.du(r, i) / view.u(r)
-                                 - view.du(r1, i) / view.u(r1) for i in idx]
+            return ("thvec", r1, r, idx), lambda view: [
+                view.du(r, i) / view.u(r) - view.du(r1, i) / view.u(r1)
+                for i in idx]
         if not time_mode:
             raise BindError(f"{name} is only valid in a time binding")
         partner = field_kind.conjugate_index(r, n_fields)
@@ -593,21 +617,23 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 raise BindError(f"{name} needs a conjugate pair of fields")
             reads.append(_reads(n_base, n_fields, ("d1", "d2"),
                                 rs=(r, partner)))
-            return lambda view: _r4_vector(view, r, partner, idx)
+            return ("r4vec", r, partner, idx), \
+                lambda view: _r4_vector(view, r, partner, idx)
         reads.append(_reads(n_base, n_fields, ("d2",) if prefix in (
             "dut", "ith") else ("d1", "d2"), rs=(r,)))
         if prefix == "dut":
-            return lambda view: _gvec_t(view, r, idx)
+            return ("dut", r, idx), lambda view: _gvec_t(view, r, idx)
         if prefix == "ith":
-            return lambda view: _implicit_theta(view, r, idx)
+            return ("ith", r, idx), lambda view: _implicit_theta(view, r, idx)
         if prefix == "tau":
             lam_ = _literal(sel.args[0]) if len(sel.args) == 1 else None
             if lam_ is None or sel.fields:
                 raise BindError(f"{name} takes one number literal, lambda")
-            return lambda view: _tau(view, r, idx, lam_)
+            return ("tau", r, idx, lam_), lambda view: _tau(view, r, idx, lam_)
         # sgn = +1 on a field slot, -1 on its conjugate, as printed
         c = mu if partner == r else -(1.0 if partner > r else -1.0) * (1j * mu)
-        return lambda view: _boost_theta(c, *_jets(view, r, idx))
+        return ("bth", r, idx, c), \
+            lambda view: _boost_theta(c, *_jets(view, r, idx))
 
     def _order(node, k):
         if not 1 <= k <= n_base + 1:
@@ -645,7 +671,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             k = _order(node, _int_arg(node.args[0], "k"))
             vsel, msel = _selectors(node, (Num(1), Num(1)))
             vec, mat = vector(vsel), matrix(msel)
-            return lambda view: _R(view, vec(view), mat, signs, k)
+            return lambda view: _R(view, vec, mat, signs, k)
         if name == "Sjk":
             if len(node.args) != 2:
                 raise BindError("Sjk takes two arguments Sjk(j, k)")
@@ -668,14 +694,14 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         if name == "contract":
             if len(node.args) != 2 or node.fields:
                 raise BindError("contract takes two vectors")
-            va, vb = map(vector, node.args)
+            (_, va), (_, vb) = map(vector, node.args)
             # every Euclidean sign is 1.0, so it is left out
             gsigns = None if metric.kind == "euclidean" else signs
             return lambda view: _dot(va(view), vb(view), gsigns)
         if name == "quad":
             if len(node.args) != 2 or node.fields:
                 raise BindError("quad takes a vector and a matrix")
-            vec, mat = vector(node.args[0]), matrix(node.args[1])
+            (_, vec), mat = vector(node.args[0]), matrix(node.args[1])
             return lambda view: _quad(0.0, vec(view),
                                       _tensor_cached(view, *mat))
         raise BindError(f"unknown function {node.name!r}")

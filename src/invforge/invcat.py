@@ -172,21 +172,10 @@ def power_trace(mat, metric: Metric, k: int):
 
 def power_form(vec, mat, metric: Metric, k: int):
     """Bilinear power form v^T G (M G)^(k-1) v."""
-    return _power_form(vec, mat, metric.signs, k)
-
-
-def _power_form(vec, mat, signs, k):
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = len(vec)
-    t = list(vec)
-    for _ in range(k - 1):
-        t = [sum_prod(mat[i], [signs[j] * t[j] for j in range(n)])
-             for i in range(n)]
-    total = 0.0
-    for i in range(n):
-        total = total + vec[i] * signs[i] * t[i]
-    return total
+    return _R(_View(None, None, None, None), _given(0, vec), _given(1, mat),
+              metric.signs, k)
 
 
 def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
@@ -214,8 +203,16 @@ class _View:
     operator views hold :class:`Jet1` jets, seeded with unit vectors or
     with the flow rows, and the curvature view :class:`Jet2` jets; each is
     built once by :func:`_jet_view` and shared, with its ``cache``, by
-    every member evaluated on it.  The :class:`Dual` numbers of
-    :func:`seeded_view` are read only by tests and the benchmark tracer."""
+    every member evaluated on it, as a draw shares one plain view
+    (:func:`verify._draw`).  The cache holds what the members have in
+    common at the view's point: matrices, their metric powers, power
+    traces and form iterates (see the per-view builders), and the value
+    of every text, call and group that exprlang's parser interns
+    (:func:`exprlang.compiler`).  A view's reads never change, and each
+    cached value is made by the operations a member evaluated alone would
+    run, so sharing one gives every member the same bits.  The
+    :class:`Dual` numbers of :func:`seeded_view` are read only by tests and
+    the benchmark tracer."""
 
     __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
 
@@ -357,8 +354,11 @@ class ScalarJetFunction:
     def __repr__(self):
         return f"ScalarJetFunction({self.label})"
 
-    def eval(self, point: JetPoint):
-        return value_of(self.fn(_plain_view(point)))
+    def eval(self, point: JetPoint, view=None):
+        """Plain value at ``point``, on ``view`` when given: a plain view
+        of ``point`` that other members share."""
+        return value_of(self.fn(_plain_view(point) if view is None
+                                else view))
 
     def grad(self, point: JetPoint, coords=None):
         """Gradient over ``coords`` (default: every jet coordinate;
@@ -387,10 +387,15 @@ def _dep_coords(n_base, n_fields, kinds, rs=None):
 
 
 # cached per-view builders ---------------------------------------------------
-# A matrix source is a (key, build) pair: ``build(view)`` makes the matrix,
-# cached on the view under ``key``, and its metric powers under
-# ("tp",) + key.  The Hessians U_r and the covariant tensors theta_r and w_r
-# share this one cache.
+# A matrix or vector source is a (key, build) pair: ``build(view)`` makes
+# the matrix or vector.  A matrix is cached on the view under its key, its
+# metric powers P_j = (G M)^j under ("tp", signs) + key, and a vector's
+# iterates (M G)^j v under ("R", vector key, matrix key, signs).  The key
+# names everything the value depends on but the view, and each value
+# derived under a metric names its signs, so members bound under different
+# metrics or compilers can share a view and read only their own values.
+# Every cached value is made by the float operations that a member making
+# it alone would run, so a shared one has the same bits.
 
 
 def _hess(view, r, idx):
@@ -427,9 +432,10 @@ def _hessian(r, idx):
     return ("U", r, idx), lambda view: _hess(view, r, idx)
 
 
-def _given(pos, mat):
-    """Matrix source of a matrix passed in, the ``pos``-th of its call."""
-    return ("given", pos), lambda view: mat
+def _given(pos, value):
+    """Source of a matrix or vector passed in, the ``pos``-th of its
+    call."""
+    return ("given", pos), lambda view: value
 
 
 def _tensor_cached(view, key, build):
@@ -441,7 +447,7 @@ def _tensor_cached(view, key, build):
 
 def _tensor_power(view, key, build, signs, k):
     """k-th power of (G * matrix), cached per view."""
-    plist = _tensor_cached(view, ("tp",) + key, lambda v: [
+    plist = _tensor_cached(view, ("tp", signs) + key, lambda v: [
         g_premul(signs, _tensor_cached(v, key, build))])
     while len(plist) < k:
         plist.append(mat_mul(plist[-1], plist[0]))
@@ -449,9 +455,17 @@ def _tensor_power(view, key, build, signs, k):
 
 
 def _S(view, mat, signs, k):
-    """Power trace S_k of the matrix source ``mat``, cached per view."""
-    return _tensor_cached(view, ("S", mat[0], k), lambda v: mat_trace(
-        _tensor_power(v, *mat, signs, k)))
+    """Power trace S_k = tr(P_k) of the matrix source ``mat``, cached per
+    view.  For k >= 2 it is ``trace_prod(P_{k-1}, P_1)``, which is
+    ``mat_trace(mat_mul(P_{k-1}, P_1))`` operation for operation, so P_k
+    itself is built only when a mixed trace reads it."""
+    def build(v):
+        if k == 1:
+            return mat_trace(_tensor_power(v, *mat, signs, 1))
+        return trace_prod(_tensor_power(v, *mat, signs, k - 1),
+                          _tensor_power(v, *mat, signs, 1))
+
+    return _tensor_cached(view, ("S", mat[0], signs, k), build)
 
 
 def _Sjk(view, first, second, signs, j, k):
@@ -460,15 +474,30 @@ def _Sjk(view, first, second, signs, j, k):
         return _S(view, second, signs, k)
     if j == k:
         return _S(view, first, signs, k)
-    return _tensor_cached(view, ("Sjk", first[0], second[0], j, k),
+    return _tensor_cached(view, ("Sjk", first[0], second[0], signs, j, k),
                           lambda v: trace_prod(
                               _tensor_power(v, *first, signs, j),
                               _tensor_power(v, *second, signs, k - j)))
 
 
 def _R(view, vec, mat, signs, k):
-    """Power form R_k of the vector ``vec`` and the matrix source ``mat``."""
-    return _power_form(vec, _tensor_cached(view, *mat), signs, k)
+    """Power form R_k = v.G.t_{k-1}, t_j = (M G)^j v, of the vector source
+    ``vec`` and the matrix source ``mat``.  The iterates t_j are kept on
+    the view per (vector, matrix, signs), so R_1..R_n cost n - 1
+    matrix-vector products; each iterate is the one that R_k's own loop
+    from t_0 = v would make, with the same operations."""
+    ts = _tensor_cached(view, ("R", vec[0], mat[0], signs),
+                        lambda v: [vec[1](v)])
+    if len(ts) < k:
+        m = _tensor_cached(view, *mat)
+        while len(ts) < k:
+            gt = [s * t for s, t in zip(signs, ts[-1])]
+            ts.append([sum_prod(row, gt) for row in m])
+    v, t = ts[0], ts[k - 1]
+    total = 0.0
+    for i in range(len(v)):
+        total = total + v[i] * signs[i] * t[i]
+    return total
 
 
 def _power(base, expo):
@@ -1472,10 +1501,10 @@ def _eikonal_trace(n, k=1, **_):
     if k < 1:
         raise ValueError("k must be at least 1")
     _, signs, deps, space = _minkowski_space(n)
-    theta = covariant_tensor("eikonal_theta", n).builder
+    theta = (("eik",), covariant_tensor("eikonal_theta", n).builder)
 
     def fn(v):
-        return mat_trace(_tensor_power(v, ("eik",), theta, signs, k))
+        return _S(v, theta, signs, k)
 
     return ScalarJetFunction(f"eikonal-trace(k={k})", fn, deps, space)
 

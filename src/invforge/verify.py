@@ -47,6 +47,7 @@ from .invcat import (
     BasisFamily,
     ScalarJetFunction,
     TensorBuilder,
+    _plain_view,
     curvature_view,
     gradient_view,
     operator_view,
@@ -174,11 +175,17 @@ def family_jacobian(members, point: JetPoint, coords, cols=None) -> list:
 def _parts(family, seed, sampler):
     """Members, dependency coordinates (for a list, the union of the
     members' in first-seen order), sampler (``sampler``, else the space's
-    at ``seed``) and label of a family or a list of members."""
+    at ``seed``) and label of a family or a list of members.  Records are
+    keyed by member label, so a list whose labels repeat raises."""
     if isinstance(family, BasisFamily):
         return list(family.members), family.deps, \
             sampler or family.space.sampler(seed), family.label
     members = list(family)
+    seen = set()
+    for m in members:
+        if m.label in seen:
+            raise ValueError(f"member label {m.label!r} is repeated")
+        seen.add(m.label)
     coords = tuple(dict.fromkeys(c for m in members for c in m.deps))
     return members, coords, sampler or members[0].space.sampler(seed), \
         "ad-hoc"
@@ -192,16 +199,20 @@ def _need_samples(n_samples):
 def _draw(sampler, members, idx):
     """Sample a point where every member evaluates finitely; return it with
     the members' plain values there, and the first point tried,
-    ``sampler(idx)``, which is the point itself unless it was redrawn."""
+    ``sampler(idx)``, which is the point itself unless it was redrawn.
+    Every member at a point tried is evaluated on one plain view of it,
+    so what the members share there (traces, forms, interned leaders) is
+    computed once, to the same bits as alone; a redraw makes a new view."""
     attempt = idx
     for _ in range(25):
         point = sampler(attempt)
         if attempt == idx:
             first = point
         try:
+            view = _plain_view(point)
             values = []
             for m in members:
-                val = m.eval(point)
+                val = m.eval(point, view)
                 if not is_finite(val):
                     raise EvaluationError(f"non-finite value of {m.label}")
                 values.append(val)

@@ -19,6 +19,11 @@ can check that the replacement gives every value bit for bit.
   (``verify._points``): each with its own loop over sample indices, the
   covariance fit rebuilding the tensor with ``TensorBuilder.build`` and
   writing its vector and matrix fit rows as two separate rules.
+- :func:`reference_power_trace`, :func:`reference_mixed_power_trace` and
+  :func:`reference_power_form` are ``invcat.power_trace``,
+  ``mixed_power_trace`` and ``power_form`` as they were before a view
+  kept what they share: S_k the trace of the full k-th power, each R_k
+  its own loop of matrix-vector products from t_0 = v.
 - :func:`mgs_lstsq` is the least-squares fit that ``verify._lstsq`` made
   before it solved on the pivots of ``liealg.pivot_positions``: modified
   Gram-Schmidt, dropping a column whose remaining norm is at most
@@ -36,7 +41,7 @@ import functools
 
 from invforge.dual import Dual, EvaluationError, is_finite, value_of
 from invforge.invcat import _EUCLIDEAN_TENSORS, covariant_tensor, \
-    equation_function
+    equation_function, g_premul, mat_mul, mat_trace, sum_prod, trace_prod
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
 from invforge.liealg import flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
@@ -400,6 +405,42 @@ def mgs_lstsq(a, b):
             acc -= r_entries.get((bi, basis_cols[bj]), 0.0) * x[basis_cols[bj]]
         x[j] = acc / r_entries[(bi, j)]
     return x, resid
+
+
+def _metric_power(mat, signs, k):
+    """(G M)^k as the product of k - 1 matrix products from the left."""
+    first = power = g_premul(signs, mat)
+    for _ in range(k - 1):
+        power = mat_mul(power, first)
+    return power
+
+
+def reference_power_trace(mat, signs, k):
+    """tr((G M)^k) as the trace of the full k-th power."""
+    return mat_trace(_metric_power(mat, signs, k))
+
+
+def reference_mixed_power_trace(u, v, signs, j, k):
+    """tr((G U)^j (G V)^(k-j)), a power trace at j = 0 or j = k."""
+    if j == 0:
+        return reference_power_trace(v, signs, k)
+    if j == k:
+        return reference_power_trace(u, signs, k)
+    return trace_prod(_metric_power(u, signs, j),
+                      _metric_power(v, signs, k - j))
+
+
+def reference_power_form(vec, mat, signs, k):
+    """v^T G (M G)^(k-1) v, each matrix-vector product of its own loop."""
+    n = len(vec)
+    t = list(vec)
+    for _ in range(k - 1):
+        t = [sum_prod(mat[i], [signs[j] * t[j] for j in range(n)])
+             for i in range(n)]
+    total = 0.0
+    for i in range(n):
+        total = total + vec[i] * signs[i] * t[i]
+    return total
 
 
 def apply_operator(op, fn, point):

@@ -382,10 +382,10 @@ def test_verify_expression_samples_the_basis_domain(monkeypatch):
     evals, rejected = [], []
     plain_eval = invcat.ScalarJetFunction.eval
 
-    def counted(self, point):
+    def counted(self, point, view=None):
         evals.append(point)
         try:
-            return plain_eval(self, point)
+            return plain_eval(self, point, view)
         except EvaluationError:
             rejected.append(point)
             raise

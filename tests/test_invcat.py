@@ -625,27 +625,36 @@ def test_mat_inverse_equals_its_column_solves_bit_for_bit():
 
 def test_mixed_traces_are_computed_once_per_gradient_view(monkeypatch):
     """The AG2_II hatted sums ask for the same S_{j,k} many times on one
-    view; each mixed one (0 < j < k) costs one ``trace_prod``."""
+    view; each mixed one (0 < j < k), and each power trace S_k with
+    k >= 2, costs one ``trace_prod``."""
     from invforge import exprlang, invcat
 
     fam = basis(make_spec("AG2_II", 3, rep="log"))
     calls, keys = [], set()
-    sjk, tprod = invcat._Sjk, invcat.trace_prod
+    sjk, s, tprod = invcat._Sjk, invcat._S, invcat.trace_prod
 
     def counted_sjk(view, first, second, signs, j, k):
         keys.add((first[0], second[0], j, k))
         return sjk(view, first, second, signs, j, k)
 
+    def counted_s(view, mat, signs, k):
+        keys.add((mat[0], k))
+        return s(view, mat, signs, k)
+
     def counted_trace_prod(a, b):
         calls.append(1)
         return tprod(a, b)
 
-    # the member texts call exprlang's import of _Sjk
+    # the member texts call exprlang's imports of _S and _Sjk
     monkeypatch.setattr(exprlang, "_Sjk", counted_sjk)
+    monkeypatch.setattr(exprlang, "_S", counted_s)
+    monkeypatch.setattr(invcat, "_S", counted_s)
     monkeypatch.setattr(invcat, "trace_prod", counted_trace_prod)
     view = gradient_view(fam.space.sampler(0)(0), fam.deps)
     for member in fam.members:
         member.fn(view)
-    mixed = {key for key in keys if 0 < key[2] < key[3]}
+    mixed = {key for key in keys if len(key) == 4 and 0 < key[2] < key[3]}
+    powers = {key for key in keys if len(key) == 2 and key[1] >= 2}
     assert len(mixed) == 3
-    assert len(calls) == len(mixed)
+    assert len(powers) == 3
+    assert len(calls) == len(mixed) + len(powers)

@@ -252,8 +252,8 @@ class _NonFiniteAt(ScalarJetFunction):
 
     __slots__ = ("bad",)
 
-    def eval(self, point):
-        return math.nan if point == self.bad else super().eval(point)
+    def eval(self, point, view=None):
+        return math.nan if point == self.bad else super().eval(point, view)
 
 
 def test_completeness_generic_rank_reads_the_point_before_a_redraw(
