@@ -61,6 +61,19 @@ OTHER_EQUATIONS = (("heat", {}), ("schrodinger", {}), ("born-infeld", {}),
                    ("eikonal", {}), ("eikonal-quasilinear", {}),
                    ("eikonal-trace", {"k": 1}), ("eikonal-trace", {"k": 2}),
                    ("eikonal-trace", {"k": 3}), ("conformal-power", {}))
+# the parameters those entries leave at their defaults: zero and negative
+# boost weights and masses, where a complex constant's zero real part may
+# carry either sign, and the eikonal trace's higher powers
+EQUATION_PARAMS = (("heat", {"mu": 0.5}), ("heat", {"mu": 0.0}),
+                   ("heat", {"mu": -1.0}), ("schrodinger", {"mass": 0.5}),
+                   ("schrodinger", {"mass": 0.0}),
+                   ("schrodinger", {"mass": -0.5}),
+                   ("eikonal-trace", {"k": 4}), ("eikonal-trace", {"k": 5}),
+                   ("eikonal-trace", {"k": 6}))
+PROJECTIVE_MUS = (0.0, -1.0)
+PROJECTIVE_MASSES = (0.0, -0.5)
+# every equation is also pinned at this dimension
+EQUATION_N = 5
 
 
 def _configs():
@@ -137,11 +150,12 @@ def _galilei_configs():
                 out.append((f"tensor {tname} n={n} mu={mu:g}",
                             lambda tname=tname, n=n, mu=mu:
                             _tensor_family(tname, n, mu=mu)))
-        for mu in MUS[:2]:
+    for n in (*NS, EQUATION_N):
+        for mu in MUS[:2] + PROJECTIVE_MUS:
             out.append((f"equation galilei-projective n={n} mu={mu:g}",
                         lambda n=n, mu=mu:
                         _residual_family("galilei-projective", n, mu=mu)))
-        for mass in MASSES:
+        for mass in MASSES + PROJECTIVE_MASSES:
             out.append((f"equation schrodinger-projective n={n} "
                         f"mass={mass:g}",
                         lambda n=n, mass=mass:
@@ -165,7 +179,8 @@ def _member_grad_configs():
                 out.append((f"grad tensor {tname} n={n} lam={lam:g}",
                             lambda tname=tname, n=n, lam=lam:
                             _tensor_family(tname, n, lam=lam)))
-        for ename, kw in OTHER_EQUATIONS:
+    for n in (*NS, EQUATION_N):
+        for ename, kw in OTHER_EQUATIONS + EQUATION_PARAMS:
             text = "".join(f" {k}={v:g}" for k, v in kw.items())
             out.append((f"grad equation {ename} n={n}{text}",
                         lambda ename=ename, n=n, kw=kw:
