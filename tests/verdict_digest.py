@@ -6,7 +6,12 @@ code.
 Runs, in process, at seeds 0-20:
 
 - ``verify --equation E --n N --samples 5`` for all nine equations and
-  n in {3, 4} (378 calls), keeping each check line without its residual;
+  n in {3, 4} (378 calls), and for seven equations at other parameters
+  (``heat --mu 0``, ``schrodinger --mass 0``, ``galilei-projective --mu
+  0.5``, ``schrodinger-projective --mass 0.5``, ``eikonal-trace --k 2``
+  and ``--k 6``, and the benchmark's ``eikonal --function eta=u^2
+  --function a0=1+u``; 294 calls), keeping each check line without its
+  residual;
 - ``rank --algebra A --n 3`` for all fifteen algebras (315 calls) and
   ``completeness --algebra A --n 3`` for the seven non-Galilei algebras
   (147 calls), keeping their whole output, which prints no residual;
@@ -30,7 +35,7 @@ With ``--expect SHA`` a mismatch prints both hashes and exits 1, so a
 change that must move no verdict checks its gate with one command:
 
     PYTHONPATH=src python tests/verdict_digest.py --expect \
-        faef9521916e46c1839b63049ec384c6e942eaea393da8e3226afc2058b7be77
+        7daf9c405af60fb424c3d20d8ccdd163b7caae8d938019561ab9170b6366b37a
 """
 
 import argparse
@@ -44,6 +49,16 @@ from invforge.invcat import EQUATIONS
 from invforge.liealg import catalog, make_spec, prolong2
 
 DIMENSIONS = (3, 4)
+# equations checked again at other parameters than their defaults
+EQUATION_PARAMS = (
+    ("heat", ("--mu", "0")),
+    ("schrodinger", ("--mass", "0")),
+    ("galilei-projective", ("--mu", "0.5")),
+    ("schrodinger-projective", ("--mass", "0.5")),
+    ("eikonal-trace", ("--k", "2")),
+    ("eikonal-trace", ("--k", "6")),
+    ("eikonal", ("--function", "eta=u^2", "--function", "a0=1+u")),
+)
 SEEDS = range(21)
 SAMPLES = 5
 RANK_ALGEBRAS = ("AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n", "AG_I",
@@ -97,6 +112,10 @@ def calls():
         for n in DIMENSIONS:
             yield ["verify", "--equation", name, "--n", str(n), "--samples",
                    str(SAMPLES)]
+    for name, extra in EQUATION_PARAMS:
+        for n in DIMENSIONS:
+            yield ["verify", "--equation", name, "--n", str(n), *extra,
+                   "--samples", str(SAMPLES)]
     for command, algebras in (("rank", RANK_ALGEBRAS),
                               ("completeness", COMPLETENESS_ALGEBRAS)):
         for name in algebras:
