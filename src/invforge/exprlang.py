@@ -9,26 +9,27 @@ Jet symbols: ``x1..xN`` (plus ``x0``/``t`` when the binding has a time
 coordinate), ``u1..um`` (``u`` means ``u1``), derivatives by suffix:
 ``u_x1``, ``u2_x1x3``, ``u_t``, ``u_tt``, ``u_x1t``.  Builtins: the power
 trace ``S(k; A)``, the mixed trace ``Sjk(j, k; A, B)`` = tr(A^j B^(k-j))
-and the power form ``R(k; v, A)`` = v.(A)^(k-1).v, all metric-weighted,
-with optional selectors after ``;``; ``tr``/``det`` of a matrix;
-``contract(v, w)`` of two vectors and the unweighted ``quad(v, A)`` =
-v.A.v; and ``exp``, ``log``, ``conj``.  ``i`` is the imaginary unit,
-valid only in complex bindings.  In a time binding the builtins and
-selectors run over x1..xN-1 only, as the Galilei invariants are spatial
-contractions; ``t`` enters where a symbol names it.
+and the power form ``R(k; v, A)`` = v.(A)^(k-1).v, all metric-weighted, of
+any order k >= 1, with optional selectors after ``;``; ``tr``/``det`` of a
+matrix; ``contract(v, w)`` of two vectors and the unweighted
+``quad(v, A)`` = v.A.v; and ``exp``, ``log``, ``conj``.  ``i`` is the
+imaginary unit, valid only in complex bindings.  In a time binding the
+builtins and selectors run over x1..xN-1 only, as the Galilei invariants
+are spatial contractions; ``t`` enters where a symbol names it.
 
 Matrix selectors: an integer ``r`` or ``ddu<r>`` is the Hessian U_r
 (default 1; Sjk's B defaults to 2 when there are two fields), ``theta<r>``
 and ``w<r>`` are those covariant tensors of field r (Minkowski variants
-under a Minkowski metric; ``theta`` and ``w`` mean r = 1), ``inv<r>`` is
+under a Minkowski metric; ``theta`` and ``w`` mean r = 1), ``eik<r>`` the
+eikonal theta of field r, only under a Minkowski metric, and ``inv<r>``
 U_r^-1.  Vector selectors: an integer ``r`` or ``du<r>`` is the gradient
 du_r (default 1), ``x`` the position, ``thvec<r>`` is du_r/u_r - du_1/u_1,
 ``dut<r>`` the u_{r,x_a t}, ``bth<r>`` the boost theta c u_{r,x_a t} +
 (U_r du_r)_a (c as in :func:`compiler`), ``ith<r>`` the theta solving U_r
 theta = dut<r>, ``tau<r>(lam)`` the tau of the massless Schroedinger N3,
 solving (lam U_r + du_r du_r^T) tau = du_r u_{r,t} + lam dut<r> with the
-number literal lam, ``r4vec<r>`` the vector of the massless R^4 of field
-r and its conjugate partner, and ``v + w`` and ``v - w`` a sum and a
+number literal lam, ``r4vec<r>`` the vector of the massless R^4 of field r
+and its conjugate partner, and ``v + w`` and ``v - w`` a sum and a
 difference; ``inv``, ``dut``, ``bth``, ``ith``, ``tau`` and ``r4vec`` need
 a time binding, and ``r4vec`` a conjugate pair.  For example
 ``S(2; theta1) * u1 ^ 2.0``, ``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``,
@@ -547,10 +548,11 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     def matrix(sel):
         """Matrix source of a selector: ``r`` or ``ddu<r>`` the Hessian
         U_r, ``theta<r>`` or ``w<r>`` that covariant tensor of field r,
-        and in a time binding ``inv<r>`` the inverse of U_r."""
+        under a Minkowski metric ``eik<r>`` its eikonal theta, and in a
+        time binding ``inv<r>`` the inverse of U_r."""
         name = sel.name if isinstance(sel, Sym) else "ddu"
         prefix = name.rstrip("0123456789")
-        if prefix not in ("ddu", "theta", "w", "inv"):
+        if prefix not in ("ddu", "theta", "w", "eik", "inv"):
             raise BindError(f"unknown tensor {name!r}")
         r = _field_sel(sel, prefix)
         if prefix in ("ddu", "inv"):
@@ -561,10 +563,13 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 raise BindError(f"{name} is only valid in a time binding")
             return ("rinv", r), lambda view: _rinv(view, r, idx)
         if (prefix, r) not in tensors:
-            if metric.kind == "euclidean" and time_mode:
-                raise BindError(f"{name} is not available in time bindings")
             euclid = metric.kind == "euclidean"
+            if euclid and prefix == "eik":
+                raise BindError(f"{name} needs a Minkowski metric")
+            if euclid and time_mode:
+                raise BindError(f"{name} is not available in time bindings")
             builder = covariant_tensor(
+                "eikonal_theta" if prefix == "eik" else
                 prefix if euclid else prefix + "_minkowski",
                 n_base if euclid else n_base - 1, lam=lam, mu=mu, r=r,
                 m=n_fields)
@@ -636,7 +641,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             lambda view: _boost_theta(c, *_jets(view, r, idx))
 
     def _order(node, k):
-        if not 1 <= k <= n_base + 1:
+        if k < 1:
             raise BindError(f"{node.name} order {k} out of range")
         return k
 
@@ -676,7 +681,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             if len(node.args) != 2:
                 raise BindError("Sjk takes two arguments Sjk(j, k)")
             j = _int_arg(node.args[0], "j")
-            k = _int_arg(node.args[1], "k")
+            k = _order(node, _int_arg(node.args[1], "k"))
             first, second = map(matrix, _selectors(
                 node, (Num(1), Num(2 if n_fields > 1 else 1))))
             if not 0 <= j <= k:

@@ -26,7 +26,6 @@ from .dual import (
     value_of,
 )
 from .jetspace import (
-    COMPLEX,
     REAL,
     FieldKind,
     JetPoint,
@@ -417,15 +416,6 @@ def _dot(a, b, signs=None):
     return total
 
 
-def _trace(view, r, idx, signs=None, acc=0.0):
-    """acc + tr(G U_r) over ``idx``, one diagonal read per term in index
-    order; unsigned when ``signs`` is None."""
-    for i in idx:
-        d = view.ddu(r, i, i)
-        acc = acc + (d if signs is None else signs[i] * d)
-    return acc
-
-
 @functools.cache
 def _hessian(r, idx):
     """Matrix source of the Hessian U_r over the index list ``idx``."""
@@ -606,7 +596,7 @@ def _w(r, idx, signs, scale):
     def build(view):
         du = _gvec(view, r, idx)
         sq = _dot(du, du, signs)
-        tr = _trace(view, r, idx, signs)
+        tr = sum_prod(signs, [view.ddu(r, i, i) for i in idx])
         gdu = [s * d for s, d in zip(signs, du)]
         out = []
         for a in idx:
@@ -825,27 +815,36 @@ def _scaled(label, text, op, expo, scale=_U1):
             f"{text} {op} {scale[1]} ^ {expo!r}")
 
 
+def _text_binding(spec):
+    """The jet space of the texts bound under ``spec``, and the compiler
+    (shared per space) that binds them there as ``verify --expr`` does
+    under ``spec``.  A space with no metric of its own takes the Euclidean
+    metric of the n spatial indices; the algebras of
+    :data:`POSITIVE_FIELD_ALGEBRAS` sample positive fields."""
+    from . import exprlang
+    _, (metric, kind, time_mode) = algebra_space(spec)
+    space = JetSpace(spec.n_base, spec.m, kind, metric or euclidean(spec.n),
+                     positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
+    # a time binding reads no lam (it refuses theta and w), so the Galilei
+    # families of one boost weight share one compiler and its nodes
+    return space, exprlang._shared_compiler(
+        spec.n_base, spec.m, metric, kind, time_mode,
+        lam=1.0 if time_mode else spec.lam, mu=spec.boost)
+
+
 def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
                expected=None, jet_kinds=None):
     """Family of the (member label, text) ``rows`` over the jet space of
-    ``spec``.  A member that is a single jet coordinate depends on it
-    alone; with ``jet_kinds``, one that reads no field value depends on
-    the ``jet_kinds`` coordinates; every other member on the ``kinds``
-    coordinates.  A space with no metric of its own takes the Euclidean
-    metric of the n spatial indices."""
+    ``spec`` (:func:`_text_binding`).  A member that is a single jet
+    coordinate depends on it alone; with ``jet_kinds``, one that reads no
+    field value depends on the ``jet_kinds`` coordinates; every other
+    member on the ``kinds`` coordinates."""
     from . import exprlang
     nb, m = spec.n_base, spec.m
-    _, (metric, kind, time_mode) = algebra_space(spec)
-    space = JetSpace(nb, m, kind, metric or euclidean(spec.n),
-                     positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
+    space, compile_ = _text_binding(spec)
     deps = _dep_coords(nb, m, kinds)
     jet_deps = jet_kinds and _dep_coords(nb, m, jet_kinds)
     fields = _dep_coords(nb, m, ("field",))
-    # a time binding reads no lam (it refuses theta and w), so the Galilei
-    # families of one boost weight share one compiler and its nodes
-    compile_ = exprlang._shared_compiler(
-        nb, m, metric, kind, time_mode, lam=1.0 if time_mode else spec.lam,
-        mu=spec.boost)
     members = []
     for mlabel, text in rows:
         ast = exprlang.parse(text)
@@ -1114,18 +1113,6 @@ def _quad(acc, vec, mat):
     return acc
 
 
-def _m1(two_c, ut, du):
-    """M1 = 2c u_t + du.du."""
-    return two_c * ut + sum_prod(du, du)
-
-
-def _n2(c2, two_c, utt, ut, tr, n, du, dut, hess):
-    """N2 = c^2 u_tt + 2c (u_t tr/n + du.du_t) + du.U.du + du.du tr/n
-    + tr^2/n, with tr the trace of U."""
-    acc = c2 * utt + two_c * (ut * tr / n + sum_prod(du, dut))
-    return _quad(acc, du, hess) + sum_prod(du, du) * tr / n + tr * tr / n
-
-
 def _boost_theta(c, du, dut, hess):
     """Boost theta_a = c u_{at} + (U du)_a."""
     return [c * dut[a] + sum_prod(du, hess[a]) for a in range(len(du))]
@@ -1187,9 +1174,11 @@ def _over_text(num, den, e):
 
 
 def _boost_texts(n, r, u, two_c, c2):
-    """Texts of M1, M2 and N2 of field r, whose symbols start with ``u``,
-    with the texts of two_c and c2 printed in (see :func:`_m1`,
-    :func:`_n2`); M2 is c^2 u_tt + 2c du.du_t + du.U.du."""
+    """Texts of M1 = 2c u_t + du.du, M2 = c^2 u_tt + 2c du.du_t + du.U.du
+    and N2 = c^2 u_tt + 2c (u_t tr/n + du.du_t) + du.U.du + du.du tr/n
+    + tr^2/n of field r, with tr the trace of U, whose symbols start with
+    ``u``, with the texts of two_c and c2 printed in.  Every sum runs left
+    to right as printed, du.U.du one term per entry of U in row order."""
     sp, tr = _spatial(n), f"S(1; {r})"
     # parenthesized (no node changes) so that M2 and N2 share each term
     quad = "".join(f" + ({u}_x{a} * {u}_x{b} * {u}_x{a}x{b})"
@@ -1428,29 +1417,19 @@ def galilei_mu0_determinant_family(n: int) -> BasisFamily:
 
 # --------------------------------------------------------------------------
 # example equation residuals
-# Each residual is a closure over field 1 of a view; the Galilei ones read
-# the spatial indices 1..n of t, x1..xn unsigned, the Minkowski ones every
-# index of x0..xn under the Minkowski signs.
-
-
-def _galilei_residual(label, n, pair, fn):
-    """Residual ``fn`` of field 1 over t, x1..xn: a real field, or psi of
-    the complex pair (psi, psi*)."""
-    nb = n + 1
-    m, kind = (2, COMPLEX) if pair else (1, REAL)
-    return ScalarJetFunction(label, fn,
-                             _dep_coords(nb, m, ("d1", "d2"), rs=(1,)),
-                             JetSpace(nb, m, kind, euclidean(n)))
-
+# Each residual is a (label, text) row of field 1, bound like a basis row
+# over its algebra's space (:meth:`EquationInfo.build`): the Galilei texts
+# read the spatial indices 1..n of t, x1..xn unsigned, the Minkowski ones
+# every index of x0..xn under the Minkowski signs.  Each text repeats its
+# formula's float operations in order.
 
 def _evolution(n, pair=False, mu=1.0, mass=1.0, **_):
     """2c u_t + tr U: the heat flow, c = mu, or on the complex pair the
     free Schrodinger equation, c = i mass."""
-    sp = _spatial(n)
-    c = 2.0j * mass if pair else 2.0 * mu
-    return _galilei_residual(
-        f"schrodinger(mass={mass:g})" if pair else f"heat(mu={mu:g})", n,
-        pair, lambda v: _trace(v, 1, sp, acc=c * v.du(1, 0)))
+    two_c = f"i * {2.0 * mass!r}" if pair else repr(2.0 * mu)
+    return (f"schrodinger(mass={mass:g})" if pair else f"heat(mu={mu:g})",
+            f"{two_c} * u1_t" + "".join(f" + u1_x{a}x{a}"
+                                        for a in _spatial(n)))
 
 
 # the constant f of the projective-invariant flows
@@ -1460,81 +1439,46 @@ _PROJECTIVE_F = 0.75
 def _projective(n, pair=False, mu=1.0, mass=1.0, **_):
     """N2 - c^2 N1^2 f with N1 = M1 + tr U and c = mu; on the complex pair
     (c = i mass) N2 - N1^2 f, as printed."""
-    sp = _spatial(n)
     if pair:
-        c2, two_c = -mass * mass, 2.0 * (1j * mass)
+        # 2.0 * (i * mass), the operations of the printed 2c;
+        # i * (2.0 * mass) may differ in the sign of a zero real part
+        two_c, c2 = f"2.0 * (i * {mass!r})", repr(-mass * mass)
         label = f"schrodinger-projective(mass={mass:g})"
     else:
-        c2, two_c = mu * mu, 2.0 * mu
+        two_c, c2 = repr(2.0 * mu), repr(mu * mu)
         label = f"galilei-projective(mu={mu:g})"
-
-    def fn(v):
-        jets = _jets(v, 1, sp)
-        ut, tr = v.du(1, 0), mat_trace(jets[2])
-        lhs = _n2(c2, two_c, v.ddu(1, 0, 0), ut, tr, n, *jets)
-        sq = _power(_m1(two_c, ut, jets[0]) + tr, 2)
-        return lhs - (sq if pair else c2 * sq) * _PROJECTIVE_F
-
-    return _galilei_residual(label, n, pair, fn)
+    m1, _, n2 = _boost_texts(n, 1, "u1", two_c, c2)
+    sq = f"({m1} + S(1; 1)) ^ 2"
+    return label, f"{n2} - {sq if pair else f'{c2} * {sq}'}" \
+        f" * {_PROJECTIVE_F!r}"
 
 
-def _minkowski_space(n, kinds=("d1", "d2"), positive=False):
-    """Indices, signs, dependencies and space of a residual in field 1
-    over x0..xn."""
-    nb = n + 1
-    met = minkowski(nb)
-    return (tuple(range(nb)), met.signs, _dep_coords(nb, 1, kinds),
-            JetSpace(nb, 1, REAL, met, positive_fields=positive))
+def _form_text(n):
+    """Text of du.G.U.G.du of field 1 over x0..xn, summed from 0.0 one
+    term per entry of U in row order, each led by its two signs'
+    product."""
+    signs = minkowski(n + 1).signs
+    return "(0.0" + "".join(
+        f" + {signs[i] * signs[j]!r} * u1_x{i} * u1_x{j} * u1_x{i}x{j}"
+        for i in range(n + 1) for j in range(n + 1)) + ")"
 
 
 def _eikonal(n, **_):
-    idx, signs, deps, space = _minkowski_space(n, ("d1",))
-
-    def fn(v):
-        du = _gvec(v, 1, idx)
-        return _dot(du, du, signs)
-
-    return ScalarJetFunction("eikonal", fn, deps, space)
+    return "eikonal", _GSQ[1]
 
 
 def _eikonal_trace(n, k=1, **_):
     if k < 1:
         raise ValueError("k must be at least 1")
-    _, signs, deps, space = _minkowski_space(n)
-    theta = (("eik",), covariant_tensor("eikonal_theta", n).builder)
-
-    def fn(v):
-        return _S(v, theta, signs, k)
-
-    return ScalarJetFunction(f"eikonal-trace(k={k})", fn, deps, space)
-
-
-def _quasilinear(label, n, combine, kinds=("d1", "d2"), positive=False):
-    """Residual ``combine(v, sq, tr, form)`` of sq = du.G.du, tr = tr(G U)
-    and form = du.G.U.G.du of field 1 over x0..xn."""
-    idx, signs, deps, space = _minkowski_space(n, kinds, positive)
-
-    def fn(v):
-        du, hess = _gvec(v, 1, idx), _hess_of(v, 1, idx)
-        form = 0.0
-        for i in idx:
-            for j in idx:
-                form = form + signs[i] * signs[j] * du[i] * du[j] \
-                    * hess[i][j]
-        return combine(v, _dot(du, du, signs),
-                       sum_prod(signs, [hess[i][i] for i in idx]), form)
-
-    return ScalarJetFunction(label, fn, deps, space)
+    return f"eikonal-trace(k={k})", f"S({k}; eik1)"
 
 
 def _born_infeld(n, **_):
-    return _quasilinear("born-infeld", n,
-                        lambda v, sq, tr, form: (1.0 - sq) * tr + form)
+    return "born-infeld", f"(1.0 - {_GSQ[1]}) * S(1) + {_form_text(n)}"
 
 
 def _eikonal_quasilinear(n, **_):
-    return _quasilinear("eikonal-quasilinear", n,
-                        lambda v, sq, tr, form: form - sq * tr)
+    return "eikonal-quasilinear", f"{_form_text(n)} - {_GSQ[1]} * S(1)"
 
 
 # the coefficients c0, c1 of the conformal-power flow's f(u) = c0 + c1 u
@@ -1542,24 +1486,23 @@ _CONFORMAL_F = (1.0, 0.5)
 
 
 def _conformal_power(n, **_):
-    def combine(v, sq, tr, form):
-        fu = 0.0
-        for c in reversed(_CONFORMAL_F):
-            fu = fu * v.u(1) + c
-        return sq * tr / (1.0 - n) - form - _power(sq, 2) * fu
-
-    return _quasilinear("conformal-power", n, combine,
-                        ("field", "d1", "d2"), positive=True)
+    """du.G.du tr(G U) / (1 - n) - du.G.U.G.du - (du.G.du)^2 f(u), f in
+    Horner form from 0.0."""
+    fu = "0.0"
+    for c in reversed(_CONFORMAL_F):
+        fu = f"({fu} * u1 + {c!r})"
+    return "conformal-power", f"{_GSQ[1]} * S(1) / {1.0 - n!r}" \
+        f" - {_form_text(n)} - {_GSQ[1]} ^ 2 * {fu}"
 
 
 @dataclass(frozen=True)
 class EquationInfo:
-    """An example equation: the maker of its residual, the algebra it is
-    checked under (its name, fixed spec parameters and the call
-    parameters passed on to the spec), the coordinate the projection onto
-    its manifold moves (when it is None, or the residual's derivative
-    along it is 0 at a check's first sample: the first d2, else d1,
-    coordinate the residual is affine in there, and the one with the
+    """An example equation: the maker of its residual's (label, text) row,
+    the algebra it is checked under (its name, fixed spec parameters and
+    the call parameters passed on to the spec), the coordinate the
+    projection onto its manifold moves (when it is None, or the residual's
+    derivative along it is 0 at a check's first sample: the first d2, else
+    d1, coordinate the residual is affine in there, and the one with the
     largest derivative where there is none; see
     :func:`verify.check_on_manifold`) and a note."""
 
@@ -1571,11 +1514,27 @@ class EquationInfo:
     solve_for: object
     note: str
 
-    def build(self, n, **params):
-        """The residual in n spatial dimensions; its maker reads the
-        ``params`` it takes (mu, mass, k, ...) and ignores the rest.  The
-        equations an _II algebra checks are on the complex pair."""
+    def row(self, n, **params):
+        """The residual's (label, text) row in n spatial dimensions; its
+        maker reads the ``params`` it takes (mu, mass, k, ...) and ignores
+        the rest.  The equations an _II algebra checks are on the complex
+        pair."""
         return self.residual(n, pair=self.algebra.endswith("_II"), **params)
+
+    def build(self, n, **params):
+        """The residual in n spatial dimensions: the text of its
+        :meth:`row` bound over the space of the checking algebra
+        (:func:`_text_binding`).  It depends on every coordinate of the
+        kinds and fields its text reads."""
+        from . import exprlang
+        spec = self.default_algebra(n, params)
+        label, text = self.row(n, **params)
+        space, compile_ = _text_binding(spec)
+        fn, used = compile_(exprlang.parse(text))
+        deps = _dep_coords(spec.n_base, spec.m,
+                           frozenset(c.kind for c in used),
+                           frozenset(c.r for c in used if c.kind != "base"))
+        return ScalarJetFunction(label, fn, deps, space)
 
     def default_algebra(self, n, params):
         """The algebra checking the residual, with the ``params`` its spec
