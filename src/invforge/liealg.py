@@ -43,8 +43,8 @@ class VectorField:
     """Infinitesimal generator xi^i(x,u) d/dx_i + eta^r(x,u) d/du^r.
 
     ``xi`` and ``eta`` are sequences of callables ``f(xs, us) -> scalar``
-    that must evaluate on dual numbers, which supplies exact first and
-    second partial derivatives.
+    that must evaluate on floats and on ``dual.Jet2`` jets, whose one pass
+    supplies exact first and second partial derivatives.
 
     ``moves`` is, for a field whose coefficients are all constants, the
     coordinates x_i and u^r whose constant is not 0; its prolongation is
@@ -73,41 +73,47 @@ class VectorField:
 _LAST = (None, {})
 
 
-def _jets(fn, point):
-    """(value, [D_i g], [[D_j D_i g]]) of a coefficient g = ``fn`` at a
-    point, built once per point for all operators.  The point is matched by
+def _jets(fn, point, second=False):
+    """[value, [D_i g], [[D_j D_i g]], gradient, Hessian] of a coefficient
+    g = ``fn`` at a point, built once per point for all operators.  The
+    second total derivatives are None until a caller asks for them
+    (``second``), for a d2 block it reads; they are then built once, in one
+    loop nest, from the kept gradient and Hessian.  The point is matched by
     identity, never by equality, which would merge -0.0 and 0.0."""
     global _LAST
     if _LAST[0] is not point:
         _LAST = point, {}
     memo = _LAST[1]
     jets = memo.get(fn)
-    if jets is not None:
+    if jets is not None and (jets[2] is not None or not second):
         return jets
-    n, m, du, ddu = point.n_base, point.n_fields, point.du, point.ddu
-    val, grad, hess = value_grad_hess(
-        lambda args: fn(args[:n], args[n:]), [*point.x, *point.u])
-
-    def total_d(i):
+    n, m, du = point.n_base, point.n_fields, point.du
+    if jets is None:
+        val, grad, hess = value_grad_hess(
+            lambda args: fn(args[:n], args[n:]), [*point.x, *point.u])
         # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
-        out = grad[i]
-        for s in range(m):
-            out = out + du[s][i] * grad[n + s]
-        return out
-
-    def total_dd(i, j):
+        d = []
+        for i in range(n):
+            out = grad[i]
+            for s in range(m):
+                out = out + du[s][i] * grad[n + s]
+            d.append(out)
+        jets = memo[fn] = [val, d, None, grad, hess]
+    if second:
         # D_j D_i g for g = g(x, u)
-        out = hess[i][j]
-        for s in range(m):
-            out = out + du[s][j] * hess[i][n + s]
-            out = out + du[s][i] * hess[j][n + s]
-            out = out + ddu[s][i][j] * grad[n + s]
-            for t in range(m):
-                out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
-        return out
-
-    jets = memo[fn] = val, [total_d(i) for i in range(n)], \
-        [[total_dd(i, j) for j in range(n)] for i in range(n)]
+        ddu, grad, hess = point.ddu, jets[3], jets[4]
+        jets[2] = dd = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                out = hess[i][j]
+                for s in range(m):
+                    dus = du[s]
+                    out = out + dus[j] * hess[i][n + s]
+                    out = out + dus[i] * hess[j][n + s]
+                    out = out + ddu[s][i][j] * grad[n + s]
+                    for t in range(m):
+                        out = out + dus[i] * du[t][j] * hess[n + s][n + t]
+                dd[i][j] = out
     return jets
 
 
@@ -122,7 +128,10 @@ class ProlongedOperator:
     :meth:`coefficient_table` follows the unordered-pair convention, eta_ij
     + eta_ji for d2(r, i, j) with i != j, and is the flow table with those
     entries doubled, which is exact.  Either table is a dict in row order,
-    or with ``at`` (:func:`flow_positions`) the list of those entries.
+    or with ``at`` (:func:`flow_positions`) the list of those entries; then
+    only the blocks ``at`` reads are built (:func:`_blocks`), so a field
+    none of whose entries is read is never differentiated, and no second
+    total derivative is built unless some d2 block is read.
     """
 
     __slots__ = ("source", "label")
@@ -134,47 +143,60 @@ class ProlongedOperator:
     def __repr__(self):
         return f"ProlongedOperator({self.label})"
 
-    def _flow(self, point: JetPoint) -> list:
-        """Flow row at a point."""
+    def _flow(self, point: JetPoint, at=None) -> list:
+        """Flow row at a point, None in each block ``at`` does not read."""
         src = self.source
         n, m = src.n_base, src.n_fields
         if point.n_base != n or point.n_fields != m:
             raise ValueError("jet point does not match the operator's space")
+        first, second = _blocks(n, m, at if at is None else tuple(at))
         du, ddu = point.du, point.ddu
-        xi, d_xi, dd_xi = zip(*[_jets(f, point) for f in src.xi])
-        eta, d_eta, dd_eta = zip(*[_jets(f, point) for f in src.eta])
+        xi, d_xi, dd_xi = zip(*[_jets(f, point, bool(second))[:3]
+                                for f in src.xi])
         row = list(xi)
         for r in range(m):
-            row.append(eta[r])
+            if r not in first:
+                row += [None] * (n + 1)
+                continue
+            eta, d_eta = _jets(src.eta[r], point, r in second)[:2]
+            row.append(eta)
             for i in range(n):
-                val = d_eta[r][i]
+                val = d_eta[i]
                 for k in range(n):
                     val = val - du[r][k] * d_xi[k][i]
                 row.append(val)
-
-        def eta2(r, i, j):
+        for r in range(m):
+            if r not in second:
+                row += [None] * (n * (n + 1) // 2)
+                continue
             # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k
             #          - u_ik D_j xi^k
-            val = dd_eta[r][i][j]
-            for k in range(n):
-                val = val - ddu[r][k][j] * d_xi[k][i]
-                val = val - du[r][k] * dd_xi[k][i][j]
-                val = val - ddu[r][i][k] * d_xi[k][j]
-            return val
-
-        row += [eta2(r, i, i) if i == j
-                else (eta2(r, i, j) + eta2(r, j, i)) / 2.0
-                for r in range(m) for i in range(n) for j in range(i, n)]
+            dd_eta = _jets(src.eta[r], point, True)[2]
+            du_r, ddu_r = du[r], ddu[r]
+            e2 = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    val = dd_eta[i][j]
+                    for k in range(n):
+                        val = val - ddu_r[k][j] * d_xi[k][i]
+                        val = val - du_r[k] * dd_xi[k][i][j]
+                        val = val - ddu_r[i][k] * d_xi[k][j]
+                    e2[i][j] = val
+            row += [e2[i][i] if i == j else (e2[i][j] + e2[j][i]) / 2.0
+                    for i in range(n) for j in range(i, n)]
         return row
 
     def coefficient_table(self, point: JetPoint, at=None):
         coords, off = _row_layout(self.source.n_base, self.source.n_fields)
-        row = [2.0 * c if o else c for o, c in zip(off, self._flow(point))]
-        return dict(zip(coords, row)) if at is None else [row[p] for p in at]
+        row = self._flow(point, at)
+        if at is None:
+            return dict(zip(coords, [2.0 * c if o else c
+                                     for o, c in zip(off, row)]))
+        return [2.0 * row[p] if off[p] else row[p] for p in at]
 
     def flow_table(self, point: JetPoint, at=None):
         coords, _ = _row_layout(self.source.n_base, self.source.n_fields)
-        row = self._flow(point)
+        row = self._flow(point, at)
         return dict(zip(coords, row)) if at is None else [row[p] for p in at]
 
 
@@ -189,12 +211,23 @@ def _row_layout(n, m):
     return tuple(coords), tuple(c.kind == "d2" and c.i != c.j for c in coords)
 
 
-def flow_positions(n_base: int, n_fields: int, coords) -> list:
+def flow_positions(n_base: int, n_fields: int, coords) -> tuple:
     """Positions of ``coords`` in a flow row on (n_base, n_fields)."""
     index = {c: p for p, c in enumerate(_row_layout(n_base, n_fields)[0])}
     if not index.keys() >= set(coords):
         raise ValueError("coordinates outside the operator's jet space")
-    return [index[c] for c in coords]
+    return tuple(index[c] for c in coords)
+
+
+@functools.cache
+def _blocks(n, m, at):
+    """The fields whose value and d1 entries, and those whose d2 triangle,
+    a flow row read at positions ``at`` (every position when None) reads."""
+    if at is None:
+        return range(m), range(m)
+    d2 = n + m * (n + 1)
+    return (frozenset((p - n) // (n + 1) for p in at if n <= p < d2),
+            frozenset((p - d2) // (n * (n + 1) // 2) for p in at if p >= d2))
 
 
 def coefficient_rows(rows, n_base: int, n_fields: int, at) -> list:

@@ -23,7 +23,9 @@ them: residual 0.0, scale 0.0.  One edge differs: when every operator of
 a check is left out, no pass runs, so a member whose derivative is not
 finite no longer raises.  While any operator is live, such a derivative
 makes every live slot non-finite, and the check raises as before, naming
-the first live operator.
+the first live operator.  :func:`check_covariance` leaves out the same
+operators: no flow row, no dot products with the Jacobian, and an action
+of 0.0 at every entry, which those products give, through the same fit.
 
 A check record is PASS when its residual stays within ``tol * (1 +
 scale)``, the one rule :func:`_verdict`.  For an invariance record the
@@ -545,8 +547,9 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     scales = {op.label: 0.0 for op in ops}
     fits = {op.label: () for op in ops}
     cols = _columns(comps, tensor.deps)
+    live = [op for op in ops if not _moves_none(op, tensor.deps)]
     for point, t, _, flows, _ in _points(
-            ops, comps, tensor.deps, sampler or tensor.space.sampler(seed),
+            live, comps, tensor.deps, sampler or tensor.space.sampler(seed),
             n_samples):
         jac = family_jacobian(comps, point, tensor.deps, cols)
         rows = []
@@ -558,7 +561,8 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
                     acc += sign * t[c]
                 row.append(acc)
             rows.append(row + [t[cell]])
-        rhs = [[sum_prod(flow, jac[cell]) for cell in cells] for flow in flows]
+        dots = iter([[sum_prod(f, jac[c]) for c in cells] for f in flows])
+        rhs = [next(dots) if op in live else [0.0] * len(cells) for op in ops]
         for op, b, (fit, resid) in zip(ops, rhs, _lstsq(rows, rhs)):
             if not is_finite(resid):
                 raise EvaluationError(

@@ -12,6 +12,8 @@ are missing and leaves the others alone:
 The same grid also checks every coefficient's partials and every flow
 table against the bitwise references in ``references.py``: the nested-dual
 Hessian pass and the total-derivative loops run for every coefficient.
+A table at positions ``at`` builds only the blocks they read; it must equal
+the whole table there, and three checks' counts of that work are pinned.
 """
 
 import dataclasses
@@ -24,9 +26,12 @@ import pytest
 from invforge import liealg
 from invforge.dual import EvaluationError, value_grad_hess
 from invforge.exprlang import bind_scalar_function
-from invforge.jetspace import COMPLEX, base_coord, d1_coord, d2_coord
-from invforge.liealg import _FAMILIES, VectorField, catalog, make_sampler, \
-    make_spec, prolong2
+from invforge.invcat import EQUATIONS, basis, equation_function
+from invforge.jetspace import COMPLEX, base_coord, d1_coord, d2_coord, \
+    field_coord
+from invforge.liealg import _FAMILIES, VectorField, catalog, \
+    flow_positions, make_sampler, make_spec, prolong2
+from invforge.verify import check_absolute, check_on_manifold
 from references import nested_value_grad_hess, reference_flow
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -285,6 +290,114 @@ def test_shared_jets_tell_signed_zeros_apart():
     rows = [_flows(fields, p) for p in (plus, minus, plus)]
     assert rows == [_references(fields, p) for p in (plus, minus, plus)]
     assert rows[0] != rows[1]
+
+
+def _partial_shapes(n, m):
+    """Coordinate lists a check may read: d1 of one field only; d2 only,
+    the row's last entry and its first d2 entry; base coordinates only; one
+    field of a pair whole (value, d1 and d2)."""
+    return ([d1_coord(m, i) for i in range(n)],
+            [d2_coord(m, n - 1, n - 1), d2_coord(1, 0, 0)],
+            [base_coord(i) for i in range(n)],
+            [field_coord(m)] + [d1_coord(m, i) for i in range(n)]
+            + [d2_coord(m, i, j) for i in range(n) for j in range(i, n)])
+
+
+def _one_per_family():
+    """The first configuration of each family, n, and m or rep: the blocks
+    a row builds depend on the family's space, not on its parameters."""
+    seen, out = set(), []
+    for key, build, positive in CONFIGS:
+        words = key.split()
+        group = (words[0], *(w for w in words[1:]
+                             if w.startswith(("n=", "m=", "rep="))))
+        if group not in seen:
+            seen.add(group)
+            out.append((key, build, positive))
+    return out
+
+
+def test_partial_rows_equal_the_full_rows():
+    # the first three shapes are built in order on one copy of the point,
+    # whose memo starts empty, so a d2 block is built after first-order
+    # ones filled it; the last, on a copy of its own, builds one cold
+    configs = _one_per_family()
+    assert len(configs) == 52
+    for key, build, positive in configs:
+        spec = build()
+        n, m = spec.n_base, spec.n_fields
+        ops = [prolong2(f) for f in catalog(spec)]
+        shapes = [(c, flow_positions(n, m, c)) for c in _partial_shapes(n, m)]
+        for p in sample_points(spec, positive):
+            full = [(op.flow_table(p), op.coefficient_table(p)) for op in ops]
+            shared = dataclasses.replace(p)
+            for s, (coords, at) in enumerate(shapes):
+                q = shared if s < 3 else dataclasses.replace(p)
+                for op, (flow, table) in zip(ops, full):
+                    assert repr(op.flow_table(q, at)) == \
+                        repr([flow[c] for c in coords]), key
+                    assert repr(op.coefficient_table(q, at)) == \
+                        repr([table[c] for c in coords]), key
+
+
+def _counting(monkeypatch):
+    """The functions passed to ``value_grad_hess``, and every per-point memo
+    of coefficient jets made while counting."""
+    calls, memos = [], {}
+
+    def counted(fn, args):
+        calls.append(fn)
+        memo = liealg._LAST[1]
+        memos[id(memo)] = memo
+        return value_grad_hess(fn, args)
+
+    monkeypatch.setattr(liealg, "value_grad_hess", counted)
+    return calls, memos
+
+
+def _check_equation(name, **kw):
+    spec = EQUATIONS[name].default_algebra(3, kw)
+    fields = catalog(spec)
+    report = check_on_manifold(
+        [prolong2(f) for f in fields], equation_function(name, 3, **kw),
+        solve_for=EQUATIONS[name].solve_for, n_samples=5, seed=0)
+    assert report.verdict == "PASS"
+    return fields
+
+
+def test_a_first_order_check_builds_no_second_total_derivative(monkeypatch):
+    # the eikonal residual reads first derivatives only; whole rows built
+    # all 75 coefficients' second total derivatives
+    calls, memos = _counting(monkeypatch)
+    _check_equation("eikonal")
+    jets = [j for memo in memos.values() for j in memo.values()]
+    assert len(calls) == len(jets) == 75
+    assert all(j[2] is None for j in jets)
+
+
+def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
+    # the Schrodinger residual reads psi alone; its conjugate's eta,
+    # where no other coefficient shares it, is never differentiated (whole
+    # rows made 130 calls, 30 of them for those six functions)
+    calls, memos = _counting(monkeypatch)
+    fields = _check_equation("schrodinger", mass=1.0)
+    conj = {f.eta[1] for f in fields} - \
+        {g for f in fields for g in f.xi + f.eta[:1]}
+    assert len(conj) == 6
+    assert len(calls) == 100
+    assert not any(fn in conj for memo in memos.values() for fn in memo)
+    # psi's d2 block is read, so its jets and the xi's have second ones
+    assert sum(j[2] is not None
+               for memo in memos.values() for j in memo.values()) == 100
+
+
+def test_a_basis_check_differentiates_every_coefficient(monkeypatch):
+    # a basis check reads every block: as many calls as whole rows make
+    calls, _ = _counting(monkeypatch)
+    spec = make_spec("AE", 3)
+    check_absolute([prolong2(f) for f in catalog(spec)], basis(spec),
+                   n_samples=5, seed=0)
+    assert len(calls) == 25
 
 
 def record():

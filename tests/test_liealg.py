@@ -460,7 +460,7 @@ def test_tables_read_by_position_match_the_keyed_tables(name, rep, m):
                                      d2_coord(1, 0, 3), base_coord(3)])
 def test_flow_positions_reject_a_coordinate_of_another_space(outside):
     inside = enumerate_coords(3, 1)
-    assert flow_positions(3, 1, inside) == list(range(len(inside)))
+    assert flow_positions(3, 1, inside) == tuple(range(len(inside)))
     with pytest.raises(ValueError):
         flow_positions(3, 1, inside[:2] + [outside])
 
