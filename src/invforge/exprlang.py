@@ -384,8 +384,9 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     metric = metric or euclidean(n_base)
     if metric.dim != n_base:
         raise BindError("metric dimension must match the base dimension")
-    signs = metric.signs
     idx = tuple(range(1 if time_mode else 0, n_base))
+    # one sign per contracted index, t left out as every contraction does
+    signs = tuple(metric.signs[i] for i in idx)
     # the coordinate set of each leaf compiled for the current text, and
     # per shared node compiled so far its evaluator and its leaves' sets
     reads = []

@@ -42,20 +42,34 @@ from .jetspace import (
 from .liealg import AlgebraSpec, algebra_space, make_sampler, make_spec
 
 # --------------------------------------------------------------------------
-# generic dense linear algebra over any scalar that supports + - * /
+# generic dense linear algebra over any scalar that supports + - * /.  The
+# dot products (sum_prod, and _dot with a metric's signs) fuse a term whose
+# two factors are both Jet1: one jet holds the running sum, its value and
+# every slot updated in one step, where the generic path builds a product
+# jet and then a sum jet; each slot makes the generic path's operations in
+# the same order, so it keeps its bits.  Every other term is total + x * y.
 
 
 def mat_mul(a, b):
-    n, p = len(a), len(b[0])
-    q = len(b)
-    return [[sum_prod(a[i], [b[k][j] for k in range(q)]) for j in range(p)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum_prod(row, col) for col in cols] for row in a]
 
 
 def sum_prod(xs, ys):
+    """Sum of x * y from 0.0 in index order; the operands must have one
+    length."""
     total = 0.0
-    for x, y in zip(xs, ys):
-        total = total + x * y
+    for x, y in zip(xs, ys, strict=True):
+        if type(x) is not Jet1 or type(y) is not Jet1:
+            total = total + x * y
+        elif type(total) is Jet1:
+            vx, vy = x.value, y.value
+            total = Jet1(total.value + vx * vy, [
+                t + (vx * b + a * vy) for t, a, b in zip(total.d, x.d, y.d)])
+        else:  # the first jet term, as Jet1.__radd__ adds it
+            vx, vy = x.value, y.value
+            total = Jet1(vx * vy + total,
+                         [vx * b + a * vy for a, b in zip(x.d, y.d)])
     return total
 
 
@@ -407,12 +421,24 @@ def _gvec(view, r, idx):
 
 def _dot(a, b, signs=None):
     """a.G.b summed from 0.0 in index order, one product per term; with
-    a metric's ``signs``, each term is signs[i] * a[i] * b[i]."""
+    a metric's ``signs`` (numbers), each term is signs[i] * a[i] * b[i],
+    fused as :func:`sum_prod` fuses its jet terms."""
     if signs is None:
         return sum_prod(a, b)
     total = 0.0
-    for s, x, y in zip(signs, a, b):
-        total = total + s * x * y
+    for s, x, y in zip(signs, a, b, strict=True):
+        if type(x) is not Jet1 or type(y) is not Jet1:
+            total = total + s * x * y
+        elif type(total) is Jet1:
+            # s * x is Jet1(x.value * s, [p * s for p in x.d])
+            vx, vy = x.value * s, y.value
+            total = Jet1(total.value + vx * vy, [
+                t + (vx * q + (p * s) * vy)
+                for t, p, q in zip(total.d, x.d, y.d)])
+        else:
+            vx, vy = x.value * s, y.value
+            total = Jet1(vx * vy + total,
+                         [vx * q + (p * s) * vy for p, q in zip(x.d, y.d)])
     return total
 
 
@@ -481,13 +507,9 @@ def _R(view, vec, mat, signs, k):
     if len(ts) < k:
         m = _tensor_cached(view, *mat)
         while len(ts) < k:
-            gt = [s * t for s, t in zip(signs, ts[-1])]
+            gt = [s * t for s, t in zip(signs, ts[-1], strict=True)]
             ts.append([sum_prod(row, gt) for row in m])
-    v, t = ts[0], ts[k - 1]
-    total = 0.0
-    for i in range(len(v)):
-        total = total + v[i] * signs[i] * t[i]
-    return total
+    return _dot(ts[0], ts[k - 1], signs)
 
 
 def _power(base, expo):

@@ -88,14 +88,17 @@ def _jets(fn, point, second=False):
     if jets is not None and (jets[2] is not None or not second):
         return jets
     n, m, du = point.n_base, point.n_fields, point.du
+    # range objects made once: in these short nests a range() call per
+    # loop is a large share of the loop's cost
+    rn, rm = range(n), range(m)
     if jets is None:
         val, grad, hess = value_grad_hess(
             lambda args: fn(args[:n], args[n:]), [*point.x, *point.u])
         # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
         d = []
-        for i in range(n):
+        for i in rn:
             out = grad[i]
-            for s in range(m):
+            for s in rm:
                 out = out + du[s][i] * grad[n + s]
             d.append(out)
         jets = memo[fn] = [val, d, None, grad, hess]
@@ -103,16 +106,19 @@ def _jets(fn, point, second=False):
         # D_j D_i g for g = g(x, u)
         ddu, grad, hess = point.ddu, jets[3], jets[4]
         jets[2] = dd = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out = hess[i][j]
-                for s in range(m):
-                    dus = du[s]
-                    out = out + dus[j] * hess[i][n + s]
-                    out = out + dus[i] * hess[j][n + s]
-                    out = out + ddu[s][i][j] * grad[n + s]
-                    for t in range(m):
-                        out = out + dus[i] * du[t][j] * hess[n + s][n + t]
+        for i in rn:
+            hess_i = hess[i]
+            for j in rn:
+                hess_j = hess[j]
+                out = hess_i[j]
+                for s in rm:
+                    dus, ns = du[s], n + s
+                    hs = hess[ns]
+                    out = out + dus[j] * hess_i[ns]
+                    out = out + dus[i] * hess_j[ns]
+                    out = out + ddu[s][i][j] * grad[ns]
+                    for t in rm:
+                        out = out + dus[i] * du[t][j] * hs[n + t]
                 dd[i][j] = out
     return jets
 
@@ -153,6 +159,8 @@ class ProlongedOperator:
         du, ddu = point.du, point.ddu
         xi, d_xi, dd_xi = zip(*[_jets(f, point, bool(second))[:3]
                                 for f in src.xi])
+        cols = list(zip(*d_xi))  # cols[i][k] = D_i xi^k
+        rn = range(n)  # made once, as in _jets
         row = list(xi)
         for r in range(m):
             if r not in first:
@@ -160,10 +168,11 @@ class ProlongedOperator:
                 continue
             eta, d_eta = _jets(src.eta[r], point, r in second)[:2]
             row.append(eta)
-            for i in range(n):
-                val = d_eta[i]
-                for k in range(n):
-                    val = val - du[r][k] * d_xi[k][i]
+            du_r = du[r]
+            for i in rn:
+                val, col_i = d_eta[i], cols[i]
+                for k in rn:
+                    val = val - du_r[k] * col_i[k]
                 row.append(val)
         for r in range(m):
             if r not in second:
@@ -174,13 +183,15 @@ class ProlongedOperator:
             dd_eta = _jets(src.eta[r], point, True)[2]
             du_r, ddu_r = du[r], ddu[r]
             e2 = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    val = dd_eta[i][j]
-                    for k in range(n):
-                        val = val - ddu_r[k][j] * d_xi[k][i]
+            for i in rn:
+                col_i, ddu_ri, dd_eta_i = cols[i], ddu_r[i], dd_eta[i]
+                for j in rn:
+                    col_j = cols[j]
+                    val = dd_eta_i[j]
+                    for k in rn:
+                        val = val - ddu_r[k][j] * col_i[k]
                         val = val - du_r[k] * dd_xi[k][i][j]
-                        val = val - ddu_r[i][k] * d_xi[k][j]
+                        val = val - ddu_ri[k] * col_j[k]
                     e2[i][j] = val
             row += [e2[i][i] if i == j else (e2[i][j] + e2[j][i]) / 2.0
                     for i in range(n) for j in range(i, n)]

@@ -24,6 +24,11 @@ can check that the replacement gives every value bit for bit.
   ``mixed_power_trace`` and ``power_form`` as they were before a view
   kept what they share: S_k the trace of the full k-th power, each R_k
   its own loop of matrix-vector products from t_0 = v.
+- :func:`reference_sum_prod`, :func:`reference_dot` and
+  :func:`reference_mat_mul` are ``invcat.sum_prod``, ``_dot`` and
+  ``mat_mul`` as they were before the fused ``Jet1`` multiply-accumulate:
+  every term a product and then a sum, ``mat_mul`` building a column of
+  ``b`` for every entry.  The power references above run on them.
 - :func:`mgs_lstsq` is the least-squares fit that ``verify._lstsq`` made
   before it solved on the pivots of ``liealg.pivot_positions``: modified
   Gram-Schmidt, dropping a column whose remaining norm is at most
@@ -41,7 +46,7 @@ import functools
 
 from invforge.dual import Dual, EvaluationError, is_finite, value_of
 from invforge.invcat import _EUCLIDEAN_TENSORS, covariant_tensor, \
-    equation_function, g_premul, mat_mul, mat_trace, sum_prod, trace_prod
+    equation_function, g_premul, mat_trace
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
 from invforge.liealg import flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
@@ -407,11 +412,34 @@ def mgs_lstsq(a, b):
     return x, resid
 
 
+def reference_sum_prod(xs, ys):
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+def reference_dot(a, b, signs=None):
+    if signs is None:
+        return reference_sum_prod(a, b)
+    total = 0.0
+    for s, x, y in zip(signs, a, b):
+        total = total + s * x * y
+    return total
+
+
+def reference_mat_mul(a, b):
+    n, p = len(a), len(b[0])
+    q = len(b)
+    return [[reference_sum_prod(a[i], [b[k][j] for k in range(q)])
+             for j in range(p)] for i in range(n)]
+
+
 def _metric_power(mat, signs, k):
     """(G M)^k as the product of k - 1 matrix products from the left."""
     first = power = g_premul(signs, mat)
     for _ in range(k - 1):
-        power = mat_mul(power, first)
+        power = reference_mat_mul(power, first)
     return power
 
 
@@ -426,8 +454,8 @@ def reference_mixed_power_trace(u, v, signs, j, k):
         return reference_power_trace(v, signs, k)
     if j == k:
         return reference_power_trace(u, signs, k)
-    return trace_prod(_metric_power(u, signs, j),
-                      _metric_power(v, signs, k - j))
+    return mat_trace(reference_mat_mul(_metric_power(u, signs, j),
+                                       _metric_power(v, signs, k - j)))
 
 
 def reference_power_form(vec, mat, signs, k):
@@ -435,7 +463,7 @@ def reference_power_form(vec, mat, signs, k):
     n = len(vec)
     t = list(vec)
     for _ in range(k - 1):
-        t = [sum_prod(mat[i], [signs[j] * t[j] for j in range(n)])
+        t = [reference_sum_prod(mat[i], [signs[j] * t[j] for j in range(n)])
              for i in range(n)]
     total = 0.0
     for i in range(n):

@@ -542,6 +542,25 @@ def test_minkowski_contract_weighs_by_the_signs():
     assert abs(fn.eval(point) - want) < 1e-12
 
 
+def test_time_binding_weighs_each_spatial_index_by_its_own_sign():
+    """A time binding contracts over x1..xn only, so each of those indices
+    carries its own metric sign and t's is never read, under any metric."""
+    point = sample_generic(4, 2, seed=3)
+    signs = minkowski(4).signs[1:]
+    d1, d2 = (row[1:] for row in point.du)
+    u = [row[1:] for row in point.ddu[0][1:]]
+    ud1 = [sum(u[i][j] * signs[j] * d1[j] for j in range(3))
+           for i in range(3)]
+    for text, want in [
+            ("S(1)", sum(s * u[i][i] for i, s in enumerate(signs))),
+            ("R(1)", sum(s * a * a for s, a in zip(signs, d1))),
+            ("R(2)", sum(s * a * b for s, a, b in zip(signs, d1, ud1))),
+            ("contract(du1, du2)",
+             sum(s * a * b for s, a, b in zip(signs, d1, d2)))]:
+        fn = bind(text, 4, 2, metric=minkowski(4), time_mode=True)
+        assert abs(fn.eval(point) - want) <= 1e-12 * (1 + abs(want)), text
+
+
 @pytest.mark.parametrize("text,positive", [
     ("u^2", False), ("u ^ -2", False), ("-u^2 + 3/u", False),
     ("exp(u)/(2+u)", False), ("2^0.5 * u", False), ("2^u", False),
