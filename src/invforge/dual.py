@@ -114,13 +114,8 @@ class Dual:
         if isinstance(expo, Dual):
             # f^g = exp(g log f); requires f away from the branch cut.
             return dexp(expo * dlog(self))
-        if isinstance(expo, int):
-            if expo == 0:
-                return Dual(self.value ** 0, 0.0 * self.deriv)
-            return Dual(
-                self.value ** expo,
-                expo * self.value ** (expo - 1) * self.deriv,
-            )
+        if isinstance(expo, int) and expo == 0:
+            return Dual(self.value ** 0, 0.0 * self.deriv)
         if isinstance(expo, _NUMBERS):
             return Dual(
                 self.value ** expo,
@@ -250,11 +245,13 @@ class Jet2(_Jet):
     It stands for the nested dual ``Dual(Dual(value, inner), outer')``
     whose outer component j is ``Dual(outer[j], column j of the Hessian)``.
     ``d`` lists the inner gradient, the outer gradient and the Hessian
-    entries (i, j), i <= j; ``shape`` is (k, pairs) with pairs[p] =
-    (i, k + j), the places in ``d`` of the gradient entries Hessian entry p
-    reads.  The two gradients start equal but part after ``/``, ``1/x``
-    and :func:`dlog`, and Hessian entries read both, so both are kept.  No
-    slot is ever changed in place.
+    entries the pass carries.  ``shape`` (:func:`jet2_shape`) is (k, slots,
+    pairs): pairs[p] = (q, i, j), the places in ``d`` of Hessian entry p
+    and of the gradient entries it reads; slots is (g, g, g) per gradient
+    place g, then pairs.  The two gradients start equal but part after
+    ``/``, ``1/x`` and :func:`dlog`, and Hessian entries read both, so both
+    are kept.  No value or gradient slot reads a Hessian entry, and no slot
+    is ever changed in place.
     """
 
     __slots__ = ("value", "d", "shape")
@@ -268,15 +265,14 @@ class Jet2(_Jet):
         return Jet2(value, d, self.shape)
 
     def _mul(self, other):
-        (k, pairs), vx, dx = self.shape, self.value, self.d
-        vy, dy = other.value, other.d
-        return self._new(vx * vy, [
-            vx * b + a * vy for a, b in zip(dx[:2 * k], dy)] + [
-            (vx * b + dx[i] * dy[j]) + (dx[j] * dy[i] + a * vy)
-            for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
+        vx, dx, vy, dy = self.value, self.d, other.value, other.d
+        return Jet2(vx * vy, [
+            vx * dy[p] + dx[p] * vy if p == i else
+            (vx * dy[p] + dx[i] * dy[j]) + (dx[j] * dy[i] + dx[p] * vy)
+            for p, i, j in self.shape[1]], self.shape)
 
     def _div(self, other):
-        (k, pairs), vx, dx, dy = self.shape, self.value, self.d, other.d
+        (k, _, pairs), vx, dx, dy = self.shape, self.value, self.d, other.d
         w = 1.0 / other.value  # 1.0 / y as Dual.__rtruediv__ forms it
         iv, s = 1.0 * w, -1.0 * w * w
         ig = [s * a for a in dy[:k]]
@@ -284,12 +280,13 @@ class Jet2(_Jet):
         # the quotient's inner gradient, then the outer numerators
         t = [vx * b + a * iv for a, b in zip(dx, ig)]
         t += [a - p * b for a, b in zip(dx[k:2 * k], dy[k:])]
-        return self._new(p, t[:k] + [a * iv for a in t[k:]] + [
-            t[j] * ig[i] + (a - (p * b + t[i] * dy[j])) * iv
-            for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
+        out = t[:k] + [a * iv for a in t[k:]]
+        out += [t[j] * ig[i] + (dx[q] - (p * dy[q] + t[i] * dy[j])) * iv
+                for q, i, j in pairs]
+        return Jet2(p, out, self.shape)
 
     def __rtruediv__(self, other):
-        (k, pairs), d = self.shape, self.d
+        (k, _, pairs), d = self.shape, self.d
         w = 1.0 / self.value
         iv, s = 1.0 * w, -1.0 * w * w
         ig = [s * a for a in d[:k]]
@@ -297,15 +294,15 @@ class Jet2(_Jet):
         c = iv * neg
         cc = c * iv
         cg = [c * a + (a * neg) * iv for a in ig]
-        return self._new(iv * other, [a * other for a in ig] + [
-            cc * a for a in d[k:2 * k]] + [
-            cc * a + cg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
+        out = [a * other for a in ig] + [cc * a for a in d[k:2 * k]]
+        out += [cc * d[q] + cg[i] * d[j] for q, i, j in pairs]
+        return Jet2(iv * other, out, self.shape)
 
     def _power(self, expo):
-        (k, pairs), v, d = self.shape, self.value, self.d
+        (k, _, pairs), v, d = self.shape, self.value, self.d
         if isinstance(expo, int) and expo == 0:
-            return self._new(v ** 0, [0.0 * a for a in d[:k]]
-                             + [a * 0.0 for a in d[k:]])
+            return Jet2(v ** 0, [0.0 * a for a in d[:k]]
+                        + [a * 0.0 for a in d[k:]], self.shape)
         # the nested pass's expo * x ** (expo - 1) * outer', the inner power
         # taken as Dual.__pow__ takes it
         e1 = expo - 1
@@ -315,25 +312,25 @@ class Jet2(_Jet):
         else:
             c1 = e1 * v ** (e1 - 1)
             ek, ekg = v ** e1 * expo, [(c1 * a) * expo for a in d[:k]]
-        return self._new(v ** expo, [c * a for a in d[:k]] + [
-            ek * a for a in d[k:2 * k]] + [
-            ek * a + ekg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
+        out = [c * a for a in d[:k]] + [ek * a for a in d[k:2 * k]]
+        out += [ek * d[q] + ekg[i] * d[j] for q, i, j in pairs]
+        return Jet2(v ** expo, out, self.shape)
 
     def _exp(self):
-        (k, pairs), d = self.shape, self.d
+        (k, _, pairs), d = self.shape, self.d
         e = _scalar_exp(self.value)
-        g = [e * a for a in d[:2 * k]]
-        return self._new(e, g + [e * a + g[i] * d[j]
-                                 for (i, j), a in zip(pairs, d[2 * k:])])
+        out = [e * a for a in d[:2 * k]]
+        out += [e * d[q] + out[i] * d[j] for q, i, j in pairs]
+        return Jet2(e, out, self.shape)
 
     def _log(self):
         # the inner gradient divides by x, the outer one multiplies by 1/x
-        (k, pairs), v, d = self.shape, self.value, self.d
+        (k, _, pairs), v, d = self.shape, self.value, self.d
         lg = _scalar_log(v)
         w = 1.0 / v
-        t = [a / v for a in d[:k]] + [a * w for a in d[k:2 * k]]
-        return self._new(lg, t + [(a - t[j] * d[i]) * w
-                                  for (i, j), a in zip(pairs, d[2 * k:])])
+        out = [a / v for a in d[:k]] + [a * w for a in d[k:2 * k]]
+        out += [(d[q] - out[j] * d[i]) * w for q, i, j in pairs]
+        return Jet2(lg, out, self.shape)
 
 
 def derivs(x, k):
@@ -390,23 +387,39 @@ def is_finite(x) -> bool:
     return math.isfinite(v)
 
 
+def jet2_shape(k, pairs):
+    """:class:`Jet2` shape over k arguments carrying the Hessian entries
+    ``pairs``, each a pair (i, j) of argument indices."""
+    hess = tuple((2 * k + p, i, k + j) for p, (i, j) in enumerate(pairs))
+    return k, tuple((p, p, p) for p in range(2 * k)) + hess, hess
+
+
 @functools.cache
-def _jet_seeds(k):
-    """Shape and slots of the k seeded arguments of a Hessian pass,
-    argument a with the unit vector along a as both gradients; shared by
-    every pass with k arguments."""
-    pairs = tuple((i, k + j) for i in range(k) for j in range(i, k))
-    units = [tuple(1.0 if i == a else 0.0 for i in range(k))
-             for a in range(k)]
-    return (k, pairs), tuple(e + e + (0.0,) * len(pairs) for e in units)
+def _jet_seeds(k, hessian):
+    """Shape and slots of the k seeded arguments of a pass at a depth, made
+    once: argument a has the unit vector along a as both gradients."""
+    pairs = [(i, j) for i in range(k) for j in range(i, k)] if hessian else []
+    units = [tuple(float(i == a) for i in range(k)) for a in range(k)]
+    return jet2_shape(k, pairs), tuple(e + e + (0.0,) * len(pairs)
+                                       for e in units)
 
 
-def value_grad_hess(fn, args):
+def seed_jets(args, hessian=True):
+    """The seeded :class:`Jet2` arguments of a pass over ``args`` at a
+    depth.  No jet is changed in place, so passes may share them."""
+    shape, seeds = _jet_seeds(len(args), hessian)
+    return [Jet2(a, d, shape) for a, d in zip(args, seeds)]
+
+
+def value_grad_hess(fn, args, hessian=True, seeded=None):
     """Value, gradient, and full Hessian of ``fn(args)``.
 
     Two passes: the plain value pass and one :class:`Jet2` pass, whose
     outer gradient is ``grad`` and whose entry (i, j), i <= j, is
-    ``hess[i][j]`` and ``hess[j][i]``.
+    ``hess[i][j]`` and ``hess[j][i]``; with ``hessian`` false it carries
+    no Hessian entries, ``hess`` is None and the rest keeps its bits.  A
+    caller making several passes over one ``args`` may hand each the same
+    ``seeded`` = ``seed_jets(args, hessian)``.
 
     If the jet pass returns a non-jet, ``fn`` combined no seeded argument
     and the gradient and Hessian are returned as zeros.  That is exact
@@ -416,13 +429,10 @@ def value_grad_hess(fn, args):
     """
     n = len(args)
     val = value_of(fn(list(args)))
-    grad = [0.0] * n
-    hess = [[0.0] * n for _ in range(n)]
-    shape, seeds = _jet_seeds(n)
-    out = fn([Jet2(a, d, shape) for a, d in zip(args, seeds)])
+    out = fn(list(seeded or seed_jets(args, hessian)))
+    hess = [[0.0] * n for _ in range(n)] if hessian else None
     if not isinstance(out, Jet2):
-        return val, grad, hess
-    grad[:] = out.d[n:2 * n]
-    for (i, j), h in zip(shape[1], out.d[2 * n:]):
-        hess[i][j - n] = hess[j - n][i] = h
-    return val, grad, hess
+        return val, [0.0] * n, hess
+    for q, i, j in _jet_seeds(n, hessian)[0][2]:
+        hess[i][j - n] = hess[j - n][i] = out.d[q]
+    return val, list(out.d[n:2 * n]), hess

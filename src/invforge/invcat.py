@@ -22,6 +22,7 @@ from .dual import (
     derivs,
     dexp,
     dlog,
+    jet2_shape,
     magnitude,
     value_of,
 )
@@ -324,7 +325,7 @@ def curvature_view(point, coords):
     one pass over k coordinates gives each one's exact dF/dc and d2F/dc2:
     ``d[k + p]`` and ``d[2 * k + p]`` of the result for ``coords[p]``."""
     k = len(coords)
-    shape = (k, tuple((i, k + i) for i in range(k)))
+    shape = jet2_shape(k, [(i, i) for i in range(k)])
     return _jet_view(point, coords,
                      [[float(p in (pos, k + pos)) for p in range(3 * k)]
                       for pos in range(k)],

@@ -15,6 +15,7 @@ are 1-based.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -135,6 +136,11 @@ def enumerate_coords(n_base: int, n_fields: int) -> list:
     return coords
 
 
+def _zero_signs(v):
+    """Signs of a number's real and imaginary parts, zeros' included."""
+    return math.copysign(1.0, v.real), math.copysign(1.0, v.imag)
+
+
 def _symmetric(n: int, entry) -> tuple:
     """Full symmetric n x n matrix, a tuple of row tuples, with (i, j) and
     (j, i) both set to ``entry(i, j)``; ``entry`` is called once per pair
@@ -169,9 +175,14 @@ class JetPoint:
                 for mat in self.ddu):
             raise ValueError("inconsistent second-derivative array sizes")
         # tuple comparison tries identity first, so a NaN written into
-        # both slots of a pair still compares equal
-        if any(tuple(zip(*mat)) != mat for mat in self.ddu):
-            raise ValueError("second derivatives must be symmetric")
+        # both slots of a pair still compares equal; equal entries may
+        # still differ in the sign of a zero part
+        for mat in self.ddu:
+            cols = tuple(zip(*mat))
+            if cols != mat or any(
+                    a is not b and _zero_signs(a) != _zero_signs(b)
+                    for row, col in zip(mat, cols) for a, b in zip(row, col)):
+                raise ValueError("second derivatives must be symmetric")
 
     def _check(self, cid: JetCoordinateId):
         if cid.kind == "base":

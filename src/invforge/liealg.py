@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .dual import value_grad_hess
+from .dual import seed_jets, value_grad_hess
 from .jetspace import (
     COMPLEX,
     REAL,
@@ -68,22 +68,23 @@ class VectorField:
         return f"VectorField({self.label})"
 
 
-# (point, {function: jets there}) of the last point a flow row was built
-# at, replaced whole by the next point
-_LAST = (None, {})
+# (point, {function: jets there}, arguments, {depth: seeded jets}) of the
+# last point a flow row was built at, replaced whole by the next point
+_LAST = (None, {}, (), {})
 
 
 def _jets(fn, point, second=False):
-    """[value, [D_i g], [[D_j D_i g]], gradient, Hessian] of a coefficient
-    g = ``fn`` at a point, built once per point for all operators.  The
-    second total derivatives are None until a caller asks for them
-    (``second``), for a d2 block it reads; they are then built once, in one
-    loop nest, from the kept gradient and Hessian.  The point is matched by
-    identity, never by equality, which would merge -0.0 and 0.0."""
+    """[value, [D_i g], [[D_j D_i g]]] of a coefficient g = ``fn`` at a
+    point, built once per point for all operators; its passes share one
+    argument tuple and its seeded jets per depth.  The second total
+    derivatives are None until a caller asks for them (``second``), for a
+    d2 block it reads: a pass without it carries no Hessian, so the first
+    ask runs the full pass and builds them in one loop nest.  The point is
+    matched by identity, never by equality, which would merge -0.0 and 0.0."""
     global _LAST
     if _LAST[0] is not point:
-        _LAST = point, {}
-    memo = _LAST[1]
+        _LAST = point, {}, (*point.x, *point.u), {}
+    _, memo, args, seeded = _LAST
     jets = memo.get(fn)
     if jets is not None and (jets[2] is not None or not second):
         return jets
@@ -91,9 +92,11 @@ def _jets(fn, point, second=False):
     # range objects made once: in these short nests a range() call per
     # loop is a large share of the loop's cost
     rn, rm = range(n), range(m)
+    if second not in seeded:
+        seeded[second] = seed_jets(args, second)
+    val, grad, hess = value_grad_hess(lambda a: fn(a[:n], a[n:]), args,
+                                      hessian=second, seeded=seeded[second])
     if jets is None:
-        val, grad, hess = value_grad_hess(
-            lambda args: fn(args[:n], args[n:]), [*point.x, *point.u])
         # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
         d = []
         for i in rn:
@@ -101,10 +104,10 @@ def _jets(fn, point, second=False):
             for s in rm:
                 out = out + du[s][i] * grad[n + s]
             d.append(out)
-        jets = memo[fn] = [val, d, None, grad, hess]
+        jets = memo[fn] = [val, d, None]
     if second:
         # D_j D_i g for g = g(x, u)
-        ddu, grad, hess = point.ddu, jets[3], jets[4]
+        ddu = point.ddu
         jets[2] = dd = [[None] * n for _ in range(n)]
         for i in rn:
             hess_i = hess[i]
@@ -426,9 +429,17 @@ def make_spec(name: str, n: int, **kw) -> AlgebraSpec:
 
 def catalog(spec: AlgebraSpec) -> list:
     """Basis vector fields of the named algebra: the bound text rows of
-    :func:`generator_rows`, or AP_inf's sampled generators."""
+    :func:`generator_rows`, bound once per spec (a new list of the same
+    fields each call), or AP_inf's generators, sampled every call: a
+    call's spec carries its own seed and bound ``functions``."""
     if spec.name == "AP_inf":
         return _eikonal_family(spec)
+    # specs that compare equal may print -0.0 or an int into the row texts
+    return list(_bound_rows(spec, repr((spec.lam, spec.mu, spec.mass))))
+
+
+@functools.lru_cache(maxsize=64)
+def _bound_rows(spec, params):
     return bind_generators(spec, generator_rows(spec))
 
 
@@ -576,17 +587,24 @@ def _galilei_rows(spec, x, u):
 
 class PolynomialOfU:
     """Low-degree polynomial c0 + c1 u + c2 u^2 used as a sampled
-    coefficient function of the field value."""
+    coefficient function of the field value.  It keeps its last argument,
+    matched by identity, and value per argument type: xi^mu and xi^nu both
+    read b^{mu nu}(u), and :func:`_jets` shares argument objects."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_last")
 
     def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
+        self._last = {}
 
     def __call__(self, u):
+        last = self._last.get(type(u))
+        if last is not None and last[0] is u:
+            return last[1]
         out = 0.0
         for c in reversed(self.coeffs):
             out = out * u + c
+        self._last[type(u)] = u, out
         return out
 
     def __repr__(self):

@@ -29,6 +29,12 @@ can check that the replacement gives every value bit for bit.
   ``mat_mul`` as they were before the fused ``Jet1`` multiply-accumulate:
   every term a product and then a sum, ``mat_mul`` building a column of
   ``b`` for every entry.  The power references above run on them.
+- :class:`ReferenceJet2` holds ``dual.Jet2``'s product, quotient,
+  reciprocal, power, exp and log rules as they were before the jet's
+  shape carried index triples: each rule slices its slot list into the
+  two gradients and the Hessian entries and concatenates the parts, and
+  ``shape`` is (k, pairs) with pairs[p] = (i, k + j), the places of the
+  gradient entries Hessian entry p reads (:func:`reference_jet2_shape`).
 - :func:`mgs_lstsq` is the least-squares fit that ``verify._lstsq`` made
   before it solved on the pivots of ``liealg.pivot_positions``: modified
   Gram-Schmidt, dropping a column whose remaining norm is at most
@@ -44,7 +50,8 @@ tensor's components at one point; and :func:`coord_count`.
 
 import functools
 
-from invforge.dual import Dual, EvaluationError, is_finite, value_of
+from invforge.dual import Dual, EvaluationError, _Jet, _scalar_exp, \
+    _scalar_log, is_finite, value_of
 from invforge.invcat import _EUCLIDEAN_TENSORS, covariant_tensor, \
     equation_function, g_premul, mat_trace
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
@@ -256,6 +263,88 @@ def reference_flow(op, point, value_grad_hess=nested_value_grad_hess):
                 flow[d2_coord(r + 1, i, j)] = \
                     (eta2(r, i, j) + eta2(r, j, i)) / 2.0
     return flow
+
+
+def reference_jet2_shape(k, pairs):
+    """:class:`ReferenceJet2` shape over k arguments carrying the Hessian
+    entries ``pairs``, each a pair (i, j) of argument indices."""
+    return k, tuple((i, k + j) for i, j in pairs)
+
+
+class ReferenceJet2(_Jet):
+    __slots__ = ("value", "d", "shape")
+
+    def __init__(self, value, d, shape):
+        self.value = value
+        self.d = d
+        self.shape = shape
+
+    def _new(self, value, d):
+        return ReferenceJet2(value, d, self.shape)
+
+    def _mul(self, other):
+        (k, pairs), vx, dx = self.shape, self.value, self.d
+        vy, dy = other.value, other.d
+        return self._new(vx * vy, [
+            vx * b + a * vy for a, b in zip(dx[:2 * k], dy)] + [
+            (vx * b + dx[i] * dy[j]) + (dx[j] * dy[i] + a * vy)
+            for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
+
+    def _div(self, other):
+        (k, pairs), vx, dx, dy = self.shape, self.value, self.d, other.d
+        w = 1.0 / other.value
+        iv, s = 1.0 * w, -1.0 * w * w
+        ig = [s * a for a in dy[:k]]
+        p = vx * iv
+        t = [vx * b + a * iv for a, b in zip(dx, ig)]
+        t += [a - p * b for a, b in zip(dx[k:2 * k], dy[k:])]
+        return self._new(p, t[:k] + [a * iv for a in t[k:]] + [
+            t[j] * ig[i] + (a - (p * b + t[i] * dy[j])) * iv
+            for (i, j), a, b in zip(pairs, dx[2 * k:], dy[2 * k:])])
+
+    def __rtruediv__(self, other):
+        (k, pairs), d = self.shape, self.d
+        w = 1.0 / self.value
+        iv, s = 1.0 * w, -1.0 * w * w
+        ig = [s * a for a in d[:k]]
+        neg = -other
+        c = iv * neg
+        cc = c * iv
+        cg = [c * a + (a * neg) * iv for a in ig]
+        return self._new(iv * other, [a * other for a in ig] + [
+            cc * a for a in d[k:2 * k]] + [
+            cc * a + cg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
+
+    def _power(self, expo):
+        (k, pairs), v, d = self.shape, self.value, self.d
+        if isinstance(expo, int) and expo == 0:
+            return self._new(v ** 0, [0.0 * a for a in d[:k]]
+                             + [a * 0.0 for a in d[k:]])
+        e1 = expo - 1
+        c = expo * v ** e1
+        if isinstance(e1, int) and e1 == 0:
+            ek, ekg = v ** 0 * expo, [(0.0 * a) * expo for a in d[:k]]
+        else:
+            c1 = e1 * v ** (e1 - 1)
+            ek, ekg = v ** e1 * expo, [(c1 * a) * expo for a in d[:k]]
+        return self._new(v ** expo, [c * a for a in d[:k]] + [
+            ek * a for a in d[k:2 * k]] + [
+            ek * a + ekg[i] * d[j] for (i, j), a in zip(pairs, d[2 * k:])])
+
+    def _exp(self):
+        (k, pairs), d = self.shape, self.d
+        e = _scalar_exp(self.value)
+        g = [e * a for a in d[:2 * k]]
+        return self._new(e, g + [e * a + g[i] * d[j]
+                                 for (i, j), a in zip(pairs, d[2 * k:])])
+
+    def _log(self):
+        (k, pairs), v, d = self.shape, self.value, self.d
+        lg = _scalar_log(v)
+        w = 1.0 / v
+        t = [a / v for a in d[:k]] + [a * w for a in d[k:2 * k]]
+        return self._new(lg, t + [(a - t[j] * d[i]) * w
+                                  for (i, j), a in zip(pairs, d[2 * k:])])
 
 
 def reference_independence_rank(family, n_samples=5, seed=0, sampler=None,

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from invforge.dual import Jet1, Jet2
+from invforge.dual import Jet1, Jet2, jet2_shape
 from invforge.invcat import _dot, basis, mat_mul, mat_trace, \
     operator_view, sum_prod, trace_prod
 from invforge.liealg import catalog, flow_positions, make_spec, prolong2
@@ -43,9 +43,11 @@ def _complex_jets(rng, count, k):
     return [Jet1(c(), [c() for _ in range(k)]) for _ in range(count)]
 
 
+_JET2_SHAPE = jet2_shape(2, [(0, 0), (0, 1), (1, 1)])
+
+
 def _jet2(value, d):
-    shape = (2, ((0, 2), (0, 3), (1, 3)))
-    return Jet2(value, d, shape)
+    return Jet2(value, d, _JET2_SHAPE)
 
 
 _RNG = random.Random(31)

@@ -11,6 +11,7 @@ from invforge.dual import (
     derivs,
     dexp,
     dlog,
+    seed_jets,
     value_grad_hess,
     value_of,
 )
@@ -302,13 +303,23 @@ def test_value_grad_hess_makes_two_passes(fn):
 
 def test_cached_hess_seeds_are_unchanged_by_a_pass():
     # the jet pass shares one set of unit seeds, zero Hessian entries and
-    # index pairs per argument count
-    seeds = _jet_seeds(4)
-    before = repr(seeds)
-    value_grad_hess(_quotients_and_powers, [0.5, 1.0, 1.5, 2.0])
-    value_grad_hess(_complex_valued, [0.5, 1.0, 1.5, 2.0])
-    assert _jet_seeds(4) is seeds
-    assert repr(seeds) == before
+    # index pairs per argument count and depth
+    for hessian in (True, False):
+        seeds = _jet_seeds(4, hessian)
+        before = repr(seeds)
+        seen = []
+
+        def fn(args):
+            seen.append(args)
+            return _quotients_and_powers(args)
+
+        for f in (fn, _complex_valued):
+            value_grad_hess(f, [0.5, 1.0, 1.5, 2.0], hessian)
+        assert _jet_seeds(4, hessian) is seeds
+        assert repr(seeds) == before
+        # the pass seeded its jets from these cached slots and shape
+        assert all(a.shape is seeds[0] and a.d is d
+                   for a, d in zip(seen[1], seeds[1]))
 
 
 @pytest.mark.parametrize("fn", [_non_polynomial, _quotients_and_powers,
@@ -354,6 +365,60 @@ def test_every_jet_operation_matches_nested_pass(kind, k, rng):
                     for _ in range(k)]
         assert repr(value_grad_hess(_every_operation, args)) == \
             repr(nested_value_grad_hess(_every_operation, args))
+
+
+def _vgh_outcome(fn, args, hessian=True):
+    try:
+        return repr(value_grad_hess(fn, args, hessian))
+    except (ArithmeticError, ValueError) as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("fn", [_every_operation, _non_polynomial,
+                                _quotients_and_powers, _complex_valued,
+                                _skips_arguments, lambda args: 2.5,
+                                lambda args: args[0],
+                                lambda args: -0.0 * args[-1]])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_a_pass_without_hessian_pairs_keeps_value_and_gradient_bits(
+        fn, kind, k, rng):
+    for _ in range(5):
+        if kind == "complex":
+            args = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+                    for _ in range(k)]
+        else:
+            args = [rng.choice((-0.0, 0.0, rng.uniform(-2.0, 2.0)))
+                    for _ in range(k)]
+        want = _vgh_outcome(fn, args)
+        if not want.startswith("("):  # the error both passes raise
+            assert _vgh_outcome(fn, args, False) == want
+            continue
+        val, grad, hess = value_grad_hess(fn, args)
+        assert len(hess) == k
+        assert _vgh_outcome(fn, args, False) == repr((val, grad, None))
+
+
+@pytest.mark.parametrize("hessian", [True, False])
+def test_a_pass_reads_the_seeded_jets_it_is_handed(hessian):
+    seen = []
+
+    def fn(args):
+        seen.append(args)
+        return args[0] * args[1] / args[0]
+
+    args = (0.5, 1.5)
+    want = repr(value_grad_hess(fn, args, hessian))
+    seeded = seed_jets(args, hessian)
+    before = repr([(a.value, a.d) for a in seeded])
+    for _ in range(2):
+        assert repr(value_grad_hess(fn, args, hessian, seeded)) == want
+    # the value passes get the numbers themselves; a pass with no seeded
+    # jets makes its own, and the others read those handed in, unchanged
+    assert all(a is b for s in seen[::2] for a, b in zip(s, args))
+    assert all(s is not seeded and s == seeded for s in seen[3::2])
+    assert not any(a is b for a, b in zip(seen[1], seeded))
+    assert repr([(a.value, a.d) for a in seeded]) == before
 
 
 def test_value_grad_hess_constructs_no_dual(monkeypatch):
@@ -496,7 +561,7 @@ def test_a_jet_takes_any_non_jet_operand_as_a_constant(jet, form):
         x = Jet1(0.75, [0.5, -1.25, 0.0])
     else:
         x = Jet2(0.75, [0.5, -1.25, 0.5, -1.25, 2.0, -0.5, 3.0],
-                 _jet_seeds(2)[0])
+                 _jet_seeds(2, True)[0])
     op = _CONSTANT_FORMS[form]
     got, want = op(x, Fraction(1, 4)), op(x, 0.25)
     assert type(got) is type(want) is type(x)

@@ -24,7 +24,7 @@ import os
 import pytest
 
 from invforge import liealg
-from invforge.dual import EvaluationError, value_grad_hess
+from invforge.dual import EvaluationError, seed_jets, value_grad_hess
 from invforge.exprlang import bind_scalar_function
 from invforge.invcat import EQUATIONS, basis, equation_function
 from invforge.jetspace import COMPLEX, base_coord, d1_coord, d2_coord, \
@@ -252,9 +252,9 @@ def test_each_coefficient_function_is_differentiated_once_per_point(
     # at one point; AP_inf's closures share nothing
     calls = []
 
-    def counted(fn, args):
+    def counted(fn, args, hessian=True, seeded=None):
         calls.append(fn)
-        return value_grad_hess(fn, args)
+        return value_grad_hess(fn, args, hessian, seeded)
 
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
     fields = catalog(spec)
@@ -341,18 +341,20 @@ def test_partial_rows_equal_the_full_rows():
 
 
 def _counting(monkeypatch):
-    """The functions passed to ``value_grad_hess``, and every per-point memo
-    of coefficient jets made while counting."""
-    calls, memos = [], {}
+    """The functions passed to ``value_grad_hess``, whether each pass
+    carried Hessian pairs, and every per-point memo of coefficient jets
+    made while counting."""
+    calls, depths, memos = [], [], {}
 
-    def counted(fn, args):
+    def counted(fn, args, hessian=True, seeded=None):
         calls.append(fn)
+        depths.append(hessian)
         memo = liealg._LAST[1]
         memos[id(memo)] = memo
-        return value_grad_hess(fn, args)
+        return value_grad_hess(fn, args, hessian, seeded)
 
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
-    return calls, memos
+    return calls, depths, memos
 
 
 def _check_equation(name, **kw):
@@ -367,37 +369,132 @@ def _check_equation(name, **kw):
 
 def test_a_first_order_check_builds_no_second_total_derivative(monkeypatch):
     # the eikonal residual reads first derivatives only; whole rows built
-    # all 75 coefficients' second total derivatives
-    calls, memos = _counting(monkeypatch)
+    # all 75 coefficients' second total derivatives, and until the passes
+    # took a depth every pass carried Hessian pairs
+    calls, depths, memos = _counting(monkeypatch)
     _check_equation("eikonal")
     jets = [j for memo in memos.values() for j in memo.values()]
     assert len(calls) == len(jets) == 75
     assert all(j[2] is None for j in jets)
+    assert not any(depths)
 
 
 def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
     # the Schrodinger residual reads psi alone; its conjugate's eta,
     # where no other coefficient shares it, is never differentiated (whole
     # rows made 130 calls, 30 of them for those six functions)
-    calls, memos = _counting(monkeypatch)
+    calls, depths, memos = _counting(monkeypatch)
     fields = _check_equation("schrodinger", mass=1.0)
     conj = {f.eta[1] for f in fields} - \
         {g for f in fields for g in f.xi + f.eta[:1]}
     assert len(conj) == 6
     assert len(calls) == 100
     assert not any(fn in conj for memo in memos.values() for fn in memo)
-    # psi's d2 block is read, so its jets and the xi's have second ones
+    # psi's d2 block is read, so its jets and the xi's have second ones,
+    # each from its one pass, which carried Hessian pairs
     assert sum(j[2] is not None
                for memo in memos.values() for j in memo.values()) == 100
+    assert all(depths)
 
 
 def test_a_basis_check_differentiates_every_coefficient(monkeypatch):
     # a basis check reads every block: as many calls as whole rows make
-    calls, _ = _counting(monkeypatch)
+    calls, depths, _ = _counting(monkeypatch)
     spec = make_spec("AE", 3)
     check_absolute([prolong2(f) for f in catalog(spec)], basis(spec),
                    n_samples=5, seed=0)
-    assert len(calls) == 25
+    assert len(calls) == 25 and all(depths)
+
+
+def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
+    # the first-order row's passes carry no Hessian pairs; the first d2
+    # read at the point runs each coefficient's full pass once, and the
+    # rows equal the whole row's entries
+    calls, depths, _ = _counting(monkeypatch)
+    spec = make_spec("AE", 3)
+    ops = [prolong2(f) for f in catalog(spec)]
+    fns = {f for op in ops for f in op.source.xi + op.source.eta}
+    point = sample_points(spec, False)[0]
+    d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])
+    d2 = flow_positions(3, 1, [d2_coord(1, 0, 1), d2_coord(1, 2, 2)])
+    rows = [op.flow_table(point, at) for at in (d1, d2, d2) for op in ops]
+    assert depths == [False] * len(fns) + [True] * len(fns)
+    whole = [reference_flow(op, point) for op in ops]
+    coords = [d1_coord(1, i) for i in range(3)], \
+        [d2_coord(1, 0, 1), d2_coord(1, 2, 2)]
+    want = [[flow[c] for c in cs] for cs in (*coords, coords[1])
+            for flow in whole]
+    assert repr(rows) == repr(want)
+
+
+def test_each_eikonal_polynomial_is_evaluated_once_per_pass(monkeypatch):
+    # b^{mu nu}(u) is read by xi^mu and xi^nu, whose passes at a point
+    # share their arguments: each of the 33 polynomials (per instance 4
+    # a^mu, 6 b^{mu nu} and eta) is evaluated once by the value passes and
+    # once by the jet passes of each depth, where xi^mu evaluating its own
+    # made 102 evaluations per point
+    evaluations = []
+
+    class Coeffs(tuple):
+        def __reversed__(self):
+            evaluations.append(self)
+            return iter(self[::-1])
+
+    class Counted(liealg.PolynomialOfU):
+        __slots__ = ()
+
+        def __init__(self, coeffs):
+            super().__init__(coeffs)
+            self.coeffs = Coeffs(self.coeffs)
+
+    monkeypatch.setattr(liealg, "PolynomialOfU", Counted)
+    spec = make_spec("AP_inf", 3)
+    ops = [prolong2(f) for f in catalog(spec)]
+    p, q = sample_points(spec, False)[:2]
+    d1 = flow_positions(4, 1, [d1_coord(1, i) for i in range(4)])
+    counts = []
+    for point, at in ((p, d1), (p, None), (p, None), (q, None)):
+        before = len(evaluations)
+        rows = [op.flow_table(point, at) for op in ops]
+        counts.append(len(evaluations) - before)
+        if at is None:
+            assert repr(rows) == \
+                repr([reference_flow(op, point) for op in ops])
+    assert len(set(map(id, evaluations))) == 33
+    assert counts == [66, 33, 0, 66]
+
+
+def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
+    # every pass at a point gets the point's one argument tuple and, per
+    # depth, one list of seeded jets made for it
+    seen = []
+
+    def counted(fn, args, hessian=True, seeded=None):
+        seen.append((args, hessian, seeded))
+        return value_grad_hess(fn, args, hessian, seeded)
+
+    monkeypatch.setattr(liealg, "value_grad_hess", counted)
+    spec = make_spec("AP_inf", 3)
+    ops = [prolong2(f) for f in catalog(spec)]
+    p, q = sample_points(spec, False)[:2]
+    d1 = flow_positions(4, 1, [d1_coord(1, i) for i in range(4)])
+    groups = []
+    for point, at in ((p, d1), (p, None), (q, None)):
+        before = len(seen)
+        for op in ops:
+            op.flow_table(point, at)
+        groups.append(seen[before:])
+    assert [len(g) for g in groups] == [15, 15, 15]
+    for group, depth in zip(groups, (False, True, True)):
+        args, _, seeded = group[0]
+        assert args == (*p.x, *p.u) if group is not groups[2] else \
+            args == (*q.x, *q.u)
+        assert all(a is args and h is depth and s is seeded
+                   for a, h, s in group)
+        assert repr([(j.value, j.d) for j in seeded]) == \
+            repr([(j.value, j.d) for j in seed_jets(args, depth)])
+    assert groups[0][0][0] is groups[1][0][0] is not groups[2][0][0]
+    assert groups[1][0][2] is not groups[2][0][2]
 
 
 def record():

@@ -162,6 +162,26 @@ def test_second_derivatives_are_a_full_symmetric_matrix():
             _with_ddu(p, bad)
 
 
+@pytest.mark.parametrize("kind,plus,minus", [
+    (REAL, 0.0, -0.0), (REAL, 0, -0.0),
+    (COMPLEX, complex(0.0, 1.5), complex(-0.0, 1.5)),
+    (COMPLEX, complex(2.0, 0.0), complex(2.0, -0.0))],
+    ids=["float", "int", "complex-real-part", "complex-imaginary-part"])
+def test_a_pair_whose_zeros_differ_in_sign_is_refused(kind, plus, minus):
+    # equal entries, but u_x1x2 and u_x2x1 would read apart
+    for a, b in ((plus, minus), (minus, plus)):
+        with pytest.raises(ValueError, match="symmetric"):
+            JetPoint(2, 1, kind, (1.0, 2.0), (1.0,), ((0.5, 0.25),),
+                     (((1.0, a), (b, 3.0)),))
+    for a in (plus, minus):
+        p = JetPoint(2, 1, kind, (1.0, 2.0), (1.0,), ((0.5, 0.25),),
+                     (((1.0, a), (a, 3.0)),))
+        assert repr(p.value(d2_coord(1, 0, 1))) == repr(a)
+    # a pair of equal zeros of one sign, in two objects, is accepted
+    JetPoint(2, 1, kind, (1.0, 2.0), (1.0,), ((0.5, 0.25),),
+             (((1.0, -0.0), (float("-0"), 3.0)),))
+
+
 def test_replace_writes_nan_into_both_slots_of_a_pair():
     # Newton's update may write a NaN; the point must still be accepted
     nan = float("nan")

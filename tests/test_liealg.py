@@ -305,6 +305,37 @@ def test_eikonal_user_functions_override():
                           functions=(("q", eta),)))
 
 
+def test_catalog_returns_a_new_list_of_the_same_fields():
+    spec = make_spec("AE", 3)
+    first, again = catalog(spec), catalog(make_spec("AE", 3))
+    assert first is not again
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    first.pop()
+    assert len(catalog(spec)) == len(again)
+
+
+def test_catalog_tells_apart_specs_that_compare_equal():
+    # lam -0.0 and 0.0, or 1 and 1.0, compare equal but print apart into
+    # the row texts; AP_inf's functions compare=False
+    from invforge.exprlang import bind_scalar_function
+
+    for a, b in ((0.0, -0.0), (1.0, 1)):
+        sa, sb = make_spec("AE1", 3, lam=a), make_spec("AE1", 3, lam=b)
+        assert sa == sb
+        eta = [f.eta[0] for f in catalog(sa)][-1], \
+            [f.eta[0] for f in catalog(sb)][-1]
+        assert eta[0] is not eta[1]
+    point = sample_generic(4, 1, seed=3)
+    plain = make_spec("AP_inf", 3, instances=1)
+    override = make_spec("AP_inf", 3, instances=1,
+                         functions=(("eta", bind_scalar_function("u ^ 2")),))
+    assert plain == override
+    u = point.u[0]
+    tables = [prolong2(catalog(s)[0]).flow_table(point)[field_coord(1)]
+              for s in (plain, override, plain)]
+    assert tables[1] == u ** 2 != tables[0] == tables[2]
+
+
 def test_eikonal_invariance_survives_user_functions():
     from invforge.exprlang import bind_scalar_function
     from invforge.invcat import equation_function
