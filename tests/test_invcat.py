@@ -10,12 +10,14 @@ from conftest import (
     finite_difference,
     random_symmetric,
 )
-from invforge.dual import Dual, EvaluationError, Jet1, value_of
+from invforge.dual import Dual, EvaluationError, Jet1, Jet2, seed_jets, \
+    value_of
 from invforge.exprlang import bind
 from invforge.invcat import (
     TENSORS,
     JetSpace,
     ScalarJetFunction,
+    _power,
     basis,
     covariant_tensor,
     determinant,
@@ -658,3 +660,24 @@ def test_mixed_traces_are_computed_once_per_gradient_view(monkeypatch):
     assert len(mixed) == 3
     assert len(powers) == 3
     assert len(calls) == len(mixed) + len(powers)
+
+
+def _bits(x):
+    """repr of a number, or of a jet's value and slots."""
+    return repr((x.value, x.d)) if isinstance(x, (Jet1, Jet2)) else repr(x)
+
+
+def _jet2_base():
+    a, b = seed_jets([1.3, -0.6])
+    return a * b + 0.5
+
+
+@pytest.mark.parametrize("base", [
+    1.7, -0.3, complex(1.2, -0.7), Jet1(1.3, [0.5, -0.0, 2.0]),
+    _jet2_base()], ids=["float", "negative", "complex", "Jet1", "Jet2"])
+def test_power_is_a_repeated_product(base):
+    for e in range(-3, 4):
+        want, step = 1.0, base if e >= 0 else 1.0 / base
+        for _ in range(abs(e)):
+            want = want * step
+        assert _bits(_power(base, e)) == _bits(want)

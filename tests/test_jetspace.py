@@ -210,3 +210,56 @@ def test_log_jets_are_symmetric_and_follow_the_scalar_formula(n, m):
                 for a, b in ((i, j), (j, i)):
                     assert repr(lp.ddu[r - 1][a][b]) == repr(want_log)
                     assert repr(ep.ddu[r - 1][a][b]) == repr(want_exp)
+
+
+def _odd_point(kind):
+    """A (3, 2) point of ``kind`` whose entries include -0.0 and NaN."""
+    import math
+
+    odd = (-0.0, math.nan) if kind is REAL else (
+        complex(-0.0, math.nan), complex(math.nan, -0.0))
+    p = sample_generic(3, 2, kind, seed=5)
+    ddu = (p.ddu[0], tuple(tuple(odd[1] if {i, j} == {0, 2} else v
+                                 for j, v in enumerate(row))
+                           for i, row in enumerate(p.ddu[1])))
+    return JetPoint(3, 2, kind, (odd[0],) + p.x[1:], (p.u[0], odd[1]),
+                    (p.du[0][:2] + (odd[0],), p.du[1]), ddu)
+
+
+def _slots(p):
+    """Every stored entry of a point by its place, both triangles of each
+    U_r included."""
+    out = {("x", i): v for i, v in enumerate(p.x)}
+    out.update({("u", r): v for r, v in enumerate(p.u)})
+    out.update({("du", r, i): v for r, row in enumerate(p.du)
+                for i, v in enumerate(row)})
+    out.update({("ddu", r, i, j): v for r, mat in enumerate(p.ddu)
+                for i, row in enumerate(mat) for j, v in enumerate(row)})
+    return out
+
+
+@pytest.mark.parametrize("kind", [REAL, COMPLEX])
+@pytest.mark.parametrize("new", [2.5, -0.0, float("nan")])
+def test_replace_sets_one_slot_and_its_partner_and_keeps_the_rest(kind, new):
+    p = _odd_point(kind)
+    before = _slots(p)
+    for cid in p.coords():
+        r, i, j = cid.r - 1, cid.i, cid.j
+        changed = {"base": {("x", i)}, "field": {("u", r)},
+                   "d1": {("du", r, i)},
+                   "d2": {("ddu", r, i, j), ("ddu", r, j, i)}}[cid.kind]
+        q = p.replace(cid, new)
+        assert (q.n_base, q.n_fields, q.field_kind) == (3, 2, kind)
+        assert repr(q.value(cid)) == repr(new)
+        after = _slots(q)
+        assert after.keys() == before.keys()
+        for place, v in after.items():
+            assert repr(v) == repr(new if place in changed else before[place])
+
+
+@pytest.mark.parametrize("cid", [base_coord(3), field_coord(0),
+                                 field_coord(3), d1_coord(1, 3),
+                                 d1_coord(2, -1), d2_coord(2, 0, 3)])
+def test_replace_refuses_an_id_out_of_range(cid):
+    with pytest.raises(ValueError, match="out of range"):
+        _odd_point(REAL).replace(cid, 1.0)
