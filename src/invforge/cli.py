@@ -9,7 +9,6 @@ error, 3 internal evaluation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -266,6 +265,13 @@ def _positive_u(name, cfg):
         needs_positive_u(text) for _, text in _functions(cfg))
 
 
+def _sampler(space, name, cfg):
+    """The run's points in ``space`` (a jet space or a spec), with u > 0
+    where a run under the named algebra needs it (:func:`_positive_u`)."""
+    return make_sampler(space.n_base, space.n_fields, space.field_kind,
+                        cfg["seed"], positive_fields=_positive_u(name, cfg))
+
+
 def _bind_functions(cfg):
     """(name, bound function) pairs of the ``--function`` values."""
     return tuple((fname, bind_scalar_function(text))
@@ -346,10 +352,15 @@ def _cmd_list(args, stream):
     return 0
 
 
+def _check(name, anchor, verdict, residual=None, **counts):
+    """One report check; ``counts`` are a rank check's rank and expected."""
+    return {"name": name, "paper_anchor": anchor, "residual_max": residual,
+            "verdict": verdict, **counts}
+
+
 def _record_checks(kind, anchor, records):
     """One report check per (label, invariance record) pair."""
-    return [{"name": f"{kind}:{label}", "paper_anchor": anchor,
-             "residual_max": rec.max_residual, "verdict": rec.verdict}
+    return [_check(f"{kind}:{label}", anchor, rec.verdict, rec.max_residual)
             for label, rec in records]
 
 
@@ -370,14 +381,13 @@ def _verify_equation(cfg):
     residual = info.build(n, **params)
     if "functions" in cfg:
         params["functions"] = _bind_functions(cfg)
-    space = dataclasses.replace(residual.space, positive_fields=True) \
-        if _positive_u(info.algebra, cfg) else residual.space
     spec = info.default_algebra(n, params)
     ops = [prolong2(f) for f in catalog(spec)]
     report = check_on_manifold(ops, residual, solve_for=info.solve_for,
                                n_samples=min(cfg["samples"], 20),
                                tol=cfg["tol"], seed=cfg["seed"],
-                               sampler=space.sampler(cfg["seed"]))
+                               sampler=_sampler(residual.space,
+                                                info.algebra, cfg))
     return _record_checks("operator", f"equation:{info.name}",
                           ((rec.operator, rec) for rec in report.records))
 
@@ -391,11 +401,9 @@ def _verify_expression(cfg):
     ops = [prolong2(f) for f in catalog(spec)]
     # drawn where the algebra's basis is, so a pasted member's fractional
     # powers of u need no redraws
-    space = dataclasses.replace(
-        fn.space, positive_fields=_positive_u(spec.name, cfg))
     report = check_absolute(ops, [fn], n_samples=cfg["samples"],
                             tol=cfg["tol"], seed=cfg["seed"],
-                            sampler=space.sampler(cfg["seed"]))
+                            sampler=_sampler(fn.space, spec.name, cfg))
     return _record_checks("expression", f"expression-under:{spec.name}",
                           ((rec.operator, rec) for rec in report.records))
 
@@ -412,19 +420,11 @@ def _cmd_rank(cfg):
     spec = _spec_from_config(cfg)
     ops = [prolong2(f) for f in catalog(spec)]
     # the points the algebra's basis, if it has one, is drawn at
-    sampler = make_sampler(
-        spec.n_base, spec.n_fields, spec.field_kind, cfg["seed"],
-        positive_fields=_positive_u(spec.name, cfg))
-    rank = generic_rank(ops, sampler, trials=max(3, cfg["samples"] // 10))
-    checks = [{
-        "name": f"rank:{spec.name}",
-        "paper_anchor": f"generic-rank:{spec.name}",
-        "residual_max": None,
-        "rank": rank,
-        "expected": len(ops),
-        "verdict": "PASS" if rank == len(ops) else "FAIL",
-    }]
-    return checks
+    rank = generic_rank(ops, _sampler(spec, spec.name, cfg),
+                        trials=max(3, cfg["samples"] // 10))
+    return [_check(f"rank:{spec.name}", f"generic-rank:{spec.name}",
+                   "PASS" if rank == len(ops) else "FAIL", rank=rank,
+                   expected=len(ops))]
 
 
 def _cmd_completeness(cfg):
@@ -432,14 +432,9 @@ def _cmd_completeness(cfg):
     fam = basis(spec, hat_variant=cfg["hat_variant"])
     rep = completeness(spec, fam, n_samples=max(4, cfg["samples"] // 5),
                        tol=cfg["tol"], seed=cfg["seed"])
-    checks = [{
-        "name": f"completeness:{spec.name}",
-        "paper_anchor": f"completeness:{spec.name}",
-        "residual_max": None,
-        "rank": rep.independence_rank,
-        "expected": rep.expected,
-        "verdict": rep.verdict,
-    }]
+    checks = [_check(f"completeness:{spec.name}",
+                     f"completeness:{spec.name}", rep.verdict,
+                     rank=rep.independence_rank, expected=rep.expected)]
     summary = (f"{rep.n_jet_vars} - {rep.algebra_rank} = {rep.expected}, "
                f"family {rep.family_size}, independence "
                f"{rep.independence_rank}, invariance {rep.invariance_verdict}")

@@ -319,6 +319,10 @@ def to_text(node) -> str:
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
+# a jet symbol: t or x<k>, or u<r> (u is u1) with a suffix _<d> of
+# derivatives d, each t or x<k>; an index is decimal digits, which int() reads
+_COORD = r"t|x\d+"
+_SYMBOL = re.compile(rf"({_COORD})|u(\d*)(?:_(.*))?")
 
 
 @functools.cache
@@ -399,16 +403,12 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             if not time_mode:
                 raise BindError("'t' is only valid in a time binding")
             return 0
-        if token.startswith("x") and token[1:].isdigit():
-            k = int(token[1:])
-            if time_mode or metric.kind == "minkowski":
-                if not 0 <= k < n_base:
-                    raise BindError(f"index out of range: {token}")
-                return k
-            if not 1 <= k <= n_base:
-                raise BindError(f"index out of range: {token}")
-            return k - 1
-        raise BindError(f"unknown coordinate {token!r}")
+        # x0 names the time or timelike coordinate where there is one
+        lo = 0 if time_mode or metric.kind == "minkowski" else 1
+        k = int(token[1:])
+        if not lo <= k < n_base + lo:
+            raise BindError(f"index out of range: {token}")
+        return k - lo
 
     def resolve_field(fname):
         r = 1 if fname == "" else int(fname)
@@ -461,9 +461,8 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         raise TypeError(node)
 
     def _compile_pow(lf, rf, node):
-        if isinstance(node.right, Num) \
-                and float(node.right.value).is_integer():
-            e = int(node.right.value)
+        if _is_int_literal(node.right):
+            e = int(_literal(node.right))
             return lambda view: _power(lf(view), e)
 
         def powfn(view):
@@ -482,57 +481,34 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
 
     def compile_sym(node):
         name = node.name
-        if name == "t" or (name.startswith("x") and name[1:].isdigit()):
-            i = resolve_base(name)
-            reads.append({base_coord(i)})
-            return lambda view, i=i: view.x(i)
-        if name.startswith("u"):
-            body = name[1:]
-            if "_" in body:
-                fpart, suffix = body.split("_", 1)
-            else:
-                fpart, suffix = body, ""
-            if fpart and not fpart.isdigit():
-                raise BindError(f"unknown symbol {name!r}")
-            r = resolve_field(fpart)
-            if not suffix:
-                reads.append({field_coord(r)})
-                return lambda view, r=r: view.u(r)
-            parts = _split_suffix(suffix)
-            if len(parts) == 1:
-                i = resolve_base(parts[0])
-                reads.append({d1_coord(r, i)})
-                return lambda view, r=r, i=i: view.du(r, i)
-            if len(parts) == 2:
-                i = resolve_base(parts[0])
-                j = resolve_base(parts[1])
-                reads.append({d2_coord(r, i, j)})
-                return lambda view, r=r, i=i, j=j: view.ddu(r, i, j)
-            raise BindError(f"derivative order above two: {name!r}")
         if name == "i":
             if field_kind is not COMPLEX:
                 raise BindError("'i' requires a complex field binding")
             return lambda view: 1j
-        raise BindError(f"unknown symbol {node.name!r}")
-
-    def _split_suffix(suffix):
-        parts = []
-        i = 0
-        while i < len(suffix):
-            if suffix[i] == "t":
-                parts.append("t")
-                i += 1
-            elif suffix[i] == "x":
-                j = i + 1
-                while j < len(suffix) and suffix[j].isdigit():
-                    j += 1
-                if j == i + 1:
-                    raise BindError(f"bad derivative suffix {suffix!r}")
-                parts.append(suffix[i:j])
-                i = j
-            else:
-                raise BindError(f"bad derivative suffix {suffix!r}")
-        return parts
+        m = _SYMBOL.fullmatch(name)
+        if m is None:
+            raise BindError(f"unknown symbol {name!r}")
+        coord, fpart, suffix = m.groups(default="")
+        if coord:
+            i = resolve_base(coord)
+            reads.append({base_coord(i)})
+            return lambda view, i=i: view.x(i)
+        r = resolve_field(fpart)
+        parts = re.findall(_COORD, suffix)
+        if "".join(parts) != suffix:
+            raise BindError(f"bad derivative suffix {suffix!r}")
+        if not parts:
+            reads.append({field_coord(r)})
+            return lambda view, r=r: view.u(r)
+        if len(parts) == 1:
+            i = resolve_base(parts[0])
+            reads.append({d1_coord(r, i)})
+            return lambda view, r=r, i=i: view.du(r, i)
+        if len(parts) > 2:
+            raise BindError(f"derivative order above two: {name!r}")
+        i, j = map(resolve_base, parts)
+        reads.append({d2_coord(r, i, j)})
+        return lambda view, r=r, i=i, j=j: view.ddu(r, i, j)
 
     def _selectors(node, defaults):
         if len(node.fields) > len(defaults):

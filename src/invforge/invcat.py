@@ -20,8 +20,6 @@ from .dual import (
     Jet1,
     Jet2,
     derivs,
-    dexp,
-    dlog,
     jet2_shape,
     magnitude,
     value_of,
@@ -513,21 +511,14 @@ def _R(view, vec, mat, signs, k):
     return _dot(ts[0], ts[k - 1], signs)
 
 
-def _power(base, expo):
-    """Generic power: integer exponents stay algebraic, otherwise exp/log."""
-    if isinstance(expo, int) or float(expo).is_integer():
-        e = int(expo)
-        if e >= 0:
-            out = 1.0
-            for _ in range(e):
-                out = out * base
-            return out
-        out = 1.0
-        inv = 1.0 / base
-        for _ in range(-e):
-            out = out * inv
-        return out
-    return dexp(expo * dlog(base))
+def _power(base, e):
+    """``base`` to the int power ``e``: from 1.0, the product of e factors
+    of base, or for e < 0 of -e factors of 1.0 / base."""
+    factor = base if e >= 0 else 1.0 / base
+    out = 1.0
+    for _ in range(abs(e)):
+        out = out * factor
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -1189,8 +1180,8 @@ _HAT_NOTES = "hatted sums implemented as printed; see per-member verdicts"
 
 
 def _over_text(num, den, e):
-    """Text of num / den^e, the power taken as :func:`_power` takes it:
-    repeated products for an integer e, else exp(e log den)."""
+    """Text of num / den^e: an int power (:func:`_power`) for an integer
+    e, else exp(e log den)."""
     if float(e).is_integer():
         return f"{num} / ({den}) ^ {int(e)}"
     return f"{num} / exp({e!r} * log({den}))"

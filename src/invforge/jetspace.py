@@ -15,6 +15,7 @@ are 1-based.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -208,36 +209,29 @@ class JetPoint:
         return self.ddu[cid.r - 1][cid.i][cid.j]
 
     def replace(self, cid: JetCoordinateId, value) -> "JetPoint":
-        """Functional update of one coordinate; returns a new point."""
+        """A new point with one coordinate, both slots of a d2 pair, set."""
         self._check(cid)
-        if cid.kind == "base":
-            x = list(self.x)
-            x[cid.i] = value
-            return JetPoint(self.n_base, self.n_fields, self.field_kind,
-                            tuple(x), self.u, self.du, self.ddu)
-        if cid.kind == "field":
-            u = list(self.u)
-            u[cid.r - 1] = value
-            return JetPoint(self.n_base, self.n_fields, self.field_kind,
-                            self.x, tuple(u), self.du, self.ddu)
-        if cid.kind == "d1":
-            du = [list(row) for row in self.du]
-            du[cid.r - 1][cid.i] = value
-            return JetPoint(self.n_base, self.n_fields, self.field_kind,
-                            self.x, self.u, tuple(tuple(r) for r in du),
-                            self.ddu)
-        mat = [list(row) for row in self.ddu[cid.r - 1]]
-        mat[cid.i][cid.j] = mat[cid.j][cid.i] = value
-        ddu = list(self.ddu)
-        ddu[cid.r - 1] = tuple(map(tuple, mat))
-        return JetPoint(self.n_base, self.n_fields, self.field_kind,
-                        self.x, self.u, self.du, tuple(ddu))
+        r, i, j = cid.r - 1, cid.i, cid.j
+        name, *places = {"base": ("x", (i,)), "field": ("u", (r,)),
+                         "d1": ("du", (r, i)),
+                         "d2": ("ddu", (r, i, j), (r, j, i))}[cid.kind]
+        entries = getattr(self, name)
+        for place in places:
+            entries = _set(entries, place, value)
+        return dataclasses.replace(self, **{name: entries})
 
     def conjugate_index(self, r: int) -> int:
         return self.field_kind.conjugate_index(r, self.n_fields)
 
     def coords(self) -> list:
         return enumerate_coords(self.n_base, self.n_fields)
+
+
+def _set(entries, place, value):
+    """Nested tuples ``entries`` with the entry at index path ``place`` set."""
+    k, *rest = place
+    return (*entries[:k], _set(entries[k], rest, value) if rest else value,
+            *entries[k + 1:])
 
 
 def _signed(rng: random.Random) -> float:

@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass, field as dc_field
 
 from .dual import seed_jets, value_grad_hess
@@ -385,11 +386,10 @@ class AlgebraSpec:
         if self.n < min_n:
             raise ValueError(f"{self.name} requires n >= {min_n}")
         # the projective generator pins lambda = -n/2 unless the boost
-        # weight (mu, or the mass) vanishes
-        if self.name == "AG2_I" and self.mu != 0 and self.lam != -self.n / 2:
-            raise ValueError(f"AG2_I fixes lambda = -n/2 = {-self.n / 2}")
-        if self.name == "AG2_II" and self.mass != 0 and self.lam != -self.n / 2:
-            raise ValueError(f"AG2_II fixes lambda = -n/2 = {-self.n / 2}")
+        # weight vanishes
+        pin = -self.n / 2
+        if self.name.startswith("AG2") and self.boost != 0 and self.lam != pin:
+            raise ValueError(f"{self.name} fixes lambda = -n/2 = {pin}")
         if self.name.endswith("_II") and self.field_kind is not COMPLEX:
             raise ValueError(f"{self.name} acts on a complex field pair")
         if self.name.endswith("_II") and self.m != 2:
@@ -417,9 +417,8 @@ class AlgebraSpec:
 
 def make_spec(name: str, n: int, **kw) -> AlgebraSpec:
     """AlgebraSpec with family defaults applied."""
-    if name == "AG2_I" and kw.get("mu", 1.0) != 0:
-        kw.setdefault("lam", -n / 2)
-    if name == "AG2_II" and kw.get("mass", 1.0) != 0:
+    boost = "mass" if name.endswith("_II") else "mu"
+    if name.startswith("AG2") and kw.get(boost, 1.0) != 0:
         kw.setdefault("lam", -n / 2)
     if name.endswith("_II"):
         kw.setdefault("field_kind", COMPLEX)
@@ -630,6 +629,10 @@ def sample_eikonal_functions(n: int, seed: int, extended: bool):
     return b, a, eta, d
 
 
+# AP_inf's override names; an index is decimal digits, which int() reads
+_OVERRIDE = re.compile(r"eta|d|b(\d)(\d)|a(\d+)")
+
+
 def _eikonal_family(spec: AlgebraSpec):
     """Sampled generators of the infinite symmetry algebra of the eikonal
     equation: (b^{mu nu}(u) x_nu + a^mu(u)) d/dx_mu + eta(u) d/du, with the
@@ -648,24 +651,25 @@ def _eikonal_family(spec: AlgebraSpec):
         b, a, eta, d = sample_eikonal_functions(n, spec.seed + inst,
                                                 spec.extended)
         for name, fn in overrides.items():
+            m = _OVERRIDE.fullmatch(name)
+            if m is None:
+                raise ValueError(f"unknown coefficient function {name!r}")
             if name == "eta":
                 eta = fn
             elif name == "d":
                 d = fn
                 if not spec.extended:
                     raise ValueError("a 'd' function needs extended=True")
-            elif name.startswith("b") and len(name) == 3:
-                mu, nu = int(name[1]), int(name[2])
+            elif name[0] == "b":
+                mu, nu = int(m[1]), int(m[2])
                 if not 0 <= mu < nu <= n:
                     raise ValueError(f"bad antisymmetric component {name!r}")
                 b[(mu, nu)] = fn
-            elif name.startswith("a") and name[1:].isdigit():
-                mu = int(name[1:])
+            else:
+                mu = int(m[3])
                 if not 0 <= mu <= n:
                     raise ValueError(f"bad translation component {name!r}")
                 a[mu] = fn
-            else:
-                raise ValueError(f"unknown coefficient function {name!r}")
 
         def make_xi(k, b=b, a=a, d=d):
             def f(xs, us):

@@ -259,6 +259,15 @@ def test_algebra_spec_validation():
             make_spec("AG1_I", 3, **kw)
     # the massless branch leaves lambda free
     make_spec("AG2_I", 3, mu=0.0, lam=0.3, rep="log")
+    # each projective family pins lambda on its own boost weight
+    for name, boost, other in (("AG2_I", "mu", "mass"),
+                               ("AG2_II", "mass", "mu")):
+        assert make_spec(name, 4).lam == -2.0
+        assert make_spec(name, 3, **{boost: 0.0}).lam == 1.0
+        for kw in ({"lam": 1.0}, {other: 0.0, "lam": 1.0}):
+            with pytest.raises(ValueError, match=rf"^{name} fixes lambda = "
+                               r"-n/2 = -1\.5$"):
+                make_spec(name, 3, **kw)
 
 
 def test_born_infeld_catalog_mixes_field_into_base():

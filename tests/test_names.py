@@ -26,7 +26,6 @@ def _unknown(text):
 
 
 _NO_T = "BindError: 't' is only valid in a time binding"
-_INT = "ValueError: invalid literal for int() with base 10: '²'"
 
 # text: (read over x1..x3, read over t, x1..x3), two fields each; the ids
 # are 0-based, so x1 is x0 without a time coordinate
@@ -67,9 +66,10 @@ SYMBOLS = {
     "i": ("BindError: 'i' requires a complex field binding",) * 2,
     # a decimal digit of another script is read as int() reads it
     "u_x٣": ("u1_2", "u1_3"),
-    "u_x²": (_INT,) * 2,
-    "u²": (_INT,) * 2,
-    "x²": (_INT,) * 2,
+    # a digit int() cannot read is no index
+    "u_x²": ("BindError: bad derivative suffix 'x²'",) * 2,
+    "u²": (_unknown("u²"),) * 2,
+    "x²": (_unknown("x²"),) * 2,
 }
 
 
@@ -100,8 +100,8 @@ OVERRIDES = {
     "b012": "ValueError: unknown coefficient function 'b012'",
     "a": "ValueError: unknown coefficient function 'a'",
     "e": "ValueError: unknown coefficient function 'e'",
-    "a²": _INT,
-    "b1²": _INT,
+    "a²": "ValueError: unknown coefficient function 'a²'",
+    "b1²": "ValueError: unknown coefficient function 'b1²'",
 }
 
 
@@ -124,12 +124,12 @@ def test_d_override_with_the_dilation_term():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["eval", "--expr", "u_x²", "--n", "3"],
-     "invalid literal for int() with base 10: '²'"),
+    (["eval", "--expr", "u_x²", "--n", "3"], "bad derivative suffix 'x²'"),
+    (["eval", "--expr", "u² + 1", "--n", "3"], "unknown symbol 'u²'"),
     (["verify", "--equation", "eikonal", "--n", "3", "--function", "a²=u"],
-     "invalid literal for int() with base 10: '²'"),
+     "unknown coefficient function 'a²'"),
     (["verify", "--equation", "eikonal", "--n", "3", "--function", "b1²=u"],
-     "invalid literal for int() with base 10: '²'"),
+     "unknown coefficient function 'b1²'"),
 ])
 def test_cli_names_a_malformed_name(argv, message, capsys):
     assert cli.main(argv, stream=io.StringIO()) == 2
