@@ -17,21 +17,20 @@ imaginary unit, valid only in complex bindings.  In a time binding the
 builtins and selectors run over x1..xN-1 only, as the Galilei invariants
 are spatial contractions; ``t`` enters where a symbol names it.
 
-Matrix selectors: an integer ``r`` or ``ddu<r>`` is the Hessian U_r
-(default 1; Sjk's B defaults to 2 when there are two fields), ``theta<r>``
-and ``w<r>`` are those covariant tensors of field r (Minkowski variants
-under a Minkowski metric; ``theta`` and ``w`` mean r = 1), ``eik<r>`` the
-eikonal theta of field r, only under a Minkowski metric, and ``inv<r>``
-U_r^-1.  Vector selectors: an integer ``r`` or ``du<r>`` is the gradient
-du_r (default 1), ``x`` the position, ``thvec<r>`` is du_r/u_r - du_1/u_1,
-``dut<r>`` the u_{r,x_a t}, ``bth<r>`` the boost theta c u_{r,x_a t} +
-(U_r du_r)_a (c as in :func:`compiler`), ``ith<r>`` the theta solving U_r
-theta = dut<r>, ``tau<r>(lam)`` the tau of the massless Schroedinger N3,
-solving (lam U_r + du_r du_r^T) tau = du_r u_{r,t} + lam dut<r> with the
-number literal lam, ``r4vec<r>`` the vector of the massless R^4 of field r
-and its conjugate partner, and ``v + w`` and ``v - w`` a sum and a
-difference; ``inv``, ``dut``, ``bth``, ``ith``, ``tau`` and ``r4vec`` need
-a time binding, and ``r4vec`` a conjugate pair.  For example
+Selectors, each ``x`` or a prefix and a field index r (default 1), as
+``_SELECTORS`` lists them with the binding each needs.  Matrices: an integer
+``r`` or ``ddu<r>`` is the Hessian U_r (Sjk's B defaults to 2 when there
+are two fields), ``theta<r>`` and ``w<r>`` those covariant tensors of
+field r (Minkowski variants under a Minkowski metric), ``eik<r>`` the
+eikonal theta and ``inv<r>`` U_r^-1.  Vectors: an integer ``r`` or
+``du<r>`` is the gradient du_r, ``x`` the position, ``thvec<r>``
+du_r/u_r - du_1/u_1, ``dut<r>`` the u_{r,x_a t}, ``bth<r>`` the boost
+theta c u_{r,x_a t} + (U_r du_r)_a (c as in :func:`compiler`), ``ith<r>``
+the theta solving U_r theta = dut<r>, ``tau<r>(lam)`` the tau of the
+massless Schroedinger N3, solving (lam U_r + du_r du_r^T) tau = du_r
+u_{r,t} + lam dut<r> with the number literal lam, ``r4vec<r>`` the vector
+of the massless R^4 of field r and its conjugate partner, and ``v + w``
+and ``v - w`` a sum and a difference.  For example
 ``S(2; theta1) * u1 ^ 2.0``, ``Sjk(1, 2; w2, w1)``, ``R(3; x, 1)``,
 ``R(1; du1 + du2, 1)``, ``contract(tau1(0.4), du1 - du2)``.
 
@@ -59,9 +58,10 @@ from .invcat import (
     _boost_theta,
     _dep_coords,
     _dot,
+    _eikonal_theta,
     _gvec,
     _gvec_t,
-    _hessian,
+    _hess,
     _implicit_theta,
     _jets,
     _power,
@@ -70,7 +70,8 @@ from .invcat import (
     _rinv,
     _tau,
     _tensor_cached,
-    covariant_tensor,
+    _theta,
+    _w,
     determinant,
 )
 from .jetspace import (
@@ -322,7 +323,38 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 # a jet symbol: t or x<k>, or u<r> (u is u1) with a suffix _<d> of
 # derivatives d, each t or x<k>; an index is decimal digits, which int() reads
 _COORD = r"t|x\d+"
-_SYMBOL = re.compile(rf"({_COORD})|u(\d*)(?:_(.*))?")
+_SYMBOL = re.compile(rf"({_COORD})|u(\d*)(?:_(.+))?")
+# every named matrix and vector, by prefix: its position ("matrix" or
+# "vector"), the kinds of its field's coordinates that it reads, and what
+# its binding must have, in the order checked.  A selector is x, or a
+# prefix and its field index r (none is r = 1), with the index digits of
+# a jet symbol; a bare integer r is ddu<r> or du<r>.  The key of a
+# selector's source starts with its prefix.
+_SELECTORS = {
+    "ddu": ("matrix", ("d2",), ()),
+    "theta": ("matrix", ("field", "d1", "d2"), ("space",)),
+    "w": ("matrix", ("d1", "d2"), ("space",)),
+    "eik": ("matrix", ("d1", "d2"), ("minkowski", "space")),
+    "inv": ("matrix", ("d2",), ("time",)),
+    "x": ("vector", ("base",), ()),
+    "du": ("vector", ("d1",), ()),
+    "thvec": ("vector", ("field", "d1"), ()),
+    "dut": ("vector", ("d2",), ("time",)),
+    "bth": ("vector", ("d1", "d2"), ("time",)),
+    "ith": ("vector", ("d2",), ("time",)),
+    "tau": ("vector", ("d1", "d2"), ("time",)),
+    "r4vec": ("vector", ("d1", "d2"), ("time", "pair")),
+}
+_SELECTOR = re.compile(
+    r"x|(%s)(\d*)" % "|".join(p for p in _SELECTORS if p != "x"))
+# the selectors whose value is fn(view, r, idx), kept under (prefix, r, idx)
+_PLAIN = {"ddu": _hess, "inv": _rinv, "du": _gvec, "dut": _gvec_t,
+          "ith": _implicit_theta}
+# the error of a selector whose binding lacks what it needs
+_NEEDS = {"minkowski": "needs a Minkowski metric",
+          "space": "is not available in time bindings",
+          "time": "is only valid in a time binding",
+          "pair": "needs a conjugate pair of fields"}
 
 
 @functools.cache
@@ -364,7 +396,9 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
              field_kind: FieldKind = REAL, time_mode: bool = False,
              lam: float = 1.0, mu: float = 1.0):
     """Compiler for one (N, m, metric) space: maps an AST to a pair
-    (evaluator on a jet view, set of the jet coordinates it reads).
+    (evaluator on a jet view, set of the jet coordinates it reads), or
+    with ``selector`` a selector's name to the pair (its source (key,
+    build), set of the jet coordinates it reads).
 
     ``time_mode`` names base coordinate 0 ``t`` (Galilean setups) and
     leaves it out of every contraction; a Minkowski metric names the
@@ -389,13 +423,13 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     if metric.dim != n_base:
         raise BindError("metric dimension must match the base dimension")
     idx = tuple(range(1 if time_mode else 0, n_base))
+    euclid = metric.kind == "euclidean"
     # one sign per contracted index, t left out as every contraction does
     signs = tuple(metric.signs[i] for i in idx)
     # the coordinate set of each leaf compiled for the current text, and
     # per shared node compiled so far its evaluator and its leaves' sets
     reads = []
     compiled = {}
-    tensors = {}
     conjugated = False
 
     def resolve_base(token):
@@ -516,103 +550,64 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                             "selectors")
         return list(node.fields) + list(defaults[len(node.fields):])
 
-    def _field_sel(sel, prefix):
-        """Field index of an integer selector, or of ``<prefix><r>``."""
-        if isinstance(sel, (Sym, Call)):
-            return resolve_field(sel.name[len(prefix):])
-        return resolve_field(str(_int_arg(sel, "field index")))
-
-    def matrix(sel):
-        """Matrix source of a selector: ``r`` or ``ddu<r>`` the Hessian
-        U_r, ``theta<r>`` or ``w<r>`` that covariant tensor of field r,
-        under a Minkowski metric ``eik<r>`` its eikonal theta, and in a
-        time binding ``inv<r>`` the inverse of U_r."""
-        name = sel.name if isinstance(sel, Sym) else "ddu"
-        prefix = name.rstrip("0123456789")
-        if prefix not in ("ddu", "theta", "w", "eik", "inv"):
-            raise BindError(f"unknown tensor {name!r}")
-        r = _field_sel(sel, prefix)
-        if prefix in ("ddu", "inv"):
-            reads.append(_reads(n_base, n_fields, ("d2",), rs=(r,)))
-            if prefix == "ddu":
-                return _hessian(r, idx)
-            if not time_mode:
-                raise BindError(f"{name} is only valid in a time binding")
-            return ("rinv", r), lambda view: _rinv(view, r, idx)
-        if (prefix, r) not in tensors:
-            euclid = metric.kind == "euclidean"
-            if euclid and prefix == "eik":
-                raise BindError(f"{name} needs a Minkowski metric")
-            if euclid and time_mode:
-                raise BindError(f"{name} is not available in time bindings")
-            builder = covariant_tensor(
-                "eikonal_theta" if prefix == "eik" else
-                prefix if euclid else prefix + "_minkowski",
-                n_base if euclid else n_base - 1, lam=lam, mu=mu, r=r,
-                m=n_fields)
-            tensors[prefix, r] = ((builder.label, r), builder.builder), \
-                frozenset(c for c in builder.deps if c.r == r)
-        mat, tdeps = tensors[prefix, r]
-        reads.append(tdeps)
-        return mat
-
-    def vector(sel):
-        """Vector source (key, build) of a selector, its key naming all
-        that the vector depends on but the view: ``r`` or ``du<r>`` the
-        gradient du_r,
-        ``x`` the position, ``thvec<r>`` du_r/u_r - du_1/u_1, and in a
-        time binding ``dut<r>`` the u_{r,at}, ``bth<r>`` the boost theta
-        c u_{r,at} + (U_r du_r)_a, ``ith<r>`` the theta solving
-        U_r theta = dut<r>, ``tau<r>(lam)`` the tau of the massless N3
-        and, on a conjugate pair, ``r4vec<r>`` the vector of the massless
-        R^4.  ``a + b`` and ``a - b`` are the sum and the difference of
-        two vectors."""
-        if isinstance(sel, Bin) and sel.op in ("+", "-"):
+    def source(sel, want=None):
+        """Source (key, build) of the selector ``sel`` in ``want`` position,
+        "matrix" or "vector", or in its own (see _SELECTORS), its key naming
+        all the value depends on but the view.  ``a + b`` and ``a - b`` are
+        the sum and the difference of two vectors."""
+        if want != "matrix" and isinstance(sel, Bin) and sel.op in ("+", "-"):
             op = _OPERATORS[sel.op]
-            (ka, va), (kb, vb) = vector(sel.left), vector(sel.right)
+            (ka, va), (kb, vb) = (source(sel.left, "vector"),
+                                  source(sel.right, "vector"))
             return (sel.op, ka, kb), lambda view: [
                 op(a, b) for a, b in zip(va(view), vb(view))]
-        if isinstance(sel, Sym) and sel.name == "x":
-            reads.append(_reads(n_base, n_fields, ("base",)))
+        if isinstance(sel, (Sym, Call)):
+            name, m = sel.name, _SELECTOR.fullmatch(sel.name)
+            prefix, digits = (m[1] or "x", m[2] or "") if m else ("", "")
+        else:
+            name = prefix = "ddu" if want == "matrix" else "du"
+            digits = str(_int_arg(sel, "field index"))
+        entry = _SELECTORS.get(prefix)
+        if entry is None or want not in (None, entry[0]) \
+                or isinstance(sel, Call) != (prefix == "tau"):
+            what = "tensor" if want == "matrix" else "vector"
+            raise BindError(f"unknown {what} {name!r}")
+        r = resolve_field(digits)
+        partner = field_kind.conjugate_index(r, n_fields)
+        lacks = {"minkowski": euclid, "space": time_mode,
+                 "time": not time_mode, "pair": partner == r}
+        for need in entry[2]:
+            if lacks[need]:
+                raise BindError(f"{name} {_NEEDS[need]}")
+        rs = {"x": None, "thvec": (resolve_field(""), r),
+              "r4vec": (r, partner)}.get(prefix, (r,))
+        reads.append(_reads(n_base, n_fields, entry[1], rs))
+        if prefix in _PLAIN:
+            fn = _PLAIN[prefix]
+            return (prefix, r, idx), lambda view: fn(view, r, idx)
+        if prefix == "theta":
+            return ("theta", r, metric.kind, lam), _theta(r, idx, signs, lam)
+        if prefix == "w":
+            return ("w", r, metric.kind), \
+                _w(r, idx, signs, 1.0 if euclid else 0.5)
+        if prefix == "eik":
+            return ("eik", r), _eikonal_theta(r, idx, signs)
+        if prefix == "x":
             return ("x", idx), lambda view: [view.x(i) for i in idx]
-        name = sel.name if isinstance(sel, (Sym, Call)) else "du"
-        prefix = name.rstrip("0123456789")
-        if isinstance(sel, Call) != (prefix == "tau") or prefix not in (
-                "du", "thvec", "dut", "bth", "ith", "tau", "r4vec"):
-            raise BindError(f"unknown vector {name!r}")
-        r = _field_sel(sel, prefix)
-        if prefix == "du":
-            reads.append(_reads(n_base, n_fields, ("d1",), rs=(r,)))
-            return ("du", r, idx), lambda view: _gvec(view, r, idx)
         if prefix == "thvec":
-            r1 = resolve_field("")
-            reads.append(_reads(n_base, n_fields, ("field", "d1"),
-                                rs=(r1, r)))
+            r1 = rs[0]
             return ("thvec", r1, r, idx), lambda view: [
                 view.du(r, i) / view.u(r) - view.du(r1, i) / view.u(r1)
                 for i in idx]
-        if not time_mode:
-            raise BindError(f"{name} is only valid in a time binding")
-        partner = field_kind.conjugate_index(r, n_fields)
         if prefix == "r4vec":
-            if partner == r:
-                raise BindError(f"{name} needs a conjugate pair of fields")
-            reads.append(_reads(n_base, n_fields, ("d1", "d2"),
-                                rs=(r, partner)))
             return ("r4vec", r, partner, idx), \
                 lambda view: _r4_vector(view, r, partner, idx)
-        reads.append(_reads(n_base, n_fields, ("d2",) if prefix in (
-            "dut", "ith") else ("d1", "d2"), rs=(r,)))
-        if prefix == "dut":
-            return ("dut", r, idx), lambda view: _gvec_t(view, r, idx)
-        if prefix == "ith":
-            return ("ith", r, idx), lambda view: _implicit_theta(view, r, idx)
         if prefix == "tau":
             lam_ = _literal(sel.args[0]) if len(sel.args) == 1 else None
             if lam_ is None or sel.fields:
                 raise BindError(f"{name} takes one number literal, lambda")
             return ("tau", r, idx, lam_), lambda view: _tau(view, r, idx, lam_)
-        # sgn = +1 on a field slot, -1 on its conjugate, as printed
+        # bth; sgn = +1 on a field slot, -1 on its conjugate, as printed
         c = mu if partner == r else -(1.0 if partner > r else -1.0) * (1j * mu)
         return ("bth", r, idx, c), \
             lambda view: _boost_theta(c, *_jets(view, r, idx))
@@ -645,21 +640,21 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             if len(node.args) != 1:
                 raise BindError("S takes one argument S(k) or S(k; A)")
             k = _order(node, _int_arg(node.args[0], "k"))
-            mat = matrix(*_selectors(node, (Num(1),)))
+            mat = source(*_selectors(node, (Num(1),)), "matrix")
             return lambda view: _S(view, mat, signs, k)
         if name == "R":
             if len(node.args) != 1:
                 raise BindError("R takes one argument R(k) or R(k; v, A)")
             k = _order(node, _int_arg(node.args[0], "k"))
             vsel, msel = _selectors(node, (Num(1), Num(1)))
-            vec, mat = vector(vsel), matrix(msel)
+            vec, mat = source(vsel, "vector"), source(msel, "matrix")
             return lambda view: _R(view, vec, mat, signs, k)
         if name == "Sjk":
             if len(node.args) != 2:
                 raise BindError("Sjk takes two arguments Sjk(j, k)")
             j = _int_arg(node.args[0], "j")
             k = _order(node, _int_arg(node.args[1], "k"))
-            first, second = map(matrix, _selectors(
+            first, second = (source(sel, "matrix") for sel in _selectors(
                 node, (Num(1), Num(2 if n_fields > 1 else 1))))
             if not 0 <= j <= k:
                 raise BindError("need 0 <= j <= k")
@@ -668,7 +663,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
             if len(node.args) != 1 or node.fields \
                     or not isinstance(node.args[0], Sym):
                 raise BindError(f"{name} expects a tensor name")
-            mat = matrix(node.args[0])
+            mat = source(node.args[0], "matrix")
             if name == "tr":
                 # tr(G A) is S_1, the metric trace
                 return lambda view: _S(view, mat, signs, 1)
@@ -676,21 +671,22 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         if name == "contract":
             if len(node.args) != 2 or node.fields:
                 raise BindError("contract takes two vectors")
-            (_, va), (_, vb) = map(vector, node.args)
+            (_, va), (_, vb) = (source(sel, "vector") for sel in node.args)
             # every Euclidean sign is 1.0, so it is left out
-            gsigns = None if metric.kind == "euclidean" else signs
+            gsigns = None if euclid else signs
             return lambda view: _dot(va(view), vb(view), gsigns)
         if name == "quad":
             if len(node.args) != 2 or node.fields:
                 raise BindError("quad takes a vector and a matrix")
-            (_, vec), mat = vector(node.args[0]), matrix(node.args[1])
+            (_, vec), mat = (source(node.args[0], "vector"),
+                             source(node.args[1], "matrix"))
             return lambda view: _quad(0.0, vec(view),
                                       _tensor_cached(view, *mat))
         raise BindError(f"unknown function {node.name!r}")
 
-    def compile_expr(node):
+    def compile_expr(node, selector=False):
         del reads[:]
-        fn = compile_node(node)
+        fn = source(node) if selector else compile_node(node)
         return fn, set().union(*reads)
 
     return compile_expr

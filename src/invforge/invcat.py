@@ -444,7 +444,7 @@ def _dot(a, b, signs=None):
 @functools.cache
 def _hessian(r, idx):
     """Matrix source of the Hessian U_r over the index list ``idx``."""
-    return ("U", r, idx), lambda view: _hess(view, r, idx)
+    return ("ddu", r, idx), lambda view: _hess(view, r, idx)
 
 
 def _given(pos, value):
@@ -528,26 +528,28 @@ def _power(base, e):
 @dataclass(frozen=True)
 class TensorBuilder:
     """Named covariant tensor: builds a vector or symmetric matrix from a
-    jet point (metric-aware); components are scalar jet functions."""
+    jet point (metric-aware); components are scalar jet functions.  Its
+    ``source`` is a (key, build) pair, as a selector's: a view keeps the
+    tensor under the key, which names all it depends on but the view."""
 
     label: str
     kind: str  # "vector" | "matrix"
     size: int
     space: JetSpace
     deps: tuple
-    builder: callable = dc_field(compare=False)
+    source: tuple = dc_field(compare=False)
 
     def build(self, point: JetPoint):
-        out = self.builder(_plain_view(point))
+        out = self.source[1](_plain_view(point))
         if self.kind == "vector":
             return [value_of(v) for v in out]
         return [[value_of(v) for v in row] for row in out]
 
     def components(self):
-        key = ("tensorc", self.label)
+        key, build = self.source
 
         def cached(view):
-            return _tensor_cached(view, key, self.builder)
+            return _tensor_cached(view, key, build)
 
         fns = []
         if self.kind == "vector":
@@ -564,19 +566,6 @@ class TensorBuilder:
                         (lambda a, b: lambda view: cached(view)[a][b])(a, b),
                         self.deps, self.space))
         return fns
-
-
-# every covariant tensor, in the order ``invforge list tensors`` prints
-TENSORS = ("theta", "w", "theta_minkowski", "w_minkowski",
-           "theta_vector_minkowski", "eikonal_theta", "galilei_theta",
-           "galilei_theta2", "galilei_h", "galilei_hhat_mu0", "implicit_theta",
-           "hessian", "position")
-# Euclidean tensors span x1..xn and Minkowski ones x0..xn under the
-# Minkowski signs; the rest are Galilei tensors over the spatial indices
-# 1..n of t, x1..xn
-_EUCLIDEAN_TENSORS = ("theta", "w", "hessian", "position")
-_MINKOWSKI_TENSORS = ("theta_minkowski", "w_minkowski",
-                      "theta_vector_minkowski", "eikonal_theta")
 
 
 def _theta(r, idx, signs, lam):
@@ -654,91 +643,89 @@ def _eikonal_theta(r, idx, signs):
     return build
 
 
+def _galilei_theta2(view, r, idx, mu):
+    """U - 2 (du.du + mu u_t) / n I over the n spatial indices."""
+    du = _gvec(view, r, idx)
+    scal = sum_prod(du, du) + mu * view.du(r, 0)
+    return [[view.ddu(r, a, b) - 2.0 * scal / len(idx) if a == b
+             else view.ddu(r, a, b) for b in idx] for a in idx]
+
+
+def _galilei_h(view, r, idx, mu):
+    """h_a = mu x_a - t u_a."""
+    t = view.x(0)
+    return [mu * view.x(a) - t * view.du(r, a) for a in idx]
+
+
+def _galilei_hhat(view, r, idx, mu):
+    """The mu = 0 hhat_a = (x.U_a + t u_at) / t + 2 t u_a u_t / n
+    + 4 (x.du) u_a / (n t)."""
+    t, n = view.x(0), len(idx)
+    xs = [view.x(a) for a in idx]
+    du, phit = _gvec(view, r, idx), view.du(r, 0)
+    xdotdu = sum_prod(xs, du)
+    out = []
+    for ai, a in enumerate(idx):
+        h = sum_prod(xs, [view.ddu(r, a, b) for b in idx]) \
+            + t * view.ddu(r, a, 0)
+        out.append(h / t + 2.0 * t * du[ai] * phit / n
+                   + 4.0 * xdotdu * du[ai] / (n * t))
+    return out
+
+
+# every covariant tensor, in the order ``invforge list tensors`` prints:
+# name -> (label, space, selector of field {r}, bound over the space; or
+# where none names it, (kind, the kinds of coordinates read, build)).  A
+# Euclidean tensor spans x1..xn, a Minkowski one x0..xn under the
+# Minkowski signs, a Galilei one the spatial x1..xn of a time binding.
+TENSORS = {
+    "theta": ("theta(lam={lam})", "euclidean", "theta{r}"),
+    "w": ("w", "euclidean", "w{r}"),
+    "theta_minkowski": ("theta_mink(lam={lam})", "minkowski", "theta{r}"),
+    "w_minkowski": ("w_mink", "minkowski", "w{r}"),
+    "theta_vector_minkowski": ("theta_vec(u{r})", "minkowski", "thvec{r}"),
+    "eikonal_theta": ("eikonal_theta", "minkowski", "eik{r}"),
+    "galilei_theta": ("galilei_theta", "galilei", "bth{r}"),
+    "galilei_theta2": ("galilei_theta2", "galilei",
+                       ("matrix", ("d1", "d2"), _galilei_theta2)),
+    "galilei_h": ("galilei_h", "galilei",
+                  ("vector", ("base", "d1"), _galilei_h)),
+    "galilei_hhat_mu0": ("galilei_hhat", "galilei",
+                         ("vector", ("base", "d1", "d2"), _galilei_hhat)),
+    "implicit_theta": ("implicit_theta", "galilei", "ith{r}"),
+    "hessian": ("hessian", "euclidean", "ddu{r}"),
+    "position": ("x", "euclidean", "x"),
+}
+
+
 def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
                      r: int = 1, m: int = 1) -> TensorBuilder:
     """Catalog of covariant tensors by name (see :data:`TENSORS`).
 
     Euclidean names use an n-dimensional space; Minkowski and Galilei names
-    use n+1 base coordinates with index 0 timelike.
+    use n+1 base coordinates with index 0 timelike.  A tensor that reads u
+    divides by it, so its space samples u > 0.
     """
     if name not in TENSORS:
         raise ValueError(f"unknown covariant tensor {name!r}")
-    euclid, mink = name in _EUCLIDEAN_TENSORS, name in _MINKOWSKI_TENSORS
-    nb = n if euclid else n + 1
-    met = minkowski(nb) if mink else euclidean(n)
-    idx = tuple(range(nb)) if euclid or mink else _spatial(n)
-    signs = met.signs
-    if name in ("theta", "theta_minkowski"):
-        label = f"theta(lam={lam})" if euclid else f"theta_mink(lam={lam})"
-        kind, kinds, build = ("matrix", ("field", "d1", "d2"),
-                              _theta(r, idx, signs, lam))
-    elif name in ("w", "w_minkowski"):
-        label = "w" if euclid else "w_mink"
-        kind, kinds = "matrix", ("d1", "d2")
-        build = _w(r, idx, signs, 1.0 if euclid else 0.5)
-    elif name == "eikonal_theta":
-        label, kind, kinds = name, "matrix", ("d1", "d2")
-        build = _eikonal_theta(r, idx, signs)
-    elif name == "theta_vector_minkowski":
-        label, kind, kinds = f"theta_vec(u{r})", "vector", ("field", "d1")
-
-        def build(view):
-            u_r, u_1 = view.u(r), view.u(1)
-            return [view.du(r, i) / u_r - view.du(1, i) / u_1 for i in idx]
-    elif name == "hessian":
-        label, kind, kinds = name, "matrix", ("d2",)
-
-        def build(view):
-            return _hess(view, r, idx)
-    elif name == "position":
-        label, kind, kinds = "x", "vector", ("base",)
-
-        def build(view):
-            return [view.x(i) for i in idx]
-    elif name == "galilei_theta":
-        label, kind, kinds = name, "vector", ("d1", "d2")
-
-        def build(view):
-            return _boost_theta(mu, *_jets(view, r, idx))
-    elif name == "galilei_theta2":
-        label, kind, kinds = name, "matrix", ("d1", "d2")
-
-        def build(view):
-            du = _gvec(view, r, idx)
-            scal = sum_prod(du, du) + mu * view.du(r, 0)
-            return [[view.ddu(r, a, b) - 2.0 * scal / n if a == b
-                     else view.ddu(r, a, b) for b in idx] for a in idx]
-    elif name == "galilei_h":
-        label, kind, kinds = name, "vector", ("base", "d1")
-
-        def build(view):
-            t = view.x(0)
-            return [mu * view.x(a) - t * view.du(r, a) for a in idx]
-    elif name == "galilei_hhat_mu0":
-        label, kind, kinds = "galilei_hhat", "vector", ("base", "d1", "d2")
-
-        def build(view):
-            t = view.x(0)
-            xs = [view.x(a) for a in idx]
-            du = _gvec(view, r, idx)
-            phit = view.du(r, 0)
-            xdotdu = sum_prod(xs, du)
-            out = []
-            for ai, a in enumerate(idx):
-                h = sum_prod(xs, [view.ddu(r, a, b) for b in idx]) \
-                    + t * view.ddu(r, a, 0)
-                out.append(h / t + 2.0 * t * du[ai] * phit / n
-                           + 4.0 * xdotdu * du[ai] / (n * t))
-            return out
-    else:  # implicit_theta: theta solving U theta = d/dt du
-        label, kind, kinds = name, "vector", ("d2",)
-
-        def build(view):
-            return _implicit_theta(view, r, idx)
-    space = JetSpace(nb, m, REAL, met,
-                     positive_fields=name.startswith("theta"))
-    return TensorBuilder(label, kind, len(idx), space,
-                         _dep_coords(nb, m, kinds), build)
+    label, where, selector = TENSORS[name]
+    time = where == "galilei"
+    nb = n if where == "euclidean" else n + 1
+    met = minkowski(nb) if where == "minkowski" else euclidean(n)
+    if isinstance(selector, str):
+        from . import exprlang
+        source, _ = exprlang.compiler(
+            nb, m, None if time else met, time_mode=time, lam=lam, mu=mu)(
+                exprlang.Sym(selector.format(r=r)), selector=True)
+        kind, kinds, _ = exprlang._SELECTORS[source[0][0]]
+    else:
+        kind, kinds, build = selector
+        idx = _spatial(n)
+        source = (name, r, mu), lambda view: build(view, r, idx, mu)
+    return TensorBuilder(label.format(lam=lam, r=r), kind, met.dim,
+                         JetSpace(nb, m, REAL, met,
+                                  positive_fields="field" in kinds),
+                         _dep_coords(nb, m, kinds), source)
 
 
 # --------------------------------------------------------------------------

@@ -52,8 +52,8 @@ import functools
 
 from invforge.dual import Dual, EvaluationError, _Jet, _scalar_exp, \
     _scalar_log, is_finite, value_of
-from invforge.invcat import _EUCLIDEAN_TENSORS, covariant_tensor, \
-    equation_function, g_premul, mat_trace
+from invforge.invcat import TENSORS, covariant_tensor, equation_function, \
+    g_premul, mat_trace
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
 from invforge.liealg import flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
@@ -591,7 +591,8 @@ def covariant_tensor_components(name, point, **params):
     n = params.pop("n", None)
     if n is None:
         # a Minkowski or Galilei tensor reads the point's x0 as the time
-        n = point.n_base if name in _EUCLIDEAN_TENSORS else point.n_base - 1
+        n = point.n_base if TENSORS[name][1] == "euclidean" \
+            else point.n_base - 1
     return covariant_tensor(name, n, **params).build(point)
 
 

@@ -7,8 +7,8 @@ import io
 import pytest
 
 from invforge import cli
-from invforge.exprlang import bind, bind_scalar_function
-from invforge.jetspace import COMPLEX
+from invforge.exprlang import BindError, bind, bind_scalar_function
+from invforge.jetspace import COMPLEX, sample_generic
 from invforge.liealg import catalog, make_spec
 
 
@@ -42,8 +42,8 @@ SYMBOLS = {
     "x01": ("x0", "x1"),
     "x9": ("BindError: index out of range: x9",) * 2,
     "u": ("u1", "u1"),
-    "u_": ("u1", "u1"),
-    "u1_": ("u1", "u1"),
+    "u_": (_unknown("u_"),) * 2,
+    "u1_": (_unknown("u1_"),) * 2,
     "u1": ("u1", "u1"),
     "u01": ("u1", "u1"),
     "u2": ("u2", "u2"),
@@ -78,6 +78,22 @@ def test_symbol_reads_or_names_its_error(text):
     assert (_outcome(lambda: bind(text, 3, 2)),
             _outcome(lambda: bind(text, 4, 2, time_mode=True))) \
         == SYMBOLS[text]
+
+
+@pytest.mark.parametrize("text, same", [
+    ("S(2; ddu٣)", "S(2; ddu3)"),
+    ("contract(du٣, du1)", "contract(du3, du1)"),
+    ("R(2; du٣, ddu٢)", "R(2; du3, ddu2)"),
+])
+def test_selector_reads_a_decimal_digit_of_another_script(text, same):
+    point = sample_generic(3, 3, seed=4)
+    fn, ref = bind(text, 3, 3), bind(same, 3, 3)
+    assert (fn.deps, fn.eval(point)) == (ref.deps, ref.eval(point))
+
+
+def test_position_takes_no_index():
+    with pytest.raises(BindError, match="unknown vector 'x1'"):
+        bind("contract(x1, x)", 3)
 
 
 def test_imaginary_unit_reads_nothing_under_a_complex_binding():
