@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 
 from .dual import EvaluationError, dexp, dlog, value_of
 from .invcat import (
@@ -79,6 +78,7 @@ from .jetspace import (
     REAL,
     FieldKind,
     Metric,
+    Record,
     base_coord,
     d1_coord,
     d2_coord,
@@ -87,8 +87,7 @@ from .jetspace import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     start: int
     end: int
 
@@ -107,33 +106,33 @@ class BindError(ValueError):
 # AST ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Num:
+class Num(Record):
+    __slots__ = ("value",)
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
+class Sym(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(Record):
+    __slots__ = ("arg",)
     arg: object
 
 
-@dataclass(frozen=True, slots=True)
-class Bin:
+class Bin(Record):
+    __slots__ = ("op", "left", "right")
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+class Call(Record, defaults={"fields": ()}):
+    __slots__ = ("name", "args", "fields")
     name: str
     args: tuple
-    fields: tuple = ()
+    fields: tuple
 
 
 # parser ----------------------------------------------------------------------
@@ -579,7 +578,10 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         for need in entry[2]:
             if lacks[need]:
                 raise BindError(f"{name} {_NEEDS[need]}")
-        rs = {"x": None, "thvec": (resolve_field(""), r),
+        if prefix == "x":  # the x_i it contracts over, so no t
+            reads.append(frozenset(map(base_coord, idx)))
+            return ("x", idx), lambda view: [view.x(i) for i in idx]
+        rs = {"thvec": (resolve_field(""), r),
               "r4vec": (r, partner)}.get(prefix, (r,))
         reads.append(_reads(n_base, n_fields, entry[1], rs))
         if prefix in _PLAIN:
@@ -592,8 +594,6 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
                 _w(r, idx, signs, 1.0 if euclid else 0.5)
         if prefix == "eik":
             return ("eik", r), _eikonal_theta(r, idx, signs)
-        if prefix == "x":
-            return ("x", idx), lambda view: [view.x(i) for i in idx]
         if prefix == "thvec":
             r1 = rs[0]
             return ("thvec", r1, r, idx), lambda view: [

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field, replace
 
 from .dual import (
     Dual,
@@ -29,6 +28,7 @@ from .jetspace import (
     FieldKind,
     JetPoint,
     Metric,
+    Record,
     _symmetric,
     base_coord,
     d1_coord,
@@ -334,8 +334,7 @@ def curvature_view(point, coords):
 # scalar jet functions
 
 
-@dataclass(frozen=True)
-class JetSpace:
+class JetSpace(Record):
     """Sampling/evaluation domain for a family of jet functions."""
 
     n_base: int
@@ -525,8 +524,7 @@ def _power(base, e):
 # covariant tensors
 
 
-@dataclass(frozen=True)
-class TensorBuilder:
+class TensorBuilder(Record, not_compared=("source",)):
     """Named covariant tensor: builds a vector or symmetric matrix from a
     jet point (metric-aware); components are scalar jet functions.  Its
     ``source`` is a (key, build) pair, as a selector's: a view keeps the
@@ -537,7 +535,7 @@ class TensorBuilder:
     size: int
     space: JetSpace
     deps: tuple
-    source: tuple = dc_field(compare=False)
+    source: tuple
 
     def build(self, point: JetPoint):
         out = self.source[1](_plain_view(point))
@@ -675,27 +673,45 @@ def _galilei_hhat(view, r, idx, mu):
 
 # every covariant tensor, in the order ``invforge list tensors`` prints:
 # name -> (label, space, selector of field {r}, bound over the space; or
-# where none names it, (kind, the kinds of coordinates read, build)).  A
-# Euclidean tensor spans x1..xn, a Minkowski one x0..xn under the
-# Minkowski signs, a Galilei one the spatial x1..xn of a time binding.
+# where none names it, (kind, the kinds of coordinates read, build); the
+# settings among r and mu the tensor reads).  A Euclidean tensor spans
+# x1..xn, a Minkowski one x0..xn under the Minkowski signs, a Galilei one
+# the spatial x1..xn of a time binding.
 TENSORS = {
-    "theta": ("theta(lam={lam})", "euclidean", "theta{r}"),
-    "w": ("w", "euclidean", "w{r}"),
-    "theta_minkowski": ("theta_mink(lam={lam})", "minkowski", "theta{r}"),
-    "w_minkowski": ("w_mink", "minkowski", "w{r}"),
-    "theta_vector_minkowski": ("theta_vec(u{r})", "minkowski", "thvec{r}"),
-    "eikonal_theta": ("eikonal_theta", "minkowski", "eik{r}"),
-    "galilei_theta": ("galilei_theta", "galilei", "bth{r}"),
+    "theta": ("theta(lam={lam})", "euclidean", "theta{r}", ("r",)),
+    "w": ("w", "euclidean", "w{r}", ("r",)),
+    "theta_minkowski": ("theta_mink(lam={lam})", "minkowski", "theta{r}",
+                        ("r",)),
+    "w_minkowski": ("w_mink", "minkowski", "w{r}", ("r",)),
+    "theta_vector_minkowski": ("theta_vec(u{r})", "minkowski", "thvec{r}",
+                               ()),
+    "eikonal_theta": ("eikonal_theta", "minkowski", "eik{r}", ("r",)),
+    "galilei_theta": ("galilei_theta", "galilei", "bth{r}", ("r", "mu")),
     "galilei_theta2": ("galilei_theta2", "galilei",
-                       ("matrix", ("d1", "d2"), _galilei_theta2)),
+                       ("matrix", ("d1", "d2"), _galilei_theta2),
+                       ("r", "mu")),
     "galilei_h": ("galilei_h", "galilei",
-                  ("vector", ("base", "d1"), _galilei_h)),
+                  ("vector", ("base", "d1"), _galilei_h), ("r", "mu")),
     "galilei_hhat_mu0": ("galilei_hhat", "galilei",
-                         ("vector", ("base", "d1", "d2"), _galilei_hhat)),
-    "implicit_theta": ("implicit_theta", "galilei", "ith{r}"),
-    "hessian": ("hessian", "euclidean", "ddu{r}"),
-    "position": ("x", "euclidean", "x"),
+                         ("vector", ("base", "d1", "d2"), _galilei_hhat),
+                         ("r",)),
+    "implicit_theta": ("implicit_theta", "galilei", "ith{r}", ("r",)),
+    "hessian": ("hessian", "euclidean", "ddu{r}", ("r",)),
+    "position": ("x", "euclidean", "x", ()),
 }
+
+
+def _tensor_label(label, reads, lam, r, mu):
+    """``label`` with lam filled in, then the settings among r and mu in
+    ``reads`` that differ from 1 added to its parenthesized list, so two
+    tensors of different fields or boost weights differ in label."""
+    label = label.format(lam=lam, r=r)
+    named = ", ".join(f"{name}={value}" for name, value in
+                      (("r", r), ("mu", mu)) if name in reads and value != 1)
+    if not named:
+        return label
+    return f"{label[:-1]}, {named})" if label.endswith(")") \
+        else f"{label}({named})"
 
 
 def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
@@ -708,7 +724,7 @@ def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
     """
     if name not in TENSORS:
         raise ValueError(f"unknown covariant tensor {name!r}")
-    label, where, selector = TENSORS[name]
+    label, where, selector, reads = TENSORS[name]
     time = where == "galilei"
     nb = n if where == "euclidean" else n + 1
     met = minkowski(nb) if where == "minkowski" else euclidean(n)
@@ -722,7 +738,8 @@ def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
         kind, kinds, build = selector
         idx = _spatial(n)
         source = (name, r, mu), lambda view: build(view, r, idx, mu)
-    return TensorBuilder(label.format(lam=lam, r=r), kind, met.dim,
+    return TensorBuilder(_tensor_label(label, reads, lam, r, mu), kind,
+                         met.dim,
                          JetSpace(nb, m, REAL, met,
                                   positive_fields="field" in kinds),
                          _dep_coords(nb, m, kinds), source)
@@ -732,8 +749,7 @@ def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
 # functional bases
 
 
-@dataclass(frozen=True)
-class BasisFamily:
+class BasisFamily(Record):
     """Named list of invariants with its expected cardinality."""
 
     label: str
@@ -785,7 +801,7 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
         kinds = ("field", "d1", "d2") if name.endswith("_II") \
             else ("d1", "d2")
         fam = _bind_rows(spec, label, rows, kinds, expected, ("d1", "d2"))
-        return replace(fam, notes=notes)
+        return fam.copy_with(notes=notes)
     raise ValueError(f"no basis catalog for algebra {name!r}")
 
 
@@ -1496,8 +1512,7 @@ def _conformal_power(n, **_):
         f" - {_form_text(n)} - {_GSQ[1]} ^ 2 * {fu}"
 
 
-@dataclass(frozen=True)
-class EquationInfo:
+class EquationInfo(Record, not_compared=("residual",)):
     """An example equation: the maker of its residual's (label, text) row,
     the algebra it is checked under (its name, fixed spec parameters and
     the call parameters passed on to the spec), the coordinate the
@@ -1508,7 +1523,7 @@ class EquationInfo:
     :func:`verify.check_on_manifold`) and a note."""
 
     name: str
-    residual: callable = dc_field(compare=False)
+    residual: callable
     algebra: str
     spec: dict
     reads: tuple

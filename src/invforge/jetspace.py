@@ -15,11 +15,129 @@ are 1-based.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+
+
+class Record:
+    """Base of invforge's frozen records.
+
+    A subclass's fields are its bases' fields, then its own annotated
+    names in order, read once when the class is made.  A field's default
+    is the class attribute of its name; a class whose fields are
+    ``__slots__`` gives its defaults as the ``defaults`` class keyword.
+    The fields the ``not_compared`` class keyword names are left out of
+    ``==`` and the hash.
+
+    A record is built by position or keyword, then checked by its
+    ``__post_init__``, if it has one.  It refuses assignment and deletion,
+    equals only a record of its own class whose compared fields are equal,
+    hashes as the tuple of those fields, has the repr
+    ``Name(field=value, ...)`` and is copied and pickled by its fields.
+    :meth:`copy_with` makes a changed copy.
+    """
+
+    __slots__ = ("_key",)  # the tuple of the compared fields
+    _fields = ()
+    _defaults = {}
+    _not_compared = ()
+
+    def __init_subclass__(cls, defaults=None, not_compared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = fields = (*cls._fields, *own)
+        cls._defaults = {**cls._defaults, **{
+            name: cls.__dict__[name] for name in own
+            if name in cls.__dict__ and name not in slots}, **(defaults or {})}
+        cls._not_compared = skip = (*cls._not_compared, *not_compared)
+        compared = tuple(name not in skip for name in fields)
+        cls.__init__ = _initializer(cls, None if all(compared) else compared)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values, in order, of a call with ``args`` and
+        ``kwargs``; a call that names no value for a field without a
+        default, too many values or an unknown field raises TypeError."""
+        fields, where = cls._fields, f"{cls.__qualname__}.__init__()"
+        if len(args) > len(fields):
+            raise TypeError(f"{where} takes {len(fields) + 1} positional "
+                            f"arguments but {len(args) + 1} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(
+                    f"{where} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(
+                    f"{where} got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in fields
+                   if name not in values and name not in cls._defaults]
+        if missing:
+            raise TypeError(f"{where} missing {len(missing)} required "
+                            f"argument(s): {', '.join(map(repr, missing))}")
+        return tuple(values[name] if name in values else cls._defaults[name]
+                     for name in fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __reduce__(self):
+        # copies and pickles are built by the constructor
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def copy_with(self, **changes):
+        """A record of this class with the fields ``changes`` names set to
+        its values and every other field as here, built and checked as a
+        new one."""
+        return type(self)(*[changes.pop(name) if name in changes
+                            else getattr(self, name)
+                            for name in self._fields], **changes)
+
+
+def _initializer(cls, mask):
+    """``cls.__init__``: binds a call's arguments to the fields, stores
+    them and the tuple of the compared ones (all, or those ``mask`` marks)
+    and runs ``__post_init__``, if ``cls`` has one.  Each value is stored
+    by ``object.__setattr__``, as a frozen dataclass stores it, so a record
+    keeps its fields in slots or in the inline instance values that
+    CPython reads fastest: filling the instance ``__dict__`` instead made
+    every field read several times slower on CPython 3.11."""
+    fields, bind = cls._fields, cls._bind
+    arity = len(fields)
+    checked = hasattr(cls, "__post_init__")
+    set_field = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        set_field(self, "_key", args if mask is None
+                  else tuple(compress(args, mask)))
+        if checked:
+            self.__post_init__()
+
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return __init__
 
 
 class FieldKind(Enum):
@@ -43,8 +161,7 @@ REAL = FieldKind.REAL
 COMPLEX = FieldKind.COMPLEX
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(Record):
     """Diagonal contraction weights: euclidean identity or diag(1,-1,...,-1)."""
 
     kind: str  # "euclidean" | "minkowski"
@@ -87,8 +204,7 @@ def contract(metric: Metric, a, b):
     return total
 
 
-@dataclass(frozen=True)
-class JetCoordinateId:
+class JetCoordinateId(Record):
     """Tag for one jet coordinate: base(i), field(r), d1(r,i) or d2(r,i<=j)."""
 
     kind: str  # "base" | "field" | "d1" | "d2"
@@ -153,8 +269,7 @@ def _symmetric(n: int, entry) -> tuple:
     return tuple(map(tuple, mat))
 
 
-@dataclass(frozen=True)
-class JetPoint:
+class JetPoint(Record):
     """Immutable numeric point of the second-order jet space."""
 
     n_base: int
@@ -218,7 +333,7 @@ class JetPoint:
         entries = getattr(self, name)
         for place in places:
             entries = _set(entries, place, value)
-        return dataclasses.replace(self, **{name: entries})
+        return self.copy_with(**{name: entries})
 
     def conjugate_index(self, r: int) -> int:
         return self.field_kind.conjugate_index(r, self.n_fields)

@@ -20,7 +20,6 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, field as dc_field
 
 from .dual import seed_jets, value_grad_hess
 from .jetspace import (
@@ -28,6 +27,7 @@ from .jetspace import (
     REAL,
     FieldKind,
     JetPoint,
+    Record,
     _signed,
     base_coord,
     d1_coord,
@@ -352,8 +352,7 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Record, not_compared=("functions",)):
     """Named algebra with its parameters.
 
     ``n`` is the spatial dimension (the jet space of the Minkowski and
@@ -375,7 +374,7 @@ class AlgebraSpec:
     seed: int = 0
     instances: int = 3
     extended: bool = False
-    functions: tuple = dc_field(default=(), compare=False)
+    functions: tuple = ()
 
     def __post_init__(self):
         if self.name not in _FAMILIES:

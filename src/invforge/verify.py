@@ -42,8 +42,6 @@ that of the fit on those pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
-
 from .dual import EvaluationError, Jet2, derivs, is_finite
 from .invcat import (
     BasisFamily,
@@ -57,7 +55,7 @@ from .invcat import (
     solve_columns,
     sum_prod,
 )
-from .jetspace import JetPoint
+from .jetspace import JetPoint, Record
 from .liealg import catalog, coefficient_rows, flow_positions, \
     matrix_rank, pivot_positions, prolong2
 
@@ -68,8 +66,7 @@ _NEWTON_TARGET = 1e-12
 _NEWTON_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class InvarianceRecord:
+class InvarianceRecord(Record):
     operator: str
     invariant: str
     max_residual: float
@@ -77,8 +74,7 @@ class InvarianceRecord:
     verdict: str
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     label: str
     records: tuple
     n_samples: int
@@ -102,8 +98,7 @@ class InvarianceReport:
         return max((r.max_residual for r in self.records), default=0.0)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(Record):
     label: str
     n_rows: int
     n_cols: int
@@ -113,8 +108,7 @@ class RankReport:
     verdict: str
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(Record):
     label: str
     n_jet_vars: int
     algebra_rank: int
@@ -125,17 +119,15 @@ class CompletenessReport:
     verdict: str
 
 
-@dataclass(frozen=True)
-class CovarianceRecord:
+class CovarianceRecord(Record, not_compared=("fit",)):
     operator: str
     residual: float
     scale: float
     verdict: str
-    fit: tuple = dc_field(default=(), compare=False)
+    fit: tuple = ()
 
 
-@dataclass(frozen=True)
-class CovarianceReport:
+class CovarianceReport(Record):
     label: str
     records: tuple
     n_samples: int
@@ -377,7 +369,7 @@ def _on_section(point: JetPoint, cid) -> JetPoint:
     r = cid.r if cid.kind == "base" else point.conjugate_index(cid.r)
     if r == cid.r:
         return point
-    return point.replace(replace(cid, r=r), point.value(cid).conjugate())
+    return point.replace(cid.copy_with(r=r), point.value(cid).conjugate())
 
 
 def affine_coordinate(residual: ScalarJetFunction, point: JetPoint):

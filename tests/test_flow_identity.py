@@ -16,7 +16,6 @@ A table at positions ``at`` builds only the blocks they read; it must equal
 the whole table there, and three checks' counts of that work are pinned.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -227,8 +226,8 @@ def test_zero_partials_that_are_not_plus_zero_run_the_loops(eta):
         point = sampler(idx)
         # with every derivative positive, -0.0 partials keep -0.0 through
         # the loops
-        positive = dataclasses.replace(
-            point, du=tuple(tuple(map(abs, row)) for row in point.du),
+        positive = point.copy_with(
+            du=tuple(tuple(map(abs, row)) for row in point.du),
             ddu=tuple(tuple(tuple(map(abs, row)) for row in mat)
                       for mat in point.ddu))
         for p in (point, positive):
@@ -330,9 +329,9 @@ def test_partial_rows_equal_the_full_rows():
         shapes = [(c, flow_positions(n, m, c)) for c in _partial_shapes(n, m)]
         for p in sample_points(spec, positive):
             full = [(op.flow_table(p), op.coefficient_table(p)) for op in ops]
-            shared = dataclasses.replace(p)
+            shared = p.copy_with()
             for s, (coords, at) in enumerate(shapes):
-                q = shared if s < 3 else dataclasses.replace(p)
+                q = shared if s < 3 else p.copy_with()
                 for op, (flow, table) in zip(ops, full):
                     assert repr(op.flow_table(q, at)) == \
                         repr([flow[c] for c in coords]), key

@@ -1,16 +1,25 @@
 """The record protocol of invforge's 20 frozen record types: construction
 by position and by keyword with defaults, the ``repr`` text, equality over
 the compared fields of one class only, the hash of the compared fields'
-tuple, frozen assignment and deletion, and each ``__post_init__`` refusal.
+tuple, frozen assignment and deletion, each ``__post_init__`` refusal and
+``copy_with``; and that importing invforge generates no code.
 """
+
+import ast
+import copy
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import pytest
 
 from invforge.exprlang import Bin, Call, Neg, Num, SourceSpan, Sym
 from invforge.invcat import BasisFamily, EquationInfo, JetSpace, \
     TensorBuilder
+import invforge
 from invforge.jetspace import COMPLEX, REAL, JetCoordinateId, JetPoint, \
-    Metric
+    Metric, Record
 from invforge.liealg import AlgebraSpec
 from invforge.verify import CompletenessReport, CovarianceRecord, \
     CovarianceReport, InvarianceRecord, InvarianceReport, RankReport
@@ -237,10 +246,7 @@ def test_hash_is_the_hash_of_the_compared_fields(cls):
 def test_assignment_and_deletion_raise_attribute_error(cls):
     args, _, compared, *_ = CASES[cls]
     record = cls(*args)
-    names = [compared[0]]
-    if hasattr(record, "__dict__"):
-        names.append("unknown_attribute")
-    for name in names:
+    for name in (compared[0], "unknown_attribute"):
         with pytest.raises(AttributeError,
                            match=f"^cannot assign to field '{name}'$"):
             setattr(record, name, 1)
@@ -300,3 +306,110 @@ def test_constructor_refuses_what_its_signature_refuses(cls):
 def test_post_init_refusals_keep_their_messages(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_copy_with_changes_the_named_fields_only(cls):
+    args, _, compared, ignored, other, _ = CASES[cls]
+    record = cls(*args)
+    same = record.copy_with()
+    assert same == record and same is not record
+    assert repr(same) == repr(record)
+    for name in compared + ignored:
+        assert getattr(same, name) is getattr(record, name)
+    if cls is not JetPoint:
+        changed = record.copy_with(**{compared[0]: other})
+        assert getattr(changed, compared[0]) == other
+        assert changed == cls(other, *args[1:])
+        for name in compared[1:] + ignored:
+            assert getattr(changed, name) is getattr(record, name)
+    with pytest.raises(TypeError, match="unknown_field"):
+        record.copy_with(unknown_field=1)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_copies_and_pickles_are_equal_records(cls):
+    record = cls(*CASES[cls][0])
+    for made in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(made) is cls
+        assert made == record and repr(made) == repr(record)
+
+
+def test_copy_with_checks_the_new_record():
+    point = JetPoint(*_POINT_ARGS)
+    with pytest.raises(ValueError,
+                       match="^inconsistent base/field array sizes$"):
+        point.copy_with(x=(0.5, 0.5))
+    spec = AlgebraSpec("AE", 3)
+    with pytest.raises(ValueError, match="^AE requires n >= 3$"):
+        spec.copy_with(n=2)
+
+
+def test_jet_point_replace_is_copy_with_of_one_entry():
+    point = JetPoint(*_POINT_ARGS)
+    assert point.replace(JetCoordinateId("d1", 1, 0), 5.0) == \
+        point.copy_with(du=((5.0,),))
+
+
+def test_a_subclass_keeps_the_fields_and_the_defaults():
+    class Tagged(JetCoordinateId):
+        pass
+
+    tagged = Tagged("base", i=2)
+    assert repr(tagged) == \
+        f"{Tagged.__qualname__}(kind='base', r=0, i=2, j=0)"
+    assert hash(tagged) == hash(("base", 0, 2, 0))
+    assert tagged != JetCoordinateId("base", i=2)
+
+
+def test_importing_invforge_leaves_dataclasses_out():
+    code = ("import sys, invforge, invforge.cli; "
+            "print('dataclasses' in sys.modules)")
+    src = str(pathlib.Path(invforge.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=src)
+    assert done.stdout.split() == ["False"]
+
+
+def test_no_module_imports_dataclasses_or_runs_generated_code():
+    """No import of dataclasses and no call of the builtins exec, eval or
+    compile anywhere in the package."""
+    found = []
+    for path in pathlib.Path(invforge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name):
+                names = [node.func.id]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name in ("dataclasses", "exec", "eval", "compile")]
+    assert found == []
+
+
+def test_every_record_type_is_a_record():
+    assert all(issubclass(cls, Record) for cls in RECORDS)
+
+
+@pytest.mark.parametrize("cls", [c for c in RECORDS
+                                 if "__slots__" not in vars(c)],
+                         ids=lambda c: c.__name__)
+def test_an_instance_dict_holds_exactly_the_fields(cls):
+    args, _, compared, ignored, *_ = CASES[cls]
+    record = cls(*args)
+    assert vars(record) == {name: getattr(record, name)
+                            for name in cls._fields}
+    assert sorted(vars(record)) == sorted(compared + ignored)
+
+
+@pytest.mark.parametrize("cls", (Num, Sym, Neg, Bin, Call),
+                         ids=lambda c: c.__name__)
+def test_syntax_nodes_keep_their_slots(cls):
+    args, _, compared, *_ = CASES[cls]
+    assert cls.__slots__ == compared
+    assert not hasattr(cls(*args), "__dict__")

@@ -1,6 +1,5 @@
 import io
 import json
-import dataclasses
 import math
 
 import pytest
@@ -415,7 +414,7 @@ def test_projected_points_stay_on_the_conjugate_section(name, mass):
         point, _, _ = draw(sampler, [E], s)
         partner = point.conjugate_index(cid.r)
         assert partner != cid.r
-        assert point.value(dataclasses.replace(cid, r=partner)) == \
+        assert point.value(cid.copy_with(r=partner)) == \
             point.value(cid).conjugate()
         assert abs(E.eval(point)) < 1e-12
 
@@ -863,7 +862,7 @@ def test_rows_without_a_coordinate_land_in_one_step(name, params,
         E = EQUATIONS[name].build(n, **params)
         picked = verify.affine_coordinate(E, E.space.sampler(0)(0))
         partner = E.space.sampler(0)(0).conjugate_index(picked.r)
-        step = [picked] + ([dataclasses.replace(picked, r=partner)]
+        step = [picked] + ([picked.copy_with(r=partner)]
                            if partner != picked.r else [])
         steps.clear()
         check_on_manifold([], E, n_samples=5, seed=0)
