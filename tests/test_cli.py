@@ -26,6 +26,53 @@ def test_list_algebras_mentions_complex_projective():
     assert "AG2_II" in out.stdout
 
 
+LIST_ALGEBRAS = """\
+AO             rotations only; n >= 3, any m
+AE             translations + rotations; n >= 3, any m
+AE1            AE plus dilation (parameter lambda)
+AC             AE1 plus special conformal generators
+AP             spacetime translations + pseudo-rotations; n >= 3
+APtilde        AP plus dilation (parameter lambda)
+AC1n           APtilde plus special conformal generators
+AG_I           time/space translations, rotations, boosts, field scaling \
+(parameter mu)
+AG1_I          AG_I plus dilation (parameter lambda)
+AG2_I          AG1_I plus the projective generator (lambda = -n/2 when \
+mu != 0)
+AG_II          complex-pair analogue of AG_I (parameter mass)
+AG1_II         complex-pair analogue of AG1_I
+AG2_II         complex-pair analogue of AG2_I
+AP_inf         sampled generators of the eikonal equation's infinite \
+algebra (seed, instances, extended)
+AP_BornInfeld  pseudo-rotations treating the field as an extra base \
+coordinate
+"""
+LIST_BASES = """\
+AE         scalar/multi-field jet invariants (power traces and forms)
+AO         rotation invariants including the position vector
+AE1        dilation-normalized invariants, branches lambda = 0 and != 0
+AC         conformal tensor invariants, branches lambda = 0 and != 0
+AP         spacetime power-trace invariants (m fields)
+APtilde    dilation-normalized spacetime invariants, two branches
+AC1n       conformal spacetime tensor invariants, two branches
+AG_I       boost-covariant invariants on log-substituted jets
+AG1_I      dilation-normalized log-jet invariants
+AG2_I      projective combinations (per-member verdicts; mu = 0 branch \
+uses the implicit theta solve)
+AG_II      conjugate-pair invariants on log-substituted jets
+AG1_II     dilation-normalized conjugate-pair invariants
+AG2_II     projective conjugate-pair combinations (mass = 0 branch \
+available)
+"""
+
+
+@pytest.mark.parametrize("kind, want", [("algebras", LIST_ALGEBRAS),
+                                        ("bases", LIST_BASES)])
+def test_list_prints_the_catalog_exactly(kind, want):
+    out = run_cli("list", kind)
+    assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
+
+
 def test_list_equations_mentions_born_infeld():
     out = run_cli("list", "equations")
     assert out.returncode == 0

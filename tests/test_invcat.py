@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -310,6 +311,26 @@ def test_galilei_basis_requires_log_rep():
 def test_massless_complex_needs_projective_family():
     with pytest.raises(ValueError):
         basis(make_spec("AG_II", 3, mass=0.0, rep="log"))
+
+
+@pytest.mark.parametrize("spec, kw, message", [
+    (make_spec("AP_inf", 3), {}, "no basis catalog for algebra 'AP_inf'"),
+    (make_spec("AP_BornInfeld", 3), {},
+     "no basis catalog for algebra 'AP_BornInfeld'"),
+    (make_spec("AG2_I", 3), {},
+     "Galilei bases act on log-substituted jets; use rep='log'"),
+    (make_spec("AG_II", 3, mass=0.0, rep="log"), {},
+     "no printed massless basis for AG_II"),
+    (make_spec("AG1_II", 3, mass=0.0, rep="log"), {},
+     "no printed massless basis for AG1_II"),
+    (make_spec("AE", 3), {"hat_variant": "hatted"},
+     "hat_variant must be 'printed' or 'uniform'"),
+    (make_spec("AP_inf", 3), {"hat_variant": "Printed"},
+     "hat_variant must be 'printed' or 'uniform'"),
+])
+def test_basis_refusals_name_their_reason(spec, kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        basis(spec, **kw)
 
 
 def test_rotation_count():

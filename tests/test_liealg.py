@@ -314,6 +314,25 @@ def test_eikonal_user_functions_override():
                           functions=(("q", eta),)))
 
 
+def test_eikonal_override_names_read_their_digits():
+    # an index is decimal digits of any script, read by int(): a٣, a00 and
+    # b٠١ name a3, a0 and b01
+    from invforge.exprlang import bind_scalar_function
+
+    texts = ("1 + u", "u ^ 2 - 2", "exp(u / 3)")
+    point = sample_generic(4, 1, seed=4)
+
+    def tables(names):
+        fns = tuple((name, bind_scalar_function(text))
+                    for name, text in zip(names, texts))
+        spec = make_spec("AP_inf", 3, instances=2, functions=fns)
+        return repr([prolong2(f).flow_table(point) for f in catalog(spec)])
+
+    plain = tables(())
+    ascii_ = tables(("a3", "a0", "b01"))
+    assert tables(("a\u0663", "a00", "b\u0660\u0661")) == ascii_ != plain
+
+
 def test_catalog_returns_a_new_list_of_the_same_fields():
     spec = make_spec("AE", 3)
     first, again = catalog(spec), catalog(make_spec("AE", 3))
