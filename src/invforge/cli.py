@@ -19,7 +19,8 @@ from datetime import datetime, timezone
 from . import __version__
 from .exprlang import BindError, ParseError, bind, bind_scalar_function, \
     needs_positive_u
-from .invcat import EQUATIONS, POSITIVE_FIELD_ALGEBRAS, TENSORS, basis
+from .invcat import BASES, EQUATIONS, POSITIVE_FIELD_ALGEBRAS, TENSORS, \
+    basis
 from .jetspace import FieldKind, to_log_jets
 from .liealg import _FAMILIES, algebra_space, catalog, generic_rank, \
     make_sampler, make_spec, prolong2
@@ -30,47 +31,6 @@ from .verify import (
     check_on_manifold,
     completeness,
 )
-
-_ALGEBRAS = {
-    "AO": "rotations only; n >= 3, any m",
-    "AE": "translations + rotations; n >= 3, any m",
-    "AE1": "AE plus dilation (parameter lambda)",
-    "AC": "AE1 plus special conformal generators",
-    "AP": "spacetime translations + pseudo-rotations; n >= 3",
-    "APtilde": "AP plus dilation (parameter lambda)",
-    "AC1n": "APtilde plus special conformal generators",
-    "AG_I": "time/space translations, rotations, boosts, field scaling "
-            "(parameter mu)",
-    "AG1_I": "AG_I plus dilation (parameter lambda)",
-    "AG2_I": "AG1_I plus the projective generator (lambda = -n/2 when "
-             "mu != 0)",
-    "AG_II": "complex-pair analogue of AG_I (parameter mass)",
-    "AG1_II": "complex-pair analogue of AG1_I",
-    "AG2_II": "complex-pair analogue of AG2_I",
-    "AP_inf": "sampled generators of the eikonal equation's infinite "
-              "algebra (seed, instances, extended)",
-    "AP_BornInfeld": "pseudo-rotations treating the field as an extra "
-                     "base coordinate",
-}
-
-_BASES = [
-    ("AE", "scalar/multi-field jet invariants (power traces and forms)"),
-    ("AO", "rotation invariants including the position vector"),
-    ("AE1", "dilation-normalized invariants, branches lambda = 0 and != 0"),
-    ("AC", "conformal tensor invariants, branches lambda = 0 and != 0"),
-    ("AP", "spacetime power-trace invariants (m fields)"),
-    ("APtilde", "dilation-normalized spacetime invariants, two branches"),
-    ("AC1n", "conformal spacetime tensor invariants, two branches"),
-    ("AG_I", "boost-covariant invariants on log-substituted jets"),
-    ("AG1_I", "dilation-normalized log-jet invariants"),
-    ("AG2_I", "projective combinations (per-member verdicts; mu = 0 "
-              "branch uses the implicit theta solve)"),
-    ("AG_II", "conjugate-pair invariants on log-substituted jets"),
-    ("AG1_II", "dilation-normalized conjugate-pair invariants"),
-    ("AG2_II", "projective conjugate-pair combinations (mass = 0 branch "
-               "available)"),
-]
-
 
 def _env_seed() -> int:
     raw = os.environ.get("INVFORGE_SEED")
@@ -218,7 +178,7 @@ def _reads(command, cfg):
         raise ValueError("an --algebra name is required")
     if name not in _FAMILIES:
         raise ValueError(f"unknown algebra family {name!r}")
-    reads = {"algebra", "n", "seed", "samples", "out", *_FAMILIES[name]}
+    reads = {"algebra", "n", "seed", "samples", "out", *_FAMILIES[name][0]}
     if command != "rank":
         # rank's pivot threshold is the constant RANK_PIVOT_RTOL
         reads.add("tol")
@@ -336,14 +296,13 @@ def _emit(doc, cfg, stream):
 
 
 def _cmd_list(args, stream):
-    kind = args.kind
-    if kind == "algebras":
-        for name, desc in _ALGEBRAS.items():
+    if args.kind == "algebras":
+        for name, (_, desc) in _FAMILIES.items():
             print(f"{name:14s} {desc}", file=stream)
-    elif kind == "bases":
-        for name, desc in _BASES:
+    elif args.kind == "bases":
+        for name, (_, desc) in BASES.items():
             print(f"{name:10s} {desc}", file=stream)
-    elif kind == "equations":
+    elif args.kind == "equations":
         for name, info in EQUATIONS.items():
             print(f"{name:24s} {info.note}", file=stream)
     else:

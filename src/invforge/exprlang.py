@@ -55,7 +55,6 @@ from .invcat import (
     _Sjk,
     _View,
     _boost_theta,
-    _dep_coords,
     _dot,
     _eikonal_theta,
     _gvec,
@@ -324,25 +323,27 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _COORD = r"t|x\d+"
 _SYMBOL = re.compile(rf"({_COORD})|u(\d*)(?:_(.+))?")
 # every named matrix and vector, by prefix: its position ("matrix" or
-# "vector"), the kinds of its field's coordinates that it reads, and what
-# its binding must have, in the order checked.  A selector is x, or a
-# prefix and its field index r (none is r = 1), with the index digits of
-# a jet symbol; a bare integer r is ddu<r> or du<r>.  The key of a
-# selector's source starts with its prefix.
+# "vector"); what it reads of its field r, and of the other field that
+# thvec<r> and r4vec<r> name: u_r ("u"), u_{r,a} ("a") and u_{r,ab} ("ab")
+# over the indices a, b it contracts over, u_{r,at} ("at") and u_{r,t}
+# ("t", of field r only), or the x_a ("x"); and what its binding must
+# have, in the order checked.  A selector is x, or a prefix and its field
+# index r (none is r = 1), with the index digits of a jet symbol; a bare
+# integer r is ddu<r> or du<r>.  Its source's key starts with its prefix.
 _SELECTORS = {
-    "ddu": ("matrix", ("d2",), ()),
-    "theta": ("matrix", ("field", "d1", "d2"), ("space",)),
-    "w": ("matrix", ("d1", "d2"), ("space",)),
-    "eik": ("matrix", ("d1", "d2"), ("minkowski", "space")),
-    "inv": ("matrix", ("d2",), ("time",)),
-    "x": ("vector", ("base",), ()),
-    "du": ("vector", ("d1",), ()),
-    "thvec": ("vector", ("field", "d1"), ()),
-    "dut": ("vector", ("d2",), ("time",)),
-    "bth": ("vector", ("d1", "d2"), ("time",)),
-    "ith": ("vector", ("d2",), ("time",)),
-    "tau": ("vector", ("d1", "d2"), ("time",)),
-    "r4vec": ("vector", ("d1", "d2"), ("time", "pair")),
+    "ddu": ("matrix", ("ab",), ()),
+    "theta": ("matrix", ("u", "a", "ab"), ("space",)),
+    "w": ("matrix", ("a", "ab"), ("space",)),
+    "eik": ("matrix", ("a", "ab"), ("minkowski", "space")),
+    "inv": ("matrix", ("ab",), ("time",)),
+    "x": ("vector", ("x",), ()),
+    "du": ("vector", ("a",), ()),
+    "thvec": ("vector", ("u", "a"), ()),
+    "dut": ("vector", ("at",), ("time",)),
+    "bth": ("vector", ("a", "ab", "at"), ("time",)),
+    "ith": ("vector", ("ab", "at"), ("time",)),
+    "tau": ("vector", ("a", "t", "ab", "at"), ("time",)),
+    "r4vec": ("vector", ("a", "t", "ab", "at"), ("time", "pair")),
 }
 _SELECTOR = re.compile(
     r"x|(%s)(\d*)" % "|".join(p for p in _SELECTORS if p != "x"))
@@ -357,9 +358,17 @@ _NEEDS = {"minkowski": "needs a Minkowski metric",
 
 
 @functools.cache
-def _reads(n_base, n_fields, kinds, rs=None):
-    """The ``kinds`` coordinates of the fields ``rs``, hashed once."""
-    return frozenset(_dep_coords(n_base, n_fields, kinds, rs))
+def _reads(reads, rs, idx):
+    """The coordinates a selector's ``reads`` name (see _SELECTORS) of the
+    fields ``rs``, its own first, over the indices ``idx``, hashed once."""
+    return frozenset(
+        [base_coord(a) for a in idx if "x" in reads]
+        + [field_coord(r) for r in rs if "u" in reads]
+        + [d1_coord(r, a) for r in rs for a in idx if "a" in reads]
+        + [d1_coord(r, 0) for r in rs[:1] if "t" in reads]
+        + [d2_coord(r, a, b) for r in rs for a in idx for b in idx
+           if "ab" in reads]
+        + [d2_coord(r, a, 0) for r in rs for a in idx if "at" in reads])
 
 
 def _literal(node):
@@ -394,6 +403,16 @@ def _memoized(fn):
 def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
              field_kind: FieldKind = REAL, time_mode: bool = False,
              lam: float = 1.0, mu: float = 1.0):
+    """The one compiler of a jet space (:func:`_compiler`), which every
+    text bound there shares; no metric is the Euclidean one, and lam and mu
+    that compare equal but print apart, as -0.0 and 0.0, compile apart."""
+    return _compiler(n_base, n_fields, metric or euclidean(n_base),
+                     field_kind, time_mode, lam, mu, repr((lam, mu)))
+
+
+@functools.cache
+def _compiler(n_base, n_fields, metric, field_kind, time_mode, lam, mu,
+              _reprs):
     """Compiler for one (N, m, metric) space: maps an AST to a pair
     (evaluator on a jet view, set of the jet coordinates it reads), or
     with ``selector`` a selector's name to the pair (its source (key,
@@ -418,7 +437,6 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
     ``conj`` never read it, and the value read is the one the node would
     give again on that view, to the bit.
     """
-    metric = metric or euclidean(n_base)
     if metric.dim != n_base:
         raise BindError("metric dimension must match the base dimension")
     idx = tuple(range(1 if time_mode else 0, n_base))
@@ -578,12 +596,11 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         for need in entry[2]:
             if lacks[need]:
                 raise BindError(f"{name} {_NEEDS[need]}")
-        if prefix == "x":  # the x_i it contracts over, so no t
-            reads.append(frozenset(map(base_coord, idx)))
-            return ("x", idx), lambda view: [view.x(i) for i in idx]
-        rs = {"thvec": (resolve_field(""), r),
+        rs = {"thvec": (r, resolve_field("")),
               "r4vec": (r, partner)}.get(prefix, (r,))
-        reads.append(_reads(n_base, n_fields, entry[1], rs))
+        reads.append(_reads(entry[1], rs, idx))
+        if prefix == "x":  # the x_i it contracts over, so no t
+            return ("x", idx), lambda view: [view.x(i) for i in idx]
         if prefix in _PLAIN:
             fn = _PLAIN[prefix]
             return (prefix, r, idx), lambda view: fn(view, r, idx)
@@ -595,7 +612,7 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
         if prefix == "eik":
             return ("eik", r), _eikonal_theta(r, idx, signs)
         if prefix == "thvec":
-            r1 = rs[0]
+            r1 = rs[1]
             return ("thvec", r1, r, idx), lambda view: [
                 view.du(r, i) / view.u(r) - view.du(r1, i) / view.u(r1)
                 for i in idx]
@@ -699,19 +716,13 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
     differentiable evaluator (see :func:`compiler`)."""
     if isinstance(expr, str):
         expr = parse(expr)
-    metric = metric or euclidean(n_base)
     label = to_text(expr)
     fn, deps = compiler(n_base, n_fields, metric, field_kind, time_mode,
                         lam, mu)(expr)
-    space = JetSpace(n_base, n_fields, field_kind, metric,
-                     positive_fields=False)
+    space = JetSpace(n_base, n_fields, field_kind,
+                     metric or euclidean(n_base), positive_fields=False)
     dep_order = [c for c in space.coords() if c in deps]
     return ScalarJetFunction(label, fn, tuple(dep_order), space)
-
-
-# compilers by space, shared by every catalog text bound over it, so that
-# repeated basis() and catalog() calls reuse the nodes compiled before
-_shared_compiler = functools.cache(compiler)
 
 
 @functools.cache
@@ -724,8 +735,8 @@ def bind_coefficient(text: str, n_base: int, n_fields: int = 1,
     text at base coordinates ``xs`` and field values ``us``, which may be
     dual numbers; ``deps`` is the set of jet coordinates it reads.
     Memoized per (text, space): catalog() calls share compiled texts."""
-    fn, deps = _shared_compiler(n_base, n_fields, metric, field_kind,
-                               time_mode)(parse(text))
+    fn, deps = compiler(n_base, n_fields, metric, field_kind,
+                        time_mode)(parse(text))
     if any(c.kind not in ("base", "field") for c in deps):
         raise BindError("a coefficient reads only coordinates and field "
                         f"values: {text!r}")

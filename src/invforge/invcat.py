@@ -11,7 +11,9 @@ index pair contributes the metric sign of that index.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 
 from .dual import (
     Dual,
@@ -544,26 +546,14 @@ class TensorBuilder(Record, not_compared=("source",)):
         return [[value_of(v) for v in row] for row in out]
 
     def components(self):
+        """Entry [a] of a vector, or [a][b] of a matrix, in row order."""
         key, build = self.source
-
-        def cached(view):
-            return _tensor_cached(view, key, build)
-
-        fns = []
-        if self.kind == "vector":
-            for a in range(self.size):
-                fns.append(ScalarJetFunction(
-                    f"{self.label}[{a}]",
-                    (lambda a: lambda view: cached(view)[a])(a),
-                    self.deps, self.space))
-        else:
-            for a in range(self.size):
-                for b in range(self.size):
-                    fns.append(ScalarJetFunction(
-                        f"{self.label}[{a}][{b}]",
-                        (lambda a, b: lambda view: cached(view)[a][b])(a, b),
-                        self.deps, self.space))
-        return fns
+        return [ScalarJetFunction(
+            self.label + "".join(f"[{i}]" for i in index),
+            lambda view, index=index: functools.reduce(
+                operator.getitem, index, _tensor_cached(view, key, build)),
+            self.deps, self.space) for index in itertools.product(
+                range(self.size), repeat=1 if self.kind == "vector" else 2)]
 
 
 def _theta(r, idx, signs, lam):
@@ -730,10 +720,12 @@ def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
     met = minkowski(nb) if where == "minkowski" else euclidean(n)
     if isinstance(selector, str):
         from . import exprlang
-        source, _ = exprlang.compiler(
+        source, used = exprlang.compiler(
             nb, m, None if time else met, time_mode=time, lam=lam, mu=mu)(
                 exprlang.Sym(selector.format(r=r)), selector=True)
-        kind, kinds, _ = exprlang._SELECTORS[source[0][0]]
+        kind = exprlang._SELECTORS[source[0][0]][0]
+        # the kinds of coordinates the selector reads, of every field
+        kinds = frozenset(c.kind for c in used)
     else:
         kind, kinds, build = selector
         idx = _spatial(n)
@@ -771,38 +763,13 @@ class BasisFamily(Record):
 
 
 def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
-    """Functional basis (or printed generating set) for the algebra."""
+    """Functional basis (or printed generating set) for the algebra, by
+    its builder in :data:`BASES`."""
     if hat_variant not in ("printed", "uniform"):
         raise ValueError("hat_variant must be 'printed' or 'uniform'")
-    name = spec.name
-    if name == "AO":
-        return _basis_rotation(spec)
-    if name == "AE":
-        return _basis_euclid(spec)
-    if name == "AE1":
-        return _basis_extended_euclid(spec)
-    if name == "AC":
-        return _basis_conformal(spec)
-    if name == "AP":
-        return _basis_poincare(spec)
-    if name == "APtilde":
-        return _basis_extended_poincare(spec)
-    if name == "AC1n":
-        return _basis_conformal_minkowski(spec)
-    if name in ("AG_I", "AG1_I", "AG2_I", "AG_II", "AG1_II", "AG2_II"):
-        if spec.rep != "log":
-            raise ValueError("Galilei bases act on log-substituted jets; "
-                             "use rep='log'")
-        if name in ("AG_II", "AG1_II") and spec.mass == 0:
-            raise ValueError(f"no printed massless basis for {name}")
-        label, rows, expected, notes = _galilei_rows(spec, hat_variant)
-        # a member of the pair that reads no phase depends on the jets
-        # alone, as every real member does
-        kinds = ("field", "d1", "d2") if name.endswith("_II") \
-            else ("d1", "d2")
-        fam = _bind_rows(spec, label, rows, kinds, expected, ("d1", "d2"))
-        return fam.copy_with(notes=notes)
-    raise ValueError(f"no basis catalog for algebra {name!r}")
+    if spec.name not in BASES:
+        raise ValueError(f"no basis catalog for algebra {spec.name!r}")
+    return BASES[spec.name][0](spec, hat_variant)
 
 
 # catalog tables --------------------------------------------------------------
@@ -844,13 +811,13 @@ def _text_binding(spec):
                      positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
     # a time binding reads no lam (it refuses theta and w), so the Galilei
     # families of one boost weight share one compiler and its nodes
-    return space, exprlang._shared_compiler(
+    return space, exprlang.compiler(
         spec.n_base, spec.m, metric, kind, time_mode,
         lam=1.0 if time_mode else spec.lam, mu=spec.boost)
 
 
 def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
-               expected=None, jet_kinds=None):
+               expected=None, jet_kinds=None, notes=""):
     """Family of the (member label, text) ``rows`` over the jet space of
     ``spec`` (:func:`_text_binding`).  A member that is a single jet
     coordinate depends on it alone; with ``jet_kinds``, one that reads no
@@ -872,7 +839,7 @@ def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
         members.append(ScalarJetFunction(mlabel, fn, own, space))
     return BasisFamily(label, spec, tuple(members),
                        len(members) if expected is None else expected,
-                       space, deps)
+                       space, deps, notes)
 
 
 def _fields(m):
@@ -894,13 +861,13 @@ def _euclid_rows(n, m):
                for r in range(1, m + 1) for k in ks])
 
 
-def _basis_euclid(spec):
+def _basis_euclid(spec, _):
     n, m = spec.n, spec.m
     return _bind_rows(spec, f"euclid n={n} m={m}", _euclid_rows(n, m),
                       expected=2 * m * n + m + (m - 1) * n * (n - 1) // 2)
 
 
-def _basis_rotation(spec):
+def _basis_rotation(spec, _):
     """Rotation-only invariants: position vector joins the jet variables."""
     n, m = spec.n, spec.m
     rows = _euclid_rows(n, m) + [(f"R{k}(x,U1)", f"R({k}; x, 1)")
@@ -926,7 +893,7 @@ def _dilated_traces(n, m, lam):
                for r in range(2, m + 1) for k in ks for j in range(k)])
 
 
-def _basis_extended_euclid(spec):
+def _basis_extended_euclid(spec, _):
     n, m, lam = spec.n, spec.m, spec.lam
     ks, rs = range(1, n + 1), range(1, m + 1)
     if m == 1 and lam != 0:
@@ -1015,7 +982,7 @@ def _conformal_rows(m, lam, kmax, minkowski_):
                        1 - 2 * k, _GSQ) for r in rs for k in ks])
 
 
-def _basis_conformal(spec):
+def _basis_conformal(spec, _):
     n, m, lam = spec.n, spec.m, spec.lam
     if m > 1:
         return _bind_rows(spec, f"conformal n={n} m={m} lam={lam:g}",
@@ -1030,13 +997,13 @@ def _basis_conformal(spec):
                       expected=n)
 
 
-def _basis_conformal_minkowski(spec):
+def _basis_conformal_minkowski(spec, _):
     n, m, lam = spec.n, spec.m, spec.lam
     return _bind_rows(spec, f"conformal-minkowski n={n} m={m} lam={lam:g}",
                       _conformal_rows(m, lam, n + 1, True))
 
 
-def _basis_poincare(spec):
+def _basis_poincare(spec, _):
     n, m = spec.n, spec.m
     ks, rs = range(1, n + 2), range(1, m + 1)
     rows = (_fields(m) + [(f"S{k}(U1)", f"S({k})") for k in ks]
@@ -1047,7 +1014,7 @@ def _basis_poincare(spec):
                       expected=m * (2 * n + 3) + (m - 1) * n * (n + 1) // 2)
 
 
-def _basis_extended_poincare(spec):
+def _basis_extended_poincare(spec, _):
     n, m, lam = spec.n, spec.m, spec.lam
     ks, rs = range(1, n + 2), range(1, m + 1)
     sjk = [(j, k, r) for r in rs[1:] for k in ks for j in range(1, k + 1)]
@@ -1409,6 +1376,51 @@ def _massless_pair_rows(n, lam):
         rows += s_rows
     return (f"schroedinger-galilei-projective n={n} mass=0 lam={lam:g}",
             rows, len(rows), "implemented as printed; see per-member verdicts")
+
+
+def _basis_galilei(spec, hat_variant):
+    if spec.rep != "log":
+        raise ValueError("Galilei bases act on log-substituted jets; "
+                         "use rep='log'")
+    if spec.name in ("AG_II", "AG1_II") and spec.mass == 0:
+        raise ValueError(f"no printed massless basis for {spec.name}")
+    label, rows, expected, notes = _galilei_rows(spec, hat_variant)
+    # a member of the pair that reads no phase depends on the jets alone,
+    # as every real member does
+    kinds = ("field", "d1", "d2") if spec.name.endswith("_II") \
+        else ("d1", "d2")
+    return _bind_rows(spec, label, rows, kinds, expected, ("d1", "d2"),
+                      notes)
+
+
+# every cataloged basis, in the order ``invforge list bases`` prints: its
+# builder, called as (spec, hat_variant), and its line in that list
+BASES = {
+    "AE": (_basis_euclid,
+           "scalar/multi-field jet invariants (power traces and forms)"),
+    "AO": (_basis_rotation,
+           "rotation invariants including the position vector"),
+    "AE1": (_basis_extended_euclid,
+            "dilation-normalized invariants, branches lambda = 0 and != 0"),
+    "AC": (_basis_conformal,
+           "conformal tensor invariants, branches lambda = 0 and != 0"),
+    "AP": (_basis_poincare, "spacetime power-trace invariants (m fields)"),
+    "APtilde": (_basis_extended_poincare,
+                "dilation-normalized spacetime invariants, two branches"),
+    "AC1n": (_basis_conformal_minkowski,
+             "conformal spacetime tensor invariants, two branches"),
+    "AG_I": (_basis_galilei,
+             "boost-covariant invariants on log-substituted jets"),
+    "AG1_I": (_basis_galilei, "dilation-normalized log-jet invariants"),
+    "AG2_I": (_basis_galilei, "projective combinations (per-member verdicts; "
+              "mu = 0 branch uses the implicit theta solve)"),
+    "AG_II": (_basis_galilei,
+              "conjugate-pair invariants on log-substituted jets"),
+    "AG1_II": (_basis_galilei,
+               "dilation-normalized conjugate-pair invariants"),
+    "AG2_II": (_basis_galilei, "projective conjugate-pair combinations "
+                               "(mass = 0 branch available)"),
+}
 
 
 def galilei_mu0_determinant_family(n: int) -> BasisFamily:

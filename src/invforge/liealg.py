@@ -340,15 +340,29 @@ def generic_rank(ops, sampler, trials: int = 5, coords=None) -> int:
 # algebra catalog
 
 
-# each family and the parameters of its spec that its generators and basis
-# read; the CLI rejects any other parameter given for it
+# each family: the parameters of its spec that its generators and basis
+# read, which the CLI rejects any other parameter given for, and its line
+# in ``invforge list algebras``
 _FAMILIES = {
-    "AO": ("m",), "AE": ("m",), "AE1": ("m", "lam"), "AC": ("m", "lam"),
-    "AP": ("m",), "APtilde": ("m", "lam"), "AC1n": ("m", "lam"),
-    "AG_I": ("m", "mu"), "AG1_I": ("m", "lam", "mu"),
-    "AG2_I": ("m", "lam", "mu"), "AG_II": ("m", "mass"),
-    "AG1_II": ("m", "lam", "mass"), "AG2_II": ("m", "lam", "mass"),
-    "AP_inf": ("functions",), "AP_BornInfeld": (),
+    "AO": (("m",), "rotations only; n >= 3, any m"),
+    "AE": (("m",), "translations + rotations; n >= 3, any m"),
+    "AE1": (("m", "lam"), "AE plus dilation (parameter lambda)"),
+    "AC": (("m", "lam"), "AE1 plus special conformal generators"),
+    "AP": (("m",), "spacetime translations + pseudo-rotations; n >= 3"),
+    "APtilde": (("m", "lam"), "AP plus dilation (parameter lambda)"),
+    "AC1n": (("m", "lam"), "APtilde plus special conformal generators"),
+    "AG_I": (("m", "mu"), "time/space translations, rotations, boosts, "
+                          "field scaling (parameter mu)"),
+    "AG1_I": (("m", "lam", "mu"), "AG_I plus dilation (parameter lambda)"),
+    "AG2_I": (("m", "lam", "mu"), "AG1_I plus the projective generator "
+                                  "(lambda = -n/2 when mu != 0)"),
+    "AG_II": (("m", "mass"), "complex-pair analogue of AG_I (parameter mass)"),
+    "AG1_II": (("m", "lam", "mass"), "complex-pair analogue of AG1_I"),
+    "AG2_II": (("m", "lam", "mass"), "complex-pair analogue of AG2_I"),
+    "AP_inf": (("functions",), "sampled generators of the eikonal equation's "
+               "infinite algebra (seed, instances, extended)"),
+    "AP_BornInfeld": ((), "pseudo-rotations treating the field as an extra "
+                          "base coordinate"),
 }
 
 
@@ -614,18 +628,14 @@ def _sample_poly(rng, degree=2):
     return PolynomialOfU([_signed(rng) for _ in range(degree + 1)])
 
 
-def sample_eikonal_functions(n: int, seed: int, extended: bool):
-    """One draw of the arbitrary functions (b^{mu nu}, a^mu, eta[, d])."""
+def sample_eikonal_functions(n: int, seed: int, extended: bool) -> dict:
+    """One draw of the arbitrary functions, in this order by the names that
+    override them: ``b{mu}{nu}`` (mu < nu), ``a{mu}``, ``eta`` [, ``d``]."""
     rng = random.Random(f"apinf:{n}:{seed}")
     nb = n + 1
-    b = {}
-    for muu in range(nb):
-        for nuu in range(muu + 1, nb):
-            b[(muu, nuu)] = _sample_poly(rng)
-    a = [_sample_poly(rng) for _ in range(nb)]
-    eta = _sample_poly(rng)
-    d = _sample_poly(rng) if extended else None
-    return b, a, eta, d
+    names = [f"b{mu}{nu}" for mu in range(nb) for nu in range(mu + 1, nb)]
+    names += [f"a{mu}" for mu in range(nb)] + ["eta"] + ["d"] * extended
+    return {name: _sample_poly(rng) for name in names}
 
 
 # AP_inf's override names; an index is decimal digits, which int() reads
@@ -639,56 +649,53 @@ def _eikonal_family(spec: AlgebraSpec):
     by d(u) x_mu d/dx_mu (plain dilation sum).
 
     ``spec.functions`` may override sampled components by name: ``b{mu}{nu}``
-    (mu < nu), ``a{mu}``, ``eta``, ``d``; overrides apply to every instance.
+    (mu < nu), ``a{mu}``, ``eta``, ``d``; overrides apply to every instance,
+    and a name given twice is refused.
     """
-    n = spec.n
-    nb = n + 1
-    g = [1.0] + [-1.0] * n
-    overrides = dict(spec.functions)
+    nb = spec.n + 1
+    g = [1.0] + [-1.0] * spec.n
+    # the functions given, by the sampled name each replaces: its indices
+    # read by int(), so a٣ and a00 replace a3 and a0
+    overrides = {}
+    for name, fn in spec.functions:
+        m = _OVERRIDE.fullmatch(name)
+        if m is None:
+            raise ValueError(f"unknown coefficient function {name!r}")
+        if name == "d" and not spec.extended:
+            raise ValueError("a 'd' function needs extended=True")
+        if m[1] and not 0 <= int(m[1]) < int(m[2]) <= spec.n:
+            raise ValueError(f"bad antisymmetric component {name!r}")
+        if m[3] and not 0 <= int(m[3]) <= spec.n:
+            raise ValueError(f"bad translation component {name!r}")
+        key = f"b{int(m[1])}{int(m[2])}" if m[1] else \
+            f"a{int(m[3])}" if m[3] else name
+        if key in overrides:
+            raise ValueError(f"coefficient function {key!r} given twice")
+        overrides[key] = fn
+
+    def make_xi(k, fns):
+        a, d = fns[f"a{k}"], fns.get("d")
+        # g_nu b^{k nu}(u) x_nu for each nu != k, where b^{nu k} = -b^{k nu}
+        terms = [(fns[f"b{min(k, nu)}{max(k, nu)}"], nu,
+                  g[nu] if k < nu else -g[nu]) for nu in range(nb) if nu != k]
+
+        def f(xs, us):
+            u = us[0]
+            val = a(u)
+            for b, nu, sign in terms:
+                val = val + sign * b(u) * xs[nu]
+            if d is not None:
+                val = val + d(u) * xs[k]
+            return val
+        return f
+
     fields = []
     for inst in range(spec.instances):
-        b, a, eta, d = sample_eikonal_functions(n, spec.seed + inst,
-                                                spec.extended)
-        for name, fn in overrides.items():
-            m = _OVERRIDE.fullmatch(name)
-            if m is None:
-                raise ValueError(f"unknown coefficient function {name!r}")
-            if name == "eta":
-                eta = fn
-            elif name == "d":
-                d = fn
-                if not spec.extended:
-                    raise ValueError("a 'd' function needs extended=True")
-            elif name[0] == "b":
-                mu, nu = int(m[1]), int(m[2])
-                if not 0 <= mu < nu <= n:
-                    raise ValueError(f"bad antisymmetric component {name!r}")
-                b[(mu, nu)] = fn
-            else:
-                mu = int(m[3])
-                if not 0 <= mu <= n:
-                    raise ValueError(f"bad translation component {name!r}")
-                a[mu] = fn
-
-        def make_xi(k, b=b, a=a, d=d):
-            def f(xs, us):
-                u = us[0]
-                val = a[k](u)
-                for nuu in range(nb):
-                    if (k, nuu) in b:
-                        val = val + g[nuu] * b[(k, nuu)](u) * xs[nuu]
-                    elif (nuu, k) in b:
-                        val = val - g[nuu] * b[(nuu, k)](u) * xs[nuu]
-                if d is not None:
-                    val = val + d(u) * xs[k]
-                return val
-            return f
-
-        def make_eta(eta=eta):
-            return lambda xs, us: eta(us[0])
-
+        fns = {**sample_eikonal_functions(spec.n, spec.seed + inst,
+                                          spec.extended), **overrides}
         fields.append(VectorField(
-            nb, 1, [make_xi(k) for k in range(nb)], [make_eta()],
+            nb, 1, [make_xi(k, fns) for k in range(nb)],
+            [lambda xs, us, eta=fns["eta"]: eta(us[0])],
             f"X{inst}{'+d' if spec.extended else ''}"))
     return fields
 

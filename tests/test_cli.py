@@ -607,6 +607,22 @@ def test_rank_draws_the_points_of_the_basis(name, monkeypatch):
     assert [samplers[0](t) for t in range(3)] == [want(t) for t in range(3)]
 
 
+@pytest.mark.parametrize("argv", [
+    ("rank", "--algebra", "AP_inf"),
+    ("verify", "--equation", "eikonal"),
+])
+def test_a_repeated_function_name_is_a_usage_error(argv, capsys):
+    # the second eta=... replaced the first, and the run exited 0
+    from invforge import cli
+
+    out = io.StringIO()
+    assert cli.main([*argv, "--n", "3", "--function", "eta=u",
+                     "--function", "eta=u^2"], stream=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == \
+        "configuration error: coefficient function 'eta' given twice\n"
+
+
 _SETTING_COMMANDS = {
     "verify-algebra": ("verify", "--algebra", "AE"),
     "verify-equation": ("verify", "--equation", "heat"),

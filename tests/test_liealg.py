@@ -333,6 +333,24 @@ def test_eikonal_override_names_read_their_digits():
     assert tables(("a\u0663", "a00", "b\u0660\u0661")) == ascii_ != plain
 
 
+@pytest.mark.parametrize("names, repeated", [
+    (("eta", "eta"), "eta"),
+    (("a3", "a\u0663"), "a3"),
+    (("b01", "a2", "b\u0660\u0661"), "b01"),
+    (("a0", "a00"), "a0"),
+])
+def test_an_eikonal_function_named_twice_is_refused(names, repeated):
+    # the last of the two replaced the sampled function, silently
+    from invforge.exprlang import bind_scalar_function
+
+    fn = bind_scalar_function("u")
+    spec = make_spec("AP_inf", 3, instances=1,
+                     functions=tuple((name, fn) for name in names))
+    with pytest.raises(ValueError, match=f"^coefficient function "
+                                         f"'{repeated}' given twice$"):
+        catalog(spec)
+
+
 def test_catalog_returns_a_new_list_of_the_same_fields():
     spec = make_spec("AE", 3)
     first, again = catalog(spec), catalog(make_spec("AE", 3))

@@ -15,8 +15,8 @@ import pytest
 from invforge.exprlang import BindError, bind
 from invforge.invcat import TENSORS, _plain_view, covariant_tensor
 from invforge.jetspace import COMPLEX, REAL, minkowski
-from invforge.liealg import make_sampler
-from invforge.verify import family_jacobian
+from invforge.liealg import catalog, make_sampler, make_spec, prolong2
+from invforge.verify import check_absolute, family_jacobian
 
 # binding: (n_base, keyword arguments of bind), two fields each
 BINDINGS = {
@@ -72,11 +72,9 @@ SELECTOR_OUTCOMES = {
         'u1_00 u1_01 u1_02 u1_11 u1_12 u1_22 = 17.087075248757618',
         ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
          '15.99237279187955'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
-         '20.803404524215214'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
-         '20.803404524215214'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
+        'u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = 20.803404524215214',
+        'u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = 20.803404524215214',
+        ('u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
          '(-6.1725596301897765+6.025429644890363j)'),
     ),
     ('ddu1', 'vector'): (
@@ -89,11 +87,9 @@ SELECTOR_OUTCOMES = {
     ('inv1', 'matrix'): (
         'BindError: inv1 is only valid in a time binding',
         'BindError: inv1 is only valid in a time binding',
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
-         '2.6804040800711366'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
-         '2.6804040800711366'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
+        'u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = 2.6804040800711366',
+        'u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = 2.6804040800711366',
+        ('u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
          '(-0.13453671437091766+0.0008651096923852769j)'),
     ),
     ('inv1', 'vector'): (
@@ -174,9 +170,9 @@ SELECTOR_OUTCOMES = {
     ('du1', 'vector'): (
         'u1_0 u1_1 u1_2 = 7.318553555098196',
         'u1_0 u1_1 u1_2 u1_3 = -7.112033897281748',
-        'u1_0 u1_1 u1_2 u1_3 = 8.450196871139818',
-        'u1_0 u1_1 u1_2 u1_3 = -8.450196871139818',
-        'u1_0 u1_1 u1_2 u1_3 = (1.4082511285155532+3.472085608153235j)',
+        'u1_1 u1_2 u1_3 = 8.450196871139818',
+        'u1_1 u1_2 u1_3 = -8.450196871139818',
+        'u1_1 u1_2 u1_3 = (1.4082511285155532+3.472085608153235j)',
     ),
     ('thvec2', 'matrix'): (
         "BindError: unknown tensor 'thvec2'",
@@ -188,10 +184,9 @@ SELECTOR_OUTCOMES = {
     ('thvec2', 'vector'): (
         'u1 u2 u1_0 u1_1 u1_2 u2_0 u2_1 u2_2 = 16.452774383400513',
         'u1 u2 u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = 3.9580243008236042',
-        'u1 u2 u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = 6.841412434204076',
-        'u1 u2 u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = -6.841412434204076',
-        ('u1 u2 u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = '
-         '(-4.725487260329572+0j)'),
+        'u1 u2 u1_1 u1_2 u1_3 u2_1 u2_2 u2_3 = 6.841412434204076',
+        'u1 u2 u1_1 u1_2 u1_3 u2_1 u2_2 u2_3 = -6.841412434204076',
+        'u1 u2 u1_1 u1_2 u1_3 u2_1 u2_2 u2_3 = (-4.725487260329572+0j)',
     ),
     ('dut1', 'matrix'): (
         "BindError: unknown tensor 'dut1'",
@@ -203,12 +198,9 @@ SELECTOR_OUTCOMES = {
     ('dut1', 'vector'): (
         'BindError: dut1 is only valid in a time binding',
         'BindError: dut1 is only valid in a time binding',
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
-         '4.371908895989884'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
-         '-4.371908895989884'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
-         '(1.1359073526972048-0.11183753422334886j)'),
+        'u1_01 u1_02 u1_03 = 4.371908895989884',
+        'u1_01 u1_02 u1_03 = -4.371908895989884',
+        'u1_01 u1_02 u1_03 = (1.1359073526972048-0.11183753422334886j)',
     ),
     ('ith1', 'matrix'): (
         "BindError: unknown tensor 'ith1'",
@@ -220,11 +212,11 @@ SELECTOR_OUTCOMES = {
     ('ith1', 'vector'): (
         'BindError: ith1 is only valid in a time binding',
         'BindError: ith1 is only valid in a time binding',
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
+        ('u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
          '0.5741382101676927'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
+        ('u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
          '-0.5741382101676927'),
-        ('u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
+        ('u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 = '
          '(-0.24281459386953302-0.6958238145806614j)'),
     ),
     ('bth1', 'matrix'): (
@@ -237,12 +229,12 @@ SELECTOR_OUTCOMES = {
     ('bth1', 'vector'): (
         'BindError: bth1 is only valid in a time binding',
         'BindError: bth1 is only valid in a time binding',
-        ('u1_0 u1_1 u1_2 u1_3 u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 '
-         'u1_22 u1_23 u1_33 = 69.9084156069502'),
-        ('u1_0 u1_1 u1_2 u1_3 u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 '
-         'u1_22 u1_23 u1_33 = -69.9084156069502'),
-        ('u1_0 u1_1 u1_2 u1_3 u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 '
-         'u1_22 u1_23 u1_33 = (10.017733518402473+34.82521830198572j)'),
+        ('u1_1 u1_2 u1_3 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 '
+         'u1_33 = 69.9084156069502'),
+        ('u1_1 u1_2 u1_3 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 '
+         'u1_33 = -69.9084156069502'),
+        ('u1_1 u1_2 u1_3 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 u1_23 '
+         'u1_33 = (10.017733518402473+34.82521830198572j)'),
     ),
     ('bth2', 'matrix'): (
         "BindError: unknown tensor 'bth2'",
@@ -254,12 +246,12 @@ SELECTOR_OUTCOMES = {
     ('bth2', 'vector'): (
         'BindError: bth2 is only valid in a time binding',
         'BindError: bth2 is only valid in a time binding',
-        ('u2_0 u2_1 u2_2 u2_3 u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 '
-         'u2_22 u2_23 u2_33 = 11.250966260731973'),
-        ('u2_0 u2_1 u2_2 u2_3 u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 '
-         'u2_22 u2_23 u2_33 = -11.250966260731973'),
-        ('u2_0 u2_1 u2_2 u2_3 u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 '
-         'u2_22 u2_23 u2_33 = (10.017733518402473-34.82521830198572j)'),
+        ('u2_1 u2_2 u2_3 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 '
+         'u2_33 = 11.250966260731973'),
+        ('u2_1 u2_2 u2_3 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 '
+         'u2_33 = -11.250966260731973'),
+        ('u2_1 u2_2 u2_3 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 '
+         'u2_33 = (10.017733518402473-34.82521830198572j)'),
     ),
     ('tau1(0.4)', 'matrix'): (
         "BindError: unknown tensor 'tau1'",
@@ -271,12 +263,12 @@ SELECTOR_OUTCOMES = {
     ('tau1(0.4)', 'vector'): (
         'BindError: tau1 is only valid in a time binding',
         'BindError: tau1 is only valid in a time binding',
-        ('u1_0 u1_1 u1_2 u1_3 u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 '
-         'u1_22 u1_23 u1_33 = 1.2051358535454137'),
-        ('u1_0 u1_1 u1_2 u1_3 u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 '
-         'u1_22 u1_23 u1_33 = -1.2051358535454137'),
-        ('u1_0 u1_1 u1_2 u1_3 u1_00 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 '
-         'u1_22 u1_23 u1_33 = (0.33353601922950843+0.4229783318976861j)'),
+        ('u1_0 u1_1 u1_2 u1_3 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 '
+         'u1_23 u1_33 = 1.2051358535454137'),
+        ('u1_0 u1_1 u1_2 u1_3 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 '
+         'u1_23 u1_33 = -1.2051358535454137'),
+        ('u1_0 u1_1 u1_2 u1_3 u1_01 u1_02 u1_03 u1_11 u1_12 u1_13 u1_22 '
+         'u1_23 u1_33 = (0.33353601922950843+0.4229783318976861j)'),
     ),
     ('r4vec1', 'matrix'): (
         "BindError: unknown tensor 'r4vec1'",
@@ -290,10 +282,9 @@ SELECTOR_OUTCOMES = {
         'BindError: r4vec1 is only valid in a time binding',
         'BindError: r4vec1 needs a conjugate pair of fields',
         'BindError: r4vec1 needs a conjugate pair of fields',
-        ('u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 u1_00 u1_01 u1_02 u1_03 '
-         'u1_11 u1_12 u1_13 u1_22 u1_23 u1_33 u2_00 u2_01 u2_02 u2_03 u2_11 '
-         'u2_12 u2_13 u2_22 u2_23 u2_33 = '
-         '(6.752075316561246-9.954791936729643j)'),
+        ('u1_0 u1_1 u1_2 u1_3 u2_1 u2_2 u2_3 u1_01 u1_02 u1_03 u1_11 u1_12 '
+         'u1_13 u1_22 u1_23 u1_33 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 '
+         'u2_23 u2_33 = (6.752075316561246-9.954791936729643j)'),
     ),
     ('du1 + du2', 'matrix'): (
         'BindError: field index must be an integer literal',
@@ -305,37 +296,33 @@ SELECTOR_OUTCOMES = {
     ('du1 + du2', 'vector'): (
         'u1_0 u1_1 u1_2 u2_0 u2_1 u2_2 = 8.529377838487513',
         'u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = -12.391986178539195',
-        'u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = 22.320031609051735',
-        'u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = -22.320031609051735',
-        'u1_0 u1_1 u1_2 u1_3 u2_0 u2_1 u2_2 u2_3 = (21.97070365709905+0j)',
+        'u1_1 u1_2 u1_3 u2_1 u2_2 u2_3 = 22.320031609051735',
+        'u1_1 u1_2 u1_3 u2_1 u2_2 u2_3 = -22.320031609051735',
+        'u1_1 u1_2 u1_3 u2_1 u2_2 u2_3 = (21.97070365709905+0j)',
     ),
     ('2', 'matrix'): (
         'u2_00 u2_01 u2_02 u2_11 u2_12 u2_22 = 9.587570771990494',
         ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
          '3.428007032681001'),
-        ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
-         '12.01183906987282'),
-        ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
-         '12.01183906987282'),
-        ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
+        'u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = 12.01183906987282',
+        'u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = 12.01183906987282',
+        ('u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
          '(-6.1725596301897765-6.025429644890363j)'),
     ),
     ('2', 'vector'): (
         'u2_0 u2_1 u2_2 = 4.492064659404039',
         'u2_0 u2_1 u2_2 u2_3 = 0.10967152168298488',
-        'u2_0 u2_1 u2_2 u2_3 = 3.866724046162207',
-        'u2_0 u2_1 u2_2 u2_3 = -3.866724046162207',
-        'u2_0 u2_1 u2_2 u2_3 = (1.4082511285155532-3.472085608153235j)',
+        'u2_1 u2_2 u2_3 = 3.866724046162207',
+        'u2_1 u2_2 u2_3 = -3.866724046162207',
+        'u2_1 u2_2 u2_3 = (1.4082511285155532-3.472085608153235j)',
     ),
     ('ddu٢', 'matrix'): (
         'u2_00 u2_01 u2_02 u2_11 u2_12 u2_22 = 9.587570771990494',
         ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
          '3.428007032681001'),
-        ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
-         '12.01183906987282'),
-        ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
-         '12.01183906987282'),
-        ('u2_00 u2_01 u2_02 u2_03 u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
+        'u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = 12.01183906987282',
+        'u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = 12.01183906987282',
+        ('u2_11 u2_12 u2_13 u2_22 u2_23 u2_33 = '
          '(-6.1725596301897765-6.025429644890363j)'),
     ),
     ('ddu٢', 'vector'): (
@@ -355,13 +342,11 @@ SELECTOR_OUTCOMES = {
     ('du٢', 'vector'): (
         'u2_0 u2_1 u2_2 = 4.492064659404039',
         'u2_0 u2_1 u2_2 u2_3 = 0.10967152168298488',
-        'u2_0 u2_1 u2_2 u2_3 = 3.866724046162207',
-        'u2_0 u2_1 u2_2 u2_3 = -3.866724046162207',
-        'u2_0 u2_1 u2_2 u2_3 = (1.4082511285155532-3.472085608153235j)',
+        'u2_1 u2_2 u2_3 = 3.866724046162207',
+        'u2_1 u2_2 u2_3 = -3.866724046162207',
+        'u2_1 u2_2 u2_3 = (1.4082511285155532-3.472085608153235j)',
     ),
 }
-
-# (tensor, n): what _tensor gives at r = 2, m = 2, lam = 0.4, mu = 0.5
 TENSOR_OUTCOMES = {
     ('theta', 3): (
         'theta(lam=0.4, r=2)',
@@ -677,6 +662,27 @@ def test_selector_reads_or_names_its_error(selector, position):
 def test_every_selector_is_pinned_in_both_positions():
     assert set(SELECTOR_OUTCOMES) == {
         (s, p) for s in SELECTORS for p in POSITIONS}
+
+
+@pytest.mark.parametrize("selected, written, operators", [
+    ("S(1)", "u_x1x1 + u_x2x2 + u_x3x3", "G"),
+    ("contract(du1, du1)", "u_x1 ^ 2 + u_x2 ^ 2 + u_x3 ^ 2", ""),
+])
+def test_a_time_binding_records_a_function_however_written(
+        selected, written, operators):
+    # a selector contracts over x1..xn and lists no t-derivative it does
+    # not read, so the two texts give the boosts G1..G3 (with "G"), or
+    # every operator, the same records under AG_I; G1's scale was 6.878
+    # against 0, and 8.848 against 5.211.  S(1) lists the Hessian's
+    # off-diagonal entries, which the rotations move, as its matrix reads
+    spec = make_spec("AG_I", 3, rep="log")
+    ops = [prolong2(f) for f in catalog(spec)]
+    records = [[(r.operator, r.max_residual, r.scale, r.verdict)
+                for r in check_absolute(ops, [bind(text, 4, time_mode=True)],
+                                        n_samples=4, seed=0).records
+                if r.operator.startswith(operators)]
+               for text in (selected, written)]
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("name, n", TENSOR_OUTCOMES)
