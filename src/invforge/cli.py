@@ -19,8 +19,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .exprlang import BindError, ParseError, bind, bind_scalar_function, \
     needs_positive_u
-from .invcat import BASES, EQUATIONS, POSITIVE_FIELD_ALGEBRAS, TENSORS, \
-    basis
+from .invcat import BASES, EQUATIONS, TENSORS, basis
 from .jetspace import FieldKind, to_log_jets
 from .liealg import _FAMILIES, algebra_space, catalog, generic_rank, \
     make_sampler, make_spec, prolong2
@@ -178,15 +177,14 @@ def _reads(command, cfg):
         raise ValueError("an --algebra name is required")
     if name not in _FAMILIES:
         raise ValueError(f"unknown algebra family {name!r}")
-    reads = {"algebra", "n", "seed", "samples", "out", *_FAMILIES[name][0]}
+    reads = {"algebra", "n", "seed", "samples", "out", *_FAMILIES[name][2]}
     if command != "rank":
         # rank's pivot threshold is the constant RANK_PIVOT_RTOL
         reads.add("tol")
     if command == "verify" and "expr" in cfg:
         reads |= {"expr", "field"}
-        if not name.startswith("AG"):
-            # the theta and w selectors read lam; a Galilei algebra's time
-            # binding refuses them
+        if not _FAMILIES[name][0].time:
+            # theta and w read lam; a time binding refuses both
             reads.add("lam")
     elif command != "rank" and name == "AG2_I" and cfg.get("mu", 1.0) != 0:
         # the one basis whose hatted sums have two readings
@@ -218,18 +216,13 @@ def _functions(cfg):
     return pairs
 
 
-def _positive_u(name, cfg):
-    """Whether a run under the named algebra draws positive u: its basis is
-    drawn there, or a ``--function`` text is real only there."""
-    return name in POSITIVE_FIELD_ALGEBRAS or any(
+def _sampler(spec, cfg):
+    """The run's points in the jet space of ``spec``, with u > 0 where its
+    family's row or a ``--function`` text needs it."""
+    positive = _FAMILIES[spec.name][1] or any(
         needs_positive_u(text) for _, text in _functions(cfg))
-
-
-def _sampler(space, name, cfg):
-    """The run's points in ``space`` (a jet space or a spec), with u > 0
-    where a run under the named algebra needs it (:func:`_positive_u`)."""
-    return make_sampler(space.n_base, space.n_fields, space.field_kind,
-                        cfg["seed"], positive_fields=_positive_u(name, cfg))
+    return make_sampler(spec.n_base, spec.n_fields, spec.field_kind,
+                        cfg["seed"], positive_fields=positive)
 
 
 def _bind_functions(cfg):
@@ -249,7 +242,7 @@ def _spec_from_config(cfg):
         kw["functions"] = _bind_functions(cfg)
         if any(fname == "d" for fname, _ in kw["functions"]):
             kw["extended"] = True
-    if name.startswith("AG"):
+    if _FAMILIES[name][0].time:
         kw["rep"] = "log"
     return make_spec(name, cfg["n"], **kw)
 
@@ -297,7 +290,7 @@ def _emit(doc, cfg, stream):
 
 def _cmd_list(args, stream):
     if args.kind == "algebras":
-        for name, (_, desc) in _FAMILIES.items():
+        for name, (*_, desc) in _FAMILIES.items():
             print(f"{name:14s} {desc}", file=stream)
     elif args.kind == "bases":
         for name, (_, desc) in BASES.items():
@@ -345,24 +338,20 @@ def _verify_equation(cfg):
     report = check_on_manifold(ops, residual, solve_for=info.solve_for,
                                n_samples=min(cfg["samples"], 20),
                                tol=cfg["tol"], seed=cfg["seed"],
-                               sampler=_sampler(residual.space,
-                                                info.algebra, cfg))
+                               sampler=_sampler(spec, cfg))
     return _record_checks("operator", f"equation:{info.name}",
                           ((rec.operator, rec) for rec in report.records))
 
 
 def _verify_expression(cfg):
     spec = _spec_from_config(cfg)
-    _, (metric, _, time_mode) = algebra_space(spec)
-    fn = bind(cfg["expr"], spec.n_base, spec.n_fields, metric=metric,
-              field_kind=spec.field_kind, time_mode=time_mode, lam=spec.lam,
-              mu=spec.boost)
+    # compiled as the basis members are, and drawn where they are, so a
+    # pasted member's fractional powers of u need no redraws
+    fn = bind(cfg["expr"], **algebra_space(spec))
     ops = [prolong2(f) for f in catalog(spec)]
-    # drawn where the algebra's basis is, so a pasted member's fractional
-    # powers of u need no redraws
     report = check_absolute(ops, [fn], n_samples=cfg["samples"],
                             tol=cfg["tol"], seed=cfg["seed"],
-                            sampler=_sampler(fn.space, spec.name, cfg))
+                            sampler=_sampler(spec, cfg))
     return _record_checks("expression", f"expression-under:{spec.name}",
                           ((rec.operator, rec) for rec in report.records))
 
@@ -379,7 +368,7 @@ def _cmd_rank(cfg):
     spec = _spec_from_config(cfg)
     ops = [prolong2(f) for f in catalog(spec)]
     # the points the algebra's basis, if it has one, is drawn at
-    rank = generic_rank(ops, _sampler(spec, spec.name, cfg),
+    rank = generic_rank(ops, _sampler(spec, cfg),
                         trials=max(3, cfg["samples"] // 10))
     return [_check(f"rank:{spec.name}", f"generic-rank:{spec.name}",
                    "PASS" if rank == len(ops) else "FAIL", rank=rank,

@@ -43,6 +43,7 @@ field values.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 
@@ -217,8 +218,11 @@ class _Parser:
     def atom(self):
         tok, kind, start, key = self.tok, self.kind, self.start, None
         if kind == _NUM:
+            value = float(tok)
+            if not math.isfinite(value):
+                raise self.error(f"number literal {tok} is not finite")
             self.advance()
-            return Num(float(tok))
+            return Num(value)
         if tok == "(" or kind == _NAME and self.text.startswith(
                 "(", self.end):
             close = self.closes.get(start if tok == "(" else self.end)
@@ -405,7 +409,11 @@ def compiler(n_base: int, n_fields: int = 1, metric: Metric = None,
              lam: float = 1.0, mu: float = 1.0):
     """The one compiler of a jet space (:func:`_compiler`), which every
     text bound there shares; no metric is the Euclidean one, and lam and mu
-    that compare equal but print apart, as -0.0 and 0.0, compile apart."""
+    that compare equal but print apart, as -0.0 and 0.0, compile apart.
+    A lam or mu that is not finite is refused."""
+    for name, value in (("lam", lam), ("mu", mu)):
+        if not math.isfinite(value):
+            raise BindError(f"{name} must be finite, got {value!r}")
     return _compiler(n_base, n_fields, metric or euclidean(n_base),
                      field_kind, time_mode, lam, mu, repr((lam, mu)))
 
@@ -426,8 +434,7 @@ def _compiler(n_base, n_fields, metric, field_kind, time_mode, lam, mu,
     ``mu`` as c = mu, or on a conjugate pair of slots, where mu is the
     mass, as c = -i mu on the field slot and +i mu on its conjugate.
     ``tau<r>(lam)`` takes its lam from the text, so that a time binding
-    reads no ``lam`` and the catalog's Galilei rows share one compiler per
-    boost weight.
+    reads no ``lam`` (``liealg.algebra_space`` pins it).
 
     Every text, call and group that the parser interns, but a symbol, is
     compiled once per conjugation and keeps its value per view
@@ -719,8 +726,7 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
     label = to_text(expr)
     fn, deps = compiler(n_base, n_fields, metric, field_kind, time_mode,
                         lam, mu)(expr)
-    space = JetSpace(n_base, n_fields, field_kind,
-                     metric or euclidean(n_base), positive_fields=False)
+    space = JetSpace(n_base, n_fields, field_kind, metric or euclidean(n_base))
     dep_order = [c for c in space.coords() if c in deps]
     return ScalarJetFunction(label, fn, tuple(dep_order), space)
 

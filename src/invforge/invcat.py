@@ -36,11 +36,10 @@ from .jetspace import (
     d1_coord,
     d2_coord,
     enumerate_coords,
-    euclidean,
     field_coord,
-    minkowski,
 )
-from .liealg import AlgebraSpec, algebra_space, make_sampler, make_spec
+from .liealg import _FAMILIES, EUCLID, GALILEI, GALILEI_PAIR, MINKOWSKI, \
+    AlgebraSpec, algebra_space, make_sampler, make_spec
 
 # --------------------------------------------------------------------------
 # generic dense linear algebra over any scalar that supports + - * /.  The
@@ -662,32 +661,30 @@ def _galilei_hhat(view, r, idx, mu):
 
 
 # every covariant tensor, in the order ``invforge list tensors`` prints:
-# name -> (label, space, selector of field {r}, bound over the space; or
-# where none names it, (kind, the kinds of coordinates read, build); the
-# settings among r and mu the tensor reads).  A Euclidean tensor spans
-# x1..xn, a Minkowski one x0..xn under the Minkowski signs, a Galilei one
-# the spatial x1..xn of a time binding.
+# name -> (label, geometry, selector of field {r} bound over its space, or
+# where none names it (kind, the kinds of coordinates read, build), the
+# settings among r and mu it reads); it spans the contracted indices.
 TENSORS = {
-    "theta": ("theta(lam={lam})", "euclidean", "theta{r}", ("r",)),
-    "w": ("w", "euclidean", "w{r}", ("r",)),
-    "theta_minkowski": ("theta_mink(lam={lam})", "minkowski", "theta{r}",
+    "theta": ("theta(lam={lam})", EUCLID, "theta{r}", ("r",)),
+    "w": ("w", EUCLID, "w{r}", ("r",)),
+    "theta_minkowski": ("theta_mink(lam={lam})", MINKOWSKI, "theta{r}",
                         ("r",)),
-    "w_minkowski": ("w_mink", "minkowski", "w{r}", ("r",)),
-    "theta_vector_minkowski": ("theta_vec(u{r})", "minkowski", "thvec{r}",
+    "w_minkowski": ("w_mink", MINKOWSKI, "w{r}", ("r",)),
+    "theta_vector_minkowski": ("theta_vec(u{r})", MINKOWSKI, "thvec{r}",
                                ()),
-    "eikonal_theta": ("eikonal_theta", "minkowski", "eik{r}", ("r",)),
-    "galilei_theta": ("galilei_theta", "galilei", "bth{r}", ("r", "mu")),
-    "galilei_theta2": ("galilei_theta2", "galilei",
+    "eikonal_theta": ("eikonal_theta", MINKOWSKI, "eik{r}", ("r",)),
+    "galilei_theta": ("galilei_theta", GALILEI, "bth{r}", ("r", "mu")),
+    "galilei_theta2": ("galilei_theta2", GALILEI,
                        ("matrix", ("d1", "d2"), _galilei_theta2),
                        ("r", "mu")),
-    "galilei_h": ("galilei_h", "galilei",
+    "galilei_h": ("galilei_h", GALILEI,
                   ("vector", ("base", "d1"), _galilei_h), ("r", "mu")),
-    "galilei_hhat_mu0": ("galilei_hhat", "galilei",
+    "galilei_hhat_mu0": ("galilei_hhat", GALILEI,
                          ("vector", ("base", "d1", "d2"), _galilei_hhat),
                          ("r",)),
-    "implicit_theta": ("implicit_theta", "galilei", "ith{r}", ("r",)),
-    "hessian": ("hessian", "euclidean", "ddu{r}", ("r",)),
-    "position": ("x", "euclidean", "x", ()),
+    "implicit_theta": ("implicit_theta", GALILEI, "ith{r}", ("r",)),
+    "hessian": ("hessian", EUCLID, "ddu{r}", ("r",)),
+    "position": ("x", EUCLID, "x", ()),
 }
 
 
@@ -706,22 +703,18 @@ def _tensor_label(label, reads, lam, r, mu):
 
 def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
                      r: int = 1, m: int = 1) -> TensorBuilder:
-    """Catalog of covariant tensors by name (see :data:`TENSORS`).
-
-    Euclidean names use an n-dimensional space; Minkowski and Galilei names
-    use n+1 base coordinates with index 0 timelike.  A tensor that reads u
+    """Catalog of covariant tensors by name (see :data:`TENSORS`), over
+    its geometry's space in n spatial dimensions.  A tensor that reads u
     divides by it, so its space samples u > 0.
     """
     if name not in TENSORS:
         raise ValueError(f"unknown covariant tensor {name!r}")
-    label, where, selector, reads = TENSORS[name]
-    time = where == "galilei"
-    nb = n if where == "euclidean" else n + 1
-    met = minkowski(nb) if where == "minkowski" else euclidean(n)
+    label, geometry, selector, reads = TENSORS[name]
+    _, metric, met = geometry.space(n)
     if isinstance(selector, str):
         from . import exprlang
         source, used = exprlang.compiler(
-            nb, m, None if time else met, time_mode=time, lam=lam, mu=mu)(
+            metric.dim, m, metric, time_mode=geometry.time, lam=lam, mu=mu)(
                 exprlang.Sym(selector.format(r=r)), selector=True)
         kind = exprlang._SELECTORS[source[0][0]][0]
         # the kinds of coordinates the selector reads, of every field
@@ -732,9 +725,9 @@ def covariant_tensor(name: str, n: int, lam: float = 1.0, mu: float = 1.0,
         source = (name, r, mu), lambda view: build(view, r, idx, mu)
     return TensorBuilder(_tensor_label(label, reads, lam, r, mu), kind,
                          met.dim,
-                         JetSpace(nb, m, REAL, met,
+                         JetSpace(metric.dim, m, REAL, met,
                                   positive_fields="field" in kinds),
-                         _dep_coords(nb, m, kinds), source)
+                         _dep_coords(metric.dim, m, kinds), source)
 
 
 # --------------------------------------------------------------------------
@@ -774,8 +767,8 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
 
 # catalog tables --------------------------------------------------------------
 # The Euclid, Poincare, conformal and Galilei families are lists of
-# (member label, exprlang text) rows, bound by the compiler behind
-# ``exprlang.bind``, so any member's text also checks as ``verify --expr``.
+# (member label, exprlang text) rows, bound by :func:`text_binding`, as
+# ``verify --expr`` binds its text, so a pasted member checks the same.
 # ``S(k; A)``, ``Sjk(j, k; A, B)`` and ``R(k; v, A)`` are the power traces,
 # mixed traces and power forms of the Hessian U_r (selector ``r``) or of
 # the tensors ``theta<r>`` and ``w<r>``, against the gradient du_r (``r``),
@@ -783,9 +776,6 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
 # (below) also read the time-binding selectors ``dut<r>``, ``bth<r>``,
 # ``ith<r>``, ``inv<r>``, ``tau<r>(lam)`` and ``r4vec<r>``.
 
-# algebras whose bases take fractional powers of u or divide by it: their
-# members, and ``verify --expr`` under them, sample positive field values
-POSITIVE_FIELD_ALGEBRAS = ("AE1", "AC", "APtilde", "AC1n")
 _ROTATION_KINDS = ("base", "field", "d1", "d2")
 # (label, text) of the scale a dilation weight is carried by
 _U, _U1, _TR = ("u", "u1"), ("u1", "u1"), ("tr", "S(1)")
@@ -799,33 +789,27 @@ def _scaled(label, text, op, expo, scale=_U1):
             f"{text} {op} {scale[1]} ^ {expo!r}")
 
 
-def _text_binding(spec):
-    """The jet space of the texts bound under ``spec``, and the compiler
-    (shared per space) that binds them there as ``verify --expr`` does
-    under ``spec``.  A space with no metric of its own takes the Euclidean
-    metric of the n spatial indices; the algebras of
-    :data:`POSITIVE_FIELD_ALGEBRAS` sample positive fields."""
+def text_binding(spec):
+    """The jet space of the texts bound under ``spec`` and the compiler,
+    of ``algebra_space(spec)``, that binds them there: basis rows,
+    equations and ``verify --expr`` alike."""
     from . import exprlang
-    _, (metric, kind, time_mode) = algebra_space(spec)
-    space = JetSpace(spec.n_base, spec.m, kind, metric or euclidean(spec.n),
-                     positive_fields=spec.name in POSITIVE_FIELD_ALGEBRAS)
-    # a time binding reads no lam (it refuses theta and w), so the Galilei
-    # families of one boost weight share one compiler and its nodes
-    return space, exprlang.compiler(
-        spec.n_base, spec.m, metric, kind, time_mode,
-        lam=1.0 if time_mode else spec.lam, mu=spec.boost)
+    space = JetSpace(spec.n_base, spec.m, spec.field_kind,
+                     spec.geometry.space(spec.n)[2],
+                     positive_fields=_FAMILIES[spec.name][1])
+    return space, exprlang.compiler(**algebra_space(spec))
 
 
 def _bind_rows(spec, label, rows, kinds=("field", "d1", "d2"),
                expected=None, jet_kinds=None, notes=""):
     """Family of the (member label, text) ``rows`` over the jet space of
-    ``spec`` (:func:`_text_binding`).  A member that is a single jet
+    ``spec`` (:func:`text_binding`).  A member that is a single jet
     coordinate depends on it alone; with ``jet_kinds``, one that reads no
     field value depends on the ``jet_kinds`` coordinates; every other
     member on the ``kinds`` coordinates."""
     from . import exprlang
     nb, m = spec.n_base, spec.m
-    space, compile_ = _text_binding(spec)
+    space, compile_ = text_binding(spec)
     deps = _dep_coords(nb, m, kinds)
     jet_deps = jet_kinds and _dep_coords(nb, m, jet_kinds)
     fields = _dep_coords(nb, m, ("field",))
@@ -1191,7 +1175,7 @@ def _rhat_text(r_text, tr, n, k, uniform):
 def _galilei_rows(spec, hat_variant):
     """(family label, (member label, text) rows, expected count, notes) of
     a Galilei family."""
-    if spec.name.endswith("_II"):
+    if spec.geometry is GALILEI_PAIR:
         return _galilei_pair_rows(spec, hat_variant)
     n, mu, lam = spec.n, spec.mu, spec.lam
     ks = range(1, n + 1)
@@ -1387,7 +1371,7 @@ def _basis_galilei(spec, hat_variant):
     label, rows, expected, notes = _galilei_rows(spec, hat_variant)
     # a member of the pair that reads no phase depends on the jets alone,
     # as every real member does
-    kinds = ("field", "d1", "d2") if spec.name.endswith("_II") \
+    kinds = ("field", "d1", "d2") if spec.geometry is GALILEI_PAIR \
         else ("d1", "d2")
     return _bind_rows(spec, label, rows, kinds, expected, ("d1", "d2"),
                       notes)
@@ -1447,10 +1431,8 @@ def galilei_mu0_determinant_family(n: int) -> BasisFamily:
 # --------------------------------------------------------------------------
 # example equation residuals
 # Each residual is a (label, text) row of field 1, bound like a basis row
-# over its algebra's space (:meth:`EquationInfo.build`): the Galilei texts
-# read the spatial indices 1..n of t, x1..xn unsigned, the Minkowski ones
-# every index of x0..xn under the Minkowski signs.  Each text repeats its
-# formula's float operations in order.
+# over its algebra's space (:meth:`EquationInfo.build`).  Each text repeats
+# its formula's float operations in order.
 
 def _evolution(n, pair=False, mu=1.0, mass=1.0, **_):
     """2c u_t + tr U: the heat flow, c = mu, or on the complex pair the
@@ -1486,7 +1468,7 @@ def _form_text(n):
     """Text of du.G.U.G.du of field 1 over x0..xn, summed from 0.0 one
     term per entry of U in row order, each led by its two signs'
     product."""
-    signs = minkowski(n + 1).signs
+    signs = MINKOWSKI.space(n)[1].signs
     return "(0.0" + "".join(
         f" + {signs[i] * signs[j]!r} * u1_x{i} * u1_x{j} * u1_x{i}x{j}"
         for i in range(n + 1) for j in range(n + 1)) + ")"
@@ -1547,17 +1529,18 @@ class EquationInfo(Record, not_compared=("residual",)):
         maker reads the ``params`` it takes (mu, mass, k, ...) and ignores
         the rest.  The equations an _II algebra checks are on the complex
         pair."""
-        return self.residual(n, pair=self.algebra.endswith("_II"), **params)
+        pair = _FAMILIES[self.algebra][0] is GALILEI_PAIR
+        return self.residual(n, pair=pair, **params)
 
     def build(self, n, **params):
         """The residual in n spatial dimensions: the text of its
         :meth:`row` bound over the space of the checking algebra
-        (:func:`_text_binding`).  It depends on every coordinate of the
+        (:func:`text_binding`).  It depends on every coordinate of the
         kinds and fields its text reads."""
         from . import exprlang
         spec = self.default_algebra(n, params)
         label, text = self.row(n, **params)
-        space, compile_ = _text_binding(spec)
+        space, compile_ = text_binding(spec)
         fn, used = compile_(exprlang.parse(text))
         deps = _dep_coords(spec.n_base, spec.m,
                            frozenset(c.kind for c in used),

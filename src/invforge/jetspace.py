@@ -21,6 +21,19 @@ from enum import Enum
 from itertools import compress
 
 
+class _Signature:
+    """A record class's ``__signature__``: its fields in order, each by
+    position or keyword, with its default where it has one.  Built when
+    read, so ``inspect`` is imported only by a caller that asks for it."""
+
+    def __get__(self, record, cls):
+        from inspect import Parameter, Signature
+        return Signature([Parameter(
+            name, Parameter.POSITIONAL_OR_KEYWORD,
+            default=cls._defaults.get(name, Parameter.empty))
+            for name in cls._fields])
+
+
 class Record:
     """Base of invforge's frozen records.
 
@@ -36,10 +49,12 @@ class Record:
     equals only a record of its own class whose compared fields are equal,
     hashes as the tuple of those fields, has the repr
     ``Name(field=value, ...)`` and is copied and pickled by its fields.
-    :meth:`copy_with` makes a changed copy.
+    :meth:`copy_with` makes a changed copy.  ``inspect.signature`` of a
+    record class reads its fields and defaults.
     """
 
     __slots__ = ("_key",)  # the tuple of the compared fields
+    __signature__ = _Signature()
     _fields = ()
     _defaults = {}
     _not_compared = ()

@@ -27,13 +27,13 @@ from .jetspace import (
     REAL,
     FieldKind,
     JetPoint,
+    Metric,
     Record,
     _signed,
     base_coord,
     d1_coord,
     d2_coord,
     field_coord,
-    minkowski,
     sample_generic,
 )
 
@@ -340,41 +340,74 @@ def generic_rank(ops, sampler, trials: int = 5, coords=None) -> int:
 # algebra catalog
 
 
-# each family: the parameters of its spec that its generators and basis
-# read, which the CLI rejects any other parameter given for, and its line
-# in ``invforge list algebras``
+class Geometry(Record):
+    """Base coordinates ``x1..xn`` after the ``leading`` ones (``x0``, or a
+    time ``t`` that no contraction reads), under a ``metric_kind`` metric,
+    and fields of ``field_kind``, complex on the slot pair (phi, phi*)."""
+
+    leading: tuple
+    metric_kind: str
+    field_kind: FieldKind
+
+    @property
+    def time(self) -> bool:
+        return self.leading == ("t",)
+
+    def space(self, n: int):
+        """(base names, compiler metric, contracted metric) in n dims."""
+        names = [*self.leading, *(f"x{k}" for k in range(1, n + 1))]
+        kind, nb = self.metric_kind, len(names)
+        return names, Metric(kind, nb), Metric(kind, nb - self.time)
+
+
+EUCLID = Geometry((), "euclidean", REAL)
+MINKOWSKI = Geometry(("x0",), "minkowski", REAL)
+GALILEI = Geometry(("t",), "euclidean", REAL)
+GALILEI_PAIR = Geometry(("t",), "euclidean", COMPLEX)
+# each family: its geometry; whether its points draw u > 0 (its basis
+# takes fractional powers of u or divides by it); the spec parameters its
+# generators and basis read, the only ones the CLI takes; its list line
 _FAMILIES = {
-    "AO": (("m",), "rotations only; n >= 3, any m"),
-    "AE": (("m",), "translations + rotations; n >= 3, any m"),
-    "AE1": (("m", "lam"), "AE plus dilation (parameter lambda)"),
-    "AC": (("m", "lam"), "AE1 plus special conformal generators"),
-    "AP": (("m",), "spacetime translations + pseudo-rotations; n >= 3"),
-    "APtilde": (("m", "lam"), "AP plus dilation (parameter lambda)"),
-    "AC1n": (("m", "lam"), "APtilde plus special conformal generators"),
-    "AG_I": (("m", "mu"), "time/space translations, rotations, boosts, "
-                          "field scaling (parameter mu)"),
-    "AG1_I": (("m", "lam", "mu"), "AG_I plus dilation (parameter lambda)"),
-    "AG2_I": (("m", "lam", "mu"), "AG1_I plus the projective generator "
-                                  "(lambda = -n/2 when mu != 0)"),
-    "AG_II": (("m", "mass"), "complex-pair analogue of AG_I (parameter mass)"),
-    "AG1_II": (("m", "lam", "mass"), "complex-pair analogue of AG1_I"),
-    "AG2_II": (("m", "lam", "mass"), "complex-pair analogue of AG2_I"),
-    "AP_inf": (("functions",), "sampled generators of the eikonal equation's "
-               "infinite algebra (seed, instances, extended)"),
-    "AP_BornInfeld": ((), "pseudo-rotations treating the field as an extra "
-                          "base coordinate"),
+    "AO": (EUCLID, False, ("m",), "rotations only; n >= 3, any m"),
+    "AE": (EUCLID, False, ("m",), "translations + rotations; n >= 3, any m"),
+    "AE1": (EUCLID, True, ("m", "lam"), "AE plus dilation (parameter lambda)"),
+    "AC": (EUCLID, True, ("m", "lam"),
+           "AE1 plus special conformal generators"),
+    "AP": (MINKOWSKI, False, ("m",),
+           "spacetime translations + pseudo-rotations; n >= 3"),
+    "APtilde": (MINKOWSKI, True, ("m", "lam"),
+                "AP plus dilation (parameter lambda)"),
+    "AC1n": (MINKOWSKI, True, ("m", "lam"),
+             "APtilde plus special conformal generators"),
+    "AG_I": (GALILEI, False, ("m", "mu"), "time/space translations, "
+             "rotations, boosts, field scaling (parameter mu)"),
+    "AG1_I": (GALILEI, False, ("m", "lam", "mu"),
+              "AG_I plus dilation (parameter lambda)"),
+    "AG2_I": (GALILEI, False, ("m", "lam", "mu"), "AG1_I plus the "
+              "projective generator (lambda = -n/2 when mu != 0)"),
+    "AG_II": (GALILEI_PAIR, False, ("m", "mass"),
+              "complex-pair analogue of AG_I (parameter mass)"),
+    "AG1_II": (GALILEI_PAIR, False, ("m", "lam", "mass"),
+               "complex-pair analogue of AG1_I"),
+    "AG2_II": (GALILEI_PAIR, False, ("m", "lam", "mass"),
+               "complex-pair analogue of AG2_I"),
+    "AP_inf": (MINKOWSKI, False, ("functions",), "sampled generators of the "
+               "eikonal equation's infinite algebra (seed, instances, "
+               "extended)"),
+    "AP_BornInfeld": (MINKOWSKI, False, (), "pseudo-rotations treating the "
+                      "field as an extra base coordinate"),
 }
 
 
 class AlgebraSpec(Record, not_compared=("functions",)):
     """Named algebra with its parameters.
 
-    ``n`` is the spatial dimension (the jet space of the Minkowski and
-    Galilei families has n+1 base coordinates, index 0 timelike).  ``rep``
-    selects the representation for Galilei catalogs: "u" acts by u d/du,
-    "log" acts on jets of log u (or log psi).  For AP_inf, ``seed`` and
-    ``instances`` control the sampled coefficient functions and
-    ``extended`` adds the u-dependent dilation term.
+    ``n`` is the spatial dimension; the family's :class:`Geometry` names
+    the base coordinates.  ``rep`` selects the representation for Galilei
+    catalogs: "u" acts by u d/du, "log" acts on jets of log u (or log
+    psi).  For AP_inf, ``seed`` and ``instances`` control the sampled
+    coefficient functions and ``extended`` adds the u-dependent dilation
+    term.
     """
 
     name: str
@@ -403,9 +436,9 @@ class AlgebraSpec(Record, not_compared=("functions",)):
         pin = -self.n / 2
         if self.name.startswith("AG2") and self.boost != 0 and self.lam != pin:
             raise ValueError(f"{self.name} fixes lambda = -n/2 = {pin}")
-        if self.name.endswith("_II") and self.field_kind is not COMPLEX:
+        if self.geometry is GALILEI_PAIR and self.field_kind is not COMPLEX:
             raise ValueError(f"{self.name} acts on a complex field pair")
-        if self.name.endswith("_II") and self.m != 2:
+        if self.geometry is GALILEI_PAIR and self.m != 2:
             raise ValueError(f"{self.name} uses the slot pair (phi, phi*)")
         if self.rep not in ("u", "log"):
             raise ValueError("rep must be 'u' or 'log'")
@@ -413,10 +446,12 @@ class AlgebraSpec(Record, not_compared=("functions",)):
             raise ValueError("lam, mu and mass must be finite")
 
     @property
+    def geometry(self) -> Geometry:
+        return _FAMILIES[self.name][0]
+
+    @property
     def n_base(self) -> int:
-        if self.name in ("AO", "AE", "AE1", "AC"):
-            return self.n
-        return self.n + 1  # time/x0 plus n spatial coordinates
+        return self.n + len(self.geometry.leading)
 
     @property
     def n_fields(self) -> int:
@@ -425,17 +460,16 @@ class AlgebraSpec(Record, not_compared=("functions",)):
     @property
     def boost(self) -> float:
         """exprlang's ``bth<r>`` weight: mu, or the pair's mass."""
-        return self.mass if self.name.endswith("_II") else self.mu
+        return self.mass if self.geometry is GALILEI_PAIR else self.mu
 
 
 def make_spec(name: str, n: int, **kw) -> AlgebraSpec:
     """AlgebraSpec with family defaults applied."""
-    boost = "mass" if name.endswith("_II") else "mu"
-    if name.startswith("AG2") and kw.get(boost, 1.0) != 0:
+    pair = name in _FAMILIES and _FAMILIES[name][0] is GALILEI_PAIR
+    if name.startswith("AG2") and kw.get("mass" if pair else "mu", 1.0) != 0:
         kw.setdefault("lam", -n / 2)
-    if name.endswith("_II"):
-        kw.setdefault("field_kind", COMPLEX)
-        kw.setdefault("m", 2)
+    if pair:
+        kw = {"field_kind": GALILEI_PAIR.field_kind, "m": 2, **kw}
     return AlgebraSpec(name=name, n=n, **kw)
 
 
@@ -455,19 +489,16 @@ def _bound_rows(spec, params):
     return bind_generators(spec, generator_rows(spec))
 
 
-def algebra_space(spec: AlgebraSpec):
-    """Base coordinate names of an algebra's jet space, and the (metric,
-    None for Euclidean; field kind; time mode) that exprlang binds text
-    over them with: ``t, x1..xn`` for the Galilei families, ``x1..xn`` for
-    the Euclid ones, and ``x0..xn`` under the Minkowski signs for the
-    rest."""
-    nb = spec.n_base
-    if spec.name.startswith("AG"):
-        kind = COMPLEX if spec.name.endswith("_II") else REAL
-        return ["t"] + [f"x{k}" for k in range(1, nb)], (None, kind, True)
-    if nb == spec.n:  # the Euclid families
-        return [f"x{k}" for k in range(1, nb + 1)], (None, REAL, False)
-    return [f"x{k}" for k in range(nb)], (minkowski(nb), REAL, False)
+def algebra_space(spec: AlgebraSpec) -> dict:
+    """The keyword arguments of ``exprlang.compiler`` that bind every text
+    under ``spec`` (``invcat.text_binding``).  lam is pinned to 1.0 under a
+    time binding, which never reads it, so the Galilei families of one
+    boost weight share one compiler."""
+    _, metric, _ = spec.geometry.space(spec.n)
+    time = spec.geometry.time
+    return {"n_base": metric.dim, "n_fields": spec.m, "metric": metric,
+            "field_kind": spec.field_kind, "time_mode": time,
+            "lam": 1.0 if time else spec.lam, "mu": spec.boost}
 
 
 def bind_generators(spec: AlgebraSpec, rows) -> list:
@@ -478,7 +509,8 @@ def bind_generators(spec: AlgebraSpec, rows) -> list:
     # imported here: exprlang imports invcat, which imports this module
     from .exprlang import bind_coefficient
     nb, m = spec.n_base, spec.m
-    _, binding = algebra_space(spec)
+    args = algebra_space(spec)
+    binding = args["metric"], args["field_kind"], args["time_mode"]
     zeros = (0.0,) * nb, (0.0,) * m
     # per distinct text: its function, and for an argument-free text
     # whether its constant is nonzero (None when it reads an argument)
@@ -509,13 +541,13 @@ def generator_rows(spec: AlgebraSpec) -> list:
     algebra but AP_inf.  Each text repeats, operand by operand, the
     arithmetic its coefficient stands for, with constants printed by
     ``repr``; an argument-free coefficient is a bare number."""
-    x, _ = algebra_space(spec)
+    x, metric, _ = spec.geometry.space(spec.n)
     u = [f"u{r}" for r in range(1, spec.m + 1)]
-    if spec.name.startswith("AG"):
+    if spec.geometry.time:
         return _galilei_rows(spec, x, u)
     # the Euclid families, or the Poincare ones with their metric signs
     nb, lam = len(x), spec.lam
-    g = None if x[0] == "x1" else [1.0] + [-1.0] * spec.n
+    g = None if metric.kind == "euclidean" else metric.signs
     rows = [] if spec.name == "AO" else _translations(x, spec.m)
     if spec.name == "AP_BornInfeld":
         # the Poincare algebra on (x_0..x_n, u), u the extra spacelike
@@ -567,7 +599,7 @@ def _galilei_rows(spec, x, u):
     conditionally invariant; the boost weight is mu = i * mass on psi and
     its conjugate on psi*.
     """
-    nb, cplx, lam = len(x), spec.name.endswith("_II"), repr(spec.lam)
+    nb, cplx, lam = len(x), spec.geometry is GALILEI_PAIR, repr(spec.lam)
     mu = f"i * {spec.mass!r}" if cplx else repr(spec.mu)
 
     def weights(w, w_conj=None):
@@ -652,8 +684,7 @@ def _eikonal_family(spec: AlgebraSpec):
     (mu < nu), ``a{mu}``, ``eta``, ``d``; overrides apply to every instance,
     and a name given twice is refused.
     """
-    nb = spec.n + 1
-    g = [1.0] + [-1.0] * spec.n
+    nb, g = spec.n_base, spec.geometry.space(spec.n)[1].signs
     # the functions given, by the sampled name each replaces: its indices
     # read by int(), so a٣ and a00 replace a3 and a0
     overrides = {}

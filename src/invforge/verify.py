@@ -512,10 +512,7 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     residual is negligible against the action's size."""
     _need_samples(n_samples)
     comps = tensor.components()
-    size = tensor.size
-    met = tensor.space.metric
-    gsign = met.signs if met is not None and met.dim == size \
-        else (1.0,) * size
+    size, gsign = tensor.size, tensor.space.metric.signs
     # Fit rows, one per entry T_I, I = (a,) or (a, b) with a <= b, the
     # component at I read in base ``size``.  Per skew pair (p, q), B G acts
     # on each index of I: where it is p it adds G_qq T with that index set

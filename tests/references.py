@@ -55,7 +55,7 @@ from invforge.dual import Dual, EvaluationError, _Jet, _scalar_exp, \
 from invforge.invcat import TENSORS, covariant_tensor, equation_function, \
     g_premul, mat_trace
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
-from invforge.liealg import flow_positions, matrix_rank
+from invforge.liealg import EUCLID, flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
     _columns, _draw, _lstsq, _parts, family_jacobian
 
@@ -591,7 +591,7 @@ def covariant_tensor_components(name, point, **params):
     n = params.pop("n", None)
     if n is None:
         # a Minkowski or Galilei tensor reads the point's x0 as the time
-        n = point.n_base if TENSORS[name][1] == "euclidean" \
+        n = point.n_base if TENSORS[name][1] is EUCLID \
             else point.n_base - 1
     return covariant_tensor(name, n, **params).build(point)
 

@@ -167,6 +167,56 @@ def test_config_errors_exit_2():
                    "--expr", "u +* 2").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--n", "3", "--expr", "1e999*u"),
+    ("verify", "--algebra", "AE", "--n", "3", "--expr", "1e999 * u",
+     "--samples", "2")])
+def test_an_overflowing_literal_is_a_usage_error(argv, capsys):
+    # eval printed "= inf"; verify redrew points until it exited 3
+    from invforge import cli
+
+    out = io.StringIO()
+    assert cli.main(list(argv), stream=out) == 2
+    assert out.getvalue() == ""
+    assert "number literal 1e999 is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_refuses_a_non_finite_lambda(value, capsys):
+    # eval printed "= nan" and exited 0
+    from invforge import cli
+
+    out = io.StringIO()
+    assert cli.main(["eval", "--n", "3", "--expr", "S(1; theta1)",
+                     "--lambda", value], stream=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == \
+        f"configuration error: lam must be finite, got {value}\n"
+
+
+# AG2_I's member Rhat1/N1^3 at n = 3, mu = 1, as its row prints it
+_RHAT1 = ("(0.0 + R(1; bth1, 1) * 1 * -3 * 1) / (2.0 * u_t + "
+          "contract(du1, du1) + S(1)) ^ 3")
+
+
+def test_verify_expr_compiles_with_the_compiler_of_the_basis():
+    """verify --expr under a Galilei algebra made a second compiler, its
+    lam the spec's where the basis pins 1.0."""
+    from invforge import cli, exprlang
+    from invforge.invcat import basis, text_binding
+    from invforge.liealg import make_spec
+
+    spec = make_spec("AG2_I", 3, rep="log")
+    basis(spec)
+    made = exprlang._compiler.cache_info().currsize
+    assert cli.main(["verify", "--algebra", "AG2_I", "--n", "3", "--samples",
+                     "2", "--expr", _RHAT1], stream=io.StringIO()) == 0
+    assert exprlang._compiler.cache_info().currsize == made
+    # every Galilei family of one boost weight binds with that compiler
+    other = make_spec("AG1_I", 3, lam=0.4, rep="log")
+    assert text_binding(other)[1] is text_binding(spec)[1]
+
+
 def test_unknown_names_are_reported_before_unread_settings(capsys):
     from invforge import cli
 

@@ -22,9 +22,7 @@ def test_residual_is_its_text_under_its_algebra(name, n):
     info = EQUATIONS[name]
     label, text = info.row(n)
     spec = info.default_algebra(n, {})
-    _, (metric, kind, time_mode) = algebra_space(spec)
-    fn = bind(text, spec.n_base, spec.m, metric=metric, field_kind=kind,
-              time_mode=time_mode, lam=spec.lam, mu=spec.boost)
+    fn = bind(text, **algebra_space(spec))
     res = equation_function(name, n)
     assert res.label == label
     sampler = res.space.sampler(seed=0)

@@ -83,6 +83,32 @@ def test_parse_error_span_inside_input():
     assert 0 <= err.value.span.start <= err.value.span.end <= len(text)
 
 
+@pytest.mark.parametrize("text,span", [
+    ("1e999 * u", (0, 5)), ("2 * 1E400", (4, 9)), ("u ^ .5e309", (4, 10))])
+def test_an_overflowing_literal_is_a_parse_error(text, span):
+    # 1e999 parsed as Num(inf), which to_text printed as the symbol inf
+    with pytest.raises(ParseError, match="is not finite") as err:
+        parse(text)
+    assert (err.value.span.start, err.value.span.end) == span
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"lam": float("nan")}, "lam must be finite, got nan"),
+    ({"lam": float("inf")}, "lam must be finite, got inf"),
+    ({"mu": float("-inf")}, "mu must be finite, got -inf")])
+def test_a_non_finite_lam_or_mu_is_refused_before_a_compiler_is_made(
+        kw, message):
+    from invforge.exprlang import _compiler
+    from invforge.invcat import covariant_tensor
+
+    made = _compiler.cache_info().currsize
+    with pytest.raises(BindError, match=f"^{message}$"):
+        bind("S(1; theta1)", 3, **kw)
+    with pytest.raises(BindError, match=f"^{message}$"):
+        covariant_tensor("theta", 3, **kw)
+    assert _compiler.cache_info().currsize == made
+
+
 def test_unknown_symbol_is_bind_time():
     ast = parse("q + 1")  # parses fine
     with pytest.raises(BindError):
@@ -111,10 +137,7 @@ def _expr_binding(text, spec):
     """``text`` bound as ``verify --expr`` binds it under ``spec``."""
     from invforge.liealg import algebra_space
 
-    _, (metric, kind, time_mode) = algebra_space(spec)
-    return bind(text, spec.n_base, spec.n_fields, metric=metric,
-                field_kind=kind, time_mode=time_mode, lam=spec.lam,
-                mu=spec.boost)
+    return bind(text, **algebra_space(spec))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,12 +1,14 @@
-"""The record protocol of invforge's 20 frozen record types: construction
+"""The record protocol of invforge's 21 frozen record types: construction
 by position and by keyword with defaults, the ``repr`` text, equality over
 the compared fields of one class only, the hash of the compared fields'
-tuple, frozen assignment and deletion, each ``__post_init__`` refusal and
-``copy_with``; and that importing invforge generates no code.
+tuple, frozen assignment and deletion, each ``__post_init__`` refusal,
+``copy_with`` and the signature ``inspect`` reads; and that importing
+invforge generates no code and loads neither dataclasses nor inspect.
 """
 
 import ast
 import copy
+import inspect
 import pathlib
 import pickle
 import subprocess
@@ -20,7 +22,7 @@ from invforge.invcat import BasisFamily, EquationInfo, JetSpace, \
 import invforge
 from invforge.jetspace import COMPLEX, REAL, JetCoordinateId, JetPoint, \
     Metric, Record
-from invforge.liealg import AlgebraSpec
+from invforge.liealg import AlgebraSpec, Geometry
 from invforge.verify import CompletenessReport, CovarianceRecord, \
     CovarianceReport, InvarianceRecord, InvarianceReport, RankReport
 
@@ -60,6 +62,12 @@ CASES = {
         "AlgebraSpec(name='AE', n=3, m=1, lam=1.0, mu=1.0, mass=1.0, "
         "field_kind=<FieldKind.REAL: 'real'>, rep='u', seed=0, instances=3, "
         "extended=False, functions=())"),
+    Geometry: (
+        (("t",), "euclidean", REAL),
+        {"leading": ("t",), "metric_kind": "euclidean", "field_kind": REAL},
+        ("leading", "metric_kind", "field_kind"), (), ("x0",),
+        "Geometry(leading=('t',), metric_kind='euclidean', "
+        "field_kind=<FieldKind.REAL: 'real'>)"),
     JetSpace: (
         (3, 2, REAL, None, False), {"n_base": 3, "n_fields": 2},
         ("n_base", "n_fields", "field_kind", "metric", "positive_fields"),
@@ -167,7 +175,7 @@ def _compared(obj, names):
 
 
 def test_every_record_type_is_covered():
-    assert len(CASES) == 20
+    assert len(CASES) == 21
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -370,6 +378,48 @@ def test_importing_invforge_leaves_dataclasses_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, cwd=src)
     assert done.stdout.split() == ["False"]
+
+
+def test_importing_invforge_loads_no_inspect():
+    """Only a read of a record's signature imports inspect; some Pythons
+    load it at start-up, and then there is nothing to check."""
+    code = ("import sys; before = 'inspect' in sys.modules; "
+            "import invforge, invforge.cli; "
+            "print(before, 'inspect' in sys.modules)")
+    src = str(pathlib.Path(invforge.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=src)
+    before, after = done.stdout.split()
+    assert after == before
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_signature_is_the_fields_with_their_defaults(cls):
+    args, kwargs, *_ = CASES[cls]
+    sig = inspect.signature(cls)
+    assert tuple(sig.parameters) == cls._fields
+    assert {p.kind for p in sig.parameters.values()} == \
+        {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    bound = sig.bind(**kwargs)
+    bound.apply_defaults()
+    assert bound.args == tuple(args)
+    assert sig.bind(*args).arguments == bound.arguments
+    with pytest.raises(TypeError):
+        sig.bind()
+
+
+def test_signature_text():
+    assert str(inspect.signature(JetCoordinateId)) == "(kind, r=0, i=0, j=0)"
+    assert str(inspect.signature(AlgebraSpec)) == (
+        "(name, n, m=1, lam=1.0, mu=1.0, mass=1.0, "
+        "field_kind=<FieldKind.REAL: 'real'>, rep='u', seed=0, instances=3, "
+        "extended=False, functions=())")
+
+    class Tagged(JetCoordinateId):
+        label: str = ""
+
+    assert str(inspect.signature(Tagged)) == \
+        "(kind, r=0, i=0, j=0, label='')"
 
 
 def test_no_module_imports_dataclasses_or_runs_generated_code():
