@@ -17,12 +17,12 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .exprlang import BindError, ParseError, bind, bind_scalar_function, \
-    needs_positive_u
-from .invcat import BASES, EQUATIONS, TENSORS, basis
+from .exprlang import BindError, ParseError, bind, bind_on, \
+    bind_scalar_function, needs_positive_u
+from .invcat import BASES, EQUATIONS, TENSORS, basis, text_binding
 from .jetspace import FieldKind, to_log_jets
-from .liealg import _FAMILIES, algebra_space, catalog, generic_rank, \
-    make_sampler, make_spec, prolong2
+from .liealg import _FAMILIES, catalog, generic_rank, make_sampler, \
+    make_spec, prolong2
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
@@ -345,9 +345,9 @@ def _verify_equation(cfg):
 
 def _verify_expression(cfg):
     spec = _spec_from_config(cfg)
-    # compiled as the basis members are, and drawn where they are, so a
-    # pasted member's fractional powers of u need no redraws
-    fn = bind(cfg["expr"], **algebra_space(spec))
+    # compiled as the basis members are, on their space, and drawn where
+    # they are, so a pasted member's fractional powers of u need no redraws
+    fn = bind_on(cfg["expr"], *text_binding(spec))
     ops = [prolong2(f) for f in catalog(spec)]
     report = check_absolute(ops, [fn], n_samples=cfg["samples"],
                             tol=cfg["tol"], seed=cfg["seed"],

@@ -396,18 +396,24 @@ def jet2_shape(k, pairs):
 
 @functools.cache
 def _jet_seeds(k, hessian):
-    """Shape and slots of the k seeded arguments of a pass at a depth, made
-    once: argument a has the unit vector along a as both gradients."""
+    """Shape and slots of the k seeded arguments of a pass at a depth, and
+    with ``hessian`` the place in ``d`` of each Hessian entry (i, j), row
+    by row, made once: argument a has the unit vector along a as both
+    gradients."""
     pairs = [(i, j) for i in range(k) for j in range(i, k)] if hessian else []
     units = [tuple(float(i == a) for i in range(k)) for a in range(k)]
-    return jet2_shape(k, pairs), tuple(e + e + (0.0,) * len(pairs)
-                                       for e in units)
+    shape = jet2_shape(k, pairs)
+    places = [[None] * k for _ in range(k)]
+    for q, i, j in shape[2]:
+        places[i][j - k] = places[j - k][i] = q
+    return shape, tuple(e + e + (0.0,) * len(pairs) for e in units), \
+        tuple(map(tuple, places)) if hessian else None
 
 
 def seed_jets(args, hessian=True):
     """The seeded :class:`Jet2` arguments of a pass over ``args`` at a
     depth.  No jet is changed in place, so passes may share them."""
-    shape, seeds = _jet_seeds(len(args), hessian)
+    shape, seeds, _ = _jet_seeds(len(args), hessian)
     return [Jet2(a, d, shape) for a, d in zip(args, seeds)]
 
 
@@ -415,11 +421,10 @@ def value_grad_hess(fn, args, hessian=True, seeded=None):
     """Value, gradient, and full Hessian of ``fn(args)``.
 
     Two passes: the plain value pass and one :class:`Jet2` pass, whose
-    outer gradient is ``grad`` and whose entry (i, j), i <= j, is
-    ``hess[i][j]`` and ``hess[j][i]``; with ``hessian`` false it carries
-    no Hessian entries, ``hess`` is None and the rest keeps its bits.  A
-    caller making several passes over one ``args`` may hand each the same
-    ``seeded`` = ``seed_jets(args, hessian)``.
+    gradient and Hessian :func:`slopes_of` reads; with ``hessian`` false
+    it carries no Hessian entries, ``hess`` is None and the rest keeps its
+    bits.  A caller making several passes over one ``args`` may hand each
+    the same ``seeded`` = ``seed_jets(args, hessian)``.
 
     If the jet pass returns a non-jet, ``fn`` combined no seeded argument
     and the gradient and Hessian are returned as zeros.  That is exact
@@ -427,12 +432,20 @@ def value_grad_hess(fn, args, hessian=True, seeded=None):
     values, i.e. ``fn`` never branches on a jet's value; no catalog
     coefficient and no ``exprlang``-bound function does.
     """
-    n = len(args)
     val = value_of(fn(list(args)))
     out = fn(list(seeded or seed_jets(args, hessian)))
-    hess = [[0.0] * n for _ in range(n)] if hessian else None
+    return (val, *slopes_of(out, len(args), hessian))
+
+
+def slopes_of(out, n, hessian):
+    """Gradient and Hessian (None without ``hessian``) of the output
+    ``out`` of a :class:`Jet2` pass over n seeded arguments: the outer
+    gradient, and per entry (i, j), i <= j, one slot placed at
+    ``hess[i][j]`` and ``hess[j][i]`` by the index table of
+    :func:`_jet_seeds`.  A non-jet has zeros for both."""
     if not isinstance(out, Jet2):
-        return val, [0.0] * n, hess
-    for q, i, j in _jet_seeds(n, hessian)[0][2]:
-        hess[i][j - n] = hess[j - n][i] = out.d[q]
-    return val, list(out.d[n:2 * n]), hess
+        return [0.0] * n, [[0.0] * n for _ in range(n)] if hessian else None
+    d = out.d
+    hess = [[d[q] for q in row] for row in _jet_seeds(n, True)[2]] \
+        if hessian else None
+    return list(d[n:2 * n]), hess

@@ -720,15 +720,24 @@ def bind(expr, n_base: int, n_fields: int = 1, metric: Metric = None,
          field_kind: FieldKind = REAL, time_mode: bool = False,
          lam: float = 1.0, mu: float = 1.0) -> ScalarJetFunction:
     """Resolve symbols against an (N, m, metric) space and return a
-    differentiable evaluator (see :func:`compiler`)."""
+    differentiable evaluator (see :func:`compiler`) on that space."""
     if isinstance(expr, str):
         expr = parse(expr)
-    label = to_text(expr)
-    fn, deps = compiler(n_base, n_fields, metric, field_kind, time_mode,
-                        lam, mu)(expr)
-    space = JetSpace(n_base, n_fields, field_kind, metric or euclidean(n_base))
-    dep_order = [c for c in space.coords() if c in deps]
-    return ScalarJetFunction(label, fn, tuple(dep_order), space)
+    compile_ = compiler(n_base, n_fields, metric, field_kind, time_mode,
+                        lam, mu)
+    return bind_on(expr, JetSpace(n_base, n_fields, field_kind,
+                                  metric or euclidean(n_base)), compile_)
+
+
+def bind_on(expr, space, compile_) -> ScalarJetFunction:
+    """``expr`` as a function on ``space``, compiled by ``compile_``, a
+    :func:`compiler` of that space; ``invcat.text_binding(spec)`` gives
+    the pair of every text under an algebra."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    fn, deps = compile_(expr)
+    return ScalarJetFunction(to_text(expr), fn, tuple(
+        c for c in space.coords() if c in deps), space)
 
 
 @functools.cache
@@ -779,3 +788,36 @@ def needs_positive_u(text: str) -> bool:
             or any(map(walk, parts))
 
     return walk(parse(text))
+
+
+@functools.cache
+def is_affine(text: str) -> bool:
+    """Whether a text is affine in the coordinates it reads, with every
+    derivative slot of a jet pass on it fixed whatever the point: each
+    part is a number, a symbol, a negation, sum or difference of such
+    parts, or a product or quotient whose other factor, or whose divisor,
+    reads no coordinate.  A part reads a coordinate when it is a symbol
+    other than ``i``, a call other than ``exp``, ``log`` or ``conj``, or
+    holds such a part; a part that reads none is a constant, whatever it
+    computes.  One walk over the parsed text decides every part."""
+    def walk(node):
+        """(whether ``node`` reads a coordinate, whether it is affine)."""
+        if isinstance(node, Num):
+            return False, True
+        if isinstance(node, Sym):
+            return node.name != "i", True
+        if isinstance(node, Neg):
+            return walk(node.arg)
+        if isinstance(node, Bin):
+            (lr, la), (rr, ra) = walk(node.left), walk(node.right)
+            reads = lr or rr
+            if node.op in "+-":
+                return reads, la and ra
+            if node.op == "*":
+                return reads, la and ra and not (lr and rr)
+            return reads, la and not rr if node.op == "/" else not reads
+        reads = [walk(p)[0] for p in (*node.args, *node.fields)]
+        reads = node.name not in ("exp", "log", "conj") or any(reads)
+        return reads, not reads
+
+    return walk(parse(text))[1]

@@ -307,11 +307,12 @@ class JetPoint(Record):
             raise ValueError("inconsistent second-derivative array sizes")
         # tuple comparison tries identity first, so a NaN written into
         # both slots of a pair still compares equal; equal entries may
-        # still differ in the sign of a zero part
+        # still differ in number type or in the sign of a zero part
         for mat in self.ddu:
             cols = tuple(zip(*mat))
             if cols != mat or any(
-                    a is not b and _zero_signs(a) != _zero_signs(b)
+                    a is not b and (type(a) is not type(b)
+                                    or _zero_signs(a) != _zero_signs(b))
                     for row, col in zip(mat, cols) for a, b in zip(row, col)):
                 raise ValueError("second derivatives must be symmetric")
 

@@ -21,7 +21,7 @@ import math
 import random
 import re
 
-from .dual import seed_jets, value_grad_hess
+from .dual import seed_jets, slopes_of, value_grad_hess
 from .jetspace import (
     COMPLEX,
     REAL,
@@ -51,11 +51,19 @@ class VectorField:
     coordinates x_i and u^r whose constant is not 0; its prolongation is
     then 0 at every other jet coordinate, at every point.  It is None, the
     default, when some coefficient may read an argument.
+
+    ``slopes`` holds, per coefficient of ``xi + eta``, None, or for one
+    every slot of whose jet pass is the same at every point, as for an
+    affine text (``exprlang.is_affine``), a list that the first flow row
+    read puts its gradient and Hessian in (:func:`_jets`); the default,
+    None, holds none.
     """
 
-    __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves")
+    __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves",
+                 "slopes")
 
-    def __init__(self, n_base, n_fields, xi, eta, label, moves=None):
+    def __init__(self, n_base, n_fields, xi, eta, label, moves=None,
+                 slopes=None):
         if len(xi) != n_base or len(eta) != n_fields:
             raise ValueError("coefficient count does not match dimensions")
         self.n_base = n_base
@@ -64,6 +72,7 @@ class VectorField:
         self.eta = tuple(eta)
         self.label = label
         self.moves = moves
+        self.slopes = slopes or (None,) * (n_base + n_fields)
 
     def __repr__(self):
         return f"VectorField({self.label})"
@@ -74,14 +83,18 @@ class VectorField:
 _LAST = (None, {}, (), {})
 
 
-def _jets(fn, point, second=False):
+def _jets(fn, point, second=False, slopes=None):
     """[value, [D_i g], [[D_j D_i g]]] of a coefficient g = ``fn`` at a
     point, built once per point for all operators; its passes share one
-    argument tuple and its seeded jets per depth.  The second total
-    derivatives are None until a caller asks for them (``second``), for a
-    d2 block it reads: a pass without it carries no Hessian, so the first
-    ask runs the full pass and builds them in one loop nest.  The point is
-    matched by identity, never by equality, which would merge -0.0 and 0.0."""
+    argument tuple and its seeded jets per depth.  A coefficient with a
+    list of ``slopes`` (:attr:`VectorField.slopes`) makes its value pass
+    alone: its gradient and Hessian come from the list, which the first
+    point's full-depth pass fills, and its total derivatives are expanded
+    from them as from a pass's.  The second total derivatives are None
+    until a caller asks for them (``second``), for a d2 block it reads: a
+    pass without it carries no Hessian, so the first ask runs the full
+    pass and builds them in one loop nest.  The point is matched by
+    identity, never by equality, which would merge -0.0 and 0.0."""
     global _LAST
     if _LAST[0] is not point:
         _LAST = point, {}, (*point.x, *point.u), {}
@@ -93,10 +106,21 @@ def _jets(fn, point, second=False):
     # range objects made once: in these short nests a range() call per
     # loop is a large share of the loop's cost
     rn, rm = range(n), range(m)
-    if second not in seeded:
-        seeded[second] = seed_jets(args, second)
-    val, grad, hess = value_grad_hess(lambda a: fn(a[:n], a[n:]), args,
-                                      hessian=second, seeded=seeded[second])
+    if slopes is None:
+        if second not in seeded:
+            seeded[second] = seed_jets(args, second)
+        val, grad, hess = value_grad_hess(lambda a: fn(a[:n], a[n:]), args,
+                                          hessian=second,
+                                          seeded=seeded[second])
+    else:
+        if not slopes:
+            if True not in seeded:
+                seeded[True] = seed_jets(args, True)
+            jet = seeded[True]
+            slopes.append(slopes_of(fn(jet[:n], jet[n:]), n + m, True))
+        # the value pass alone, unless the memo holds the value already
+        grad, hess = slopes[0]
+        val = fn(args[:n], args[n:]) if jets is None else None
     if jets is None:
         # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
         d = []
@@ -154,15 +178,20 @@ class ProlongedOperator:
         return f"ProlongedOperator({self.label})"
 
     def _flow(self, point: JetPoint, at=None) -> list:
-        """Flow row at a point, None in each block ``at`` does not read."""
+        """Flow row at a point, None in each block ``at`` does not read.
+        An off-diagonal pair's eta_ij and eta_ji come from one k-loop that
+        forms u_kj D_i xi^k and u_ik D_j xi^k once for both, reading u_jk
+        for u_kj (a :class:`JetPoint` holds mirrored entries as one
+        number); each half makes the same subtractions in the same order
+        as on its own."""
         src = self.source
         n, m = src.n_base, src.n_fields
         if point.n_base != n or point.n_fields != m:
             raise ValueError("jet point does not match the operator's space")
         first, second = _blocks(n, m, at if at is None else tuple(at))
-        du, ddu = point.du, point.ddu
-        xi, d_xi, dd_xi = zip(*[_jets(f, point, bool(second))[:3]
-                                for f in src.xi])
+        du, ddu, held = point.du, point.ddu, src.slopes
+        xi, d_xi, dd_xi = zip(*[_jets(f, point, bool(second), h)[:3]
+                                for f, h in zip(src.xi, held)])
         cols = list(zip(*d_xi))  # cols[i][k] = D_i xi^k
         rn = range(n)  # made once, as in _jets
         row = list(xi)
@@ -170,7 +199,8 @@ class ProlongedOperator:
             if r not in first:
                 row += [None] * (n + 1)
                 continue
-            eta, d_eta = _jets(src.eta[r], point, r in second)[:2]
+            eta, d_eta = _jets(src.eta[r], point, r in second,
+                               held[n + r])[:2]
             row.append(eta)
             du_r = du[r]
             for i in rn:
@@ -184,21 +214,30 @@ class ProlongedOperator:
                 continue
             # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k
             #          - u_ik D_j xi^k
-            dd_eta = _jets(src.eta[r], point, True)[2]
+            dd_eta = _jets(src.eta[r], point, True, held[n + r])[2]
             du_r, ddu_r = du[r], ddu[r]
-            e2 = [[None] * n for _ in range(n)]
             for i in rn:
                 col_i, ddu_ri, dd_eta_i = cols[i], ddu_r[i], dd_eta[i]
-                for j in rn:
-                    col_j = cols[j]
-                    val = dd_eta_i[j]
+                val = dd_eta_i[i]
+                for k in rn:
+                    a = ddu_ri[k] * col_i[k]
+                    val = val - a
+                    val = val - du_r[k] * dd_xi[k][i][i]
+                    val = val - a
+                row.append(val)
+                for j in range(i + 1, n):
+                    col_j, ddu_rj = cols[j], ddu_r[j]
+                    ij, ji = dd_eta_i[j], dd_eta[j][i]
                     for k in rn:
-                        val = val - ddu_r[k][j] * col_i[k]
-                        val = val - du_r[k] * dd_xi[k][i][j]
-                        val = val - ddu_ri[k] * col_j[k]
-                    e2[i][j] = val
-            row += [e2[i][i] if i == j else (e2[i][j] + e2[j][i]) / 2.0
-                    for i in range(n) for j in range(i, n)]
+                        a, c, dd_k = ddu_rj[k] * col_i[k], \
+                            ddu_ri[k] * col_j[k], dd_xi[k]
+                        ij = ij - a
+                        ij = ij - du_r[k] * dd_k[i][j]
+                        ij = ij - c
+                        ji = ji - c
+                        ji = ji - du_r[k] * dd_k[j][i]
+                        ji = ji - a
+                    row.append((ij + ji) / 2.0)
         return row
 
     def coefficient_table(self, point: JetPoint, at=None):
@@ -505,28 +544,36 @@ def bind_generators(spec: AlgebraSpec, rows) -> list:
     """Vector fields of (label, xi texts, eta texts) rows over the space of
     ``spec``, each text compiled once by ``exprlang.bind_coefficient``.  A
     row whose texts read no argument is marked with the coordinates its
-    nonzero constants move (:attr:`VectorField.moves`)."""
+    nonzero constants move (:attr:`VectorField.moves`).  An affine text,
+    a constant among them (``exprlang.is_affine``), gets one list for its
+    slopes that every field reading it holds (:attr:`VectorField.slopes`):
+    no jet rule its pass applies reads a value into a slot, so the one
+    full-depth pass that fills it gives every point's slopes to the bit."""
     # imported here: exprlang imports invcat, which imports this module
-    from .exprlang import bind_coefficient
+    from .exprlang import bind_coefficient, is_affine
     nb, m = spec.n_base, spec.m
     args = algebra_space(spec)
     binding = args["metric"], args["field_kind"], args["time_mode"]
     zeros = (0.0,) * nb, (0.0,) * m
-    # per distinct text: its function, and for an argument-free text
-    # whether its constant is nonzero (None when it reads an argument)
+    # per distinct text: its function; for an argument-free text whether
+    # its constant is nonzero (None when it reads an argument); the list
+    # of an affine text's slopes
     bound = {}
     for _, xi, eta in rows:
         for t in (*xi, *eta):
             if t not in bound:
                 fn, deps = bind_coefficient(t, nb, m, *binding)
-                bound[t] = fn, None if deps else fn(*zeros) != 0
+                bound[t] = fn, None if deps else fn(*zeros) != 0, \
+                    [] if is_affine(t) else None
     fields = []
     for label, xi, eta in rows:
-        nonzero = [bound[t][1] for t in (*xi, *eta)]
+        texts = (*xi, *eta)
+        nonzero = [bound[t][1] for t in texts]
         moves = None if None in nonzero else frozenset(
             c for c, nz in zip(_moved_coords(nb, m), nonzero) if nz)
         fields.append(VectorField(nb, m, [bound[t][0] for t in xi],
-                                  [bound[t][0] for t in eta], label, moves))
+                                  [bound[t][0] for t in eta], label, moves,
+                                  tuple(bound[t][2] for t in texts)))
     return fields
 
 

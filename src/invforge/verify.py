@@ -42,6 +42,8 @@ that of the fit on those pivots.
 
 from __future__ import annotations
 
+import cmath
+
 from .dual import EvaluationError, Jet2, derivs, is_finite
 from .invcat import (
     BasisFamily,
@@ -249,23 +251,27 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
     """Judge every operator on every member over the first ``n_samples``
     points of :func:`_points`: per (operator, member) the largest |X(F)|
     against the scale, the largest |F| times the norm of the operator's
-    flow row.  A point's residuals X(F) come from one pass seeded with the
-    flow rows (:func:`invcat.operator_view`).  An operator that moves none
-    of ``coords`` (:func:`_moves_none`) builds no flow row and takes no
-    slot in that pass: its row is all zero, so its records are residual
-    0.0 and scale 0.0, as the pass would give them.  Over the first
-    ``trials`` points also take the largest generic rank, at
-    ``sampler(s)`` as :func:`generic_rank` reads it, and Jacobian rank;
-    there the residuals are the flow rows' dot products with the
-    Jacobian's rows, so a rank point makes one pass, and the left-out
-    operators' zero rows, which never change a rank, are not in the
-    generic rank's matrix.  Returns (records, generic rank, independence
-    rank)."""
-    worst = {(op.label, m.label): 0.0 for op in ops for m in members}
-    scales = dict(worst)
+    flow row.  Both are kept per operator label as a column over the
+    members, updated a point at a time with ``map(max, ...)`` after one
+    scan of the point's residual column, which raises for the first
+    member whose residual is not finite under the first such operator.
+    A point's residuals X(F) come from one pass seeded with the flow rows
+    (:func:`invcat.operator_view`).  An operator that moves none of
+    ``coords`` (:func:`_moves_none`) builds no flow row and takes no slot
+    in that pass: its row is all zero, so its records are residual 0.0
+    and scale 0.0, as the pass would give them.  Over the first ``trials``
+    points also take the largest generic rank, at ``sampler(s)`` as
+    :func:`generic_rank` reads it, and Jacobian rank; there the residuals
+    are the flow rows' dot products with the Jacobian's rows, so a rank
+    point makes one pass, and the left-out operators' zero rows, which
+    never change a rank, are not in the generic rank's matrix; the
+    Jacobian's columns (:func:`_columns`) are found only then.  Returns
+    (records, generic rank, independence rank)."""
+    worst = {op.label: [0.0] * len(members) for op in ops}
+    scales = {label: list(col) for label, col in worst.items()}
     live = [op for op in ops if not _moves_none(op, coords)]
     alg_rank = ind_rank = 0
-    cols = _columns(members, coords)
+    cols = _columns(members, coords) if trials else None
     for s, (point, values, first, rows, at) in enumerate(_points(
             live, members, coords, sampler, max(trials, n_samples), draw)):
         jac = family_jacobian(members, point, coords, cols) \
@@ -277,26 +283,33 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
             else:
                 resids = [[sum_prod(row, grad) for row in rows]
                           for grad in jac]
-            for j, (op, row) in enumerate(zip(live, rows)):
+            mags = [abs(v) for v in values]
+            for op, row, col in zip(live, rows, zip(*resids)):
+                if not all(map(cmath.isfinite, col)):
+                    mem = next(m for m, r in zip(members, col)
+                               if not cmath.isfinite(r))
+                    raise EvaluationError(f"non-finite residual for "
+                                          f"{mem.label} under {op.label}")
                 cnorm = sum(abs(c) ** 2 for c in row) ** 0.5
-                for mem, val, mres in zip(members, values, resids):
-                    resid = mres[j]
-                    if not is_finite(resid):
-                        raise EvaluationError(f"non-finite residual for "
-                                              f"{mem.label} under {op.label}")
-                    key = (op.label, mem.label)
-                    worst[key] = max(worst[key], abs(resid))
-                    scales[key] = max(scales[key], abs(val) * cnorm)
+                worst[op.label] = list(map(max, worst[op.label],
+                                           map(abs, col)))
+                scales[op.label] = list(map(max, scales[op.label],
+                                            [a * cnorm for a in mags]))
         if s < trials:
             if first is not point:
                 rows = [op.flow_table(first, at) for op in live]
             rows = coefficient_rows(rows, point.n_base, point.n_fields, at)
             alg_rank = max(alg_rank, matrix_rank(rows)[0])
             ind_rank = max(ind_rank, matrix_rank(jac)[0])
-    records = tuple(InvarianceRecord(*key, resid, scales[key],
-                                     _verdict(resid, scales[key], tol))
-                    for key, resid in sorted(worst.items()))
-    return records, alg_rank, ind_rank
+    order = sorted(range(len(members)), key=lambda k: members[k].label)
+    records = []
+    for label in sorted(worst):
+        for k in order:
+            resid, scale = worst[label][k], scales[label][k]
+            records.append(InvarianceRecord(label, members[k].label, resid,
+                                            scale, _verdict(resid, scale,
+                                                            tol)))
+    return tuple(records), alg_rank, ind_rank
 
 
 def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,

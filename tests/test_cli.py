@@ -217,6 +217,31 @@ def test_verify_expr_compiles_with_the_compiler_of_the_basis():
     assert text_binding(other)[1] is text_binding(spec)[1]
 
 
+@pytest.mark.parametrize("name,kw", [("AG_I", {"rep": "log"}),
+                                     ("AE1", {})])
+def test_verify_expr_binds_on_the_space_of_the_basis(name, kw, monkeypatch):
+    """verify --expr built its function on a space of its own: under AG_I
+    an euclidean(4) metric where the basis has euclidean(3), under AE1
+    field values of either sign where the basis draws them positive."""
+    from invforge import cli
+    from invforge.invcat import basis
+    from invforge.liealg import make_spec
+
+    seen = []
+    check = cli.check_absolute
+
+    def spy(ops, family, **options):
+        seen.extend(family)
+        return check(ops, family, **options)
+
+    monkeypatch.setattr(cli, "check_absolute", spy)
+    # u is no invariant of either algebra: a verdict, FAIL, is reached
+    assert cli.main(["verify", "--algebra", name, "--n", "3", "--samples",
+                     "2", "--expr", "u"], stream=io.StringIO()) == 1
+    assert len(seen) == 1
+    assert seen[0].space == basis(make_spec(name, 3, **kw)).members[0].space
+
+
 def test_unknown_names_are_reported_before_unread_settings(capsys):
     from invforge import cli
 

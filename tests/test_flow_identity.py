@@ -24,12 +24,12 @@ import pytest
 
 from invforge import liealg
 from invforge.dual import EvaluationError, seed_jets, value_grad_hess
-from invforge.exprlang import bind_scalar_function
+from invforge.exprlang import bind_scalar_function, is_affine
 from invforge.invcat import EQUATIONS, basis, equation_function
 from invforge.jetspace import COMPLEX, base_coord, d1_coord, d2_coord, \
     field_coord
 from invforge.liealg import _FAMILIES, VectorField, catalog, \
-    flow_positions, make_sampler, make_spec, prolong2
+    flow_positions, generator_rows, make_sampler, make_spec, prolong2
 from invforge.verify import check_absolute, check_on_manifold
 from references import nested_value_grad_hess, reference_flow
 
@@ -234,6 +234,37 @@ def test_zero_partials_that_are_not_plus_zero_run_the_loops(eta):
             assert repr(op.flow_table(p)) == repr(reference_flow(op, p))
 
 
+@pytest.mark.parametrize(
+    "key,build,positive",
+    [c for c in CONFIGS if not c[0].startswith("AP_inf")],
+    ids=[k for k, _, _ in CONFIGS if not k.startswith("AP_inf")])
+def test_held_slopes_are_the_slopes_of_every_pass(key, build, positive):
+    # a text the rule marks affine, and no other, gets a list for its
+    # slopes, which the first row fills, here at a point whose coordinate
+    # and field value are not finite; they are a full-depth pass's there,
+    # at the sampled points and at an unusual one
+    spec = build()
+    n = spec.n_base
+    rows = generator_rows(spec)
+    fields = liealg.bind_generators(spec, rows)
+    points = sample_points(spec, positive)
+    points = [_with(points[0], [(base_coord(0), float("inf")),
+                                (field_coord(1), float("nan"))]),
+              *points, _with(points[0], _UNUSUAL[0])]
+    for field in fields:
+        prolong2(field).flow_table(points[0])
+    texts = [t for _, xi, eta in rows for t in (*xi, *eta)]
+    held = [(f, h) for field in fields
+            for f, h in zip(field.xi + field.eta, field.slopes)]
+    assert len(held) == len(texts)
+    for text, (fn, slopes) in zip(texts, held):
+        assert (slopes is not None) == is_affine(text), text
+        for point in points if slopes is not None else ():
+            got = value_grad_hess(lambda a: fn(a[:n], a[n:]),
+                                  (*point.x, *point.u))[1:]
+            assert repr(slopes) == repr([got]), (key, text)
+
+
 def _flows(fields, point):
     return [repr(prolong2(f).flow_table(point)) for f in fields]
 
@@ -242,13 +273,25 @@ def _references(fields, point):
     return [repr(reference_flow(prolong2(f), point)) for f in fields]
 
 
-@pytest.mark.parametrize("spec,shared", [
-    (make_spec("AE", 3), True), (make_spec("AG_II", 3, rep="log"), True),
-    (make_spec("AP_inf", 3), False)], ids=["AE", "AG_II-log", "AP_inf"])
+def _unheld(fields):
+    """The coefficient functions of ``fields`` whose slopes are not held
+    (:attr:`liealg.VectorField.slopes`), which make a pass per point."""
+    return {f for field in fields
+            for f, held in zip(field.xi + field.eta, field.slopes)
+            if held is None}
+
+
+@pytest.mark.parametrize("spec,shared,passes", [
+    (make_spec("AE", 3), True, 0), (make_spec("AG_II", 3, rep="log"), True, 0),
+    (make_spec("AP_inf", 3), False, 15)], ids=["AE", "AG_II-log", "AP_inf"])
 def test_each_coefficient_function_is_differentiated_once_per_point(
-        spec, shared, monkeypatch):
+        spec, shared, passes, monkeypatch):
     # the operators of an algebra share the jets of a coefficient function
-    # at one point; AP_inf's closures share nothing
+    # at one point, and only a function whose slopes are not held makes a
+    # pass there: every text of AE and of AG_II in the log representation
+    # is affine, and AP_inf's closures share nothing and hold none.  The
+    # slopes are taken when the texts are bound, by no value_grad_hess
+    # pass, so the count is the same whichever test binds them first
     calls = []
 
     def counted(fn, args, hessian=True, seeded=None):
@@ -262,9 +305,10 @@ def test_each_coefficient_function_is_differentiated_once_per_point(
     assert (len(fns) < total) == shared
     point = sample_points(spec, False)[0]
     assert _flows(fields, point) == _references(fields, point)
-    assert len(calls) == len(fns)
+    assert set(liealg._LAST[1]) == fns
+    assert len(calls) == len(_unheld(fields)) == passes
     _flows(fields, point)
-    assert len(calls) == len(fns)
+    assert len(calls) == passes
 
 
 @pytest.mark.parametrize("name,kw", [("AE", {"m": 2}), ("AG_II", {}),
@@ -381,43 +425,55 @@ def test_a_first_order_check_builds_no_second_total_derivative(monkeypatch):
 def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
     # the Schrodinger residual reads psi alone; its conjugate's eta,
     # where no other coefficient shares it, is never differentiated (whole
-    # rows made 130 calls, 30 of them for those six functions)
+    # rows made 130 calls, 30 of them for those six functions).  Of the 20
+    # functions read at a point, 12 are affine texts with held slopes: the
+    # boosts' psi eta and the projective generator's xi and psi eta make
+    # the 8 passes per point
     calls, depths, memos = _counting(monkeypatch)
     fields = _check_equation("schrodinger", mass=1.0)
     conj = {f.eta[1] for f in fields} - \
         {g for f in fields for g in f.xi + f.eta[:1]}
     assert len(conj) == 6
-    assert len(calls) == 100
+    assert len(calls) == 40
     assert not any(fn in conj for memo in memos.values() for fn in memo)
     # psi's d2 block is read, so its jets and the xi's have second ones,
-    # each from its one pass, which carried Hessian pairs
+    # each from its one pass, which carried Hessian pairs, or from its
+    # held slopes
     assert sum(j[2] is not None
                for memo in memos.values() for j in memo.values()) == 100
     assert all(depths)
 
 
 def test_a_basis_check_differentiates_every_coefficient(monkeypatch):
-    # a basis check reads every block: as many calls as whole rows make
+    # a basis check reads every block: as many calls as whole rows make,
+    # one per point for each function whose slopes are not held.  Every
+    # text of AE is affine; AC's 12 that are not are its special conformal
+    # generators' xi and eta
     calls, depths, _ = _counting(monkeypatch)
-    spec = make_spec("AE", 3)
-    check_absolute([prolong2(f) for f in catalog(spec)], basis(spec),
-                   n_samples=5, seed=0)
-    assert len(calls) == 25 and all(depths)
+    for spec, passes in ((make_spec("AE", 3), 0),
+                         (make_spec("AC", 3, lam=0.6), 60)):
+        before = len(calls)
+        fields = catalog(spec)
+        check_absolute([prolong2(f) for f in fields], basis(spec),
+                       n_samples=5, seed=0)
+        assert len(calls) - before == 5 * len(_unheld(fields)) == passes
+    assert all(depths)
 
 
 def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
     # the first-order row's passes carry no Hessian pairs; the first d2
-    # read at the point runs each coefficient's full pass once, and the
-    # rows equal the whole row's entries
+    # read at the point runs each unheld coefficient's full pass once, a
+    # held one's D_j D_i from its slopes, and the rows equal the whole
+    # row's entries.  AC's 12 unheld functions make 24 passes
     calls, depths, _ = _counting(monkeypatch)
-    spec = make_spec("AE", 3)
+    spec = make_spec("AC", 3, lam=0.6)
     ops = [prolong2(f) for f in catalog(spec)]
-    fns = {f for op in ops for f in op.source.xi + op.source.eta}
+    assert len(_unheld(op.source for op in ops)) == 12
     point = sample_points(spec, False)[0]
     d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])
     d2 = flow_positions(3, 1, [d2_coord(1, 0, 1), d2_coord(1, 2, 2)])
     rows = [op.flow_table(point, at) for at in (d1, d2, d2) for op in ops]
-    assert depths == [False] * len(fns) + [True] * len(fns)
+    assert depths == [False] * 12 + [True] * 12
     whole = [reference_flow(op, point) for op in ops]
     coords = [d1_coord(1, i) for i in range(3)], \
         [d2_coord(1, 0, 1), d2_coord(1, 2, 2)]

@@ -165,8 +165,10 @@ def test_second_derivatives_are_a_full_symmetric_matrix():
 @pytest.mark.parametrize("kind,plus,minus", [
     (REAL, 0.0, -0.0), (REAL, 0, -0.0),
     (COMPLEX, complex(0.0, 1.5), complex(-0.0, 1.5)),
-    (COMPLEX, complex(2.0, 0.0), complex(2.0, -0.0))],
-    ids=["float", "int", "complex-real-part", "complex-imaginary-part"])
+    (COMPLEX, complex(2.0, 0.0), complex(2.0, -0.0)),
+    (REAL, 2.0, 2 + 0j), (REAL, 2, 2.0)],
+    ids=["float", "int", "complex-real-part", "complex-imaginary-part",
+         "float-complex", "int-float"])
 def test_a_pair_whose_zeros_differ_in_sign_is_refused(kind, plus, minus):
     # equal entries, but u_x1x2 and u_x2x1 would read apart
     for a, b in ((plus, minus), (minus, plus)):

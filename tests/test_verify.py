@@ -6,6 +6,7 @@ import pytest
 
 from invforge import cli, verify
 from invforge.dual import Dual, EvaluationError, derivs, dexp
+from invforge.exprlang import bind
 from invforge.invcat import (
     EQUATIONS,
     TENSORS,
@@ -336,6 +337,19 @@ def test_on_manifold_rejects_a_non_finite_residual():
     with pytest.raises(EvaluationError, match="non-finite residual"):
         check_on_manifold([_nan_translation(E.space.n_base)], E,
                           solve_for=d1_coord(1, 0), n_samples=2, seed=2)
+
+
+def test_a_non_finite_residual_names_its_first_operator_and_member():
+    # under a NaN translation u's residual, its eta, is 0.0, and u_x2's and
+    # u_x1's are NaN: the first operator that has a non-finite residual,
+    # and its first member that has one, in the order given, are named
+    nan2 = _nan_translation(3)
+    nan2.label = "nan2"
+    ops = _ops("AO", 3) + [_nan_translation(3), nan2]
+    members = [bind(text, 3) for text in ("u", "u_x2", "u_x1")]
+    with pytest.raises(EvaluationError,
+                       match="non-finite residual for u_x2 under nan$"):
+        check_absolute(ops, members, n_samples=2, seed=0)
 
 
 def test_covariance_rejects_a_non_finite_residual():
