@@ -57,10 +57,24 @@ class VectorField:
     affine text (``exprlang.is_affine``), a list that the first flow row
     read puts its gradient and Hessian in (:func:`_jets`); the default,
     None, holds none.
+
+    ``plan`` is None until the first flow row, which sets it to the field's
+    sparse plan (:func:`_plan`) when every coefficient's slopes are held
+    and two rules cover them, and to False otherwise.  A xi^k whose
+    gradient is 0 in every field slot and whose Hessian is all 0 has D_i
+    xi^k equal to its gradient entry where that is not 0, a zero elsewhere,
+    and every D_j D_i xi^k a zero; an eta_r of that kind whose base-slot
+    gradient has no -0.0 part and whose Hessian is all +0.0 has D_i eta_r
+    equal to that entry and every D_j D_i eta_r +0.0.  At a point where
+    every du and ddu entry is a finite float, or every one a finite
+    complex, and every part of every du entry is below 2**500
+    (:func:`_plan_kind`), a planned field's flow row
+    (:meth:`ProlongedOperator._flow`) takes those values from its plan and
+    leaves out each term with such a zero factor.
     """
 
     __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves",
-                 "slopes")
+                 "slopes", "plan")
 
     def __init__(self, n_base, n_fields, xi, eta, label, moves=None,
                  slopes=None):
@@ -73,63 +87,93 @@ class VectorField:
         self.label = label
         self.moves = moves
         self.slopes = slopes or (None,) * (n_base + n_fields)
+        self.plan = None
 
     def __repr__(self):
         return f"VectorField({self.label})"
 
 
-# (point, {function: jets there}, arguments, {depth: seeded jets}) of the
-# last point a flow row was built at, replaced whole by the next point
-_LAST = (None, {}, (), {})
+# (point, {function: jets there}, arguments, {depth: seeded jets}, [the
+# point's plan kind, once asked]) of the last point a flow row was built
+# at, replaced whole by the next point
+_LAST = (None, {}, (), {}, [])
 
 
-def _jets(fn, point, second=False, slopes=None):
-    """[value, [D_i g], [[D_j D_i g]]] of a coefficient g = ``fn`` at a
-    point, built once per point for all operators; its passes share one
-    argument tuple and its seeded jets per depth.  A coefficient with a
-    list of ``slopes`` (:attr:`VectorField.slopes`) makes its value pass
-    alone: its gradient and Hessian come from the list, which the first
-    point's full-depth pass fills, and its total derivatives are expanded
-    from them as from a pass's.  The second total derivatives are None
-    until a caller asks for them (``second``), for a d2 block it reads: a
-    pass without it carries no Hessian, so the first ask runs the full
-    pass and builds them in one loop nest.  The point is matched by
-    identity, never by equality, which would merge -0.0 and 0.0."""
+def _at(point):
+    """The shared state of ``point``, made afresh when the point is not
+    the last one's.  The point is matched by identity, never by equality,
+    which would merge -0.0 and 0.0."""
     global _LAST
     if _LAST[0] is not point:
-        _LAST = point, {}, (*point.x, *point.u), {}
-    _, memo, args, seeded = _LAST
+        _LAST = point, {}, (*point.x, *point.u), {}, []
+    return _LAST
+
+
+def _seeded(point, hessian):
+    """The seeded jets of the passes at ``point`` at a depth, made once."""
+    _, _, args, seeded, _ = _at(point)
+    if hessian not in seeded:
+        seeded[hessian] = seed_jets(args, hessian)
+    return seeded[hessian]
+
+
+def _held(fn, point, slopes):
+    """The held gradient and Hessian of ``fn``, taken by one full-depth
+    jet pass at ``point`` if the list is still empty."""
+    if not slopes:
+        n, jet = point.n_base, _seeded(point, True)
+        slopes.append(slopes_of(fn(jet[:n], jet[n:]), len(jet), True))
+    return slopes[0]
+
+
+def _jets(fn, point, depth, slopes=None):
+    """[value, [D_i g], [[D_j D_i g]]] of a coefficient g = ``fn`` at a
+    point, built once per point for all operators up to ``depth`` (0: the
+    value, 1: and the first total derivatives, 2: and the second ones);
+    the deeper lists are None until some caller asks for them.  Its passes
+    share one argument tuple and its seeded jets per depth.  A coefficient
+    with a list of ``slopes`` (:attr:`VectorField.slopes`) makes its value
+    pass alone: its gradient and Hessian come from the list, and its total
+    derivatives are expanded from them as from a pass's.  Any other
+    coefficient's first read makes its value pass and its jet pass, which
+    carries Hessian pairs only at depth 2; a deeper read later makes the
+    jet pass alone.  A planned field (:attr:`VectorField.plan`) reads its
+    coefficients at depth 0."""
+    # the last point's state read inline, as are its seeded jets below:
+    # a dense row makes this call once per coefficient
+    _, memo, args, seeded, _ = _LAST if _LAST[0] is point else _at(point)
     jets = memo.get(fn)
-    if jets is not None and (jets[2] is not None or not second):
+    if jets is not None and jets[depth] is not None:
         return jets
     n, m, du = point.n_base, point.n_fields, point.du
+    second = depth == 2
+    grad = None
+    if jets is None:
+        if depth and slopes is None:
+            val, grad, hess = value_grad_hess(
+                lambda a: fn(a[:n], a[n:]), args, hessian=second,
+                seeded=seeded.get(second) or _seeded(point, second))
+        else:
+            val = fn(args[:n], args[n:])
+        jets = memo[fn] = [val, None, None]
+    if not depth:
+        return jets
+    if slopes is not None:
+        grad, hess = _held(fn, point, slopes)
+    elif grad is None:
+        jet = _seeded(point, second)
+        grad, hess = slopes_of(fn(jet[:n], jet[n:]), n + m, second)
     # range objects made once: in these short nests a range() call per
     # loop is a large share of the loop's cost
     rn, rm = range(n), range(m)
-    if slopes is None:
-        if second not in seeded:
-            seeded[second] = seed_jets(args, second)
-        val, grad, hess = value_grad_hess(lambda a: fn(a[:n], a[n:]), args,
-                                          hessian=second,
-                                          seeded=seeded[second])
-    else:
-        if not slopes:
-            if True not in seeded:
-                seeded[True] = seed_jets(args, True)
-            jet = seeded[True]
-            slopes.append(slopes_of(fn(jet[:n], jet[n:]), n + m, True))
-        # the value pass alone, unless the memo holds the value already
-        grad, hess = slopes[0]
-        val = fn(args[:n], args[n:]) if jets is None else None
-    if jets is None:
+    if jets[1] is None:
         # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
-        d = []
+        jets[1] = d = []
         for i in rn:
             out = grad[i]
             for s in rm:
                 out = out + du[s][i] * grad[n + s]
             d.append(out)
-        jets = memo[fn] = [val, d, None]
     if second:
         # D_j D_i g for g = g(x, u)
         ddu = point.ddu
@@ -149,6 +193,83 @@ def _jets(fn, point, second=False, slopes=None):
                         out = out + dus[i] * du[t][j] * hs[n + t]
                 dd[i][j] = out
     return jets
+
+
+# True where float + complex gives the float a +0.0 imaginary part, as
+# Python 3.10-3.13 do; a complex point's plan rests on it
+_PROMOTES = math.copysign(1.0, (0.0 + complex(0.0, -0.0)).imag) > 0.0
+_DU_BOUND = 2.0 ** 500
+
+
+def _plan_kind(point):
+    """float or complex, the number type of every du and ddu entry of a
+    point a sparse plan serves, or None.  Every entry must be finite and
+    every part of a du entry below 2**500, so a product of two du entries
+    is finite and its product with a zero is a zero; a complex point needs
+    :data:`_PROMOTES`.  Decided once per point."""
+    box = _at(point)[4]
+    if not box:
+        du = [z for row in point.du for z in row]
+        ddu = [z for mat in point.ddu for row in mat for z in row]
+        kind = type(du[0])
+        ok = (kind is float or kind is complex and _PROMOTES) and \
+            all(type(z) is kind for z in du + ddu)
+        if ok and kind is complex:
+            du = [p for z in du for p in (z.real, z.imag)]
+            ddu = [p for z in ddu for p in (z.real, z.imag)]
+        box.append(kind if ok and all(abs(p) < _DU_BOUND for p in du)
+                   and all(map(math.isfinite, ddu)) else None)
+    return box[0]
+
+
+def _minus_zero(z):
+    """Whether a float or complex has a -0.0 part."""
+    return any(p == 0.0 and math.copysign(1.0, p) < 0.0
+               for p in (z.real, z.imag))
+
+
+def _plan(field, point):
+    """The sparse plan of a field whose slopes are all held (filling any
+    list still empty at ``point``), or False: per i, the k whose D_i xi^k
+    is not 0; per pair i <= j, the k of either i or j; and per number type
+    of :func:`_plan_kind`, the D_i xi^k (cols[i][k]), the D_i eta_r and the
+    D_j D_i eta_r table of that type.  float takes a plan only when every
+    slot is a float."""
+    n, m = field.n_base, field.n_fields
+    if any(h is None for h in field.slopes):
+        return False
+    slopes = [_held(f, point, h)
+              for f, h in zip(field.xi + field.eta, field.slopes)]
+    cells = [z for g, h in slopes for z in (*g, *itertools.chain(*h))]
+    if any(type(z) not in (float, complex) for z in cells):
+        return False
+    for c, (grad, hess) in enumerate(slopes):
+        # every field slot of the gradient and every Hessian entry 0; an
+        # eta's other slots have no -0.0 part, and nor do a xi's nonzero
+        # gradient entries
+        if any(z != 0 for z in (*grad[n:], *itertools.chain(*hess))):
+            return False
+        signed = (*grad[:n], *itertools.chain(*hess)) if c >= n else \
+            [z for z in grad[:n] if z != 0]
+        if any(map(_minus_zero, signed)):
+            return False
+    rn = range(n)
+    grads = [g for g, _ in slopes]
+    ks = [tuple(k for k in rn if grads[k][i] != 0) for i in rn]
+    pairs = [[tuple(sorted({*ks[i], *ks[j]})) for j in rn] for i in rn]
+    kinds = (complex,) + (float,) * all(type(z) is float for z in cells)
+    return ks, pairs, {kind: ([[kind(grads[k][i]) for k in rn] for i in rn],
+                              [[kind(g) for g in grads[n + r][:n]]
+                               for r in range(m)],
+                              [[kind(0.0)] * n] * n)
+                       for kind in kinds}
+
+
+@functools.cache
+def _dense_plan(n):
+    """The k of every term, for each D_i and each pair i <= j."""
+    rn = range(n)
+    return (rn,) * n, ((rn,) * n,) * n
 
 
 class ProlongedOperator:
@@ -179,33 +300,59 @@ class ProlongedOperator:
 
     def _flow(self, point: JetPoint, at=None) -> list:
         """Flow row at a point, None in each block ``at`` does not read.
-        An off-diagonal pair's eta_ij and eta_ji come from one k-loop that
-        forms u_kj D_i xi^k and u_ik D_j xi^k once for both, reading u_jk
-        for u_kj (a :class:`JetPoint` holds mirrored entries as one
-        number); each half makes the same subtractions in the same order
-        as on its own."""
+
+        Each entry is a running difference: a start value (D_i eta, or
+        D_j D_i eta) minus, per k of its plan, the terms that read D_i xi^k
+        and D_j D_i xi^k, in the order of the prolongation formula.  The
+        dense plan (:func:`_dense_plan`) has every k and takes its values
+        from the coefficients' jets (:func:`_jets`).  A field's sparse plan
+        (:attr:`VectorField.plan`), at a point of its number type
+        (:func:`_plan_kind`), takes the start values and D_i xi^k from the
+        plan and only the values from the jets.  It drops every D_j D_i
+        xi^k term, and every k whose D_i xi^k is a zero, or for an
+        off-diagonal pair whose D_i xi^k and D_j xi^k both are.  Every row
+        keeps its bits: its start has no -0.0 part, a difference that does
+        not start at -0.0 never becomes -0.0, and subtracting a zero of
+        either sign from it changes nothing.  An off-diagonal pair's eta_ij
+        and eta_ji come from one k-loop that forms u_kj D_i xi^k and u_ik
+        D_j xi^k once for both, reading u_jk for u_kj (a :class:`JetPoint`
+        holds mirrored entries as one number)."""
         src = self.source
         n, m = src.n_base, src.n_fields
         if point.n_base != n or point.n_fields != m:
             raise ValueError("jet point does not match the operator's space")
         first, second = _blocks(n, m, at if at is None else tuple(at))
         du, ddu, held = point.du, point.ddu, src.slopes
-        xi, d_xi, dd_xi = zip(*[_jets(f, point, bool(second), h)[:3]
-                                for f, h in zip(src.xi, held)])
-        cols = list(zip(*d_xi))  # cols[i][k] = D_i xi^k
+        if src.plan is None:
+            src.plan = _plan(src, point)
+        sparse = src.plan and src.plan[2].get(_plan_kind(point))
+        if sparse:
+            ks, pairs = src.plan[:2]
+            cols, d_etas, dd_eta = sparse
+            row = [_jets(f, point, 0, h)[0] for f, h in zip(src.xi, held)]
+            dd_xi = None
+        else:
+            ks, pairs = _dense_plan(n)
+            xi, d_xi, dd_xi = zip(*[_jets(f, point, 1 + bool(second), h)
+                                    for f, h in zip(src.xi, held)])
+            cols = list(zip(*d_xi))  # cols[i][k] = D_i xi^k
+            row = list(xi)
         rn = range(n)  # made once, as in _jets
-        row = list(xi)
         for r in range(m):
             if r not in first:
                 row += [None] * (n + 1)
                 continue
-            eta, d_eta = _jets(src.eta[r], point, r in second,
-                               held[n + r])[:2]
-            row.append(eta)
+            if sparse:
+                row.append(_jets(src.eta[r], point, 0, held[n + r])[0])
+                d_eta = d_etas[r]
+            else:
+                eta, d_eta = _jets(src.eta[r], point, 1 + (r in second),
+                                   held[n + r])[:2]
+                row.append(eta)
             du_r = du[r]
             for i in rn:
                 val, col_i = d_eta[i], cols[i]
-                for k in rn:
+                for k in ks[i]:
                     val = val - du_r[k] * col_i[k]
                 row.append(val)
         for r in range(m):
@@ -214,29 +361,31 @@ class ProlongedOperator:
                 continue
             # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k
             #          - u_ik D_j xi^k
-            dd_eta = _jets(src.eta[r], point, True, held[n + r])[2]
+            if not sparse:
+                dd_eta = _jets(src.eta[r], point, 2, held[n + r])[2]
             du_r, ddu_r = du[r], ddu[r]
             for i in rn:
                 col_i, ddu_ri, dd_eta_i = cols[i], ddu_r[i], dd_eta[i]
                 val = dd_eta_i[i]
-                for k in rn:
+                for k in pairs[i][i]:
                     a = ddu_ri[k] * col_i[k]
-                    val = val - a
-                    val = val - du_r[k] * dd_xi[k][i][i]
-                    val = val - a
+                    if dd_xi:
+                        val = val - a - du_r[k] * dd_xi[k][i][i] - a
+                    else:
+                        val = val - a - a
                 row.append(val)
                 for j in range(i + 1, n):
                     col_j, ddu_rj = cols[j], ddu_r[j]
                     ij, ji = dd_eta_i[j], dd_eta[j][i]
-                    for k in rn:
-                        a, c, dd_k = ddu_rj[k] * col_i[k], \
-                            ddu_ri[k] * col_j[k], dd_xi[k]
-                        ij = ij - a
-                        ij = ij - du_r[k] * dd_k[i][j]
-                        ij = ij - c
-                        ji = ji - c
-                        ji = ji - du_r[k] * dd_k[j][i]
-                        ji = ji - a
+                    for k in pairs[i][j]:
+                        a, c = ddu_rj[k] * col_i[k], ddu_ri[k] * col_j[k]
+                        if dd_xi:
+                            dd_k, du_rk = dd_xi[k], du_r[k]
+                            ij = ij - a - du_rk * dd_k[i][j] - c
+                            ji = ji - c - du_rk * dd_k[j][i] - a
+                        else:
+                            ij = ij - a - c
+                            ji = ji - c - a
                     row.append((ij + ji) / 2.0)
         return row
 

@@ -18,6 +18,7 @@ the whole table there, and three checks' counts of that work are pinned.
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -335,6 +336,130 @@ def test_shared_jets_tell_signed_zeros_apart():
     assert rows[0] != rows[1]
 
 
+# the fields that take a sparse plan (liealg.VectorField.plan): every
+# rotation, the translations, AG_II's phase J on log jets and the real
+# Galilei boosts and field scaling on log jets
+_PLANNED = [
+    (make_spec("AO", 3), "J12 J13 J23"),
+    (make_spec("AE", 3), "P1 P2 P3 J12 J13 J23"),
+    (make_spec("AE", 5), "P1 P2 P3 P4 P5 J12 J13 J14 J15 J23 J24 J25 J34 "
+                         "J35 J45"),
+    (make_spec("AP", 3), "P0 P1 P2 P3 J01 J02 J03 J12 J13 J23"),
+    (make_spec("AG_I", 3, rep="log"),
+     "Pt P1 P2 P3 J12 J13 J23 G1 G2 G3 I"),
+    (make_spec("AG_II", 3), "Pt P1 P2 P3 J12 J13 J23"),
+    (make_spec("AG_II", 3, rep="log"), "Pt P1 P2 P3 J J12 J13 J23"),
+]
+
+
+def _served_kind(spec):
+    """The number type of the points of ``spec`` a plan serves here."""
+    if spec.field_kind is not COMPLEX:
+        return float
+    return complex if liealg._PROMOTES else None
+
+
+@pytest.mark.parametrize("spec,planned", _PLANNED,
+                         ids=["AO", "AE", "AE-n5", "AP", "AG_I-log", "AG_II",
+                              "AG_II-log"])
+def test_the_fields_that_take_a_plan(spec, planned):
+    # at a sampled point the planned fields read every coefficient they
+    # alone read at depth 0, value only; the rest build total derivatives.
+    # A complex point is served only where liealg._PROMOTES holds
+    fields = catalog(spec)
+    point = sample_points(spec, False)[0]
+    assert _flows(fields, point) == _references(fields, point)
+    kind = _served_kind(spec)
+    assert liealg._plan_kind(point) is kind
+    assert " ".join(f.label for f in fields if f.plan) == planned
+    assert all(f.plan is False for f in fields if f.label not in planned)
+    dense = {g for f in fields if not (f.plan and kind)
+             for g in f.xi + f.eta}
+    for fn, jets in liealg._LAST[1].items():
+        assert (jets[1] is None) == (fn not in dense)
+
+
+_BELOW = math.nextafter(2.0 ** 500, 0.0)
+# (id, changes at a real point, at a complex one, whether a plan serves
+# it): the edges of liealg._plan_kind's guard
+_EDGES = [
+    ("du-below-2**500", [(d1_coord(1, 1), -_BELOW)],
+     [(d1_coord(1, 1), complex(0.5, _BELOW))], True),
+    ("du-at-2**500", [(d1_coord(1, 1), 2.0 ** 500)],
+     [(d1_coord(1, 1), complex(-2.0 ** 500, 0.5))], False),
+    ("one-other-kind", [(d2_coord(1, 0, 1), 1.5j)],
+     [(d2_coord(1, 0, 1), 1.5)], False),
+    ("int-entry", [(d1_coord(1, 1), 2)], [(d1_coord(1, 1), 2)], False),
+    ("signed-zeros", [(d1_coord(1, 0), 0.0), (d1_coord(1, 2), -0.0),
+                      (d2_coord(1, 0, 2), -0.0), (d2_coord(1, 1, 1), 0.0)],
+     [(d1_coord(1, 0), complex(0.0, -0.0)), (d1_coord(1, 2), -0j),
+      (d2_coord(1, 0, 2), complex(-0.0, 0.0)), (d2_coord(1, 1, 1), 0j)],
+     True),
+    ("inf", [(d2_coord(1, 2, 2), -math.inf)],
+     [(d2_coord(1, 2, 2), complex(0.5, math.inf))], False),
+    ("nan", [(d1_coord(1, 0), math.nan)],
+     [(d1_coord(1, 0), complex(math.nan, 0.5))], False),
+]
+
+
+@pytest.mark.parametrize("spec", [make_spec("AE", 3, m=2), make_spec("AP", 3),
+                                  make_spec("AG_I", 3, rep="log"),
+                                  make_spec("AG_II", 3, rep="log")],
+                         ids=["AE-m2", "AP", "AG_I-log", "AG_II-log"])
+@pytest.mark.parametrize("changes_real,changes_complex,served", [
+    e[1:] for e in _EDGES], ids=[e[0] for e in _EDGES])
+def test_planned_rows_at_the_edges_of_the_guard(spec, changes_real,
+                                                changes_complex, served):
+    # on each side of every edge the planned fields' rows, sparse or
+    # dense, equal the reference's to the bit
+    point = _with(sample_points(spec, False)[1],
+                  changes_complex if spec.field_kind is COMPLEX
+                  else changes_real)
+    fields = catalog(spec)
+    assert _flows(fields, point) == _references(fields, point)
+    assert any(f.plan for f in fields)
+    assert liealg._plan_kind(point) is \
+        (_served_kind(spec) if served else None)
+
+
+def test_held_signed_zero_slopes_and_the_rules():
+    # an eta whose base-slot gradient holds -0.0 takes the dense plan: its
+    # D_i eta is a zero whose sign follows du.  A xi's zero entries may
+    # have either sign, and a field slot a zero one, since a term whose
+    # factor is a zero is dropped
+    rows = [("Zeta", ["0", "0", "0"], ["-0.0 * x1"]),
+            ("Zxi", ["-0.0 * x2", "0.0 * u1 + x3", "-1.0 * x2"],
+             ["1.5 * x1 + 0.0 * u1"])]
+    fields = liealg.bind_generators(make_spec("AE", 3), rows)
+    for point in make_sampler(3, 1, seed=3)(0), make_sampler(3, 1, seed=4)(1):
+        for sign in (1.0, -1.0):
+            signed = point.copy_with(
+                du=tuple(tuple(sign * abs(z) for z in row)
+                         for row in point.du),
+                ddu=tuple(tuple(tuple(sign * abs(z) for z in row)
+                                for row in mat) for mat in point.ddu))
+            assert _flows(fields, signed) == _references(fields, signed)
+    assert [f.plan is False for f in fields] == [True, False]
+    assert fields[1].plan[0] == [(), (2,), (1,)]
+
+
+def test_complex_slopes_take_their_plan_at_complex_points_only():
+    # a planned field whose slopes hold a complex has no float plan: at a
+    # point whose du and ddu entries are all floats its rows are complex
+    spec = make_spec("AG_II", 3, rep="log")
+    fields = liealg.bind_generators(spec, [("Zi", ["0"] * 4,
+                                            ["i * x1", "i * x2"])])
+    point = sample_points(spec, False)[0]
+    real = point.copy_with(
+        du=tuple(tuple(z.real for z in row) for row in point.du),
+        ddu=tuple(tuple(tuple(z.real for z in row) for row in mat)
+                  for mat in point.ddu))
+    for p in (point, real):
+        assert _flows(fields, p) == _references(fields, p)
+    assert liealg._plan_kind(real) is float
+    assert list(fields[0].plan[2]) == [complex]
+
+
 def _partial_shapes(n, m):
     """Coordinate lists a check may read: d1 of one field only; d2 only,
     the row's last entry and its first d2 entry; base coordinates only; one
@@ -438,9 +563,12 @@ def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
     assert not any(fn in conj for memo in memos.values() for fn in memo)
     # psi's d2 block is read, so its jets and the xi's have second ones,
     # each from its one pass, which carried Hessian pairs, or from its
-    # held slopes
+    # held slopes; but the rotations J12, J13 and J23 take their sparse
+    # plan, so their four xi texts are read at depth 0, value only
     assert sum(j[2] is not None
-               for memo in memos.values() for j in memo.values()) == 100
+               for memo in memos.values() for j in memo.values()) == 80
+    assert sum(j[1] is None
+               for memo in memos.values() for j in memo.values()) == 20
     assert all(depths)
 
 
@@ -462,18 +590,38 @@ def test_a_basis_check_differentiates_every_coefficient(monkeypatch):
 
 def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
     # the first-order row's passes carry no Hessian pairs; the first d2
-    # read at the point runs each unheld coefficient's full pass once, a
-    # held one's D_j D_i from its slopes, and the rows equal the whole
-    # row's entries.  AC's 12 unheld functions make 24 passes
+    # read at the point runs each unheld coefficient's full-depth jet pass
+    # once, and not its value pass again, a held one's D_j D_i from its
+    # slopes, and the rows equal the whole row's entries.  AC's 12 unheld
+    # functions make 12 value passes and 24 jet passes, of which only the
+    # first 12 go through value_grad_hess
     calls, depths, _ = _counting(monkeypatch)
     spec = make_spec("AC", 3, lam=0.6)
-    ops = [prolong2(f) for f in catalog(spec)]
-    assert len(_unheld(op.source for op in ops)) == 12
+    evaluations, wrapped = [], {}
+
+    def counted(fn):
+        def run(xs, us):
+            jet = getattr(xs[0], "d", None)
+            evaluations.append((fn, None if jet is None else len(jet)))
+            return fn(xs, us)
+        return wrapped.setdefault(fn, run)
+
+    def wrap(fns, held):
+        return [f if h is not None else counted(f) for f, h in zip(fns, held)]
+
+    ops = [prolong2(VectorField(3, 1, wrap(f.xi, f.slopes),
+                                wrap(f.eta, f.slopes[3:]), f.label,
+                                f.moves, f.slopes)) for f in catalog(spec)]
+    assert len(_unheld(op.source for op in ops)) == len(wrapped) == 12
     point = sample_points(spec, False)[0]
     d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])
     d2 = flow_positions(3, 1, [d2_coord(1, 0, 1), d2_coord(1, 2, 2)])
     rows = [op.flow_table(point, at) for at in (d1, d2, d2) for op in ops]
-    assert depths == [False] * 12 + [True] * 12
+    assert depths == [False] * 12
+    # per function: its value pass, its first-order jet pass (4 gradient
+    # slots twice) and its full-depth one (and 10 Hessian slots)
+    assert sorted(map(repr, evaluations)) == \
+        sorted(repr((fn, size)) for fn in wrapped for size in (None, 8, 18))
     whole = [reference_flow(op, point) for op in ops]
     coords = [d1_coord(1, i) for i in range(3)], \
         [d2_coord(1, 0, 1), d2_coord(1, 2, 2)]
@@ -521,14 +669,21 @@ def test_each_eikonal_polynomial_is_evaluated_once_per_pass(monkeypatch):
 
 def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     # every pass at a point gets the point's one argument tuple and, per
-    # depth, one list of seeded jets made for it
-    seen = []
+    # depth, one list of seeded jets made for it; a whole row after a
+    # first-order one at the same point makes the full-depth jet passes
+    # alone, on the point's one list of full-depth jets
+    seen, seeds = [], []
 
     def counted(fn, args, hessian=True, seeded=None):
         seen.append((args, hessian, seeded))
         return value_grad_hess(fn, args, hessian, seeded)
 
+    def seeding(args, hessian=True):
+        seeds.append((args, hessian))
+        return seed_jets(args, hessian)
+
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
+    monkeypatch.setattr(liealg, "seed_jets", seeding)
     spec = make_spec("AP_inf", 3)
     ops = [prolong2(f) for f in catalog(spec)]
     p, q = sample_points(spec, False)[:2]
@@ -539,17 +694,18 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
         for op in ops:
             op.flow_table(point, at)
         groups.append(seen[before:])
-    assert [len(g) for g in groups] == [15, 15, 15]
-    for group, depth in zip(groups, (False, True, True)):
+    assert [len(g) for g in groups] == [15, 0, 15]
+    for group, depth in zip((groups[0], groups[2]), (False, True)):
         args, _, seeded = group[0]
-        assert args == (*p.x, *p.u) if group is not groups[2] else \
+        assert args == (*p.x, *p.u) if group is groups[0] else \
             args == (*q.x, *q.u)
         assert all(a is args and h is depth and s is seeded
                    for a, h, s in group)
         assert repr([(j.value, j.d) for j in seeded]) == \
             repr([(j.value, j.d) for j in seed_jets(args, depth)])
-    assert groups[0][0][0] is groups[1][0][0] is not groups[2][0][0]
-    assert groups[1][0][2] is not groups[2][0][2]
+    assert [h for _, h in seeds] == [False, True, True]
+    assert seeds[0][0] is seeds[1][0] is groups[0][0][0]
+    assert seeds[2][0] is groups[2][0][0] is not seeds[0][0]
 
 
 def record():
