@@ -17,6 +17,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
+from .dual import EvaluationError, is_finite
 from .exprlang import BindError, ParseError, bind, bind_on, \
     bind_scalar_function, needs_positive_u
 from .invcat import BASES, EQUATIONS, TENSORS, basis, text_binding
@@ -270,7 +271,7 @@ def _report_doc(cfg, checks):
     }
 
 
-def _emit(doc, cfg, stream):
+def _emit(doc, stream):
     for check in doc["checks"]:
         extras = ""
         if "rank" in check:
@@ -282,10 +283,6 @@ def _emit(doc, cfg, stream):
             extras += f" residual={resid:.3e}"
         print(f"{check['verdict']:4s} {check['name']}{extras}", file=stream)
     print(f"overall: {doc['verdict']}", file=stream)
-    if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _cmd_list(args, stream):
@@ -401,6 +398,8 @@ def _cmd_eval(cfg, args, stream):
     if getattr(args, "log_jets", False):
         point = to_log_jets(point)
     val = fn.eval(point)
+    if not is_finite(val):
+        raise EvaluationError(f"non-finite value {val}")
     print(f"{cfg['expr']} = {val}", file=stream)
     return 0
 
@@ -438,7 +437,15 @@ def main(argv=None, stream=None) -> int:
         print(f"rank = {doc['checks'][0]['rank']}", file=stream)
     if args.command == "completeness":
         print(summary, file=stream)
-    _emit(doc, cfg, stream)
+    _emit(doc, stream)
+    if cfg.get("out"):
+        try:
+            with open(cfg["out"], "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"configuration error: cannot write report: {exc}",
+                  file=sys.stderr)
+            return 2
     return 0 if doc["verdict"] == "PASS" else 1
 
 

@@ -356,6 +356,8 @@ def _scalar_exp(v):
 
 
 def _scalar_log(v):
+    if v == 0:
+        raise EvaluationError("log of zero")
     if isinstance(v, complex):
         return cmath.log(v)
     if v <= 0.0:

@@ -788,36 +788,3 @@ def needs_positive_u(text: str) -> bool:
             or any(map(walk, parts))
 
     return walk(parse(text))
-
-
-@functools.cache
-def is_affine(text: str) -> bool:
-    """Whether a text is affine in the coordinates it reads, with every
-    derivative slot of a jet pass on it fixed whatever the point: each
-    part is a number, a symbol, a negation, sum or difference of such
-    parts, or a product or quotient whose other factor, or whose divisor,
-    reads no coordinate.  A part reads a coordinate when it is a symbol
-    other than ``i``, a call other than ``exp``, ``log`` or ``conj``, or
-    holds such a part; a part that reads none is a constant, whatever it
-    computes.  One walk over the parsed text decides every part."""
-    def walk(node):
-        """(whether ``node`` reads a coordinate, whether it is affine)."""
-        if isinstance(node, Num):
-            return False, True
-        if isinstance(node, Sym):
-            return node.name != "i", True
-        if isinstance(node, Neg):
-            return walk(node.arg)
-        if isinstance(node, Bin):
-            (lr, la), (rr, ra) = walk(node.left), walk(node.right)
-            reads = lr or rr
-            if node.op in "+-":
-                return reads, la and ra
-            if node.op == "*":
-                return reads, la and ra and not (lr and rr)
-            return reads, la and not rr if node.op == "/" else not reads
-        reads = [walk(p)[0] for p in (*node.args, *node.fields)]
-        reads = node.name not in ("exp", "log", "conj") or any(reads)
-        return reads, not reads
-
-    return walk(parse(text))[1]

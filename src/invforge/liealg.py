@@ -15,6 +15,7 @@ in a directional derivative.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -52,32 +53,27 @@ class VectorField:
     then 0 at every other jet coordinate, at every point.  It is None, the
     default, when some coefficient may read an argument.
 
-    ``slopes`` holds, per coefficient of ``xi + eta``, None, or for one
-    every slot of whose jet pass is the same at every point, as for an
-    affine text (``exprlang.is_affine``), a list that the first flow row
-    read puts its gradient and Hessian in (:func:`_jets`); the default,
-    None, holds none.
-
-    ``plan`` is None until the first flow row, which sets it to the field's
-    sparse plan (:func:`_plan`) when every coefficient's slopes are held
-    and two rules cover them, and to False otherwise.  A xi^k whose
-    gradient is 0 in every field slot and whose Hessian is all 0 has D_i
-    xi^k equal to its gradient entry where that is not 0, a zero elsewhere,
-    and every D_j D_i xi^k a zero; an eta_r of that kind whose base-slot
-    gradient has no -0.0 part and whose Hessian is all +0.0 has D_i eta_r
-    equal to that entry and every D_j D_i eta_r +0.0.  At a point where
-    every du and ddu entry is a finite float, or every one a finite
-    complex, and every part of every du entry is below 2**500
-    (:func:`_plan_kind`), a planned field's flow row
-    (:meth:`ProlongedOperator._flow`) takes those values from its plan and
-    leaves out each term with such a zero factor.
+    ``plan`` is (held, sparse), made by the first flow row (:func:`_plan`)
+    unless given.  ``held`` has per coefficient of ``xi + eta`` its
+    gradient and Hessian if they are the same at every point
+    (:func:`_probe`), else None; ``sparse`` is the field's sparse plan if
+    every coefficient's slopes are held and two rules cover them, else
+    None.  A xi^k whose gradient is 0 in every
+    field slot and whose Hessian is all 0 has D_i xi^k equal to its
+    gradient entry where that is not 0, a zero elsewhere, and every D_j
+    D_i xi^k a zero; an eta_r of that kind whose base-slot gradient has no
+    -0.0 part and whose Hessian is all +0.0 has D_i eta_r equal to that
+    entry and every D_j D_i eta_r +0.0.  At a point where every du and ddu
+    entry is a finite float, or every one a finite complex, and every part
+    of every du entry is below 2**500 (:func:`_plan_kind`), a planned
+    field's flow row (:meth:`ProlongedOperator._flow`) takes those values
+    from its plan and leaves out each term with such a zero factor.
     """
 
-    __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves",
-                 "slopes", "plan")
+    __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves", "plan")
 
     def __init__(self, n_base, n_fields, xi, eta, label, moves=None,
-                 slopes=None):
+                 plan=None):
         if len(xi) != n_base or len(eta) != n_fields:
             raise ValueError("coefficient count does not match dimensions")
         self.n_base = n_base
@@ -86,8 +82,7 @@ class VectorField:
         self.eta = tuple(eta)
         self.label = label
         self.moves = moves
-        self.slopes = slopes or (None,) * (n_base + n_fields)
-        self.plan = None
+        self.plan = plan
 
     def __repr__(self):
         return f"VectorField({self.label})"
@@ -117,13 +112,22 @@ def _seeded(point, hessian):
     return seeded[hessian]
 
 
-def _held(fn, point, slopes):
-    """The held gradient and Hessian of ``fn``, taken by one full-depth
-    jet pass at ``point`` if the list is still empty."""
-    if not slopes:
-        n, jet = point.n_base, _seeded(point, True)
-        slopes.append(slopes_of(fn(jet[:n], jet[n:]), len(jet), True))
-    return slopes[0]
+@functools.cache
+def _probe(fn, n, m):
+    """The gradient and Hessian of a coefficient ``fn`` of n base
+    coordinates and m fields if they are the same at every point, else
+    None, by one full-depth jet pass at all-NaN arguments, made once per
+    function (``exprlang.bind_coefficient`` keeps each compiled text's for
+    good): each of its operations carries a NaN operand into its result,
+    so a slot with no NaN part read no value.  A jet raised to a number
+    power breaks this (a float NaN to the power 0 is 1.0, a complex value
+    (1+0j)), but exprlang takes integer powers by products and any other
+    by exp and log."""
+    jet = seed_jets((math.nan,) * (n + m))
+    grad, hess = slopes_of(fn(jet[:n], jet[n:]), n + m, True)
+    if any(map(cmath.isnan, (*grad, *itertools.chain(*hess)))):
+        return None
+    return grad, hess
 
 
 def _jets(fn, point, depth, slopes=None):
@@ -132,8 +136,8 @@ def _jets(fn, point, depth, slopes=None):
     value, 1: and the first total derivatives, 2: and the second ones);
     the deeper lists are None until some caller asks for them.  Its passes
     share one argument tuple and its seeded jets per depth.  A coefficient
-    with a list of ``slopes`` (:attr:`VectorField.slopes`) makes its value
-    pass alone: its gradient and Hessian come from the list, and its total
+    with held ``slopes`` (:attr:`VectorField.plan`) makes its value pass
+    alone: its gradient and Hessian are those slopes, and its total
     derivatives are expanded from them as from a pass's.  Any other
     coefficient's first read makes its value pass and its jet pass, which
     carries Hessian pairs only at depth 2; a deeper read later makes the
@@ -159,7 +163,7 @@ def _jets(fn, point, depth, slopes=None):
     if not depth:
         return jets
     if slopes is not None:
-        grad, hess = _held(fn, point, slopes)
+        grad, hess = slopes
     elif grad is None:
         jet = _seeded(point, second)
         grad, hess = slopes_of(fn(jet[:n], jet[n:]), n + m, second)
@@ -228,41 +232,40 @@ def _minus_zero(z):
                for p in (z.real, z.imag))
 
 
-def _plan(field, point):
-    """The sparse plan of a field whose slopes are all held (filling any
-    list still empty at ``point``), or False: per i, the k whose D_i xi^k
-    is not 0; per pair i <= j, the k of either i or j; and per number type
-    of :func:`_plan_kind`, the D_i xi^k (cols[i][k]), the D_i eta_r and the
+def _plan(field):
+    """(held, sparse) of :attr:`VectorField.plan`.  The sparse plan of a
+    field whose slopes are all held is: per i, the k whose D_i xi^k is not
+    0; per pair i <= j, the k of either i or j; and per number type of
+    :func:`_plan_kind`, the D_i xi^k (cols[i][k]), the D_i eta_r and the
     D_j D_i eta_r table of that type.  float takes a plan only when every
     slot is a float."""
     n, m = field.n_base, field.n_fields
-    if any(h is None for h in field.slopes):
-        return False
-    slopes = [_held(f, point, h)
-              for f, h in zip(field.xi + field.eta, field.slopes)]
-    cells = [z for g, h in slopes for z in (*g, *itertools.chain(*h))]
+    held = tuple(_probe(f, n, m) for f in field.xi + field.eta)
+    if None in held:
+        return held, None
+    cells = [z for g, h in held for z in (*g, *itertools.chain(*h))]
     if any(type(z) not in (float, complex) for z in cells):
-        return False
-    for c, (grad, hess) in enumerate(slopes):
+        return held, None
+    for c, (grad, hess) in enumerate(held):
         # every field slot of the gradient and every Hessian entry 0; an
         # eta's other slots have no -0.0 part, and nor do a xi's nonzero
         # gradient entries
         if any(z != 0 for z in (*grad[n:], *itertools.chain(*hess))):
-            return False
+            return held, None
         signed = (*grad[:n], *itertools.chain(*hess)) if c >= n else \
             [z for z in grad[:n] if z != 0]
         if any(map(_minus_zero, signed)):
-            return False
+            return held, None
     rn = range(n)
-    grads = [g for g, _ in slopes]
+    grads = [g for g, _ in held]
     ks = [tuple(k for k in rn if grads[k][i] != 0) for i in rn]
     pairs = [[tuple(sorted({*ks[i], *ks[j]})) for j in rn] for i in rn]
     kinds = (complex,) + (float,) * all(type(z) is float for z in cells)
-    return ks, pairs, {kind: ([[kind(grads[k][i]) for k in rn] for i in rn],
-                              [[kind(g) for g in grads[n + r][:n]]
-                               for r in range(m)],
-                              [[kind(0.0)] * n] * n)
-                       for kind in kinds}
+    return held, (ks, pairs, {
+        kind: ([[kind(grads[k][i]) for k in rn] for i in rn],
+               [[kind(g) for g in grads[n + r][:n]] for r in range(m)],
+               [[kind(0.0)] * n] * n)
+        for kind in kinds})
 
 
 @functools.cache
@@ -322,12 +325,13 @@ class ProlongedOperator:
         if point.n_base != n or point.n_fields != m:
             raise ValueError("jet point does not match the operator's space")
         first, second = _blocks(n, m, at if at is None else tuple(at))
-        du, ddu, held = point.du, point.ddu, src.slopes
+        du, ddu = point.du, point.ddu
         if src.plan is None:
-            src.plan = _plan(src, point)
-        sparse = src.plan and src.plan[2].get(_plan_kind(point))
+            src.plan = _plan(src)
+        held, plan = src.plan
+        sparse = plan and plan[2].get(_plan_kind(point))
         if sparse:
-            ks, pairs = src.plan[:2]
+            ks, pairs = plan[:2]
             cols, d_etas, dd_eta = sparse
             row = [_jets(f, point, 0, h)[0] for f, h in zip(src.xi, held)]
             dd_xi = None
@@ -693,36 +697,28 @@ def bind_generators(spec: AlgebraSpec, rows) -> list:
     """Vector fields of (label, xi texts, eta texts) rows over the space of
     ``spec``, each text compiled once by ``exprlang.bind_coefficient``.  A
     row whose texts read no argument is marked with the coordinates its
-    nonzero constants move (:attr:`VectorField.moves`).  An affine text,
-    a constant among them (``exprlang.is_affine``), gets one list for its
-    slopes that every field reading it holds (:attr:`VectorField.slopes`):
-    no jet rule its pass applies reads a value into a slot, so the one
-    full-depth pass that fills it gives every point's slopes to the bit."""
+    nonzero constants move (:attr:`VectorField.moves`)."""
     # imported here: exprlang imports invcat, which imports this module
-    from .exprlang import bind_coefficient, is_affine
+    from .exprlang import bind_coefficient
     nb, m = spec.n_base, spec.m
     args = algebra_space(spec)
     binding = args["metric"], args["field_kind"], args["time_mode"]
     zeros = (0.0,) * nb, (0.0,) * m
     # per distinct text: its function; for an argument-free text whether
-    # its constant is nonzero (None when it reads an argument); the list
-    # of an affine text's slopes
+    # its constant is nonzero (None when it reads an argument)
     bound = {}
     for _, xi, eta in rows:
         for t in (*xi, *eta):
             if t not in bound:
                 fn, deps = bind_coefficient(t, nb, m, *binding)
-                bound[t] = fn, None if deps else fn(*zeros) != 0, \
-                    [] if is_affine(t) else None
+                bound[t] = fn, None if deps else fn(*zeros) != 0
     fields = []
     for label, xi, eta in rows:
-        texts = (*xi, *eta)
-        nonzero = [bound[t][1] for t in texts]
+        nonzero = [bound[t][1] for t in (*xi, *eta)]
         moves = None if None in nonzero else frozenset(
             c for c, nz in zip(_moved_coords(nb, m), nonzero) if nz)
         fields.append(VectorField(nb, m, [bound[t][0] for t in xi],
-                                  [bound[t][0] for t in eta], label, moves,
-                                  tuple(bound[t][2] for t in texts)))
+                                  [bound[t][0] for t in eta], label, moves))
     return fields
 
 
@@ -920,10 +916,13 @@ def _eikonal_family(spec: AlgebraSpec):
     for inst in range(spec.instances):
         fns = {**sample_eikonal_functions(spec.n, spec.seed + inst,
                                           spec.extended), **overrides}
+        # closures made afresh per call hold no slopes: probing them would
+        # cost each call a pass per coefficient and grow _probe's cache
         fields.append(VectorField(
             nb, 1, [make_xi(k, fns) for k in range(nb)],
             [lambda xs, us, eta=fns["eta"]: eta(us[0])],
-            f"X{inst}{'+d' if spec.extended else ''}"))
+            f"X{inst}{'+d' if spec.extended else ''}",
+            plan=((None,) * (nb + 1), None)))
     return fields
 
 

@@ -194,6 +194,55 @@ def test_eval_refuses_a_non_finite_lambda(value, capsys):
         f"configuration error: lam must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("expr", ["1e308 * 10", "2^1000^1000"])
+def test_eval_refuses_a_computed_non_finite_value(expr, capsys):
+    # eval printed "= inf" and exited 0
+    from invforge import cli
+
+    out = io.StringIO()
+    assert cli.main(["eval", "--n", "3", "--expr", expr], stream=out) == 3
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == \
+        "evaluation failure: non-finite value inf\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "--n", "3", "--expr", "log(0 * u)"), "log of zero"),
+    (("verify", "--algebra", "AE", "--n", "3", "--expr", "log(u_x1 - u_x1)",
+      "--samples", "2"), "could not sample an admissible generic point")],
+    ids=["eval", "verify"])
+def test_log_of_zero_is_an_evaluation_failure(argv, message, capsys):
+    # both printed "configuration error: math domain error" and exited 2;
+    # verify now redraws its points, in vain
+    from invforge import cli
+
+    out = io.StringIO()
+    assert cli.main(list(argv), stream=out) == 3
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"evaluation failure: {message}\n"
+
+
+@pytest.mark.parametrize("target", ["", "missing/r.json"],
+                         ids=["a-directory", "a-missing-parent"])
+def test_a_report_that_cannot_be_written_is_a_usage_error(target, tmp_path,
+                                                          capsys):
+    # the checks ran and printed PASS, then the write raised; as a child
+    # the run exited 1 with a traceback
+    from invforge import cli
+
+    path = str(tmp_path / target) if target else str(tmp_path)
+    argv = ["rank", "--algebra", "AE", "--n", "3", "--out", path]
+    out = io.StringIO()
+    assert cli.main(argv, stream=out) == 2
+    assert out.getvalue().endswith("overall: PASS\n")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write report: ")
+    child = run_cli(*argv)
+    assert child.returncode == 2
+    assert child.stdout == out.getvalue()
+    assert child.stderr == err
+
+
 # AG2_I's member Rhat1/N1^3 at n = 3, mu = 1, as its row prints it
 _RHAT1 = ("(0.0 + R(1; bth1, 1) * 1 * -3 * 1) / (2.0 * u_t + "
           "contract(du1, du1) + S(1)) ^ 3")

@@ -5,6 +5,7 @@ import pytest
 
 from invforge.dual import (
     Dual,
+    EvaluationError,
     Jet1,
     Jet2,
     _jet_seeds,
@@ -627,3 +628,14 @@ def test_jet1_pass_matches_the_reference_pass_at_special_values(special):
             args, unseeded = vals[:width], vals[width:width + 2]
             assert _outcome(_vector_pass, fn, args, unseeded) == \
                 _outcome(_reference_pass, fn, args, unseeded)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 0, 0j, Dual(0.0, 1.0),
+                               Jet1(-0.0, [1.0]), seed_jets([0j])[0]],
+                         ids=["0.0", "-0.0", "int", "0j", "dual", "jet1",
+                              "jet2"])
+def test_log_of_zero_is_an_evaluation_error(x):
+    # cmath.log(0j) raised ValueError, which the CLI reported as a usage
+    # error and verify's redraw did not catch
+    with pytest.raises(EvaluationError, match="log of zero"):
+        dlog(x)

@@ -12,7 +12,6 @@ from invforge.exprlang import (
     ParseError,
     bind,
     bind_coefficient,
-    is_affine,
     needs_positive_u,
     parse,
     to_text,
@@ -596,19 +595,3 @@ def test_needs_positive_u_reads_the_parsed_text(text, positive):
     """Positive u is needed where a log, or a power other than an integer
     literal, is taken of a part that reads u."""
     assert needs_positive_u(text) is positive
-
-
-@pytest.mark.parametrize("text,affine", [
-    ("x1 * x2", False), ("u1 / x1", False), ("exp(x1)", False),
-    ("x1 ^ 2", False), ("t * x1", False), ("x1 ^ 1", False),
-    ("2.0 / x1", False), ("(2.0 / x1) * x2", False), ("conj(u1)", False),
-    ("S(1)", False), ("x1 * (u1 - u1)", False),
-    ("2.0 * x1 - u1 / 4.0", True), ("-(i * 1.0) * x1", True),
-    ("(1.5 + 2.0 ^ 0.5) * t", True), ("exp(2.0) * x1 + log(3.0)", True),
-    ("x1 * (2.0 * 0.5)", True), ("u2", True), ("1.0", True), ("0", True),
-])
-def test_is_affine_reads_the_parsed_text(text, affine):
-    """Affine: numbers and symbols combined by sums, differences and
-    negations, and by products and quotients with a constant, a part that
-    reads no coordinate, on one side (the divisor's, for a quotient)."""
-    assert is_affine(text) is affine

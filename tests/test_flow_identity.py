@@ -25,7 +25,8 @@ import pytest
 
 from invforge import liealg
 from invforge.dual import EvaluationError, seed_jets, value_grad_hess
-from invforge.exprlang import bind_scalar_function, is_affine
+from invforge.exprlang import BindError, bind_coefficient, \
+    bind_scalar_function
 from invforge.invcat import EQUATIONS, basis, equation_function
 from invforge.jetspace import COMPLEX, base_coord, d1_coord, d2_coord, \
     field_coord
@@ -240,10 +241,9 @@ def test_zero_partials_that_are_not_plus_zero_run_the_loops(eta):
     [c for c in CONFIGS if not c[0].startswith("AP_inf")],
     ids=[k for k, _, _ in CONFIGS if not k.startswith("AP_inf")])
 def test_held_slopes_are_the_slopes_of_every_pass(key, build, positive):
-    # a text the rule marks affine, and no other, gets a list for its
-    # slopes, which the first row fills, here at a point whose coordinate
-    # and field value are not finite; they are a full-depth pass's there,
-    # at the sampled points and at an unusual one
+    # the slopes a field's first row holds, here at a point whose
+    # coordinate and field value are not finite, are a full-depth pass's
+    # there, at the sampled points and at an unusual one
     spec = build()
     n = spec.n_base
     rows = generator_rows(spec)
@@ -256,14 +256,54 @@ def test_held_slopes_are_the_slopes_of_every_pass(key, build, positive):
         prolong2(field).flow_table(points[0])
     texts = [t for _, xi, eta in rows for t in (*xi, *eta)]
     held = [(f, h) for field in fields
-            for f, h in zip(field.xi + field.eta, field.slopes)]
+            for f, h in zip(field.xi + field.eta, field.plan[0])]
     assert len(held) == len(texts)
     for text, (fn, slopes) in zip(texts, held):
-        assert (slopes is not None) == is_affine(text), text
         for point in points if slopes is not None else ():
             got = value_grad_hess(lambda a: fn(a[:n], a[n:]),
                                   (*point.x, *point.u))[1:]
-            assert repr(slopes) == repr([got]), (key, text)
+            assert repr(slopes) == repr(got), (key, text)
+
+
+# texts over AG_II's space at n = 3, (t, x1..x3) and the pair (u1, u2),
+# and whether a jet pass at NaN arguments shows their slopes the same at
+# every point.  x1 ^ 1 is the product 1.0 * x1 and conj(u1) reads the
+# partner slot, so neither pass reads a value into a slot
+_PROBED = [
+    ("x1 * x2", False), ("u1 / x1", False), ("exp(x1)", False),
+    ("x1 ^ 2", False), ("t * x1", False), ("2.0 / x1", False),
+    ("(2.0 / x1) * x2", False), ("x1 * (u1 - u1)", False),
+    ("x1 ^ 1", True), ("conj(u1)", True),
+    ("2.0 * x1 - u1 / 4.0", True), ("-(i * 1.0) * x1", True),
+    ("(1.5 + 2.0 ^ 0.5) * t", True), ("exp(2.0) * x1 + log(3.0)", True),
+    ("x1 * (2.0 * 0.5)", True), ("u2", True), ("1.0", True), ("0", True),
+]
+
+
+def _coefficient(text, spec):
+    space = liealg.algebra_space(spec)
+    return bind_coefficient(text, space["n_base"], space["n_fields"],
+                            space["metric"], space["field_kind"],
+                            space["time_mode"])[0]
+
+
+@pytest.mark.parametrize("text,held", _PROBED, ids=[t for t, _ in _PROBED])
+def test_the_probe_holds_the_slopes_a_pass_reads_no_value_into(text, held):
+    # the probe rests on each interpreter's float and complex NaN rules:
+    # every operation of a jet pass carries a NaN operand into its result
+    spec = make_spec("AG_II", 3)
+    fn = _coefficient(text, spec)
+    slopes = liealg._probe(fn, 4, 2)
+    assert (slopes is not None) is held
+    for point in sample_points(spec, False) if held else ():
+        got = value_grad_hess(lambda a: fn(a[:4], a[4:]),
+                              (*point.x, *point.u))[1:]
+        assert repr(slopes) == repr(got)
+
+
+def test_a_coefficient_text_reads_no_second_derivative():
+    with pytest.raises(BindError):
+        _coefficient("S(1)", make_spec("AG_II", 3))
 
 
 def _flows(fields, point):
@@ -276,9 +316,9 @@ def _references(fields, point):
 
 def _unheld(fields):
     """The coefficient functions of ``fields`` whose slopes are not held
-    (:attr:`liealg.VectorField.slopes`), which make a pass per point."""
+    (:attr:`liealg.VectorField.plan`), which make a pass per point."""
     return {f for field in fields
-            for f, held in zip(field.xi + field.eta, field.slopes)
+            for f, held in zip(field.xi + field.eta, field.plan[0])
             if held is None}
 
 
@@ -291,8 +331,8 @@ def test_each_coefficient_function_is_differentiated_once_per_point(
     # at one point, and only a function whose slopes are not held makes a
     # pass there: every text of AE and of AG_II in the log representation
     # is affine, and AP_inf's closures share nothing and hold none.  The
-    # slopes are taken when the texts are bound, by no value_grad_hess
-    # pass, so the count is the same whichever test binds them first
+    # slopes are taken by each function's one probe, by no value_grad_hess
+    # pass, so the count is the same whichever test probes them first
     calls = []
 
     def counted(fn, args, hessian=True, seeded=None):
@@ -371,9 +411,9 @@ def test_the_fields_that_take_a_plan(spec, planned):
     assert _flows(fields, point) == _references(fields, point)
     kind = _served_kind(spec)
     assert liealg._plan_kind(point) is kind
-    assert " ".join(f.label for f in fields if f.plan) == planned
-    assert all(f.plan is False for f in fields if f.label not in planned)
-    dense = {g for f in fields if not (f.plan and kind)
+    assert " ".join(f.label for f in fields if f.plan[1]) == planned
+    assert all(f.plan[1] is None for f in fields if f.label not in planned)
+    dense = {g for f in fields if not (f.plan[1] and kind)
              for g in f.xi + f.eta}
     for fn, jets in liealg._LAST[1].items():
         assert (jets[1] is None) == (fn not in dense)
@@ -417,7 +457,7 @@ def test_planned_rows_at_the_edges_of_the_guard(spec, changes_real,
                   else changes_real)
     fields = catalog(spec)
     assert _flows(fields, point) == _references(fields, point)
-    assert any(f.plan for f in fields)
+    assert any(f.plan[1] for f in fields)
     assert liealg._plan_kind(point) is \
         (_served_kind(spec) if served else None)
 
@@ -439,8 +479,8 @@ def test_held_signed_zero_slopes_and_the_rules():
                 ddu=tuple(tuple(tuple(sign * abs(z) for z in row)
                                 for row in mat) for mat in point.ddu))
             assert _flows(fields, signed) == _references(fields, signed)
-    assert [f.plan is False for f in fields] == [True, False]
-    assert fields[1].plan[0] == [(), (2,), (1,)]
+    assert [f.plan[1] is None for f in fields] == [True, False]
+    assert fields[1].plan[1][0] == [(), (2,), (1,)]
 
 
 def test_complex_slopes_take_their_plan_at_complex_points_only():
@@ -457,7 +497,7 @@ def test_complex_slopes_take_their_plan_at_complex_points_only():
     for p in (point, real):
         assert _flows(fields, p) == _references(fields, p)
     assert liealg._plan_kind(real) is float
-    assert list(fields[0].plan[2]) == [complex]
+    assert list(fields[0].plan[1][2]) == [complex]
 
 
 def _partial_shapes(n, m):
@@ -609,9 +649,14 @@ def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
     def wrap(fns, held):
         return [f if h is not None else counted(f) for f, h in zip(fns, held)]
 
-    ops = [prolong2(VectorField(3, 1, wrap(f.xi, f.slopes),
-                                wrap(f.eta, f.slopes[3:]), f.label,
-                                f.moves, f.slopes)) for f in catalog(spec)]
+    # each wrapping field takes the plan of the field it wraps, so its
+    # first row makes no probe
+    ops = []
+    for f in catalog(spec):
+        plan = liealg._plan(f)
+        ops.append(prolong2(VectorField(3, 1, wrap(f.xi, plan[0]),
+                                        wrap(f.eta, plan[0][3:]), f.label,
+                                        f.moves, plan)))
     assert len(_unheld(op.source for op in ops)) == len(wrapped) == 12
     point = sample_points(spec, False)[0]
     d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])

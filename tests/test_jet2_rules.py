@@ -3,9 +3,14 @@
 Every rule of ``dual.Jet2`` must give, slot for slot, the bits of the rules
 it replaced (``references.ReferenceJet2``), over float, complex,
 signed-zero, inf/nan and int operands, and a jet with no Hessian pairs the
-value and gradient bits of the jet with all of them.
+value and gradient bits of the jet with all of them.  A slot that a rule
+gives no NaN part when an operand's value is NaN must be the same at
+every value, the premise of ``liealg._probe``; that rests on each
+interpreter's float and complex NaN rules, so CI runs this file on every
+supported Python.
 """
 
+import cmath
 import math
 import random
 
@@ -104,3 +109,34 @@ def test_a_jet_without_pairs_keeps_value_and_gradient_bits(kind, k):
             if want[0] != "raised":
                 want = want[0], want[1][:2 * k]
             assert _outcome(op, *bs) == want, label
+
+
+# the rules a compiled coefficient text's jet pass applies, the ** rule
+# with a number exponent left out: exprlang takes an integer power by
+# products and any other by exp and log, and there v ** 0 is 1.0 at a
+# float NaN but (1+0j) at a complex v
+PROBED = [(label, op) for label, op in OPERATIONS
+          if not label.startswith(("x **", "y **")) or label == "x ** y"] + [
+    ("x + y", lambda x, y: x + y), ("0.5 - x", lambda x, y: 0.5 - x),
+    ("-y", lambda x, y: -y), ("x * 2j", lambda x, y: x * 2j),
+    ("y / 3", lambda x, y: y / 3)]
+
+
+@pytest.mark.parametrize("kind", ("float", "complex"))
+@pytest.mark.parametrize("k", (1, 3))
+def test_a_slot_with_no_nan_at_a_nan_value_reads_no_value(kind, k):
+    rng = random.Random(f"nan {kind} {k}")
+    shape = jet2_shape(k, [(i, j) for i in range(k) for j in range(i, k)])
+    width = len(shape[1])
+    for _ in range(6):
+        vals = [_draw(kind, rng) for _ in range(2)]
+        slots = [[_draw("float", rng) for _ in range(width)] for _ in vals]
+        for at in range(2):
+            probe = [NAN if a == at else v for a, v in enumerate(vals)]
+            xs, ps = ([Jet2(v, d, shape) for v, d in zip(vs, slots)]
+                      for vs in (vals, probe))
+            for label, op in PROBED:
+                if _outcome(op, *xs)[0] == "raised":
+                    continue
+                for got, want in zip(op(*ps).d, op(*xs).d):
+                    assert cmath.isnan(got) or repr(got) == repr(want), label
