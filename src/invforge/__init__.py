@@ -31,7 +31,6 @@ from .jetspace import (
     JetPoint,
     Metric,
     base_coord,
-    contract,
     d1_coord,
     d2_coord,
     enumerate_coords,

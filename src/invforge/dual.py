@@ -420,13 +420,16 @@ def seed_jets(args, hessian=True):
 
 
 def value_grad_hess(fn, args, hessian=True, seeded=None):
-    """Value, gradient, and full Hessian of ``fn(args)``.
+    """Value, gradient, and full Hessian of ``fn(args)``: the package's one
+    coefficient jet pass.
 
     Two passes: the plain value pass and one :class:`Jet2` pass, whose
-    gradient and Hessian :func:`slopes_of` reads; with ``hessian`` false
-    it carries no Hessian entries, ``hess`` is None and the rest keeps its
-    bits.  A caller making several passes over one ``args`` may hand each
-    the same ``seeded`` = ``seed_jets(args, hessian)``.
+    outer gradient is the gradient and whose Hessian entry (i, j), i <= j,
+    is one slot placed at ``hess[i][j]`` and ``hess[j][i]`` by the index
+    table of :func:`_jet_seeds`.  With ``hessian`` false the pass carries
+    no Hessian entries, ``hess`` is None and the rest keeps its bits.  A
+    caller making several passes over one ``args`` may hand each the same
+    ``seeded`` = ``seed_jets(args, hessian)``.
 
     If the jet pass returns a non-jet, ``fn`` combined no seeded argument
     and the gradient and Hessian are returned as zeros.  That is exact
@@ -434,20 +437,13 @@ def value_grad_hess(fn, args, hessian=True, seeded=None):
     values, i.e. ``fn`` never branches on a jet's value; no catalog
     coefficient and no ``exprlang``-bound function does.
     """
+    n = len(args)
     val = value_of(fn(list(args)))
     out = fn(list(seeded or seed_jets(args, hessian)))
-    return (val, *slopes_of(out, len(args), hessian))
-
-
-def slopes_of(out, n, hessian):
-    """Gradient and Hessian (None without ``hessian``) of the output
-    ``out`` of a :class:`Jet2` pass over n seeded arguments: the outer
-    gradient, and per entry (i, j), i <= j, one slot placed at
-    ``hess[i][j]`` and ``hess[j][i]`` by the index table of
-    :func:`_jet_seeds`.  A non-jet has zeros for both."""
     if not isinstance(out, Jet2):
-        return [0.0] * n, [[0.0] * n for _ in range(n)] if hessian else None
+        return val, [0.0] * n, \
+            [[0.0] * n for _ in range(n)] if hessian else None
     d = out.d
     hess = [[d[q] for q in row] for row in _jet_seeds(n, True)[2]] \
         if hessian else None
-    return list(d[n:2 * n]), hess
+    return val, list(d[n:2 * n]), hess

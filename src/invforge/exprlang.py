@@ -287,13 +287,9 @@ def to_text(node) -> str:
             return 3
         return 9
 
-    def wrap(nd, parent_prec, right_side=False):
+    def wrap(nd, parent_prec):
         s = to_text(nd)
-        p = prec(nd)
-        if p < parent_prec or (p == parent_prec and right_side
-                               and not isinstance(nd, Neg)):
-            return f"({s})"
-        return s
+        return f"({s})" if prec(nd) < parent_prec else s
 
     if isinstance(node, Num):
         # :g keeps six digits; repr where they do not parse back

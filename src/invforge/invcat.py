@@ -470,29 +470,27 @@ def _tensor_power(view, key, build, signs, k):
 
 
 def _S(view, mat, signs, k):
-    """Power trace S_k = tr(P_k) of the matrix source ``mat``, cached per
-    view.  For k >= 2 it is ``trace_prod(P_{k-1}, P_1)``, which is
-    ``mat_trace(mat_mul(P_{k-1}, P_1))`` operation for operation, so P_k
-    itself is built only when a mixed trace reads it."""
-    def build(v):
-        if k == 1:
-            return mat_trace(_tensor_power(v, *mat, signs, 1))
-        return trace_prod(_tensor_power(v, *mat, signs, k - 1),
-                          _tensor_power(v, *mat, signs, 1))
-
-    return _tensor_cached(view, ("S", mat[0], signs, k), build)
+    """Power trace S_k = tr(P_k) of the matrix source ``mat``.  For k >= 2
+    it is ``trace_prod(P_{k-1}, P_1)``, which is ``mat_trace(mat_mul(P_{k-1},
+    P_1))`` operation for operation, so P_k itself is built only when a
+    mixed trace reads it.  The view keeps the powers, which several traces
+    share, and not the trace: the compiled node that reads it keeps its
+    value per view (``exprlang._memoized``)."""
+    if k == 1:
+        return mat_trace(_tensor_power(view, *mat, signs, 1))
+    return trace_prod(_tensor_power(view, *mat, signs, k - 1),
+                      _tensor_power(view, *mat, signs, 1))
 
 
 def _Sjk(view, first, second, signs, j, k):
-    """Mixed trace tr((G A)^j (G B)^(k-j)) of two sources, cached per view."""
+    """Mixed trace tr((G A)^j (G B)^(k-j)) of two sources, from the powers
+    the view keeps; as :func:`_S`, the trace is kept by its node."""
     if j == 0:
         return _S(view, second, signs, k)
     if j == k:
         return _S(view, first, signs, k)
-    return _tensor_cached(view, ("Sjk", first[0], second[0], signs, j, k),
-                          lambda v: trace_prod(
-                              _tensor_power(v, *first, signs, j),
-                              _tensor_power(v, *second, signs, k - j)))
+    return trace_prod(_tensor_power(view, *first, signs, j),
+                      _tensor_power(view, *second, signs, k - j))
 
 
 def _R(view, vec, mat, signs, k):

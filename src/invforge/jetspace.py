@@ -206,19 +206,6 @@ def minkowski(dim: int) -> Metric:
     return Metric("minkowski", dim)
 
 
-def contract(metric: Metric, a, b):
-    """Metric contraction sum_i g_ii a_i b_i."""
-    if len(a) != metric.dim or len(b) != metric.dim:
-        raise ValueError(
-            f"dimension mismatch: metric dim {metric.dim}, "
-            f"vectors {len(a)} and {len(b)}"
-        )
-    total = 0.0
-    for i in range(metric.dim):
-        total = total + metric.sign(i) * a[i] * b[i]
-    return total
-
-
 class JetCoordinateId(Record):
     """Tag for one jet coordinate: base(i), field(r), d1(r,i) or d2(r,i<=j)."""
 

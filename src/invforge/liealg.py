@@ -22,7 +22,7 @@ import math
 import random
 import re
 
-from .dual import seed_jets, slopes_of, value_grad_hess
+from .dual import seed_jets, value_grad_hess
 from .jetspace import (
     COMPLEX,
     REAL,
@@ -104,27 +104,19 @@ def _at(point):
     return _LAST
 
 
-def _seeded(point, hessian):
-    """The seeded jets of the passes at ``point`` at a depth, made once."""
-    _, _, args, seeded, _ = _at(point)
-    if hessian not in seeded:
-        seeded[hessian] = seed_jets(args, hessian)
-    return seeded[hessian]
-
-
 @functools.cache
 def _probe(fn, n, m):
     """The gradient and Hessian of a coefficient ``fn`` of n base
     coordinates and m fields if they are the same at every point, else
-    None, by one full-depth jet pass at all-NaN arguments, made once per
-    function (``exprlang.bind_coefficient`` keeps each compiled text's for
-    good): each of its operations carries a NaN operand into its result,
-    so a slot with no NaN part read no value.  A jet raised to a number
-    power breaks this (a float NaN to the power 0 is 1.0, a complex value
-    (1+0j)), but exprlang takes integer powers by products and any other
-    by exp and log."""
-    jet = seed_jets((math.nan,) * (n + m))
-    grad, hess = slopes_of(fn(jet[:n], jet[n:]), n + m, True)
+    None, by one full-depth ``value_grad_hess`` call at all-NaN arguments,
+    made once per function (``exprlang.bind_coefficient`` keeps each
+    compiled text's for good): each operation of its jet pass carries a
+    NaN operand into its result, so a slot with no NaN part read no value.
+    A jet raised to a number power breaks this (a float NaN to the power 0
+    is 1.0, a complex value (1+0j)), but exprlang takes integer powers by
+    products and any other by exp and log."""
+    _, grad, hess = value_grad_hess(lambda a: fn(a[:n], a[n:]),
+                                    (math.nan,) * (n + m))
     if any(map(cmath.isnan, (*grad, *itertools.chain(*hess)))):
         return None
     return grad, hess
@@ -134,15 +126,17 @@ def _jets(fn, point, depth, slopes=None):
     """[value, [D_i g], [[D_j D_i g]]] of a coefficient g = ``fn`` at a
     point, built once per point for all operators up to ``depth`` (0: the
     value, 1: and the first total derivatives, 2: and the second ones);
-    the deeper lists are None until some caller asks for them.  Its passes
-    share one argument tuple and its seeded jets per depth.  A coefficient
-    with held ``slopes`` (:attr:`VectorField.plan`) makes its value pass
-    alone: its gradient and Hessian are those slopes, and its total
-    derivatives are expanded from them as from a pass's.  Any other
-    coefficient's first read makes its value pass and its jet pass, which
-    carries Hessian pairs only at depth 2; a deeper read later makes the
-    jet pass alone.  A planned field (:attr:`VectorField.plan`) reads its
-    coefficients at depth 0."""
+    the deeper lists are None until some caller asks for them.  A
+    coefficient with held ``slopes`` (:attr:`VectorField.plan`), or a read
+    at depth 0, makes the value pass alone; held slopes stand for a pass's
+    gradient and Hessian, and the total derivatives are expanded from them
+    as from a pass's.  Any other read makes one ``value_grad_hess`` call,
+    which carries Hessian pairs only at depth 2, so a deeper read of a
+    coefficient memoized by a first-order one runs it again at full depth.
+    Its passes share the point's one argument tuple and, per depth, its
+    one list of seeded jets, made by the first pass that needs it.  A
+    planned field (:attr:`VectorField.plan`) reads its coefficients at
+    depth 0."""
     # the last point's state read inline, as are its seeded jets below:
     # a dense row makes this call once per coefficient
     _, memo, args, seeded, _ = _LAST if _LAST[0] is point else _at(point)
@@ -151,22 +145,20 @@ def _jets(fn, point, depth, slopes=None):
         return jets
     n, m, du = point.n_base, point.n_fields, point.du
     second = depth == 2
-    grad = None
+    if depth and slopes is None:
+        jet = seeded.get(second)
+        if jet is None:
+            jet = seeded[second] = seed_jets(args, second)
+        val, grad, hess = value_grad_hess(
+            lambda a: fn(a[:n], a[n:]), args, hessian=second, seeded=jet)
+    elif jets is None:
+        val = fn(args[:n], args[n:])
     if jets is None:
-        if depth and slopes is None:
-            val, grad, hess = value_grad_hess(
-                lambda a: fn(a[:n], a[n:]), args, hessian=second,
-                seeded=seeded.get(second) or _seeded(point, second))
-        else:
-            val = fn(args[:n], args[n:])
         jets = memo[fn] = [val, None, None]
     if not depth:
         return jets
     if slopes is not None:
         grad, hess = slopes
-    elif grad is None:
-        jet = _seeded(point, second)
-        grad, hess = slopes_of(fn(jet[:n], jet[n:]), n + m, second)
     # range objects made once: in these short nests a range() call per
     # loop is a large share of the loop's cost
     rn, rm = range(n), range(m)
@@ -848,8 +840,8 @@ class PolynomialOfU:
                         for k, c in enumerate(self.coeffs))
 
 
-def _sample_poly(rng, degree=2):
-    return PolynomialOfU([_signed(rng) for _ in range(degree + 1)])
+def _sample_poly(rng):
+    return PolynomialOfU([_signed(rng) for _ in range(3)])
 
 
 def sample_eikonal_functions(n: int, seed: int, extended: bool) -> dict:

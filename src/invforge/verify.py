@@ -453,11 +453,12 @@ def check_on_manifold(ops, residual: ScalarJetFunction, solve_for=None,
     return InvarianceReport(residual.label, records, n_samples, seed, tol)
 
 
-def independence_rank(family, n_samples: int = 5, seed: int = 0,
-                      sampler=None, expected=None) -> RankReport:
-    """Generic rank of the family's Jacobian over its dependency set."""
+def independence_rank(family, n_samples: int = 5,
+                      seed: int = 0) -> RankReport:
+    """Generic rank of the family's Jacobian over its dependency set; PASS
+    when it is the member count."""
     _need_samples(n_samples)
-    members, coords, sampler, label = _parts(family, seed, sampler)
+    members, coords, sampler, label = _parts(family, seed, None)
     best_rank, best_pivots = 0, ()
     cols = _columns(members, coords)
     for point, _, _, _, _ in _points([], members, coords, sampler,
@@ -466,11 +467,9 @@ def independence_rank(family, n_samples: int = 5, seed: int = 0,
                                                    cols))
         if rank > best_rank:
             best_rank, best_pivots = rank, tuple(pivots)
-    if expected is None:
-        expected = len(members)
-    verdict = "PASS" if best_rank == expected else "FAIL"
+    verdict = "PASS" if best_rank == len(members) else "FAIL"
     return RankReport(label, len(members), len(coords), best_pivots,
-                      best_rank, expected, verdict)
+                      best_rank, len(members), verdict)
 
 
 def completeness(spec, family: BasisFamily, n_samples: int = 10,
@@ -518,8 +517,8 @@ def _lstsq(a, bs):
 
 
 def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
-                     tol: float = DEFAULT_TOL, seed: int = 0,
-                     sampler=None) -> CovarianceReport:
+                     tol: float = DEFAULT_TOL,
+                     seed: int = 0) -> CovarianceReport:
     """Fit the prolonged action on a tensor against rotation-plus-scaling:
     a skew mixing matrix plus a scalar multiple; PASS when the fit
     residual is negligible against the action's size."""
@@ -551,8 +550,7 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     cols = _columns(comps, tensor.deps)
     live = [op for op in ops if not _moves_none(op, tensor.deps)]
     for point, t, _, flows, _ in _points(
-            live, comps, tensor.deps, sampler or tensor.space.sampler(seed),
-            n_samples):
+            live, comps, tensor.deps, tensor.space.sampler(seed), n_samples):
         jac = family_jacobian(comps, point, tensor.deps, cols)
         rows = []
         for cell, pairs in zip(cells, mixing):

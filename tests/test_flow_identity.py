@@ -301,6 +301,25 @@ def test_the_probe_holds_the_slopes_a_pass_reads_no_value_into(text, held):
         assert repr(slopes) == repr(got)
 
 
+def test_a_probe_is_one_value_grad_hess_call_at_nan_arguments(monkeypatch):
+    # a text no other test binds, so its function is fresh; a second
+    # probe of it is the first's, made by no call
+    fn = _coefficient("0.8125 * x3 - u2 / 4.0", make_spec("AG_II", 3))
+    calls = []
+
+    def counted(fn, args, hessian=True, seeded=None):
+        calls.append((args, hessian, seeded))
+        return value_grad_hess(fn, args, hessian, seeded)
+
+    monkeypatch.setattr(liealg, "value_grad_hess", counted)
+    slopes = liealg._probe(fn, 4, 2)
+    assert slopes is not None and liealg._probe(fn, 4, 2) is slopes
+    assert len(calls) == 1
+    args, hessian, seeded = calls[0]
+    assert len(args) == 6 and all(map(math.isnan, args))
+    assert hessian is True and seeded is None
+
+
 def test_a_coefficient_text_reads_no_second_derivative():
     with pytest.raises(BindError):
         _coefficient("S(1)", make_spec("AG_II", 3))
@@ -314,10 +333,23 @@ def _references(fields, point):
     return [repr(reference_flow(prolong2(f), point)) for f in fields]
 
 
+def _planned(fields):
+    """``fields`` as a list, each given its plan
+    (:attr:`liealg.VectorField.plan`) here if it has none yet."""
+    fields = list(fields)
+    for field in fields:
+        if field.plan is None:
+            field.plan = liealg._plan(field)
+    return fields
+
+
 def _unheld(fields):
     """The coefficient functions of ``fields`` whose slopes are not held
-    (:attr:`liealg.VectorField.plan`), which make a pass per point."""
-    return {f for field in fields
+    (:attr:`liealg.VectorField.plan`), which make a pass per point.  It
+    plans the fields that have no plan, such as the translations a check
+    leaves out (``verify._moves_none``), and so belongs outside any count
+    of passes."""
+    return {f for field in _planned(fields)
             for f, held in zip(field.xi + field.eta, field.plan[0])
             if held is None}
 
@@ -331,8 +363,9 @@ def test_each_coefficient_function_is_differentiated_once_per_point(
     # at one point, and only a function whose slopes are not held makes a
     # pass there: every text of AE and of AG_II in the log representation
     # is affine, and AP_inf's closures share nothing and hold none.  The
-    # slopes are taken by each function's one probe, by no value_grad_hess
-    # pass, so the count is the same whichever test probes them first
+    # fields are planned before the count: a probe is a value_grad_hess
+    # call, made once per function for the whole process
+    fields = _planned(catalog(spec))
     calls = []
 
     def counted(fn, args, hessian=True, seeded=None):
@@ -340,7 +373,6 @@ def test_each_coefficient_function_is_differentiated_once_per_point(
         return value_grad_hess(fn, args, hessian, seeded)
 
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
-    fields = catalog(spec)
     fns = {f for field in fields for f in field.xi + field.eta}
     total = sum(len(field.xi + field.eta) for field in fields)
     assert (len(fns) < total) == shared
@@ -548,10 +580,14 @@ def test_partial_rows_equal_the_full_rows():
                         repr([table[c] for c in coords]), key
 
 
-def _counting(monkeypatch):
+def _counting(monkeypatch, fields):
     """The functions passed to ``value_grad_hess``, whether each pass
     carried Hessian pairs, and every per-point memo of coefficient jets
-    made while counting."""
+    made while counting.  ``fields`` are planned (:func:`_planned`) before
+    the count starts: a plan's probes are ``value_grad_hess`` calls, made
+    once per function for the whole process, so no count may depend on
+    which tests ran first."""
+    _planned(fields)
     calls, depths, memos = [], [], {}
 
     def counted(fn, args, hessian=True, seeded=None):
@@ -565,22 +601,24 @@ def _counting(monkeypatch):
     return calls, depths, memos
 
 
-def _check_equation(name, **kw):
+def _check_equation(monkeypatch, name, **kw):
+    """The fields of the equation's default algebra and the counts
+    (:func:`_counting`) of its check on them, which must PASS."""
     spec = EQUATIONS[name].default_algebra(3, kw)
     fields = catalog(spec)
+    counts = _counting(monkeypatch, fields)
     report = check_on_manifold(
         [prolong2(f) for f in fields], equation_function(name, 3, **kw),
         solve_for=EQUATIONS[name].solve_for, n_samples=5, seed=0)
     assert report.verdict == "PASS"
-    return fields
+    return fields, counts
 
 
 def test_a_first_order_check_builds_no_second_total_derivative(monkeypatch):
     # the eikonal residual reads first derivatives only; whole rows built
     # all 75 coefficients' second total derivatives, and until the passes
     # took a depth every pass carried Hessian pairs
-    calls, depths, memos = _counting(monkeypatch)
-    _check_equation("eikonal")
+    _, (calls, depths, memos) = _check_equation(monkeypatch, "eikonal")
     jets = [j for memo in memos.values() for j in memo.values()]
     assert len(calls) == len(jets) == 75
     assert all(j[2] is None for j in jets)
@@ -594,8 +632,8 @@ def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
     # functions read at a point, 12 are affine texts with held slopes: the
     # boosts' psi eta and the projective generator's xi and psi eta make
     # the 8 passes per point
-    calls, depths, memos = _counting(monkeypatch)
-    fields = _check_equation("schrodinger", mass=1.0)
+    fields, (calls, depths, memos) = _check_equation(
+        monkeypatch, "schrodinger", mass=1.0)
     conj = {f.eta[1] for f in fields} - \
         {g for f in fields for g in f.xi + f.eta[:1]}
     assert len(conj) == 6
@@ -617,25 +655,24 @@ def test_a_basis_check_differentiates_every_coefficient(monkeypatch):
     # one per point for each function whose slopes are not held.  Every
     # text of AE is affine; AC's 12 that are not are its special conformal
     # generators' xi and eta
-    calls, depths, _ = _counting(monkeypatch)
-    for spec, passes in ((make_spec("AE", 3), 0),
-                         (make_spec("AC", 3, lam=0.6), 60)):
+    specs = {make_spec("AE", 3): 0, make_spec("AC", 3, lam=0.6): 60}
+    unheld = {spec: len(_unheld(catalog(spec))) for spec in specs}
+    calls, depths, _ = _counting(
+        monkeypatch, [f for spec in specs for f in catalog(spec)])
+    for spec, passes in specs.items():
         before = len(calls)
-        fields = catalog(spec)
-        check_absolute([prolong2(f) for f in fields], basis(spec),
+        check_absolute([prolong2(f) for f in catalog(spec)], basis(spec),
                        n_samples=5, seed=0)
-        assert len(calls) - before == 5 * len(_unheld(fields)) == passes
+        assert len(calls) - before == 5 * unheld[spec] == passes
     assert all(depths)
 
 
 def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
     # the first-order row's passes carry no Hessian pairs; the first d2
-    # read at the point runs each unheld coefficient's full-depth jet pass
-    # once, and not its value pass again, a held one's D_j D_i from its
-    # slopes, and the rows equal the whole row's entries.  AC's 12 unheld
-    # functions make 12 value passes and 24 jet passes, of which only the
-    # first 12 go through value_grad_hess
-    calls, depths, _ = _counting(monkeypatch)
+    # read at the point runs each unheld coefficient's value_grad_hess call
+    # again, at full depth, a held one's D_j D_i from its slopes, and the
+    # rows equal the whole row's entries.  AC's 12 unheld functions make
+    # 24 calls, each a value pass and a jet pass
     spec = make_spec("AC", 3, lam=0.6)
     evaluations, wrapped = [], {}
 
@@ -658,15 +695,16 @@ def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
                                         wrap(f.eta, plan[0][3:]), f.label,
                                         f.moves, plan)))
     assert len(_unheld(op.source for op in ops)) == len(wrapped) == 12
+    _, depths, _ = _counting(monkeypatch, [op.source for op in ops])
     point = sample_points(spec, False)[0]
     d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])
     d2 = flow_positions(3, 1, [d2_coord(1, 0, 1), d2_coord(1, 2, 2)])
     rows = [op.flow_table(point, at) for at in (d1, d2, d2) for op in ops]
-    assert depths == [False] * 12
-    # per function: its value pass, its first-order jet pass (4 gradient
+    assert depths == [False] * 12 + [True] * 12
+    # per function: two value passes, its first-order jet pass (4 gradient
     # slots twice) and its full-depth one (and 10 Hessian slots)
-    assert sorted(map(repr, evaluations)) == \
-        sorted(repr((fn, size)) for fn in wrapped for size in (None, 8, 18))
+    assert sorted(map(repr, evaluations)) == sorted(
+        repr((fn, size)) for fn in wrapped for size in (None, None, 8, 18))
     whole = [reference_flow(op, point) for op in ops]
     coords = [d1_coord(1, i) for i in range(3)], \
         [d2_coord(1, 0, 1), d2_coord(1, 2, 2)]
@@ -715,8 +753,8 @@ def test_each_eikonal_polynomial_is_evaluated_once_per_pass(monkeypatch):
 def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     # every pass at a point gets the point's one argument tuple and, per
     # depth, one list of seeded jets made for it; a whole row after a
-    # first-order one at the same point makes the full-depth jet passes
-    # alone, on the point's one list of full-depth jets
+    # first-order one at the same point makes each function's call again,
+    # at full depth, on the point's one list of full-depth jets
     seen, seeds = [], []
 
     def counted(fn, args, hessian=True, seeded=None):
@@ -739,17 +777,16 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
         for op in ops:
             op.flow_table(point, at)
         groups.append(seen[before:])
-    assert [len(g) for g in groups] == [15, 0, 15]
-    for group, depth in zip((groups[0], groups[2]), (False, True)):
+    assert [len(g) for g in groups] == [15, 15, 15]
+    for group, point, depth in zip(groups, (p, p, q), (False, True, True)):
         args, _, seeded = group[0]
-        assert args == (*p.x, *p.u) if group is groups[0] else \
-            args == (*q.x, *q.u)
+        assert args == (*point.x, *point.u)
         assert all(a is args and h is depth and s is seeded
                    for a, h, s in group)
         assert repr([(j.value, j.d) for j in seeded]) == \
             repr([(j.value, j.d) for j in seed_jets(args, depth)])
     assert [h for _, h in seeds] == [False, True, True]
-    assert seeds[0][0] is seeds[1][0] is groups[0][0][0]
+    assert seeds[0][0] is seeds[1][0] is groups[0][0][0] is groups[1][0][0]
     assert seeds[2][0] is groups[2][0][0] is not seeds[0][0]
 
 

@@ -6,35 +6,15 @@ from invforge.jetspace import (
     JetCoordinateId,
     JetPoint,
     base_coord,
-    contract,
     d1_coord,
     d2_coord,
     enumerate_coords,
-    euclidean,
     field_coord,
     from_log_jets,
-    minkowski,
     sample_generic,
     to_log_jets,
 )
 from references import coord_count
-
-
-def test_contract_euclidean():
-    assert contract(euclidean(3), (1, 2, 2), (1, 2, 2)) == 9
-
-
-def test_contract_minkowski_null_vector():
-    assert contract(minkowski(4), (1, 1, 0, 0), (1, 1, 0, 0)) == 0
-
-
-def test_contract_minkowski_timelike():
-    assert contract(minkowski(2), (3, 0), (3, 0)) == 9
-
-
-def test_contract_dimension_mismatch():
-    with pytest.raises(ValueError):
-        contract(euclidean(3), (1, 2), (1, 2, 3))
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (5, 3), (3, 2)])

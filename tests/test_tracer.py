@@ -76,3 +76,35 @@ def test_traced_counts_see_every_prolongation_table():
         tracer.uninstall()
     assert tracer.counts[("liealg.flow_table", "calls")] == 6
     assert tracer.counts[("liealg.coeff_table", "calls")] == 6
+
+
+def test_every_pass_of_a_d2_read_after_a_first_order_row_is_traced():
+    """A d2 read after a first-order row at one point runs each unheld
+    coefficient's value_grad_hess call again at full depth, so the traced
+    ``dual.hess_passes`` sees both of its calls: AC's 12 unheld functions
+    make 24 calls over k = 4 arguments, each weighed k * k + 1.  The fields
+    are planned before the trace, so no probe is counted."""
+    spec = liealg.make_spec("AC", 3, lam=0.6)
+    fields = liealg.catalog(spec)
+    for field in fields:
+        if field.plan is None:
+            field.plan = liealg._plan(field)
+    unheld = {f for field in fields
+              for f, held in zip(field.xi + field.eta, field.plan[0])
+              if held is None}
+    assert len(unheld) == 12
+    ops = [liealg.prolong2(f) for f in fields]
+    point = liealg.make_sampler(3, 1, seed=5)(0)
+    d1 = liealg.flow_positions(3, 1, [jetspace.d1_coord(1, i)
+                                      for i in range(3)])
+    d2 = liealg.flow_positions(3, 1, [jetspace.d2_coord(1, 0, 1)])
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for at in (d1, d2):
+            for op in ops:
+                op.flow_table(point, at)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts[("dual.vgh", "calls")] == 24
+    assert tracer.counts["dual.hess_passes"] == 24 * (4 * 4 + 1)
