@@ -215,17 +215,17 @@ class _View:
     index.  The plain view wraps the point's own tuples.  The gradient and
     operator views hold :class:`Jet1` jets, seeded with unit vectors or
     with the flow rows, and the curvature view :class:`Jet2` jets; each is
-    built once by :func:`_jet_view` and shared, with its ``cache``, by
-    every member evaluated on it, as a draw shares one plain view
-    (:func:`verify._draw`).  The cache holds what the members have in
-    common at the view's point: matrices, their metric powers, power
-    traces and form iterates (see the per-view builders), and the value
-    of every text, call and group that exprlang's parser interns
-    (:func:`exprlang.compiler`).  A view's reads never change, and each
-    cached value is made by the operations a member evaluated alone would
-    run, so sharing one gives every member the same bits.  The
-    :class:`Dual` numbers of :func:`seeded_view` are read only by tests and
-    the benchmark tracer."""
+    built once by :func:`_jet_view`.  The members at a point share one
+    view and its ``cache``: past an invariance sweep's rank points, the
+    operator view is their one pass at a point it accepts, and a plain
+    view only decides a point that pass failed at (:func:`verify._points`).
+    The cache holds matrices, their metric powers, power traces and form
+    iterates, and the value of every text, call and group that exprlang's
+    parser interns (:func:`exprlang.compiler`).  A view's reads never
+    change, and each cached value is made by the operations a member
+    evaluated alone would run, so sharing one gives every member the same
+    bits.  The :class:`Dual` numbers of :func:`seeded_view` are read only
+    by tests and the benchmark tracer."""
 
     __slots__ = ("_x", "_u", "_du", "_ddu", "cache")
 

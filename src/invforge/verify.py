@@ -6,7 +6,9 @@ All checks are deterministic given (seed, parameters) and draw their
 points through one loop, :func:`_points`.  An invariance residual X_j(F)
 comes from one first-order jet pass per member whose seeds are the
 operators' flow rows (:func:`invcat.operator_view`), which gives every
-operator's residual at once.  The family Jacobian
+operator's residual at once, and F's value: an invariance sweep's point
+past its rank points makes that one member pass, and the plain pass only
+decides a point it failed at (:func:`_points`).  The family Jacobian
 (:func:`family_jacobian`) is built only where a rank or a fit reads it:
 at completeness's rank points, where the residuals are then its dot
 products with the flow rows, in :func:`independence_rank` and in
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import cmath
 
-from .dual import EvaluationError, Jet2, derivs, is_finite
+from .dual import EvaluationError, Jet1, Jet2, derivs, is_finite, value_of
 from .invcat import (
     BasisFamily,
     ScalarJetFunction,
@@ -192,43 +194,67 @@ def _need_samples(n_samples):
         raise ValueError("n_samples must be at least 1")
 
 
-def _draw(sampler, members, idx):
-    """Sample a point where every member evaluates finitely; return it with
-    the members' plain values there, and the first point tried,
-    ``sampler(idx)``, which is the point itself unless it was redrawn.
-    Every member at a point tried is evaluated on one plain view of it,
-    so what the members share there (traces, forms, interned leaders) is
-    computed once, to the same bits as alone; a redraw makes a new view."""
-    attempt = idx
-    for _ in range(25):
-        point = sampler(attempt)
-        if attempt == idx:
-            first = point
-        try:
-            view = _plain_view(point)
-            values = []
-            for m in members:
-                val = m.eval(point, view)
-                if not is_finite(val):
-                    raise EvaluationError(f"non-finite value of {m.label}")
-                values.append(val)
-            return point, values, first
-        except EvaluationError:
-            attempt += 10007
+def _admitted(members, point):
+    """The members' plain values at ``point``, on one plain view they share;
+    None where one raises an ArithmeticError or is not finite."""
+    view = _plain_view(point)
+    try:
+        values = [m.eval(point, view) for m in members]
+    except ArithmeticError:
+        return None
+    return values if all(map(is_finite, values)) else None
+
+
+def _draw(sampler, members, idx, test=_admitted):
+    """Sample a point that ``test`` accepts; return it with what the test
+    gives (the members' plain values), and the first point tried,
+    ``sampler(idx)``, which is the point itself unless it was redrawn."""
+    first = sampler(idx)
+    for k in range(25):
+        point = sampler(idx + 10007 * k) if k else first
+        got = test(members, point)
+        if got is not None:
+            return point, got, first
     raise EvaluationError("could not sample an admissible generic point")
 
 
-def _points(ops, members, coords, sampler, count, draw=None):
+def _points(ops, members, coords, sampler, count, draw=None, seeded=()):
     """Draw points 0 .. count - 1 once each, with ``draw`` (default
     :func:`_draw`), and yield per point (point, member values, first point
-    tried, the operators' flow rows over ``coords``, ``at``).  A check that
-    reads a rank builds the family Jacobian at the points it reads."""
-    at = None
+    tried, the operators' flow rows over ``coords``, ``at``).  At an index
+    in ``seeded`` the values are the jets of one member pass seeded with
+    the rows (:func:`invcat.operator_view`), which carry X_j(F) too; where
+    the rows or the pass raise an ArithmeticError, or a value is not
+    finite, the plain test (:func:`_admitted`) decides: a point it rejects
+    is redrawn; at one it accepts, the error is raised again, or the jets
+    take its values.  As the pass makes the plain pass's value operations
+    (x/y as x*(1/y)), the draw keeps the plain draw's points and raises
+    the errors of that draw followed by the pass."""
+    at = ops and flow_positions(ops[0].source.n_base,
+                                ops[0].source.n_fields, coords)
+
+    def test(members, point):
+        try:
+            rows = [op.flow_table(point, at) for op in ops]
+            view = operator_view(point, coords, rows)
+            jets = [m.fn(view) for m in members]
+        except ArithmeticError:
+            if _admitted(members, point) is None:
+                return None
+            raise
+        if all(map(is_finite, jets)):
+            return jets, rows
+        plain = _admitted(members, point)
+        return None if plain is None else (
+            [Jet1(v, derivs(j, len(ops))) for v, j in zip(plain, jets)], rows)
+
     for s in range(count):
-        point, values, first = (draw or _draw)(sampler, members, s)
-        at = at or flow_positions(point.n_base, point.n_fields, coords)
-        yield (point, values, first,
-               [op.flow_table(point, at) for op in ops], at)
+        if s in seeded:
+            point, (values, rows), first = _draw(sampler, members, s, test)
+        else:
+            point, values, first = (draw or _draw)(sampler, members, s)
+            rows = [op.flow_table(point, at) for op in ops]
+        yield point, values, first, rows, at
 
 
 def _verdict(resid, scale, tol):
@@ -256,7 +282,8 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
     scan of the point's residual column, which raises for the first
     member whose residual is not finite under the first such operator.
     A point's residuals X(F) come from one pass seeded with the flow rows
-    (:func:`invcat.operator_view`).  An operator that moves none of
+    (:func:`invcat.operator_view`), at a seeded point the draw's own
+    (:func:`_points`).  An operator that moves none of
     ``coords`` (:func:`_moves_none`) builds no flow row and takes no slot
     in that pass: its row is all zero, so its records are residual 0.0
     and scale 0.0, as the pass would give them.  Over the first ``trials``
@@ -273,17 +300,20 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
     alg_rank = ind_rank = 0
     cols = _columns(members, coords) if trials else None
     for s, (point, values, first, rows, at) in enumerate(_points(
-            live, members, coords, sampler, max(trials, n_samples), draw)):
+            live, members, coords, sampler, max(trials, n_samples), draw,
+            range(trials, n_samples) if live and not draw else ())):
         jac = family_jacobian(members, point, coords, cols) \
             if s < trials else None
         if s < n_samples and live:
-            if jac is None:
-                view = operator_view(point, coords, rows)
-                resids = [derivs(m.fn(view), len(live)) for m in members]
-            else:
+            if jac is not None:
                 resids = [[sum_prod(row, grad) for row in rows]
                           for grad in jac]
-            mags = [abs(v) for v in values]
+            elif not draw:
+                resids = [derivs(v, len(live)) for v in values]
+            else:
+                view = operator_view(point, coords, rows)
+                resids = [derivs(m.fn(view), len(live)) for m in members]
+            mags = [abs(value_of(v)) for v in values]
             for op, row, col in zip(live, rows, zip(*resids)):
                 if not all(map(cmath.isfinite, col)):
                     mem = next(m for m, r in zip(members, col)
@@ -428,7 +458,7 @@ def _projecting_draw(residual, solve_for, n_samples):
                                      _slope(residual, point, solve_for) == 0):
                     picked = affine_coordinate(residual, point)
                 point = newton_project(residual, point, picked)
-            except EvaluationError:
+            except ArithmeticError:
                 continue
             return point, [residual.eval(point)], point
         raise EvaluationError("persistent Newton projection failure")

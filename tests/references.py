@@ -19,6 +19,10 @@ can check that the replacement gives every value bit for bit.
   (``verify._points``): each with its own loop over sample indices, the
   covariance fit rebuilding the tensor with ``TensorBuilder.build`` and
   writing its vector and matrix fit rows as two separate rules.
+- :func:`reference_sweep_points` is ``verify._points`` at the points of
+  an invariance sweep past its rank points as it was before the draw took
+  each member's value from the pass seeded with the flow rows: the plain
+  draw (``verify._draw``), then the flow rows and that pass.
 - :func:`reference_power_trace`, :func:`reference_mixed_power_trace` and
   :func:`reference_power_form` are ``invcat.power_trace``,
   ``mixed_power_trace`` and ``power_form`` as they were before a view
@@ -51,9 +55,9 @@ tensor's components at one point; and :func:`coord_count`.
 import functools
 
 from invforge.dual import Dual, EvaluationError, _Jet, _scalar_exp, \
-    _scalar_log, is_finite, value_of
+    _scalar_log, derivs, is_finite, value_of
 from invforge.invcat import TENSORS, covariant_tensor, equation_function, \
-    g_premul, mat_trace
+    g_premul, mat_trace, operator_view
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
 from invforge.liealg import EUCLID, flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
@@ -364,6 +368,20 @@ def reference_independence_rank(family, n_samples=5, seed=0, sampler=None,
     verdict = "PASS" if best_rank == expected else "FAIL"
     return RankReport(label, len(members), len(coords), best_pivots,
                       best_rank, expected, verdict)
+
+
+def reference_sweep_points(ops, members, coords, sampler, count):
+    """Per point 0 .. count - 1: (point, the members' plain values, first
+    point tried, the operators' flow rows, per member its residuals
+    X_j(F) from one pass seeded with the rows)."""
+    at = None
+    for s in range(count):
+        point, values, first = _draw(sampler, members, s)
+        at = at or flow_positions(point.n_base, point.n_fields, coords)
+        rows = [op.flow_table(point, at) for op in ops]
+        view = operator_view(point, coords, rows)
+        yield point, values, first, rows, \
+            [derivs(m.fn(view), len(ops)) for m in members]
 
 
 def reference_covariance(tensor, ops, n_samples=10, tol=1e-8, seed=0,

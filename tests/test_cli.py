@@ -545,29 +545,29 @@ def test_hat_variant_flag_wins_over_the_file(file_value, flag, tmp_path):
 
 def test_verify_expression_samples_the_basis_domain(monkeypatch):
     # a pasted AE1 row with a fractional power of u1: drawn from the
-    # positive-field domain of the basis, no sample is redrawn
-    from invforge import cli, invcat
-    from invforge.dual import EvaluationError
+    # positive-field domain of the basis, no sample is redrawn, so the
+    # points tried are the sample indices 0 .. DEFAULT_SAMPLES - 1 (a
+    # redraw of index s tries s + 10007)
+    from invforge import cli
     from invforge.verify import DEFAULT_SAMPLES
 
-    evals, rejected = [], []
-    plain_eval = invcat.ScalarJetFunction.eval
+    tried = []
+    make = cli.make_sampler
 
-    def counted(self, point, view=None):
-        evals.append(point)
-        try:
-            return plain_eval(self, point, view)
-        except EvaluationError:
-            rejected.append(point)
-            raise
+    def counting(*args, **kwargs):
+        sampler = make(*args, **kwargs)
 
-    monkeypatch.setattr(invcat.ScalarJetFunction, "eval", counted)
+        def counted(idx):
+            tried.append(idx)
+            return sampler(idx)
+        return counted
+
+    monkeypatch.setattr(cli, "make_sampler", counting)
     code = cli.main(["verify", "--algebra", "AE1", "--n", "3", "--lambda",
                      "0.6", "--expr", "S(2) / u1 ^ -4.666666666666667",
                      "--seed", "0"], stream=io.StringIO())
     assert code == 0
-    assert rejected == []
-    assert len(evals) == DEFAULT_SAMPLES
+    assert tried == list(range(DEFAULT_SAMPLES))
 
 
 @pytest.mark.parametrize("target", [("--algebra", "AP_inf"),
