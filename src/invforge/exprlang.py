@@ -318,6 +318,10 @@ def to_text(node) -> str:
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
+# the largest order k of S(k), R(k) and Sjk(j, k): a view keeps every power
+# or form iterate up to k, so an order in the millions held hundreds of MiB
+# before its sum overflowed; the bases and equations read k <= n + 1
+MAX_ORDER = 64
 # a jet symbol: t or x<k>, or u<r> (u is u1) with a suffix _<d> of
 # derivatives d, each t or x<k>; an index is decimal digits, which int() reads
 _COORD = r"t|x\d+"
@@ -633,8 +637,9 @@ def _compiler(n_base, n_fields, metric, field_kind, time_mode, lam, mu,
             lambda view: _boost_theta(c, *_jets(view, r, idx))
 
     def _order(node, k):
-        if k < 1:
-            raise BindError(f"{node.name} order {k} out of range")
+        if not 1 <= k <= MAX_ORDER:
+            raise BindError(
+                f"{node.name} order {k} out of range 1..{MAX_ORDER}")
         return k
 
     def compile_call(node):

@@ -42,12 +42,70 @@ from .liealg import _FAMILIES, EUCLID, GALILEI, GALILEI_PAIR, MINKOWSKI, \
     AlgebraSpec, algebra_space, make_sampler, make_spec
 
 # --------------------------------------------------------------------------
-# generic dense linear algebra over any scalar that supports + - * /.  The
-# dot products (sum_prod, and _dot with a metric's signs) fuse a term whose
-# two factors are both Jet1: one jet holds the running sum, its value and
-# every slot updated in one step, where the generic path builds a product
-# jet and then a sum jet; each slot makes the generic path's operations in
-# the same order, so it keeps its bits.  Every other term is total + x * y.
+# generic dense linear algebra over any scalar that supports + - * /.
+#
+# The dot products run on Jet1 operands in the member pass, and there a
+# dot of n terms whose factors are all Jet1 takes a fixed-size kernel,
+# _MACS[n], for 3 <= n <= 5 (the lengths of the member pass at n = 3, 4
+# and 5, where the bases are checked): one jet and one list comprehension,
+# whose value is ((v0*w0 + 0.0) + v1*w1) + ... and whose slot j is
+# ((v0*b0 + a0*w0) + (v1*b1 + a1*w1)) + ..., (a_l, b_l) being slot j of
+# the l-th factors.  Those are the operations, in the order, of the loop
+# total = total + x * y from 0.0, so every value and slot keeps its bits
+# (tests/references.py holds that loop).  Any other list (numbers, Jet2
+# factors, mixed lists, and jet lists of any other length) runs the loop
+# itself.
+
+
+def _mac3(xs, ys):
+    x0, x1, x2 = xs
+    y0, y1, y2 = ys
+    if not (Jet1 is type(x0) is type(x1) is type(x2)
+            is type(y0) is type(y1) is type(y2)):
+        return None
+    v0, v1, v2 = x0.value, x1.value, x2.value
+    w0, w1, w2 = y0.value, y1.value, y2.value
+    return Jet1(((v0 * w0 + 0.0) + v1 * w1) + v2 * w2, [
+        ((v0 * b0 + a0 * w0) + (v1 * b1 + a1 * w1)) + (v2 * b2 + a2 * w2)
+        for a0, b0, a1, b1, a2, b2
+        in zip(x0.d, y0.d, x1.d, y1.d, x2.d, y2.d)])
+
+
+def _mac4(xs, ys):
+    x0, x1, x2, x3 = xs
+    y0, y1, y2, y3 = ys
+    if not (Jet1 is type(x0) is type(x1) is type(x2) is type(x3)
+            is type(y0) is type(y1) is type(y2) is type(y3)):
+        return None
+    v0, v1, v2, v3 = x0.value, x1.value, x2.value, x3.value
+    w0, w1, w2, w3 = y0.value, y1.value, y2.value, y3.value
+    return Jet1((((v0 * w0 + 0.0) + v1 * w1) + v2 * w2) + v3 * w3, [
+        (((v0 * b0 + a0 * w0) + (v1 * b1 + a1 * w1))
+         + (v2 * b2 + a2 * w2)) + (v3 * b3 + a3 * w3)
+        for a0, b0, a1, b1, a2, b2, a3, b3
+        in zip(x0.d, y0.d, x1.d, y1.d, x2.d, y2.d, x3.d, y3.d)])
+
+
+def _mac5(xs, ys):
+    x0, x1, x2, x3, x4 = xs
+    y0, y1, y2, y3, y4 = ys
+    if not (Jet1 is type(x0) is type(x1) is type(x2) is type(x3)
+            is type(x4) is type(y0) is type(y1) is type(y2) is type(y3)
+            is type(y4)):
+        return None
+    v0, v1, v2, v3, v4 = x0.value, x1.value, x2.value, x3.value, x4.value
+    w0, w1, w2, w3, w4 = y0.value, y1.value, y2.value, y3.value, y4.value
+    return Jet1(
+        ((((v0 * w0 + 0.0) + v1 * w1) + v2 * w2) + v3 * w3) + v4 * w4, [
+            ((((v0 * b0 + a0 * w0) + (v1 * b1 + a1 * w1))
+              + (v2 * b2 + a2 * w2)) + (v3 * b3 + a3 * w3))
+            + (v4 * b4 + a4 * w4)
+            for a0, b0, a1, b1, a2, b2, a3, b3, a4, b4
+            in zip(x0.d, y0.d, x1.d, y1.d, x2.d, y2.d, x3.d, y3.d,
+                   x4.d, y4.d)])
+
+
+_MACS = {3: _mac3, 4: _mac4, 5: _mac5}
 
 
 def mat_mul(a, b):
@@ -56,8 +114,16 @@ def mat_mul(a, b):
 
 
 def sum_prod(xs, ys):
-    """Sum of x * y from 0.0 in index order; the operands must have one
-    length."""
+    """Sum of x * y from 0.0 in index order, the operands two sequences of
+    one length: by a kernel of ``_MACS`` when every factor is a Jet1 and
+    one of that length exists, else by the loop total = total + x * y,
+    which folds a term of two Jet1 factors in one jet."""
+    if xs and type(xs[0]) is Jet1:
+        mac = _MACS.get(len(xs))
+        if mac is not None and len(ys) == len(xs):
+            total = mac(xs, ys)
+            if total is not None:
+                return total
     total = 0.0
     for x, y in zip(xs, ys, strict=True):
         if type(x) is not Jet1 or type(y) is not Jet1:
@@ -81,7 +147,9 @@ def mat_trace(a):
 
 
 def trace_prod(a, b):
-    """``mat_trace(mat_mul(a, b))`` from the diagonal entries alone."""
+    """``mat_trace(mat_mul(a, b))`` from the diagonal entries alone: one
+    :func:`sum_prod` per entry, kernels included, summed from 0.0 in index
+    order."""
     total = 0.0
     for i, row in enumerate(a):
         total = total + sum_prod(row, [r[i] for r in b])
@@ -419,9 +487,12 @@ def _gvec(view, r, idx):
 
 
 def _dot(a, b, signs=None):
-    """a.G.b summed from 0.0 in index order, one product per term; with
-    a metric's ``signs`` (numbers), each term is signs[i] * a[i] * b[i],
-    fused as :func:`sum_prod` fuses its jet terms."""
+    """a.G.b summed from 0.0 in index order, one product per term.  With
+    no ``signs`` it is :func:`sum_prod`, kernels included; with a metric's
+    ``signs`` (numbers), each term is signs[i] * a[i] * b[i], and a term of
+    two Jet1 factors is folded into the running sum in one jet.  The
+    signed dots have no fixed-size kernel: they are about a tenth of the
+    member pass's dots, and kernels for them saved too little to keep."""
     if signs is None:
         return sum_prod(a, b)
     total = 0.0
@@ -760,6 +831,11 @@ def basis(spec: AlgebraSpec, hat_variant: str = "printed") -> BasisFamily:
         raise ValueError("hat_variant must be 'printed' or 'uniform'")
     if spec.name not in BASES:
         raise ValueError(f"no basis catalog for algebra {spec.name!r}")
+    from .exprlang import MAX_ORDER
+    # the rows bind traces and forms up to order n + 1 (Poincaré, conformal)
+    if spec.n >= MAX_ORDER:
+        raise ValueError(f"no basis at n = {spec.n}: its rows reach order "
+                         f"n + 1, and an order is at most {MAX_ORDER}")
     return BASES[spec.name][0](spec, hat_variant)
 
 

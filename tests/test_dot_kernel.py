@@ -1,9 +1,12 @@
-"""The fused Jet1 multiply-accumulate of invcat's dot products.
+"""The Jet1 multiply-accumulate of invcat's dot products.
 
-``sum_prod`` and ``_dot`` fold a term whose two factors are both
-:class:`Jet1` into the running sum in one step.  Every value and slot must
-keep the bits of the product-then-sum loop it replaced (the references in
-``references.py``), and the work it saves is pinned by counting jets.
+``sum_prod`` runs a dot of 3 to 5 terms whose factors are all
+:class:`Jet1` through a fixed-size kernel, one jet per dot, and
+``trace_prod`` sums such dots; every other list, and ``_dot`` with a
+metric's signs, folds each term of two Jet1 factors into the running sum
+in one step.  Every value and slot must keep the bits of the
+product-then-sum loop (the references in ``references.py``), and the work
+saved is pinned by counting jets.
 """
 
 import math
@@ -50,6 +53,25 @@ def _jet2(value, d):
     return Jet2(value, d, _JET2_SHAPE)
 
 
+def _flavoured_jets(rng, count):
+    """``count`` jets of three slots, one of each flavour in turn: float,
+    complex, signed-zero, inf or nan, and int slots and values.  Only slot
+    0 of the inf-or-nan flavour is not finite, so the other slots of a
+    result keep the rounding of every term."""
+    flavours = [
+        lambda: Jet1(rng.uniform(-2, 2), [rng.uniform(-2, 2)
+                                          for _ in range(3)]),
+        lambda: _complex_jets(rng, 1, 3)[0],
+        lambda: Jet1(rng.choice((0.0, -0.0)),
+                     [rng.choice((0.0, -0.0)) for _ in range(3)]),
+        lambda: Jet1(rng.uniform(-2, 2), [rng.choice((INF, -INF, NAN)),
+                                          rng.uniform(-2, 2), -0.0]),
+        lambda: Jet1(rng.randint(-4, 4), [rng.randint(-4, 4)
+                                          for _ in range(3)]),
+    ]
+    return [flavours[i % len(flavours)]() for i in range(count)]
+
+
 _RNG = random.Random(31)
 # (label, xs, ys): each operand list of one length, run through every
 # kernel against its reference
@@ -73,6 +95,19 @@ CASES = [
       Jet1(1.0, [0.0, -0.0]), 7, Jet1(3.0, [2.0, -4.0])]),
     ("floats first", [2.0, 1, Jet1(1.0, [0.5])], [3, -0.0, Jet1(2.0, [1.5])]),
     ("one term", _random_jets(_RNG, 1, 3), _random_jets(_RNG, 1, 3)),
+    # the largest kernel's length, and past it (as "rounding", of six)
+    ("five flavoured", _flavoured_jets(_RNG, 5), _flavoured_jets(_RNG, 5)),
+    ("seven flavoured", _flavoured_jets(_RNG, 7), _flavoured_jets(_RNG, 7)),
+    ("five floats", _random_jets(_RNG, 5, 4), _random_jets(_RNG, 5, 4)),
+    # every term and slot term -0.0: the value's sum from 0.0 reads +0.0,
+    # each slot's sum -0.0
+    *[(f"minus-zero terms {n}", [Jet1(-0.0, [-0.0, -1.0])] * n,
+       [Jet1(0.0, [0.0, 2.0])] * n) for n in (3, 4, 5)],
+    # a kernel's length with one factor a number: the loop runs it
+    ("mixed four", _random_jets(_RNG, 3, 2) + [2.5],
+     _random_jets(_RNG, 2, 2) + [-0.0] + _random_jets(_RNG, 1, 2)),
+    ("mixed five", _random_jets(_RNG, 2, 2) + [3] + _random_jets(_RNG, 2, 2),
+     _random_jets(_RNG, 4, 2) + [1.5]),
     ("empty", [], []),
     ("jet2 factors",
      [_jet2(1.5, [1.0, 0.0, 1.0, 0.0, 0.5, -0.0, 2.0]), 2.0,
@@ -151,18 +186,20 @@ def jets_made(monkeypatch):
 
 
 def test_a_jet_term_builds_one_jet(jets_made):
-    """A 4 x 4 Jet1 product builds one jet per term, 4 per entry (the
-    product-then-sum loop built 8, 128 in all); the trace of a product
-    builds them for the diagonal entries and one per sum of those."""
+    """A 4 x 4 Jet1 product builds one jet per entry (the per-term fold
+    built 4, 64 in all; the product-then-sum loop 128); the trace of a
+    product builds one per diagonal entry and one per term of their sum
+    (the per-term fold built 20).  The signed dot folds each term: one jet
+    per term."""
     rng = random.Random(2)
     a = [_random_jets(rng, 4, 3) for _ in range(4)]
     b = [_random_jets(rng, 4, 3) for _ in range(4)]
     jets_made.clear()
     mat_mul(a, b)
-    assert len(jets_made) == 64
+    assert len(jets_made) == 16
     jets_made.clear()
     trace_prod(a, b)
-    assert len(jets_made) == 4 * 4 + 4
+    assert len(jets_made) == 4 + 4
     jets_made.clear()
     _dot(a[0], b[0], (1.0, -1.0, -1.0, -1.0))
     assert len(jets_made) == 4
@@ -171,7 +208,8 @@ def test_a_jet_term_builds_one_jet(jets_made):
 def test_seeded_pass_of_a_basis_check(jets_made):
     """One seeded pass of the AE n = 3 basis, as a check makes it: every
     member evaluated on the view seeded with the operators' flow rows.
-    The product-then-sum loops built 177 jets for it."""
+    The per-term fold built 96 jets for it, the product-then-sum loops
+    177."""
     spec = make_spec("AE", 3)
     fam = basis(spec)
     ops = [prolong2(v) for v in catalog(spec)]
@@ -182,4 +220,4 @@ def test_seeded_pass_of_a_basis_check(jets_made):
     jets_made.clear()
     for m in fam.members:
         m.fn(view)
-    assert len(jets_made) == 96
+    assert len(jets_made) == 54

@@ -1,13 +1,14 @@
 """The equation residuals are exprlang texts, bound like any ``verify
 --expr`` text under their algebra; ``eik<r>`` selects the eikonal theta;
-the power builtins take every order k >= 1 and refuse the rest."""
+the power builtins take every order 1 <= k <= MAX_ORDER and refuse the
+rest."""
 
 import io
 
 import pytest
 
 from invforge import cli, equation_function
-from invforge.exprlang import BindError, bind
+from invforge.exprlang import MAX_ORDER, BindError, bind
 from invforge.invcat import EQUATIONS, covariant_tensor, power_trace
 from invforge.jetspace import minkowski
 from invforge.liealg import algebra_space
@@ -69,6 +70,40 @@ def test_zero_order_mixed_trace_is_a_usage_error(argv, capsys):
     assert cli.main(argv, stream=out) == 2
     assert out.getvalue() == ""
     assert "Sjk order 0 out of range" in capsys.readouterr().err
+
+
+def test_an_order_above_the_bound_is_refused_at_bind_time():
+    for text in (f"S({MAX_ORDER})", f"R({MAX_ORDER})",
+                 f"Sjk(1, {MAX_ORDER}; 1, 1)"):
+        bind(text, 3)
+    for text in (f"S({MAX_ORDER + 1})", f"R({MAX_ORDER + 1})",
+                 f"Sjk(1, {MAX_ORDER + 1}; 1, 1)", "S(1000000)"):
+        with pytest.raises(BindError, match="order .* out of range"):
+            bind(text, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "3", "--expr", f"S({MAX_ORDER + 1})"],
+    ["verify", "--equation", "eikonal-trace", "--n", "3", "--k",
+     str(MAX_ORDER + 1), "--samples", "2"],
+], ids=["eval", "eikonal-trace"])
+def test_an_order_above_the_bound_is_a_usage_error(argv, capsys):
+    # S(1000000) ran for seconds and held hundreds of MiB before it
+    # overflowed, exit 3
+    out = io.StringIO()
+    assert cli.main(argv, stream=out) == 2
+    assert out.getvalue() == ""
+    assert f"S order {MAX_ORDER + 1} out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "completeness"])
+def test_a_basis_whose_orders_pass_the_bound_names_n(command, capsys):
+    # the conformal rows bind order n + 1: "S order 65 out of range"
+    out = io.StringIO()
+    argv = [command, "--algebra", "AC", "--n", str(MAX_ORDER)]
+    assert cli.main(argv, stream=out) == 2
+    assert out.getvalue() == ""
+    assert f"no basis at n = {MAX_ORDER}" in capsys.readouterr().err
 
 
 def test_power_trace_above_the_base_dimension_checks():
