@@ -2,17 +2,16 @@
 checks, functional-independence ranks, completeness accounting, and
 covariance fits.
 
-All checks are deterministic given (seed, parameters) and draw their
-points through one loop, :func:`_points`.  An invariance residual X_j(F)
-comes from one first-order jet pass per member whose seeds are the
-operators' flow rows (:func:`invcat.operator_view`), which gives every
-operator's residual at once, and F's value: an invariance sweep's point
-past its rank points makes that one member pass, and the plain pass only
-decides a point it failed at (:func:`_points`).  The family Jacobian
-(:func:`family_jacobian`) is built only where a rank or a fit reads it:
-at completeness's rank points, where the residuals are then its dot
-products with the flow rows, in :func:`independence_rank` and in
-:func:`check_covariance`.
+All checks are deterministic given (seed, parameters) and draw their points
+through one loop, :func:`_points`.  An invariance residual X_j(F) comes
+from one first-order jet pass per member seeded with the operators' flow
+rows (:func:`invcat.operator_view`), which gives every operator's residual
+at once, and F's value: every point of a covariance fit (F a component T_c)
+and of an invariance sweep past its rank points makes that one member pass,
+and the plain pass only decides a point it failed at.  The family Jacobian
+(:func:`family_jacobian`) is built only where a rank reads it: at
+completeness's rank points, where the residuals are its dot products with
+the flow rows, and in :func:`independence_rank`.
 
 An invariance sweep leaves out every operator whose coefficients are all
 constants that are 0 at each base coordinate and field value the check
@@ -26,8 +25,8 @@ a check is left out, no pass runs, so a member whose derivative is not
 finite no longer raises.  While any operator is live, such a derivative
 makes every live slot non-finite, and the check raises as before, naming
 the first live operator.  :func:`check_covariance` leaves out the same
-operators: no flow row, no dot products with the Jacobian, and an action
-of 0.0 at every entry, which those products give, through the same fit.
+operators: no flow row, no slot in the pass, and an action of 0.0 at
+every entry, which their zero flow rows give, through the same fit.
 
 A check record is PASS when its residual stays within ``tol * (1 +
 scale)``, the one rule :func:`_verdict`.  For an invariance record the
@@ -156,8 +155,8 @@ def family_jacobian(members, point: JetPoint, coords, cols=None) -> list:
     and power caches).  Entries outside a member's dependency set are 0.0;
     a member with none of ``coords`` in it is not evaluated.  ``cols`` is
     ``_columns(members, coords)``, which a check computes once.  Only the
-    ranks and covariance fits read it: :func:`_sweep` at its rank points,
-    :func:`independence_rank` and :func:`check_covariance`."""
+    ranks read it: :func:`_sweep` at its rank points and
+    :func:`independence_rank`."""
     view = gradient_view(point, coords)
     rows = []
     for m, mcols in zip(members, cols or _columns(members, coords)):
@@ -221,15 +220,15 @@ def _draw(sampler, members, idx, test=_admitted):
 def _points(ops, members, coords, sampler, count, draw=None, seeded=()):
     """Draw points 0 .. count - 1 once each, with ``draw`` (default
     :func:`_draw`), and yield per point (point, member values, first point
-    tried, the operators' flow rows over ``coords``, ``at``).  At an index
-    in ``seeded`` the values are the jets of one member pass seeded with
-    the rows (:func:`invcat.operator_view`), which carry X_j(F) too; where
-    the rows or the pass raise an ArithmeticError, or a value is not
-    finite, the plain test (:func:`_admitted`) decides: a point it rejects
-    is redrawn; at one it accepts, the error is raised again, or the jets
-    take its values.  As the pass makes the plain pass's value operations
-    (x/y as x*(1/y)), the draw keeps the plain draw's points and raises
-    the errors of that draw followed by the pass."""
+    tried, the operators' flow rows over ``coords``, ``at``).  At an index in
+    ``seeded``, each of a covariance fit's, the values are the jets of one
+    member pass seeded with the rows (:func:`invcat.operator_view`), which
+    carry X_j(F) too; where the rows or the pass raise an ArithmeticError, or
+    a value is not finite, the plain test (:func:`_admitted`) decides: a point
+    it rejects is redrawn; at one it accepts, the error is raised again, or
+    the jets take its values.  The pass makes the plain pass's value
+    operations (x/y as x*(1/y)), so the draw keeps the plain draw's points and
+    raises that draw's errors, then the pass's."""
     at = ops and flow_positions(ops[0].source.n_base,
                                 ops[0].source.n_fields, coords)
 
@@ -549,9 +548,10 @@ def _lstsq(a, bs):
 def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
                      tol: float = DEFAULT_TOL,
                      seed: int = 0) -> CovarianceReport:
-    """Fit the prolonged action on a tensor against rotation-plus-scaling:
-    a skew mixing matrix plus a scalar multiple; PASS when the fit
-    residual is negligible against the action's size."""
+    """Fit the prolonged action on a tensor against rotation-plus-scaling: a
+    skew mixing matrix plus a scalar multiple; PASS when the fit residual is
+    negligible against the action's size.  The seeded pass of :func:`_points`
+    gives each T_c and X_j(T_c)."""
     _need_samples(n_samples)
     comps = tensor.components()
     size, gsign = tensor.size, tensor.space.metric.signs
@@ -577,11 +577,11 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     worst = {op.label: 0.0 for op in ops}
     scales = {op.label: 0.0 for op in ops}
     fits = {op.label: () for op in ops}
-    cols = _columns(comps, tensor.deps)
     live = [op for op in ops if not _moves_none(op, tensor.deps)]
-    for point, t, _, flows, _ in _points(
-            live, comps, tensor.deps, tensor.space.sampler(seed), n_samples):
-        jac = family_jacobian(comps, point, tensor.deps, cols)
+    for _, jets, _, _, _ in _points(
+            live, comps, tensor.deps, tensor.space.sampler(seed), n_samples,
+            seeded=range(n_samples) if live else ()):
+        t = [value_of(v) for v in jets]
         rows = []
         for cell, pairs in zip(cells, mixing):
             row = []
@@ -591,8 +591,8 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
                     acc += sign * t[c]
                 row.append(acc)
             rows.append(row + [t[cell]])
-        dots = iter([[sum_prod(f, jac[c]) for c in cells] for f in flows])
-        rhs = [next(dots) if op in live else [0.0] * len(cells) for op in ops]
+        acts = zip(*[derivs(jets[c], len(live)) for c in cells])
+        rhs = [next(acts) if op in live else [0.0] * len(cells) for op in ops]
         for op, b, (fit, resid) in zip(ops, rhs, _lstsq(rows, rhs)):
             if not is_finite(resid):
                 raise EvaluationError(

@@ -17,8 +17,11 @@ can check that the replacement gives every value bit for bit.
   are ``verify.independence_rank`` and ``verify.check_covariance`` as
   they were before every check drew its points through one loop
   (``verify._points``): each with its own loop over sample indices, the
-  covariance fit rebuilding the tensor with ``TensorBuilder.build`` and
-  writing its vector and matrix fit rows as two separate rules.
+  covariance fit writing its vector and matrix fit rows as two separate
+  rules.  The fit reads T and X(T) per operator from a pass of width one
+  seeded with that operator's flow row (``invcat.operator_view``), where
+  ``check_covariance`` makes one pass seeded with every live operator's
+  row; an all-zero row acts as 0.0, as the left-out operators do there.
 - :func:`reference_sweep_points` is ``verify._points`` at the points of
   an invariance sweep past its rank points as it was before the draw took
   each member's value from the pass seeded with the flow rows: the plain
@@ -398,20 +401,21 @@ def reference_covariance(tensor, ops, n_samples=10, tol=1e-8, seed=0,
     scales = {op.label: 0.0 for op in ops}
     fits = {op.label: () for op in ops}
     at = None
-    cols = _columns(comps, coords)
     for s in range(n_samples):
         point, _, _ = _draw(sampler, comps, s)
         at = at or flow_positions(point.n_base, point.n_fields, coords)
-        t_val = tensor.build(point)
-        jac = family_jacobian(comps, point, coords, cols)
         for op in ops:
-            coeffs = op.flow_table(point, at)
+            row = op.flow_table(point, at)
+            view = operator_view(point, coords, [row])
+            jets = [c.fn(view) for c in comps]
+            t_val = [value_of(j) for j in jets]
+            if tensor.kind == "matrix":
+                t_val = [t_val[a * size:(a + 1) * size] for a in range(size)]
 
             def action(ci):
-                acc = 0.0
-                for c, g in zip(coeffs, jac[ci]):
-                    acc = acc + c * g
-                return acc
+                # an all-zero row acts as 0.0, the sign its dot product
+                # with the gradient gives; the pass may give -0.0
+                return derivs(jets[ci], 1)[0] if any(row) else 0.0
 
             rows = []
             rhs = []
