@@ -284,9 +284,9 @@ class _View:
     operator views hold :class:`Jet1` jets, seeded with unit vectors or
     with the flow rows, and the curvature view :class:`Jet2` jets; each is
     built once by :func:`_jet_view`.  The members at a point share one
-    view and its ``cache``: past an invariance sweep's rank points, the
-    operator view is their one pass at a point it accepts, and a plain
-    view only decides a point that pass failed at (:func:`verify._points`).
+    view and its ``cache``: at every point a check admits, the operator
+    view is their one pass, and a plain view only decides a point that
+    pass failed at (:func:`verify._points`).
     The cache holds matrices, their metric powers, power traces and form
     iterates, and the value of every text, call and group that exprlang's
     parser interns (:func:`exprlang.compiler`).  A view's reads never

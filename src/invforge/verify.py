@@ -3,15 +3,14 @@ checks, functional-independence ranks, completeness accounting, and
 covariance fits.
 
 All checks are deterministic given (seed, parameters) and draw their points
-through one loop, :func:`_points`.  An invariance residual X_j(F) comes
-from one first-order jet pass per member seeded with the operators' flow
-rows (:func:`invcat.operator_view`), which gives every operator's residual
-at once, and F's value: every point of a covariance fit (F a component T_c)
-and of an invariance sweep past its rank points makes that one member pass,
-and the plain pass only decides a point it failed at.  The family Jacobian
-(:func:`family_jacobian`) is built only where a rank reads it: at
-completeness's rank points, where the residuals are its dot products with
-the flow rows, and in :func:`independence_rank`.
+through one loop, :func:`_points`, which admits every point by one
+first-order jet pass per member seeded with the operators' flow rows
+(:func:`invcat.operator_view`).  That pass gives F's value and every
+operator's residual X_j(F) at once; where a rank reads the gradient (at
+completeness's rank points and in :func:`independence_rank`) the unit rows
+over the check's coordinates follow the flow rows, so the same pass gives
+F's gradient too.  The plain pass only decides a point that pass failed
+at.  No check calls :func:`family_jacobian`.
 
 An invariance sweep leaves out every operator whose coefficients are all
 constants that are 0 at each base coordinate and field value the check
@@ -143,29 +142,22 @@ class CovarianceReport(Record):
             else "FAIL"
 
 
-def _columns(members, coords) -> list:
-    """Per member, the positions in ``coords`` of its dependencies."""
-    return [[ci for ci, c in enumerate(coords) if c in deps]
-            for deps in (set(m.deps) for m in members)]
-
-
-def family_jacobian(members, point: JetPoint, coords, cols=None) -> list:
+def family_jacobian(members, point: JetPoint, coords) -> list:
     """Rows of member gradients over ``coords``: one first-order jet pass
     per member, all members sharing one gradient view (and so its jets
     and power caches).  Entries outside a member's dependency set are 0.0;
-    a member with none of ``coords`` in it is not evaluated.  ``cols`` is
-    ``_columns(members, coords)``, which a check computes once.  Only the
-    ranks read it: :func:`_sweep` at its rank points and
-    :func:`independence_rank`."""
+    a member with none of ``coords`` in it is not evaluated.  No check
+    calls it: the ranks read the gradient slots of :func:`_points`' widened
+    pass, which are this pass's bit for bit within each member's
+    dependencies.  It stays the gradient reference of the tests, and
+    invbench's tracer binds it."""
     view = gradient_view(point, coords)
     rows = []
-    for m, mcols in zip(members, cols or _columns(members, coords)):
-        row = [0.0] * len(coords)
-        if mcols:
-            grad = derivs(m.fn(view), len(coords))
-            for ci in mcols:
-                row[ci] = grad[ci]
-        rows.append(row)
+    for m in members:
+        deps = set(m.deps)
+        grad = [0.0] * len(coords) if deps.isdisjoint(coords) else \
+            derivs(m.fn(view), len(coords))
+        rows.append([g if c in deps else 0.0 for c, g in zip(coords, grad)])
     return rows
 
 
@@ -206,8 +198,9 @@ def _admitted(members, point):
 
 def _draw(sampler, members, idx, test=_admitted):
     """Sample a point that ``test`` accepts; return it with what the test
-    gives (the members' plain values), and the first point tried,
-    ``sampler(idx)``, which is the point itself unless it was redrawn."""
+    gives (by default the members' plain values), and the first point
+    tried, ``sampler(idx)``, which is the point itself unless it was
+    redrawn."""
     first = sampler(idx)
     for k in range(25):
         point = sampler(idx + 10007 * k) if k else first
@@ -217,25 +210,33 @@ def _draw(sampler, members, idx, test=_admitted):
     raise EvaluationError("could not sample an admissible generic point")
 
 
-def _points(ops, members, coords, sampler, count, draw=None, seeded=()):
+def _points(ops, members, coords, sampler, count, draw=None, trials=0):
     """Draw points 0 .. count - 1 once each, with ``draw`` (default
-    :func:`_draw`), and yield per point (point, member values, first point
-    tried, the operators' flow rows over ``coords``, ``at``).  At an index in
-    ``seeded``, each of a covariance fit's, the values are the jets of one
-    member pass seeded with the rows (:func:`invcat.operator_view`), which
-    carry X_j(F) too; where the rows or the pass raise an ArithmeticError, or
-    a value is not finite, the plain test (:func:`_admitted`) decides: a point
-    it rejects is redrawn; at one it accepts, the error is raised again, or
-    the jets take its values.  The pass makes the plain pass's value
-    operations (x/y as x*(1/y)), so the draw keeps the plain draw's points and
-    raises that draw's errors, then the pass's."""
+    :func:`_draw`), and yield per point (point, member jets, first point
+    tried, the operators' flow rows over ``coords``, ``at``).  A point is
+    admitted by one member pass seeded with the L = len(ops) rows
+    (:func:`invcat.operator_view`), so slot j of a member's jet is X_j(F);
+    at the first ``trials`` points the unit rows over ``coords`` follow the
+    flow rows, and slot L + c is then dF/dcoords[c].  Jet rules are
+    slot-wise, so widening the pass changes no slot: slot j is the narrow
+    pass's, and slot L + c the gradient view's slot c.  Where the rows or
+    the pass raise an ArithmeticError, or a value is not finite, the plain
+    test (:func:`_admitted`) decides: a point it rejects is redrawn; at one
+    it accepts, the error is raised again, or the jets take its values.
+    The pass makes the plain pass's value operations (x/y as x*(1/y)), so
+    the draw keeps the plain draw's points and raises that draw's errors,
+    then the pass's."""
     at = ops and flow_positions(ops[0].source.n_base,
                                 ops[0].source.n_fields, coords)
+    k = len(coords)
+    units = [[float(p == c) for p in range(k)]
+             for c in range(k if trials else 0)]
+    extra = []   # the unit rows at a rank point, read by test
 
     def test(members, point):
         try:
             rows = [op.flow_table(point, at) for op in ops]
-            view = operator_view(point, coords, rows)
+            view = operator_view(point, coords, rows + extra)
             jets = [m.fn(view) for m in members]
         except ArithmeticError:
             if _admitted(members, point) is None:
@@ -244,16 +245,14 @@ def _points(ops, members, coords, sampler, count, draw=None, seeded=()):
         if all(map(is_finite, jets)):
             return jets, rows
         plain = _admitted(members, point)
-        return None if plain is None else (
-            [Jet1(v, derivs(j, len(ops))) for v, j in zip(plain, jets)], rows)
+        return None if plain is None else ([Jet1(v, derivs(
+            j, len(ops) + len(extra))) for v, j in zip(plain, jets)], rows)
 
     for s in range(count):
-        if s in seeded:
-            point, (values, rows), first = _draw(sampler, members, s, test)
-        else:
-            point, values, first = (draw or _draw)(sampler, members, s)
-            rows = [op.flow_table(point, at) for op in ops]
-        yield point, values, first, rows, at
+        extra = units if s < trials else []
+        point, (jets, rows), first = (draw or _draw)(sampler, members, s,
+                                                     test)
+        yield point, jets, first, rows, at
 
 
 def _verdict(resid, scale, tol):
@@ -280,40 +279,28 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
     members, updated a point at a time with ``map(max, ...)`` after one
     scan of the point's residual column, which raises for the first
     member whose residual is not finite under the first such operator.
-    A point's residuals X(F) come from one pass seeded with the flow rows
-    (:func:`invcat.operator_view`), at a seeded point the draw's own
-    (:func:`_points`).  An operator that moves none of
-    ``coords`` (:func:`_moves_none`) builds no flow row and takes no slot
-    in that pass: its row is all zero, so its records are residual 0.0
-    and scale 0.0, as the pass would give them.  Over the first ``trials``
-    points also take the largest generic rank, at ``sampler(s)`` as
-    :func:`generic_rank` reads it, and Jacobian rank; there the residuals
-    are the flow rows' dot products with the Jacobian's rows, so a rank
-    point makes one pass, and the left-out operators' zero rows, which
-    never change a rank, are not in the generic rank's matrix; the
-    Jacobian's columns (:func:`_columns`) are found only then.  Returns
-    (records, generic rank, independence rank)."""
+    A point's residuals X(F) are the first L slots of the draw's jets, one
+    per live operator.  An operator that moves none of ``coords``
+    (:func:`_moves_none`) builds no flow row and takes no slot in that
+    pass: its row is all zero, so its records are residual 0.0 and scale
+    0.0, as the pass would give them.  Over the first ``trials`` points
+    also take the largest generic rank, at ``sampler(s)`` as
+    :func:`generic_rank` reads it, and Jacobian rank, whose rows are the
+    remaining slots of the draw's widened pass; the left-out operators'
+    zero rows, which never change a rank, are not in the generic rank's
+    matrix.  Returns (records, generic rank, independence rank)."""
     worst = {op.label: [0.0] * len(members) for op in ops}
     scales = {label: list(col) for label, col in worst.items()}
     live = [op for op in ops if not _moves_none(op, coords)]
     alg_rank = ind_rank = 0
-    cols = _columns(members, coords) if trials else None
-    for s, (point, values, first, rows, at) in enumerate(_points(
+    for s, (point, jets, first, rows, at) in enumerate(_points(
             live, members, coords, sampler, max(trials, n_samples), draw,
-            range(trials, n_samples) if live and not draw else ())):
-        jac = family_jacobian(members, point, coords, cols) \
-            if s < trials else None
+            trials)):
+        slots = [derivs(v, len(live) + len(coords) * (s < trials))
+                 for v in jets]
         if s < n_samples and live:
-            if jac is not None:
-                resids = [[sum_prod(row, grad) for row in rows]
-                          for grad in jac]
-            elif not draw:
-                resids = [derivs(v, len(live)) for v in values]
-            else:
-                view = operator_view(point, coords, rows)
-                resids = [derivs(m.fn(view), len(live)) for m in members]
-            mags = [abs(value_of(v)) for v in values]
-            for op, row, col in zip(live, rows, zip(*resids)):
+            mags = [abs(value_of(v)) for v in jets]
+            for op, row, col in zip(live, rows, zip(*slots)):
                 if not all(map(cmath.isfinite, col)):
                     mem = next(m for m, r in zip(members, col)
                                if not cmath.isfinite(r))
@@ -329,7 +316,8 @@ def _sweep(ops, members, coords, sampler, n_samples, tol, trials=0,
                 rows = [op.flow_table(first, at) for op in live]
             rows = coefficient_rows(rows, point.n_base, point.n_fields, at)
             alg_rank = max(alg_rank, matrix_rank(rows)[0])
-            ind_rank = max(ind_rank, matrix_rank(jac)[0])
+            ind_rank = max(ind_rank, matrix_rank(
+                [d[len(live):] for d in slots])[0])
     order = sorted(range(len(members)), key=lambda k: members[k].label)
     records = []
     for label in sorted(worst):
@@ -438,17 +426,18 @@ def affine_coordinate(residual: ScalarJetFunction, point: JetPoint):
 
 def _projecting_draw(residual, solve_for, n_samples):
     """A draw like :func:`_draw` that projects samples onto the zero set
-    of ``residual`` (:func:`newton_project`), skipping those that fail to
-    project; all draws together try at most 20 * n_samples + 101 samples.
-    Every projection moves ``solve_for``, unless it is None or the
-    residual's exact derivative along it at the first sample tried is 0,
-    as u_t's is in the heat flow at mu = 0: then that sample picks the
-    coordinate (:func:`affine_coordinate`), or leaves each to the largest
-    derivative."""
+    of ``residual`` (:func:`newton_project`) and returns the first
+    projected point that ``test`` accepts, with what the test gives,
+    skipping samples that fail to project; all draws together try at most
+    20 * n_samples + 101 samples.  Every projection moves ``solve_for``,
+    unless it is None or the residual's exact derivative along it at the
+    first sample tried is 0, as u_t's is in the heat flow at mu = 0: then
+    that sample picks the coordinate (:func:`affine_coordinate`), or
+    leaves each to the largest derivative."""
     attempts = iter(range(20 * n_samples + 101))
     picked = solve_for
 
-    def draw(sampler, members, idx):
+    def draw(sampler, members, idx, test=_admitted):
         nonlocal picked
         for attempt in attempts:
             point = sampler(attempt)
@@ -459,7 +448,9 @@ def _projecting_draw(residual, solve_for, n_samples):
                 point = newton_project(residual, point, picked)
             except ArithmeticError:
                 continue
-            return point, [residual.eval(point)], point
+            got = test(members, point)
+            if got is not None:
+                return point, got, point
         raise EvaluationError("persistent Newton projection failure")
 
     return draw
@@ -489,11 +480,9 @@ def independence_rank(family, n_samples: int = 5,
     _need_samples(n_samples)
     members, coords, sampler, label = _parts(family, seed, None)
     best_rank, best_pivots = 0, ()
-    cols = _columns(members, coords)
-    for point, _, _, _, _ in _points([], members, coords, sampler,
-                                     n_samples):
-        rank, pivots = matrix_rank(family_jacobian(members, point, coords,
-                                                   cols))
+    for _, jets, _, _, _ in _points([], members, coords, sampler, n_samples,
+                                    trials=n_samples):
+        rank, pivots = matrix_rank([derivs(v, len(coords)) for v in jets])
         if rank > best_rank:
             best_rank, best_pivots = rank, tuple(pivots)
     verdict = "PASS" if best_rank == len(members) else "FAIL"
@@ -550,8 +539,8 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
                      seed: int = 0) -> CovarianceReport:
     """Fit the prolonged action on a tensor against rotation-plus-scaling: a
     skew mixing matrix plus a scalar multiple; PASS when the fit residual is
-    negligible against the action's size.  The seeded pass of :func:`_points`
-    gives each T_c and X_j(T_c)."""
+    negligible against the action's size.  The pass that admits each point
+    (:func:`_points`) gives each T_c and X_j(T_c)."""
     _need_samples(n_samples)
     comps = tensor.components()
     size, gsign = tensor.size, tensor.space.metric.signs
@@ -579,8 +568,7 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     fits = {op.label: () for op in ops}
     live = [op for op in ops if not _moves_none(op, tensor.deps)]
     for _, jets, _, _, _ in _points(
-            live, comps, tensor.deps, tensor.space.sampler(seed), n_samples,
-            seeded=range(n_samples) if live else ()):
+            live, comps, tensor.deps, tensor.space.sampler(seed), n_samples):
         t = [value_of(v) for v in jets]
         rows = []
         for cell, pairs in zip(cells, mixing):

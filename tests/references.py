@@ -22,10 +22,10 @@ can check that the replacement gives every value bit for bit.
   seeded with that operator's flow row (``invcat.operator_view``), where
   ``check_covariance`` makes one pass seeded with every live operator's
   row; an all-zero row acts as 0.0, as the left-out operators do there.
-- :func:`reference_sweep_points` is ``verify._points`` at the points of
-  an invariance sweep past its rank points as it was before the draw took
-  each member's value from the pass seeded with the flow rows: the plain
-  draw (``verify._draw``), then the flow rows and that pass.
+- :func:`reference_sweep_points` is ``verify._points`` as it was before
+  the draw took each member's value from the pass seeded with the flow
+  rows: the plain draw (``verify._draw``, or a projecting draw), then the
+  flow rows and that pass, and at a rank point the family Jacobian.
 - :func:`reference_power_trace`, :func:`reference_mixed_power_trace` and
   :func:`reference_power_form` are ``invcat.power_trace``,
   ``mixed_power_trace`` and ``power_form`` as they were before a view
@@ -64,7 +64,7 @@ from invforge.invcat import TENSORS, covariant_tensor, equation_function, \
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
 from invforge.liealg import EUCLID, flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
-    _columns, _draw, _lstsq, _parts, family_jacobian
+    _draw, _lstsq, _parts, family_jacobian
 
 _NUMBERS = (int, float, complex)
 _FACTORS = (Dual,) + _NUMBERS
@@ -359,10 +359,9 @@ def reference_independence_rank(family, n_samples=5, seed=0, sampler=None,
     members, coords, sampler, label = _parts(family, seed, sampler)
     best_rank = 0
     best_pivots = ()
-    cols = _columns(members, coords)
     for s in range(n_samples):
         point, _, _ = _draw(sampler, members, s)
-        jac = family_jacobian(members, point, coords, cols)
+        jac = family_jacobian(members, point, coords)
         rank, pivots = matrix_rank(jac)
         if rank > best_rank:
             best_rank, best_pivots = rank, tuple(pivots)
@@ -373,18 +372,22 @@ def reference_independence_rank(family, n_samples=5, seed=0, sampler=None,
                       best_rank, expected, verdict)
 
 
-def reference_sweep_points(ops, members, coords, sampler, count):
-    """Per point 0 .. count - 1: (point, the members' plain values, first
-    point tried, the operators' flow rows, per member its residuals
-    X_j(F) from one pass seeded with the rows)."""
+def reference_sweep_points(ops, members, coords, sampler, count, trials=0,
+                           draw=None):
+    """Per point 0 .. count - 1 of the plain draw (``draw``, default
+    ``verify._draw``, at the plain test): (point, the members' plain
+    values, first point tried, the operators' flow rows, per member its
+    residuals X_j(F) from one pass seeded with the rows, and at the first
+    ``trials`` points the family Jacobian, else None)."""
     at = None
     for s in range(count):
-        point, values, first = _draw(sampler, members, s)
+        point, values, first = (draw or _draw)(sampler, members, s)
         at = at or flow_positions(point.n_base, point.n_fields, coords)
         rows = [op.flow_table(point, at) for op in ops]
         view = operator_view(point, coords, rows)
         yield point, values, first, rows, \
-            [derivs(m.fn(view), len(ops)) for m in members]
+            [derivs(m.fn(view), len(ops)) for m in members], \
+            family_jacobian(members, point, coords) if s < trials else None
 
 
 def reference_covariance(tensor, ops, n_samples=10, tol=1e-8, seed=0,

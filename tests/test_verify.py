@@ -5,7 +5,7 @@ import math
 import pytest
 
 from invforge import cli, verify
-from invforge.dual import Dual, EvaluationError, derivs, dexp
+from invforge.dual import Dual, EvaluationError, derivs, dexp, value_of
 from invforge.exprlang import bind
 from invforge.invcat import (
     EQUATIONS,
@@ -248,12 +248,18 @@ def test_completeness_equals_its_three_counts(name, seed, n_samples):
 
 
 class _NonFiniteAt(ScalarJetFunction):
-    """A member whose plain value is NaN at one point (by equality)."""
+    """``member``, but NaN at the point ``bad``, on every view: plain and
+    jet passes alike read ``bad``'s values there."""
 
-    __slots__ = ("bad",)
+    __slots__ = ()
 
-    def eval(self, point, view=None):
-        return math.nan if point == self.bad else super().eval(point, view)
+    def __init__(self, member, bad):
+        def fn(view):
+            reads = [value_of(view.x(i)) for i in range(bad.n_base)] + \
+                [value_of(view.u(r)) for r in range(1, bad.n_fields + 1)]
+            return math.nan if reads == [*bad.x, *bad.u] else member.fn(view)
+
+        super().__init__(member.label, fn, member.deps, member.space)
 
 
 def test_completeness_generic_rank_reads_the_point_before_a_redraw(
@@ -261,9 +267,7 @@ def test_completeness_generic_rank_reads_the_point_before_a_redraw(
     spec = make_spec("AE", 3)
     fam = basis(spec)
     sampler = fam.space.sampler(1)
-    first = fam.members[0]
-    poisoned = _NonFiniteAt(first.label, first.fn, first.deps, first.space)
-    poisoned.bad = sampler(0)
+    poisoned = _NonFiniteAt(fam.members[0], sampler(0))
     fam = _with_members(fam, fam.label, (poisoned,) + fam.members[1:])
     point, _, tried = _draw(sampler, fam.members, 0)
     assert point != tried == sampler(0)
@@ -276,11 +280,15 @@ def test_completeness_generic_rank_reads_the_point_before_a_redraw(
         return flow(self, at_point, at)
 
     monkeypatch.setattr(ProlongedOperator, "flow_table", recorded)
+    live = [op for op in _ops("AE", 3)
+            if not verify._moves_none(op, fam.deps)]
     for n_samples in (2, 4, 10):
+        want = reference_completeness(spec, fam, n_samples, 1)
         seen.clear()
-        assert completeness(spec, fam, n_samples=n_samples, seed=1) == \
-            reference_completeness(spec, fam, n_samples, 1)
+        assert completeness(spec, fam, n_samples=n_samples, seed=1) == want
         assert tried in seen and point in seen
+        # the rows of the try the draw rejects, then the generic rank's
+        assert seen.count(tried) == 2 * len(live)
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])
@@ -671,18 +679,85 @@ def test_invariance_checks_build_no_jacobian(jacobian_calls):
     assert jacobian_calls == []
 
 
-def test_ranks_build_the_jacobian_where_they_read_it(jacobian_calls):
-    spec = make_spec("AE", 3)
-    completeness(spec, basis(spec), n_samples=20, seed=1)
-    assert len(jacobian_calls) == max(3, 20 // 2) == 10
-    jacobian_calls.clear()
-    independence_rank(basis(spec), n_samples=4, seed=1)
-    assert len(jacobian_calls) == 4
-    jacobian_calls.clear()
+def test_every_point_is_admitted_by_one_member_pass(jacobian_calls,
+                                                    monkeypatch):
+    """Every check admits each point by one operator-seeded pass, of width
+    L + len(coords) at a rank point and L elsewhere, and reads every
+    residual and gradient from it: no check calls ``family_jacobian``, a
+    point where every jet is finite makes no plain pass, and the only
+    plain passes of an on-manifold check are its projection's."""
+    views, yielded, evals, projecting = [], [], [], []
+    original_view, original_points = verify.operator_view, verify._points
+    original_eval = ScalarJetFunction.eval
+    original_project = verify.newton_project
+
+    def view(point, coords, rows):
+        views.append((point, len(rows)))
+        return original_view(point, coords, rows)
+
+    def points(ops, members, coords, sampler, count, draw=None, trials=0):
+        for s, item in enumerate(original_points(
+                ops, members, coords, sampler, count, draw, trials)):
+            width = len(ops) + len(coords) * (s < trials)
+            yielded.append((item[0], item[2], width))
+            yield item
+
+    def counted(self, *args):
+        evals.append(bool(projecting))
+        return original_eval(self, *args)
+
+    def project(*args):
+        projecting.append(True)
+        try:
+            return original_project(*args)
+        finally:
+            projecting.pop()
+
+    monkeypatch.setattr(verify, "operator_view", view)
+    monkeypatch.setattr(verify, "_points", points)
+    monkeypatch.setattr(ScalarJetFunction, "eval", counted)
+    monkeypatch.setattr(verify, "newton_project", project)
+
+    def admitted_once():
+        # each admitted point made one pass of its width; a point tried
+        # and redrawn made one too
+        assert yielded
+        for point, _, width in yielded:
+            assert [w for p, w in views if p is point] == [width]
+        assert len(views) == len(yielded) + sum(
+            first is not point for point, first, _ in yielded)
+        views.clear()
+        yielded.clear()
+
+    for name in ("AO", "AE", "AE1", "AC", "AP", "APtilde", "AC1n"):
+        spec = make_spec(name, 3)
+        fam = basis(spec)
+        live = len([op for op in _ops(name, 3)
+                    if not verify._moves_none(op, fam.deps)])
+        # 8 samples, the first max(3, 8 // 2) = 4 of them rank points
+        completeness(spec, fam, n_samples=8, seed=1)
+        assert [w for _, _, w in yielded] == \
+            [live + len(fam.deps)] * 4 + [live] * 4
+        admitted_once()
+        independence_rank(fam, n_samples=4, seed=1)
+        assert [w for _, _, w in yielded] == [len(fam.deps)] * 4
+        admitted_once()
+    assert evals == []
+    for ops, residual in ((_ops("AG2_I", 3, rep="u"),
+                           equation_function("heat", 3, mu=1.0)),
+                          (_ops("AP", 3), equation_function("eikonal", 3))):
+        check_on_manifold(ops, residual, n_samples=4, seed=1)
+        admitted_once()
+    assert evals and all(evals)
+    evals.clear()
+    check_absolute(_ops("AE", 3), basis(make_spec("AE", 3)), n_samples=4,
+                   seed=1)
+    admitted_once()
     # a covariance fit reads T and X(T) from the operator-seeded pass
     check_covariance(covariant_tensor("hessian", 3), _ops("AE1", 3, lam=0.6),
                      n_samples=3, seed=1)
-    assert jacobian_calls == []
+    admitted_once()
+    assert evals == [] and jacobian_calls == []
 
 
 # every cataloged tensor, with an algebra over its jet space
