@@ -53,21 +53,24 @@ class VectorField:
     then 0 at every other jet coordinate, at every point.  It is None, the
     default, when some coefficient may read an argument.
 
-    ``plan`` is (held, sparse), made by the first flow row (:func:`_plan`)
-    unless given.  ``held`` has per coefficient of ``xi + eta`` its
-    gradient and Hessian if they are the same at every point
+    ``plan`` is (held, sparse, zeros), made by the first flow row
+    (:func:`_plan`) unless given.  ``held`` has per coefficient of ``xi +
+    eta`` its gradient and Hessian if they are the same at every point
     (:func:`_probe`), else None; ``sparse`` is the field's sparse plan if
     every coefficient's slopes are held and two rules cover them, else
-    None.  A xi^k whose gradient is 0 in every
-    field slot and whose Hessian is all 0 has D_i xi^k equal to its
-    gradient entry where that is not 0, a zero elsewhere, and every D_j
-    D_i xi^k a zero; an eta_r of that kind whose base-slot gradient has no
-    -0.0 part and whose Hessian is all +0.0 has D_i eta_r equal to that
-    entry and every D_j D_i eta_r +0.0.  At a point where every du and ddu
-    entry is a finite float, or every one a finite complex, and every part
-    of every du entry is below 2**500 (:func:`_plan_kind`), a planned
-    field's flow row (:meth:`ProlongedOperator._flow`) takes those values
-    from its plan and leaves out each term with such a zero factor.
+    None.  A xi^k whose gradient is 0 in every field slot and whose
+    Hessian is all 0 has D_i xi^k equal to its gradient entry where that
+    is not 0, a zero elsewhere, and every D_j D_i xi^k a zero; an eta_r of
+    that kind whose base-slot gradient has no -0.0 part and whose Hessian
+    is all +0.0 has D_i eta_r equal to that entry and every D_j D_i eta_r
+    +0.0.  At a point where every du and ddu entry is a finite float, or
+    every one a finite complex, and every part of every du entry is below
+    2**500 (:func:`_plan_kind`), a planned field's flow row
+    (:meth:`ProlongedOperator._flow`) takes those values from its plan and
+    leaves out each term with such a zero factor.  ``zeros`` has per
+    coefficient the +0.0 D_j D_i tables (:func:`_zeros`) of one whose held
+    field-slot gradient is 0 and Hessian all +0.0, which a dense row reads
+    at such a point too.
     """
 
     __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves", "plan")
@@ -122,7 +125,7 @@ def _probe(fn, n, m):
     return grad, hess
 
 
-def _jets(fn, point, depth, slopes=None):
+def _jets(fn, point, depth, slopes=None, zeros=None):
     """[value, [D_i g], [[D_j D_i g]]] of a coefficient g = ``fn`` at a
     point, built once per point for all operators up to ``depth`` (0: the
     value, 1: and the first total derivatives, 2: and the second ones);
@@ -130,8 +133,11 @@ def _jets(fn, point, depth, slopes=None):
     coefficient with held ``slopes`` (:attr:`VectorField.plan`), or a read
     at depth 0, makes the value pass alone; held slopes stand for a pass's
     gradient and Hessian, and the total derivatives are expanded from them
-    as from a pass's.  Any other read makes one ``value_grad_hess`` call,
-    which carries Hessian pairs only at depth 2, so a deeper read of a
+    as from a pass's (with one field, one comprehension per row, the loop's
+    terms in its order), but D_j D_i g is the table of ``zeros``
+    (:func:`_zeros`) for the point's :func:`_plan_kind` where it has one.
+    Any other read makes one ``value_grad_hess`` call, which
+    carries Hessian pairs only at depth 2, so a deeper read of a
     coefficient memoized by a first-order one runs it again at full depth.
     Its passes share the point's one argument tuple and, per depth, its
     one list of seeded jets, made by the first pass that needs it.  A
@@ -164,30 +170,44 @@ def _jets(fn, point, depth, slopes=None):
     rn, rm = range(n), range(m)
     if jets[1] is None:
         # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
-        jets[1] = d = []
-        for i in rn:
-            out = grad[i]
-            for s in rm:
-                out = out + du[s][i] * grad[n + s]
-            d.append(out)
+        if m == 1:
+            jets[1] = [g + d * grad[n] for g, d in zip(grad, du[0])]
+        else:
+            jets[1] = d = []
+            for i in rn:
+                out = grad[i]
+                for s in rm:
+                    out = out + du[s][i] * grad[n + s]
+                d.append(out)
     if second:
         # D_j D_i g for g = g(x, u)
-        ddu = point.ddu
-        jets[2] = dd = [[None] * n for _ in range(n)]
-        for i in rn:
-            hess_i = hess[i]
-            for j in rn:
-                hess_j = hess[j]
-                out = hess_i[j]
-                for s in rm:
-                    dus, ns = du[s], n + s
-                    hs = hess[ns]
-                    out = out + dus[j] * hess_i[ns]
-                    out = out + dus[i] * hess_j[ns]
-                    out = out + ddu[s][i][j] * grad[ns]
-                    for t in rm:
-                        out = out + dus[i] * du[t][j] * hs[n + t]
-                dd[i][j] = out
+        table = zeros and zeros.get(_plan_kind(point))
+        if table:
+            jets[2] = table
+        elif m == 1:
+            du0, ddu0, g_u, h_uu = du[0], point.ddu[0], grad[n], hess[n][n]
+            h_u = [h[n] for h in hess]
+            jets[2] = [[h_ij + d_j * h_in + d_i * h_jn + dd_ij * g_u
+                        + d_i * d_j * h_uu
+                        for h_ij, d_j, h_jn, dd_ij in zip(h_i, du0, h_u, dd_i)]
+                       for h_i, d_i, h_in, dd_i in zip(hess, du0, h_u, ddu0)]
+        else:
+            ddu = point.ddu
+            jets[2] = dd = [[None] * n for _ in range(n)]
+            for i in rn:
+                hess_i = hess[i]
+                for j in rn:
+                    hess_j = hess[j]
+                    out = hess_i[j]
+                    for s in rm:
+                        dus, ns = du[s], n + s
+                        hs = hess[ns]
+                        out = out + dus[j] * hess_i[ns]
+                        out = out + dus[i] * hess_j[ns]
+                        out = out + ddu[s][i][j] * grad[ns]
+                        for t in rm:
+                            out = out + dus[i] * du[t][j] * hs[n + t]
+                    dd[i][j] = out
     return jets
 
 
@@ -195,6 +215,7 @@ def _jets(fn, point, depth, slopes=None):
 # Python 3.10-3.13 do; a complex point's plan rests on it
 _PROMOTES = math.copysign(1.0, (0.0 + complex(0.0, -0.0)).imag) > 0.0
 _DU_BOUND = 2.0 ** 500
+_ZEROS = {}  # _zeros' tables, one set per (n, float too) for every caller
 
 
 def _plan_kind(point):
@@ -224,47 +245,63 @@ def _minus_zero(z):
                for p in (z.real, z.imag))
 
 
+def _zeros(held, n):
+    """Per number type of :func:`_plan_kind`, the all-+0.0 D_j D_i g table
+    of a coefficient g whose ``held`` slopes are 0 in every field slot of
+    the gradient and +0.0 in every Hessian entry, else None: at such a
+    point each term of :func:`_jets`' sum is a zero, so it keeps its +0.0
+    start, complex where the point or an entry is (:data:`_PROMOTES`), so
+    float takes a table only when every such entry is a float."""
+    grad, hess = held
+    cells = (*grad[n:], *itertools.chain(*hess))
+    if any(type(z) not in (float, complex) or z != 0 for z in cells) or \
+            any(map(_minus_zero, itertools.chain(*hess))):
+        return None
+    floats = all(type(z) is float for z in cells)
+    return _ZEROS.setdefault((n, floats), {kind: [[kind(0.0)] * n] * n
+                             for kind in (complex,) + (float,) * floats})
+
+
 def _plan(field):
-    """(held, sparse) of :attr:`VectorField.plan`.  The sparse plan of a
-    field whose slopes are all held is: per i, the k whose D_i xi^k is not
-    0; per pair i <= j, the k of either i or j; and per number type of
+    """(held, sparse, zeros) of :attr:`VectorField.plan`, ``zeros`` each
+    coefficient's :func:`_zeros`.  The sparse plan of a field whose slopes
+    are all held is: per i, the k whose D_i xi^k is not 0; per pair i < j,
+    the terms (p, q, k), u_pk D_q xi^k, of eta_ij and of eta_ji whose D_q
+    xi^k is not 0, in the formula's order; and per number type of
     :func:`_plan_kind`, the D_i xi^k (cols[i][k]), the D_i eta_r and the
-    D_j D_i eta_r table of that type.  float takes a plan only when every
-    slot is a float."""
+    +0.0 D_j D_i eta_r table of that type (every eta's :func:`_zeros`).
+    float takes a plan only when every slot is a float."""
     n, m = field.n_base, field.n_fields
     held = tuple(_probe(f, n, m) for f in field.xi + field.eta)
+    zeros = tuple(h and _zeros(h, n) for h in held)
     if None in held:
-        return held, None
+        return held, None, zeros
     cells = [z for g, h in held for z in (*g, *itertools.chain(*h))]
     if any(type(z) not in (float, complex) for z in cells):
-        return held, None
+        return held, None, zeros
     for c, (grad, hess) in enumerate(held):
-        # every field slot of the gradient and every Hessian entry 0; an
-        # eta's other slots have no -0.0 part, and nor do a xi's nonzero
-        # gradient entries
-        if any(z != 0 for z in (*grad[n:], *itertools.chain(*hess))):
-            return held, None
-        signed = (*grad[:n], *itertools.chain(*hess)) if c >= n else \
-            [z for z in grad[:n] if z != 0]
-        if any(map(_minus_zero, signed)):
-            return held, None
+        # an eta has its +0.0 table and no -0.0 base slot; a xi is 0 in
+        # each field slot and Hessian entry, and no nonzero slot is -0.0
+        flat = zeros[c] if c >= n else not any(
+            z != 0 for z in (*grad[n:], *itertools.chain(*hess)))
+        signed = grad[:n] if c >= n else [z for z in grad[:n] if z != 0]
+        if not flat or any(map(_minus_zero, signed)):
+            return held, None, zeros
     rn = range(n)
     grads = [g for g, _ in held]
     ks = [tuple(k for k in rn if grads[k][i] != 0) for i in rn]
-    pairs = [[tuple(sorted({*ks[i], *ks[j]})) for j in rn] for i in rn]
+    # per pair i < j and per k, u_jk D_i xi^k then u_ik D_j xi^k for
+    # eta_ij, the other order for eta_ji, each where its D xi^k is not 0
+    terms = [[[[(j, i, k)] * (k in ks[i]) + [(i, j, k)] * (k in ks[j])
+               for k in rn] for j in range(i + 1, n)] for i in rn]
+    pairs = [[(sum(ts, []), sum((t[::-1] for t in ts), [])) for ts in row]
+             for row in terms]
     kinds = (complex,) + (float,) * all(type(z) is float for z in cells)
     return held, (ks, pairs, {
         kind: ([[kind(grads[k][i]) for k in rn] for i in rn],
                [[kind(g) for g in grads[n + r][:n]] for r in range(m)],
-               [[kind(0.0)] * n] * n)
-        for kind in kinds})
-
-
-@functools.cache
-def _dense_plan(n):
-    """The k of every term, for each D_i and each pair i <= j."""
-    rn = range(n)
-    return (rn,) * n, ((rn,) * n,) * n
+               zeros[n][kind])
+        for kind in kinds}), zeros
 
 
 class ProlongedOperator:
@@ -297,21 +334,20 @@ class ProlongedOperator:
         """Flow row at a point, None in each block ``at`` does not read.
 
         Each entry is a running difference: a start value (D_i eta, or
-        D_j D_i eta) minus, per k of its plan, the terms that read D_i xi^k
-        and D_j D_i xi^k, in the order of the prolongation formula.  The
-        dense plan (:func:`_dense_plan`) has every k and takes its values
-        from the coefficients' jets (:func:`_jets`).  A field's sparse plan
-        (:attr:`VectorField.plan`), at a point of its number type
-        (:func:`_plan_kind`), takes the start values and D_i xi^k from the
-        plan and only the values from the jets.  It drops every D_j D_i
-        xi^k term, and every k whose D_i xi^k is a zero, or for an
-        off-diagonal pair whose D_i xi^k and D_j xi^k both are.  Every row
-        keeps its bits: its start has no -0.0 part, a difference that does
-        not start at -0.0 never becomes -0.0, and subtracting a zero of
-        either sign from it changes nothing.  An off-diagonal pair's eta_ij
-        and eta_ji come from one k-loop that forms u_kj D_i xi^k and u_ik
-        D_j xi^k once for both, reading u_jk for u_kj (a :class:`JetPoint`
-        holds mirrored entries as one number)."""
+        D_j D_i eta) minus the terms that read D_i xi^k and D_j D_i xi^k,
+        in the order of the prolongation formula.  A dense row has every k
+        and takes its values from the coefficients' jets (:func:`_jets`).
+        A field's sparse plan (:attr:`VectorField.plan`), at a point of its
+        number type (:func:`_plan_kind`), takes the start values and D_i
+        xi^k from the plan and only the values from the jets, and drops
+        every D_j D_i xi^k term and every term whose D xi^k factor is a
+        zero.  Every row keeps its bits: its start has no -0.0 part, a
+        difference that does not start at -0.0 never becomes -0.0, and
+        subtracting a zero of either sign from it changes nothing.  A
+        dense off-diagonal pair's eta_ij and eta_ji come from one k-loop
+        that forms u_kj D_i xi^k and u_ik D_j xi^k once for both, reading
+        u_jk for u_kj (a :class:`JetPoint` holds mirrored entries as one
+        number)."""
         src = self.source
         n, m = src.n_base, src.n_fields
         if point.n_base != n or point.n_fields != m:
@@ -320,20 +356,19 @@ class ProlongedOperator:
         du, ddu = point.du, point.ddu
         if src.plan is None:
             src.plan = _plan(src)
-        held, plan = src.plan
+        held, plan, zeros = src.plan
         sparse = plan and plan[2].get(_plan_kind(point))
+        rn = range(n)  # made once, as in _jets
         if sparse:
             ks, pairs = plan[:2]
             cols, d_etas, dd_eta = sparse
             row = [_jets(f, point, 0, h)[0] for f, h in zip(src.xi, held)]
-            dd_xi = None
         else:
-            ks, pairs = _dense_plan(n)
-            xi, d_xi, dd_xi = zip(*[_jets(f, point, 1 + bool(second), h)
-                                    for f, h in zip(src.xi, held)])
+            ks = (rn,) * n
+            xi, d_xi, dd_xi = zip(*[_jets(f, point, 1 + bool(second), h, z)
+                                    for f, h, z in zip(src.xi, held, zeros)])
             cols = list(zip(*d_xi))  # cols[i][k] = D_i xi^k
             row = list(xi)
-        rn = range(n)  # made once, as in _jets
         for r in range(m):
             if r not in first:
                 row += [None] * (n + 1)
@@ -343,7 +378,7 @@ class ProlongedOperator:
                 d_eta = d_etas[r]
             else:
                 eta, d_eta = _jets(src.eta[r], point, 1 + (r in second),
-                                   held[n + r])[:2]
+                                   held[n + r], zeros[n + r])[:2]
                 row.append(eta)
             du_r = du[r]
             for i in rn:
@@ -357,31 +392,39 @@ class ProlongedOperator:
                 continue
             # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k
             #          - u_ik D_j xi^k
-            if not sparse:
-                dd_eta = _jets(src.eta[r], point, 2, held[n + r])[2]
             du_r, ddu_r = du[r], ddu[r]
+            if sparse:
+                for i in rn:
+                    col_i, ddu_ri, dd_eta_i = cols[i], ddu_r[i], dd_eta[i]
+                    val = dd_eta_i[i]
+                    for k in ks[i]:
+                        a = ddu_ri[k] * col_i[k]
+                        val = val - a - a
+                    row.append(val)
+                    for j, (terms_ij, terms_ji) in enumerate(pairs[i], i + 1):
+                        ij, ji = dd_eta_i[j], dd_eta[j][i]
+                        for p, q, k in terms_ij:
+                            ij = ij - ddu_r[p][k] * cols[q][k]
+                        for p, q, k in terms_ji:
+                            ji = ji - ddu_r[p][k] * cols[q][k]
+                        row.append((ij + ji) / 2.0)
+                continue
+            dd_eta = _jets(src.eta[r], point, 2, held[n + r], zeros[n + r])[2]
             for i in rn:
                 col_i, ddu_ri, dd_eta_i = cols[i], ddu_r[i], dd_eta[i]
                 val = dd_eta_i[i]
-                for k in pairs[i][i]:
+                for k in rn:
                     a = ddu_ri[k] * col_i[k]
-                    if dd_xi:
-                        val = val - a - du_r[k] * dd_xi[k][i][i] - a
-                    else:
-                        val = val - a - a
+                    val = val - a - du_r[k] * dd_xi[k][i][i] - a
                 row.append(val)
                 for j in range(i + 1, n):
                     col_j, ddu_rj = cols[j], ddu_r[j]
                     ij, ji = dd_eta_i[j], dd_eta[j][i]
-                    for k in pairs[i][j]:
+                    for k in rn:
                         a, c = ddu_rj[k] * col_i[k], ddu_ri[k] * col_j[k]
-                        if dd_xi:
-                            dd_k, du_rk = dd_xi[k], du_r[k]
-                            ij = ij - a - du_rk * dd_k[i][j] - c
-                            ji = ji - c - du_rk * dd_k[j][i] - a
-                        else:
-                            ij = ij - a - c
-                            ji = ji - c - a
+                        dd_k, du_rk = dd_xi[k], du_r[k]
+                        ij = ij - a - du_rk * dd_k[i][j] - c
+                        ji = ji - c - du_rk * dd_k[j][i] - a
                     row.append((ij + ji) / 2.0)
         return row
 
@@ -914,7 +957,7 @@ def _eikonal_family(spec: AlgebraSpec):
             nb, 1, [make_xi(k, fns) for k in range(nb)],
             [lambda xs, us, eta=fns["eta"]: eta(us[0])],
             f"X{inst}{'+d' if spec.extended else ''}",
-            plan=((None,) * (nb + 1), None)))
+            plan=((None,) * (nb + 1), None, (None,) * (nb + 1))))
     return fields
 
 

@@ -341,19 +341,20 @@ def check_absolute(ops, family, n_samples: int = DEFAULT_SAMPLES,
 
 
 def newton_project(residual: ScalarJetFunction, point: JetPoint,
-                   solve_for=None) -> JetPoint:
+                   solve_for=None, *, _first_slope=None) -> JetPoint:
     """Project a point onto the residual's zero set by adjusting one jet
     coordinate, ``solve_for``, or when it is None the coordinate with the
     largest derivative at ``point``.  :func:`check_on_manifold` passes the
     coordinate :func:`affine_coordinate` picks, when there is one.
 
     A secant iteration: the first slope is the residual's exact derivative
-    along the coordinate, from one ``Jet1`` pass; each later slope is the
-    difference quotient of the last two iterates, so a step costs one plain
-    evaluation.  Along a coordinate the residual is affine in, the first
-    step lands on the zero set up to rounding.  A step that leaves the
-    coordinate where it was raises."""
-    cid = solve_for
+    along the coordinate, ``_first_slope`` where the caller took it, else
+    from one ``Jet1`` pass; each later slope is the difference quotient of
+    the last two iterates, so a step costs one plain evaluation.  Along a
+    coordinate the residual is affine in, the first step lands on the zero
+    set up to rounding.  A step that leaves the coordinate where it was
+    raises."""
+    cid, slope = solve_for, _first_slope
     if cid is None:
         best = 0.0
         grad = derivs(residual.fn(gradient_view(point, residual.deps)),
@@ -363,7 +364,7 @@ def newton_project(residual: ScalarJetFunction, point: JetPoint,
                 best, cid, slope = abs(d), c, d
         if cid is None:
             raise EvaluationError("residual has no usable jet coordinate")
-    else:
+    elif slope is None:
         slope = _slope(residual, point, cid)
     prev = None
     for _ in range(_NEWTON_MAX_ITER):
@@ -406,21 +407,23 @@ def affine_coordinate(residual: ScalarJetFunction, point: JetPoint):
     """The first d2, else the first d1, dependency of ``residual`` along
     which its exact second derivative at ``point`` is 0 and its first is
     not; None when there is none, or when the residual cannot be
-    evaluated there.  One :class:`Jet2` pass over the diagonal
-    pairs (:func:`invcat.curvature_view`) gives both derivatives of every
-    candidate."""
+    evaluated there.  A :class:`Jet2` pass over the diagonal pairs
+    (:func:`invcat.curvature_view`) seeds the first candidate, and a second
+    the others only when it is not affine: jet rules are slot-wise and a
+    pass raises only on values, so the pick is one pass's over them all."""
     coords = [c for kind in ("d2", "d1") for c in residual.deps
               if c.kind == kind]
-    k = len(coords)
-    try:
-        out = residual.fn(curvature_view(point, coords))
-    except EvaluationError:
-        return None
-    if not isinstance(out, Jet2):
-        return None
-    for c, d1, d2 in zip(coords, out.d[k:2 * k], out.d[2 * k:]):
-        if d2 == 0 and d1 != 0:
-            return c
+    rest = coords[1:]
+    for part in (coords[:1], rest) if rest else (coords,):
+        k = len(part)
+        try:
+            out = residual.fn(curvature_view(point, part))
+        except EvaluationError:
+            return None
+        if isinstance(out, Jet2):
+            for c, d1, d2 in zip(part, out.d[k:2 * k], out.d[2 * k:]):
+                if d2 == 0 and d1 != 0:
+                    return c
     return None
 
 
@@ -433,7 +436,8 @@ def _projecting_draw(residual, solve_for, n_samples):
     unless it is None or the residual's exact derivative along it at the
     first sample tried is 0, as u_t's is in the heat flow at mu = 0: then
     that sample picks the coordinate (:func:`affine_coordinate`), or
-    leaves each to the largest derivative."""
+    leaves each to the largest derivative.  A nonzero derivative found
+    there seeds that sample's secant, which so takes no second pass."""
     attempts = iter(range(20 * n_samples + 101))
     picked = solve_for
 
@@ -442,10 +446,12 @@ def _projecting_draw(residual, solve_for, n_samples):
         for attempt in attempts:
             point = sampler(attempt)
             try:
-                if attempt == 0 and (solve_for is None or
-                                     _slope(residual, point, solve_for) == 0):
+                slope = None if attempt or solve_for is None else \
+                    _slope(residual, point, solve_for)
+                if attempt == 0 and not slope:
                     picked = affine_coordinate(residual, point)
-                point = newton_project(residual, point, picked)
+                point = newton_project(residual, point, picked,
+                                       _first_slope=slope or None)
             except ArithmeticError:
                 continue
             got = test(members, point)

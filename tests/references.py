@@ -11,8 +11,13 @@ can check that the replacement gives every value bit for bit.
   over every direction.
 - :func:`reference_flow` is ``ProlongedOperator._flow`` as it was before
   the flat second-order jet pass: each operator runs every one of its
-  coefficients, on nested-dual partials by default, through ``total_d``
-  and ``total_dd`` itself.
+  coefficients, on nested-dual partials by default, through the
+  total-derivative loops :func:`total_d` and :func:`total_dd`, which are
+  also ``liealg._jets``' loops as they were before one field took one
+  comprehension per row and a held +0.0 Hessian its +0.0 table.
+- :func:`reference_affine_coordinate` is ``verify.affine_coordinate`` as
+  it was before the first candidate took a pass of its own: one
+  ``Jet2`` pass over every candidate.
 - :func:`reference_independence_rank` and :func:`reference_covariance`
   are ``verify.independence_rank`` and ``verify.check_covariance`` as
   they were before every check drew its points through one loop
@@ -57,10 +62,10 @@ tensor's components at one point; and :func:`coord_count`.
 
 import functools
 
-from invforge.dual import Dual, EvaluationError, _Jet, _scalar_exp, \
+from invforge.dual import Dual, EvaluationError, Jet2, _Jet, _scalar_exp, \
     _scalar_log, derivs, is_finite, value_of
-from invforge.invcat import TENSORS, covariant_tensor, equation_function, \
-    g_premul, mat_trace, operator_view
+from invforge.invcat import TENSORS, covariant_tensor, curvature_view, \
+    equation_function, g_premul, mat_trace, operator_view
 from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
 from invforge.liealg import EUCLID, flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
@@ -217,41 +222,23 @@ def reference_flow(op, point, value_grad_hess=nested_value_grad_hess):
         eta_hess.append(h)
 
     du, ddu = point.du, point.ddu
-
-    def total_d(grad, i):
-        # D_i g = g_x_i + sum_s u^s_i g_u^s  for g = g(x, u)
-        out = grad[i]
-        for s in range(m):
-            out = out + du[s][i] * grad[n + s]
-        return out
-
-    def total_dd(grad, hess, i, j):
-        # D_j D_i g for g = g(x, u)
-        out = hess[i][j]
-        for s in range(m):
-            out = out + du[s][j] * hess[i][n + s]
-            out = out + du[s][i] * hess[j][n + s]
-            out = out + ddu[s][i][j] * grad[n + s]
-            for t in range(m):
-                out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
-        return out
-
-    d_xi = [[total_d(xi_grad[k], i) for i in range(n)] for k in range(n)]
+    d_xi = [[total_d(xi_grad[k], point, i) for i in range(n)]
+            for k in range(n)]
     flow = {}
     for i in range(n):
         flow[base_coord(i)] = xi_val[i]
     for r in range(m):
         flow[field_coord(r + 1)] = eta_val[r]
         for i in range(n):
-            val = total_d(eta_grad[r], i)
+            val = total_d(eta_grad[r], point, i)
             for k in range(n):
                 val = val - du[r][k] * d_xi[k][i]
             flow[d1_coord(r + 1, i)] = val
 
-    dd_xi = [[[total_dd(xi_grad[k], xi_hess[k], i, j) for j in range(n)]
-              for i in range(n)] for k in range(n)]
-    dd_eta = [[[total_dd(eta_grad[r], eta_hess[r], i, j) for j in range(n)]
-               for i in range(n)] for r in range(m)]
+    dd_xi = [[[total_dd(xi_grad[k], xi_hess[k], point, i, j)
+               for j in range(n)] for i in range(n)] for k in range(n)]
+    dd_eta = [[[total_dd(eta_grad[r], eta_hess[r], point, i, j)
+                for j in range(n)] for i in range(n)] for r in range(m)]
 
     def eta2(r, i, j):
         # eta_ij = D_j D_i eta - u_kj D_i xi^k - u_k D_j D_i xi^k
@@ -270,6 +257,46 @@ def reference_flow(op, point, value_grad_hess=nested_value_grad_hess):
                 flow[d2_coord(r + 1, i, j)] = \
                     (eta2(r, i, j) + eta2(r, j, i)) / 2.0
     return flow
+
+
+def total_d(grad, point, i):
+    """D_i g = g_x_i + sum_s u^s_i g_u^s at ``point``, for g = g(x, u) of
+    partials ``grad``."""
+    n, du = point.n_base, point.du
+    out = grad[i]
+    for s in range(point.n_fields):
+        out = out + du[s][i] * grad[n + s]
+    return out
+
+
+def total_dd(grad, hess, point, i, j):
+    """D_j D_i g at ``point``, for g = g(x, u) of partials ``grad`` and
+    ``hess``."""
+    n, m, du, ddu = point.n_base, point.n_fields, point.du, point.ddu
+    out = hess[i][j]
+    for s in range(m):
+        out = out + du[s][j] * hess[i][n + s]
+        out = out + du[s][i] * hess[j][n + s]
+        out = out + ddu[s][i][j] * grad[n + s]
+        for t in range(m):
+            out = out + du[s][i] * du[t][j] * hess[n + s][n + t]
+    return out
+
+
+def reference_affine_coordinate(residual, point):
+    coords = [c for kind in ("d2", "d1") for c in residual.deps
+              if c.kind == kind]
+    k = len(coords)
+    try:
+        out = residual.fn(curvature_view(point, coords))
+    except EvaluationError:
+        return None
+    if not isinstance(out, Jet2):
+        return None
+    for c, d1, d2 in zip(coords, out.d[k:2 * k], out.d[2 * k:]):
+        if d2 == 0 and d1 != 0:
+            return c
+    return None
 
 
 def reference_jet2_shape(k, pairs):
