@@ -219,9 +219,11 @@ def _functions(cfg):
 
 def _sampler(spec, cfg):
     """The run's points in the jet space of ``spec``, with u > 0 where its
-    family's row or a ``--function`` text needs it."""
+    family's row, a ``--function`` text or the ``--expr`` text needs it."""
     positive = _FAMILIES[spec.name][1] or any(
-        needs_positive_u(text) for _, text in _functions(cfg))
+        needs_positive_u(text) for _, text in _functions(cfg)) or (
+        "expr" in cfg and needs_positive_u(cfg["expr"],
+                                           text_binding(spec)[1]))
     return make_sampler(spec.n_base, spec.n_fields, spec.field_kind,
                         cfg["seed"], positive_fields=positive)
 
@@ -394,8 +396,11 @@ def _cmd_eval(cfg, args, stream):
     fn = bind(cfg["expr"], n_base, m,
               field_kind=FieldKind(cfg.get("field", "real")),
               lam=cfg.get("lam", 1.0))
-    point = fn.space.sampler(cfg["seed"])(0)
-    if getattr(args, "log_jets", False):
+    # log jets take log u, so they are drawn where u > 0
+    log_jets = getattr(args, "log_jets", False)
+    point = make_sampler(n_base, m, fn.space.field_kind, cfg["seed"],
+                         positive_fields=log_jets)(0)
+    if log_jets:
         point = to_log_jets(point)
     val = fn.eval(point)
     if not is_finite(val):

@@ -705,8 +705,7 @@ def _compiler(n_base, n_fields, metric, field_kind, time_mode, lam, mu,
                 raise BindError("quad takes a vector and a matrix")
             (_, vec), mat = (source(node.args[0], "vector"),
                              source(node.args[1], "matrix"))
-            return lambda view: _quad(0.0, vec(view),
-                                      _tensor_cached(view, *mat))
+            return lambda view: _quad(vec(view), _tensor_cached(view, *mat))
         raise BindError(f"unknown function {node.name!r}")
 
     def compile_expr(node, selector=False):
@@ -774,18 +773,22 @@ def bind_scalar_function(text: str):
     return lambda u: fn((), (u,))
 
 
-def needs_positive_u(text: str) -> bool:
-    """Whether a coefficient text takes a log, or a power other than an
-    integer literal, of a part that reads ``u``: it is real only at
-    positive u."""
+def needs_positive_u(text: str, compile_=None) -> bool:
+    """Whether a text takes a log, or a power other than an integer
+    literal, of a part that reads a field value: it is real only at
+    positive u.  The parts are compiled by ``compile_``, a
+    :func:`compiler` (by default that of one coordinate and one field, as
+    a coefficient text is)."""
+    compile_ = compile_ or compiler(1)
+
     def walk(node):
         parts = ((node.arg,) if isinstance(node, Neg) else
                  (node.left, node.right) if isinstance(node, Bin) else
                  getattr(node, "args", ()))
         root = isinstance(node, Call) and node.name == "log" or isinstance(
             node, Bin) and node.op == "^" and not _is_int_literal(node.right)
-        # a part reads u when the compiler finds a coordinate in it
-        return root and any(compiler(1)(p)[1] for p in parts[:1]) \
+        return root and any(c.kind == "field" for p in parts[:1]
+                            for c in compile_(p)[1]) \
             or any(map(walk, parts))
 
     return walk(parse(text))

@@ -2,7 +2,8 @@
 tensors, functional bases for every cataloged algebra, and the example
 equation residuals.
 
-All evaluators run on plain floats, complex numbers, or dual numbers, so
+All evaluators run on plain floats, complex numbers, or the jets of
+``dual`` (Jet1 in gradient and flow passes, Jet2 in curvature passes), so
 the same closure serves evaluation and exact differentiation.  Matrix
 contractions follow the diagonal-metric summation convention: a repeated
 index pair contributes the metric sign of that index.
@@ -116,8 +117,8 @@ def mat_mul(a, b):
 def sum_prod(xs, ys):
     """Sum of x * y from 0.0 in index order, the operands two sequences of
     one length: by a kernel of ``_MACS`` when every factor is a Jet1 and
-    one of that length exists, else by the loop total = total + x * y,
-    which folds a term of two Jet1 factors in one jet."""
+    one of that length exists, else by the loop total = total + x * y
+    (the tests' ``reference_sum_prod``), a jet per product and per sum."""
     if xs and type(xs[0]) is Jet1:
         mac = _MACS.get(len(xs))
         if mac is not None and len(ys) == len(xs):
@@ -126,16 +127,7 @@ def sum_prod(xs, ys):
                 return total
     total = 0.0
     for x, y in zip(xs, ys, strict=True):
-        if type(x) is not Jet1 or type(y) is not Jet1:
-            total = total + x * y
-        elif type(total) is Jet1:
-            vx, vy = x.value, y.value
-            total = Jet1(total.value + vx * vy, [
-                t + (vx * b + a * vy) for t, a, b in zip(total.d, x.d, y.d)])
-        else:  # the first jet term, as Jet1.__radd__ adds it
-            vx, vy = x.value, y.value
-            total = Jet1(vx * vy + total,
-                         [vx * b + a * vy for a, b in zip(x.d, y.d)])
+        total = total + x * y
     return total
 
 
@@ -664,10 +656,9 @@ def _w(r, idx, signs, scale):
                 val = sq * view.ddu(r, a, b)
                 if a == b:
                     val = val + signs[a] * sq * tr / (2.0 - dim)
-                cross = 0.0
-                for c in idx:
-                    cross = cross + gdu[c] * (du[a] * view.ddu(r, b, c)
-                                              + du[b] * view.ddu(r, a, c))
+                cross = sum_prod(gdu, [du[a] * view.ddu(r, b, c)
+                                       + du[b] * view.ddu(r, a, c)
+                                       for c in idx])
                 row.append((val - cross) * scale)
             out.append(row)
         return out
@@ -681,12 +672,9 @@ def _eikonal_theta(r, idx, signs):
         du, hess = _gvec(view, r, idx), _hess_of(view, r, idx)
         sq = _dot(du, du, signs)
         tr = sum_prod(signs, [hess[i][i] for i in idx])
-        mdu = []  # (U G du)_a
-        for a in idx:
-            acc = 0.0
-            for c in idx:
-                acc = acc + signs[c] * hess[a][c] * du[c]
-            mdu.append(acc)
+        # (U G du)_a
+        mdu = [sum_prod([signs[c] * hess[a][c] for c in idx], du)
+               for a in idx]
         out = []
         for i in idx:
             row = []
@@ -1147,12 +1135,10 @@ def _jets(view, r, sp):
     return _gvec(view, r, sp), _gvec_t(view, r, sp), _hess_of(view, r, sp)
 
 
-def _quad(acc, vec, mat):
-    """acc + vec.mat.vec, one term per entry of ``mat`` in row order."""
-    for a in range(len(vec)):
-        for b in range(len(vec)):
-            acc = acc + vec[a] * vec[b] * mat[a][b]
-    return acc
+def _quad(vec, mat):
+    """vec.mat.vec, one term per entry of ``mat`` in row order."""
+    return sum_prod([x * y for x in vec for y in vec],
+                    [v for row in mat for v in row])
 
 
 def _boost_theta(c, du, dut, hess):
@@ -1196,10 +1182,8 @@ def _r4_vector(view, r, s, sp):
     out = []
     for a in range(len(sp)):
         mixed = sum_prod(r1m[a], du2) - sum_prod(r2m[a], du1)
-        coupling = 0.0
-        for b in range(len(sp)):
-            for d in range(len(sp)):
-                coupling = coupling + du1[b] * u1[a][d] * r1m[b][d]
+        coupling = sum_prod([x * y for x in du1 for y in u1[a]],
+                            [v for row in r1m for v in row])
         out.append(lead * mixed - coupling * dth[a])
     return out
 

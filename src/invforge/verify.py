@@ -576,15 +576,9 @@ def check_covariance(tensor: TensorBuilder, ops, n_samples: int = 10,
     for _, jets, _, _, _ in _points(
             live, comps, tensor.deps, tensor.space.sampler(seed), n_samples):
         t = [value_of(v) for v in jets]
-        rows = []
-        for cell, pairs in zip(cells, mixing):
-            row = []
-            for terms in pairs:
-                acc = 0.0
-                for sign, c in terms:
-                    acc += sign * t[c]
-                row.append(acc)
-            rows.append(row + [t[cell]])
+        rows = [[sum_prod([s for s, _ in terms], [t[c] for _, c in terms])
+                 for terms in pairs] + [t[cell]]
+                for cell, pairs in zip(cells, mixing)]
         acts = zip(*[derivs(jets[c], len(live)) for c in cells])
         rhs = [next(acts) if op in live else [0.0] * len(cells) for op in ops]
         for op, b, (fit, resid) in zip(ops, rhs, _lstsq(rows, rhs)):

@@ -208,9 +208,10 @@ def test_eval_refuses_a_computed_non_finite_value(expr, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (("eval", "--n", "3", "--expr", "log(0 * u)"), "log of zero"),
+    (("eval", "--n", "3", "--expr", "log(u_x1 - u_x1)"), "log of zero"),
     (("verify", "--algebra", "AE", "--n", "3", "--expr", "log(u_x1 - u_x1)",
       "--samples", "2"), "could not sample an admissible generic point")],
-    ids=["eval", "verify"])
+    ids=["eval", "eval-derivative", "verify"])
 def test_log_of_zero_is_an_evaluation_failure(argv, message, capsys):
     # both printed "configuration error: math domain error" and exited 2;
     # verify now redraws its points, in vain
@@ -369,6 +370,32 @@ def test_eval_log_jets():
     out = run_cli("eval", "--expr", "u", "--n", "3", "--seed", "3",
                   "--log-jets")
     assert out.returncode == 0
+    # u was drawn of either sign, and the log of a negative u printed as
+    # a complex number, e.g. (0.58...+3.14...j) at seed 1
+    from invforge import cli
+
+    for seed in range(10):
+        out = io.StringIO()
+        argv = ["eval", "--expr", "u", "--n", "3", "--log-jets",
+                "--seed", str(seed)]
+        assert cli.main(argv, stream=out) == 0
+        text = out.getvalue()
+        assert text.startswith("u = ") and "j" not in text, seed
+        float(text[4:])
+
+
+@pytest.mark.parametrize("m, seeds", [(4, range(6)), (6, range(4))])
+def test_expr_powers_of_field_values_are_drawn_at_positive_u(m, seeds):
+    # the --expr text, not only --function texts, decides u > 0; drawn of
+    # either sign, AE's m = 4 product exited 3 at seeds 2 and 3 and the
+    # m = 6 product at seeds 0-3
+    from invforge import cli
+
+    expr = "*".join(f"u{r}^0.5" for r in range(1, m + 1))
+    for seed in seeds:
+        argv = ["verify", "--algebra", "AE", "--n", "3", "--m", str(m),
+                "--expr", expr, "--samples", "3", "--seed", str(seed)]
+        assert cli.main(argv, stream=io.StringIO()) == 0, seed
 
 
 def test_function_overrides_accepted():

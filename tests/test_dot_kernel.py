@@ -2,11 +2,12 @@
 
 ``sum_prod`` runs a dot of 3 to 5 terms whose factors are all
 :class:`Jet1` through a fixed-size kernel, one jet per dot, and
-``trace_prod`` sums such dots; every other list, and ``_dot`` with a
-metric's signs, folds each term of two Jet1 factors into the running sum
-in one step.  Every value and slot must keep the bits of the
-product-then-sum loop (the references in ``references.py``), and the work
-saved is pinned by counting jets.
+``trace_prod`` sums such dots; every other list runs the
+product-then-sum loop itself, and ``_dot`` with a metric's signs folds
+each term of two Jet1 factors into the running sum in one step.  Every
+value and slot must keep the bits of the product-then-sum loop (the
+references in ``references.py``), and the work saved is pinned by
+counting jets.
 """
 
 import math

@@ -12,6 +12,7 @@ from invforge.exprlang import (
     ParseError,
     bind,
     bind_coefficient,
+    compiler,
     needs_positive_u,
     parse,
     to_text,
@@ -595,3 +596,16 @@ def test_needs_positive_u_reads_the_parsed_text(text, positive):
     """Positive u is needed where a log, or a power other than an integer
     literal, is taken of a part that reads u."""
     assert needs_positive_u(text) is positive
+
+
+@pytest.mark.parametrize("text,positive", [
+    ("u1^0.5 * u2^0.5", True), ("log(u2)", True), ("(u1 * u_x1)^0.5", True),
+    ("S(1; theta1)^0.5", True),
+    ("log(u_x1 - u_x1)", False), ("u_x2^0.5", False), ("x1^0.5 * u1", False),
+    ("S(2)^0.5", False), ("u2^2 + log(2)", False),
+])
+def test_needs_positive_u_reads_field_values_under_a_compiler(text,
+                                                              positive):
+    """Under a binding's compiler only parts that read a field value need
+    u > 0; a log or root of derivatives or coordinates does not."""
+    assert needs_positive_u(text, compiler(3, 2)) is positive
