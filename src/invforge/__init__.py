@@ -19,9 +19,6 @@ from .invcat import (
     rotation_dilation_family,
     rotation_pair_family,
     two_matrix_trace_family,
-    mixed_power_trace,
-    power_form,
-    power_trace,
 )
 from .jetspace import (
     COMPLEX,
@@ -36,7 +33,6 @@ from .jetspace import (
     enumerate_coords,
     euclidean,
     field_coord,
-    from_log_jets,
     minkowski,
     sample_generic,
     to_log_jets,

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .dual import EvaluationError, is_finite
 from .exprlang import BindError, ParseError, bind, bind_on, \
-    bind_scalar_function, needs_positive_u
+    bind_scalar_function, compiler, needs_positive_u
 from .invcat import BASES, EQUATIONS, TENSORS, basis, text_binding
 from .jetspace import FieldKind, to_log_jets
 from .liealg import _FAMILIES, catalog, generic_rank, make_sampler, \
@@ -393,13 +393,15 @@ def _cmd_eval(cfg, args, stream):
         raise ValueError("--expr is required for eval")
     n_base = cfg["n"]
     m = cfg.get("m", 1)
-    fn = bind(cfg["expr"], n_base, m,
-              field_kind=FieldKind(cfg.get("field", "real")),
-              lam=cfg.get("lam", 1.0))
-    # log jets take log u, so they are drawn where u > 0
+    kind, lam = FieldKind(cfg.get("field", "real")), cfg.get("lam", 1.0)
+    fn = bind(cfg["expr"], n_base, m, field_kind=kind, lam=lam)
+    # log jets take log u, as a text that needs u > 0 takes a root or log
+    # of a field value, so they are drawn where u > 0
     log_jets = getattr(args, "log_jets", False)
-    point = make_sampler(n_base, m, fn.space.field_kind, cfg["seed"],
-                         positive_fields=log_jets)(0)
+    positive = log_jets or needs_positive_u(
+        cfg["expr"], compiler(n_base, m, field_kind=kind, lam=lam))
+    point = make_sampler(n_base, m, kind, cfg["seed"],
+                         positive_fields=positive)(0)
     if log_jets:
         point = to_log_jets(point)
     val = fn.eval(point)

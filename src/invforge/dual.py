@@ -18,7 +18,9 @@ second-order jets (:class:`Jet2`; Griewank & Walther, *Evaluating
 Derivatives*, ch. 13; the hyper-dual numbers of Fike & Alonso, 2011).
 A jet stands for the nested dual whose both layers are vectors over every
 direction and makes, slot by slot, that dual's IEEE operations in the same
-order, so every entry equals a nested pass's bit for bit.
+order, so every entry equals a nested pass's bit for bit.  Because the
+rules are slot-wise, ``liealg.EikonalCoefficient`` replays them in floats
+from two-argument passes and gets a wider pass's bits without making it.
 
 Both jets share one base, ``_Jet``, that writes once each rule treating
 every slot alike: ``+``, ``-`` (both reflected), unary ``-``, ``*`` and
@@ -420,8 +422,9 @@ def seed_jets(args, hessian=True):
 
 
 def value_grad_hess(fn, args, hessian=True, seeded=None):
-    """Value, gradient, and full Hessian of ``fn(args)``: the package's one
-    coefficient jet pass.
+    """Value, gradient, and full Hessian of ``fn(args)``: a coefficient's
+    jet pass, made for every coefficient but AP_inf's, whose lane kernel
+    (``liealg.EikonalCoefficient``) returns this call's bits.
 
     Two passes: the plain value pass and one :class:`Jet2` pass, whose
     outer gradient is the gradient and whose Hessian entry (i, j), i <= j,

@@ -233,35 +233,6 @@ def determinant(a):
 
 
 # --------------------------------------------------------------------------
-# trace/power invariants of vectors and symmetric matrices
-
-
-def power_trace(mat, metric: Metric, k: int):
-    """Trace of the k-th metric power: tr((G M)^k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _S(_View(None, None, None, None), _given(0, mat), metric.signs, k)
-
-
-def power_form(vec, mat, metric: Metric, k: int):
-    """Bilinear power form v^T G (M G)^(k-1) v."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _R(_View(None, None, None, None), _given(0, vec), _given(1, mat),
-              metric.signs, k)
-
-
-def mixed_power_trace(u, v, metric: Metric, j: int, k: int):
-    """Mixed trace tr((G U)^j (G V)^(k-j))."""
-    if not 0 <= j <= k:
-        raise ValueError("need 0 <= j <= k")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _Sjk(_View(None, None, None, None), _given(0, u), _given(1, v),
-                metric.signs, j, k)
-
-
-# --------------------------------------------------------------------------
 # jet views: plain evaluation, and one builder (_jet_view) seeding each
 # coordinate's jet slots three ways: unit vectors (gradient_view), the
 # operators' flow rows (operator_view) and diagonal second-order pairs
@@ -508,12 +479,6 @@ def _dot(a, b, signs=None):
 def _hessian(r, idx):
     """Matrix source of the Hessian U_r over the index list ``idx``."""
     return ("ddu", r, idx), lambda view: _hess(view, r, idx)
-
-
-def _given(pos, value):
-    """Source of a matrix or vector passed in, the ``pos``-th of its
-    call."""
-    return ("given", pos), lambda view: value
 
 
 def _tensor_cached(view, key, build):

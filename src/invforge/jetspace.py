@@ -415,20 +415,3 @@ def to_log_jets(point: JetPoint) -> JetPoint:
             n, lambda i, j: h[i][j] / ur - d[i] * d[j] / (ur * ur)))
     return JetPoint(n, m, point.field_kind, point.x, tuple(u), tuple(du),
                     tuple(ddu))
-
-
-def from_log_jets(point: JetPoint) -> JetPoint:
-    """Inverse of :func:`to_log_jets`: u = exp(v)."""
-    from .dual import dexp
-
-    n, m = point.n_base, point.n_fields
-    u = []
-    du = []
-    ddu = []
-    for r in range(1, m + 1):
-        ur, d, h = dexp(point.u[r - 1]), point.du[r - 1], point.ddu[r - 1]
-        u.append(ur)
-        du.append(tuple(d[i] * ur for i in range(n)))
-        ddu.append(_symmetric(n, lambda i, j: ur * (h[i][j] + d[i] * d[j])))
-    return JetPoint(n, m, point.field_kind, point.x, tuple(u), tuple(du),
-                    tuple(ddu))

@@ -2,7 +2,7 @@
 catalog of point-symmetry algebras handled by this package.  Every
 algebra but AP_inf is written as text rows (label, xi texts, eta texts),
 :func:`generator_rows`, that ``exprlang`` compiles; AP_inf's generators
-close over sampled polynomials of u.
+are :class:`EikonalCoefficient` objects over sampled polynomials of u.
 
 A :class:`VectorField` holds coefficient evaluators xi^i(x, u) and
 eta^r(x, u); :func:`prolong2` extends it to all second-order jet
@@ -22,7 +22,7 @@ import math
 import random
 import re
 
-from .dual import seed_jets, value_grad_hess
+from .dual import Jet2, seed_jets, value_grad_hess
 from .jetspace import (
     COMPLEX,
     REAL,
@@ -46,7 +46,9 @@ class VectorField:
 
     ``xi`` and ``eta`` are sequences of callables ``f(xs, us) -> scalar``
     that must evaluate on floats and on ``dual.Jet2`` jets, whose one pass
-    supplies exact first and second partial derivatives.
+    supplies exact first and second partial derivatives; an
+    :class:`EikonalCoefficient` supplies that pass's bits by its lane
+    kernel instead.
 
     ``moves`` is, for a field whose coefficients are all constants, the
     coordinates x_i and u^r whose constant is not 0; its prolongation is
@@ -92,9 +94,10 @@ class VectorField:
 
 
 # (point, {function: jets there}, arguments, {depth: seeded jets}, [the
-# point's plan kind, once asked]) of the last point a flow row was built
-# at, replaced whole by the next point
-_LAST = (None, {}, (), {}, [])
+# point's plan kind, once asked], {(function of u, depth): its
+# two-argument pass}) of the last point a flow row was built at, replaced
+# whole by the next point
+_LAST = (None, {}, (), {}, [], {})
 
 
 def _at(point):
@@ -103,7 +106,7 @@ def _at(point):
     which would merge -0.0 and 0.0."""
     global _LAST
     if _LAST[0] is not point:
-        _LAST = point, {}, (*point.x, *point.u), {}, []
+        _LAST = point, {}, (*point.x, *point.u), {}, [], {}
     return _LAST
 
 
@@ -136,27 +139,32 @@ def _jets(fn, point, depth, slopes=None, zeros=None):
     as from a pass's (with one field, one comprehension per row, the loop's
     terms in its order), but D_j D_i g is the table of ``zeros``
     (:func:`_zeros`) for the point's :func:`_plan_kind` where it has one.
-    Any other read makes one ``value_grad_hess`` call, which
-    carries Hessian pairs only at depth 2, so a deeper read of a
-    coefficient memoized by a first-order one runs it again at full depth.
-    Its passes share the point's one argument tuple and, per depth, its
-    one list of seeded jets, made by the first pass that needs it.  A
-    planned field (:attr:`VectorField.plan`) reads its coefficients at
-    depth 0."""
+    Any other read makes one ``value_grad_hess`` call, or for an AP_inf
+    coefficient (:class:`EikonalCoefficient`) its lane kernel, which
+    returns that call's bits; either carries Hessian pairs only at depth
+    2, so a deeper read of a coefficient memoized by a first-order one
+    runs it again at full depth.  The passes share the point's one
+    argument tuple and, per depth, its one list of seeded jets, made by
+    the first pass that needs it, or its one-variable passes.  A planned
+    field (:attr:`VectorField.plan`) reads its coefficients at depth 0."""
     # the last point's state read inline, as are its seeded jets below:
     # a dense row makes this call once per coefficient
-    _, memo, args, seeded, _ = _LAST if _LAST[0] is point else _at(point)
+    _, memo, args, seeded, _, passes = \
+        _LAST if _LAST[0] is point else _at(point)
     jets = memo.get(fn)
     if jets is not None and jets[depth] is not None:
         return jets
     n, m, du = point.n_base, point.n_fields, point.du
     second = depth == 2
     if depth and slopes is None:
-        jet = seeded.get(second)
-        if jet is None:
-            jet = seeded[second] = seed_jets(args, second)
-        val, grad, hess = value_grad_hess(
-            lambda a: fn(a[:n], a[n:]), args, hessian=second, seeded=jet)
+        if type(fn) is EikonalCoefficient:
+            val, grad, hess = fn.value_grad_hess(args, second, passes)
+        else:
+            jet = seeded.get(second)
+            if jet is None:
+                jet = seeded[second] = seed_jets(args, second)
+            val, grad, hess = value_grad_hess(
+                lambda a: fn(a[:n], a[n:]), args, hessian=second, seeded=jet)
     elif jets is None:
         val = fn(args[:n], args[n:])
     if jets is None:
@@ -882,6 +890,148 @@ class PolynomialOfU:
         return "+".join(f"{c:.3f}u^{k}" if k else f"{c:.3f}"
                         for k, c in enumerate(self.coeffs))
 
+    def lanes(self, w, second):
+        """Horner's rule at u = ``w`` on the two-argument :class:`Jet2`
+        pass over (phantom, u), in floats: the jet's value and its lanes,
+        the inner and outer gradients, then with ``second`` the Hessian
+        entries (phantom, phantom), (phantom, u) and (u, u).  Each lane
+        repeats its jet rule's operations in their order, u's seed lanes
+        the constants 0.0 and 1.0, from out = 0.0, whose product with u is
+        w * 0.0 and all +0.0 lanes.  With no coefficient it is the number
+        0.0, as in the plain pass."""
+        cs = reversed(self.coeffs)
+        v = next(cs, None)
+        if v is None:
+            return 0.0
+        v = w * 0.0 + v
+        i0 = i1 = o0 = o1 = h00 = h01 = h11 = 0.0
+        for c in cs:
+            z, e = v * 0.0, v * 1.0
+            if second:
+                h00, h01, h11 = (
+                    (z + i0 * 0.0) + (o0 * 0.0 + h00 * w),
+                    (z + i0 * 1.0) + (o1 * 0.0 + h01 * w),
+                    (z + i1 * 1.0) + (o1 * 1.0 + h11 * w))
+            i0, i1, o0, o1 = z + i0 * w, e + i1 * w, z + o0 * w, e + o1 * w
+            v = v * w + c
+        return v, [i0, i1, o0, o1, h00, h01, h11] if second else \
+            [i0, i1, o0, o1]
+
+
+def _alone(fn, w, second, passes):
+    """The two-argument pass over (phantom, u) of a function ``fn`` of u
+    alone at u = ``w``, kept in ``passes`` by function and depth: (the
+    jet's value, its lanes), or the number ``fn`` returns.  Jet rules are
+    slot-wise, so each lane of a wider pass of ``fn`` is one of these: a
+    lane of an argument other than u is the phantom's."""
+    out = passes.get((fn, second))
+    if out is None:
+        if type(fn) is PolynomialOfU:
+            out = fn.lanes(w, second)
+        else:
+            out = fn(seed_jets((w, w), second)[1])
+            if isinstance(out, Jet2):
+                out = out.value, out.d
+        passes[fn, second] = out
+    return out
+
+
+def _term(b, sign, x, second):
+    """The distinct lanes of a pass's product (sign * b(u)) * x_nu, or
+    b(u) * x_nu when ``sign`` is None, at x_nu = ``x`` from b's pass
+    (:func:`_alone`), no inner lane among them: the outer lanes of x_nu,
+    u and any other x, then with ``second`` the Hessian lanes (x, x),
+    (x_nu, x), (x, x_nu), (x_nu, x_nu), (x, u), (x_nu, u) and (u, u), x
+    standing for any x but x_nu.  They repeat ``Jet2._mul``'s operations
+    and order, x_nu's seed lanes the constants 0.0 and 1.0; a number b(u)
+    takes the constant branch, x_nu's seed lanes times it."""
+    if type(b) is not tuple:
+        c = b if sign is None else sign * b
+        one, zero = 1.0 * c, 0.0 * c
+        return [one, zero, zero] + [zero] * 7 if second else [one, zero, zero]
+    v, lanes = b
+    if sign is not None:
+        v, lanes = v * sign, [a * sign for a in lanes]
+    i0, i1, o0, o1 = lanes[:4]
+    z = v * 0.0
+    out = [v * 1.0 + o0 * x, z + o1 * x, z + o0 * x]
+    if second:
+        h00, h01, h11 = lanes[4:]
+        a0, a1, hx, hu = z + i0 * 0.0, z + i0 * 1.0, h00 * x, h01 * x
+        c0, c1, d0, d1 = o0 * 0.0 + hx, o0 * 1.0 + hx, o1 * 0.0 + hu, \
+            o1 * 1.0 + hu
+        out += [a0 + c0, a0 + c1, a1 + c0, a1 + c1, a0 + d0, a0 + d1,
+                (z + i1 * 0.0) + (o1 * 0.0 + h11 * x)]
+    return out
+
+
+@functools.cache
+def _lane_tables(k, second):
+    """Index tables of :meth:`EikonalCoefficient.value_grad_hess` over k
+    arguments, u the last.  The lanes it reads are the outer gradient,
+    then with ``second`` the Hessian entries (i, j), i <= j, row by row.
+    Per lane: the lane of a function of u alone's two-argument pass
+    (:func:`_alone`), and per nu < k - 1 the place in :func:`_term`'s list
+    of a product with x_nu; then the lane of each Hessian entry, by row."""
+    u = k - 1
+    pairs = [(i, j) for i in range(k) for j in range(i, k)] if second else []
+    alone = [3 if j == u else 2 for j in range(k)] + [
+        6 if i == u else 5 if j == u else 4 for i, j in pairs]
+    terms = [[0 if j == nu else 1 if j == u else 2 for j in range(k)] + [
+        9 if i == u else (8 if i == nu else 7) if j == u else
+        3 + (i == nu) + 2 * (j == nu) for i, j in pairs] for nu in range(u)]
+    places = [[None] * k for _ in range(k)]
+    for p, (i, j) in enumerate(pairs, k):
+        places[i][j] = places[j][i] = p
+    return tuple(alone), tuple(map(tuple, terms)), tuple(map(tuple, places))
+
+
+class EikonalCoefficient:
+    """A coefficient of an AP_inf generator (:func:`_eikonal_family`),
+    a(u) plus one term (s * b(u)) * x_nu per (b, nu, s) of ``terms``, or
+    b(u) * x_nu where s is None, for functions a and b of u alone.
+
+    :meth:`value_grad_hess` gives a coefficient jet pass's bits from
+    each function's one-variable pass (:func:`_alone`): no pass is made
+    at full width."""
+
+    __slots__ = ("a", "terms")
+
+    def __init__(self, a, terms=()):
+        self.a = a
+        self.terms = tuple(terms)
+
+    def __call__(self, xs, us):
+        u = us[0]
+        val = self.a(u)
+        for b, nu, sign in self.terms:
+            val = val + (b(u) if sign is None else sign * b(u)) * xs[nu]
+        return val
+
+    def value_grad_hess(self, args, hessian=True, passes=None):
+        """What ``dual.value_grad_hess(lambda a: self(a[:n], a[n:]),
+        args, hessian)`` returns, n = len(args) - 1, bit for bit.  The
+        value is the plain pass's; each lane read sums a(u)'s lane and each
+        term's (:func:`_term`) in the pass's order.  ``passes`` keeps the
+        one-variable passes (:func:`_alone`) of the functions at ``args``
+        for other coefficients there."""
+        k, w = len(args), args[-1]
+        val = self(args[:-1], args[-1:])
+        passes = {} if passes is None else passes
+        alone, terms, places = _lane_tables(k, hessian)
+        a = _alone(self.a, w, hessian, passes)
+        acc = [a[1][c] for c in alone] if type(a) is tuple else None
+        for b, nu, sign in self.terms:
+            lanes = _term(_alone(b, w, hessian, passes), sign, args[nu],
+                          hessian)
+            acc = [lanes[c] for c in terms[nu]] if acc is None else \
+                [s + lanes[c] for s, c in zip(acc, terms[nu])]
+        if acc is None:
+            return val, [0.0] * k, \
+                [[0.0] * k for _ in range(k)] if hessian else None
+        return val, acc[:k], \
+            [[acc[q] for q in row] for row in places] if hessian else None
+
 
 def _sample_poly(rng):
     return PolynomialOfU([_signed(rng) for _ in range(3)])
@@ -932,30 +1082,23 @@ def _eikonal_family(spec: AlgebraSpec):
         overrides[key] = fn
 
     def make_xi(k, fns):
-        a, d = fns[f"a{k}"], fns.get("d")
         # g_nu b^{k nu}(u) x_nu for each nu != k, where b^{nu k} = -b^{k nu}
         terms = [(fns[f"b{min(k, nu)}{max(k, nu)}"], nu,
                   g[nu] if k < nu else -g[nu]) for nu in range(nb) if nu != k]
-
-        def f(xs, us):
-            u = us[0]
-            val = a(u)
-            for b, nu, sign in terms:
-                val = val + sign * b(u) * xs[nu]
-            if d is not None:
-                val = val + d(u) * xs[k]
-            return val
-        return f
+        if "d" in fns:
+            terms.append((fns["d"], k, None))
+        return EikonalCoefficient(fns[f"a{k}"], terms)
 
     fields = []
     for inst in range(spec.instances):
         fns = {**sample_eikonal_functions(spec.n, spec.seed + inst,
                                           spec.extended), **overrides}
-        # closures made afresh per call hold no slopes: probing them would
-        # cost each call a pass per coefficient and grow _probe's cache
+        # coefficients made afresh per call hold no slopes: probing them
+        # would cost each call a pass per coefficient and grow _probe's
+        # cache; their lane kernel stands for a pass (_jets)
         fields.append(VectorField(
             nb, 1, [make_xi(k, fns) for k in range(nb)],
-            [lambda xs, us, eta=fns["eta"]: eta(us[0])],
+            [EikonalCoefficient(fns["eta"])],
             f"X{inst}{'+d' if spec.extended else ''}",
             plan=((None,) * (nb + 1), None, (None,) * (nb + 1))))
     return fields

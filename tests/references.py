@@ -57,16 +57,21 @@ still call: :func:`apply_operator`, the directional derivative as a dot
 product of a flow row with a gradient, the one per operator that
 ``invcat.operator_view`` replaced; :func:`equation_residual` and
 :func:`covariant_tensor_components`, an equation's residual and a
-tensor's components at one point; and :func:`coord_count`.
+tensor's components at one point; :func:`coord_count`;
+:func:`power_trace`, :func:`power_form` and :func:`mixed_power_trace`,
+S_k, R_k and S_jk of given matrices and vectors evaluated by the nodes
+the members use (``invcat._S``, ``_R`` and ``_Sjk``); and
+:func:`from_log_jets`, the inverse of ``jetspace.to_log_jets``.
 """
 
 import functools
 
 from invforge.dual import Dual, EvaluationError, Jet2, _Jet, _scalar_exp, \
-    _scalar_log, derivs, is_finite, value_of
-from invforge.invcat import TENSORS, covariant_tensor, curvature_view, \
-    equation_function, g_premul, mat_trace, operator_view
-from invforge.jetspace import base_coord, d1_coord, d2_coord, field_coord
+    _scalar_log, derivs, dexp, is_finite, value_of
+from invforge.invcat import TENSORS, _R, _S, _Sjk, _View, covariant_tensor, \
+    curvature_view, equation_function, g_premul, mat_trace, operator_view
+from invforge.jetspace import JetPoint, _symmetric, base_coord, d1_coord, \
+    d2_coord, field_coord
 from invforge.liealg import EUCLID, flow_positions, matrix_rank
 from invforge.verify import CovarianceRecord, CovarianceReport, RankReport, \
     _draw, _lstsq, _parts, family_jacobian
@@ -652,3 +657,49 @@ def coord_count(n_base, n_fields):
     """Number of jet coordinates up to order 2 on (n_base, n_fields)."""
     return n_base + n_fields + n_fields * n_base \
         + n_fields * n_base * (n_base + 1) // 2
+
+
+def _given(pos, value):
+    """Source of a matrix or vector passed in, the ``pos``-th of its
+    call."""
+    return ("given", pos), lambda view: value
+
+
+def power_trace(mat, metric, k):
+    """Trace of the k-th metric power: tr((G M)^k)."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return _S(_View(None, None, None, None), _given(0, mat), metric.signs, k)
+
+
+def power_form(vec, mat, metric, k):
+    """Bilinear power form v^T G (M G)^(k-1) v."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return _R(_View(None, None, None, None), _given(0, vec), _given(1, mat),
+              metric.signs, k)
+
+
+def mixed_power_trace(u, v, metric, j, k):
+    """Mixed trace tr((G U)^j (G V)^(k-j))."""
+    if not 0 <= j <= k:
+        raise ValueError("need 0 <= j <= k")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return _Sjk(_View(None, None, None, None), _given(0, u), _given(1, v),
+                metric.signs, j, k)
+
+
+def from_log_jets(point):
+    """Inverse of ``jetspace.to_log_jets``: u = exp(v)."""
+    n, m = point.n_base, point.n_fields
+    u = []
+    du = []
+    ddu = []
+    for r in range(1, m + 1):
+        ur, d, h = dexp(point.u[r - 1]), point.du[r - 1], point.ddu[r - 1]
+        u.append(ur)
+        du.append(tuple(d[i] * ur for i in range(n)))
+        ddu.append(_symmetric(n, lambda i, j: ur * (h[i][j] + d[i] * d[j])))
+    return JetPoint(n, m, point.field_kind, point.x, tuple(u), tuple(du),
+                    tuple(ddu))

@@ -12,8 +12,6 @@ from invforge.invcat import (
     basis,
     covariant_tensor,
     equation_function,
-    power_form,
-    power_trace,
     two_matrix_trace_family,
 )
 from invforge.jetspace import (
@@ -39,6 +37,7 @@ from invforge.verify import (
     family_jacobian,
     independence_rank,
 )
+from references import power_form, power_trace
 
 
 def _note(criterion, ok, detail=""):

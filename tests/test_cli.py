@@ -384,6 +384,41 @@ def test_eval_log_jets():
         float(text[4:])
 
 
+def _eval(expr, seed):
+    from invforge import cli
+
+    out = io.StringIO()
+    code = cli.main(["eval", "--expr", expr, "--n", "3", "--seed", str(seed)],
+                    stream=out)
+    return code, out.getvalue()
+
+
+def test_eval_draws_u_positive_for_a_root_of_it():
+    # drawn of either sign, u^0.5 exited 3 with "fractional power needs a
+    # positive base" at seeds 1 and 3
+    for seed in range(10):
+        code, text = _eval("u^0.5", seed)
+        assert code == 0 and text.startswith("u^0.5 = "), seed
+        assert float(text[8:]) > 0.0, seed
+
+
+# the eval texts of invbench/workloads.py, none of which takes a root or a
+# log of a field value
+_BENCH_EVALS = ("2 + 3 * 4 ^ 2", "u_x1x1 + u_x2x2 + u_x3x3", "S(1)",
+                "u_x1^2 + u_x2^2 + u_x3^2", "R(1)")
+
+
+@pytest.mark.parametrize("expr", _BENCH_EVALS)
+def test_eval_keeps_the_points_of_texts_that_need_no_positive_u(expr):
+    from invforge.exprlang import bind
+    from invforge.liealg import make_sampler
+
+    for seed in range(4):
+        point = make_sampler(3, 1, seed=seed)(0)
+        want = f"{expr} = {bind(expr, 3).eval(point)}\n"
+        assert _eval(expr, seed) == (0, want), seed
+
+
 @pytest.mark.parametrize("m, seeds", [(4, range(6)), (6, range(4))])
 def test_expr_powers_of_field_values_are_drawn_at_positive_u(m, seeds):
     # the --expr text, not only --function texts, decides u > 0; drawn of

@@ -9,9 +9,10 @@ import pytest
 
 from invforge import cli, equation_function
 from invforge.exprlang import MAX_ORDER, BindError, bind
-from invforge.invcat import EQUATIONS, covariant_tensor, power_trace
+from invforge.invcat import EQUATIONS, covariant_tensor
 from invforge.jetspace import minkowski
 from invforge.liealg import algebra_space
+from references import power_trace
 
 NS = (3, 4)
 POINTS = 2

@@ -17,7 +17,7 @@ from invforge.exprlang import (
     parse,
     to_text,
 )
-from invforge.invcat import equation_function, power_form, power_trace
+from invforge.invcat import equation_function
 from invforge.jetspace import (
     COMPLEX,
     d2_coord,
@@ -27,6 +27,7 @@ from invforge.jetspace import (
     minkowski,
     sample_generic,
 )
+from references import power_form, power_trace
 
 CORPUS = [
     "u_x1x2 ^ 2 + S(2)",

@@ -354,34 +354,64 @@ def _unheld(fields):
             if held is None}
 
 
-@pytest.mark.parametrize("spec,shared,passes", [
-    (make_spec("AE", 3), True, 0), (make_spec("AG_II", 3, rep="log"), True, 0),
-    (make_spec("AP_inf", 3), False, 15)], ids=["AE", "AG_II-log", "AP_inf"])
+@pytest.mark.parametrize("spec,shared,passes,kernels", [
+    (make_spec("AE", 3), True, 0, 0),
+    (make_spec("AG_II", 3, rep="log"), True, 0, 0),
+    (make_spec("AP_inf", 3), False, 0, 15)], ids=["AE", "AG_II-log", "AP_inf"])
 def test_each_coefficient_function_is_differentiated_once_per_point(
-        spec, shared, passes, monkeypatch):
+        spec, shared, passes, kernels, monkeypatch):
     # the operators of an algebra share the jets of a coefficient function
-    # at one point, and only a function whose slopes are not held makes a
-    # pass there: every text of AE and of AG_II in the log representation
-    # is affine, and AP_inf's closures share nothing and hold none.  The
-    # fields are planned before the count: a probe is a value_grad_hess
-    # call, made once per function for the whole process
+    # at one point, and only a function whose slopes are not held is
+    # differentiated there: every text of AE and of AG_II in the log
+    # representation is affine, and AP_inf's coefficients share nothing
+    # and hold none.  Each of those makes its lane kernel's call
+    # (liealg.EikonalCoefficient), not a value_grad_hess call, on the
+    # point's one argument tuple, and the kernels make one two-argument
+    # pass per function of u (per instance 4 a^mu, 6 b^{mu nu} and eta),
+    # shared by the coefficients reading it.  The fields are planned
+    # before the count: a probe is a value_grad_hess call, made once per
+    # function for the whole process
     fields = _planned(catalog(spec))
-    calls = []
+    calls, kernel_calls, lanes = [], [], []
 
     def counted(fn, args, hessian=True, seeded=None):
         calls.append(fn)
         return value_grad_hess(fn, args, hessian, seeded)
 
+    kernel = liealg.EikonalCoefficient.value_grad_hess
+
+    def counted_kernel(fn, args, hessian=True, passes=None):
+        kernel_calls.append((fn, args, hessian))
+        return kernel(fn, args, hessian, passes)
+
+    poly_lanes = liealg.PolynomialOfU.lanes
+
+    def counted_lanes(poly, w, second):
+        lanes.append((poly, second))
+        return poly_lanes(poly, w, second)
+
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
+    monkeypatch.setattr(liealg.EikonalCoefficient, "value_grad_hess",
+                        counted_kernel)
+    monkeypatch.setattr(liealg.PolynomialOfU, "lanes", counted_lanes)
     fns = {f for field in fields for f in field.xi + field.eta}
     total = sum(len(field.xi + field.eta) for field in fields)
     assert (len(fns) < total) == shared
     point = sample_points(spec, False)[0]
     assert _flows(fields, point) == _references(fields, point)
     assert set(liealg._LAST[1]) == fns
-    assert len(calls) == len(_unheld(fields)) == passes
+    assert len(calls) == passes
+    assert len(kernel_calls) == kernels
+    assert len(calls) + len(kernel_calls) == len(_unheld(fields))
+    assert {fn for fn, _, _ in kernel_calls} == (fns if kernels else set())
+    assert all(a is liealg._LAST[2] and h for _, a, h in kernel_calls)
+    assert len(lanes) == len(set(lanes)) == len(liealg._LAST[5]) == \
+        (33 if kernels else 0)
+    assert set(liealg._LAST[5]) == set(lanes)
     _flows(fields, point)
     assert len(calls) == passes
+    assert len(kernel_calls) == kernels
+    assert len(lanes) == (33 if kernels else 0)
 
 
 @pytest.mark.parametrize("name,kw", [("AE", {"m": 2}), ("AG_II", {}),
@@ -581,23 +611,28 @@ def test_partial_rows_equal_the_full_rows():
 
 
 def _counting(monkeypatch, fields):
-    """The functions passed to ``value_grad_hess``, whether each pass
-    carried Hessian pairs, and every per-point memo of coefficient jets
-    made while counting.  ``fields`` are planned (:func:`_planned`) before
-    the count starts: a plan's probes are ``value_grad_hess`` calls, made
-    once per function for the whole process, so no count may depend on
-    which tests ran first."""
+    """The functions passed to ``value_grad_hess``, and the AP_inf
+    coefficients whose lane kernel (``liealg.EikonalCoefficient``) stands
+    for that call, whether each pass carried Hessian pairs, and every
+    per-point memo of coefficient jets made while counting.  ``fields``
+    are planned (:func:`_planned`) before the count starts: a plan's
+    probes are ``value_grad_hess`` calls, made once per function for the
+    whole process, so no count may depend on which tests ran first."""
     _planned(fields)
     calls, depths, memos = [], [], {}
 
-    def counted(fn, args, hessian=True, seeded=None):
-        calls.append(fn)
-        depths.append(hessian)
-        memo = liealg._LAST[1]
-        memos[id(memo)] = memo
-        return value_grad_hess(fn, args, hessian, seeded)
+    def counter(run):
+        def counted(fn, args, hessian=True, *rest, **kw):
+            calls.append(fn)
+            depths.append(hessian)
+            memo = liealg._LAST[1]
+            memos[id(memo)] = memo
+            return run(fn, args, hessian, *rest, **kw)
+        return counted
 
-    monkeypatch.setattr(liealg, "value_grad_hess", counted)
+    monkeypatch.setattr(liealg, "value_grad_hess", counter(value_grad_hess))
+    monkeypatch.setattr(liealg.EikonalCoefficient, "value_grad_hess",
+                        counter(liealg.EikonalCoefficient.value_grad_hess))
     return calls, depths, memos
 
 
@@ -617,12 +652,27 @@ def _check_equation(monkeypatch, name, **kw):
 def test_a_first_order_check_builds_no_second_total_derivative(monkeypatch):
     # the eikonal residual reads first derivatives only; whole rows built
     # all 75 coefficients' second total derivatives, and until the passes
-    # took a depth every pass carried Hessian pairs
+    # took a depth every pass carried Hessian pairs.  Each coefficient of
+    # AP_inf makes its lane kernel's call (liealg.EikonalCoefficient),
+    # and at each of the 5 points each of the 33 polynomials of u makes
+    # one two-argument pass, at the first-order depth
+    lanes = []
+    poly_lanes = liealg.PolynomialOfU.lanes
+
+    def counted_lanes(poly, w, second):
+        lanes.append((poly, second, id(liealg._LAST[5])))
+        return poly_lanes(poly, w, second)
+
+    monkeypatch.setattr(liealg.PolynomialOfU, "lanes", counted_lanes)
     _, (calls, depths, memos) = _check_equation(monkeypatch, "eikonal")
     jets = [j for memo in memos.values() for j in memo.values()]
     assert len(calls) == len(jets) == 75
+    assert all(type(fn) is liealg.EikonalCoefficient for fn in calls)
     assert all(j[2] is None for j in jets)
     assert not any(depths)
+    assert len(lanes) == len(set(lanes)) == 5 * 33
+    assert len({point for _, _, point in lanes}) == 5
+    assert not any(second for _, second, _ in lanes)
 
 
 def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
@@ -717,8 +767,9 @@ def test_each_eikonal_polynomial_is_evaluated_once_per_pass(monkeypatch):
     # b^{mu nu}(u) is read by xi^mu and xi^nu, whose passes at a point
     # share their arguments: each of the 33 polynomials (per instance 4
     # a^mu, 6 b^{mu nu} and eta) is evaluated once by the value passes and
-    # once by the jet passes of each depth, where xi^mu evaluating its own
-    # made 102 evaluations per point
+    # once per depth by its two-argument pass (PolynomialOfU.lanes), which
+    # the lane kernels of every coefficient reading it share, where xi^mu
+    # evaluating its own made 102 evaluations per point
     evaluations = []
 
     class Coeffs(tuple):
@@ -754,8 +805,12 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     # every pass at a point gets the point's one argument tuple and, per
     # depth, one list of seeded jets made for it; a whole row after a
     # first-order one at the same point makes each function's call again,
-    # at full depth, on the point's one list of full-depth jets
+    # at full depth, on the point's one list of full-depth jets.  AC's 12
+    # unheld functions, its special conformal generators' xi and eta, make
+    # the passes; the fields are planned first, so no probe is counted
     seen, seeds = [], []
+    spec = make_spec("AC", 3, lam=0.6)
+    ops = [prolong2(f) for f in _planned(catalog(spec))]
 
     def counted(fn, args, hessian=True, seeded=None):
         seen.append((args, hessian, seeded))
@@ -767,17 +822,15 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
 
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
     monkeypatch.setattr(liealg, "seed_jets", seeding)
-    spec = make_spec("AP_inf", 3)
-    ops = [prolong2(f) for f in catalog(spec)]
     p, q = sample_points(spec, False)[:2]
-    d1 = flow_positions(4, 1, [d1_coord(1, i) for i in range(4)])
+    d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])
     groups = []
     for point, at in ((p, d1), (p, None), (q, None)):
         before = len(seen)
         for op in ops:
             op.flow_table(point, at)
         groups.append(seen[before:])
-    assert [len(g) for g in groups] == [15, 15, 15]
+    assert [len(g) for g in groups] == [12, 12, 12]
     for group, point, depth in zip(groups, (p, p, q), (False, True, True)):
         args, _, seeded = group[0]
         assert args == (*point.x, *point.u)

@@ -27,10 +27,7 @@ from invforge.invcat import (
     mat_inverse,
     mat_mul,
     mat_trace,
-    mixed_power_trace,
     operator_view,
-    power_form,
-    power_trace,
     seeded_view,
     solve_linear,
     trace_prod,
@@ -49,7 +46,7 @@ from invforge.jetspace import (
 from invforge.liealg import make_spec, matrix_rank
 from invforge.verify import family_jacobian
 from references import coord_count, covariant_tensor_components, \
-    equation_residual
+    equation_residual, mixed_power_trace, power_form, power_trace
 
 
 def test_power_trace_diag_example():

@@ -10,11 +10,10 @@ from invforge.jetspace import (
     d2_coord,
     enumerate_coords,
     field_coord,
-    from_log_jets,
     sample_generic,
     to_log_jets,
 )
-from references import coord_count
+from references import coord_count, from_log_jets
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (5, 3), (3, 2)])

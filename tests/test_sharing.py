@@ -22,16 +22,13 @@ from invforge.invcat import (
     curvature_view,
     equation_function,
     gradient_view,
-    mixed_power_trace,
     operator_view,
-    power_form,
-    power_trace,
 )
 from invforge.jetspace import euclidean, minkowski
 from invforge.liealg import catalog, make_spec, prolong2
 from invforge.verify import _draw, check_absolute
-from references import reference_mixed_power_trace, reference_power_form, \
-    reference_power_trace
+from references import mixed_power_trace, power_form, power_trace, \
+    reference_mixed_power_trace, reference_power_form, reference_power_trace
 from verdict_digest import BASIS_ALGEBRAS, MASSLESS_LAMBDAS
 
 
