@@ -21,6 +21,10 @@ direction and makes, slot by slot, that dual's IEEE operations in the same
 order, so every entry equals a nested pass's bit for bit.  Because the
 rules are slot-wise, ``liealg.EikonalCoefficient`` replays them in floats
 from two-argument passes and gets a wider pass's bits without making it.
+Under ``+ - *`` and ``/`` by a constant a :class:`Jet1` slot takes the
+same operations as a :class:`Jet2` outer gradient slot, so where
+``liealg._hessians`` holds a coefficient's Hessian a Jet1 pass gives the
+rest of the Jet2 pass's bits.
 
 Both jets share one base, ``_Jet``, that writes once each rule treating
 every slot alike: ``+``, ``-`` (both reflected), unary ``-``, ``*`` and
@@ -423,7 +427,9 @@ def seed_jets(args, hessian=True):
 
 def value_grad_hess(fn, args, hessian=True, seeded=None):
     """Value, gradient, and full Hessian of ``fn(args)``: a coefficient's
-    jet pass, made for every coefficient but AP_inf's, whose lane kernel
+    jet pass, made where neither its slopes nor its Hessian are held
+    (``liealg._probe``, ``liealg._hessians``) or its Jet1 pass is not
+    finite, but not for AP_inf's, whose lane kernel
     (``liealg.EikonalCoefficient``) returns this call's bits.
 
     Two passes: the plain value pass and one :class:`Jet2` pass, whose

@@ -19,10 +19,11 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 
-from .dual import Jet2, seed_jets, value_grad_hess
+from .dual import Jet1, Jet2, _jet_seeds, seed_jets, value_grad_hess
 from .jetspace import (
     COMPLEX,
     REAL,
@@ -55,7 +56,7 @@ class VectorField:
     then 0 at every other jet coordinate, at every point.  It is None, the
     default, when some coefficient may read an argument.
 
-    ``plan`` is (held, sparse, zeros), made by the first flow row
+    ``plan`` is (held, sparse, tables), made by the first flow row
     (:func:`_plan`) unless given.  ``held`` has per coefficient of ``xi +
     eta`` its gradient and Hessian if they are the same at every point
     (:func:`_probe`), else None; ``sparse`` is the field's sparse plan if
@@ -69,10 +70,11 @@ class VectorField:
     every one a finite complex, and every part of every du entry is below
     2**500 (:func:`_plan_kind`), a planned field's flow row
     (:meth:`ProlongedOperator._flow`) takes those values from its plan and
-    leaves out each term with such a zero factor.  ``zeros`` has per
-    coefficient the +0.0 D_j D_i tables (:func:`_zeros`) of one whose held
+    leaves out each term with such a zero factor.  ``tables`` has per
+    coefficient the +0.0 D_j D_i tables (:func:`_tables`) of one whose held
     field-slot gradient is 0 and Hessian all +0.0, which a dense row reads
-    at such a point too.
+    at such a point too.  A coefficient without held slopes may have a held
+    Hessian (:func:`_hessians`).
     """
 
     __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves", "plan")
@@ -93,10 +95,11 @@ class VectorField:
         return f"VectorField({self.label})"
 
 
-# (point, {function: jets there}, arguments, {depth: seeded jets}, [the
-# point's plan kind, once asked], {(function of u, depth): its
-# two-argument pass}) of the last point a flow row was built at, replaced
-# whole by the next point
+# (point, {function: jets there}, arguments, {depth: seeded jets, Jet1:
+# (the arguments' types, the seeded Jet1 arguments)}, [the point's plan
+# kind, once asked], {(function of u, depth): its two-argument pass,
+# function with a held Hessian: ((its gradient, Hessian), its tables)}) of
+# the last point a flow row was built at, replaced whole by the next point
 _LAST = (None, {}, (), {}, [], {})
 
 
@@ -120,7 +123,8 @@ def _probe(fn, n, m):
     NaN operand into its result, so a slot with no NaN part read no value.
     A jet raised to a number power breaks this (a float NaN to the power 0
     is 1.0, a complex value (1+0j)), but exprlang takes integer powers by
-    products and any other by exp and log."""
+    products and any other by exp and log.  Held slopes hold at every
+    point; a Hessian may be held where they are not (:func:`_hessians`)."""
     _, grad, hess = value_grad_hess(lambda a: fn(a[:n], a[n:]),
                                     (math.nan,) * (n + m))
     if any(map(cmath.isnan, (*grad, *itertools.chain(*hess)))):
@@ -128,7 +132,107 @@ def _probe(fn, n, m):
     return grad, hess
 
 
-def _jets(fn, point, depth, slopes=None, zeros=None):
+class _Sign:
+    """A number of :func:`_hessians`' pass, standing for every point:
+    ``vals``, the numbers it may be, which differ at most in the signs of
+    zero parts; else a finite number of type ``kind``, or any number where
+    ``kind`` is None.  ``deg`` is 0 in a value, 1 in a gradient and 2 in a
+    Hessian slot: a finite Jet1 pass makes every value and gradient it
+    reads finite, but not a Hessian term, so an unknown one is refused, as
+    the slot it goes into, and every slot a jet rule makes from that, can
+    then be any number.  It takes + - * and / by a number; any other
+    operation raises TypeError."""
+
+    __slots__ = ("vals", "deg", "kind")
+
+    def __init__(self, vals, deg, kind=None):
+        if vals is None and deg > 1:
+            raise ArithmeticError("a Hessian term may be any number")
+        self.vals, self.deg, self.kind = vals, deg, kind
+
+    def __add__(self, b): return _sign_op(self, b, operator.add)
+    def __radd__(self, b): return _sign_op(b, self, operator.add)
+    def __sub__(self, b): return _sign_op(self, b, operator.sub)
+    def __rsub__(self, b): return _sign_op(b, self, operator.sub)
+    def __mul__(self, b): return _sign_op(self, b, operator.mul)
+    def __rmul__(self, b): return _sign_op(b, self, operator.mul)
+    def __truediv__(self, b): return _sign_op(self, b, operator.truediv)
+
+    def __neg__(self):
+        return _Sign(self.vals and tuple(-z for z in self.vals), self.deg,
+                     self.kind)
+
+
+_SIGNED_ZEROS = {float: (0.0, -0.0), complex: tuple(
+    complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0))}
+
+
+def _sign_op(a, b, op):
+    """``op`` on :class:`_Sign` numbers or plain ones: a finite number
+    times a zero is a zero of either sign."""
+    if type(a) is not _Sign:
+        if type(a) not in (int, float, complex):
+            return NotImplemented
+        a = _Sign((a,), 0)
+    if type(b) is not _Sign:
+        if type(b) not in (int, float, complex):
+            return NotImplemented
+        b = _Sign((b,), 0)
+    mul = op is operator.mul
+    deg = min(a.deg + b.deg, 2) if mul else max(a.deg, b.deg)
+    if a.vals is not None and b.vals is not None:
+        if len(a.vals) == len(b.vals) == 1:
+            return _Sign((op(a.vals[0], b.vals[0]),), deg)
+        out = itertools.starmap(op, itertools.product(a.vals, b.vals))
+        return _Sign(tuple({repr(z): z for z in out}.values()), deg)
+    known = (*(a.vals or ()), *(b.vals or ()))
+    kinds = {s.kind for s in (a, b) if s.vals is None} | set(map(type, known))
+    if kinds <= {int, float, complex} and all(map(cmath.isfinite, known)):
+        kind = complex if complex in kinds else float
+        if mul and known and not any(known):
+            return _Sign(_SIGNED_ZEROS[kind], deg)
+        if op in (operator.add, operator.sub) or all(known):
+            return _Sign(None, deg, kind)
+    return _Sign(None, deg)
+
+
+@functools.cache
+def _hessians(fn, n, m, types):
+    """(Hessian, D_j D_i tables) of a coefficient ``fn`` of n base
+    coordinates and m fields whose :class:`Jet2` Hessian has the same bits
+    at every point of the argument ``types`` where a Jet1 pass of it is
+    finite, else None, decided once per function and types by a pass over
+    :class:`_Sign` numbers, every x a finite float and every u any number
+    (whose Hessian has :func:`_tables`), else by one where every u is a
+    finite float, or a finite complex, as ``types`` has it.  Refusing any
+    jet operation but + - * and / by a number makes a Jet1 pass give the
+    value and gradient's bits."""
+    k = n + m
+    if {*types[:n]} != {float} or {*types[n:]} not in ({float}, {complex}):
+        return None
+    shape, seeds, places = _jet_seeds(k, True)
+    for kind in (None, types[-1]):
+        args = [Jet2(_Sign(None, 0, float if a < n else kind), [
+            _Sign((z,), 1 + (p >= 2 * k)) for p, z in enumerate(d)], shape)
+            for a, d in enumerate(seeds)]
+        try:
+            jet = fn(args[:n], args[n:])
+        except ArithmeticError:  # an unknown Hessian term, or fn's own
+            continue
+        except TypeError:
+            return None
+        if type(jet) is not Jet2:
+            return None
+        cells = [[jet.d[q].vals for q in row] for row in places]
+        if all(c and len(c) == 1 for c in itertools.chain(*cells)):
+            hess = tuple(tuple(c[0] for c in row) for row in cells)
+            zeros = [z for g in jet.d[k + n:2 * k] for z in g.vals or [None]]
+            tables = _tables(zeros, hess, n) if kind is None else None
+            return _TABLES.setdefault(repr(hess), hess), tables
+    return None
+
+
+def _jets(fn, point, depth, slopes=None, tables=None):
     """[value, [D_i g], [[D_j D_i g]]] of a coefficient g = ``fn`` at a
     point, built once per point for all operators up to ``depth`` (0: the
     value, 1: and the first total derivatives, 2: and the second ones);
@@ -137,16 +241,19 @@ def _jets(fn, point, depth, slopes=None, zeros=None):
     at depth 0, makes the value pass alone; held slopes stand for a pass's
     gradient and Hessian, and the total derivatives are expanded from them
     as from a pass's (with one field, one comprehension per row, the loop's
-    terms in its order), but D_j D_i g is the table of ``zeros``
-    (:func:`_zeros`) for the point's :func:`_plan_kind` where it has one.
-    Any other read makes one ``value_grad_hess`` call, or for an AP_inf
-    coefficient (:class:`EikonalCoefficient`) its lane kernel, which
-    returns that call's bits; either carries Hessian pairs only at depth
-    2, so a deeper read of a coefficient memoized by a first-order one
-    runs it again at full depth.  The passes share the point's one
-    argument tuple and, per depth, its one list of seeded jets, made by
-    the first pass that needs it, or its one-variable passes.  A planned
-    field (:attr:`VectorField.plan`) reads its coefficients at depth 0."""
+    terms in its order), but D_j D_i g is the table of ``tables``
+    (:func:`_tables`) for the point's :func:`_plan_kind` where it has one.
+    Without them a held Hessian and table (:func:`_hessians`) stand for a
+    pass's, and one :class:`Jet1` pass, kept for a deeper read, for its
+    value and gradient, unless it is not finite.  Any other read
+    makes one ``value_grad_hess`` call, or for an AP_inf coefficient
+    (:class:`EikonalCoefficient`) its lane kernel, which returns that
+    call's bits; either carries Hessian pairs only at depth 2, so a deeper
+    read of a coefficient memoized by a first-order one runs it again at
+    full depth.  The passes share the point's one argument tuple and, per
+    depth, its one list of seeded jets, made by the first pass that needs
+    it, or its one-variable passes.  A planned field
+    (:attr:`VectorField.plan`) reads its coefficients at depth 0."""
     # the last point's state read inline, as are its seeded jets below:
     # a dense row makes this call once per coefficient
     _, memo, args, seeded, _, passes = \
@@ -156,6 +263,23 @@ def _jets(fn, point, depth, slopes=None, zeros=None):
         return jets
     n, m, du = point.n_base, point.n_fields, point.du
     second = depth == 2
+    if depth and slopes is None and type(fn) is not EikonalCoefficient:
+        held = passes.get(fn)
+        if held is None:
+            if Jet1 not in seeded:
+                seeds = _jet_seeds(n + m, False)[1]
+                seeded[Jet1] = tuple(map(type, args)), [
+                    Jet1(a, e[:n + m]) for a, e in zip(args, seeds)]
+            types, ones = seeded[Jet1]
+            held = _hessians(fn, n, m, types)
+            out = held and fn(ones[:n], ones[n:])
+            if out and all(map(cmath.isfinite, (out.value, *out.d))):
+                held = passes[fn] = (out.d, held[0]), held[1]
+                jets = jets or memo.setdefault(fn, [out.value, None, None])
+            else:
+                held = None
+        if held:
+            slopes, tables = held
     if depth and slopes is None:
         if type(fn) is EikonalCoefficient:
             val, grad, hess = fn.value_grad_hess(args, second, passes)
@@ -189,7 +313,7 @@ def _jets(fn, point, depth, slopes=None, zeros=None):
                 d.append(out)
     if second:
         # D_j D_i g for g = g(x, u)
-        table = zeros and zeros.get(_plan_kind(point))
+        table = tables and tables.get(_plan_kind(point))
         if table:
             jets[2] = table
         elif m == 1:
@@ -223,7 +347,7 @@ def _jets(fn, point, depth, slopes=None, zeros=None):
 # Python 3.10-3.13 do; a complex point's plan rests on it
 _PROMOTES = math.copysign(1.0, (0.0 + complex(0.0, -0.0)).imag) > 0.0
 _DU_BOUND = 2.0 ** 500
-_ZEROS = {}  # _zeros' tables, one set per (n, float too) for every caller
+_TABLES = {}  # _tables' tables and _hessians' Hessians, one per distinct value
 
 
 def _plan_kind(point):
@@ -253,48 +377,56 @@ def _minus_zero(z):
                for p in (z.real, z.imag))
 
 
-def _zeros(held, n):
-    """Per number type of :func:`_plan_kind`, the all-+0.0 D_j D_i g table
-    of a coefficient g whose ``held`` slopes are 0 in every field slot of
-    the gradient and +0.0 in every Hessian entry, else None: at such a
-    point each term of :func:`_jets`' sum is a zero, so it keeps its +0.0
-    start, complex where the point or an entry is (:data:`_PROMOTES`), so
-    float takes a table only when every such entry is a float."""
-    grad, hess = held
-    cells = (*grad[n:], *itertools.chain(*hess))
-    if any(type(z) not in (float, complex) or z != 0 for z in cells) or \
-            any(map(_minus_zero, itertools.chain(*hess))):
+def _tables(zeros, hess, n):
+    """Per number type of :func:`_plan_kind`, the D_j D_i g table of a
+    coefficient g whose gradient may be only the numbers ``zeros`` in its
+    field slots and whose Hessian is ``hess``, else None.  Where those
+    numbers and every Hessian entry in a field row or column are zeros and
+    no entry of the x-block (i, j < n) has a -0.0 part, each term of
+    :func:`_jets`' sum but the first is a zero at such a point, so it keeps
+    its x-block start, complex where the point or an entry is
+    (:data:`_PROMOTES`), so float takes a table only when every such entry
+    is a float.  Equal tables are one list, shared by every field."""
+    block = [row[:n] for row in hess[:n]]
+    zeros = (*zeros, *(z for i, row in enumerate(hess) for z in
+                       (row if i >= n else row[n:])))
+    cells = (*zeros, *itertools.chain(*block))
+    if any(type(z) not in (float, complex) for z in cells) or any(zeros) \
+            or any(map(_minus_zero, itertools.chain(*block))):
         return None
     floats = all(type(z) is float for z in cells)
-    return _ZEROS.setdefault((n, floats), {kind: [[kind(0.0)] * n] * n
-                             for kind in (complex,) + (float,) * floats})
+    return _TABLES.setdefault((repr(block), floats), {
+        kind: [[kind(z) for z in row] for row in block]
+        for kind in (complex,) + (float,) * floats})
 
 
 def _plan(field):
-    """(held, sparse, zeros) of :attr:`VectorField.plan`, ``zeros`` each
-    coefficient's :func:`_zeros`.  The sparse plan of a field whose slopes
-    are all held is: per i, the k whose D_i xi^k is not 0; per pair i < j,
-    the terms (p, q, k), u_pk D_q xi^k, of eta_ij and of eta_ji whose D_q
-    xi^k is not 0, in the formula's order; and per number type of
-    :func:`_plan_kind`, the D_i xi^k (cols[i][k]), the D_i eta_r and the
-    +0.0 D_j D_i eta_r table of that type (every eta's :func:`_zeros`).
-    float takes a plan only when every slot is a float."""
+    """(held, sparse, tables) of :attr:`VectorField.plan`, ``tables`` each
+    coefficient's :func:`_tables` of its held slopes.  The sparse plan of a
+    field whose slopes are all held is: per i, the k whose D_i xi^k is not
+    0; per pair i < j, the terms (p, q, k), u_pk D_q xi^k, of eta_ij and of
+    eta_ji whose D_q xi^k is not 0, in the formula's order; and per number
+    type of :func:`_plan_kind`, the D_i xi^k (cols[i][k]), the D_i eta_r
+    and the +0.0 D_j D_i eta_r table of that type (every eta's
+    :func:`_tables`).  float takes a plan only when every slot is a
+    float."""
     n, m = field.n_base, field.n_fields
     held = tuple(_probe(f, n, m) for f in field.xi + field.eta)
-    zeros = tuple(h and _zeros(h, n) for h in held)
+    tables = tuple(h and _tables(h[0][n:], h[1], n) for h in held)
     if None in held:
-        return held, None, zeros
+        return held, None, tables
     cells = [z for g, h in held for z in (*g, *itertools.chain(*h))]
     if any(type(z) not in (float, complex) for z in cells):
-        return held, None, zeros
+        return held, None, tables
     for c, (grad, hess) in enumerate(held):
-        # an eta has its +0.0 table and no -0.0 base slot; a xi is 0 in
-        # each field slot and Hessian entry, and no nonzero slot is -0.0
-        flat = zeros[c] if c >= n else not any(
-            z != 0 for z in (*grad[n:], *itertools.chain(*hess)))
+        # every Hessian entry is 0; an eta has its +0.0 table and no -0.0
+        # base slot; a xi is 0 in each field slot, and no nonzero slot is
+        # -0.0
+        flat = not any(itertools.chain(*hess)) and (
+            tables[c] if c >= n else not any(grad[n:]))
         signed = grad[:n] if c >= n else [z for z in grad[:n] if z != 0]
         if not flat or any(map(_minus_zero, signed)):
-            return held, None, zeros
+            return held, None, tables
     rn = range(n)
     grads = [g for g, _ in held]
     ks = [tuple(k for k in rn if grads[k][i] != 0) for i in rn]
@@ -308,8 +440,8 @@ def _plan(field):
     return held, (ks, pairs, {
         kind: ([[kind(grads[k][i]) for k in rn] for i in rn],
                [[kind(g) for g in grads[n + r][:n]] for r in range(m)],
-               zeros[n][kind])
-        for kind in kinds}), zeros
+               tables[n][kind])
+        for kind in kinds}), tables
 
 
 class ProlongedOperator:
@@ -364,7 +496,7 @@ class ProlongedOperator:
         du, ddu = point.du, point.ddu
         if src.plan is None:
             src.plan = _plan(src)
-        held, plan, zeros = src.plan
+        held, plan, tables = src.plan
         sparse = plan and plan[2].get(_plan_kind(point))
         rn = range(n)  # made once, as in _jets
         if sparse:
@@ -373,8 +505,8 @@ class ProlongedOperator:
             row = [_jets(f, point, 0, h)[0] for f, h in zip(src.xi, held)]
         else:
             ks = (rn,) * n
-            xi, d_xi, dd_xi = zip(*[_jets(f, point, 1 + bool(second), h, z)
-                                    for f, h, z in zip(src.xi, held, zeros)])
+            xi, d_xi, dd_xi = zip(*[_jets(f, point, 1 + bool(second), h, t)
+                                    for f, h, t in zip(src.xi, held, tables)])
             cols = list(zip(*d_xi))  # cols[i][k] = D_i xi^k
             row = list(xi)
         for r in range(m):
@@ -386,7 +518,7 @@ class ProlongedOperator:
                 d_eta = d_etas[r]
             else:
                 eta, d_eta = _jets(src.eta[r], point, 1 + (r in second),
-                                   held[n + r], zeros[n + r])[:2]
+                                   held[n + r], tables[n + r])[:2]
                 row.append(eta)
             du_r = du[r]
             for i in rn:
@@ -417,7 +549,7 @@ class ProlongedOperator:
                             ji = ji - ddu_r[p][k] * cols[q][k]
                         row.append((ij + ji) / 2.0)
                 continue
-            dd_eta = _jets(src.eta[r], point, 2, held[n + r], zeros[n + r])[2]
+            dd_eta = _jets(src.eta[r], point, 2, held[n + r], tables[n + r])[2]
             for i in rn:
                 col_i, ddu_ri, dd_eta_i = cols[i], ddu_r[i], dd_eta[i]
                 val = dd_eta_i[i]

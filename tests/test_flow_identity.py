@@ -343,15 +343,28 @@ def _planned(fields):
     return fields
 
 
-def _unheld(fields):
+def _held_hessian(fn, n, m, kind=float):
+    """``liealg._hessians`` of ``fn`` at points whose field values are of
+    type ``kind``; AP_inf's coefficients, made afresh per call, ask for
+    none."""
+    if type(fn) is liealg.EikonalCoefficient:
+        return None
+    return liealg._hessians(fn, n, m, (float,) * n + (kind,) * m)
+
+
+def _unheld(fields, hessians=False, kind=float):
     """The coefficient functions of ``fields`` whose slopes are not held
-    (:attr:`liealg.VectorField.plan`), which make a pass per point.  It
-    plans the fields that have no plan, such as the translations a check
-    leaves out (``verify._moves_none``), and so belongs outside any count
-    of passes."""
+    (:attr:`liealg.VectorField.plan`) and, with ``hessians``, whose Hessian
+    is held at points of ``kind`` (:func:`_held_hessian`), which make a
+    Jet1 pass per point, else whose Hessian is not held either, which make
+    a value_grad_hess call per point.  It plans the fields that have no
+    plan, such as the translations a check leaves out
+    (``verify._moves_none``), and so belongs outside any count of
+    passes."""
     return {f for field in _planned(fields)
             for f, held in zip(field.xi + field.eta, field.plan[0])
-            if held is None}
+            if held is None and hessians == (_held_hessian(
+                f, field.n_base, field.n_fields, kind) is not None)}
 
 
 @pytest.mark.parametrize("spec,shared,passes,kernels", [
@@ -613,13 +626,16 @@ def test_partial_rows_equal_the_full_rows():
 def _counting(monkeypatch, fields):
     """The functions passed to ``value_grad_hess``, and the AP_inf
     coefficients whose lane kernel (``liealg.EikonalCoefficient``) stands
-    for that call, whether each pass carried Hessian pairs, and every
-    per-point memo of coefficient jets made while counting.  ``fields``
-    are planned (:func:`_planned`) before the count starts: a plan's
-    probes are ``value_grad_hess`` calls, made once per function for the
-    whole process, so no count may depend on which tests ran first."""
+    for that call, whether each pass carried Hessian pairs, every
+    per-point memo of coefficient jets made while counting, and every
+    per-point dict of passes, where a function with a held Hessian
+    (``liealg._hessians``) keeps its one Jet1 pass (:func:`_held_passes`).
+    ``fields`` are planned (:func:`_planned`) before the count starts: a
+    plan's probes are ``value_grad_hess`` calls, made once per function
+    for the whole process, so no count may depend on which tests ran
+    first."""
     _planned(fields)
-    calls, depths, memos = [], [], {}
+    calls, depths, memos, points = [], [], {}, []
 
     def counter(run):
         def counted(fn, args, hessian=True, *rest, **kw):
@@ -630,10 +646,27 @@ def _counting(monkeypatch, fields):
             return run(fn, args, hessian, *rest, **kw)
         return counted
 
+    def at(point):
+        # a point's state, made once per point and asked for again
+        state = real_at(point)
+        if not any(passes is state[5] for passes in points):
+            points.append(state[5])
+        return state
+
+    real_at = liealg._at
     monkeypatch.setattr(liealg, "value_grad_hess", counter(value_grad_hess))
     monkeypatch.setattr(liealg.EikonalCoefficient, "value_grad_hess",
                         counter(liealg.EikonalCoefficient.value_grad_hess))
-    return calls, depths, memos
+    monkeypatch.setattr(liealg, "_at", at)
+    return calls, depths, memos, points
+
+
+def _held_passes(points):
+    """The functions of :func:`_counting`'s per-point passes that made a
+    held Jet1 pass, one entry per point: AP_inf's two-argument passes share
+    those dicts under (function, depth) keys."""
+    return [fn for passes in points for fn in passes
+            if not isinstance(fn, tuple)]
 
 
 def _check_equation(monkeypatch, name, **kw):
@@ -664,7 +697,8 @@ def test_a_first_order_check_builds_no_second_total_derivative(monkeypatch):
         return poly_lanes(poly, w, second)
 
     monkeypatch.setattr(liealg.PolynomialOfU, "lanes", counted_lanes)
-    _, (calls, depths, memos) = _check_equation(monkeypatch, "eikonal")
+    _, (calls, depths, memos, points) = _check_equation(monkeypatch,
+                                                        "eikonal")
     jets = [j for memo in memos.values() for j in memo.values()]
     assert len(calls) == len(jets) == 75
     assert all(type(fn) is liealg.EikonalCoefficient for fn in calls)
@@ -673,26 +707,34 @@ def test_a_first_order_check_builds_no_second_total_derivative(monkeypatch):
     assert len(lanes) == len(set(lanes)) == 5 * 33
     assert len({point for _, _, point in lanes}) == 5
     assert not any(second for _, second, _ in lanes)
+    assert not _held_passes(points)
 
 
 def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
     # the Schrodinger residual reads psi alone; its conjugate's eta,
     # where no other coefficient shares it, is never differentiated (whole
     # rows made 130 calls, 30 of them for those six functions).  Of the 20
-    # functions read at a point, 12 are affine texts with held slopes: the
-    # boosts' psi eta and the projective generator's xi and psi eta make
-    # the 8 passes per point
-    fields, (calls, depths, memos) = _check_equation(
+    # functions read at a point, 12 are affine texts with held slopes; the
+    # boosts' psi eta and the projective generator's xi have held Hessians
+    # and make 7 Jet1 passes per point, and the projective generator's
+    # cubic psi eta makes the 1 value_grad_hess call per point (8 calls
+    # per point before Hessians were held)
+    fields, (calls, depths, memos, points) = _check_equation(
         monkeypatch, "schrodinger", mass=1.0)
     conj = {f.eta[1] for f in fields} - \
         {g for f in fields for g in f.xi + f.eta[:1]}
     assert len(conj) == 6
-    assert len(calls) == 40
+    assert len(calls) == 5
+    assert len(points) == 5
+    assert len(_held_passes(points)) == 5 * 7
+    assert set(_held_passes(points)) == \
+        _unheld(fields, hessians=True, kind=complex) - conj
     assert not any(fn in conj for memo in memos.values() for fn in memo)
     # psi's d2 block is read, so its jets and the xi's have second ones,
     # each from its one pass, which carried Hessian pairs, or from its
-    # held slopes; but the rotations J12, J13 and J23 take their sparse
-    # plan, so their four xi texts are read at depth 0, value only
+    # held slopes or Hessian; but the rotations J12, J13 and J23 take
+    # their sparse plan, so their four xi texts are read at depth 0, value
+    # only
     assert sum(j[2] is not None
                for memo in memos.values() for j in memo.values()) == 80
     assert sum(j[1] is None
@@ -701,29 +743,40 @@ def test_a_field_with_no_read_entry_is_not_differentiated(monkeypatch):
 
 
 def test_a_basis_check_differentiates_every_coefficient(monkeypatch):
-    # a basis check reads every block: as many calls as whole rows make,
+    # a basis check reads every block: as many passes as whole rows make,
     # one per point for each function whose slopes are not held.  Every
-    # text of AE is affine; AC's 12 that are not are its special conformal
-    # generators' xi and eta
-    specs = {make_spec("AE", 3): 0, make_spec("AC", 3, lam=0.6): 60}
-    unheld = {spec: len(_unheld(catalog(spec))) for spec in specs}
-    calls, depths, _ = _counting(
+    # text of AE is affine; AC's 12 that are not, its special conformal
+    # generators' xi and eta, have held Hessians and make a Jet1 pass
+    # each, no value_grad_hess call (60 calls before), as do AG2_I's 5 on
+    # log jets, the projective generator's xi and eta
+    specs = {make_spec("AE", 3): (0, 0), make_spec("AC", 3, lam=0.6): (0, 60),
+             make_spec("AG2_I", 3, rep="log"): (0, 25)}
+    unheld = {spec: (len(_unheld(catalog(spec))),
+                     len(_unheld(catalog(spec), hessians=True)))
+              for spec in specs}
+    calls, depths, _, points = _counting(
         monkeypatch, [f for spec in specs for f in catalog(spec)])
-    for spec, passes in specs.items():
-        before = len(calls)
+    for spec, (passes, ones) in specs.items():
+        before, start = len(calls), len(points)
         check_absolute([prolong2(f) for f in catalog(spec)], basis(spec),
                        n_samples=5, seed=0)
-        assert len(calls) - before == 5 * unheld[spec] == passes
+        assert len(calls) - before == 5 * unheld[spec][0] == passes
+        assert len(_held_passes(points[start:])) == \
+            5 * unheld[spec][1] == ones
     assert all(depths)
 
 
 def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
     # the first-order row's passes carry no Hessian pairs; the first d2
     # read at the point runs each unheld coefficient's value_grad_hess call
-    # again, at full depth, a held one's D_j D_i from its slopes, and the
-    # rows equal the whole row's entries.  AC's 12 unheld functions make
-    # 24 calls, each a value pass and a jet pass
-    spec = make_spec("AC", 3, lam=0.6)
+    # again, at full depth, takes a coefficient with held slopes' D_j D_i
+    # from its slopes, and one with held Hessians' from its first-order
+    # Jet1 pass and its Hessian, with no second pass, and the rows equal
+    # the whole row's entries.  AG2_I's projective eta makes 2 calls, each
+    # a value pass and a jet pass, and its 7 functions with held Hessians
+    # a Jet1 pass each (AC's 12 functions made 24 calls before Hessians
+    # were held)
+    spec = make_spec("AG2_I", 3)
     evaluations, wrapped = [], {}
 
     def counted(fn):
@@ -741,23 +794,33 @@ def test_a_d2_read_after_a_first_order_row_runs_the_full_pass(monkeypatch):
     ops = []
     for f in catalog(spec):
         plan = liealg._plan(f)
-        ops.append(prolong2(VectorField(3, 1, wrap(f.xi, plan[0]),
-                                        wrap(f.eta, plan[0][3:]), f.label,
+        ops.append(prolong2(VectorField(4, 1, wrap(f.xi, plan[0]),
+                                        wrap(f.eta, plan[0][4:]), f.label,
                                         f.moves, plan)))
-    assert len(_unheld(op.source for op in ops)) == len(wrapped) == 12
-    _, depths, _ = _counting(monkeypatch, [op.source for op in ops])
+    # the functions the wrappers wrap
+    inner = {run: fn for fn, run in wrapped.items()}
+    sources = [op.source for op in ops]
+    unheld, ones = ({inner[run] for run in _unheld(sources, hessians)}
+                    for hessians in (False, True))
+    assert len(unheld) == 1 and len(ones) == 7 and len(wrapped) == 8
+    # the sign-aware passes that decided the held Hessians, once per
+    # function for the whole process, are not counted
+    evaluations.clear()
+    _, depths, _, _ = _counting(monkeypatch, sources)
     point = sample_points(spec, False)[0]
-    d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])
-    d2 = flow_positions(3, 1, [d2_coord(1, 0, 1), d2_coord(1, 2, 2)])
+    d1 = flow_positions(4, 1, [d1_coord(1, i) for i in range(4)])
+    d2 = flow_positions(4, 1, [d2_coord(1, 0, 1), d2_coord(1, 3, 3)])
     rows = [op.flow_table(point, at) for at in (d1, d2, d2) for op in ops]
-    assert depths == [False] * 12 + [True] * 12
-    # per function: two value passes, its first-order jet pass (4 gradient
-    # slots twice) and its full-depth one (and 10 Hessian slots)
+    assert depths == [False] + [True]
+    # the unheld function: two value passes, its first-order jet pass (5
+    # gradient slots twice) and its full-depth one (and 15 Hessian slots);
+    # the others: one Jet1 pass (5 gradient slots), which gives the value
     assert sorted(map(repr, evaluations)) == sorted(
-        repr((fn, size)) for fn in wrapped for size in (None, None, 8, 18))
+        [repr((fn, size)) for fn in unheld for size in (None, None, 10, 25)]
+        + [repr((fn, 5)) for fn in ones])
     whole = [reference_flow(op, point) for op in ops]
-    coords = [d1_coord(1, i) for i in range(3)], \
-        [d2_coord(1, 0, 1), d2_coord(1, 2, 2)]
+    coords = [d1_coord(1, i) for i in range(4)], \
+        [d2_coord(1, 0, 1), d2_coord(1, 3, 3)]
     want = [[flow[c] for c in cs] for cs in (*coords, coords[1])
             for flow in whole]
     assert repr(rows) == repr(want)
@@ -804,13 +867,17 @@ def test_each_eikonal_polynomial_is_evaluated_once_per_pass(monkeypatch):
 def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     # every pass at a point gets the point's one argument tuple and, per
     # depth, one list of seeded jets made for it; a whole row after a
-    # first-order one at the same point makes each function's call again,
-    # at full depth, on the point's one list of full-depth jets.  AC's 12
-    # unheld functions, its special conformal generators' xi and eta, make
-    # the passes; the fields are planned first, so no probe is counted
-    seen, seeds = [], []
-    spec = make_spec("AC", 3, lam=0.6)
+    # first-order one at the same point makes each unheld function's call
+    # again, at full depth, on the point's one list of full-depth jets.
+    # AG2_I's projective eta, cubic, makes the calls (AC's 12 functions
+    # made 12 per row before their Hessians were held); the 7 functions
+    # with held Hessians make their Jet1 passes on the point's one list of
+    # Jet1 arguments, made by the first, and none for the second row.  The
+    # fields are planned first, so no probe is counted
+    seen, seeds, ones = [], [], []
+    spec = make_spec("AG2_I", 3)
     ops = [prolong2(f) for f in _planned(catalog(spec))]
+    held = _unheld((op.source for op in ops), hessians=True)
 
     def counted(fn, args, hessian=True, seeded=None):
         seen.append((args, hessian, seeded))
@@ -823,14 +890,16 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
     monkeypatch.setattr(liealg, "seed_jets", seeding)
     p, q = sample_points(spec, False)[:2]
-    d1 = flow_positions(3, 1, [d1_coord(1, i) for i in range(3)])
-    groups = []
+    d1 = flow_positions(4, 1, [d1_coord(1, i) for i in range(4)])
+    groups, passes = [], []
     for point, at in ((p, d1), (p, None), (q, None)):
         before = len(seen)
         for op in ops:
             op.flow_table(point, at)
         groups.append(seen[before:])
-    assert [len(g) for g in groups] == [12, 12, 12]
+        passes.append({fn for fn in liealg._LAST[5] if fn in held})
+        ones.append(liealg._LAST[3][liealg.Jet1])
+    assert [len(g) for g in groups] == [1, 1, 1]
     for group, point, depth in zip(groups, (p, p, q), (False, True, True)):
         args, _, seeded = group[0]
         assert args == (*point.x, *point.u)
@@ -841,6 +910,15 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     assert [h for _, h in seeds] == [False, True, True]
     assert seeds[0][0] is seeds[1][0] is groups[0][0][0] is groups[1][0][0]
     assert seeds[2][0] is groups[2][0][0] is not seeds[0][0]
+    # one list of Jet1 arguments per point, seeded on its one argument
+    # tuple, and each held function's one pass there
+    assert len(held) == 7 and passes == [held, held, held]
+    assert ones[0] is ones[1] is not ones[2]
+    for (types, jets), (args, _, _) in zip(ones, (g[0] for g in groups)):
+        assert types == (float,) * 5
+        assert [j.value for j in jets] == list(args)
+        assert [j.d for j in jets] == [
+            tuple(float(i == a) for i in range(5)) for a in range(5)]
 
 
 def record():

@@ -1,11 +1,13 @@
 """Second total derivatives of the prolongation's coefficients, and the
 sparse plan's off-diagonal terms.
 
-``liealg._jets`` reads D_j D_i g of a coefficient with held slopes whose
-field-slot gradient entries are 0 and whose Hessian is all +0.0 as the
-+0.0 table of the point's number type (``liealg._zeros``), served only
-where ``liealg._plan_kind`` serves the point; with one field it forms D_i
-g and D_j D_i g as one comprehension per row.  Both must give the bits of
+``liealg._jets`` reads D_j D_i g of a coefficient with held slopes or a
+held Hessian whose field-slot gradient entries and field Hessian entries
+are zeros and whose x-block has no -0.0 part as the x-block, a table of
+the point's number type (``liealg._tables``), served only where
+``liealg._plan_kind`` serves the point; the all-+0.0 table of an affine
+coefficient is the case of held slopes.  With one field it forms D_i g
+and D_j D_i g as one comprehension per row.  Both must give the bits of
 the total-derivative loops (``references.total_d`` and
 ``references.total_dd``), which rest on the signed-zero and promotion
 rules of ``test_signed_zero_rule.py``.  A planned field's eta_ij and
@@ -19,7 +21,7 @@ import pytest
 
 from invforge import liealg
 from invforge.dual import value_grad_hess
-from invforge.jetspace import d1_coord, d2_coord
+from invforge.jetspace import COMPLEX, d1_coord, d2_coord
 from invforge.liealg import catalog, make_sampler, make_spec, prolong2
 from references import reference_flow, total_d, total_dd
 from test_flow_identity import CONFIGS, _PLANNED, _served_kind, _with, \
@@ -34,33 +36,46 @@ def _loop(grad, hess, point):
             for i in range(n)]
 
 
+def _tables(held, n):
+    """``liealg._tables`` of held slopes."""
+    return liealg._tables(held[0][n:], held[1], n)
+
+
 def _jets(held, point):
     """``liealg._jets`` of a coefficient given by its held slopes alone, at
     depth 2: a fresh function, so no memo answers for it."""
     return liealg._jets(lambda xs, us: 0.0, point, 2, held,
-                        liealg._zeros(held, point.n_base))
+                        _tables(held, point.n_base))
 
 
 @pytest.mark.parametrize("key,build,positive", _HELD_CONFIGS,
                          ids=[k for k, _, _ in _HELD_CONFIGS])
 def test_held_zero_tables_are_the_loops(key, build, positive):
     # every held coefficient the predicate admits, at the grid's points:
-    # the table the point's number type serves is the loops' D_j D_i g
+    # the table the point's number type serves is the loops' D_j D_i g,
+    # from the held slopes or from a pass there
     spec = build()
     n = spec.n_base
     for field in catalog(spec):
-        held, _, zeros = liealg._plan(field)
-        assert zeros == tuple(h and liealg._zeros(h, n) for h in held)
-        for fn, h, z in zip(field.xi + field.eta, held, zeros):
-            for point in sample_points(spec, positive) if z else ():
+        held, _, tables = liealg._plan(field)
+        assert tables == tuple(h and _tables(h, n) for h in held)
+        for fn, h, t in zip(field.xi + field.eta, held, tables):
+            # without held slopes, the tables of a held Hessian
+            if h is None and type(fn) is not liealg.EikonalCoefficient:
+                kind = complex if spec.field_kind is COMPLEX else float
+                t = (liealg._hessians(fn, n, spec.m, (float,) * n
+                                      + (kind,) * spec.m) or (None, None))[1]
+            for point in sample_points(spec, positive) if t else ():
                 kind = liealg._plan_kind(point)
                 assert kind is _served_kind(spec)
                 if kind is None:
                     continue
-                table = z.get(kind)
+                table = t.get(kind)
                 assert table is not None, key
-                assert repr(table) == repr(_loop(*h, point)), key
-                assert liealg._jets(fn, point, 2, h, z)[2] is table
+                slopes = h or value_grad_hess(
+                    lambda a: fn(a[:n], a[n:]), (*point.x, *point.u))[1:]
+                assert repr(table) == repr(_loop(*slopes, point)), key
+                assert liealg._jets(fn, point, 2, h, h and t)[2] is table
 
 
 @pytest.mark.parametrize("spec,labels", [
@@ -73,9 +88,9 @@ def test_the_dense_fields_the_tables_serve(spec, labels):
     fields = [f for f in catalog(spec) if f.label in labels]
     assert len(fields) == len(labels)
     for f in fields:
-        _, sparse, zeros = liealg._plan(f)
+        _, sparse, tables = liealg._plan(f)
         assert sparse is None
-        assert [bool(z) for z in zeros] == \
+        assert [bool(t) for t in tables] == \
             [True] * f.n_base + [False] * f.n_fields
 
 
@@ -132,8 +147,8 @@ _CONTROLS = [
 @pytest.mark.parametrize("held,point,shows", [c[1:] for c in _CONTROLS],
                          ids=[c[0] for c in _CONTROLS])
 def test_where_the_loops_still_run(held, point, shows):
-    zeros = liealg._zeros(held, _N)
-    served = zeros and zeros.get(liealg._plan_kind(point))
+    tables = _tables(held, _N)
+    served = tables and tables.get(liealg._plan_kind(point))
     assert not served
     dd = _jets(held, point)[2]
     assert repr(dd) == repr(_loop(*held, point))
@@ -144,22 +159,48 @@ def test_the_plain_slopes_are_served():
     # the controls' own slopes with a +0.0 Hessian and a 0 field slot
     # take the table at the sampled point, and at a complex one
     held = _slopes()
-    zeros = liealg._zeros(held, _N)
-    assert set(zeros) == {float, complex}
-    assert liealg._jets(lambda xs, us: 0.0, _POINT, 2, held, zeros)[2] \
-        is zeros[float]
-    assert repr(zeros[float]) == repr(_loop(*held, _POINT))
+    tables = _tables(held, _N)
+    assert set(tables) == {float, complex}
+    assert liealg._jets(lambda xs, us: 0.0, _POINT, 2, held, tables)[2] \
+        is tables[float]
+    assert repr(tables[float]) == repr(_loop(*held, _POINT))
     spec = make_spec("AG_II", 3)
     point = sample_points(spec, False)[0]
     held = [1.5, -2.0, 0.5, 0.25, 0.0, -0.0], \
         [[0.0] * 6 for _ in range(6)]
-    zeros = liealg._zeros(held, 4)
+    tables = _tables(held, 4)
     kind = liealg._plan_kind(point)
     assert (kind is complex) == liealg._PROMOTES
     if kind:
-        assert liealg._jets(lambda xs, us: 0.0, point, 2, held, zeros)[2] \
-            is zeros[kind]
-        assert repr(zeros[kind]) == repr(_loop(*held, point))
+        assert liealg._jets(lambda xs, us: 0.0, point, 2, held, tables)[2] \
+            is tables[kind]
+        assert repr(tables[kind]) == repr(_loop(*held, point))
+
+
+@pytest.mark.parametrize("kind", (float, complex))
+def test_an_x_block_with_zero_field_entries_is_the_loop(kind):
+    # the held-Hessian case of the table rule: an x-block of numbers and
+    # +0.0, field-slot gradient and field Hessian entries zeros of either
+    # sign and type, at points with -0.0 du and ddu entries; a -0.0 in the
+    # x-block, or a field entry that is not a zero, takes no table
+    rng = random.Random(f"x-block {kind.__name__}")
+    block = [0.0, 2.0, -0.75, complex(0.0, 1.5), complex(-2.0, 0.0)]
+    zeros = [0.0, -0.0, 0j, complex(-0.0, -0.0)]
+    for _ in range(200):
+        point = _signed_point(rng, kind)
+        if liealg._plan_kind(point) is None:
+            continue
+        hess = [[rng.choice(block if max(i, j) < _N else zeros)
+                 for j in range(_N + 1)] for i in range(_N + 1)]
+        grad = [rng.uniform(-2, 2) for _ in range(_N)] + [rng.choice(zeros)]
+        tables = liealg._tables(grad[_N:], hess, _N)
+        assert tables is not None
+        table = tables.get(liealg._plan_kind(point))
+        if table is not None:
+            assert repr(table) == repr(_loop(grad, hess, point))
+        assert liealg._tables([1e-300], hess, _N) is None
+        hess[rng.randrange(_N)][rng.randrange(_N)] = -0.0
+        assert liealg._tables(grad[_N:], hess, _N) is None
 
 
 def _signed_point(rng, kind, n=_N, m=1):

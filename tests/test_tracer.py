@@ -81,23 +81,27 @@ def test_traced_counts_see_every_prolongation_table():
 def test_every_pass_of_a_d2_read_after_a_first_order_row_is_traced():
     """A d2 read after a first-order row at one point runs each unheld
     coefficient's value_grad_hess call again at full depth, so the traced
-    ``dual.hess_passes`` sees both of its calls: AC's 12 unheld functions
-    make 24 calls over k = 4 arguments, each weighed k * k + 1.  The fields
-    are planned before the trace, so no probe is counted."""
-    spec = liealg.make_spec("AC", 3, lam=0.6)
+    ``dual.hess_passes`` sees both of its calls: AG2_I's one unheld
+    function, the projective generator's cubic eta, makes 2 calls over
+    k = 5 arguments, each weighed k * k + 1.  Its 7 functions with held
+    Hessians make Jet1 passes, which no counter sees (AC's 12 functions
+    made 24 calls before their Hessians were held).  The fields are
+    planned before the trace, so no probe is counted."""
+    spec = liealg.make_spec("AG2_I", 3)
     fields = liealg.catalog(spec)
     for field in fields:
         if field.plan is None:
             field.plan = liealg._plan(field)
+    types = (float,) * 5
     unheld = {f for field in fields
               for f, held in zip(field.xi + field.eta, field.plan[0])
-              if held is None}
-    assert len(unheld) == 12
+              if held is None and liealg._hessians(f, 4, 1, types) is None}
+    assert len(unheld) == 1
     ops = [liealg.prolong2(f) for f in fields]
-    point = liealg.make_sampler(3, 1, seed=5)(0)
-    d1 = liealg.flow_positions(3, 1, [jetspace.d1_coord(1, i)
-                                      for i in range(3)])
-    d2 = liealg.flow_positions(3, 1, [jetspace.d2_coord(1, 0, 1)])
+    point = liealg.make_sampler(4, 1, seed=5)(0)
+    d1 = liealg.flow_positions(4, 1, [jetspace.d1_coord(1, i)
+                                      for i in range(4)])
+    d2 = liealg.flow_positions(4, 1, [jetspace.d2_coord(1, 0, 1)])
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -106,5 +110,5 @@ def test_every_pass_of_a_d2_read_after_a_first_order_row_is_traced():
                 op.flow_table(point, at)
     finally:
         tracer.uninstall()
-    assert tracer.counts[("dual.vgh", "calls")] == 24
-    assert tracer.counts["dual.hess_passes"] == 24 * (4 * 4 + 1)
+    assert tracer.counts[("dual.vgh", "calls")] == 2
+    assert tracer.counts["dual.hess_passes"] == 2 * (5 * 5 + 1)
