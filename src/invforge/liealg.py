@@ -72,9 +72,9 @@ class VectorField:
     (:meth:`ProlongedOperator._flow`) takes those values from its plan and
     leaves out each term with such a zero factor.  ``tables`` has per
     coefficient the +0.0 D_j D_i tables (:func:`_tables`) of one whose held
-    field-slot gradient is 0 and Hessian all +0.0, which a dense row reads
-    at such a point too.  A coefficient without held slopes may have a held
-    Hessian (:func:`_hessians`).
+    field-slot gradient is 0 and Hessian 0, +0.0 where both indices are
+    base ones, which a dense row reads at such a point too.  A coefficient
+    without held slopes may have a held Hessian (:func:`_hessians`).
     """
 
     __slots__ = ("n_base", "n_fields", "xi", "eta", "label", "moves", "plan")
