@@ -1,11 +1,12 @@
 """Held Hessians of the coefficients whose slopes are not held.
 
-``liealg._hessians`` decides once per coefficient, by one pass over
-sign-aware abstract numbers, whether its ``Jet2`` Hessian has the same
-bits at every point of a number type where its pass is finite.  For such a
-coefficient ``liealg._jets`` takes the value and gradient from one ``Jet1``
-pass and the Hessian, or the D_j D_i table of one that reads no field
-value, from the plan.  Both must give ``dual.value_grad_hess``'s bits,
+``liealg._hessians`` decides once per coefficient and argument types, by
+a pass over sign-aware abstract numbers, whether its ``Jet2`` Hessian has
+the same bits at every point of those types where a ``Jet1`` pass of it is
+finite.  For such a coefficient ``liealg._jets`` takes the value and
+gradient from one ``Jet1`` pass and the Hessian, or the D_j D_i table of
+one that reads no field value, from that decision.  Both must give
+``dual.value_grad_hess``'s bits,
 signed zeros included, which rests on each interpreter's signed-zero
 rules.  A point where the ``Jet1`` pass is not finite takes the full pass.
 """
