@@ -96,10 +96,11 @@ class VectorField:
 
 
 # (point, {function: jets there}, arguments, {depth: seeded jets, Jet1:
-# (the arguments' types, the seeded Jet1 arguments)}, [the point's plan
-# kind, once asked], {(function of u, depth): its two-argument pass,
-# function with a held Hessian: ((its gradient, Hessian), its tables)}) of
-# the last point a flow row was built at, replaced whole by the next point
+# the seeded Jet1 arguments}, [the point's plan kind, once asked],
+# {(function of u, depth): its two-argument pass, function without held
+# slopes: ((its gradient, held Hessian), its tables), or False where its
+# Hessian is not held or its Jet1 pass is not finite}) of the last point a
+# flow row was built at, replaced whole by the next point
 _LAST = (None, {}, (), {}, [], {})
 
 
@@ -180,12 +181,13 @@ def _sign_op(a, b, op):
         b = _Sign((b,), 0)
     mul = op is operator.mul
     deg = min(a.deg + b.deg, 2) if mul else max(a.deg, b.deg)
-    if a.vals is not None and b.vals is not None:
-        if len(a.vals) == len(b.vals) == 1:
-            return _Sign((op(a.vals[0], b.vals[0]),), deg)
-        out = itertools.starmap(op, itertools.product(a.vals, b.vals))
+    x, y = a.vals, b.vals
+    if x is not None and y is not None:
+        if len(x) == len(y) == 1:
+            return _Sign((op(x[0], y[0]),), deg)
+        out = itertools.starmap(op, itertools.product(x, y))
         return _Sign(tuple({repr(z): z for z in out}.values()), deg)
-    known = (*(a.vals or ()), *(b.vals or ()))
+    known = x or y or ()
     kinds = {s.kind for s in (a, b) if s.vals is None} | set(map(type, known))
     if kinds <= {int, float, complex} and all(map(cmath.isfinite, known)):
         kind = complex if complex in kinds else float
@@ -201,35 +203,30 @@ def _hessians(fn, n, m, types):
     """(Hessian, D_j D_i tables) of a coefficient ``fn`` of n base
     coordinates and m fields whose :class:`Jet2` Hessian has the same bits
     at every point of the argument ``types`` where a Jet1 pass of it is
-    finite, else None, decided once per function and types by a pass over
-    :class:`_Sign` numbers, every x a finite float and every u any number
-    (whose Hessian has :func:`_tables`), else by one where every u is a
-    finite float, or a finite complex, as ``types`` has it.  Refusing any
-    jet operation but + - * and / by a number makes a Jet1 pass give the
-    value and gradient's bits."""
+    finite, else None, decided once per function and types by one pass over
+    :class:`_Sign` numbers, every x a finite float and every u a finite
+    float, or a finite complex, as ``types`` has it (:func:`_tables` gives
+    the tables).  Refusing any jet operation but + - * and / by a number
+    makes a Jet1 pass give the value and gradient's bits."""
     k = n + m
     if {*types[:n]} != {float} or {*types[n:]} not in ({float}, {complex}):
         return None
     shape, seeds, places = _jet_seeds(k, True)
-    for kind in (None, types[-1]):
-        args = [Jet2(_Sign(None, 0, float if a < n else kind), [
-            _Sign((z,), 1 + (p >= 2 * k)) for p, z in enumerate(d)], shape)
-            for a, d in enumerate(seeds)]
-        try:
-            jet = fn(args[:n], args[n:])
-        except ArithmeticError:  # an unknown Hessian term, or fn's own
-            continue
-        except TypeError:
-            return None
-        if type(jet) is not Jet2:
-            return None
-        cells = [[jet.d[q].vals for q in row] for row in places]
-        if all(c and len(c) == 1 for c in itertools.chain(*cells)):
-            hess = tuple(tuple(c[0] for c in row) for row in cells)
-            zeros = [z for g in jet.d[k + n:2 * k] for z in g.vals or [None]]
-            tables = _tables(zeros, hess, n) if kind is None else None
-            return _TABLES.setdefault(repr(hess), hess), tables
-    return None
+    args = [Jet2(_Sign(None, 0, types[a]), [
+        _Sign((z,), 1 + (p >= 2 * k)) for p, z in enumerate(d)], shape)
+        for a, d in enumerate(seeds)]
+    try:  # an unknown Hessian term, fn's own error or a refused operation
+        jet = fn(args[:n], args[n:])
+    except (ArithmeticError, TypeError):
+        return None
+    if type(jet) is not Jet2:
+        return None
+    cells = [[jet.d[q].vals for q in row] for row in places]
+    if not all(c and len(c) == 1 for c in itertools.chain(*cells)):
+        return None
+    hess = tuple(tuple(c[0] for c in row) for row in cells)
+    zeros = [z for g in jet.d[k + n:2 * k] for z in g.vals or [None]]
+    return hess, _tables(zeros, hess, n)
 
 
 def _jets(fn, point, depth, slopes=None, tables=None):
@@ -266,18 +263,19 @@ def _jets(fn, point, depth, slopes=None, tables=None):
     if depth and slopes is None and type(fn) is not EikonalCoefficient:
         held = passes.get(fn)
         if held is None:
-            if Jet1 not in seeded:
-                seeds = _jet_seeds(n + m, False)[1]
-                seeded[Jet1] = tuple(map(type, args)), [
-                    Jet1(a, e[:n + m]) for a, e in zip(args, seeds)]
-            types, ones = seeded[Jet1]
-            held = _hessians(fn, n, m, types)
-            out = held and fn(ones[:n], ones[n:])
-            if out and all(map(cmath.isfinite, (out.value, *out.d))):
-                held = passes[fn] = (out.d, held[0]), held[1]
-                jets = jets or memo.setdefault(fn, [out.value, None, None])
-            else:
-                held = None
+            held = passes[fn] = _hessians(
+                fn, n, m, tuple(map(type, args))) or False
+            if held:
+                ones = seeded.get(Jet1)
+                if ones is None:
+                    seeds = _jet_seeds(n + m, False)[1]
+                    ones = seeded[Jet1] = [Jet1(a, e[:n + m])
+                                           for a, e in zip(args, seeds)]
+                out = fn(ones[:n], ones[n:])
+                finite = all(map(cmath.isfinite, (out.value, *out.d)))
+                held = passes[fn] = finite and ((out.d, held[0]), held[1])
+                if finite:
+                    jets = memo.setdefault(fn, [out.value, None, None])
         if held:
             slopes, tables = held
     if depth and slopes is None:
@@ -347,7 +345,7 @@ def _jets(fn, point, depth, slopes=None, tables=None):
 # Python 3.10-3.13 do; a complex point's plan rests on it
 _PROMOTES = math.copysign(1.0, (0.0 + complex(0.0, -0.0)).imag) > 0.0
 _DU_BOUND = 2.0 ** 500
-_TABLES = {}  # _tables' tables and _hessians' Hessians, one per distinct value
+_TABLES = {}  # _tables' tables, one per distinct value
 
 
 def _plan_kind(point):

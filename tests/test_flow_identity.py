@@ -664,9 +664,10 @@ def _counting(monkeypatch, fields):
 def _held_passes(points):
     """The functions of :func:`_counting`'s per-point passes that made a
     held Jet1 pass, one entry per point: AP_inf's two-argument passes share
-    those dicts under (function, depth) keys."""
-    return [fn for passes in points for fn in passes
-            if not isinstance(fn, tuple)]
+    those dicts under (function, depth) keys, and a function whose Hessian
+    is not held, or whose Jet1 pass is not finite, is there as False."""
+    return [fn for passes in points for fn, held in passes.items()
+            if not isinstance(fn, tuple) and held]
 
 
 def _check_equation(monkeypatch, name, **kw):
@@ -869,15 +870,18 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     # depth, one list of seeded jets made for it; a whole row after a
     # first-order one at the same point makes each unheld function's call
     # again, at full depth, on the point's one list of full-depth jets.
-    # AG2_I's projective eta, cubic, makes the calls (AC's 12 functions
-    # made 12 per row before their Hessians were held); the 7 functions
-    # with held Hessians make their Jet1 passes on the point's one list of
-    # Jet1 arguments, made by the first, and none for the second row.  The
-    # fields are planned first, so no probe is counted
-    seen, seeds, ones = [], [], []
-    spec = make_spec("AG2_I", 3)
-    ops = [prolong2(f) for f in _planned(catalog(spec))]
-    held = _unheld((op.source for op in ops), hessians=True)
+    # AG2_II's two cubic projective etas (the field and its conjugate)
+    # make the calls (AC's 12 functions made 12 per row before their
+    # Hessians were held), and each point keeps their refusal; the 10
+    # functions with held Hessians make their Jet1 passes on the point's
+    # one list of Jet1 arguments, made by the first, and none for the
+    # second row.  The fields are planned first, so no probe is counted
+    seen, seeds, ones, passes, refused = [], [], [], [], []
+    spec = make_spec("AG2_II", 3)
+    fields = _planned(catalog(spec))
+    ops = [prolong2(f) for f in fields]
+    held = _unheld(fields, hessians=True, kind=complex)
+    unheld = _unheld(fields, kind=complex)
 
     def counted(fn, args, hessian=True, seeded=None):
         seen.append((args, hessian, seeded))
@@ -890,16 +894,19 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     monkeypatch.setattr(liealg, "value_grad_hess", counted)
     monkeypatch.setattr(liealg, "seed_jets", seeding)
     p, q = sample_points(spec, False)[:2]
-    d1 = flow_positions(4, 1, [d1_coord(1, i) for i in range(4)])
-    groups, passes = [], []
+    d1 = flow_positions(4, 2, [d1_coord(r, i) for r in (1, 2)
+                               for i in range(4)])
+    groups = []
     for point, at in ((p, d1), (p, None), (q, None)):
         before = len(seen)
         for op in ops:
             op.flow_table(point, at)
         groups.append(seen[before:])
-        passes.append({fn for fn in liealg._LAST[5] if fn in held})
+        state = liealg._LAST[5]
+        passes.append({fn for fn in held if state.get(fn)})
+        refused.append({fn for fn in state if state[fn] is False})
         ones.append(liealg._LAST[3][liealg.Jet1])
-    assert [len(g) for g in groups] == [1, 1, 1]
+    assert len(unheld) == 2 and [len(g) for g in groups] == [2, 2, 2]
     for group, point, depth in zip(groups, (p, p, q), (False, True, True)):
         args, _, seeded = group[0]
         assert args == (*point.x, *point.u)
@@ -910,15 +917,16 @@ def test_the_passes_at_a_point_share_one_set_of_arguments(monkeypatch):
     assert [h for _, h in seeds] == [False, True, True]
     assert seeds[0][0] is seeds[1][0] is groups[0][0][0] is groups[1][0][0]
     assert seeds[2][0] is groups[2][0][0] is not seeds[0][0]
+    assert refused == [unheld, unheld, unheld]
     # one list of Jet1 arguments per point, seeded on its one argument
     # tuple, and each held function's one pass there
-    assert len(held) == 7 and passes == [held, held, held]
+    assert len(held) == 10 and passes == [held, held, held]
     assert ones[0] is ones[1] is not ones[2]
-    for (types, jets), (args, _, _) in zip(ones, (g[0] for g in groups)):
-        assert types == (float,) * 5
+    for jets, (args, _, _) in zip(ones, (g[0] for g in groups)):
+        assert tuple(map(type, args)) == (float,) * 4 + (complex,) * 2
         assert [j.value for j in jets] == list(args)
         assert [j.d for j in jets] == [
-            tuple(float(i == a) for i in range(5)) for a in range(5)]
+            tuple(float(i == a) for i in range(6)) for a in range(6)]
 
 
 def record():
